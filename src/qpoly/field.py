@@ -5,31 +5,65 @@ The two generators are
     s       with s**2 = q   (so half-integer powers of q are honest monomials),
     Lambda  standing for q**lambda, never expanded.
 
-An IntPoly is a sparse integer polynomial in (s, Lambda):
+An IntPoly is a dense integer polynomial in (s, Lambda), stored as rows:
 
-    terms: dict mapping (exp_s, exp_lam) -> nonzero int
+    rows[j] = [c_0, c_1, ...]   the coefficient of Lambda**j, a list of ints
+                                 by ascending power of s
 
+A row has no trailing zeros (a zero row is []), the last row is nonzero and
+the zero polynomial has no rows, so equal polynomials have equal rows.  Rows
+are never changed in place once built.  Coefficients are ints only.
 Exponents are nonnegative; negative powers of s or Lambda live in the
 denominator of a RationalFunction.  Term order is graded lexicographic on
-(exp_s, exp_lam), which fixes leading coefficients, display order and hashes.
+(exp_s, exp_lam), which fixes leading coefficients and display order.
+
+Multiplication.  Small products are schoolbook over the rows.  Larger ones
+(see _PACK_MUL_CUTOFF) are packed into one Python int each by Kronecker
+substitution, s -> 2**w and Lambda -> 2**(w*W), multiplied once and
+unpacked as balanced base-2**w digits.  W is the s-length of a product row,
+so rows never overlap.  The width rule: w is 8, 16, 32, 64 or a larger
+multiple of 8 bits with 2**(w-1) > min(nnz(a), nnz(b)) * max|a| * max|b|,
+a bound on every product coefficient, so each coefficient is exactly one
+digit.  Packing and unpacking are linear: each coefficient plus the bias
+2**(w-1) is a w-bit unsigned field (struct words up to 64 bits,
+int.to_bytes / int.from_bytes above), and the bias of all fields together
+is one integer.  Rows that are polynomials in s**2 are multiplied, divided
+and gcd'ed as polynomials in s**2, at half the length.
+
+Exact division is long division in Lambda whose steps are exact divisions
+of rows, so no leading term is searched for; a divisor with one Lambda row
+divides row by row.  In a row division a factor s**i of the divisor is a
+shift plus a check that the dividend has it, and a one-term divisor leaves
+an integer check.  Long row divisions are one integer divmod at a width w
+that holds the coefficients of both operands.  For a true divisor B of A,
+A(2**w) = B(2**w) * Q(2**w), so a nonzero remainder proves that B does not
+divide A.  Otherwise the integer quotient is read as balanced digits Q'.
+Q' is accepted when the product bound of B * Q' is below 2**(w-1): then
+B * Q' and A are balanced expansions of the same integer, hence equal.
+Failing that it is accepted when B * Q' multiplied out equals A, and
+otherwise schoolbook division decides.  So divexact never returns a wrong
+quotient and never returns None for a true divisor.
 
 A RationalFunction is a reduced fraction of two IntPolys: numerator and
 denominator coprime (integer content included), denominator nonzero with
 positive leading coefficient, zero stored as 0/1.  All operations return
 canonical values, so equality is structural.
 
-gcd strategy: map the polynomial to an integer by evaluating at a large
-integer point, take an integer gcd, reconstruct a candidate from balanced
-base-xi digits and verify it by exact trial division; fall back to a
-primitive pseudo-remainder sequence if the heuristic keeps failing.  The
-bivariate case runs a primitive PRS in Lambda whose content computations
-reduce to the univariate heuristic.
+gcd strategy: take out the integer content and the common power of s, map
+the polynomial to an integer by evaluating at a large integer point, take
+an integer gcd, reconstruct a candidate from balanced base-xi digits and
+verify it by exact trial division; fall back to a primitive
+pseudo-remainder sequence if the heuristic keeps failing.  The bivariate
+case runs a primitive PRS in Lambda whose content computations reduce to
+the univariate heuristic.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from operator import add, index, neg, sub
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -48,43 +82,69 @@ class NumericPole(ArithmeticError):
     """Denominator numerically vanishes at the evaluation point."""
 
 
-def _grlex(key):
-    a, b = key
-    return (a + b, a, b)
+# Largest exponent of s or Lambda an IntPoly may have: rows are dense, so
+# s**(10**9) would need gigabytes.
+_MAX_EXP = 1 << 20
+
+# Packing pays off once a * b > cutoff * (a + b) for operand sizes a and b
+# (nonzero coefficients for a product; quotient and divisor length for an
+# exact division).  Measured on CPython 3.11, x86-64, coefficients of 4 to
+# 300 bits.
+_PACK_MUL_CUTOFF = 4
+_PACK_DIV_CUTOFF = 3
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers (s-only fast path); coefficient lists low -> high
+# rows: lists of ints, low -> high power of s, no trailing zeros, zero = []
 # ---------------------------------------------------------------------------
 
 def _unorm(c):
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
+    """Drop the trailing zeros of a fresh list in place and return it."""
+    while c and not c[-1]:
+        c.pop()
+    return c
 
 
-def _uis_zero(c):
-    return len(c) == 1 and c[0] == 0
+def _uval(c):
+    """Exponent of the largest power of s dividing the nonzero row c."""
+    i = 0
+    while not c[i]:
+        i += 1
+    return i
 
 
-def _ucontent(c):
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-        if g == 1:
-            return 1
-    return g
+def _nnz(c):
+    return len(c) - c.count(0)
+
+
+def _is_even(c):
+    """Whether the row is a polynomial in s**2."""
+    return not any(c[1::2])
+
+
+def _spread(c):
+    """The row c(s**2) from the row c(s)."""
+    out = [0] * (2 * len(c) - 1)
+    out[::2] = c
+    return out
+
+
+def _maxabs(c):
+    return max(max(c), -min(c))
 
 
 def _uprimitive(c):
     """Divide out integer content and make the leading coefficient positive."""
-    g = _ucontent(c)
+    g = math.gcd(*c)
     if g == 0:
-        return [0]
+        return []
     if c[-1] < 0:
         g = -g
-    return [x // g for x in c]
+    return c if g == 1 else [x // g for x in c]
+
+
+def _pos_lead_list(c):
+    return [-x for x in c] if c and c[-1] < 0 else c
 
 
 def _ueval(c, x):
@@ -94,32 +154,219 @@ def _ueval(c, x):
     return acc
 
 
+def _uadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(add, a, b))
+    if len(a) == len(b):
+        return _unorm(out)
+    return out + a[len(b):]
+
+
+# -- Kronecker packing -------------------------------------------------------
+
+# struct formats of one unsigned digit of 1, 2, 4 or 8 bytes
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _width(bits):
+    """Bytes per digit holding any integer below 2**bits in magnitude; up to
+    8 bytes, rounded up to a struct word."""
+    n = bits // 8 + 1
+    return 1 << (n - 1).bit_length() if n <= 8 else n
+
+
+def _bias(nbytes, n):
+    """The sum of the bias 2**(8*nbytes-1) over n digits of nbytes bytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
+def _pack(c, nbytes):
+    """c evaluated at 2**(8*nbytes); every |c_i| < 2**(8*nbytes-1)."""
+    half = 1 << (8 * nbytes - 1)
+    biased = [x + half for x in c]
+    word = _WORDS.get(nbytes)
+    if word:
+        data = struct.pack(f"<{len(c)}{word}", *biased)
+    else:
+        data = b"".join([x.to_bytes(nbytes, "little") for x in biased])
+    return int.from_bytes(data, "little") - _bias(nbytes, len(c))
+
+
+def _unpack(v, nbytes, n):
+    """The n balanced base-2**(8*nbytes) digits of v, low first.
+
+    Raises OverflowError if v has no such expansion.
+    """
+    half = 1 << (8 * nbytes - 1)
+    data = (v + _bias(nbytes, n)).to_bytes(nbytes * n, "little")
+    word = _WORDS.get(nbytes)
+    if word:
+        digits = struct.unpack(f"<{n}{word}", data)
+    else:
+        digits = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    return [x - half for x in digits]
+
+
+def _flatten(rows, width):
+    """The rows as one digit sequence with width digits per Lambda power."""
+    flat = []
+    for r in rows[:-1]:
+        flat += r
+        flat += [0] * (width - len(r))
+    return flat + rows[-1]
+
+
+def _rows_mul_packed(a, b, na, nb):
+    wa, wb = max(map(len, a)), max(map(len, b))
+    width = wa + wb - 1
+    bits = (max(map(_maxabs, filter(None, a))).bit_length()
+            + max(map(_maxabs, filter(None, b))).bit_length() + min(na, nb).bit_length())
+    nbytes = _width(bits)
+    nrows = len(a) + len(b) - 1
+    digits = _unpack(_pack(_flatten(a, width), nbytes) * _pack(_flatten(b, width), nbytes),
+                     nbytes, nrows * width)
+    return [_unorm(digits[j:j + width]) for j in range(0, nrows * width, width)]
+
+
+# -- products ------------------------------------------------------------------
+
+def _umul(a, b):
+    """Product of two rows."""
+    if not a or not b:
+        return []
+    la, lb = len(a), len(b)
+    if la == 1:
+        return list(map(a[0].__mul__, b))
+    if lb == 1:
+        return list(map(b[0].__mul__, a))
+    if la * lb > _PACK_MUL_CUTOFF * (la + lb):
+        if not a[0] or not b[0]:
+            va, vb = _uval(a), _uval(b)
+            return [0] * (va + vb) + _umul(a[va:], b[vb:])
+        if _is_even(a) and _is_even(b):
+            return _spread(_umul(a[::2], b[::2]))
+        na, nb = _nnz(a), _nnz(b)
+        if na * nb > _PACK_MUL_CUTOFF * (na + nb):
+            return _rows_mul_packed([a], [b], na, nb)[0]
+    if _nnz(a) > _nnz(b):
+        a, b, lb = b, a, la
+    out = [0] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + lb] = map(add, out[i:i + lb], map(x.__mul__, b))
+    return out
+
+
+def _rows_mul(a, b):
+    """Product of two polynomials given as rows."""
+    if not a or not b:
+        return []
+    if len(a) == 1 and len(b) == 1:
+        return [_umul(a[0], b[0])]
+    na, nb = sum(map(_nnz, a)), sum(map(_nnz, b))
+    if na * nb > _PACK_MUL_CUTOFF * (na + nb):
+        return _rows_mul_packed(a, b, na, nb)
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = _uadd(out[i + j], _umul(x, y))
+    return out
+
+
+# -- exact division ------------------------------------------------------------
+
 def _udivexact(a, b):
-    """Exact quotient a / b over Z[s], or None if b does not divide a."""
-    if _uis_zero(b):
+    """Exact quotient a / b of rows, or None if b does not divide a."""
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if _uis_zero(a):
-        return [0]
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
+    if not a:
+        return []
+    if not a[0] or not b[0]:
+        va, vb = _uval(a), _uval(b)
+        if va < vb:
+            return None
+        q = _udivexact(a[va:], b[vb:])
+        return None if q is None else [0] * (va - vb) + q
+    db = len(b) - 1
+    n = len(a) - db
+    if n <= 0:
+        return None
+    lead = b[-1]
+    if db == 0:
+        if lead == 1:
+            return a
+        q = [x // lead for x in a]
+        return q if list(map(lead.__mul__, q)) == a else None
+    if a[-1] % lead or a[0] % b[0]:
+        return None
+    if n * db > _PACK_DIV_CUTOFF * (n + db):
+        if _is_even(a) and _is_even(b):
+            q = _udivexact(a[::2], b[::2])
+            return None if q is None else _spread(q)
+        q = _udivexact_packed(a, b, n)
+        if q is not False:
+            return q
+    r = list(a)
+    q = [0] * n
+    low = b[:-1]
+    for i in range(n - 1, -1, -1):
+        top = r[i + db]
+        if top:
+            f, m = divmod(top, lead)
+            if m:
+                return None
+            q[i] = f
+            r[i:i + db] = map(sub, r[i:i + db], map(f.__mul__, low))
+    return None if any(r[:db]) else q
+
+
+def _udivexact_packed(a, b, n):
+    """a / b by one integer divmod: the quotient, None if b does not divide
+    a, or False if the packing cannot decide."""
+    nbytes = _width(max(_maxabs(a), _maxabs(b)).bit_length() + n.bit_length() + 8)
+    q, r = divmod(_pack(a, nbytes), _pack(b, nbytes))
+    if r:
+        return None
+    try:
+        quot = _unpack(q, nbytes, n)
+    except OverflowError:
+        return False
+    if not quot[-1]:
+        return False
+    bound = _maxabs(b) * _maxabs(quot) * min(_nnz(b), _nnz(quot))
+    if bound.bit_length() < 8 * nbytes or _umul(b, quot) == a:
+        return quot
+    return False
+
+
+def _rows_divexact(a, b):
+    """Exact quotient of polynomials given as rows, or None: long division
+    in Lambda whose steps are exact divisions of rows."""
+    m = len(b) - 1
+    n = len(a) - m
+    if n <= 0:
         return None
     r = list(a)
-    lead = b[db]
-    q = [0] * (da - db + 1)
-    for i in range(da, db - 1, -1):
-        ri = r[i]
-        if ri == 0:
-            continue
-        if ri % lead:
-            return None
-        f = ri // lead
-        q[i - db] = f
-        for j in range(db + 1):
-            r[i - db + j] -= f * b[j]
-    if any(r):
-        return None
-    return _unorm(q)
+    q = [[]] * n
+    top = b[-1]
+    for k in range(n - 1, -1, -1):
+        rt = r[k + m]
+        if rt:
+            f = _udivexact(rt, top)
+            if f is None:
+                return None
+            q[k] = f
+            f = list(map(neg, f))
+            for j in range(m):
+                if b[j]:
+                    r[k + j] = _uadd(r[k + j], _umul(f, b[j]))
+    return None if any(r[:m]) else q
 
+
+# -- univariate gcd ------------------------------------------------------------
 
 def _ufrom_balanced(value, xi):
     """Reconstruct a polynomial from the balanced base-xi digits of value."""
@@ -132,71 +379,69 @@ def _ufrom_balanced(value, xi):
             r -= xi
         digits.append(r)
         v = (v - r) // xi
-    return digits or [0]
+    return digits
 
 
 def _uprem(a, b):
-    """Pseudo-remainder of a by b over Z[s] (content-stripped each step)."""
+    """Pseudo-remainder of a by b over Z[s], scaled by as little of lead(b) as
+    each step needs."""
     db = len(b) - 1
     lead = b[db]
+    low = b[:-1]
     r = list(a)
-    while True:
-        r = _unorm(r)
-        dr = len(r) - 1
-        if _uis_zero(r) or dr < db:
-            return r
-        top = r[dr]
-        g = math.gcd(abs(top), abs(lead))
+    while len(r) > db:
+        top = r.pop()
+        g = math.gcd(top, lead)
         fl, ft = lead // g, top // g
-        for i in range(dr):
-            r[i] *= fl
-        for j in range(db):
-            r[dr - db + j] -= ft * b[j]
-        r[dr] = 0
+        if fl != 1:
+            r = [x * fl for x in r]
+        k = len(r) - db
+        r[k:] = map(sub, r[k:], map(ft.__mul__, low))
+        _unorm(r)
+    return r
 
 
 def _ugcd_prs(a, b):
     a, b = _uprimitive(a), _uprimitive(b)
     if len(a) < len(b):
         a, b = b, a
-    while not _uis_zero(b) and len(b) > 1:
+    while len(b) > 1:
         a, b = b, _uprimitive(_uprem(a, b))
-    if _uis_zero(b):
-        return a
-    return [1]
+    return a if not b else [1]
 
 
 def _ugcd(a, b):
     """gcd over Z[s], integer content included, positive leading coefficient."""
-    if _uis_zero(a):
-        return [0] if _uis_zero(b) else _pos_lead_list(b)
-    if _uis_zero(b):
+    if not a:
+        return _pos_lead_list(b)
+    if not b:
         return _pos_lead_list(a)
-    ca, cb = _ucontent(a), _ucontent(b)
+    va, vb = _uval(a), _uval(b)
+    head = [0] * min(va, vb)
+    A, B = a[va:], b[vb:]
+    ca, cb = math.gcd(*A), math.gcd(*B)
     cg = math.gcd(ca, cb)
-    A = [x // ca for x in a]
-    B = [x // cb for x in b]
     if len(A) == 1 or len(B) == 1:
-        return [cg]
-    bound = 2 * min(max(abs(x) for x in A), max(abs(x) for x in B)) + 2
+        return head + [cg]
+    if ca != 1:
+        A = [x // ca for x in A]
+    if cb != 1:
+        B = [x // cb for x in B]
+    if A == B:
+        return head + [cg * x for x in _pos_lead_list(A)]
+    if _is_even(A) and _is_even(B):
+        return head + [cg * x for x in _spread(_ugcd(A[::2], B[::2]))]
+    bound = 2 * min(_maxabs(A), _maxabs(B)) + 2
     xi = max(bound, 4)
     for _ in range(8):
         va, vb = _ueval(A, xi), _ueval(B, xi)
         if va and vb:
             g = math.gcd(va, vb)
             cand = _uprimitive(_ufrom_balanced(g, xi))
-            if not _uis_zero(cand):
-                if _udivexact(A, cand) is not None and _udivexact(B, cand) is not None:
-                    return [cg * x for x in cand]
+            if cand and _udivexact(A, cand) is not None and _udivexact(B, cand) is not None:
+                return head + [cg * x for x in cand]
         xi = xi * 73794 // 27011 + 1
-    g = _ugcd_prs(A, B)
-    return [cg * x for x in g]
-
-
-def _pos_lead_list(c):
-    if c[-1] < 0:
-        return [-x for x in c]
-    return list(c)
+    return head + [cg * x for x in _ugcd_prs(A, B)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +449,27 @@ def _pos_lead_list(c):
 # ---------------------------------------------------------------------------
 
 class IntPoly:
-    """Sparse integer polynomial in the generators s and Lambda."""
+    """Dense integer polynomial in s and Lambda: one row in s per power of Lambda."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_rows", "_hash")
 
     def __init__(self, terms=None):
-        clean = {}
+        rows = []
         if terms:
-            for key, coeff in terms.items():
+            for (a, b), coeff in terms.items():
+                if not isinstance(coeff, int):
+                    raise TypeError("IntPoly coefficients must be integers, not "
+                                    + type(coeff).__name__)
                 if coeff:
-                    a, b = key
                     if a < 0 or b < 0:
                         raise ValueError("IntPoly exponents must be nonnegative")
-                    clean[(a, b)] = coeff
-        self._terms = clean
+                    if a > _MAX_EXP or b > _MAX_EXP:
+                        raise ValueError(f"IntPoly exponents must be at most {_MAX_EXP}")
+                    rows += [[] for _ in range(b + 1 - len(rows))]
+                    row = rows[b]
+                    row += [0] * (a + 1 - len(row))
+                    row[a] = int(coeff)
+        self._rows = rows
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -231,7 +483,8 @@ class IntPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({(0, 0): int(c)})
+        c = index(c)
+        return _raw_poly([[c]] if c else [])
 
     @classmethod
     def monomial(cls, coeff, exp_s=0, exp_lam=0):
@@ -239,101 +492,87 @@ class IntPoly:
 
     @classmethod
     def s_pow(cls, e):
-        return cls({(e, 0): 1})
+        return _raw_poly([[0] * e + [1]])
 
     @classmethod
     def lam_pow(cls, e):
-        return cls({(0, e): 1})
+        return _raw_poly([[]] * e + [[1]])
 
     # -- structure ---------------------------------------------------------
     def is_zero(self):
-        return not self._terms
+        return not self._rows
 
     def is_one(self):
-        return self._terms == {(0, 0): 1}
+        return self._rows == [[1]]
 
     def is_const(self):
-        return not self._terms or set(self._terms) == {(0, 0)}
+        rows = self._rows
+        return not rows or (len(rows) == 1 and len(rows[0]) == 1)
 
     def has_lam(self):
-        return any(b for _, b in self._terms)
+        return len(self._rows) > 1
 
     def is_monomial(self):
-        return len(self._terms) == 1
+        return sum(map(_nnz, self._rows)) == 1
 
     def deg_s(self):
-        return max((a for a, _ in self._terms), default=0)
+        return max(map(len, self._rows), default=1) - 1
 
     def deg_lam(self):
-        return max((b for _, b in self._terms), default=0)
+        return max(len(self._rows) - 1, 0)
 
     def sorted_terms(self):
         """Terms in graded-lex descending order: list of ((exp_s, exp_lam), coeff)."""
-        return [(k, self._terms[k]) for k in sorted(self._terms, key=_grlex, reverse=True)]
+        terms = [((a, b), c) for b, row in enumerate(self._rows) for a, c in enumerate(row) if c]
+        terms.sort(key=lambda t: (t[0][0] + t[0][1], t[0][0]), reverse=True)
+        return terms
 
     def leading_key(self):
-        if not self._terms:
+        if not self._rows:
             raise ValueError("zero polynomial has no leading term")
-        return max(self._terms, key=_grlex)
+        _, a, b = max((len(r) - 1 + b, len(r) - 1, b) for b, r in enumerate(self._rows) if r)
+        return a, b
 
     def leading_coeff(self):
-        return self._terms[self.leading_key()] if self._terms else 0
+        if not self._rows:
+            return 0
+        a, b = self.leading_key()
+        return self._rows[b][a]
 
     def content(self):
-        g = 0
-        for c in self._terms.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        return g
+        return math.gcd(*map(lambda r: math.gcd(*r), self._rows))
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return _raw_poly(out)
+        a, b = self._rows, other._rows
+        if len(a) < len(b):
+            a, b = b, a
+        out = [_uadd(x, y) for x, y in zip(a, b)]
+        if len(a) == len(b):
+            return _raw_poly(_unorm(out))
+        return _raw_poly(out + a[len(b):])
 
     def __sub__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return _raw_poly(out)
+        return self + -other
 
     def __neg__(self):
-        return _raw_poly({k: -c for k, c in self._terms.items()})
+        return _raw_poly([list(map(neg, r)) for r in self._rows])
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return _INTPOLY_ZERO
-            return _raw_poly({k: c * other for k, c in self._terms.items()})
+            return _raw_poly([list(map(other.__mul__, r)) for r in self._rows])
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _INTPOLY_ZERO
-        out = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a1 + a2, b1 + b2)
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return _raw_poly(out)
+        a, b = self._rows, other._rows
+        if len(a) == 1 and len(b) == 1:
+            return _raw_poly([_umul(a[0], b[0])])
+        return _raw_poly(_rows_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -350,92 +589,59 @@ class IntPoly:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self._terms == other._terms
+        if isinstance(other, IntPoly):
+            return self._rows == other._rows
+        if isinstance(other, int):
+            return self._rows == ([[other]] if other else [])
+        return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(self.sorted_terms()))
+            rows = self._rows
+            if self.is_const():
+                self._hash = hash(rows[0][0] if rows else 0)
+            else:
+                self._hash = hash(tuple(map(tuple, rows)))
         return self._hash
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._rows)
 
     # -- evaluation & substitution -----------------------------------------
     def eval_int(self, s_value, lam_value=1):
-        acc = 0
-        for (a, b), c in self._terms.items():
-            acc += c * s_value**a * lam_value**b
-        return acc
+        return _ueval([_ueval(r, s_value) for r in self._rows], lam_value)
 
     def eval_complex(self, s_value, lam_value=1.0):
         acc = 0j
-        for (a, b), c in self._terms.items():
-            acc += c * s_value**a * lam_value**b
+        for b, row in enumerate(self._rows):
+            for a, c in enumerate(row):
+                if c:
+                    acc += c * s_value**a * lam_value**b
         return acc
 
     def subs_lam_spow(self, m):
         """Substitute Lambda -> s**m (m >= 0)."""
-        out = {}
-        for (a, b), c in self._terms.items():
-            k = (a + m * b, 0)
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return _raw_poly(out)
+        out = []
+        for b, row in enumerate(self._rows):
+            out = _uadd(out, [0] * (m * b) + row) if row else out
+        return _raw_poly([out] if out else [])
 
     # -- division ----------------------------------------------------------
     def divexact(self, d):
         """Exact quotient self / d, or None if d does not divide self."""
-        if d.is_zero():
+        if not d._rows:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
+        if not self._rows:
             return _INTPOLY_ZERO
-        if d.is_one():
+        if d._rows == [[1]]:
             return self
-        if not self.has_lam() and not d.has_lam():
-            q = _udivexact(self._dense_s(), d._dense_s())
-            return None if q is None else _from_dense_s(q)
-        r = dict(self._terms)
-        out = {}
-        dk = d.leading_key()
-        dc = d._terms[dk]
-        while r:
-            rk = max(r, key=_grlex)
-            rc = r[rk]
-            ea, eb = rk[0] - dk[0], rk[1] - dk[1]
-            if ea < 0 or eb < 0 or rc % dc:
-                return None
-            f = rc // dc
-            out[(ea, eb)] = f
-            for (a, b), c in d._terms.items():
-                k = (a + ea, b + eb)
-                v = r.get(k, 0) - f * c
-                if v:
-                    r[k] = v
-                else:
-                    r.pop(k, None)
-        return _raw_poly(out)
-
-    # -- dense conversion ----------------------------------------------------
-    def _dense_s(self):
-        if self.has_lam():
-            raise LambdaPresent("element contains the Lambda generator")
-        c = [0] * (self.deg_s() + 1)
-        for (a, _), v in self._terms.items():
-            c[a] = v
-        return c
+        q = _rows_divexact(self._rows, d._rows)
+        return None if q is None else _raw_poly(q)
 
     # -- Lambda-recursive view ----------------------------------------------
     def lam_coeffs(self):
         """Coefficients of Lambda**j as s-only IntPolys: dict j -> IntPoly."""
-        out = {}
-        for (a, b), c in self._terms.items():
-            out.setdefault(b, {})[(a, 0)] = c
-        return {b: _raw_poly(t) for b, t in out.items()}
+        return {b: _raw_poly([r]) for b, r in enumerate(self._rows) if r}
 
     # -- text ----------------------------------------------------------------
     def __str__(self):
@@ -445,70 +651,62 @@ class IntPoly:
         return f"IntPoly({format_poly(self)})"
 
 
-def _raw_poly(terms):
+def _raw_poly(rows):
     p = IntPoly.__new__(IntPoly)
-    p._terms = terms
+    p._rows = rows
     p._hash = None
     return p
 
 
-def _from_dense_s(c):
-    return _raw_poly({(i, 0): v for i, v in enumerate(c) if v})
-
-
-_INTPOLY_ZERO = IntPoly()
-_INTPOLY_ONE = IntPoly({(0, 0): 1})
+_INTPOLY_ZERO = _raw_poly([])
+_INTPOLY_ONE = _raw_poly([[1]])
 
 
 # ---------------------------------------------------------------------------
 # polynomial gcd
 # ---------------------------------------------------------------------------
 
-def _lam_content_split(p):
-    """Split p into (content, primitive) where content is the gcd of the
-    Lambda-coefficients (an s-only poly with positive leading coefficient)."""
-    coeffs = p.lam_coeffs()
+def _lam_content_split(rows):
+    """Split nonzero rows into (content, primitive): the content is the gcd of
+    the Lambda-coefficients, a row with positive leading coefficient."""
     cont = None
-    for c in coeffs.values():
-        cont = _pos_lead(c) if cont is None else poly_gcd(cont, c)
-        if cont.is_one():
-            break
-    prim = p.divexact(cont)
-    return cont, prim
+    for r in rows:
+        if r:
+            cont = _pos_lead_list(r) if cont is None else _ugcd(cont, r)
+            if cont == [1]:
+                return cont, rows
+    return cont, [_udivexact(r, cont) if r else r for r in rows]
 
 
 def _prem_lam(a, b):
     """Pseudo-remainder of a by b viewed as polynomials in Lambda."""
-    db = b.deg_lam()
-    lead = b.lam_coeffs()[db]
+    db = len(b) - 1
+    lead = b[db]
     r = a
-    while not r.is_zero() and r.deg_lam() >= db:
-        dr = r.deg_lam()
-        top = r.lam_coeffs()[dr]
-        shift = dr - db
-        shifted = _raw_poly({(es, el + shift): c for (es, el), c in b._terms.items()})
-        r = lead * r - top * shifted
+    while len(r) > db:
+        top = list(map(neg, r[-1]))
+        shift = len(r) - 1 - db
+        r = [_uadd(_umul(lead, x), _umul(top, b[j - shift]) if j >= shift else [])
+             for j, x in enumerate(r)]
+        _unorm(r)
     return r
 
 
 def _gcd_lam_prs(a, b):
-    """gcd of Lambda-primitive polynomials with deg_lam >= 1 somewhere."""
-    if a.deg_lam() < b.deg_lam():
+    """gcd of Lambda-primitive rows with more than one row somewhere."""
+    if len(a) < len(b):
         a, b = b, a
-    while True:
-        if b.is_zero():
-            g = a
-            break
-        if b.deg_lam() == 0:
-            return _INTPOLY_ONE
+    while b and len(b) > 1:
         r = _prem_lam(a, b)
-        if r.is_zero():
-            g = b
-            break
+        if not r:
+            _, g = _lam_content_split(b)
+            return g
         _, r = _lam_content_split(r)
         a, b = b, r
-    _, g = _lam_content_split(g)
-    return g
+    if not b:
+        _, g = _lam_content_split(a)
+        return g
+    return [[1]]
 
 
 def poly_gcd(a, b):
@@ -517,13 +715,17 @@ def poly_gcd(a, b):
         return b if b.is_zero() else _pos_lead(b)
     if b.is_zero():
         return _pos_lead(a)
-    if not a.has_lam() and not b.has_lam():
-        return _from_dense_s(_ugcd(a._dense_s(), b._dense_s()))
-    ca, pa = _lam_content_split(a)
-    cb, pb = _lam_content_split(b)
-    gc = poly_gcd(ca, cb)
-    g = _gcd_lam_prs(pa, pb)
-    return _pos_lead(gc * g)
+    if a.is_const() or b.is_const():
+        return IntPoly.const(math.gcd(a.content(), b.content()))
+    if a == b:
+        return _pos_lead(a)
+    ra, rb = a._rows, b._rows
+    if len(ra) == 1 and len(rb) == 1:
+        return _raw_poly([_ugcd(ra[0], rb[0])])
+    ca, pa = _lam_content_split(ra)
+    cb, pb = _lam_content_split(rb)
+    g = _rows_mul([_ugcd(ca, cb)], _gcd_lam_prs(pa, pb))
+    return _pos_lead(_raw_poly(g))
 
 
 def _pos_lead(p):
@@ -624,8 +826,12 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes like the equal int or Fraction
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            if self.num.is_const() and self.den.is_const():
+                self._hash = hash(self.as_fraction())
+            else:
+                self._hash = hash((self.num, self.den))
         return self._hash
 
     # -- arithmetic ------------------------------------------------------------
@@ -726,13 +932,13 @@ class RationalFunction:
         """
         if self.has_lam():
             raise LambdaPresent("element contains q**lambda")
-        num = self.num._dense_s()
-        den = self.den._dense_s()
-        nv, dv = _ueval(num, 1), _ueval(den, 1)
+        num = self.num._rows[0] if self.num._rows else []
+        den = self.den._rows[0]
+        nv, dv = sum(num), sum(den)
         while dv == 0 and nv == 0:
             num = _syndiv_s_minus_1(num)
             den = _syndiv_s_minus_1(den)
-            nv, dv = _ueval(num, 1), _ueval(den, 1)
+            nv, dv = sum(num), sum(den)
         if dv == 0:
             raise PoleAtOne("denominator vanishes at q = 1")
         return Fraction(nv, dv)
@@ -865,6 +1071,13 @@ class ParseError(ValueError):
     """Malformed polynomial / rational-function text."""
 
 
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"not an integer: {text!r}") from None
+
+
 def _parse_exponent(text):
     text = text.strip()
     if text.startswith("{") and text.endswith("}"):
@@ -872,8 +1085,8 @@ def _parse_exponent(text):
     elif text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     if text.endswith("/2"):
-        return int(text[:-2]), True
-    return int(text), False
+        return _parse_int(text[:-2]), True
+    return _parse_int(text), False
 
 
 def _parse_laurent_term(term):
@@ -888,7 +1101,7 @@ def _parse_laurent_term(term):
         if not factor:
             raise ParseError(f"empty factor in {term!r}")
         if factor[0] in "+-" or factor[0].isdigit():
-            coeff *= int(factor)
+            coeff *= _parse_int(factor)
         elif factor.startswith("q"):
             rest = factor[1:]
             if not rest:
@@ -956,7 +1169,14 @@ def parse_poly(text):
     for (es, el) in terms:
         if es < 0 or el < 0:
             raise ParseError("negative exponent in plain polynomial text")
-    return IntPoly(terms)
+    return _parsed_poly(terms)
+
+
+def _parsed_poly(terms):
+    try:
+        return IntPoly(terms)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_rational(text):
@@ -964,13 +1184,15 @@ def parse_rational(text):
     text = text.strip()
     if ")/(" in text and text.startswith("(") and text.endswith(")"):
         i = text.index(")/(")
-        num_text, den_text = text[1:i], text[i + 3:-1]
-        return RationalFunction(parse_poly(num_text), parse_poly(den_text))
+        num, den = parse_poly(text[1:i]), parse_poly(text[i + 3:-1])
+        if den.is_zero():
+            raise ParseError("zero denominator")
+        return RationalFunction(num, den)
     terms = parse_laurent(text)
     min_s = min((es for es, _ in terms), default=0)
     min_l = min((el for _, el in terms), default=0)
     shift_s = -min(min_s, 0)
     shift_l = -min(min_l, 0)
-    num = IntPoly({(es + shift_s, el + shift_l): c for (es, el), c in terms.items()})
-    den = IntPoly({(shift_s, shift_l): 1})
+    num = _parsed_poly({(es + shift_s, el + shift_l): c for (es, el), c in terms.items()})
+    den = _parsed_poly({(shift_s, shift_l): 1})
     return RationalFunction(num, den)

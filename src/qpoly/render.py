@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .field import RationalFunction, format_poly, format_rational, parse_poly
+from .field import ParseError, RationalFunction, format_poly, format_rational, parse_poly
 from .families import CosPolynomial, ZPolynomial
 
 
@@ -348,14 +348,29 @@ def render_polynomial_json(poly, family, n, k=None, total_check=None):
 
 
 def parse_polynomial_json(text):
-    """Inverse of render_polynomial_json: returns (polynomial, meta)."""
-    doc = json.loads(text)
+    """Inverse of render_polynomial_json: returns (polynomial, meta).
+
+    Raises ParseError on anything that is not such a document.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"malformed JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("coefficients", []), list):
+        raise ParseError("expected an object with a list of coefficients")
     coeffs = {}
     basis = doc.get("basis")
     for entry in doc.get("coefficients", []):
-        basis = entry["basis"]
-        rf = RationalFunction(parse_poly(entry["num"]), parse_poly(entry["den"]))
-        coeffs[entry["degree_or_m"]] = rf
+        try:
+            basis, degree = entry["basis"], entry["degree_or_m"]
+            num, den = parse_poly(entry["num"]), parse_poly(entry["den"])
+        except (KeyError, TypeError, AttributeError):
+            raise ParseError(f"malformed coefficient entry {entry!r}") from None
+        if type(degree) is not int or degree < 0:
+            raise ParseError(f"degree_or_m must be an integer >= 0, got {degree!r}")
+        if den.is_zero():
+            raise ParseError("zero denominator")
+        coeffs[degree] = RationalFunction(num, den)
     cls = CosPolynomial if basis == "cos" else ZPolynomial
     meta = {key: doc[key] for key in ("family", "n", "k", "total_check") if key in doc}
     return cls(coeffs), meta

@@ -1,6 +1,7 @@
 """Exact rational-function field: canonical forms, field laws, limits."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +10,13 @@ from qpoly.field import (
     IntPoly,
     LambdaPresent,
     NumericPole,
+    ParseError,
     PoleAtOne,
     RationalFunction as RF,
     parse_rational,
     poly_gcd,
 )
+from qpoly.render import parse_polynomial_json
 
 ONE = RF.one()
 Q = RF.q()
@@ -197,3 +200,210 @@ def test_parse_print_round_trip_randomized():
     for _ in range(200):
         f = _random_rf(rng)
         assert parse_rational(str(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# value contracts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("coeff", [1.5, 0.0, 2.0, Fraction(1, 2), "1", None])
+def test_intpoly_rejects_non_integer_coefficients(coeff):
+    with pytest.raises(TypeError):
+        IntPoly({(0, 0): coeff})
+    with pytest.raises(TypeError):
+        IntPoly({(2, 1): coeff, (0, 0): 1})
+
+
+def test_constants_hash_like_equal_numbers():
+    pairs = [(RF.from_int(3), 3), (RF.from_int(-7), -7), (RF.zero(), 0), (RF.one(), 1),
+             (RF.from_fraction(Fraction(-2, 3)), Fraction(-2, 3)),
+             (RF.from_fraction(Fraction(4, 2)), 2),
+             (IntPoly.const(3), 3), (IntPoly.const(-5), -5), (IntPoly.zero(), 0)]
+    for value, number in pairs:
+        assert value == number and number == value
+        assert hash(value) == hash(number), value
+        assert len({value, number}) == 1
+    assert IntPoly.const(3) != 4 and IntPoly.s_pow(1) != 1
+    assert RF.from_int(3) != Fraction(3, 2)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_rational, "q^"),
+    (parse_rational, "q^{1/3}"),
+    (parse_rational, "q^{a}"),
+    (parse_rational, "2/3"),
+    (parse_rational, "(1)/(0)"),
+    (parse_rational, "q^{1048577}"),
+    (parse_polynomial_json, "[]"),
+    (parse_polynomial_json, "{"),
+    (parse_polynomial_json, '{"coefficients": [{"basis": "z", "degree_or_m": 0, '
+                            '"num": "1", "den": "0"}]}'),
+    (parse_polynomial_json, '{"coefficients": [{"basis": "z", "num": "1", "den": "1"}]}'),
+    (parse_polynomial_json, '{"coefficients": [{"basis": "z", "degree_or_m": 0, '
+                            '"num": 1, "den": "1"}]}'),
+    (parse_polynomial_json, '{"coefficients": [{"basis": "z", "degree_or_m": -1, '
+                            '"num": "1", "den": "1"}]}'),
+    (parse_polynomial_json, '{"coefficients": 3}'),
+])
+def test_malformed_text_raises_parse_error(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+# ---------------------------------------------------------------------------
+# IntPoly kernels against a schoolbook reference on term dicts
+# ---------------------------------------------------------------------------
+
+# coefficients at the digit-width boundaries of the packed kernels
+_EDGES = [2**7 - 1, 2**7, 2**15, 2**31 - 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**200]
+
+
+def _reference_mul(a, b):
+    out = {}
+    for (a1, b1), c1 in a.items():
+        for (a2, b2), c2 in b.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _terms(p):
+    return dict(p.sorted_terms())
+
+
+def _random_terms(rng, size, deg_lam, bits):
+    """About size terms in s (and Lambda up to deg_lam), dense or sparse,
+    some of them polynomials in s**2 or s**4 times a power of s."""
+    deg_s = max(size // (deg_lam + 1), 1) + rng.randint(0, 3)
+    fill = rng.choice([1.0, 0.5, 0.1])
+    step, offset = rng.choice([(1, 0), (1, 0), (2, 0), (2, 1), (4, 3)])
+    terms = {}
+    for a in range(deg_s + 1):
+        for b in range(deg_lam + 1):
+            if rng.random() < fill:
+                c = rng.choice(_EDGES) if rng.random() < 0.1 else rng.randint(1, 2**bits)
+                terms[(offset + step * a, b)] = c if rng.random() < 0.5 else -c
+    if not terms:
+        terms[(offset + step * rng.randint(0, deg_s), rng.randint(0, deg_lam))] = rng.choice(_EDGES)
+    return terms
+
+
+def _operand_pairs(seed, count):
+    """Pairs of term dicts: s-only and bivariate, small and large (either side
+    of the packing cutoff), coefficients up to 2**200."""
+    rng = random.Random(seed)
+    for case in range(count):
+        deg_lam = 0 if case % 2 == 0 else rng.randint(1, 3)
+        sizes = [rng.randint(1, 4), rng.randint(30, 90)]
+        size_a, size_b = rng.choice(sizes), rng.choice(sizes)
+        bits = rng.choice([3, 40, 70, 200])
+        yield (_random_terms(rng, size_a, deg_lam, bits),
+               _random_terms(rng, size_b, rng.randint(0, deg_lam), bits))
+
+
+def test_mul_matches_schoolbook_reference():
+    for ta, tb in _operand_pairs(11, 120):
+        product = IntPoly(ta) * IntPoly(tb)
+        assert _terms(product) == _reference_mul(ta, tb)
+        assert product == IntPoly(_reference_mul(ta, tb))
+
+
+def _divides_unit_monomial(divisor, key):
+    """Whether divisor divides the monomial with exponents key and coefficient 1."""
+    if not divisor.is_monomial() or abs(divisor.leading_coeff()) != 1:
+        return False
+    (i, j), _ = divisor.sorted_terms()[0]
+    return i <= key[0] and j <= key[1]
+
+
+def _check_division(ta, tb, rng):
+    a, b = IntPoly(ta), IntPoly(tb)
+    product = a * b
+    assert product.divexact(b) == a
+    assert product.divexact(a) == b
+    key = rng.choice(list(_terms(product)) + [(0, 0)])
+    perturbed = product + IntPoly({key: 1})
+    if not _divides_unit_monomial(b, key):
+        assert perturbed.divexact(b) is None
+
+
+def test_divexact_recovers_factor_and_rejects_perturbation():
+    rng = random.Random(12)
+    for ta, tb in _operand_pairs(13, 120):
+        _check_division(ta, tb, rng)
+
+
+def test_divexact_by_monomials():
+    rng = random.Random(14)
+    for ta, _ in _operand_pairs(15, 60):
+        for c in (1, -1, 3, -(2**70)):
+            tb = {(rng.randint(0, 5), rng.randint(0, 2)): c}
+            _check_division(ta, tb, rng)
+        a = IntPoly(ta)
+        assert (a * IntPoly.s_pow(1) + IntPoly.one()).divexact(IntPoly.s_pow(1)) is None
+        assert (a * 3).divexact(IntPoly.const(3)) == a
+        assert (a * 3 + IntPoly.one()).divexact(IntPoly.const(3)) is None
+
+
+def test_divexact_negative_leading_coefficient():
+    rng = random.Random(16)
+    for ta, tb in _operand_pairs(17, 60):
+        b = IntPoly(tb)
+        if b.leading_coeff() > 0:
+            tb = {k: -v for k, v in tb.items()}
+        assert IntPoly(tb).leading_coeff() < 0
+        _check_division(ta, tb, rng)
+
+
+def test_divexact_edge_cases():
+    a = IntPoly({(3, 0): 2**64, (0, 1): -(2**63)})
+    with pytest.raises(ZeroDivisionError):
+        a.divexact(IntPoly.zero())
+    assert IntPoly.zero().divexact(a).is_zero()
+    assert a.divexact(a) == IntPoly.one()
+    assert a.divexact(-a) == IntPoly.const(-1)
+    assert IntPoly.s_pow(2).divexact(IntPoly.s_pow(3)) is None
+    assert IntPoly.lam_pow(1).divexact(IntPoly.s_pow(1)) is None
+    assert IntPoly.s_pow(1).divexact(IntPoly.lam_pow(1)) is None
+
+
+def test_divexact_quotient_wider_than_dividend():
+    # (s + 1)**100 has 97-bit coefficients, its product with (s - 1)**40 only
+    # 77-bit ones: the packed quotient cannot be read at the dividend's width
+    q = IntPoly({(1, 0): 1, (0, 0): 1}) ** 100
+    b = IntPoly({(1, 0): 1, (0, 0): -1}) ** 40
+    lam = IntPoly({(0, 1): 1, (0, 0): -3})
+    assert (q * b).divexact(b) == q
+    assert (q * b * lam).divexact(b * lam) == q
+    assert (q * b + IntPoly.one()).divexact(b) is None
+
+
+def test_poly_gcd_properties():
+    rng = random.Random(18)
+    for case in range(60):
+        deg_lam = 0 if case % 2 == 0 else 1
+        a, b, g = (IntPoly(_random_terms(rng, rng.randint(1, 12), deg_lam, rng.choice([3, 40])))
+                   for _ in range(3))
+        x, y = a * g, b * g
+        h = poly_gcd(x, y)
+        assert h.leading_coeff() > 0
+        assert h.divexact(g) is not None, case
+        assert poly_gcd(x.divexact(h), y.divexact(h)).is_one(), case
+        assert poly_gcd(y, x) == h and poly_gcd(x, x) == poly_gcd(-x, x)
+
+
+def test_gcd_prs_fallback_agrees_with_heuristic():
+    # the primitive PRS only runs when the heuristic gcd keeps failing
+    from qpoly.field import _ugcd_prs
+
+    def row(p):
+        out = [0] * (p.deg_s() + 1)
+        for (a, _), c in p.sorted_terms():
+            out[a] = c
+        return out
+
+    rng = random.Random(19)
+    for _ in range(40):
+        a, b, g = (IntPoly(_random_terms(rng, rng.randint(2, 10), 0, 20)) for _ in range(3))
+        h = poly_gcd(a * g, b * g)
+        assert _ugcd_prs(row(a * g), row(b * g)) == row(h.divexact(IntPoly.const(h.content())))
