@@ -21,28 +21,27 @@ Multiplication.  Small products are schoolbook over the rows.  Larger ones
 (see _PACK_MUL_CUTOFF) are packed into one Python int each by Kronecker
 substitution, s -> 2**w and Lambda -> 2**(w*W), multiplied once and
 unpacked as balanced base-2**w digits.  W is the s-length of a product row,
-so rows never overlap.  The width rule: w is 8, 16, 32, 64 or a larger
-multiple of 8 bits with 2**(w-1) > min(nnz(a), nnz(b)) * max|a| * max|b|,
-a bound on every product coefficient, so each coefficient is exactly one
-digit.  Packing and unpacking are linear: each coefficient plus the bias
-2**(w-1) is a w-bit unsigned field (struct words up to 64 bits,
-int.to_bytes / int.from_bytes above), and the bias of all fields together
-is one integer.  Rows that are polynomials in s**2 are multiplied, divided
-and gcd'ed as polynomials in s**2, at half the length.
+so rows never overlap.  The width rule: w is the least multiple of 8 bits
+with 2**(w-1) > min(nnz(a), nnz(b)) * max|a| * max|b|, a bound on every
+product coefficient, so each coefficient is exactly one digit.  Packing and
+unpacking are linear: each coefficient plus the bias 2**(w-1) is a w-bit
+unsigned field written by int.to_bytes and read by int.from_bytes, and the
+bias of all fields together is one integer.  Rows that are polynomials in
+s**2 (q-polynomials, most of the traffic) are multiplied, divided and
+gcd'ed as polynomials in s**2, at half the length.
 
 Exact division is long division in Lambda whose steps are exact divisions
 of rows, so no leading term is searched for; a divisor with one Lambda row
 divides row by row.  In a row division a factor s**i of the divisor is a
 shift plus a check that the dividend has it, and a one-term divisor leaves
-an integer check.  Long row divisions are one integer divmod at a width w
-that holds the coefficients of both operands.  For a true divisor B of A,
-A(2**w) = B(2**w) * Q(2**w), so a nonzero remainder proves that B does not
-divide A.  Otherwise the integer quotient is read as balanced digits Q'.
-Q' is accepted when the product bound of B * Q' is below 2**(w-1): then
-B * Q' and A are balanced expansions of the same integer, hence equal.
-Failing that it is accepted when B * Q' multiplied out equals A, and
-otherwise schoolbook division decides.  So divexact never returns a wrong
-quotient and never returns None for a true divisor.
+an integer check.  Otherwise the row is divided by schoolbook long division
+over Z: each step divides the top coefficient by the divisor's leading one
+and stops with None on a remainder, and the quotient is returned only when
+the remainder left at the end is zero, so A = B * Q holds for every
+quotient returned.  If B divides A in Z[s] the quotient has integer
+coefficients and each step finds its next one, so a true divisor never gives
+None.  When A and B are polynomials in s**2 so is A / B (A(-s) = A(s) and
+B(-s) = B(s) force Q(-s) = Q(s)), so they are divided in s**2.
 
 A RationalFunction is a reduced fraction of two IntPolys: numerator and
 denominator coprime (integer content included), denominator nonzero with
@@ -61,7 +60,6 @@ the univariate heuristic.
 from __future__ import annotations
 
 import math
-import struct
 from fractions import Fraction
 from operator import add, index, neg, sub
 
@@ -82,16 +80,10 @@ class NumericPole(ArithmeticError):
     """Denominator numerically vanishes at the evaluation point."""
 
 
-# Largest exponent of s or Lambda an IntPoly may have: rows are dense, so
-# s**(10**9) would need gigabytes.
-_MAX_EXP = 1 << 20
-
-# Packing pays off once a * b > cutoff * (a + b) for operand sizes a and b
-# (nonzero coefficients for a product; quotient and divisor length for an
-# exact division).  Measured on CPython 3.11, x86-64, coefficients of 4 to
-# 300 bits.
+# Packing pays off once a * b > cutoff * (a + b) for the numbers a and b of
+# nonzero coefficients of the factors.  Measured on CPython 3.11, x86-64,
+# coefficients of 4 to 300 bits.
 _PACK_MUL_CUTOFF = 4
-_PACK_DIV_CUTOFF = 3
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +157,9 @@ def _uadd(a, b):
 
 # -- Kronecker packing -------------------------------------------------------
 
-# struct formats of one unsigned digit of 1, 2, 4 or 8 bytes
-_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def _width(bits):
-    """Bytes per digit holding any integer below 2**bits in magnitude; up to
-    8 bytes, rounded up to a struct word."""
-    n = bits // 8 + 1
-    return 1 << (n - 1).bit_length() if n <= 8 else n
+    """Bytes per digit holding any integer below 2**bits in magnitude."""
+    return bits // 8 + 1
 
 
 def _bias(nbytes, n):
@@ -184,28 +170,16 @@ def _bias(nbytes, n):
 def _pack(c, nbytes):
     """c evaluated at 2**(8*nbytes); every |c_i| < 2**(8*nbytes-1)."""
     half = 1 << (8 * nbytes - 1)
-    biased = [x + half for x in c]
-    word = _WORDS.get(nbytes)
-    if word:
-        data = struct.pack(f"<{len(c)}{word}", *biased)
-    else:
-        data = b"".join([x.to_bytes(nbytes, "little") for x in biased])
+    data = b"".join([(x + half).to_bytes(nbytes, "little") for x in c])
     return int.from_bytes(data, "little") - _bias(nbytes, len(c))
 
 
 def _unpack(v, nbytes, n):
-    """The n balanced base-2**(8*nbytes) digits of v, low first.
-
-    Raises OverflowError if v has no such expansion.
-    """
+    """The n balanced base-2**(8*nbytes) digits of v, low first."""
     half = 1 << (8 * nbytes - 1)
     data = (v + _bias(nbytes, n)).to_bytes(nbytes * n, "little")
-    word = _WORDS.get(nbytes)
-    if word:
-        digits = struct.unpack(f"<{n}{word}", data)
-    else:
-        digits = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
-    return [x - half for x in digits]
+    return [int.from_bytes(data[i:i + nbytes], "little") - half
+            for i in range(0, len(data), nbytes)]
 
 
 def _flatten(rows, width):
@@ -302,13 +276,9 @@ def _udivexact(a, b):
         return q if list(map(lead.__mul__, q)) == a else None
     if a[-1] % lead or a[0] % b[0]:
         return None
-    if n * db > _PACK_DIV_CUTOFF * (n + db):
-        if _is_even(a) and _is_even(b):
-            q = _udivexact(a[::2], b[::2])
-            return None if q is None else _spread(q)
-        q = _udivexact_packed(a, b, n)
-        if q is not False:
-            return q
+    if _is_even(a) and _is_even(b):
+        q = _udivexact(a[::2], b[::2])
+        return None if q is None else _spread(q)
     r = list(a)
     q = [0] * n
     low = b[:-1]
@@ -321,25 +291,6 @@ def _udivexact(a, b):
             q[i] = f
             r[i:i + db] = map(sub, r[i:i + db], map(f.__mul__, low))
     return None if any(r[:db]) else q
-
-
-def _udivexact_packed(a, b, n):
-    """a / b by one integer divmod: the quotient, None if b does not divide
-    a, or False if the packing cannot decide."""
-    nbytes = _width(max(_maxabs(a), _maxabs(b)).bit_length() + n.bit_length() + 8)
-    q, r = divmod(_pack(a, nbytes), _pack(b, nbytes))
-    if r:
-        return None
-    try:
-        quot = _unpack(q, nbytes, n)
-    except OverflowError:
-        return False
-    if not quot[-1]:
-        return False
-    bound = _maxabs(b) * _maxabs(quot) * min(_nnz(b), _nnz(quot))
-    if bound.bit_length() < 8 * nbytes or _umul(b, quot) == a:
-        return quot
-    return False
 
 
 def _rows_divexact(a, b):
@@ -463,8 +414,6 @@ class IntPoly:
                 if coeff:
                     if a < 0 or b < 0:
                         raise ValueError("IntPoly exponents must be nonnegative")
-                    if a > _MAX_EXP or b > _MAX_EXP:
-                        raise ValueError(f"IntPoly exponents must be at most {_MAX_EXP}")
                     rows += [[] for _ in range(b + 1 - len(rows))]
                     row = rows[b]
                     row += [0] * (a + 1 - len(row))
@@ -1172,11 +1121,16 @@ def parse_poly(text):
     return _parsed_poly(terms)
 
 
+# Largest exponent of s or Lambda accepted in text: rows are dense, so
+# q^{10^9} would need gigabytes.
+_MAX_PARSED_EXP = 1 << 20
+
+
 def _parsed_poly(terms):
-    try:
-        return IntPoly(terms)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    for (es, el) in terms:
+        if es > _MAX_PARSED_EXP or el > _MAX_PARSED_EXP:
+            raise ParseError(f"exponent above {_MAX_PARSED_EXP} in polynomial text")
+    return IntPoly(terms)
 
 
 def parse_rational(text):

@@ -254,7 +254,7 @@ def test_malformed_text_raises_parse_error(parse, text):
 # IntPoly kernels against a schoolbook reference on term dicts
 # ---------------------------------------------------------------------------
 
-# coefficients at the digit-width boundaries of the packed kernels
+# coefficients at the digit-width boundaries of the packed multiply
 _EDGES = [2**7 - 1, 2**7, 2**15, 2**31 - 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**200]
 
 
@@ -369,7 +369,7 @@ def test_divexact_edge_cases():
 
 def test_divexact_quotient_wider_than_dividend():
     # (s + 1)**100 has 97-bit coefficients, its product with (s - 1)**40 only
-    # 77-bit ones: the packed quotient cannot be read at the dividend's width
+    # 77-bit ones: the quotient's coefficients are wider than the dividend's
     q = IntPoly({(1, 0): 1, (0, 0): 1}) ** 100
     b = IntPoly({(1, 0): 1, (0, 0): -1}) ** 40
     lam = IntPoly({(0, 1): 1, (0, 0): -3})
