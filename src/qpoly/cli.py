@@ -1,14 +1,13 @@
 """Command-line interface.
 
-    qpoly eval <family> --n N [--k K] [--order N] [--format text|latex|json]
+    qpoly eval <family> --n N [--k K] [--format text|latex|json]
     qpoly connect <family> --n N [--k K] [--aux a1,a2,...] [--format ...]
     qpoly verify [--suite NAME] [--max-n N] [--format text|json] [--report PATH]
 
 Families for eval: hermite, laguerre, gegenbauer and their classical-*
 counterparts.  Exit codes: 0 success, 1 verification failure, 2 usage error.
-The default truncation order is 12, overridable with --order or the
-QPOLY_ORDER environment variable.  --q-sample adds a floating-point
-cross-check of the command's dual-route identity at the given rational q.
+--q-sample adds a floating-point cross-check of the command's dual-route
+identity at the given rational q.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -67,16 +65,6 @@ _THETA_SAMPLE = 0.9
 _LAMBDA_SAMPLE = 2.5
 
 
-def _default_order():
-    env = os.environ.get("QPOLY_ORDER")
-    if env:
-        try:
-            return max(int(env), 0)
-        except ValueError:
-            pass
-    return 12
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qpoly",
@@ -85,8 +73,6 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=None,
-                        help="series truncation order (default 12 or $QPOLY_ORDER)")
     common.add_argument("--format", choices=("text", "latex", "json"), default="text")
     common.add_argument("--q-sample", dest="q_sample", default=None, metavar="RATIONAL",
                         help="floating-point cross-check at this q (e.g. 7/10)")
@@ -129,15 +115,14 @@ def _parse_q_sample(text, parser):
 # eval
 # ---------------------------------------------------------------------------
 
-def _eval_polynomial(family, n, k, order):
+def _eval_polynomial(family, n, k):
     """Returns (polynomial, independent-route polynomial)."""
     if family == "hermite":
-        return q_hermite(n, max(order, n)), hermite_connection(n).rescaled_total()
+        return q_hermite(n), hermite_connection(n).rescaled_total()
     if family == "laguerre":
-        return (q_laguerre(n, k, max(order, k)),
-                laguerre_connection(n, k).rescaled_total())
+        return q_laguerre(n, k), laguerre_connection(n, k).rescaled_total()
     if family == "gegenbauer":
-        return q_gegenbauer_direct(n), q_gegenbauer_genfun(n, max(order, n))
+        return q_gegenbauer_direct(n), q_gegenbauer_genfun(n)
     if family == "classical-hermite":
         return hermite_classical(n), hermite_genfun_classical(n)
     if family == "classical-laguerre":
@@ -186,8 +171,7 @@ def _cmd_eval(args, parser, out):
         parser.error(f"family {family} takes no --k")
     if args.n < 0:
         parser.error("--n must be >= 0")
-    order = args.order if args.order is not None else _default_order()
-    poly, other = _eval_polynomial(family, args.n, args.k, order)
+    poly, other = _eval_polynomial(family, args.n, args.k)
     if args.format == "json":
         print(render_polynomial_json(poly, family, args.n, args.k,
                                      total_check=(poly == other)), file=out)

@@ -27,8 +27,10 @@ from functools import lru_cache
 
 from .field import RationalFunction
 from .families import (
+    COSPOLY_RING,
     CosPolynomial,
     LaguerreIndex,
+    SparsePoly,
     ZPolynomial,
     gegenbauer_classical,
     gegenbauer_weight,
@@ -306,158 +308,47 @@ def laguerre_connection(n, k, aux=None):
 # ---------------------------------------------------------------------------
 # abstract coefficient rings for the Gegenbauer connection
 # ---------------------------------------------------------------------------
+# A monomial is ((generator, exponent), ...) with generators ascending and
+# the empty tuple as the unit; two monomials multiply by merging exponents.
 
-def _mono_mul(m1, m2):
+def _merge(m1, m2, c):
     out = dict(m1)
     for g, e in m2:
         out[g] = out.get(g, 0) + e
-    return tuple(sorted(out.items()))
+    return ((tuple(sorted(out.items())), c),)
 
 
-class _AbstractPoly:
-    """Shared sparse monomial -> Fraction polynomial structure; a monomial is
-    ((generator, exponent), ...) with generators ascending."""
+def _revlex(mono):
+    """Exponent vector read from the highest generator down (the order of the
+    displayed forms)."""
+    return mono[::-1]
 
-    __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[tuple(mono)] = c
-        self._terms = clean
-        self._hash = None
+def _gen(cls, g):
+    return cls({((g, 1),): 1})
 
-    @classmethod
-    def zero(cls):
-        return cls()
 
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
+class BetaPolynomial(SparsePoly):
+    """Polynomial with rational coefficients in the abstract generators
+    beta_k standing for [lambda]_{q**k}."""
 
-    @classmethod
-    def constant(cls, c):
-        return cls({(): Fraction(c)})
-
-    @classmethod
-    def gen(cls, g):
-        return cls({((g, 1),): 1})
-
-    def is_zero(self):
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return self._terms == ({(): c} if c else {})
-        return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((type(self).__name__, tuple(sorted(self._terms.items()))))
-        return self._hash
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self).constant(other)
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        return self._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return type(self)()
-            return self._raw({m: v * c for m, v in self._terms.items()})
-        if type(other) is not type(self):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _mono_mul(m1, m2)
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return self._raw(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of an abstract polynomial")
-        result = type(self).one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    @classmethod
-    def _raw(cls, terms):
-        p = cls.__new__(cls)
-        p._terms = terms
-        p._hash = None
-        return p
+    __slots__ = ()
+    _coerce = Fraction
+    _unit = ()
+    _times = staticmethod(_merge)
+    _order = staticmethod(_revlex)
+    gen = classmethod(_gen)
 
     def substitute(self, value_of, one_value):
         """Map each generator g to value_of(g) and sum; lands in the target
         ring, whose multiplicative unit is one_value."""
-        total = None
+        total = one_value * 0
         for mono, c in self._terms.items():
             term = one_value
             for g, e in mono:
                 term = term * value_of(g) ** e
-            term = term * c
-            total = term if total is None else total + term
-        return one_value * 0 if total is None else total
-
-    def sorted_terms(self):
-        """Terms ordered by descending reverse-lex on the exponent vector read
-        from the highest generator down (matches the displayed forms)."""
-        gens = sorted({g for mono in self._terms for g, _ in mono}, reverse=True)
-
-        def key(mono):
-            d = dict(mono)
-            return tuple(d.get(g, 0) for g in gens)
-
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=key, reverse=True)]
-
-
-class BetaPolynomial(_AbstractPoly):
-    """Polynomial with rational coefficients in the abstract generators
-    beta_k standing for [lambda]_{q**k}."""
+            total = total + term * c
+        return total
 
     def substitute_q_lambda(self):
         """beta_k -> (1 - Lambda**k)/(1 - q**k); lands in Q(s, Lambda)."""
@@ -473,136 +364,50 @@ class BetaPolynomial(_AbstractPoly):
         return f"BetaPolynomial({text_beta(self)})"
 
 
-class LambdaPolynomial(_AbstractPoly):
+class LambdaPolynomial(SparsePoly):
     """Univariate polynomial in the classical weight lambda over Q."""
+
+    __slots__ = ()
+    _coerce = Fraction
+    _unit = ()
+    _times = staticmethod(_merge)
+    _order = staticmethod(_revlex)
+    gen = classmethod(_gen)
 
     def __repr__(self):
         from .render import text_lambda_poly
         return f"LambdaPolynomial({text_lambda_poly(self)})"
 
 
-class CPolynomial:
+def _partition_key(mono):
+    """Weight descending, then parts-descending lexicographic ([5] before
+    [4,1] before [3,2]...): the partition order."""
+    parts = []
+    for m, e in sorted(mono, reverse=True):
+        parts.extend([m] * e)
+    return (sum(parts), tuple(parts))
+
+
+class CPolynomial(SparsePoly):
     """Formal polynomial in abstract classical factors C_1, C_2, ... with
     coefficients in a pluggable commutative ring (Fraction, BetaPolynomial or
-    LambdaPolynomial).  Monomials multiply formally; no basis relations are
-    applied — this is the displayed shape of the connection formulae."""
+    LambdaPolynomial), taken as given.  Monomials multiply formally; no basis
+    relations are applied — this is the displayed shape of the connection
+    formulae."""
 
-    __slots__ = ("_terms", "_hash")
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    clean[tuple(mono)] = c
-        self._terms = clean
-        self._hash = None
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(): c})
+    __slots__ = ()
+    _scalars = (int, Fraction, SparsePoly)
+    _unit = ()
+    _times = staticmethod(_merge)
+    _order = staticmethod(_partition_key)
 
     @classmethod
     def factor(cls, m, one):
         """The single classical factor C_m (with the given coefficient one)."""
         return cls({((m, 1),): one})
 
-    def is_zero(self):
-        return not self._terms
-
-    def coeff(self, mono):
-        return self._terms.get(tuple(mono))
-
     def monomials(self):
-        return set(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items(), key=lambda kv: kv[0])))
-        return self._hash
-
-    def __add__(self, other):
-        if not isinstance(other, CPolynomial):
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            if m in out:
-                v = out[m] + c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-            else:
-                out[m] = c
-        return self._raw(out)
-
-    def __neg__(self):
-        return self._raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, CPolynomial):
-            out = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    m = _mono_mul(m1, m2)
-                    v = c1 * c2
-                    if m in out:
-                        w = out[m] + v
-                        if w:
-                            out[m] = w
-                        else:
-                            del out[m]
-                    elif v:
-                        out[m] = v
-            return self._raw(out)
-        # scalar (int / Fraction / coefficient-ring element)
-        out = {}
-        for m, c in self._terms.items():
-            v = c * other
-            if v:
-                out[m] = v
-        return self._raw(out)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def _raw(cls, terms):
-        p = cls.__new__(cls)
-        p._terms = terms
-        p._hash = None
-        return p
-
-    def map_coeffs(self, fn):
-        out = {}
-        for m, c in self._terms.items():
-            v = fn(c)
-            if v:
-                out[m] = v
-        return self._raw(out)
-
-    def sorted_terms(self):
-        """Terms grouped like the partition order: weight descending, then
-        parts-descending lexicographic ([5] before [4,1] before [3,2]...)."""
-
-        def key(mono):
-            parts = []
-            for m, e in sorted(mono, reverse=True):
-                parts.extend([m] * e)
-            return (sum(parts), tuple(parts))
-
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=key, reverse=True)]
+        return self.support()
 
     def __repr__(self):
         from .render import text_cpoly
@@ -626,6 +431,19 @@ def classical_log_coefficients(order):
     return tuple(logs.coeff(k) for k in range(1, order + 1))
 
 
+def _weighted_exp(n, weight, one):
+    """t**n coefficient of exp(sum_k weight(k) a_k t**k), a_k the classical
+    log coefficients: a CPolynomial over the ring of weight(k) and one."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    ring = Ring(CPolynomial.zero(), CPolynomial.constant(one))
+    logs = classical_log_coefficients(n) if n else ()
+    arg = TruncatedSeries.zero(ring, n)
+    for k in range(1, n + 1):
+        arg = arg + TruncatedSeries.monomial(ring, logs[k - 1].scale(weight(k)), k, n)
+    return arg.exp().coeff(n)
+
+
 @lru_cache(maxsize=None)
 def gegenbauer_connection(n):
     """Connection expansion of the deformed Gegenbauer polynomial of degree n
@@ -635,16 +453,7 @@ def gegenbauer_connection(n):
     Mechanization: exponentiate sum_k beta_k a_k t**k where a_k are the
     classical log coefficients; the t**n coefficient is the connection,
     valid for every n (the low orders reproduce the displayed forms)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    ring = Ring(CPolynomial.zero(), CPolynomial.constant(BetaPolynomial.one()))
-    logs = classical_log_coefficients(n) if n else ()
-    arg = TruncatedSeries.zero(ring, n)
-    for k in range(1, n + 1):
-        beta = BetaPolynomial.gen(k)
-        lifted = logs[k - 1].map_coeffs(lambda c: BetaPolynomial.constant(c) * beta)
-        arg = arg + TruncatedSeries.monomial(ring, lifted, k, n)
-    total = arg.exp().coeff(n)
+    total = _weighted_exp(n, BetaPolynomial.gen, BetaPolynomial.one())
     terms = []
     for mono, coeff in total.sorted_terms():
         factors = tuple(f"C{m}^{e}" if e > 1 else f"C{m}" for m, e in sorted(mono, reverse=True))
@@ -681,16 +490,8 @@ def gegenbauer_classical_lambda(n):
     """The classical general-lambda connection: t**n coefficient of
     exp(lambda * sum_k a_k t**k) as a CPolynomial over Q[lambda].  Equals the
     beta_k -> lambda image of gegenbauer_connection(n)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    ring = Ring(CPolynomial.zero(), CPolynomial.constant(LambdaPolynomial.one()))
-    logs = classical_log_coefficients(n) if n else ()
     lam = LambdaPolynomial.gen(1)
-    arg = TruncatedSeries.zero(ring, n)
-    for k in range(1, n + 1):
-        lifted = logs[k - 1].map_coeffs(lambda c: LambdaPolynomial.constant(c) * lam)
-        arg = arg + TruncatedSeries.monomial(ring, lifted, k, n)
-    return arg.exp().coeff(n)
+    return _weighted_exp(n, lambda k: lam, LambdaPolynomial.one())
 
 
 # Explicit low-order log combinations: I_l as [(coefficient, [factor orders])].
@@ -723,11 +524,10 @@ def gegenbauer_sum_rule(ell):
     """
     if ell < 1:
         raise ValueError("sum-rule order must be >= 1")
-    ring = Ring(CosPolynomial.zero(), CosPolynomial.one())
     deformed = [q_gegenbauer_direct(i) for i in range(ell + 1)]
     classical = [gegenbauer_classical(i) for i in range(ell + 1)]
-    lhs = _log_coefficient_of(deformed, ell, ring)
-    rhs = _log_coefficient_of(classical, ell, ring).scale(gegenbauer_weight(ell))
+    lhs = _log_coefficient_of(deformed, ell, COSPOLY_RING)
+    rhs = _log_coefficient_of(classical, ell, COSPOLY_RING).scale(gegenbauer_weight(ell))
     return lhs, rhs
 
 

@@ -4,13 +4,17 @@ Each family exists twice: in explicit closed form and by coefficient
 extraction from its generating function, so every constructor carries a
 built-in independent cross-check.
 
-Working bases:
+Working bases, both SparsePoly subclasses (the one sparse polynomial
+implementation, shared with the abstract rings of the connection module):
 
   * ZPolynomial  — sparse polynomial in z over Q(s, Lambda); hosts the
     (q-)Hermite and (q-)Laguerre families.
   * CosPolynomial — linear combinations of cos(m*theta) with the product
     folded by cos(a)cos(b) = (cos(a+b) + cos(|a-b|))/2; hosts the
     (q-)Gegenbauer families (lambda enters only through Lambda = q**lambda).
+
+A generating function is expanded only to the order of the coefficient
+extracted from it: the coefficient does not depend on the truncation order.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from functools import lru_cache
 
 from .field import RationalFunction
 from .qkernel import QBase, q_binomial, q_factorial, q_pochhammer
-from .series import OrderExceeded, Ring, TruncatedSeries
+from .series import Ring, TruncatedSeries
 
-_RF_ZERO = RationalFunction.zero()
 _RF_ONE = RationalFunction.one()
 
 
@@ -36,22 +39,46 @@ def _as_rf(value):
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
-class _SparseRFPoly:
-    """Shared sparse int->RationalFunction storage with linear structure."""
+class SparsePoly:
+    """Sparse monomial -> coefficient polynomial over a commutative ring.
 
-    __slots__ = ("_coeffs", "_hash")
+    A subclass fixes three things: `_coerce`, which turns an accepted scalar
+    into a coefficient; `_unit`, the unit monomial, which is also the least
+    one; and `_times(m1, m2, c)`, which returns the (monomial, coefficient)
+    pairs of the product of two monomials whose coefficients multiply to c.
+    `_scalars` are the types that act as constants, and `_order` keys the
+    display order of `sorted_terms` (highest first).  Zero coefficients are
+    never stored, so equal polynomials have equal dicts.
+    """
 
-    def __init__(self, coeffs=None):
+    __slots__ = ("_terms", "_hash")
+
+    _scalars = (int, Fraction)
+    _coerce = staticmethod(lambda c: c)
+    _unit = 0
+
+    @staticmethod
+    def _order(m):
+        return m
+
+    def __init__(self, terms=None):
         clean = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = _as_rf(v)
-                if k < 0:
-                    raise ValueError("negative index")
-                if not v.is_zero():
-                    clean[k] = v
-        self._coeffs = clean
+        if terms:
+            for m, c in terms.items():
+                if m < self._unit:
+                    raise ValueError(f"monomial {m!r} below the unit")
+                c = self._coerce(c)
+                if c:
+                    clean[m] = c
+        self._terms = clean
         self._hash = None
+
+    @classmethod
+    def _raw(cls, terms):
+        p = cls.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        return p
 
     @classmethod
     def zero(cls):
@@ -59,63 +86,72 @@ class _SparseRFPoly:
 
     @classmethod
     def one(cls):
-        return cls({0: _RF_ONE})
+        return cls({cls._unit: 1})
 
     @classmethod
     def constant(cls, value):
-        return cls({0: _as_rf(value)})
+        return cls({cls._unit: value})
 
-    def coeff(self, k):
-        return self._coeffs.get(k, _RF_ZERO)
+    def coeff(self, m):
+        c = self._terms.get(m)
+        return self._coerce(0) if c is None else c
 
     def items(self):
-        return sorted(self._coeffs.items())
+        return sorted(self._terms.items())
 
-    def degree(self):
-        return max(self._coeffs, default=0)
-
-    def is_zero(self):
-        return not self._coeffs
+    def sorted_terms(self):
+        """(monomial, coefficient) pairs in display order, highest first."""
+        key = self._order
+        return sorted(self._terms.items(), key=lambda mc: key(mc[0]), reverse=True)
 
     def support(self):
-        return set(self._coeffs)
+        return set(self._terms)
+
+    def is_zero(self):
+        return not self._terms
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if type(other) is type(self):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            other = _as_rf(other)
-            if other.is_zero():
-                return not self._coeffs
-            return self._coeffs == {0: other}
+            return self._terms == other._terms
+        if isinstance(other, self._scalars):
+            other = self._coerce(other)
+            return self._terms == ({self._unit: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes like its coefficient, so like the equal scalar
         if self._hash is None:
-            self._hash = hash((type(self).__name__, tuple(self.items())))
+            terms = self._terms
+            if terms.keys() <= {self._unit}:
+                self._hash = hash(terms.get(self._unit, 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            other = type(self).constant(other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            w = out.get(k, _RF_ZERO) + v
-            if w.is_zero():
-                out.pop(k, None)
+        if type(other) is not type(self):
+            if not isinstance(other, self._scalars):
+                return NotImplemented
+            other = self.constant(other)
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            if m in out:
+                c = out[m] + c
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
             else:
-                out[k] = w
+                out[m] = c
         return self._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw({k: -v for k, v in self._coeffs.items()})
+        return self._raw({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -123,24 +159,32 @@ class _SparseRFPoly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def scale(self, scalar):
-        scalar = _as_rf(scalar)
-        if scalar.is_zero():
-            return type(self)()
-        return self._raw({k: v * scalar for k, v in self._coeffs.items()})
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, self._scalars):
+                return NotImplemented
+            return self.scale(other)
+        times = self._times
+        out = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                for m, c in times(m1, m2, c1 * c2):
+                    if m in out:
+                        c = out[m] + c
+                        if c:
+                            out[m] = c
+                        else:
+                            del out[m]
+                    else:
+                        out[m] = c
+        return self._raw(out)
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, type(self)):
-            if scalar.support() <= {0}:
-                scalar = scalar.coeff(0)
-            else:
-                raise ValueError("division only by constants")
-        return self.scale(_RF_ONE / _as_rf(scalar))
+    __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
-            raise ValueError("negative power of a basis polynomial")
-        result = type(self).one()
+            raise ValueError("negative power of a polynomial")
+        result = self.one()
         base = self
         while e:
             if e & 1:
@@ -150,90 +194,76 @@ class _SparseRFPoly:
                 base = base * base
         return result
 
-    @classmethod
-    def _raw(cls, coeffs):
-        p = cls.__new__(cls)
-        p._coeffs = coeffs
-        p._hash = None
-        return p
+    def scale(self, scalar):
+        scalar = self._coerce(scalar)
+        if not scalar:
+            return self._raw({})
+        return self._raw({m: c * scalar for m, c in self._terms.items()})
 
     def map_coeffs(self, fn):
         out = {}
-        for k, v in self._coeffs.items():
-            w = fn(v)
-            if not w.is_zero():
-                out[k] = w
+        for m, c in self._terms.items():
+            c = fn(c)
+            if c:
+                out[m] = c
         return self._raw(out)
 
     def limit_q_to_1(self):
-        """Apply the q -> 1 limit to every coefficient."""
+        """Apply the q -> 1 limit to every (RationalFunction) coefficient."""
         return self.map_coeffs(lambda v: RationalFunction.from_fraction(v.limit_q_to_1()))
 
 
-class ZPolynomial(_SparseRFPoly):
-    """Sparse polynomial in the variable z over Q(s, Lambda)."""
+_RF_scalars = (int, Fraction, RationalFunction)
+
+
+class ZPolynomial(SparsePoly):
+    """Sparse polynomial in the variable z over Q(s, Lambda); a monomial is
+    the exponent of z."""
+
+    __slots__ = ()
+    _scalars = _RF_scalars
+    _coerce = staticmethod(_as_rf)
+
+    @staticmethod
+    def _times(k1, k2, c):
+        return ((k1 + k2, c),)
 
     @classmethod
     def z(cls, k=1):
         return cls({k: _RF_ONE})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return self.scale(other)
-        if not isinstance(other, ZPolynomial):
-            return NotImplemented
-        out = {}
-        for k1, v1 in self._coeffs.items():
-            for k2, v2 in other._coeffs.items():
-                k = k1 + k2
-                w = out.get(k, _RF_ZERO) + v1 * v2
-                if w.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = w
-        return self._raw(out)
-
-    __rmul__ = __mul__
-
     def eval_numeric(self, z_value, s_value, lam_value=None):
         return sum(v.eval_numeric(s_value, lam_value) * complex(z_value) ** k
-                   for k, v in self._coeffs.items())
+                   for k, v in self._terms.items())
 
     def __repr__(self):
         from .render import text_zpoly
         return f"ZPolynomial({text_zpoly(self)})"
 
 
-class CosPolynomial(_SparseRFPoly):
-    """Linear combination of cos(m*theta), m >= 0, over Q(s, Lambda)."""
+_HALF = Fraction(1, 2)
+
+
+class CosPolynomial(SparsePoly):
+    """Linear combination of cos(m*theta), m >= 0, over Q(s, Lambda); the
+    product folds by cos(a)cos(b) = (cos(a+b) + cos(|a-b|))/2."""
+
+    __slots__ = ()
+    _scalars = _RF_scalars
+    _coerce = staticmethod(_as_rf)
+
+    @staticmethod
+    def _times(m1, m2, c):
+        c = c * _HALF
+        return ((m1 + m2, c), (abs(m1 - m2), c))
 
     @classmethod
     def cos(cls, m):
         return cls({m: _RF_ONE})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return self.scale(other)
-        if not isinstance(other, CosPolynomial):
-            return NotImplemented
-        half = Fraction(1, 2)
-        out = {}
-        for m1, v1 in self._coeffs.items():
-            for m2, v2 in other._coeffs.items():
-                w = v1 * v2 * half
-                for m in (m1 + m2, abs(m1 - m2)):
-                    acc = out.get(m, _RF_ZERO) + w
-                    if acc.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = acc
-        return self._raw(out)
-
-    __rmul__ = __mul__
-
     def eval_numeric(self, theta, s_value, lam_value=None):
         return sum(v.eval_numeric(s_value, lam_value) * math.cos(m * theta)
-                   for m, v in self._coeffs.items())
+                   for m, v in self._terms.items())
 
     def __repr__(self):
         from .render import text_cospoly
@@ -325,38 +355,30 @@ def gegenbauer_classical(n):
 # deformed families
 # ---------------------------------------------------------------------------
 
-def _check_order(n, order):
-    if order is None:
-        order = n
-    if n > order:
-        raise OrderExceeded(f"degree {n} exceeds truncation order {order}")
-    return order
-
-
 @lru_cache(maxsize=None)
-def q_hermite(n, order=None):
+def q_hermite(n):
     """Deformed Hermite polynomial H_n(z; q).
 
     Extracted as the t**n coefficient of
 
         E_{q^-2}(2(1 - q^-2) z t) * e_{q^-4}(-2(1 - q^-4) t**2 / (q(1 + q^-2)))
 
-    scaled by [n]_{q^-2}! * q**(-n/2).  Coefficients live in Q(s).
+    scaled by [n]_{q^-2}! * q**(-n/2), working to order n.  Coefficients
+    live in Q(s).
     """
     from .qkernel import q_exp_sum
     if n < 0:
         raise ValueError("degree must be >= 0")
-    order = _check_order(n, order)
     base2 = QBase.q_pow(-2)
     base4 = QBase.q_pow(-4)
     q = RationalFunction.q()
     qm2 = RationalFunction.q_power(-2)
     qm4 = RationalFunction.q_power(-4)
     arg1 = TruncatedSeries.monomial(
-        ZPOLY_RING, ZPolynomial({1: (_RF_ONE - qm2) * 2}), 1, order)
+        ZPOLY_RING, ZPolynomial({1: (_RF_ONE - qm2) * 2}), 1, n)
     f1 = q_exp_sum("E", arg1, base2)
     c2 = (_RF_ONE - qm4) * (-2) / (q * (_RF_ONE + qm2))
-    arg2 = TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c2), 2, order)
+    arg2 = TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c2), 2, n)
     f2 = q_exp_sum("e", arg2, base4)
     extracted = (f1 * f2).coeff(n)
     scale = q_factorial(n, base2) * RationalFunction.s_power(-n)
@@ -364,27 +386,26 @@ def q_hermite(n, order=None):
 
 
 @lru_cache(maxsize=None)
-def q_laguerre(n, k, order=None):
+def q_laguerre(n, k):
     """Deformed Laguerre polynomial L_k^{(n-k)}(z; q).
 
     Extracted as the t**k coefficient of E_q(-(1-q) z t) * (-q/t; q)_n t**n,
     the second factor expanded by the q-binomial theorem as
     sum_l q**((n-l)(n-l+1)/2) [n over l]_q t**l, then divided by
-    q**((n-k)(n-k+1)/2).
+    q**((n-k)(n-k+1)/2), working to order k.
     """
     from .qkernel import q_exp_sum
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
-    order = _check_order(k, order)
     base = QBase.q()
     q = RationalFunction.q()
     arg = TruncatedSeries.monomial(
-        ZPOLY_RING, ZPolynomial({1: -(_RF_ONE - q)}), 1, order)
+        ZPOLY_RING, ZPolynomial({1: -(_RF_ONE - q)}), 1, k)
     efactor = q_exp_sum("E", arg, base)
-    tail = TruncatedSeries.zero(ZPOLY_RING, order)
-    for ell in range(min(n, order) + 1):
+    tail = TruncatedSeries.zero(ZPOLY_RING, k)
+    for ell in range(min(n, k) + 1):
         c = RationalFunction.q_power((n - ell) * (n - ell + 1) // 2) * q_binomial(n, ell, base)
-        tail = tail + TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c), ell, order)
+        tail = tail + TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c), ell, k)
     extracted = (efactor * tail).coeff(k)
     return extracted.scale(RationalFunction.q_power(-((n - k) * (n - k + 1) // 2)))
 
@@ -416,14 +437,13 @@ def q_gegenbauer_direct(n):
     return result
 
 
-def q_gegenbauer_genfun(n, order=None):
+def q_gegenbauer_genfun(n):
     """Deformed Gegenbauer polynomial by coefficient extraction from
-    exp( 2 sum_k [lambda]_{q**k} cos(k theta) t**k / k )."""
+    exp( 2 sum_k [lambda]_{q**k} cos(k theta) t**k / k ), to order n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    order = _check_order(n, order)
-    log_series = TruncatedSeries.zero(COSPOLY_RING, order)
-    for k in range(1, order + 1):
+    log_series = TruncatedSeries.zero(COSPOLY_RING, n)
+    for k in range(1, n + 1):
         coeff = CosPolynomial({k: gegenbauer_weight(k) * Fraction(2, k)})
-        log_series = log_series + TruncatedSeries.monomial(COSPOLY_RING, coeff, k, order)
+        log_series = log_series + TruncatedSeries.monomial(COSPOLY_RING, coeff, k, n)
     return log_series.exp().coeff(n)

@@ -155,40 +155,36 @@ def q_exp_sum(kind, argument, base):
             break
     return result
 
+
+def _exp_of_powers(argument, coeff):
+    """exp( sum_k coeff(k) * argument**k ) to the argument's order."""
+    _check_argument(argument)
+    ring = argument.ring
+    order = argument.order
+    log_series = TruncatedSeries.zero(ring, order)
+    power = TruncatedSeries.one(ring, order)
+    for k in range(1, order + 1):
+        power = power * argument
+        if power.is_zero():
+            break
+        log_series = log_series + power.scale(coeff(k))
+    return log_series.exp()
+
+
 def q_exp_product_form(kind, argument, base):
     """Jackson q-exponential as exp of its explicit log-series."""
     if kind not in ("e", "E"):
         raise ValueError("kind must be 'e' or 'E'")
-    _check_argument(argument)
-    ring = argument.ring
-    order = argument.order
     v = base.value
-    log_series = TruncatedSeries.zero(ring, order)
-    power = TruncatedSeries.one(ring, order)
-    vpow = _ONE
-    for k in range(1, order + 1):
-        power = power * argument
-        vpow = vpow * v
-        if power.is_zero():
-            break
-        c = _ONE / ((_ONE - vpow) * k)
-        if kind == "E" and k % 2 == 0:
-            c = -c
-        log_series = log_series + power.scale(c)
-    return log_series.exp()
+
+    def coeff(k):
+        c = _ONE / ((_ONE - v**k) * k)
+        return -c if kind == "E" and k % 2 == 0 else c
+
+    return _exp_of_powers(argument, coeff)
 
 
 def quesne_series(argument, base):
     """exp( sum_k c_k(base) * argument**k ): the product-of-exponentials
     form of the physicists' q-exponential sum_n z**n/[n]!."""
-    _check_argument(argument)
-    ring = argument.ring
-    order = argument.order
-    log_series = TruncatedSeries.zero(ring, order)
-    power = TruncatedSeries.one(ring, order)
-    for k in range(1, order + 1):
-        power = power * argument
-        if power.is_zero():
-            break
-        log_series = log_series + power.scale(quesne_c(k, base))
-    return log_series.exp()
+    return _exp_of_powers(argument, lambda k: quesne_c(k, base))

@@ -20,88 +20,82 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .field import ParseError, RationalFunction, format_poly, format_rational, parse_poly
+from .field import (
+    ParseError,
+    RationalFunction,
+    _join_terms,
+    format_poly,
+    format_rational,
+    parse_poly,
+)
 from .families import CosPolynomial, ZPolynomial
+
+
+# ---------------------------------------------------------------------------
+# shared term layout
+# ---------------------------------------------------------------------------
+
+def _render(terms, coeff_fn, basis_fn, sep):
+    """Signed sum of (monomial, coefficient) terms.  coeff_fn(c) gives
+    (text, negative); basis_fn(m) gives the basis text, None for the unit.
+    A coefficient "1" in front of a basis element is dropped."""
+    rendered = []
+    for m, c in terms:
+        text, negative = coeff_fn(c)
+        basis = basis_fn(m)
+        if basis is not None:
+            text = basis if text == "1" else text + sep + basis
+        rendered.append((text, negative))
+    return _join_terms(rendered) or "0"
+
+
+def _signed(text, left="(", right=")"):
+    """coeff_fn result for a rendered coefficient: a composite goes in
+    parentheses, a bare leading minus is lifted out."""
+    if " + " in text or " - " in text:
+        return left + text + right, False
+    if text.startswith("-"):
+        return text[1:], True
+    return text, False
+
+
+def _number(fmt=str):
+    """coeff_fn for numeric coefficients: the magnitude and the sign."""
+    return lambda c: (fmt(abs(c)), c < 0)
+
+
+def _factors(factor_fn, sep):
+    """basis_fn for ((generator, exponent), ...) monomials."""
+    return lambda mono: sep.join(factor_fn(g, e) for g, e in mono) or None
 
 
 # ---------------------------------------------------------------------------
 # text
 # ---------------------------------------------------------------------------
 
-def _is_composite(text):
-    return " + " in text or " - " in text
-
-
-def _coeff_and_sign(rf):
-    """Render a coefficient; returns (text, negative) with a bare leading
-    sign lifted out of single-term renderings."""
-    text = format_rational(rf)
-    if _is_composite(text):
-        return f"({text})", False
-    if text.startswith("-"):
-        return text[1:], True
-    return text, False
-
-
-def _text_basis_poly(items, basis_fn):
-    """items: [(index, RationalFunction)] descending; basis_fn(index) -> str or None."""
-    if not items:
-        return "0"
-    chunks = []
-    for i, (k, rf) in enumerate(items):
-        coeff, negative = _coeff_and_sign(rf)
-        basis = basis_fn(k)
-        if basis is None:
-            body = coeff
-        elif coeff == "1":
-            body = basis
-        else:
-            body = f"{coeff}*{basis}"
-        if i == 0:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+def _text_coeff(rf):
+    return _signed(format_rational(rf))
 
 
 def text_zpoly(poly):
-    items = sorted(poly.items(), reverse=True)
-    return _text_basis_poly(items, lambda d: None if d == 0 else ("z" if d == 1 else f"z^{d}"))
+    return _render(poly.sorted_terms(), _text_coeff,
+                   lambda d: None if d == 0 else ("z" if d == 1 else f"z^{d}"), "*")
 
 
 def text_cospoly(poly):
-    items = sorted(poly.items(), reverse=True)
-    return _text_basis_poly(
-        items, lambda m: None if m == 0 else ("cos(theta)" if m == 1 else f"cos({m}*theta)"))
-
-
-def _text_abstract(poly, gen_fn):
-    terms = poly.sorted_terms()
-    if not terms:
-        return "0"
-    chunks = []
-    for i, (mono, c) in enumerate(terms):
-        factors = [gen_fn(g, e) for g, e in mono]
-        if not factors:
-            body = str(abs(c))
-        else:
-            body = "*".join(factors)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-        negative = c < 0
-        if i == 0:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+    return _render(poly.sorted_terms(), _text_coeff,
+                   lambda m: None if m == 0 else ("cos(theta)" if m == 1 else f"cos({m}*theta)"),
+                   "*")
 
 
 def text_beta(poly):
-    return _text_abstract(poly, lambda k, e: f"b{k}" if e == 1 else f"b{k}^{e}")
+    return _render(poly.sorted_terms(), _number(),
+                   _factors(lambda k, e: f"b{k}" if e == 1 else f"b{k}^{e}", "*"), "*")
 
 
 def text_lambda_poly(poly):
-    return _text_abstract(poly, lambda _g, e: "lambda" if e == 1 else f"lambda^{e}")
+    return _render(poly.sorted_terms(), _number(),
+                   _factors(lambda _g, e: "lambda" if e == 1 else f"lambda^{e}", "*"), "*")
 
 
 def text_cmono(mono):
@@ -113,41 +107,17 @@ def text_cmono(mono):
 def text_cpoly(poly, coeff_text=None):
     """CPolynomial text; coefficient ring rendered by coeff_text (default:
     beta text for BetaPolynomial, fractions otherwise)."""
-    terms = poly.sorted_terms()
-    if not terms:
-        return "0"
-    if coeff_text is None:
-        coeff_text = _default_coeff_text
-    chunks = []
-    for i, (mono, c) in enumerate(terms):
-        text, negative = coeff_text(c)
-        mono_text = text_cmono(mono)
-        if mono_text == "1":
-            body = text
-        elif text == "1":
-            body = mono_text
-        else:
-            body = f"{text}*{mono_text}"
-        if i == 0:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+    return _render(poly.sorted_terms(), coeff_text or _default_coeff_text,
+                   lambda m: text_cmono(m) if m else None, "*")
 
 
 def _default_coeff_text(c):
     from .connection import BetaPolynomial, LambdaPolynomial
     if isinstance(c, BetaPolynomial):
-        text = text_beta(c)
-    elif isinstance(c, LambdaPolynomial):
-        text = text_lambda_poly(c)
-    else:
-        text = str(c)
-    if _is_composite(text):
-        return f"({text})", False
-    if text.startswith("-"):
-        return text[1:], True
-    return text, False
+        return _signed(text_beta(c))
+    if isinstance(c, LambdaPolynomial):
+        return _signed(text_lambda_poly(c))
+    return _signed(str(c))
 
 
 # ---------------------------------------------------------------------------
@@ -167,32 +137,14 @@ def _latex_lam_power(exp_lam):
     return r"q^{%d\lambda}" % exp_lam
 
 
-def _latex_poly_terms(terms):
-    chunks = []
-    for i, ((es, el), c) in enumerate(terms):
-        factors = []
-        if es:
-            factors.append(_latex_q_power(es))
-        if el:
-            factors.append(_latex_lam_power(el))
-        if not factors:
-            body = str(abs(c))
-        else:
-            body = r"\,".join(factors)
-            if abs(c) != 1:
-                body = f"{abs(c)}\\," + body
-        negative = c < 0
-        if i == 0:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+def _latex_q_lam(key):
+    es, el = key
+    factors = ([_latex_q_power(es)] if es else []) + ([_latex_lam_power(el)] if el else [])
+    return r"\,".join(factors) or None
 
 
 def latex_poly(p):
-    if p.is_zero():
-        return "0"
-    return _latex_poly_terms(p.sorted_terms())
+    return _render(p.sorted_terms(), _number(), _latex_q_lam, r"\,")
 
 
 def latex_rational(r):
@@ -203,46 +155,28 @@ def latex_rational(r):
     if r.den.is_monomial() and r.den.leading_coeff() == 1:
         (ds, dl), _ = r.den.sorted_terms()[0]
         shifted = [((k[0] - ds, k[1] - dl), c) for k, c in r.num.sorted_terms()]
-        return _latex_poly_terms(shifted)
+        return _render(shifted, _number(), _latex_q_lam, r"\,")
     return r"\frac{%s}{%s}" % (latex_poly(r.num), latex_poly(r.den))
 
 
-def _latex_basis_poly(items, basis_fn):
-    if not items:
-        return "0"
-    chunks = []
-    for i, (k, rf) in enumerate(items):
-        text = latex_rational(rf)
-        negative = False
-        if text.startswith(r"\frac"):
-            pass  # already grouped
-        elif " + " in text or " - " in text:
-            text = r"\left(" + text + r"\right)"
-        elif text.startswith("-"):
-            text, negative = text[1:], True
-        basis = basis_fn(k)
-        if basis is None:
-            body = text
-        elif text == "1":
-            body = basis
-        else:
-            body = f"{text}\\,{basis}"
-        if i == 0:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+def _latex_signed(text):
+    return _signed(text, r"\left(", r"\right)")
+
+
+def _latex_coeff(rf):
+    text = latex_rational(rf)
+    return (text, False) if text.startswith(r"\frac") else _latex_signed(text)
 
 
 def latex_zpoly(poly):
-    items = sorted(poly.items(), reverse=True)
-    return _latex_basis_poly(items, lambda d: None if d == 0 else ("z" if d == 1 else "z^{%d}" % d))
+    return _render(poly.sorted_terms(), _latex_coeff,
+                   lambda d: None if d == 0 else ("z" if d == 1 else "z^{%d}" % d), r"\,")
 
 
 def latex_cospoly(poly):
-    items = sorted(poly.items(), reverse=True)
-    return _latex_basis_poly(
-        items, lambda m: None if m == 0 else (r"\cos\theta" if m == 1 else r"\cos %d\theta" % m))
+    return _render(poly.sorted_terms(), _latex_coeff,
+                   lambda m: None if m == 0 else (r"\cos\theta" if m == 1 else r"\cos %d\theta" % m),
+                   r"\,")
 
 
 def latex_beta_gen(k, e=1):
@@ -253,24 +187,8 @@ def latex_beta_gen(k, e=1):
 
 
 def latex_beta(poly):
-    terms = poly.sorted_terms()
-    if not terms:
-        return "0"
-    chunks = []
-    for i, (mono, c) in enumerate(terms):
-        factors = [latex_beta_gen(k, e) for k, e in mono]
-        if not factors:
-            body = _latex_fraction(abs(c))
-        else:
-            body = r"\,".join(factors)
-            if abs(c) != 1:
-                body = _latex_fraction(abs(c)) + r"\," + body
-        negative = c < 0
-        if i == 0:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+    return _render(poly.sorted_terms(), _number(_latex_fraction),
+                   _factors(latex_beta_gen, r"\,"), r"\,")
 
 
 def _latex_fraction(fr):
@@ -289,29 +207,10 @@ def latex_cmono(mono):
 
 
 def latex_cpoly(poly):
-    terms = poly.sorted_terms()
-    if not terms:
-        return "0"
-    chunks = []
-    for i, (mono, c) in enumerate(terms):
-        text = latex_beta(c) if hasattr(c, "sorted_terms") else _latex_fraction(c)
-        negative = False
-        if " + " in text or " - " in text:
-            text = r"\left(" + text + r"\right)"
-        elif text.startswith("-"):
-            text, negative = text[1:], True
-        mono_text = latex_cmono(mono)
-        if mono_text == "1":
-            body = text
-        elif text == "1":
-            body = mono_text
-        else:
-            body = text + r"\," + mono_text
-        if i == 0:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+    return _render(
+        poly.sorted_terms(),
+        lambda c: _latex_signed(latex_beta(c) if hasattr(c, "sorted_terms") else _latex_fraction(c)),
+        lambda m: latex_cmono(m) if m else None, r"\,")
 
 
 def latex_qbinom(n, k):
@@ -336,7 +235,7 @@ def polynomial_json_dict(poly, family, n, k=None, total_check=None):
     doc["coefficients"] = [
         {"basis": basis, "degree_or_m": d,
          "num": format_poly(rf.num), "den": format_poly(rf.den)}
-        for d, rf in sorted(poly.items(), reverse=True)
+        for d, rf in poly.sorted_terms()
     ]
     if total_check is not None:
         doc["total_check"] = "pass" if total_check else "fail"

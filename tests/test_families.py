@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpoly.connection import BetaPolynomial, CPolynomial, LambdaPolynomial
 from qpoly.field import RationalFunction as RF
 from qpoly.families import (
     CosPolynomial,
@@ -19,7 +20,6 @@ from qpoly.families import (
     q_hermite,
     q_laguerre,
 )
-from qpoly.series import OrderExceeded
 from qpoly.verify import (
     chebyshev_recurrence,
     hermite5_reference,
@@ -155,11 +155,6 @@ def test_q_hermite_classical_limit():
         assert q_hermite(n).limit_q_to_1() == hermite_classical(n)
 
 
-def test_q_hermite_order_exceeded():
-    with pytest.raises(OrderExceeded):
-        q_hermite(5, order=3)
-
-
 # ---------------------------------------------------------------------------
 # deformed Laguerre
 # ---------------------------------------------------------------------------
@@ -198,3 +193,33 @@ def test_q_gegenbauer_lambda_one_collapses_to_classical():
     for n in range(6):
         collapsed = q_gegenbauer_direct(n).map_coeffs(lambda c: c.subs_lam_q())
         assert collapsed == gegenbauer_classical(n)
+
+
+# ---------------------------------------------------------------------------
+# value contract of the sparse polynomial classes: == agrees with hash
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", [ZPolynomial, CosPolynomial, BetaPolynomial,
+                                 LambdaPolynomial, CPolynomial])
+@pytest.mark.parametrize("value", [0, 3, Fraction(-2, 7)])
+def test_constant_hashes_like_equal_scalar(cls, value):
+    p = cls.constant(value)
+    assert p == value
+    assert hash(p) == hash(value)
+    assert len({p, value}) == 1
+
+
+@pytest.mark.parametrize("cls", [ZPolynomial, CosPolynomial])
+def test_constant_hashes_like_equal_rational_function(cls):
+    value = Q / (ONE + Q)
+    p = cls.constant(value)
+    assert p == value and hash(p) == hash(value)
+    assert {p, value} == {value}
+
+
+def test_equal_polynomials_hash_equal():
+    a = ZPolynomial.z(3) + ZPolynomial.z().scale(Q) + 2
+    b = ZPolynomial({0: 2}) + ZPolynomial({1: Q, 3: 1})
+    assert a == b and hash(a) == hash(b)
+    beta = BetaPolynomial.gen(1) * BetaPolynomial.gen(2) - 1
+    assert hash(beta) == hash(BetaPolynomial.gen(2) * BetaPolynomial.gen(1) + Fraction(-1))

@@ -112,6 +112,12 @@ def test_cli_eval_laguerre_golden(capsys):
     assert out == (GOLDEN / "eval_laguerre_n3_k3.txt").read_text()
 
 
+def test_cli_eval_gegenbauer_json_golden(capsys):
+    code, out = run_cli(capsys, "eval", "gegenbauer", "--n", "4", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "eval_gegenbauer_n4.json").read_text()
+
+
 def test_cli_connect_gegenbauer_golden(capsys):
     chunks = []
     for n in range(6):
@@ -236,9 +242,3 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2*q^{-1/2}*z"
-
-
-def test_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QPOLY_ORDER", "15")
-    code, out = run_cli(capsys, "eval", "hermite", "--n", "2")
-    assert code == 0
