@@ -48,13 +48,26 @@ denominator coprime (integer content included), denominator nonzero with
 positive leading coefficient, zero stored as 0/1.  All operations return
 canonical values, so equality is structural.
 
-gcd strategy: take out the integer content and the common power of s, map
-the polynomial to an integer by evaluating at a large integer point, take
-an integer gcd, reconstruct a candidate from balanced base-xi digits and
-verify it by exact trial division; fall back to a primitive
-pseudo-remainder sequence if the heuristic keeps failing.  The bivariate
-case runs a primitive PRS in Lambda whose content computations reduce to
-the univariate heuristic.
+gcd strategy: every gcd also returns the cofactors a / g and b / g, and a
+RationalFunction is reduced by those, so nothing is divided twice.  For two
+rows in s: take out the common power of s and the integer content, answer
+one-term and equal rows directly and recurse at half length on rows in
+s**2.  Otherwise evaluate both rows at xi = 2**(8*nbytes) by packing
+(GCDHEU: Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989).  nbytes is
+sized from the larger coefficient of either row, so every coefficient is a
+digit and xi >= 2 * min(max|A|, max|B|) + 2; then a candidate that divides
+both rows is their gcd.  The candidate g is the primitive part of the
+balanced base-xi digits of h = gcd(A(xi), B(xi)), and the cofactors are the
+digits of A(xi) / h and B(xi) / h.  They are accepted when g * (A / g) == A
+and g * (B / g) == B.  A cofactor with a coefficient of xi/2 or more has
+wrong digits and fails that check; it is then taken by exact division.  A
+candidate that does not divide widens xi, and after _HEU_TRIES tries a
+primitive pseudo-remainder sequence gives g and exact division the
+cofactors.  The gcd of a Lambda-free operand with one of several Lambda
+rows is folded over the rows, starting from the Lambda-free row, and stops
+once it reaches 1; the cofactors are then exact row divisions.  Two
+operands with several Lambda rows run a primitive PRS in Lambda whose
+content computations use the same row gcd.
 """
 
 from __future__ import annotations
@@ -319,20 +332,6 @@ def _rows_divexact(a, b):
 
 # -- univariate gcd ------------------------------------------------------------
 
-def _ufrom_balanced(value, xi):
-    """Reconstruct a polynomial from the balanced base-xi digits of value."""
-    digits = []
-    v = abs(value)
-    half = xi // 2
-    while v:
-        r = v % xi
-        if r > half:
-            r -= xi
-        digits.append(r)
-        v = (v - r) // xi
-    return digits
-
-
 def _uprem(a, b):
     """Pseudo-remainder of a by b over Z[s], scaled by as little of lead(b) as
     each step needs."""
@@ -361,38 +360,71 @@ def _ugcd_prs(a, b):
     return a if not b else [1]
 
 
-def _ugcd(a, b):
-    """gcd over Z[s], integer content included, positive leading coefficient."""
-    if not a:
-        return _pos_lead_list(b)
-    if not b:
-        return _pos_lead_list(a)
+def _digits(v, nbytes):
+    """The balanced base-2**(8*nbytes) digits of v, low first, no trailing zeros."""
+    return _unorm(_unpack(v, nbytes, v.bit_length() // (8 * nbytes) + 2))
+
+
+def _scaled(c, k):
+    return c if k == 1 else list(map(k.__mul__, c))
+
+
+# Evaluation points the heuristic gcd tries before the PRS fallback.
+_HEU_TRIES = 8
+
+
+def _ugcd_heu(A, B):
+    """(g, A / g, B / g) for primitive rows of two or more terms, g their gcd
+    with positive leading coefficient: GCDHEU at xi = 2**(8*nbytes)."""
+    nbytes = _width(max(_maxabs(A), _maxabs(B)).bit_length())
+    for _ in range(_HEU_TRIES):
+        ea, eb = _pack(A, nbytes), _pack(B, nbytes)
+        h = math.gcd(ea, eb)
+        if h == 1:
+            return [1], A, B
+        g = _digits(h, nbytes)
+        c = math.gcd(*g)
+        if c != 1:
+            g = [x // c for x in g]
+            h //= c
+        # a cofactor with a digit of xi/2 or more fails its product check
+        fa = _digits(ea // h, nbytes)
+        if _umul(g, fa) != A:
+            fa = _udivexact(A, g)
+        if fa is not None:
+            fb = _digits(eb // h, nbytes)
+            if _umul(g, fb) != B:
+                fb = _udivexact(B, g)
+            if fb is not None:
+                return g, fa, fb
+        nbytes += nbytes // 4 + 1
+    g = _ugcd_prs(A, B)
+    return g, _udivexact(A, g), _udivexact(B, g)
+
+
+def _ugcd_cof(a, b):
+    """(g, a / g, b / g) for nonzero rows: g the gcd over Z[s], integer content
+    included, positive leading coefficient."""
     va, vb = _uval(a), _uval(b)
-    head = [0] * min(va, vb)
+    v = min(va, vb)
     A, B = a[va:], b[vb:]
     ca, cb = math.gcd(*A), math.gcd(*B)
     cg = math.gcd(ca, cb)
-    if len(A) == 1 or len(B) == 1:
-        return head + [cg]
     if ca != 1:
         A = [x // ca for x in A]
     if cb != 1:
         B = [x // cb for x in B]
-    if A == B:
-        return head + [cg * x for x in _pos_lead_list(A)]
-    if _is_even(A) and _is_even(B):
-        return head + [cg * x for x in _spread(_ugcd(A[::2], B[::2]))]
-    bound = 2 * min(_maxabs(A), _maxabs(B)) + 2
-    xi = max(bound, 4)
-    for _ in range(8):
-        va, vb = _ueval(A, xi), _ueval(B, xi)
-        if va and vb:
-            g = math.gcd(va, vb)
-            cand = _uprimitive(_ufrom_balanced(g, xi))
-            if cand and _udivexact(A, cand) is not None and _udivexact(B, cand) is not None:
-                return head + [cg * x for x in cand]
-        xi = xi * 73794 // 27011 + 1
-    return head + [cg * x for x in _ugcd_prs(A, B)]
+    if len(A) == 1 or len(B) == 1:
+        g, fa, fb = [1], A, B
+    elif A == B:
+        g = _pos_lead_list(A)
+        fa = fb = [1 if g is A else -1]
+    elif _is_even(A) and _is_even(B):
+        g, fa, fb = map(_spread, _ugcd_cof(A[::2], B[::2]))
+    else:
+        g, fa, fb = _ugcd_heu(A, B)
+    return ([0] * v + _scaled(g, cg), [0] * (va - v) + _scaled(fa, ca // cg),
+            [0] * (vb - v) + _scaled(fb, cb // cg))
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +647,26 @@ _INTPOLY_ONE = _raw_poly([[1]])
 # polynomial gcd
 # ---------------------------------------------------------------------------
 
+def _rows_gcd(rows):
+    """gcd of the nonzero rows, positive leading coefficient; stops at [1]."""
+    g = None
+    for r in rows:
+        if r:
+            g = _pos_lead_list(r) if g is None else _ugcd_cof(g, r)[0]
+            if g == [1]:
+                break
+    return g
+
+
+def _div_rows(rows, g):
+    return [_udivexact(r, g) if r else r for r in rows]
+
+
 def _lam_content_split(rows):
     """Split nonzero rows into (content, primitive): the content is the gcd of
     the Lambda-coefficients, a row with positive leading coefficient."""
-    cont = None
-    for r in rows:
-        if r:
-            cont = _pos_lead_list(r) if cont is None else _ugcd(cont, r)
-            if cont == [1]:
-                return cont, rows
-    return cont, [_udivexact(r, cont) if r else r for r in rows]
+    cont = _rows_gcd(rows)
+    return cont, rows if cont == [1] else _div_rows(rows, cont)
 
 
 def _prem_lam(a, b):
@@ -664,17 +706,32 @@ def poly_gcd(a, b):
         return b if b.is_zero() else _pos_lead(b)
     if b.is_zero():
         return _pos_lead(a)
-    if a.is_const() or b.is_const():
-        return IntPoly.const(math.gcd(a.content(), b.content()))
-    if a == b:
-        return _pos_lead(a)
+    return _gcd_cof(a, b)[0]
+
+
+def _gcd_cof(a, b):
+    """(g, a / g, b / g) for nonzero IntPolys, g = poly_gcd(a, b).  A
+    Lambda-free operand's gcd with the other is folded over the other's rows."""
     ra, rb = a._rows, b._rows
+    if ra == [[1]] or rb == [[1]]:
+        return _INTPOLY_ONE, a, b
     if len(ra) == 1 and len(rb) == 1:
-        return _raw_poly([_ugcd(ra[0], rb[0])])
-    ca, pa = _lam_content_split(ra)
-    cb, pb = _lam_content_split(rb)
-    g = _rows_mul([_ugcd(ca, cb)], _gcd_lam_prs(pa, pb))
-    return _pos_lead(_raw_poly(g))
+        g, fa, fb = _ugcd_cof(ra[0], rb[0])
+        if g == [1]:
+            return _INTPOLY_ONE, a, b
+        return _raw_poly([g]), _raw_poly([fa]), _raw_poly([fb])
+    if len(ra) == 1 or len(rb) == 1:
+        g = _rows_gcd(ra + rb if len(ra) == 1 else rb + ra)
+        if g == [1]:
+            return _INTPOLY_ONE, a, b
+        return _raw_poly([g]), _raw_poly(_div_rows(ra, g)), _raw_poly(_div_rows(rb, g))
+    if a == b:
+        g = _pos_lead(a)
+    else:
+        ca, pa = _lam_content_split(ra)
+        cb, pb = _lam_content_split(rb)
+        g = _pos_lead(_raw_poly(_rows_mul([_ugcd_cof(ca, cb)[0]], _gcd_lam_prs(pa, pb))))
+    return g, a.divexact(g), b.divexact(g)
 
 
 def _pos_lead(p):
@@ -704,10 +761,7 @@ class RationalFunction:
         if num.is_zero():
             self.num, self.den = _INTPOLY_ZERO, _INTPOLY_ONE
         else:
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = num.divexact(g)
-                den = den.divexact(g)
+            _, num, den = _gcd_cof(num, den)
             if den.leading_coeff() < 0:
                 num, den = -num, -den
             self.num, self.den = num, den
@@ -793,18 +847,13 @@ class RationalFunction:
             return other
         if c.is_zero():
             return self
-        g = poly_gcd(b, d)
+        g, b1, d1 = _gcd_cof(b, d)
         if g.is_one():
             return _rf_raw(a * d + c * b, b * d)
-        b1 = b.divexact(g)
-        d1 = d.divexact(g)
         num = a * d1 + c * b1
         if num.is_zero():
             return _RF_ZERO
-        h = poly_gcd(num, g)
-        if not h.is_one():
-            num = num.divexact(h)
-            g = g.divexact(h)
+        _, num, g = _gcd_cof(num, g)
         return _rf_raw(num, g * b1 * d1)
 
     __radd__ = __add__
@@ -831,14 +880,8 @@ class RationalFunction:
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return _RF_ZERO
-        g1 = poly_gcd(a, d)
-        if not g1.is_one():
-            a = a.divexact(g1)
-            d = d.divexact(g1)
-        g2 = poly_gcd(c, b)
-        if not g2.is_one():
-            c = c.divexact(g2)
-            b = b.divexact(g2)
+        _, a, d = _gcd_cof(a, d)
+        _, c, b = _gcd_cof(c, b)
         return _rf_raw(a * c, b * d)
 
     __rmul__ = __mul__
@@ -897,10 +940,16 @@ class RationalFunction:
         if self.has_lam() and lam_value is None:
             raise LambdaPresent("element contains q**lambda; pass lam_value")
         lv = 1.0 if lam_value is None else complex(lam_value)
-        dv = self.den.eval_complex(complex(s_value), lv)
-        if abs(dv) < 1e-12:
-            raise NumericPole(f"denominator magnitude {abs(dv):.3e} below 1e-12")
-        return self.num.eval_complex(complex(s_value), lv) / dv
+        sv = complex(s_value)
+        dv = self.den.eval_complex(sv, lv)
+        # relative to the sum of the denominator's term magnitudes, so a
+        # monomial denominator at small |s| is not taken for a pole
+        size = sum(abs(c) * abs(sv) ** a * abs(lv) ** b
+                   for b, row in enumerate(self.den._rows) for a, c in enumerate(row) if c)
+        if abs(dv) <= 1e-12 * size:
+            raise NumericPole(f"denominator magnitude {abs(dv):.3e} is at most 1e-12 of "
+                              f"its terms' magnitudes, {size:.3e}")
+        return self.num.eval_complex(sv, lv) / dv
 
     def subs_lam_q(self):
         """Substitute Lambda -> q, the lambda = 1 specialization."""

@@ -298,14 +298,21 @@ def _suite_gegenbauer(report, max_n):
 
 
 def _suite_sumrules(report, max_n):
+    rules = {}
+
+    def rule(ell):
+        if ell not in rules:
+            rules[ell] = gegenbauer_sum_rule(ell)
+        return rules[ell]
+
     for ell in range(1, max_n + 1):
         _run_check(report, f"rule-l{ell}",
                    "t^l coefficient of log of deformed series == [lambda]_{q^l} times classical",
-                   lambda ell=ell: gegenbauer_sum_rule(ell)[0] == gegenbauer_sum_rule(ell)[1])
+                   lambda ell=ell: rule(ell)[0] == rule(ell)[1])
     for ell in range(1, min(max_n, 5) + 1):
         _run_check(report, f"explicit-l{ell}",
                    "log coefficient == explicit I_l combination",
-                   lambda ell=ell: gegenbauer_sum_rule(ell)[0] == sum_rule_explicit(ell))
+                   lambda ell=ell: rule(ell)[0] == sum_rule_explicit(ell))
 
 
 def _suite_limits(report, max_n):

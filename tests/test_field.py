@@ -13,6 +13,7 @@ from qpoly.field import (
     ParseError,
     PoleAtOne,
     RationalFunction as RF,
+    _gcd_cof,
     parse_rational,
     poly_gcd,
 )
@@ -113,6 +114,12 @@ def test_eval_numeric_quesne_c2():
 def test_eval_numeric_pole():
     with pytest.raises(NumericPole):
         (ONE / (ONE - Q)).eval_numeric(1.0)
+
+
+def test_eval_numeric_small_monomial_denominator_is_no_pole():
+    # the denominator s**100 is about 7.9e-31 at s = 1/2, but it is one term
+    assert RF.s_power(-100).eval_numeric(0.5) == pytest.approx(2.0**100)
+    assert (ONE / (Q**20 * (ONE + Q))).eval_numeric(0.01) == pytest.approx(1 / (1e-80 * 1.0001))
 
 
 def test_eval_numeric_agrees_with_limit():
@@ -390,6 +397,82 @@ def test_poly_gcd_properties():
         assert h.divexact(g) is not None, case
         assert poly_gcd(x.divexact(h), y.divexact(h)).is_one(), case
         assert poly_gcd(y, x) == h and poly_gcd(x, x) == poly_gcd(-x, x)
+
+
+def _check_cofactors(a, b):
+    g, a1, b1 = _gcd_cof(a, b)
+    assert g == poly_gcd(a, b)
+    assert g * a1 == a and g * b1 == b
+    assert poly_gcd(a1, b1).is_one()
+
+
+def test_gcd_cofactors_special_cases():
+    s = IntPoly.s_pow(1)
+    one, lam = IntPoly.one(), IntPoly.lam_pow(1)
+    cases = [
+        # powers of s and integer content
+        (s**3 * 6 * (s + one), s**5 * 4 * (s + one) ** 2),
+        (IntPoly.const(-12), s**2 * 18 + s * 30),
+        (s**4, s**7 * -3),
+        # rows in s**2, and in s**2 times a power of s
+        ((s**2 + one) * (s**4 - one * 3), (s**2 + one) ** 2 * (s**6 + one)),
+        (s * (s**2 - one) ** 3, s**3 * (s**2 - one) * (s**4 + one * 2)),
+        # equal rows up to sign and content
+        (s**2 * 2 - one * 2, -(s**2 * 3 - one * 3)),
+        # bivariate and mixed pairs
+        ((lam + s) * (lam * s - one), (lam + s) * (lam + one)),
+        ((s + one) * (lam * s + lam + s * 3), (s**2 - one) * 2),
+        ((s**2 - one) * (lam * s + lam + s * 3), (s + one) * (lam - one)),
+        (lam * (s + one) * 6, (s**2 - one) * 4),
+        (lam * s + lam * 2, s + one * 2),
+        # a cofactor with larger coefficients than either input: (1 + s + ... + s**9)**4
+        # has a 670 where (1 - s**10)**4 has nothing above 6
+        ((one - s**10) ** 4, (one - s) ** 4 * (s + one * 3)),
+    ]
+    for a, b in cases:
+        _check_cofactors(a, b)
+        _check_cofactors(b, a)
+    a, b = cases[-1]
+    assert max(abs(c) for _, c in _gcd_cof(a, b)[1].sorted_terms()) == 670
+
+
+def test_gcd_cofactors_randomized():
+    rng = random.Random(20)
+    for case in range(80):
+        # the common factor g may bring Lambda into s-only pairs: mixed pairs
+        deg_lams = ((0, 0, 1), (1, 0, 1), (1, 1, 0))[case % 3]
+        a, b, g = (IntPoly(_random_terms(rng, rng.randint(1, 12), d, rng.choice([3, 40])))
+                   for d in deg_lams)
+        _check_cofactors(a * g, b * g)
+
+
+def test_gcd_cofactors_prs_fallback(monkeypatch):
+    import qpoly.field as field
+
+    rng = random.Random(21)
+    cases = [tuple(IntPoly(_random_terms(rng, rng.randint(2, 10), 0, 20)) for _ in range(3))
+             for _ in range(20)]
+    monkeypatch.setattr(field, "_HEU_TRIES", 0)
+    for a, b, g in cases:
+        _check_cofactors(a * g, b * g)
+
+
+def test_rational_arithmetic_matches_gcd_divexact_reference():
+    def reduced(num, den):
+        g = poly_gcd(num, den)
+        num, den = num.divexact(g), den.divexact(g)
+        if den.leading_coeff() < 0:
+            num, den = -num, -den
+        return num, den
+
+    rng = random.Random(22)
+    for _ in range(300):
+        x, y = _random_rf(rng), _random_rf(rng)
+        if x.is_zero() or y.is_zero():
+            continue
+        s, p = x + y, x * y
+        assert (s.num, s.den) == reduced(x.num * y.den + y.num * x.den, x.den * y.den)
+        assert (p.num, p.den) == reduced(x.num * y.num, x.den * y.den)
 
 
 def test_gcd_prs_fallback_agrees_with_heuristic():

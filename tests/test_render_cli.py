@@ -237,6 +237,26 @@ def test_cli_verify_json(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_cli_q_sample_far_below_one(capsys):
+    # the Hermite coefficients have denominators s**k, about 1e-36 at q = 1/100
+    code, out = run_cli(capsys, "eval", "hermite", "--n", "6", "--q-sample", "1/100")
+    assert code == 0
+    assert "3.080017325865" in out
+
+
+def test_sumrules_suite_computes_each_rule_once(monkeypatch):
+    import qpoly.verify as verify
+
+    calls = []
+    rule = verify.gegenbauer_sum_rule
+    monkeypatch.setattr(verify, "gegenbauer_sum_rule", lambda ell: calls.append(ell) or rule(ell))
+    report = verify.run_suite("sumrules")
+    assert report.passed
+    assert [c.check_id for c in report.checks] == (
+        [f"rule-l{ell}" for ell in range(1, 9)] + [f"explicit-l{ell}" for ell in range(1, 6)])
+    assert sorted(calls) == list(range(1, 9))
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "qpoly.cli", "eval", "hermite", "--n", "1"],
                           capture_output=True, text=True)
