@@ -38,7 +38,7 @@ from .families import (
     q_gegenbauer_direct,
 )
 from .qkernel import QBase, q_binomial, q_factorial, quesne_c
-from .series import Ring, TruncatedSeries
+from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
 
@@ -227,12 +227,9 @@ def _hermite_block(k, m):
     sum_l (-1)**l u_k**(m-2l) v_k**l / (l! (m-2l)!), a polynomial in z."""
     u = _hermite_u(k)
     v = _hermite_v(k)
-    block = ZPolynomial.zero()
-    for ell in range(m // 2 + 1):
-        d = m - 2 * ell
-        c = u**d * v**ell * Fraction((-1) ** ell, math.factorial(ell) * math.factorial(d))
-        block = block + ZPolynomial({k * d: c})
-    return block
+    return ZPolynomial({k * (m - 2 * ell): u**(m - 2 * ell) * v**ell
+                        * Fraction((-1) ** ell, math.factorial(ell) * math.factorial(m - 2 * ell))
+                        for ell in range(m // 2 + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -246,14 +243,13 @@ def hermite_connection(n):
     if n < 0:
         raise ValueError("degree must be >= 0")
     terms = []
-    total = ZPolynomial.zero()
     for sol in partitions_of(n):
         value = ZPolynomial.one()
         for k, m in sol.parts:
             value = value * _hermite_block(k, m)
         factors = tuple(f"H{m}(zeta{k})" for k, m in sol.parts)
         terms.append(ConnectionTerm(sol, None, factors, value))
-        total = total + value
+    total = ZPolynomial.sum([t.value for t in terms])
     rescale = q_factorial(n, QBase.q_pow(-2)) * RationalFunction.s_power(-n)
     return ConnectionExpansion("hermite", n, None, tuple(terms), total, rescale)
 
@@ -279,7 +275,6 @@ def laguerre_connection(n, k, aux=None):
     aux = dict(aux) if aux else {}
     base = QBase.q()
     terms = []
-    total = ZPolynomial.zero()
     for sol in laguerre_partitions(n, k):
         ell = sol.ell
         pref = (RationalFunction.q_power((n - ell) * (n - ell + 1) // 2)
@@ -300,7 +295,7 @@ def laguerre_connection(n, k, aux=None):
         meta = {"q_power": (n - ell) * (n - ell + 1) // 2, "qbinom": (n, ell),
                 "poch": tuple((aux.get(j, 0), lj) for j, lj in sol.lparts)}
         terms.append(ConnectionTerm(sol, coefficient, tuple(factor_bits), value, meta))
-        total = total + value
+    total = ZPolynomial.sum([t.value for t in terms])
     rescale = RationalFunction.q_power(-((n - k) * (n - k + 1) // 2))
     return ConnectionExpansion("laguerre", n, k, tuple(terms), total, rescale)
 
@@ -342,13 +337,17 @@ class BetaPolynomial(SparsePoly):
     def substitute(self, value_of, one_value):
         """Map each generator g to value_of(g) and sum; lands in the target
         ring, whose multiplicative unit is one_value."""
-        total = one_value * 0
+        powers = {}
+        parts = []
         for mono, c in self._terms.items():
             term = one_value
             for g, e in mono:
-                term = term * value_of(g) ** e
-            total = total + term * c
-        return total
+                p = powers.get((g, e))
+                if p is None:
+                    p = powers[g, e] = value_of(g) ** e
+                term = term * p
+            parts.append(term * c)
+        return ring_sum(parts, one_value * 0)
 
     def substitute_q_lambda(self):
         """beta_k -> (1 - Lambda**k)/(1 - q**k); lands in Q(s, Lambda)."""
@@ -438,9 +437,8 @@ def _weighted_exp(n, weight, one):
         raise ValueError("degree must be >= 0")
     ring = Ring(CPolynomial.zero(), CPolynomial.constant(one))
     logs = classical_log_coefficients(n) if n else ()
-    arg = TruncatedSeries.zero(ring, n)
-    for k in range(1, n + 1):
-        arg = arg + TruncatedSeries.monomial(ring, logs[k - 1].scale(weight(k)), k, n)
+    arg = TruncatedSeries(ring, [ring.zero] + [logs[k - 1].scale(weight(k))
+                                               for k in range(1, n + 1)], n)
     return arg.exp().coeff(n)
 
 
@@ -476,14 +474,15 @@ def gegenbauer_connection_value(expansion):
     """Evaluate a Gegenbauer connection to a concrete CosPolynomial:
     beta_k -> [lambda]_{q**k} and C_m -> the classical (lambda = 1)
     polynomial.  Must reproduce the explicit deformed polynomial."""
-    total = CosPolynomial.zero()
+    weights = {k: gegenbauer_weight(k) for k in range(1, expansion.n + 1)}
+    parts = []
     for term in expansion.terms:
-        weight = substitute_beta(term.coefficient, "q-lambda")
+        weight = term.coefficient.substitute(weights.__getitem__, _RF_ONE)
         poly = CosPolynomial.one()
         for m, e in term.descriptor:
             poly = poly * gegenbauer_classical(m) ** e
-        total = total + poly.scale(weight)
-    return total
+        parts.append(poly.scale(weight))
+    return CosPolynomial.sum(parts)
 
 
 def gegenbauer_classical_lambda(n):
@@ -536,10 +535,10 @@ def sum_rule_explicit(ell):
     polynomials (available for ell <= 5)."""
     if ell not in SUM_RULE_COMBINATIONS:
         raise ValueError(f"no explicit combination stored for ell = {ell}")
-    total = CosPolynomial.zero()
+    parts = []
     for coeff, orders in SUM_RULE_COMBINATIONS[ell]:
         poly = CosPolynomial.one()
         for m in orders:
             poly = poly * q_gegenbauer_direct(m)
-        total = total + poly.scale(coeff)
-    return total
+        parts.append(poly.scale(coeff))
+    return CosPolynomial.sum(parts)

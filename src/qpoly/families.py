@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .field import RationalFunction
 from .qkernel import QBase, q_binomial, q_factorial, q_pochhammer
-from .series import Ring, TruncatedSeries
+from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
 
@@ -159,25 +159,47 @@ class SparsePoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    @classmethod
+    def sum(cls, polys):
+        """The sum of a list of polynomials of this class and scalars, each
+        monomial's coefficients summed once; two are added by +, as in
+        RationalFunction.sum."""
+        if len(polys) == 2:
+            return polys[0] + polys[1]
+        cols = {}
+        for p in polys:
+            if type(p) is not cls:
+                p = cls.constant(p)
+            for m, c in p._terms.items():
+                cols.setdefault(m, []).append(c)
+        return cls._from_columns(cols)
+
+    @classmethod
+    def _from_columns(cls, cols):
+        """The polynomial whose coefficient of m is the sum of the nonempty list
+        cols[m]; a one-term list holds a nonzero coefficient or product of two."""
+        out = {}
+        for m, cs in cols.items():
+            if len(cs) == 1:
+                out[m] = cs[0]
+            else:
+                c = ring_sum(cs, 0)
+                if c:
+                    out[m] = c
+        return cls._raw(out)
+
     def __mul__(self, other):
         if type(other) is not type(self):
             if not isinstance(other, self._scalars):
                 return NotImplemented
             return self.scale(other)
         times = self._times
-        out = {}
+        cols = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 for m, c in times(m1, m2, c1 * c2):
-                    if m in out:
-                        c = out[m] + c
-                        if c:
-                            out[m] = c
-                        else:
-                            del out[m]
-                    else:
-                        out[m] = c
-        return self._raw(out)
+                    cols.setdefault(m, []).append(c)
+        return self._from_columns(cols)
 
     __rmul__ = __mul__
 
@@ -325,7 +347,7 @@ def laguerre_classical(idx, argument=None):
     if argument is None:
         argument = ZPolynomial.z()
     n = idx.n
-    result = ZPolynomial.zero()
+    parts = []
     power = ZPolynomial.one()
     for ell in range(idx.k + 1):
         if ell > 0:
@@ -334,8 +356,8 @@ def laguerre_classical(idx, argument=None):
         if ell % 2:
             c = -c
         if c:
-            result = result + power.scale(c)
-    return result
+            parts.append(power.scale(c))
+    return ZPolynomial.sum(parts)
 
 
 @lru_cache(maxsize=None)
@@ -402,10 +424,10 @@ def q_laguerre(n, k):
     arg = TruncatedSeries.monomial(
         ZPOLY_RING, ZPolynomial({1: -(_RF_ONE - q)}), 1, k)
     efactor = q_exp_sum("E", arg, base)
-    tail = TruncatedSeries.zero(ZPOLY_RING, k)
-    for ell in range(min(n, k) + 1):
-        c = RationalFunction.q_power((n - ell) * (n - ell + 1) // 2) * q_binomial(n, ell, base)
-        tail = tail + TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c), ell, k)
+    tail = TruncatedSeries(ZPOLY_RING, [
+        ZPolynomial.constant(RationalFunction.q_power((n - ell) * (n - ell + 1) // 2)
+                             * q_binomial(n, ell, base))
+        for ell in range(min(n, k) + 1)], k)
     extracted = (efactor * tail).coeff(k)
     return extracted.scale(RationalFunction.q_power(-((n - k) * (n - k + 1) // 2)))
 
@@ -429,12 +451,11 @@ def q_gegenbauer_direct(n):
     base = QBase.q()
     lam = RationalFunction.lam()
     q = RationalFunction.q()
-    result = CosPolynomial.zero()
-    for ell in range(n + 1):
-        c = (q_pochhammer(lam, base, ell) * q_pochhammer(lam, base, n - ell)
-             / (q_pochhammer(q, base, ell) * q_pochhammer(q, base, n - ell)))
-        result = result + CosPolynomial({abs(n - 2 * ell): c})
-    return result
+    return CosPolynomial.sum([
+        CosPolynomial({abs(n - 2 * ell): q_pochhammer(lam, base, ell)
+                       * q_pochhammer(lam, base, n - ell)
+                       / (q_pochhammer(q, base, ell) * q_pochhammer(q, base, n - ell))})
+        for ell in range(n + 1)])
 
 
 def q_gegenbauer_genfun(n):
@@ -442,8 +463,6 @@ def q_gegenbauer_genfun(n):
     exp( 2 sum_k [lambda]_{q**k} cos(k theta) t**k / k ), to order n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    log_series = TruncatedSeries.zero(COSPOLY_RING, n)
-    for k in range(1, n + 1):
-        coeff = CosPolynomial({k: gegenbauer_weight(k) * Fraction(2, k)})
-        log_series = log_series + TruncatedSeries.monomial(COSPOLY_RING, coeff, k, n)
+    log_series = TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + [
+        CosPolynomial({k: gegenbauer_weight(k) * Fraction(2, k)}) for k in range(1, n + 1)], n)
     return log_series.exp().coeff(n)

@@ -68,6 +68,13 @@ rows is folded over the rows, starting from the Lambda-free row, and stops
 once it reaches 1; the cofactors are then exact row divisions.  Two
 operands with several Lambda rows run a primitive PRS in Lambda whose
 content computations use the same row gcd.
+
+Sums.  RationalFunction.sum reduces a long sum once, not once per term: it
+adds the numerators of equal denominators, merges the distinct fractions
+pairwise in a balanced tree over lcms, n1/d1 + n2/d2 = (n1*(d2/g) +
+n2*(d1/g)) / (d1*(d2/g)) with g = gcd(d1, d2) and its cofactors, and reduces
+the result once.  Two terms are added by +, whose final gcd is against the
+smaller g rather than the whole denominator.
 """
 
 from __future__ import annotations
@@ -858,6 +865,31 @@ class RationalFunction:
 
     __radd__ = __add__
 
+    @staticmethod
+    def sum(terms):
+        """The sum of the terms (RationalFunctions, ints or Fractions), reduced
+        once: numerators over equal denominators are added, the distinct
+        fractions merged pairwise over lcms, and only the result reduced."""
+        terms = [t for t in map(_coerce_or_raise, terms) if t.num._rows]
+        if len(terms) == 2:
+            return terms[0] + terms[1]
+        if len(terms) < 2:
+            return terms[0] if terms else _RF_ZERO
+        groups = {}
+        for t in terms:
+            n = groups.get(t.den)
+            groups[t.den] = t.num if n is None else n + t.num
+        pairs = [(n, d) for d, n in groups.items()]
+        while len(pairs) > 1:
+            merged = []
+            for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2]):
+                _, f1, f2 = _gcd_cof(d1, d2)
+                merged.append((n1 * f2 + n2 * f1, d1 * f2))
+            if len(pairs) % 2:
+                merged.append(pairs[-1])
+            pairs = merged
+        return RationalFunction(*pairs[0])
+
     def __neg__(self):
         return _rf_raw(-self.num, self.den)
 
@@ -984,6 +1016,13 @@ def _coerce(x):
     if isinstance(x, Fraction):
         return RationalFunction.from_fraction(x)
     return NotImplemented
+
+
+def _coerce_or_raise(x):
+    r = _coerce(x)
+    if r is NotImplemented:
+        raise TypeError(f"cannot add {type(x).__name__} to a RationalFunction")
+    return r
 
 
 def _syndiv_s_minus_1(c):

@@ -138,7 +138,7 @@ def q_exp_sum(kind, argument, base):
     ring = argument.ring
     order = argument.order
     v = base.value
-    result = TruncatedSeries.one(ring, order)
+    parts = [TruncatedSeries.one(ring, order)]
     power = TruncatedSeries.one(ring, order)
     poch = _ONE
     vpow = _ONE
@@ -150,10 +150,10 @@ def q_exp_sum(kind, argument, base):
             tri = tri * vpow
         vpow = vpow * v
         factor = (tri if kind == "E" else _ONE) / poch
-        result = result + power.scale(factor)
+        parts.append(power.scale(factor))
         if power.is_zero():
             break
-    return result
+    return TruncatedSeries.sum(parts)
 
 
 def _exp_of_powers(argument, coeff):
@@ -161,14 +161,14 @@ def _exp_of_powers(argument, coeff):
     _check_argument(argument)
     ring = argument.ring
     order = argument.order
-    log_series = TruncatedSeries.zero(ring, order)
+    parts = [TruncatedSeries.zero(ring, order)]
     power = TruncatedSeries.one(ring, order)
     for k in range(1, order + 1):
         power = power * argument
         if power.is_zero():
             break
-        log_series = log_series + power.scale(coeff(k))
-    return log_series.exp()
+        parts.append(power.scale(coeff(k)))
+    return TruncatedSeries.sum(parts).exp()
 
 
 def q_exp_product_form(kind, argument, base):

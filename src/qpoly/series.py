@@ -47,6 +47,16 @@ class Ring:
 FRACTION_RING = Ring(Fraction(0), Fraction(1))
 
 
+def ring_sum(terms, zero):
+    """The sum of a list of like ring elements; zero when it is empty.  A
+    type with a batched `sum` (RationalFunction, SparsePoly, TruncatedSeries)
+    adds the whole list at once, reducing once; others fold with +."""
+    batched = getattr(type(terms[0]), "sum", None) if terms else None
+    if batched is None:
+        return sum(terms, zero)
+    return terms[0] if len(terms) == 1 else batched(terms)
+
+
 class TruncatedSeries:
     __slots__ = ("ring", "order", "coeffs")
 
@@ -131,20 +141,28 @@ class TruncatedSeries:
             self._check(other)
             z = self.ring.zero
             n = self.order
-            out = [z] * (n + 1)
+            cols = [[] for _ in range(n + 1)]
             for i, a in enumerate(self.coeffs):
-                if a == z:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b == z:
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(self.ring, out, n)
+                if a != z:
+                    for j, b in enumerate(other.coeffs[:n + 1 - i]):
+                        if b != z:
+                            cols[i + j].append(a * b)
+            return TruncatedSeries(self.ring, [ring_sum(c, z) for c in cols], n)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
+
+    @staticmethod
+    def sum(parts):
+        """The sum of a nonempty list of series of one ring and order, each
+        coefficient summed once."""
+        first = parts[0]
+        for p in parts:
+            first._check(p)
+        z = first.ring.zero
+        coeffs = zip(*(p.coeffs for p in parts))
+        return TruncatedSeries(first.ring, [ring_sum(list(c), z) for c in coeffs], first.order)
 
     def scale(self, scalar):
         """Multiply every coefficient by a ring scalar (int, Fraction, element)."""
@@ -159,16 +177,8 @@ class TruncatedSeries:
             raise NonzeroConstantTerm("exp needs zero constant term")
         b = [one]
         for n in range(1, self.order + 1):
-            acc = z
-            for j in range(1, n + 1):
-                aj = a[j]
-                if aj == z:
-                    continue
-                bij = b[n - j]
-                if bij == z:
-                    continue
-                acc = acc + (aj * bij) * j
-            b.append(acc * Fraction(1, n))
+            terms = [(a[j] * b[n - j]) * j for j in range(1, n + 1) if a[j] != z and b[n - j] != z]
+            b.append(ring_sum(terms, z) * Fraction(1, n))
         return TruncatedSeries(self.ring, b, self.order)
 
     def log(self):
@@ -179,16 +189,9 @@ class TruncatedSeries:
             raise ConstantTermNotOne("log needs constant term one")
         c = [z]
         for n in range(1, self.order + 1):
-            acc = a[n] * n
-            for j in range(1, n):
-                cj = c[j]
-                if cj == z:
-                    continue
-                anj = a[n - j]
-                if anj == z:
-                    continue
-                acc = acc - (cj * anj) * j
-            c.append(acc * Fraction(1, n))
+            terms = [a[n] * n] + [(c[j] * a[n - j]) * -j
+                                  for j in range(1, n) if c[j] != z and a[n - j] != z]
+            c.append(ring_sum(terms, z) * Fraction(1, n))
         return TruncatedSeries(self.ring, c, self.order)
 
     def reciprocal(self):
@@ -200,16 +203,8 @@ class TruncatedSeries:
             raise NonInvertibleConstant("constant term is not invertible") from exc
         r = [r0]
         for n in range(1, self.order + 1):
-            acc = z
-            for j in range(1, n + 1):
-                aj = a[j]
-                if aj == z:
-                    continue
-                rnj = r[n - j]
-                if rnj == z:
-                    continue
-                acc = acc + aj * rnj
-            r.append(-(r0 * acc))
+            terms = [a[j] * r[n - j] for j in range(1, n + 1) if a[j] != z and r[n - j] != z]
+            r.append(-(r0 * ring_sum(terms, z)))
         return TruncatedSeries(self.ring, r, self.order)
 
     def int_pow(self, e):

@@ -346,6 +346,21 @@ def test_gegenbauer_connection_reproduces_direct():
         assert value == q_gegenbauer_direct(n)
 
 
+def test_gegenbauer_value_computes_each_weight_once(monkeypatch):
+    import qpoly.connection as connection
+
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return gegenbauer_weight(k)
+
+    monkeypatch.setattr(connection, "gegenbauer_weight", counted)
+    expansion = gegenbauer_connection(6)
+    assert gegenbauer_connection_value(expansion) == q_gegenbauer_direct(6)
+    assert len(calls) <= 6
+
+
 def test_gegenbauer_term_order_matches_partition_order():
     expansion = gegenbauer_connection(5)
     descriptors = [term.descriptor for term in expansion.terms]

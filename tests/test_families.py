@@ -1,5 +1,6 @@
 """Polynomial families: closed forms vs generating-function extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,69 @@ def test_equal_polynomials_hash_equal():
     assert a == b and hash(a) == hash(b)
     beta = BetaPolynomial.gen(1) * BetaPolynomial.gen(2) - 1
     assert hash(beta) == hash(BetaPolynomial.gen(2) * BetaPolynomial.gen(1) + Fraction(-1))
+
+
+# ---------------------------------------------------------------------------
+# SparsePoly.sum and products against the per-term accumulation loop
+# ---------------------------------------------------------------------------
+
+def _per_term_mul(p, q):
+    """The product as it was accumulated before each monomial's coefficients
+    were summed once: out[m] + c for every term."""
+    out = {}
+    for m1, c1 in p._terms.items():
+        for m2, c2 in q._terms.items():
+            for m, c in p._times(m1, m2, c1 * c2):
+                if m in out:
+                    c = out[m] + c
+                    if c:
+                        out[m] = c
+                    else:
+                        del out[m]
+                else:
+                    out[m] = c
+    return type(p)._raw(out)
+
+
+def _per_term_sum(cls, polys):
+    total = cls.zero()
+    for p in polys:
+        total = total + p
+    return total
+
+
+def _rf_coeff(rng):
+    lam = RF.lam()
+    num = ONE * rng.randint(-3, 3) + Q ** rng.randint(0, 3) * rng.randint(-2, 2) + lam * rng.randint(-1, 1)
+    den = ONE
+    for _ in range(rng.randint(0, 2)):
+        den = den * (ONE - Q ** rng.randint(1, 3))
+    return num / den
+
+
+def _beta_mono(rng):
+    return tuple(sorted({rng.randint(1, 3): rng.randint(1, 2) for _ in range(rng.randint(0, 2))}.items()))
+
+
+def _random_sparse(cls, rng):
+    if cls in (ZPolynomial, CosPolynomial):
+        return cls({rng.randint(0, 4): _rf_coeff(rng) for _ in range(rng.randint(0, 4))})
+    if cls is BetaPolynomial:
+        return cls({_beta_mono(rng): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 4))})
+    return cls({((rng.randint(1, 3), rng.randint(1, 2)),): _random_sparse(BetaPolynomial, rng)
+                for _ in range(rng.randint(0, 3))})
+
+
+@pytest.mark.parametrize("cls", [ZPolynomial, CosPolynomial, BetaPolynomial, CPolynomial])
+def test_sparse_sum_and_product_match_per_term_loop(cls):
+    # CPolynomial here has BetaPolynomial coefficients, as in the connection
+    rng = random.Random(17)
+    for case in range(25):
+        polys = [_random_sparse(cls, rng) for _ in range(rng.randint(0, 6))]
+        assert cls.sum(polys) == _per_term_sum(cls, polys), f"case {case}"
+        assert cls.sum(polys + [-p for p in polys]).is_zero(), f"case {case}"
+        with_scalars = polys + [2, Fraction(-1, 3)]
+        assert cls.sum(with_scalars) == _per_term_sum(cls, with_scalars), f"case {case}"
+        for a, b in zip(polys, polys[1:]):
+            assert a * b == _per_term_mul(a, b), f"case {case}"

@@ -490,3 +490,84 @@ def test_gcd_prs_fallback_agrees_with_heuristic():
         a, b, g = (IntPoly(_random_terms(rng, rng.randint(2, 10), 0, 20)) for _ in range(3))
         h = poly_gcd(a * g, b * g)
         assert _ugcd_prs(row(a * g), row(b * g)) == row(h.divexact(IntPoly.const(h.content())))
+
+
+# ---------------------------------------------------------------------------
+# batched sum: RationalFunction.sum against a sequential + fold
+# ---------------------------------------------------------------------------
+
+def _fold(terms):
+    total = RF.zero()
+    for t in terms:
+        total = total + t
+    return total
+
+
+def _cyclotomic_den(rng):
+    """A product of factors 1 - q**k and 1 + q**k, the denominators the
+    engines produce."""
+    den = ONE
+    for _ in range(rng.randint(0, 3)):
+        den = den * (ONE + rng.choice([-1, 1]) * Q ** rng.randint(1, 4))
+    return den
+
+
+def _sum_terms(rng, count):
+    shared = [_cyclotomic_den(rng) for _ in range(3)]
+    terms = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            terms.append(rng.randint(-3, 3))
+        elif kind < 0.2:
+            terms.append(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+        elif kind < 0.6:
+            terms.append(_random_rf(rng) / rng.choice(shared))
+        else:
+            terms.append(_random_rf(rng) / _cyclotomic_den(rng))
+    return terms
+
+
+def test_sum_matches_sequential_fold_randomized():
+    # shared and distinct denominators, Lambda on both sides, ints, Fractions
+    rng = random.Random(31)
+    for case in range(200):
+        terms = _sum_terms(rng, rng.randint(0, 12))
+        total, ref = RF.sum(terms), _fold(terms)
+        assert (total.num, total.den) == (ref.num, ref.den), f"case {case}"
+
+
+def test_sum_edge_cases():
+    f = (ONE + LAM) / (ONE - Q)
+    g = (Q - LAM**2) / ((ONE + Q) * (ONE - Q**3))
+    h = LAM / (ONE + Q**2)
+    empty = RF.sum([])
+    assert (empty.num, empty.den) == (IntPoly.zero(), IntPoly.one())
+    assert RF.sum([f]) is f
+    assert RF.sum([3]) == 3
+    assert RF.sum([f, Fraction(1, 2)]) == f + Fraction(1, 2)
+    assert RF.sum([f, g]) == f + g
+    assert RF.sum(iter([f, f, f])) == f * 3
+    assert RF.sum([f, g, h, 0, 2]) == f + g + h + 2
+    with pytest.raises(TypeError):
+        RF.sum([f, g, 1.5])
+
+
+def test_sum_that_cancels_is_canonical_zero():
+    f = (ONE + LAM) / (ONE - Q)
+    g = (Q - LAM**2) / ((ONE + Q) * (ONE - Q**3))
+    h = LAM / (ONE + Q**2)
+    for terms in ([f, g, h, -g, -f, -h], [f, -f, 3, Fraction(-3)], [f, g, -f - g]):
+        total = RF.sum(terms)
+        assert (total.num, total.den) == (IntPoly.zero(), IntPoly.one())
+
+
+def test_sum_reduces_a_common_factor():
+    # the terms share the factor 1 + q with no single denominator
+    a = ONE / (ONE - Q)
+    b = ONE / (ONE + Q)
+    c = ONE / ((ONE - Q) * (ONE + Q**2))
+    terms = [a, b, c, -c]
+    total = RF.sum(terms)
+    assert total == a + b == RF(IntPoly.const(2), IntPoly({(0, 0): 1, (4, 0): -1}))
+    assert (total.num, total.den) == (_fold(terms).num, _fold(terms).den)
