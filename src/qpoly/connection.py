@@ -15,7 +15,13 @@ relation:
     log rescaled per t-order by beta_k = [lambda]_{q**k}.  Exponentiating
     symbolically over polynomials in abstract generators beta_k and abstract
     classical factors C_m yields the connection for any n, plus the per-order
-    sum rules.
+    sum rules.  Its value is summed per weight monomial prod_k beta_k**e_k:
+    the classical products are collected over Q first, and each distinct
+    weight enters Q(s, Lambda) once.
+
+Each engine builds every distinct building block once per call, in tables
+local to the call: the Hermite blocks, the Laguerre prefactors and classical
+factors, the Gegenbauer classical powers and weights.
 """
 
 from __future__ import annotations
@@ -242,11 +248,15 @@ def hermite_connection(n):
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
+    blocks = {}
     terms = []
     for sol in partitions_of(n):
         value = ZPolynomial.one()
         for k, m in sol.parts:
-            value = value * _hermite_block(k, m)
+            block = blocks.get((k, m))
+            if block is None:
+                block = blocks[k, m] = _hermite_block(k, m)
+            value = value * block
         factors = tuple(f"H{m}(zeta{k})" for k, m in sol.parts)
         terms.append(ConnectionTerm(sol, None, factors, value))
     total = ZPolynomial.sum([t.value for t in terms])
@@ -274,21 +284,24 @@ def laguerre_connection(n, k, aux=None):
         raise ValueError("indices must be >= 0")
     aux = dict(aux) if aux else {}
     base = QBase.q()
+    prefs = [RationalFunction.q_power((n - ell) * (n - ell + 1) // 2) * q_binomial(n, ell, base)
+             for ell in range(min(n, k) + 1)]
+    # L_{k_j}^{(n_j - k_j)}(c_j(q) z**j) for every order j and k_j with j*k_j <= k
+    classical = {(j, kj): laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj),
+                                             ZPolynomial({j: quesne_c(j, base)}))
+                 for j in range(1, k + 1) for kj in range(1, k // j + 1)}
     terms = []
     for sol in laguerre_partitions(n, k):
         ell = sol.ell
-        pref = (RationalFunction.q_power((n - ell) * (n - ell + 1) // 2)
-                * q_binomial(n, ell, base))
         poch_scalar = Fraction(1)
         for j, lj in sol.lparts:
             poch_scalar *= Fraction((-1) ** lj) * pochhammer(aux.get(j, 0), lj) / math.factorial(lj)
-        coefficient = pref * poch_scalar
+        coefficient = prefs[ell] * poch_scalar
         poly = ZPolynomial.one()
         factor_bits = []
         for j, kj in sol.kparts:
             nj = aux.get(j, 0)
-            argument = ZPolynomial({j: quesne_c(j, base)})
-            poly = poly * laguerre_classical(LaguerreIndex(kj, nj - kj), argument)
+            poly = poly * classical[j, kj]
             arg_text = "z" if j == 1 else f"c{j}(q)*z^{j}"
             factor_bits.append(f"L{kj}^({nj - kj})({arg_text})")
         value = poly.scale(coefficient)
@@ -323,6 +336,18 @@ def _gen(cls, g):
     return cls({((g, 1),): 1})
 
 
+def _monomial_value(mono, value_of, one_value, powers):
+    """prod_g value_of(g)**e over the monomial, each power taken once per
+    call through the caller's powers dict, keyed by (g, e)."""
+    value = one_value
+    for g, e in mono:
+        p = powers.get((g, e))
+        if p is None:
+            p = powers[g, e] = value_of(g) ** e
+        value = value * p
+    return value
+
+
 class BetaPolynomial(SparsePoly):
     """Polynomial with rational coefficients in the abstract generators
     beta_k standing for [lambda]_{q**k}."""
@@ -338,15 +363,8 @@ class BetaPolynomial(SparsePoly):
         """Map each generator g to value_of(g) and sum; lands in the target
         ring, whose multiplicative unit is one_value."""
         powers = {}
-        parts = []
-        for mono, c in self._terms.items():
-            term = one_value
-            for g, e in mono:
-                p = powers.get((g, e))
-                if p is None:
-                    p = powers[g, e] = value_of(g) ** e
-                term = term * p
-            parts.append(term * c)
+        parts = [_monomial_value(mono, value_of, one_value, powers) * c
+                 for mono, c in self._terms.items()]
         return ring_sum(parts, one_value * 0)
 
     def substitute_q_lambda(self):
@@ -470,19 +488,44 @@ def substitute_beta(coeff, mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+class _RationalCos(SparsePoly):
+    """A combination of cos(m*theta) over Q, folded by CosPolynomial's rule."""
+
+    __slots__ = ()
+    _coerce = Fraction
+    _times = staticmethod(CosPolynomial._times)
+
+
 def gegenbauer_connection_value(expansion):
     """Evaluate a Gegenbauer connection to a concrete CosPolynomial:
     beta_k -> [lambda]_{q**k} and C_m -> the classical (lambda = 1)
-    polynomial.  Must reproduce the explicit deformed polynomial."""
-    weights = {k: gegenbauer_weight(k) for k in range(1, expansion.n + 1)}
-    parts = []
+    polynomial.  Must reproduce the explicit deformed polynomial.
+
+    The classical products are rational, so the sum runs per weight monomial
+    mu = prod_k beta_k**e_k: A_mu = sum_t c_{t,mu} prod_m C_m**e over the
+    terms t is collected in the cos basis over Q, each distinct weight
+    prod_k [lambda]_{q**k}**e_k is built once, and each cos(m theta)
+    coefficient is one sum of weight(mu) * A_mu[m] in Q(s, Lambda)."""
+    classical = {}  # (m, e) -> C_m**e over Q
+    by_weight = {}
     for term in expansion.terms:
-        weight = term.coefficient.substitute(weights.__getitem__, _RF_ONE)
-        poly = CosPolynomial.one()
+        poly = _RationalCos.one()
         for m, e in term.descriptor:
-            poly = poly * gegenbauer_classical(m) ** e
-        parts.append(poly.scale(weight))
-    return CosPolynomial.sum(parts)
+            p = classical.get((m, e))
+            if p is None:
+                p = classical[m, e] = _RationalCos(
+                    {j: c.as_fraction() for j, c in gegenbauer_classical(m).items()}) ** e
+            poly = poly * p
+        for mu, c in term.coefficient.items():
+            by_weight.setdefault(mu, []).append(poly.scale(c))
+    weights = {k: gegenbauer_weight(k) for k in range(1, expansion.n + 1)}
+    powers = {}
+    by_cos = {}
+    for mu, polys in by_weight.items():
+        weight = _monomial_value(mu, weights.__getitem__, _RF_ONE, powers)
+        for m, c in _RationalCos.sum(polys).items():
+            by_cos.setdefault(m, []).append(weight * c)
+    return CosPolynomial({m: RationalFunction.sum(parts) for m, parts in by_cos.items()})
 
 
 def gegenbauer_classical_lambda(n):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import RationalFunction
-from .qkernel import QBase, q_binomial, q_factorial, q_pochhammer
+from .qkernel import QBase, q_binomial, q_factorial
 from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
@@ -164,12 +164,11 @@ class SparsePoly:
         """The sum of a list of polynomials of this class and scalars, each
         monomial's coefficients summed once; two are added by +, as in
         RationalFunction.sum."""
+        polys = [p if type(p) is cls else cls.constant(p) for p in polys]
         if len(polys) == 2:
             return polys[0] + polys[1]
         cols = {}
         for p in polys:
-            if type(p) is not cls:
-                p = cls.constant(p)
             for m, c in p._terms.items():
                 cols.setdefault(m, []).append(c)
         return cls._from_columns(cols)
@@ -448,13 +447,17 @@ def q_gegenbauer_direct(n):
     with L = Lambda = q**lambda."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    base = QBase.q()
     lam = RationalFunction.lam()
     q = RationalFunction.q()
+    lam_poch, q_poch = [_RF_ONE], [_RF_ONE]  # (L;q)_l and (q;q)_l, l = 0..n
+    power = _RF_ONE
+    for _ in range(n):
+        lam_poch.append(lam_poch[-1] * (_RF_ONE - lam * power))
+        power = power * q
+        q_poch.append(q_poch[-1] * (_RF_ONE - power))
     return CosPolynomial.sum([
-        CosPolynomial({abs(n - 2 * ell): q_pochhammer(lam, base, ell)
-                       * q_pochhammer(lam, base, n - ell)
-                       / (q_pochhammer(q, base, ell) * q_pochhammer(q, base, n - ell))})
+        CosPolynomial({abs(n - 2 * ell): lam_poch[ell] * lam_poch[n - ell]
+                       / (q_poch[ell] * q_poch[n - ell])})
         for ell in range(n + 1)])
 
 

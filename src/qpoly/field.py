@@ -66,8 +66,12 @@ primitive pseudo-remainder sequence gives g and exact division the
 cofactors.  The gcd of a Lambda-free operand with one of several Lambda
 rows is folded over the rows, starting from the Lambda-free row, and stops
 once it reaches 1; the cofactors are then exact row divisions.  Two
-operands with several Lambda rows run a primitive PRS in Lambda whose
-content computations use the same row gcd.
+operands with several Lambda rows are first mapped to GF(p)[Lambda] at one
+value of s; when the images are coprime and a leading row survives, so are
+the operands (up to content), and no PRS runs.  Otherwise they run a
+primitive PRS in Lambda whose content computations use the same row gcd.
+Its rows grow with the Lambda-degree gap, so the image test keeps text
+input such as Lambda**88 over a few Lambda rows cheap.
 
 Sums.  RationalFunction.sum reduces a long sum once, not once per term: it
 adds the numerators of equal denominators, merges the distinct fractions
@@ -690,10 +694,56 @@ def _prem_lam(a, b):
     return r
 
 
+# The image s -> _IMAGE_S in GF(_IMAGE_P), a prime, tests for a gcd of
+# Lambda-degree 0 before the PRS.
+_IMAGE_P = 2**61 - 1
+_IMAGE_S = 1000003
+
+
+def _lam_image(rows):
+    """The rows at s = _IMAGE_S mod _IMAGE_P, by ascending power of Lambda,
+    without trailing zeros."""
+    out = []
+    for r in rows:
+        v = 0
+        for c in reversed(r):
+            v = (v * _IMAGE_S + c) % _IMAGE_P
+        out.append(v)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _images_coprime(a, b):
+    """True when the images of a and b have a gcd of degree 0 in Lambda and
+    one of them keeps its Lambda-degree.  Then a and b have one too: the
+    leading row of a common factor G divides both leading rows, so G's image
+    keeps its degree and divides both images."""
+    f, g = _lam_image(a), _lam_image(b)
+    if len(f) < len(a) and len(g) < len(b):
+        return False
+    p = _IMAGE_P
+    while g:
+        inv = pow(g[-1], -1, p)
+        f = f[:]
+        while len(f) >= len(g):
+            c = f[-1] * inv % p
+            shift = len(f) - len(g)
+            for j in range(len(g) - 1):
+                f[shift + j] = (f[shift + j] - c * g[j]) % p
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 def _gcd_lam_prs(a, b):
     """gcd of Lambda-primitive rows with more than one row somewhere."""
     if len(a) < len(b):
         a, b = b, a
+    if _images_coprime(a, b):
+        return [[1]]
     while b and len(b) > 1:
         r = _prem_lam(a, b)
         if not r:

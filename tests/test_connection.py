@@ -10,7 +10,10 @@ import pytest
 
 from qpoly.field import RationalFunction as RF
 from qpoly.families import (
+    CosPolynomial,
+    gegenbauer_classical,
     gegenbauer_weight,
+    laguerre_classical,
     q_gegenbauer_direct,
     q_hermite,
     q_laguerre,
@@ -30,6 +33,7 @@ from qpoly.connection import (
     substitute_beta,
     sum_rule_explicit,
 )
+from qpoly.qkernel import q_binomial
 from qpoly.verify import (
     gegenbauer_displayed_connection,
     hermite5_reference,
@@ -359,6 +363,77 @@ def test_gegenbauer_value_computes_each_weight_once(monkeypatch):
     expansion = gegenbauer_connection(6)
     assert gegenbauer_connection_value(expansion) == q_gegenbauer_direct(6)
     assert len(calls) <= 6
+
+
+def _term_by_term_value(expansion):
+    # each row's coefficient substituted into Q(s, Lambda), times its
+    # classical product, and the rows summed
+    weights = {k: gegenbauer_weight(k) for k in range(1, expansion.n + 1)}
+    parts = []
+    for term in expansion.terms:
+        weight = term.coefficient.substitute(weights.__getitem__, RF.one())
+        poly = CosPolynomial.one()
+        for m, e in term.descriptor:
+            poly = poly * gegenbauer_classical(m) ** e
+        parts.append(poly.scale(weight))
+    return CosPolynomial.sum(parts)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_gegenbauer_value_matches_term_by_term_substitution(n, monkeypatch):
+    expansion = gegenbauer_connection(n)
+    expected = _term_by_term_value(expansion)
+    substituted = []
+
+    def counted(self, value_of, one_value):
+        substituted.append(self)
+        return BetaPolynomial.substitute(self, value_of, one_value)
+
+    # the value route sums per weight monomial, not row by row
+    monkeypatch.setattr(BetaPolynomial, "substitute", counted)
+    value = gegenbauer_connection_value(expansion)
+    assert substituted == []
+    assert value == expected
+
+
+def test_hermite_builds_each_block_once(monkeypatch):
+    import qpoly.connection as connection
+
+    block = connection._hermite_block
+    calls = []
+
+    def counted(k, m):
+        calls.append((k, m))
+        return block(k, m)
+
+    monkeypatch.setattr(connection, "_hermite_block", counted)
+    n = 12
+    expansion = hermite_connection.__wrapped__(n)
+    assert expansion.rescaled_total() == q_hermite(n)
+    assert sorted(calls) == sorted({part for sol in partitions_of(n) for part in sol.parts})
+
+
+def test_laguerre_builds_each_prefactor_and_factor_once(monkeypatch):
+    import qpoly.connection as connection
+
+    binomials, factors = [], []
+
+    def counted_binomial(n, ell, base):
+        binomials.append(ell)
+        return q_binomial(n, ell, base)
+
+    def counted_classical(idx, argument):
+        factors.append((max(argument.support()), idx.k))
+        return laguerre_classical(idx, argument)
+
+    monkeypatch.setattr(connection, "q_binomial", counted_binomial)
+    monkeypatch.setattr(connection, "laguerre_classical", counted_classical)
+    n, k = 5, 6
+    expansion = laguerre_connection(n, k, {1: 2, 2: -1, 3: 3})
+    assert expansion.rescaled_total() == q_laguerre(n, k)
+    assert sorted(binomials) == list(range(min(n, k) + 1))
+    solutions = laguerre_partitions(n, k)
+    assert sorted(factors) == sorted({part for sol in solutions for part in sol.kparts})
 
 
 def test_gegenbauer_term_order_matches_partition_order():

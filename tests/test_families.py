@@ -21,6 +21,7 @@ from qpoly.families import (
     q_hermite,
     q_laguerre,
 )
+from qpoly.qkernel import QBase, q_pochhammer
 from qpoly.verify import (
     chebyshev_recurrence,
     hermite5_reference,
@@ -189,6 +190,34 @@ def test_q_gegenbauer_dual_route():
         assert q_gegenbauer_direct(n) == q_gegenbauer_genfun(n)
 
 
+def _direct_by_pochhammer_calls(n):
+    # the explicit double-Pochhammer form with every symbol built afresh
+    lam, base = RF.lam(), QBase.q()
+    return CosPolynomial.sum([
+        CosPolynomial({abs(n - 2 * ell): q_pochhammer(lam, base, ell) * q_pochhammer(lam, base, n - ell)
+                       / (q_pochhammer(Q, base, ell) * q_pochhammer(Q, base, n - ell))})
+        for ell in range(n + 1)])
+
+
+def test_q_gegenbauer_direct_uses_running_products(monkeypatch):
+    import qpoly.families as families
+    import qpoly.qkernel as qkernel
+
+    expected = [_direct_by_pochhammer_calls(n) for n in range(9)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return q_pochhammer(*args)
+
+    monkeypatch.setattr(qkernel, "q_pochhammer", counted)
+    # families may hold its own reference to the function
+    monkeypatch.setattr(families, "q_pochhammer", counted, raising=False)
+    values = [q_gegenbauer_direct.__wrapped__(n) for n in range(9)]
+    assert calls == []
+    assert values == expected
+
+
 def test_q_gegenbauer_lambda_one_collapses_to_classical():
     # at lambda = 1 (Lambda -> q) the deformed polynomial is the classical one
     for n in range(6):
@@ -276,6 +305,14 @@ def _random_sparse(cls, rng):
                     for _ in range(rng.randint(0, 4))})
     return cls({((rng.randint(1, 3), rng.randint(1, 2)),): _random_sparse(BetaPolynomial, rng)
                 for _ in range(rng.randint(0, 3))})
+
+
+@pytest.mark.parametrize("cls", [ZPolynomial, CosPolynomial, BetaPolynomial])
+@pytest.mark.parametrize("scalars", [[], [3], [Fraction(1), 2], [Fraction(1), 2, 3]])
+def test_sparse_sum_of_scalars_is_a_polynomial(cls, scalars):
+    total = cls.sum(scalars)
+    assert type(total) is cls
+    assert total == cls.constant(sum(scalars))
 
 
 @pytest.mark.parametrize("cls", [ZPolynomial, CosPolynomial, BetaPolynomial, CPolynomial])

@@ -492,6 +492,58 @@ def test_gcd_prs_fallback_agrees_with_heuristic():
         assert _ugcd_prs(row(a * g), row(b * g)) == row(h.divexact(IntPoly.const(h.content())))
 
 
+def test_lambda_gcd_image_test_agrees_with_prs(monkeypatch):
+    import qpoly.field as field
+
+    rng = random.Random(23)
+    cases = []
+    for case in range(60):
+        # coprime pairs, and pairs sharing a factor of Lambda-degree 0, 1 or 2
+        da, db, dg = rng.randint(1, 3), rng.randint(1, 3), case % 4 - 1
+        a, b = (IntPoly(_random_terms(rng, rng.randint(2, 8), d, rng.choice([3, 40])))
+                for d in (da, db))
+        g = IntPoly(_random_terms(rng, 4, dg, 5)) if dg >= 0 else IntPoly.one()
+        cases.append((a * g, b * g))
+    fast = [poly_gcd(a, b) for a, b in cases]
+    monkeypatch.setattr(field, "_images_coprime", lambda a, b: False)
+    assert fast == [poly_gcd(a, b) for a, b in cases]
+
+
+def test_lambda_gcd_unlucky_image_falls_back_to_prs(monkeypatch):
+    import qpoly.field as field
+
+    calls = []
+    prem = field._prem_lam
+    monkeypatch.setattr(field, "_prem_lam", lambda a, b: calls.append(1) or prem(a, b))
+    s, lam = IntPoly.s_pow(1), IntPoly.lam_pow(1)
+    # coprime, but equal at the image point s = _IMAGE_S
+    a = lam - s
+    b = lam - IntPoly.const(field._IMAGE_S)
+    assert poly_gcd(a * (lam + s), b).is_one()
+    assert calls
+    # leading rows that vanish at the image point: the images are coprime,
+    # the operands are not
+    common = (s - IntPoly.const(field._IMAGE_S)) * lam + IntPoly.one()
+    g = poly_gcd(common * (lam + s), common * (lam + IntPoly.const(2)))
+    assert g in (common, -common)
+
+
+def test_parse_rational_high_lambda_degree_skips_prs(monkeypatch):
+    # a random edit of a printed fraction can make a Lambda exponent 88; the
+    # primitive PRS over that Lambda-degree gap takes far longer than a parse
+    import qpoly.field as field
+
+    def no_prs(a, b):
+        raise AssertionError("coprime operands reached the PRS")
+
+    monkeypatch.setattr(field, "_prem_lam", no_prs)
+    text = ("(-5*q^{3/2}*lam^{88} + 123456789012*q^{17/2}*lam - 7)"
+            "/(q^{20} + 1099511627773*q^{9/2}*lam^{2} - 3*q^{2}*lam^{2} - 11*q*lam - 5)")
+    f = parse_rational(text)
+    assert str(f) == text
+    assert f.num.deg_lam() == 88 and f.den.deg_lam() == 2
+
+
 # ---------------------------------------------------------------------------
 # batched sum: RationalFunction.sum against a sequential + fold
 # ---------------------------------------------------------------------------
