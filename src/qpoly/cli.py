@@ -7,7 +7,8 @@
 Families for eval: hermite, laguerre, gegenbauer and their classical-*
 counterparts.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 --q-sample adds a floating-point cross-check of the command's dual-route
-identity at the given rational q.
+identity at the given rational q; JSON output carries it as the document's
+numeric_check object.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .render import (
     latex_cpoly,
     latex_zpoly,
     polynomial_json_dict,
-    render_polynomial_json,
     text_beta,
     text_cmono,
     text_cospoly,
@@ -148,16 +148,30 @@ def _poly_numeric(poly, q_value, z=_Z_SAMPLE, theta=_THETA_SAMPLE, lam=_LAMBDA_S
     return poly.eval_numeric(theta, s_value, lam_value)
 
 
-def _numeric_crosscheck(poly, other, q_sample, out):
+def _numeric_check(poly, other, q_sample):
+    """(primary, independent, relative diff): both routes as floats at q_sample."""
     qv = float(q_sample)
     a = _poly_numeric(poly, qv)
     b = _poly_numeric(other, qv)
-    scale = max(abs(a), abs(b), 1.0)
+    return a, b, abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def _print_json(doc, check, q_sample, out):
+    """Print the JSON document, with the numeric cross-check in it if any."""
+    if check is not None:
+        a, b, diff = check
+        doc["numeric_check"] = {"q": str(q_sample), "primary": [a.real, a.imag],
+                                "independent": [b.real, b.imag], "relative_diff": diff}
+    print(json.dumps(doc, indent=2), file=out)
+
+
+def _print_numeric_check(check, q_sample, out):
+    a, b, diff = check
     print(f"numeric cross-check at q = {q_sample} "
           f"(z = {_Z_SAMPLE}, theta = {_THETA_SAMPLE}, lambda = {_LAMBDA_SAMPLE}):", file=out)
     print(f"  primary route:     {a}", file=out)
     print(f"  independent route: {b}", file=out)
-    print(f"  relative diff:     {abs(a - b) / scale:.3e}", file=out)
+    print(f"  relative diff:     {diff:.3e}", file=out)
 
 
 def _cmd_eval(args, parser, out):
@@ -172,15 +186,14 @@ def _cmd_eval(args, parser, out):
     if args.n < 0:
         parser.error("--n must be >= 0")
     poly, other = _eval_polynomial(family, args.n, args.k)
+    numeric = None if args.q_sample is None else _numeric_check(poly, other, args.q_sample)
     if args.format == "json":
-        print(render_polynomial_json(poly, family, args.n, args.k,
-                                     total_check=(poly == other)), file=out)
-    elif args.format == "latex":
-        print(_poly_latex(poly), file=out)
-    else:
-        print(_poly_text(poly), file=out)
-    if args.q_sample is not None:
-        _numeric_crosscheck(poly, other, args.q_sample, out)
+        doc = polynomial_json_dict(poly, family, args.n, args.k, total_check=(poly == other))
+        _print_json(doc, numeric, args.q_sample, out)
+        return 0
+    print(_poly_latex(poly) if args.format == "latex" else _poly_text(poly), file=out)
+    if numeric is not None:
+        _print_numeric_check(numeric, args.q_sample, out)
     return 0
 
 
@@ -192,7 +205,7 @@ def _parse_aux(text, parser):
     if text is None:
         return {}
     try:
-        values = [int(x) for x in text.split(",") if x.strip() != ""]
+        values = [int(x) for x in text.split(",")]
     except ValueError:
         parser.error(f"--aux needs comma-separated integers, got {text!r}")
     return {j + 1: v for j, v in enumerate(values)}
@@ -227,7 +240,9 @@ def _cmd_connect(args, parser, out):
     if family == "gegenbauer":
         expansion = gegenbauer_connection(args.n)
         value = gegenbauer_connection_value(expansion)
-        check = value == q_gegenbauer_direct(args.n)
+        direct = q_gegenbauer_direct(args.n)
+        check = value == direct
+        numeric = None if args.q_sample is None else _numeric_check(value, direct, args.q_sample)
         if args.format == "json":
             doc = {
                 "family": family, "n": args.n,
@@ -238,16 +253,17 @@ def _cmd_connect(args, parser, out):
                 "total": text_cpoly(expansion.total),
                 "total_check": "pass" if check else "fail",
             }
-            print(json.dumps(doc, indent=2), file=out)
-        elif args.format == "latex":
+            _print_json(doc, numeric, args.q_sample, out)
+            return 0 if check else 1
+        if args.format == "latex":
             print(latex_cpoly(expansion.total), file=out)
         else:
             for term in expansion.terms:
                 print(f"{text_cmono(term.descriptor):12s}  {text_beta(term.coefficient)}", file=out)
             print(f"total: {text_cpoly(expansion.total)}", file=out)
             print(f"check against explicit form: {'pass' if check else 'fail'}", file=out)
-        if args.q_sample is not None:
-            _numeric_crosscheck(value, q_gegenbauer_direct(args.n), args.q_sample, out)
+        if numeric is not None:
+            _print_numeric_check(numeric, args.q_sample, out)
         return 0 if check else 1
 
     if family == "hermite":
@@ -256,11 +272,12 @@ def _cmd_connect(args, parser, out):
     else:
         expansion = laguerre_connection(args.n, args.k, aux)
         target = q_laguerre(args.n, args.k)
-    check = expansion.rescaled_total() == target
+    total = expansion.rescaled_total()
+    check = total == target
+    numeric = None if args.q_sample is None else _numeric_check(total, target, args.q_sample)
 
     if args.format == "json":
-        doc = polynomial_json_dict(expansion.rescaled_total(), family, args.n,
-                                   args.k, total_check=check)
+        doc = polynomial_json_dict(total, family, args.n, args.k, total_check=check)
         doc["terms"] = [
             {"solution": t.descriptor.label(),
              "factors": list(t.factors),
@@ -269,23 +286,23 @@ def _cmd_connect(args, parser, out):
         ]
         if aux:
             doc["aux"] = {str(j): v for j, v in sorted(aux.items())}
-        print(json.dumps(doc, indent=2), file=out)
-    elif args.format == "latex":
+        _print_json(doc, numeric, args.q_sample, out)
+        return 0 if check else 1
+    if args.format == "latex":
         for label, rendered in _connect_table(expansion, "latex"):
             print(f"% {label}", file=out)
             print(rendered + r" \\", file=out)
         print("% total", file=out)
-        print(_poly_latex(expansion.rescaled_total()), file=out)
+        print(_poly_latex(total), file=out)
     else:
         rows = _connect_table(expansion, "text")
         width = max(len(label) for label, _ in rows)
         for label, rendered in rows:
             print(f"{label:<{width}}  |  {rendered}", file=out)
-        print(f"total: {_poly_text(expansion.rescaled_total())}", file=out)
+        print(f"total: {_poly_text(total)}", file=out)
         print(f"check against direct construction: {'pass' if check else 'fail'}", file=out)
-
-    if args.q_sample is not None:
-        _numeric_crosscheck(expansion.rescaled_total(), target, args.q_sample, out)
+    if numeric is not None:
+        _print_numeric_check(numeric, args.q_sample, out)
     return 0 if check else 1
 
 
@@ -302,8 +319,13 @@ def _cmd_verify(args, parser, out):
     else:
         print(report.format_text(), file=out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            print(f"qpoly verify: cannot write the report to {args.report}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

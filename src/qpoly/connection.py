@@ -21,7 +21,10 @@ relation:
 
 Each engine builds every distinct building block once per call, in tables
 local to the call: the Hermite blocks, the Laguerre prefactors and classical
-factors, the Gegenbauer classical powers and weights.
+factors, the Gegenbauer classical powers and weights.  The Hermite and
+Laguerre row products are keyed largest part first, and each distinct
+partial product is built once per call, from its longest prefix; the total
+stays the sum of the row values.
 """
 
 from __future__ import annotations
@@ -238,6 +241,21 @@ def _hermite_block(k, m):
                         for ell in range(m // 2 + 1)})
 
 
+def _prefix_product(built, key, block):
+    """prod block(*part) over the parts of key, a ZPolynomial.  Every prefix of
+    key is recorded in built, a dict local to one engine call, so a row is one
+    product of its longest prefix built before with its last block, and each
+    block is built once; a one-part key is the block itself."""
+    value = built.get(key)
+    if value is None:
+        if len(key) > 1:
+            value = _prefix_product(built, key[:-1], block) * _prefix_product(built, key[-1:], block)
+        else:
+            value = block(*key[0]) if key else ZPolynomial.one()
+        built[key] = value
+    return value
+
+
 @lru_cache(maxsize=None)
 def hermite_connection(n):
     """Expansion of the deformed Hermite polynomial over partition solutions.
@@ -248,15 +266,10 @@ def hermite_connection(n):
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    blocks = {}
+    built = {}
     terms = []
     for sol in partitions_of(n):
-        value = ZPolynomial.one()
-        for k, m in sol.parts:
-            block = blocks.get((k, m))
-            if block is None:
-                block = blocks[k, m] = _hermite_block(k, m)
-            value = value * block
+        value = _prefix_product(built, sol.parts[::-1], _hermite_block)
         factors = tuple(f"H{m}(zeta{k})" for k, m in sol.parts)
         terms.append(ConnectionTerm(sol, None, factors, value))
     total = ZPolynomial.sum([t.value for t in terms])
@@ -286,10 +299,13 @@ def laguerre_connection(n, k, aux=None):
     base = QBase.q()
     prefs = [RationalFunction.q_power((n - ell) * (n - ell + 1) // 2) * q_binomial(n, ell, base)
              for ell in range(min(n, k) + 1)]
-    # L_{k_j}^{(n_j - k_j)}(c_j(q) z**j) for every order j and k_j with j*k_j <= k
-    classical = {(j, kj): laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj),
-                                             ZPolynomial({j: quesne_c(j, base)}))
-                 for j in range(1, k + 1) for kj in range(1, k // j + 1)}
+
+    def classical(j, kj):
+        """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j)."""
+        return laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj),
+                                  ZPolynomial({j: quesne_c(j, base)}))
+
+    built = {}
     terms = []
     for sol in laguerre_partitions(n, k):
         ell = sol.ell
@@ -297,11 +313,10 @@ def laguerre_connection(n, k, aux=None):
         for j, lj in sol.lparts:
             poch_scalar *= Fraction((-1) ** lj) * pochhammer(aux.get(j, 0), lj) / math.factorial(lj)
         coefficient = prefs[ell] * poch_scalar
-        poly = ZPolynomial.one()
+        poly = _prefix_product(built, sol.kparts[::-1], classical)
         factor_bits = []
         for j, kj in sol.kparts:
             nj = aux.get(j, 0)
-            poly = poly * classical[j, kj]
             arg_text = "z" if j == 1 else f"c{j}(q)*z^{j}"
             factor_bits.append(f"L{kj}^({nj - kj})({arg_text})")
         value = poly.scale(coefficient)

@@ -187,18 +187,28 @@ class SparsePoly:
                     out[m] = c
         return cls._raw(out)
 
+    @classmethod
+    def dot(cls, pairs):
+        """sum a * b over the pairs, each a a polynomial of this class and
+        each b one or a scalar: the monomial products of every pair go into
+        one column per monomial, and each column is summed once."""
+        times = cls._times
+        cols = {}
+        for a, b in pairs:
+            if type(b) is not cls:
+                b = cls.constant(b)
+            for m1, c1 in a._terms.items():
+                for m2, c2 in b._terms.items():
+                    for m, c in times(m1, m2, c1 * c2):
+                        cols.setdefault(m, []).append(c)
+        return cls._from_columns(cols)
+
     def __mul__(self, other):
         if type(other) is not type(self):
             if not isinstance(other, self._scalars):
                 return NotImplemented
             return self.scale(other)
-        times = self._times
-        cols = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                for m, c in times(m1, m2, c1 * c2):
-                    cols.setdefault(m, []).append(c)
-        return self._from_columns(cols)
+        return self.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -275,6 +285,8 @@ class CosPolynomial(SparsePoly):
 
     @staticmethod
     def _times(m1, m2, c):
+        if not m1 or not m2:  # cos(0) is the unit
+            return ((m1 + m2, c),)
         c = c * _HALF
         return ((m1 + m2, c), (abs(m1 - m2), c))
 

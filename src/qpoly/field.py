@@ -79,6 +79,12 @@ pairwise in a balanced tree over lcms, n1/d1 + n2/d2 = (n1*(d2/g) +
 n2*(d1/g)) / (d1*(d2/g)) with g = gcd(d1, d2) and its cofactors, and reduces
 the result once.  Two terms are added by +, whose final gcd is against the
 smaller g rather than the whole denominator.
+
+Products by rational constants.  When one factor of a product is an int, a
+Fraction or a constant RationalFunction p/q, the other is A/B with A, B
+coprime and p, q coprime, so gcd(A*p, B*q) = gcd(content(A), q) *
+gcd(p, content(B)).  Those two integer gcds give the canonical product with
+no polynomial gcd.
 """
 
 from __future__ import annotations
@@ -956,12 +962,19 @@ class RationalFunction:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            return _times_const(self, other, 1)
+        if isinstance(other, Fraction):
+            return _times_const(self, other.numerator, other.denominator)
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return _RF_ZERO
+        if c.is_const() and d.is_const():
+            return _times_const(self, c._rows[0][0], d._rows[0][0])
+        if a.is_const() and b.is_const():
+            return _times_const(other, a._rows[0][0], b._rows[0][0])
         _, a, d = _gcd_cof(a, d)
         _, c, b = _gcd_cof(c, b)
         return _rf_raw(a * c, b * d)
@@ -1056,6 +1069,31 @@ def _rf_raw(num, den):
     r = RationalFunction.__new__(RationalFunction)
     r.num, r.den, r._hash = num, den, None
     return r
+
+
+def _content_gcd(rows, g):
+    """gcd of the int g and the coefficients of the rows."""
+    for r in rows:
+        if g == 1:
+            break
+        g = math.gcd(g, *r)
+    return g
+
+
+def _times_const(r, p, q):
+    """r * p/q for coprime ints p and q > 0.  r = A/B is reduced and so is
+    p/q, so the product's only common factors are gcd(content(A), q) and
+    gcd(p, content(B)), divided out with no polynomial gcd."""
+    num, den = r.num, r.den
+    if not p or not num._rows:
+        return _RF_ZERO
+    g, h = _content_gcd(num._rows, q), _content_gcd(den._rows, p)
+    p, q = p // h, q // g
+    if g != 1 or p != 1:
+        num = _raw_poly([[x // g * p for x in row] for row in num._rows])
+    if h != 1 or q != 1:
+        den = _raw_poly([[x // h * q for x in row] for row in den._rows])
+    return _rf_raw(num, den)
 
 
 def _coerce(x):

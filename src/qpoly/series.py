@@ -7,6 +7,12 @@ multiplication by int and Fraction scalars, which exp/log/pow need).
 
 Arithmetic between two series requires equal order and ring; nothing is
 silently re-truncated.
+
+Every coefficient of a product, and of the exp, log and reciprocal
+recurrences, is a sum of products, formed by ring_dot: over a SparsePoly
+ring, SparsePoly.dot collects the monomial products of all pairs and sums
+each monomial's coefficients once, so each coefficient is reduced once, not
+once per product and again in the sum.
 """
 
 from __future__ import annotations
@@ -55,6 +61,17 @@ def ring_sum(terms, zero):
     if batched is None:
         return sum(terms, zero)
     return terms[0] if len(terms) == 1 else batched(terms)
+
+
+def ring_dot(pairs, zero):
+    """sum a * b over a list of pairs of a ring element a and a ring element
+    or int b; zero when it is empty.  A type with a batched `dot`
+    (SparsePoly) collects the monomial products of all pairs and sums each
+    monomial once; others (RationalFunction, Fraction) sum the products."""
+    batched = getattr(type(pairs[0][0]), "dot", None) if pairs else None
+    if batched is None:
+        return ring_sum([a * b for a, b in pairs], zero)
+    return batched(pairs)
 
 
 class TruncatedSeries:
@@ -146,8 +163,8 @@ class TruncatedSeries:
                 if a != z:
                     for j, b in enumerate(other.coeffs[:n + 1 - i]):
                         if b != z:
-                            cols[i + j].append(a * b)
-            return TruncatedSeries(self.ring, [ring_sum(c, z) for c in cols], n)
+                            cols[i + j].append((a, b))
+            return TruncatedSeries(self.ring, [ring_dot(c, z) for c in cols], n)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -175,10 +192,11 @@ class TruncatedSeries:
         a = self.coeffs
         if a[0] != z:
             raise NonzeroConstantTerm("exp needs zero constant term")
+        ja = [c * j for j, c in enumerate(a)]
         b = [one]
         for n in range(1, self.order + 1):
-            terms = [(a[j] * b[n - j]) * j for j in range(1, n + 1) if a[j] != z and b[n - j] != z]
-            b.append(ring_sum(terms, z) * Fraction(1, n))
+            pairs = [(ja[j], b[n - j]) for j in range(1, n + 1) if a[j] != z and b[n - j] != z]
+            b.append(ring_dot(pairs, z) * Fraction(1, n))
         return TruncatedSeries(self.ring, b, self.order)
 
     def log(self):
@@ -187,11 +205,12 @@ class TruncatedSeries:
         a = self.coeffs
         if a[0] != one:
             raise ConstantTermNotOne("log needs constant term one")
-        c = [z]
+        c, mjc = [z], [z]  # c_j and -j*c_j
         for n in range(1, self.order + 1):
-            terms = [a[n] * n] + [(c[j] * a[n - j]) * -j
-                                  for j in range(1, n) if c[j] != z and a[n - j] != z]
-            c.append(ring_sum(terms, z) * Fraction(1, n))
+            pairs = [(a[n], n)] + [(mjc[j], a[n - j])
+                                   for j in range(1, n) if c[j] != z and a[n - j] != z]
+            c.append(ring_dot(pairs, z) * Fraction(1, n))
+            mjc.append(c[n] * -n)
         return TruncatedSeries(self.ring, c, self.order)
 
     def reciprocal(self):
@@ -203,8 +222,8 @@ class TruncatedSeries:
             raise NonInvertibleConstant("constant term is not invertible") from exc
         r = [r0]
         for n in range(1, self.order + 1):
-            terms = [a[j] * r[n - j] for j in range(1, n + 1) if a[j] != z and r[n - j] != z]
-            r.append(-(r0 * ring_sum(terms, z)))
+            pairs = [(a[j], r[n - j]) for j in range(1, n + 1) if a[j] != z and r[n - j] != z]
+            r.append(-(r0 * ring_dot(pairs, z)))
         return TruncatedSeries(self.ring, r, self.order)
 
     def int_pow(self, e):

@@ -11,6 +11,7 @@ import pytest
 from qpoly.field import RationalFunction as RF
 from qpoly.families import (
     CosPolynomial,
+    ZPolynomial,
     gegenbauer_classical,
     gegenbauer_weight,
     laguerre_classical,
@@ -434,6 +435,54 @@ def test_laguerre_builds_each_prefactor_and_factor_once(monkeypatch):
     assert sorted(binomials) == list(range(min(n, k) + 1))
     solutions = laguerre_partitions(n, k)
     assert sorted(factors) == sorted({part for sol in solutions for part in sol.kparts})
+
+
+def _count_zpoly_products(monkeypatch, skip_inside=None):
+    """Record every ZPolynomial product as (left, right), except those made
+    inside the connection-module function named skip_inside."""
+    import qpoly.connection as connection
+
+    products, inside = [], []
+    mul = ZPolynomial.__mul__
+
+    def counted(a, b):
+        if not inside:
+            products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ZPolynomial, "__mul__", counted)
+    if skip_inside is not None:
+        fn = getattr(connection, skip_inside)
+
+        def wrapped(*args):
+            inside.append(1)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(connection, skip_inside, wrapped)
+    return products
+
+
+def test_hermite_builds_each_prefix_product_once(monkeypatch):
+    products = _count_zpoly_products(monkeypatch)
+    expansion = hermite_connection.__wrapped__(16)
+    one = ZPolynomial.one()
+    assert len(products) == 371  # distinct prefixes of two or more parts
+    assert not any(a == one or b == one for a, b in products)
+    assert expansion.rescaled_total() == q_hermite(16)
+    assert expansion.total == ZPolynomial.sum([t.value for t in expansion.terms])
+
+
+def test_laguerre_builds_each_prefix_product_once(monkeypatch):
+    products = _count_zpoly_products(monkeypatch, skip_inside="laguerre_classical")
+    expansion = laguerre_connection(8, 8, {1: 2, 2: -1, 3: 3})
+    one = ZPolynomial.one()
+    assert len(products) == 46
+    assert not any(a == one or b == one for a, b in products)
+    assert expansion.rescaled_total() == q_laguerre(8, 8)
+    assert expansion.total == ZPolynomial.sum([t.value for t in expansion.terms])
 
 
 def test_gegenbauer_term_order_matches_partition_order():

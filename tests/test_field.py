@@ -623,3 +623,58 @@ def test_sum_reduces_a_common_factor():
     total = RF.sum(terms)
     assert total == a + b == RF(IntPoly.const(2), IntPoly({(0, 0): 1, (4, 0): -1}))
     assert (total.num, total.den) == (_fold(terms).num, _fold(terms).den)
+
+
+# ---------------------------------------------------------------------------
+# products by rational constants: integer gcds only
+# ---------------------------------------------------------------------------
+
+def _two_gcd_mul(x, y):
+    """The general product a/b * c/d, reduced by gcd(a, d) and gcd(c, b)."""
+    from qpoly.field import _rf_raw
+    x, y = RF.zero() + x, RF.zero() + y
+    if x.is_zero() or y.is_zero():
+        return RF.zero()
+    _, a, d = _gcd_cof(x.num, y.den)
+    _, c, b = _gcd_cof(y.num, x.den)
+    return _rf_raw(a * c, b * d)
+
+
+def _rf_with_content(rng):
+    num = _random_poly(rng) * rng.choice([1, 2, -6, 15])
+    den = _random_poly(rng) * rng.choice([1, 3, 10])
+    while den.is_zero():
+        den = _random_poly(rng)
+    f = RF(num, den)
+    if rng.random() < 0.3:
+        f = f * RF.s_power(-rng.randint(1, 5))  # Laurent denominator
+    return f
+
+
+def _random_constant(rng):
+    p, q = rng.randint(-30, 30), rng.randint(1, 30)
+    return rng.choice([p, Fraction(p, q), RF.from_fraction(Fraction(p, q)),
+                       RF(IntPoly.const(p), IntPoly.const(q)), 0, -1])
+
+
+def test_mul_by_constant_matches_two_gcd_product(monkeypatch):
+    import qpoly.field as field
+
+    rng = random.Random(4242)
+    cases = [(_rf_with_content(rng), _random_constant(rng)) for _ in range(400)]
+    cases += [(RF.zero(), 3), (LAM * 6 / (Q * 4 + 2), Fraction(-2, 3)), (Q / 6, RF.from_int(-4))]
+    assert any(x.has_lam() for x, _ in cases)
+    products = [_two_gcd_mul(x, c) for x, c in cases]
+    quotients = [_two_gcd_mul(x, 1 / Fraction(c.as_fraction() if isinstance(c, RF) else c))
+                 if c else None for x, c in cases]
+
+    def no_gcd(a, b):
+        raise AssertionError("a product by a constant ran a polynomial gcd")
+
+    monkeypatch.setattr(field, "_gcd_cof", no_gcd)
+    for case, ((x, c), product, quotient) in enumerate(zip(cases, products, quotients)):
+        for got in (x * c, c * x):
+            assert (got.num, got.den) == (product.num, product.den), f"case {case}"
+        if quotient is not None:
+            got = x / c
+            assert (got.num, got.den) == (quotient.num, quotient.den), f"case {case}"

@@ -175,6 +175,8 @@ def test_cli_usage_errors():
                  ["connect", "laguerre", "--n", "1"],       # missing --k
                  ["connect", "hermite", "--n", "2", "--aux", "1"],  # stray --aux
                  ["connect", "laguerre", "--n", "2", "--k", "1", "--aux", "a,b"],
+                 ["connect", "laguerre", "--n", "3", "--k", "3", "--aux", "2,,3"],
+                 ["connect", "laguerre", "--n", "3", "--k", "3", "--aux", ",1"],
                  ["eval", "hermite", "--n", "1", "--q-sample", "x"],
                  ["eval", "hermite", "--n", "1", "--q-sample", "1"],
                  ["verify", "--suite", "bogus"],
@@ -218,6 +220,27 @@ def test_cli_verify_pass(capsys, tmp_path):
     assert "suite qexp: PASS" in out
     doc = json.loads(report_path.read_text())
     assert doc["passed"] is True and doc["checks"]
+
+
+def test_cli_verify_unwritable_report(capsys, tmp_path):
+    code = main(["verify", "--suite", "qexp", "--max-n", "2",
+                 "--report", str(tmp_path / "missing" / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "cannot write the report" in err
+
+
+def test_cli_json_numeric_check_stays_valid_json(capsys):
+    from qpoly.families import q_laguerre
+
+    for argv, poly in ((["eval", "hermite", "--n", "4"], q_hermite(4)),
+                       (["connect", "laguerre", "--n", "3", "--k", "3"], q_laguerre(3, 3))):
+        code, out = run_cli(capsys, *argv, "--format", "json", "--q-sample", "7/10")
+        assert code == 0
+        check = json.loads(out)["numeric_check"]
+        assert check["q"] == "7/10" and check["relative_diff"] < 1e-12
+        assert check["primary"][0] == pytest.approx(check["independent"][0])
+        assert parse_polynomial_json(out)[0] == poly
 
 
 def test_cli_verify_failure_exit_code(capsys, monkeypatch):

@@ -15,8 +15,17 @@ from qpoly.series import (
     OrderMismatch,
     Ring,
     TruncatedSeries,
+    ring_dot,
+    ring_sum,
 )
-from qpoly.families import ZPOLY_RING, ZPolynomial, gegenbauer_classical
+from qpoly.connection import BetaPolynomial, CPolynomial
+from qpoly.families import (
+    COSPOLY_RING,
+    ZPOLY_RING,
+    CosPolynomial,
+    ZPolynomial,
+    gegenbauer_classical,
+)
 
 RF_RING = Ring(RF.zero(), RF.one())
 
@@ -183,3 +192,75 @@ def test_mul_associative_commutative_randomized():
         c = _random_rf_series(rng, 6)
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
+
+
+# ---------------------------------------------------------------------------
+# one-pass sums of products against the per-term recurrences
+# ---------------------------------------------------------------------------
+
+def _per_term_mul(x, y):
+    """The product as it was formed before ring_dot: each coefficient the
+    ring_sum of the finished products a_i * b_j."""
+    z, n = x.ring.zero, x.order
+    cols = [[] for _ in range(n + 1)]
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs[:n + 1 - i]):
+            if a != z and b != z:
+                cols[i + j].append(a * b)
+    return TruncatedSeries(x.ring, [ring_sum(c, z) for c in cols], n)
+
+
+def _per_term_exp(x):
+    """n*b_n = sum_j j*a_j*b_{n-j}, with j applied to every product."""
+    z, a, b = x.ring.zero, x.coeffs, [x.ring.one]
+    for n in range(1, x.order + 1):
+        terms = [(a[j] * b[n - j]) * j for j in range(1, n + 1) if a[j] != z and b[n - j] != z]
+        b.append(ring_sum(terms, z) * Fraction(1, n))
+    return TruncatedSeries(x.ring, b, x.order)
+
+
+def _per_term_log(x):
+    """n*c_n = n*a_n - sum_{j<n} j*c_j*a_{n-j}, with j applied to every product."""
+    z, a, c = x.ring.zero, x.coeffs, [x.ring.zero]
+    for n in range(1, x.order + 1):
+        terms = [a[n] * n] + [(c[j] * a[n - j]) * -j
+                              for j in range(1, n) if c[j] != z and a[n - j] != z]
+        c.append(ring_sum(terms, z) * Fraction(1, n))
+    return TruncatedSeries(x.ring, c, x.order)
+
+
+def _random_rf_coeff(rng):
+    q, lam = RF.q(), RF.lam()
+    num = rng.randint(-3, 3) * q ** rng.randint(0, 2) + rng.randint(-2, 2) * lam
+    return num / (RF.one() + q ** rng.randint(1, 3)) ** rng.randint(0, 1)
+
+
+def _random_beta(rng):
+    b = [BetaPolynomial.gen(k) for k in (1, 2, 3)]
+    return rng.choice(b) * rng.randint(-2, 2) + rng.choice(b) * rng.choice(b) * Fraction(1, 3)
+
+
+_RINGS = (
+    (ZPOLY_RING, lambda rng: ZPolynomial({k: _random_rf_coeff(rng) for k in range(rng.randint(0, 3))})),
+    (COSPOLY_RING, lambda rng: CosPolynomial({m: _random_rf_coeff(rng) for m in range(rng.randint(0, 3))})),
+    (Ring(CPolynomial.zero(), CPolynomial.constant(BetaPolynomial.one())),
+     lambda rng: CPolynomial.sum([CPolynomial.factor(m, _random_beta(rng))
+                                  for m in range(1, rng.randint(1, 3))])),
+)
+
+
+@pytest.mark.parametrize("ring_index", range(len(_RINGS)))
+def test_dot_products_match_per_term_recurrences(ring_index):
+    ring, element = _RINGS[ring_index]
+    rng = random.Random(70 + ring_index)
+    order = 4
+    for _ in range(3):
+        x = TruncatedSeries(ring, [element(rng) for _ in range(order + 1)], order)
+        y = TruncatedSeries(ring, [element(rng) for _ in range(order + 1)], order)
+        assert x * y == _per_term_mul(x, y)
+        pairs = list(zip(x.coeffs, y.coeffs)) + [(x.coeffs[0], 3)]
+        assert ring_dot(pairs, ring.zero) == ring_sum([a * b for a, b in pairs], ring.zero)
+        zero_start = TruncatedSeries(ring, (ring.zero,) + x.coeffs[1:], order)
+        assert zero_start.exp() == _per_term_exp(zero_start)
+        one_start = TruncatedSeries(ring, (ring.one,) + x.coeffs[1:], order)
+        assert one_start.log() == _per_term_log(one_start)
