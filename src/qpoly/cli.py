@@ -66,6 +66,7 @@ _LAMBDA_SAMPLE = 2.5
 
 
 def _build_parser():
+    """The top-level parser and the subcommand parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="qpoly",
         description="Exact q-orthogonal polynomials and their nonlinear "
@@ -98,7 +99,7 @@ def _build_parser():
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.add_argument("--report", default=None, metavar="PATH",
                        help="also write the report (JSON) to this path")
-    return parser
+    return parser, {"eval": p_eval, "connect": p_conn, "verify": p_ver}
 
 
 def _parse_q_sample(text, parser):
@@ -330,17 +331,19 @@ def _cmd_verify(args, parser, out):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    # usage errors found after parsing print the subcommand's usage line
+    sub = commands[args.command]
     if getattr(args, "q_sample", None) is not None:
-        args.q_sample = _parse_q_sample(args.q_sample, parser)
+        args.q_sample = _parse_q_sample(args.q_sample, sub)
     out = sys.stdout
     try:
         if args.command == "eval":
-            return _cmd_eval(args, parser, out)
+            return _cmd_eval(args, sub, out)
         if args.command == "connect":
-            return _cmd_connect(args, parser, out)
-        return _cmd_verify(args, parser, out)
+            return _cmd_connect(args, sub, out)
+        return _cmd_verify(args, sub, out)
     except BrokenPipeError:
         return 0
 

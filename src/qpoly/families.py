@@ -361,8 +361,8 @@ def laguerre_classical(idx, argument=None):
     parts = []
     power = ZPolynomial.one()
     for ell in range(idx.k + 1):
-        if ell > 0:
-            power = power * argument
+        if ell:
+            power = power * argument if ell > 1 else argument
         c = falling_binomial(n, idx.k - ell) / math.factorial(ell)
         if ell % 2:
             c = -c

@@ -25,10 +25,12 @@ so rows never overlap.  The width rule: w is the least multiple of 8 bits
 with 2**(w-1) > min(nnz(a), nnz(b)) * max|a| * max|b|, a bound on every
 product coefficient, so each coefficient is exactly one digit.  Packing and
 unpacking are linear: each coefficient plus the bias 2**(w-1) is a w-bit
-unsigned field written by int.to_bytes and read by int.from_bytes, and the
-bias of all fields together is one integer.  Rows that are polynomials in
-s**2 (q-polynomials, most of the traffic) are multiplied, divided and
-gcd'ed as polynomials in s**2, at half the length.
+unsigned field, and the bias of all fields together is one integer.  Fields
+of 1, 2, 4 or 8 bytes (nearly all of them) are converted in bulk, through
+an unsigned array.array; wider ones one by one with int.to_bytes
+and int.from_bytes.  Rows that are polynomials in s**2 (q-polynomials, most
+of the traffic) are multiplied, divided and gcd'ed as polynomials in s**2,
+at half the length.
 
 Exact division is long division in Lambda whose steps are exact divisions
 of rows, so no leading term is searched for; a divisor with one Lambda row
@@ -52,26 +54,32 @@ gcd strategy: every gcd also returns the cofactors a / g and b / g, and a
 RationalFunction is reduced by those, so nothing is divided twice.  For two
 rows in s: take out the common power of s and the integer content, answer
 one-term and equal rows directly and recurse at half length on rows in
-s**2.  Otherwise evaluate both rows at xi = 2**(8*nbytes) by packing
-(GCDHEU: Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989).  nbytes is
-sized from the larger coefficient of either row, so every coefficient is a
-digit and xi >= 2 * min(max|A|, max|B|) + 2; then a candidate that divides
-both rows is their gcd.  The candidate g is the primitive part of the
-balanced base-xi digits of h = gcd(A(xi), B(xi)), and the cofactors are the
-digits of A(xi) / h and B(xi) / h.  They are accepted when g * (A / g) == A
-and g * (B / g) == B.  A cofactor with a coefficient of xi/2 or more has
-wrong digits and fails that check; it is then taken by exact division.  A
-candidate that does not divide widens xi, and after _HEU_TRIES tries a
-primitive pseudo-remainder sequence gives g and exact division the
-cofactors.  The gcd of a Lambda-free operand with one of several Lambda
-rows is folded over the rows, starting from the Lambda-free row, and stops
-once it reaches 1; the cofactors are then exact row divisions.  Two
-operands with several Lambda rows are first mapped to GF(p)[Lambda] at one
-value of s; when the images are coprime and a leading row survives, so are
-the operands (up to content), and no PRS runs.  Otherwise they run a
-primitive PRS in Lambda whose content computations use the same row gcd.
-Its rows grow with the Lambda-degree gap, so the image test keeps text
-input such as Lambda**88 over a few Lambda rows cheap.
+s**2.  A gcd of 1 with no common power of s and no common content, most
+gcds, returns the caller's two rows as the cofactors, and a gcd of 1 at
+half length returns the rows in s**2 unspread.  Otherwise evaluate both rows
+at xi = 2**(8*nbytes) by packing (GCDHEU: Char, Geddes and Gonnet, J.
+Symbolic Comput. 7, 1989).  nbytes is sized from the larger coefficient of
+either row, so every coefficient is a digit and xi >= 2 * min(max|A|,
+max|B|) + 2; then a candidate that divides both rows is their gcd.  The
+candidate g is the primitive part of the balanced base-xi digits of h =
+gcd(A(xi), B(xi)), and the cofactor f of A is the digits of A(xi) / h, so
+g(xi) * f(xi) = A(xi) by construction.  When sum|g_i| * max|f_i| < xi/2,
+every coefficient of g * f is below xi/2 in magnitude, as is every
+coefficient of A; both are then the balanced base-xi digits of one integer,
+so g * f = A and f is accepted with no product.  Otherwise f is accepted
+when g * f == A.  A cofactor with a coefficient of xi/2 or more has wrong
+digits and fails that check; it is then taken by exact division.  B's
+cofactor is taken the same way.  A candidate that does not divide widens
+xi, and after _HEU_TRIES tries a primitive pseudo-remainder sequence gives
+g and exact division the cofactors.  The gcd of a Lambda-free operand with
+one of several Lambda rows is folded over the rows, starting from the
+Lambda-free row, and stops once it reaches 1; the cofactors are then exact
+row divisions.  Two operands with several Lambda rows are first mapped to
+GF(p)[Lambda] at one value of s; when the images are coprime and a leading
+row survives, so are the operands (up to content), and no PRS runs.
+Otherwise they run a primitive PRS in Lambda whose content computations use
+the same row gcd.  Its rows grow with the Lambda-degree gap, so the image
+test keeps text input such as Lambda**88 over a few Lambda rows cheap.
 
 Sums.  RationalFunction.sum reduces a long sum once, not once per term: it
 adds the numerators of equal denominators, merges the distinct fractions
@@ -90,6 +98,8 @@ no polynomial gcd.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from operator import add, index, neg, sub
 
@@ -197,10 +207,22 @@ def _bias(nbytes, n):
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
 
 
+# Unsigned array typecodes by item size (any code of that size will do), for
+# digits converted in bulk.
+_DIGIT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def _pack(c, nbytes):
     """c evaluated at 2**(8*nbytes); every |c_i| < 2**(8*nbytes-1)."""
     half = 1 << (8 * nbytes - 1)
-    data = b"".join([(x + half).to_bytes(nbytes, "little") for x in c])
+    if nbytes in _DIGIT_CODES:
+        digits = array(_DIGIT_CODES[nbytes], map(half.__add__, c))
+        if _BIG_ENDIAN:
+            digits.byteswap()
+        data = digits.tobytes()
+    else:
+        data = b"".join([(x + half).to_bytes(nbytes, "little") for x in c])
     return int.from_bytes(data, "little") - _bias(nbytes, len(c))
 
 
@@ -208,6 +230,11 @@ def _unpack(v, nbytes, n):
     """The n balanced base-2**(8*nbytes) digits of v, low first."""
     half = 1 << (8 * nbytes - 1)
     data = (v + _bias(nbytes, n)).to_bytes(nbytes * n, "little")
+    if nbytes in _DIGIT_CODES:
+        digits = array(_DIGIT_CODES[nbytes], data)
+        if _BIG_ENDIAN:
+            digits.byteswap()
+        return list(map(half.__rsub__, digits))
     return [int.from_bytes(data[i:i + nbytes], "little") - half
             for i in range(0, len(data), nbytes)]
 
@@ -404,13 +431,15 @@ def _ugcd_heu(A, B):
         if c != 1:
             g = [x // c for x in g]
             h //= c
-        # a cofactor with a digit of xi/2 or more fails its product check
+        # g * f and A agree at xi; below xi/2 in every coefficient they are
+        # both the balanced digits of A(xi), so equal
+        half, size = 1 << (8 * nbytes - 1), sum(map(abs, g))
         fa = _digits(ea // h, nbytes)
-        if _umul(g, fa) != A:
+        if size * _maxabs(fa) >= half and _umul(g, fa) != A:
             fa = _udivexact(A, g)
         if fa is not None:
             fb = _digits(eb // h, nbytes)
-            if _umul(g, fb) != B:
+            if size * _maxabs(fb) >= half and _umul(g, fb) != B:
                 fb = _udivexact(B, g)
             if fb is not None:
                 return g, fa, fb
@@ -424,7 +453,7 @@ def _ugcd_cof(a, b):
     included, positive leading coefficient."""
     va, vb = _uval(a), _uval(b)
     v = min(va, vb)
-    A, B = a[va:], b[vb:]
+    A, B = a[va:] if va else a, b[vb:] if vb else b
     ca, cb = math.gcd(*A), math.gcd(*B)
     cg = math.gcd(ca, cb)
     if ca != 1:
@@ -437,9 +466,12 @@ def _ugcd_cof(a, b):
         g = _pos_lead_list(A)
         fa = fb = [1 if g is A else -1]
     elif _is_even(A) and _is_even(B):
-        g, fa, fb = map(_spread, _ugcd_cof(A[::2], B[::2]))
+        g, fa, fb = _ugcd_cof(A[::2], B[::2])
+        g, fa, fb = ([1], A, B) if g == [1] else map(_spread, (g, fa, fb))
     else:
         g, fa, fb = _ugcd_heu(A, B)
+    if g == [1] and not v and cg == 1:
+        return g, a, b
     return ([0] * v + _scaled(g, cg), [0] * (va - v) + _scaled(fa, ca // cg),
             [0] * (vb - v) + _scaled(fb, cb // cg))
 

@@ -485,6 +485,15 @@ def test_laguerre_builds_each_prefix_product_once(monkeypatch):
     assert expansion.total == ZPolynomial.sum([t.value for t in expansion.terms])
 
 
+def test_laguerre_classical_powers_start_at_the_argument(monkeypatch):
+    products = _count_zpoly_products(monkeypatch)
+    expansion = laguerre_connection(8, 8, {1: 2, 2: -1, 3: 3})
+    one = ZPolynomial.one()
+    assert len(products) == 82  # 46 prefix products, 36 powers of arguments
+    assert not any(a == one or b == one for a, b in products)
+    assert expansion.rescaled_total() == q_laguerre(8, 8)
+
+
 def test_gegenbauer_term_order_matches_partition_order():
     expansion = gegenbauer_connection(5)
     descriptors = [term.descriptor for term in expansion.terms]

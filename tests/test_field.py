@@ -1,5 +1,7 @@
 """Exact rational-function field: canonical forms, field laws, limits."""
 
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -455,6 +457,111 @@ def test_gcd_cofactors_prs_fallback(monkeypatch):
     monkeypatch.setattr(field, "_HEU_TRIES", 0)
     for a, b, g in cases:
         _check_cofactors(a * g, b * g)
+
+
+# ---------------------------------------------------------------------------
+# row kernels: Kronecker digits and the heuristic gcd
+# ---------------------------------------------------------------------------
+
+def _row_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_pack_unpack_round_trip_every_width():
+    from qpoly.field import _pack, _ueval, _unpack
+
+    rng = random.Random(41)
+    for nbytes in range(1, 10):
+        half = 1 << (8 * nbytes - 1)
+        for n in range(1, 41):
+            digits = [rng.randint(-half, half - 1) for _ in range(n)]
+            # the extreme digits, at either end and inside
+            digits[rng.randrange(n)] = -half
+            digits[rng.randrange(n)] = half - 1
+            digits[0] = rng.choice([-half, half - 1, digits[0]])
+            digits[-1] = rng.choice([-half, half - 1, digits[-1]])
+            v = _pack(digits, nbytes)
+            assert v == _ueval(digits, 1 << (8 * nbytes)), (nbytes, n)
+            assert _unpack(v, nbytes, n) == digits, (nbytes, n)
+
+
+def _primitive_row(rng, length, bits):
+    row = [rng.randint(-2**bits, 2**bits) for _ in range(length)]
+    row[0] = row[0] or 1
+    row[-1] = row[-1] or -1
+    g = math.gcd(*row)
+    return [x // g for x in row]
+
+
+def test_heuristic_gcd_cofactors_with_and_without_the_size_bound(monkeypatch):
+    import qpoly.field as field
+
+    rng = random.Random(43)
+    pairs = []
+    for case in range(520):
+        bits = rng.choice([1, 2, 4, 12, 40])
+        a, b = (_primitive_row(rng, rng.randint(2, 12), bits) for _ in range(2))
+        if case % 2:
+            g = _primitive_row(rng, rng.randint(2, 12), rng.choice([1, 2, 4]))
+            a, b = _row_mul(a, g), _row_mul(b, g)
+        pairs.append((a, b))
+    # the cofactor (1 + s + s**2)**k of (1 - s**3)**k has coefficients above
+    # xi/2, so its digits are wrong and exact division takes it
+    for k in range(4, 24):
+        pairs.append((functools.reduce(_row_mul, [[1, 0, 0, -1]] * k),
+                      functools.reduce(_row_mul, [[1, 0, -1]] * k)))
+    # rows below 2**7 with a factor 1 - s (sum of magnitudes 2) whose
+    # cofactor, the partial sums, passes xi/2 = 2**7: its wrong digits may all
+    # stay below xi/2, and only the bound tells them
+    for _ in range(60):
+        up = [rng.randint(50, 100) for _ in range(rng.randint(2, 6))]
+        down = [-x for x in up]
+        rng.shuffle(down)
+        pairs.append((up + down, [3, -2, -1]))
+
+    checks = []
+    umul = field._umul
+
+    def counted(x, y):
+        checks.append(1)
+        return umul(x, y)
+
+    monkeypatch.setattr(field, "_umul", counted)
+    bound_held = 0
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            before = len(checks)
+            g, fa, fb = field._ugcd_heu(field._uprimitive(x), field._uprimitive(y))
+            assert _row_mul(g, fa) == field._uprimitive(x)
+            assert _row_mul(g, fb) == field._uprimitive(y)
+            assert g[-1] > 0 and field._ugcd_prs(fa, fb) == [1]
+            bound_held += g != [1] and len(checks) == before
+    assert checks, "no cofactor went through the product check"
+    assert bound_held, "no cofactor was accepted by the size bound"
+
+
+def test_coprime_rows_come_back_unchanged(monkeypatch):
+    import qpoly.field as field
+
+    def no_spread(c):
+        raise AssertionError("cofactors spread for a gcd of 1")
+
+    monkeypatch.setattr(field, "_spread", no_spread)
+    cases = [
+        ([1, 0, 3, 0, -2], [5, 0, 0, 0, 7, 0, 1]),          # even rows
+        ([2, 0, 4, 0, 6], [3, 0, 0, 0, 9]),                 # even, content in each
+        ([0, 0, 1, 0, 1], [1, 0, -1, 0, 0, 0, 1]),          # even, a power of s in one
+        ([1, 2, 3], [4, 0, 5, 1]),                          # odd rows
+        ([0, 6], [1, 0, 0, 1]),                             # one term
+    ]
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            g, fx, fy = field._ugcd_cof(x, y)
+            assert g == [1] and fx is x and fy is y, (x, y)
 
 
 def test_rational_arithmetic_matches_gcd_divexact_reference():

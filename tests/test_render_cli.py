@@ -167,7 +167,7 @@ def test_cli_q_sample(capsys):
     assert "relative diff" in out
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     for argv in (["eval", "laguerre", "--n", "3"],          # missing --k
                  ["eval", "hermite", "--n", "-2"],          # negative degree
                  ["eval", "hermite", "--n", "2", "--k", "1"],   # stray --k
@@ -184,6 +184,8 @@ def test_cli_usage_errors():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+        # the usage line is the subcommand's, also for errors found after parsing
+        assert capsys.readouterr().err.startswith(f"usage: qpoly {argv[0]} "), argv
 
 
 def test_cli_connect_latex_and_json(capsys):
