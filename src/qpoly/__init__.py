@@ -32,7 +32,6 @@ from .series import (
 )
 from .qkernel import (
     IndexOutOfRange,
-    QBase,
     q_binomial,
     q_exp_product_form,
     q_exp_sum,

@@ -175,17 +175,23 @@ def _print_numeric_check(check, q_sample, out):
     print(f"  relative diff:     {diff:.3e}", file=out)
 
 
-def _cmd_eval(args, parser, out):
-    family = args.family
-    if "laguerre" in family:
+def _check_n_k(args, parser):
+    """The --n and --k checks of eval and connect: the Laguerre families need
+    --k, the others take none."""
+    if args.n < 0:
+        parser.error("--n must be >= 0")
+    if "laguerre" in args.family:
         if args.k is None:
-            parser.error(f"family {family} needs --k")
+            parser.error(f"family {args.family} needs --k")
         if args.k < 0:
             parser.error("--k must be >= 0")
     elif args.k is not None:
-        parser.error(f"family {family} takes no --k")
-    if args.n < 0:
-        parser.error("--n must be >= 0")
+        parser.error(f"family {args.family} takes no --k")
+
+
+def _cmd_eval(args, parser, out):
+    family = args.family
+    _check_n_k(args, parser)
     poly, other = _eval_polynomial(family, args.n, args.k)
     numeric = None if args.q_sample is None else _numeric_check(poly, other, args.q_sample)
     if args.format == "json":
@@ -224,18 +230,9 @@ def _connect_table(expansion, fmt):
 
 def _cmd_connect(args, parser, out):
     family = args.family
-    if args.n < 0:
-        parser.error("--n must be >= 0")
-    if family == "laguerre":
-        if args.k is None:
-            parser.error("family laguerre needs --k")
-        if args.k < 0:
-            parser.error("--k must be >= 0")
-    else:
-        if args.k is not None:
-            parser.error(f"family {family} takes no --k")
-        if args.aux is not None:
-            parser.error(f"family {family} takes no --aux")
+    _check_n_k(args, parser)
+    if family != "laguerre" and args.aux is not None:
+        parser.error(f"family {family} takes no --aux")
     aux = _parse_aux(args.aux, parser)
 
     if family == "gegenbauer":

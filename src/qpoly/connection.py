@@ -30,7 +30,7 @@ stays the sum of the row values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,7 +46,7 @@ from .families import (
     laguerre_classical,
     q_gegenbauer_direct,
 )
-from .qkernel import QBase, q_binomial, q_factorial, quesne_c
+from .qkernel import q_binomial, q_factorial, quesne_c
 from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
@@ -71,12 +71,6 @@ class PartitionSolution:
     def count(self):
         """Total number of parts, sum_k n_k."""
         return sum(m for _, m in self.parts)
-
-    def multiplicity(self, k):
-        for kk, m in self.parts:
-            if kk == k:
-                return m
-        return 0
 
     def label(self):
         if not self.parts:
@@ -121,10 +115,6 @@ class LaguerrePartitionSolution:
         return (self.ell
                 + sum(j * v for j, v in self.kparts)
                 + sum(j * v for j, v in self.lparts))
-
-    def orders(self):
-        """All j with k_j or l_j nonzero."""
-        return sorted({j for j, _ in self.kparts} | {j for j, _ in self.lparts})
 
     def label(self):
         bits = [f"k{j}={v}" for j, v in self.kparts]
@@ -184,7 +174,6 @@ class ConnectionTerm:
     coefficient: object
     factors: tuple
     value: object
-    meta: dict = dataclass_field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -218,7 +207,7 @@ class ConnectionExpansion:
 def _hermite_u(k):
     """z**k coefficient of u_k = 2 zeta_k tau_k: (-1)**(k+1) 2**k c_k(q^-2)."""
     sign = 1 if (k + 1) % 2 == 0 else -1
-    return quesne_c(k, QBase.q_pow(-2)) * (sign * 2**k)
+    return quesne_c(k, -2) * (sign * 2**k)
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +217,7 @@ def _hermite_v(k):
     sign = 1 if (k + 1) % 2 == 0 else -1
     q = RationalFunction.q()
     ratio = RationalFunction.q() * 2 / (_RF_ONE + q**2)
-    return quesne_c(k, QBase.q_pow(-4)) * ratio**k * sign
+    return quesne_c(k, -4) * ratio**k * sign
 
 
 def _hermite_block(k, m):
@@ -273,7 +262,7 @@ def hermite_connection(n):
         factors = tuple(f"H{m}(zeta{k})" for k, m in sol.parts)
         terms.append(ConnectionTerm(sol, None, factors, value))
     total = ZPolynomial.sum([t.value for t in terms])
-    rescale = q_factorial(n, QBase.q_pow(-2)) * RationalFunction.s_power(-n)
+    rescale = q_factorial(n, -2) * RationalFunction.s_power(-n)
     return ConnectionExpansion("hermite", n, None, tuple(terms), total, rescale)
 
 
@@ -296,14 +285,13 @@ def laguerre_connection(n, k, aux=None):
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     aux = dict(aux) if aux else {}
-    base = QBase.q()
-    prefs = [RationalFunction.q_power((n - ell) * (n - ell + 1) // 2) * q_binomial(n, ell, base)
+    prefs = [RationalFunction.q_power((n - ell) * (n - ell + 1) // 2) * q_binomial(n, ell, 1)
              for ell in range(min(n, k) + 1)]
 
     def classical(j, kj):
         """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j)."""
         return laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj),
-                                  ZPolynomial({j: quesne_c(j, base)}))
+                                  ZPolynomial({j: quesne_c(j, 1)}))
 
     built = {}
     terms = []
@@ -320,9 +308,7 @@ def laguerre_connection(n, k, aux=None):
             arg_text = "z" if j == 1 else f"c{j}(q)*z^{j}"
             factor_bits.append(f"L{kj}^({nj - kj})({arg_text})")
         value = poly.scale(coefficient)
-        meta = {"q_power": (n - ell) * (n - ell + 1) // 2, "qbinom": (n, ell),
-                "poch": tuple((aux.get(j, 0), lj) for j, lj in sol.lparts)}
-        terms.append(ConnectionTerm(sol, coefficient, tuple(factor_bits), value, meta))
+        terms.append(ConnectionTerm(sol, coefficient, tuple(factor_bits), value))
     total = ZPolynomial.sum([t.value for t in terms])
     rescale = RationalFunction.q_power(-((n - k) * (n - k + 1) // 2))
     return ConnectionExpansion("laguerre", n, k, tuple(terms), total, rescale)
@@ -381,15 +367,6 @@ class BetaPolynomial(SparsePoly):
         parts = [_monomial_value(mono, value_of, one_value, powers) * c
                  for mono, c in self._terms.items()]
         return ring_sum(parts, one_value * 0)
-
-    def substitute_q_lambda(self):
-        """beta_k -> (1 - Lambda**k)/(1 - q**k); lands in Q(s, Lambda)."""
-        return self.substitute(gegenbauer_weight, RationalFunction.one())
-
-    def substitute_classical_lambda(self):
-        """beta_k -> lambda for every k; lands in Q[lambda]."""
-        lam = LambdaPolynomial.gen(1)
-        return self.substitute(lambda g: lam, LambdaPolynomial.one())
 
     def __repr__(self):
         from .render import text_beta
@@ -497,9 +474,10 @@ def substitute_beta(coeff, mode):
     (1 - Lambda**k)/(1 - q**k), mode "classical-lambda" sends every beta_k
     to the single symbol lambda."""
     if mode == "q-lambda":
-        return coeff.substitute_q_lambda()
+        return coeff.substitute(gegenbauer_weight, _RF_ONE)
     if mode == "classical-lambda":
-        return coeff.substitute_classical_lambda()
+        lam = LambdaPolynomial.gen(1)
+        return coeff.substitute(lambda g: lam, LambdaPolynomial.one())
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -24,19 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import RationalFunction
-from .qkernel import QBase, q_binomial, q_factorial
+from .field import RationalFunction, _coerce_or_raise, _power
+from .qkernel import q_binomial, q_factorial
 from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
-
-
-def _as_rf(value):
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction.from_fraction(Fraction(value))
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
 class SparsePoly:
@@ -215,15 +207,7 @@ class SparsePoly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, self.one())
 
     def scale(self, scalar):
         scalar = self._coerce(scalar)
@@ -253,7 +237,7 @@ class ZPolynomial(SparsePoly):
 
     __slots__ = ()
     _scalars = _RF_scalars
-    _coerce = staticmethod(_as_rf)
+    _coerce = staticmethod(_coerce_or_raise)
 
     @staticmethod
     def _times(k1, k2, c):
@@ -281,7 +265,7 @@ class CosPolynomial(SparsePoly):
 
     __slots__ = ()
     _scalars = _RF_scalars
-    _coerce = staticmethod(_as_rf)
+    _coerce = staticmethod(_coerce_or_raise)
 
     @staticmethod
     def _times(m1, m2, c):
@@ -402,19 +386,17 @@ def q_hermite(n):
     from .qkernel import q_exp_sum
     if n < 0:
         raise ValueError("degree must be >= 0")
-    base2 = QBase.q_pow(-2)
-    base4 = QBase.q_pow(-4)
     q = RationalFunction.q()
     qm2 = RationalFunction.q_power(-2)
     qm4 = RationalFunction.q_power(-4)
     arg1 = TruncatedSeries.monomial(
         ZPOLY_RING, ZPolynomial({1: (_RF_ONE - qm2) * 2}), 1, n)
-    f1 = q_exp_sum("E", arg1, base2)
+    f1 = q_exp_sum("E", arg1, -2)
     c2 = (_RF_ONE - qm4) * (-2) / (q * (_RF_ONE + qm2))
     arg2 = TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c2), 2, n)
-    f2 = q_exp_sum("e", arg2, base4)
+    f2 = q_exp_sum("e", arg2, -4)
     extracted = (f1 * f2).coeff(n)
-    scale = q_factorial(n, base2) * RationalFunction.s_power(-n)
+    scale = q_factorial(n, -2) * RationalFunction.s_power(-n)
     return extracted.scale(scale)
 
 
@@ -430,14 +412,13 @@ def q_laguerre(n, k):
     from .qkernel import q_exp_sum
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
-    base = QBase.q()
     q = RationalFunction.q()
     arg = TruncatedSeries.monomial(
         ZPOLY_RING, ZPolynomial({1: -(_RF_ONE - q)}), 1, k)
-    efactor = q_exp_sum("E", arg, base)
+    efactor = q_exp_sum("E", arg, 1)
     tail = TruncatedSeries(ZPOLY_RING, [
         ZPolynomial.constant(RationalFunction.q_power((n - ell) * (n - ell + 1) // 2)
-                             * q_binomial(n, ell, base))
+                             * q_binomial(n, ell, 1))
         for ell in range(min(n, k) + 1)], k)
     extracted = (efactor * tail).coeff(k)
     return extracted.scale(RationalFunction.q_power(-((n - k) * (n - k + 1) // 2)))

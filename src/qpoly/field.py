@@ -179,6 +179,18 @@ def _pos_lead_list(c):
     return [-x for x in c] if c and c[-1] < 0 else c
 
 
+def _power(base, e, one):
+    """base**e for an int e >= 0 by repeated squaring; one is the unit."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 def _ueval(c, x):
     acc = 0
     for coeff in reversed(c):
@@ -293,8 +305,6 @@ def _rows_mul(a, b):
     """Product of two polynomials given as rows."""
     if not a or not b:
         return []
-    if len(a) == 1 and len(b) == 1:
-        return [_umul(a[0], b[0])]
     na, nb = sum(map(_nnz, a)), sum(map(_nnz, b))
     if na * nb > _PACK_MUL_CUTOFF * (na + nb):
         return _rows_mul_packed(a, b, na, nb)
@@ -609,14 +619,7 @@ class IntPoly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("IntPoly power must be nonnegative")
-        result = _INTPOLY_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, e, _INTPOLY_ONE)
 
     def __eq__(self, other):
         if isinstance(other, IntPoly):
@@ -638,9 +641,6 @@ class IntPoly:
         return bool(self._rows)
 
     # -- evaluation & substitution -----------------------------------------
-    def eval_int(self, s_value, lam_value=1):
-        return _ueval([_ueval(r, s_value) for r in self._rows], lam_value)
-
     def eval_complex(self, s_value, lam_value=1.0):
         acc = 0j
         for b, row in enumerate(self._rows):
@@ -667,11 +667,6 @@ class IntPoly:
             return self
         q = _rows_divexact(self._rows, d._rows)
         return None if q is None else _raw_poly(q)
-
-    # -- Lambda-recursive view ----------------------------------------------
-    def lam_coeffs(self):
-        """Coefficients of Lambda**j as s-only IntPolys: dict j -> IntPoly."""
-        return {b: _raw_poly([r]) for b, r in enumerate(self._rows) if r}
 
     # -- text ----------------------------------------------------------------
     def __str__(self):
@@ -881,10 +876,6 @@ class RationalFunction:
         return _rf_raw(IntPoly.const(fr.numerator), IntPoly.const(fr.denominator))
 
     @classmethod
-    def s(cls):
-        return _rf_raw(IntPoly.s_pow(1), _INTPOLY_ONE)
-
-    @classmethod
     def q(cls):
         return _rf_raw(IntPoly.s_pow(2), _INTPOLY_ONE)
 
@@ -1039,9 +1030,6 @@ class RationalFunction:
             return (_RF_ONE / self) ** (-e)
         return _rf_raw(self.num**e, self.den**e)
 
-    def inverse(self):
-        return _RF_ONE / self
-
     # -- limits & evaluation -----------------------------------------------
     def limit_q_to_1(self):
         """Exact value at s = 1 after cancelling any shared (s - 1) factors.
@@ -1141,7 +1129,7 @@ def _coerce(x):
 def _coerce_or_raise(x):
     r = _coerce(x)
     if r is NotImplemented:
-        raise TypeError(f"cannot add {type(x).__name__} to a RationalFunction")
+        raise TypeError(f"cannot use {type(x).__name__} as a RationalFunction")
     return r
 
 
@@ -1163,65 +1151,77 @@ _RF_ONE = _rf_raw(_INTPOLY_ONE, _INTPOLY_ONE)
 # text rendering and parsing (q / q^{1/2} notation; s never shown)
 # ---------------------------------------------------------------------------
 
-def _format_q_exp(exp_s):
-    """Render s**exp_s as a power of q (exp_s may be negative)."""
-    if exp_s % 2 == 0:
-        half = exp_s // 2
-        if half == 1:
-            return "q"
-        return "q^{%d}" % half
-    return "q^{%d/2}" % exp_s
+# A style renders q-monomials: (factor separator, Lambda, Lambda**e, fraction
+# of two polynomials).  s**e prints as a power of q in both.
+_TEXT_STYLE = ("*", "lam", "lam^{%d}", "(%s)/(%s)")
+_LATEX_STYLE = (r"\,", r"q^{\lambda}", r"q^{%d\lambda}", r"\frac{%s}{%s}")
 
 
-def _format_lam_exp(exp_lam):
-    if exp_lam == 1:
-        return "lam"
-    return "lam^{%d}" % exp_lam
-
-
-def _format_term(coeff, exp_s, exp_lam):
-    parts = []
-    if exp_s:
-        parts.append(_format_q_exp(exp_s))
+def _q_monomial(key, style):
+    """s**exp_s * Lambda**exp_lam for key = (exp_s, exp_lam) in a style, None
+    for 1; an odd exp_s prints as a half-integer power of q."""
+    exp_s, exp_lam = key
+    sep, lam, lam_pow, _ = style
+    factors = []
+    if exp_s % 2:
+        factors.append("q^{%d/2}" % exp_s)
+    elif exp_s:
+        factors.append("q" if exp_s == 2 else "q^{%d}" % (exp_s // 2))
     if exp_lam:
-        parts.append(_format_lam_exp(exp_lam))
-    if not parts:
-        return str(abs(coeff)), coeff < 0
-    if abs(coeff) != 1:
-        parts.insert(0, str(abs(coeff)))
-    return "*".join(parts), coeff < 0
+        factors.append(lam if exp_lam == 1 else lam_pow % exp_lam)
+    return sep.join(factors) or None
 
 
-def _join_terms(rendered):
+def _render(terms, coeff_fn, basis_fn, sep):
+    """Signed sum of (monomial, coefficient) terms, "0" for none: the one term
+    layout.  coeff_fn(c) gives (text, negative); basis_fn(m) gives the basis
+    text, None for the unit.  A coefficient "1" in front of a basis element
+    is dropped."""
     out = []
-    for i, (text, negative) in enumerate(rendered):
-        if i == 0:
-            out.append("-" + text if negative else text)
-        else:
+    for m, c in terms:
+        text, negative = coeff_fn(c)
+        basis = basis_fn(m)
+        if basis is not None:
+            text = basis if text == "1" else text + sep + basis
+        if out:
             out.append((" - " if negative else " + ") + text)
-    return "".join(out)
+        else:
+            out.append("-" + text if negative else text)
+    return "".join(out) or "0"
+
+
+def _number(fmt=str):
+    """coeff_fn for numeric coefficients: the magnitude and the sign."""
+    return lambda c: (fmt(abs(c)), c < 0)
+
+
+def _poly_text(terms, style):
+    """Integer-coefficient ((exp_s, exp_lam), coeff) terms in a style."""
+    return _render(terms, _number(), lambda key: _q_monomial(key, style), style[0])
+
+
+def _rational_text(r, style):
+    """A RationalFunction in a style.  A denominator that is a single monomial
+    with coefficient 1 folds into negative exponents (so 1/s**45 renders as
+    q^{-45/2}); any other renders as the style's fraction."""
+    terms, den = r.num.sorted_terms(), r.den
+    if den.is_one():
+        return _poly_text(terms, style)
+    if den.is_monomial() and den.leading_coeff() == 1:
+        (ds, dl), _ = den.sorted_terms()[0]
+        return _poly_text([((es - ds, el - dl), c) for (es, el), c in terms], style)
+    return style[3] % (_poly_text(terms, style), _poly_text(den.sorted_terms(), style))
 
 
 def format_poly(p):
     """Canonical text of an IntPoly in q / q^{1/2} / lam notation."""
-    if p.is_zero():
-        return "0"
-    return _join_terms([_format_term(c, k[0], k[1]) for k, c in p.sorted_terms()])
+    return _poly_text(p.sorted_terms(), _TEXT_STYLE)
 
 
 def format_rational(r):
-    """Canonical text of a RationalFunction.
-
-    A denominator that is a single monomial with coefficient 1 is folded into
-    negative exponents; anything else renders as (num)/(den).
-    """
-    if r.den.is_one():
-        return format_poly(r.num)
-    if r.den.is_monomial() and r.den.leading_coeff() == 1:
-        (ds, dl), _ = r.den.sorted_terms()[0]
-        rendered = [_format_term(c, k[0] - ds, k[1] - dl) for k, c in r.num.sorted_terms()]
-        return _join_terms(rendered)
-    return f"({format_poly(r.num)})/({format_poly(r.den)})"
+    """Canonical text of a RationalFunction: a monomial denominator with
+    coefficient 1 folds into negative exponents, any other is (num)/(den)."""
+    return _rational_text(r, _TEXT_STYLE)
 
 
 class ParseError(ValueError):

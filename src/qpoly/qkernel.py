@@ -12,9 +12,10 @@ independently computed forms:
         e_q(z) = exp( sum_k z**k / (k (1-q**k)) )
         E_q(z) = exp( sum_k (-1)**(k+1) z**k / (k (1-q**k)) )
 
-Every base (q, q**-2, q**-4, ...) is an ordinary rational function of s;
-no |q| < 1 assumption is made anywhere — all identities here are exact
-rational-function identities.
+A base is given by its integer exponent base_exp: the base is q**base_exp
+(1, -2 and -4 in the paper), an ordinary rational function of s, and
+base_exp = 0 (the base 1) raises ValueError.  No |q| < 1 assumption is made
+anywhere — all identities here are exact rational-function identities.
 """
 
 from __future__ import annotations
@@ -32,76 +33,45 @@ class IndexOutOfRange(ValueError):
 _ONE = RationalFunction.one()
 
 
-class QBase:
-    """A substitution base: a rational function of s, distinct from 1."""
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value):
-        if value == _ONE:
-            raise ValueError("base must differ from 1")
-        self.value = value
-        self._hash = None
-
-    @classmethod
-    def q(cls):
-        return _BASE_Q
-
-    @classmethod
-    def q_pow(cls, e):
-        """The base q**e for an integer e (e.g. -2 or -4)."""
-        if e == 0:
-            raise ValueError("base must differ from 1")
-        return cls(RationalFunction.q_power(e))
-
-    def __eq__(self, other):
-        return isinstance(other, QBase) and self.value == other.value
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("QBase", self.value))
-        return self._hash
-
-    def __repr__(self):
-        return f"QBase({self.value})"
-
-
-_BASE_Q = QBase.__new__(QBase)
-_BASE_Q.value = RationalFunction.q()
-_BASE_Q._hash = None
+def _base(b):
+    """The base q**b of the functions below, for an integer b != 0."""
+    if b == 0:
+        raise ValueError("base must differ from 1")
+    return RationalFunction.q_power(b)
 
 
 @lru_cache(maxsize=None)
-def q_number(n, base=_BASE_Q):
-    """[n] = (1 - base**n)/(1 - base); [0] = 0."""
+def q_number(n, base_exp=1):
+    """[n] = (1 - base**n)/(1 - base) with base = q**base_exp; [0] = 0."""
     if n < 0:
         raise ValueError("q_number needs n >= 0")
-    v = base.value
+    v = _base(base_exp)
     return (_ONE - v**n) / (_ONE - v)
 
 
 @lru_cache(maxsize=None)
-def q_factorial(n, base=_BASE_Q):
+def q_factorial(n, base_exp=1):
     """[n]! = [n][n-1]...[1]; [0]! = 1."""
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
     if n == 0:
+        _base(base_exp)  # base 1 is rejected for the empty product too
         return _ONE
-    return q_factorial(n - 1, base) * q_number(n, base)
+    return q_factorial(n - 1, base_exp) * q_number(n, base_exp)
 
 
-def q_binomial(n, k, base=_BASE_Q):
+def q_binomial(n, k, base_exp=1):
     """[n over k] = [n]!/([k]![n-k]!), a polynomial in the base."""
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"q_binomial({n}, {k})")
-    return q_factorial(n, base) / (q_factorial(k, base) * q_factorial(n - k, base))
+    return q_factorial(n, base_exp) / (q_factorial(k, base_exp) * q_factorial(n - k, base_exp))
 
 
-def q_pochhammer(a, base, n):
+def q_pochhammer(a, base_exp, n):
     """(a; base)_n = prod_{k=0..n-1} (1 - a*base**k); empty product is 1."""
     if n < 0:
         raise ValueError("q_pochhammer needs n >= 0")
-    v = base.value
+    v = _base(base_exp)
     result = _ONE
     power = _ONE
     for _ in range(n):
@@ -111,12 +81,12 @@ def q_pochhammer(a, base, n):
 
 
 @lru_cache(maxsize=None)
-def quesne_c(k, base=_BASE_Q):
+def quesne_c(k, base_exp=1):
     """c_k = (1 - base)**(k-1) / (k * [k]), the product-expansion coefficients."""
     if k < 1:
         raise ValueError("quesne_c needs k >= 1")
-    v = base.value
-    return (_ONE - v) ** (k - 1) / (q_number(k, base) * k)
+    v = _base(base_exp)
+    return (_ONE - v) ** (k - 1) / (q_number(k, base_exp) * k)
 
 
 def _check_argument(argument):
@@ -125,7 +95,7 @@ def _check_argument(argument):
         raise NonzeroConstantTerm("q-exponential argument needs zero constant term")
 
 
-def q_exp_sum(kind, argument, base):
+def q_exp_sum(kind, argument, base_exp):
     """Jackson q-exponential of a series argument, from the defining sums.
 
     kind "e" is the little q-exponential, kind "E" the big one (extra
@@ -137,7 +107,7 @@ def q_exp_sum(kind, argument, base):
     _check_argument(argument)
     ring = argument.ring
     order = argument.order
-    v = base.value
+    v = _base(base_exp)
     parts = [TruncatedSeries.one(ring, order)]
     power = TruncatedSeries.one(ring, order)
     poch = _ONE
@@ -171,11 +141,11 @@ def _exp_of_powers(argument, coeff):
     return TruncatedSeries.sum(parts).exp()
 
 
-def q_exp_product_form(kind, argument, base):
+def q_exp_product_form(kind, argument, base_exp):
     """Jackson q-exponential as exp of its explicit log-series."""
     if kind not in ("e", "E"):
         raise ValueError("kind must be 'e' or 'E'")
-    v = base.value
+    v = _base(base_exp)
 
     def coeff(k):
         c = _ONE / ((_ONE - v**k) * k)
@@ -184,7 +154,8 @@ def q_exp_product_form(kind, argument, base):
     return _exp_of_powers(argument, coeff)
 
 
-def quesne_series(argument, base):
+def quesne_series(argument, base_exp):
     """exp( sum_k c_k(base) * argument**k ): the product-of-exponentials
     form of the physicists' q-exponential sum_n z**n/[n]!."""
-    return _exp_of_powers(argument, lambda k: quesne_c(k, base))
+    _base(base_exp)  # base 1 is rejected for a zero argument too
+    return _exp_of_powers(argument, lambda k: quesne_c(k, base_exp))

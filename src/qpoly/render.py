@@ -2,6 +2,9 @@
 
 Conventions (shared with field.format_*):
 
+  * the term layout (field._render) and the q-monomials with their
+    denominator fold (field._q_monomial, field._rational_text) are defined
+    once in field, in a text and a LaTeX style;
   * s is never shown; everything prints in q and q^{1/2};
   * the generator Lambda (= q**lambda) prints as `lam` in text/JSON and as
     q^{\\lambda} in LaTeX;
@@ -21,9 +24,13 @@ import json
 from fractions import Fraction
 
 from .field import (
+    _LATEX_STYLE,
     ParseError,
     RationalFunction,
-    _join_terms,
+    _number,
+    _poly_text,
+    _rational_text,
+    _render,
     format_poly,
     format_rational,
     parse_poly,
@@ -32,22 +39,8 @@ from .families import CosPolynomial, ZPolynomial
 
 
 # ---------------------------------------------------------------------------
-# shared term layout
+# coefficients and monomials over the shared term layout (field._render)
 # ---------------------------------------------------------------------------
-
-def _render(terms, coeff_fn, basis_fn, sep):
-    """Signed sum of (monomial, coefficient) terms.  coeff_fn(c) gives
-    (text, negative); basis_fn(m) gives the basis text, None for the unit.
-    A coefficient "1" in front of a basis element is dropped."""
-    rendered = []
-    for m, c in terms:
-        text, negative = coeff_fn(c)
-        basis = basis_fn(m)
-        if basis is not None:
-            text = basis if text == "1" else text + sep + basis
-        rendered.append((text, negative))
-    return _join_terms(rendered) or "0"
-
 
 def _signed(text, left="(", right=")"):
     """coeff_fn result for a rendered coefficient: a composite goes in
@@ -57,11 +50,6 @@ def _signed(text, left="(", right=")"):
     if text.startswith("-"):
         return text[1:], True
     return text, False
-
-
-def _number(fmt=str):
-    """coeff_fn for numeric coefficients: the magnitude and the sign."""
-    return lambda c: (fmt(abs(c)), c < 0)
 
 
 def _factors(factor_fn, sep):
@@ -124,39 +112,14 @@ def _default_coeff_text(c):
 # LaTeX
 # ---------------------------------------------------------------------------
 
-def _latex_q_power(exp_s):
-    if exp_s % 2 == 0:
-        half = exp_s // 2
-        return "q" if half == 1 else "q^{%d}" % half
-    return "q^{%d/2}" % exp_s
-
-
-def _latex_lam_power(exp_lam):
-    if exp_lam == 1:
-        return r"q^{\lambda}"
-    return r"q^{%d\lambda}" % exp_lam
-
-
-def _latex_q_lam(key):
-    es, el = key
-    factors = ([_latex_q_power(es)] if es else []) + ([_latex_lam_power(el)] if el else [])
-    return r"\,".join(factors) or None
-
-
 def latex_poly(p):
-    return _render(p.sorted_terms(), _number(), _latex_q_lam, r"\,")
+    return _poly_text(p.sorted_terms(), _LATEX_STYLE)
 
 
 def latex_rational(r):
     """Monomial denominators with unit coefficient fold into negative
     exponents (so 1/s**45 renders as q^{-45/2}); otherwise \\frac."""
-    if r.den.is_one():
-        return latex_poly(r.num)
-    if r.den.is_monomial() and r.den.leading_coeff() == 1:
-        (ds, dl), _ = r.den.sorted_terms()[0]
-        shifted = [((k[0] - ds, k[1] - dl), c) for k, c in r.num.sorted_terms()]
-        return _render(shifted, _number(), _latex_q_lam, r"\,")
-    return r"\frac{%s}{%s}" % (latex_poly(r.num), latex_poly(r.den))
+    return _rational_text(r, _LATEX_STYLE)
 
 
 def _latex_signed(text):

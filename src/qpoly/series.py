@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .field import _power
+
 
 class OrderMismatch(ValueError):
     """Series combined at different truncation orders."""
@@ -99,10 +101,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, ring, order):
         return cls(ring, (ring.one,), order)
-
-    @classmethod
-    def constant(cls, ring, value, order):
-        return cls(ring, (value,), order)
 
     @classmethod
     def monomial(cls, ring, coeff, k, order):
@@ -230,15 +228,7 @@ class TruncatedSeries:
         """a**e for any integer e (reciprocal first when e < 0)."""
         if e < 0:
             return self.reciprocal().int_pow(-e)
-        result = TruncatedSeries.one(self.ring, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, TruncatedSeries.one(self.ring, self.order))
 
     def substitute(self, scalar, k):
         """t -> scalar * t**k (k >= 1), same truncation order."""

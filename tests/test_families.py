@@ -21,7 +21,7 @@ from qpoly.families import (
     q_hermite,
     q_laguerre,
 )
-from qpoly.qkernel import QBase, q_pochhammer
+from qpoly.qkernel import q_pochhammer
 from qpoly.verify import (
     chebyshev_recurrence,
     hermite5_reference,
@@ -192,7 +192,7 @@ def test_q_gegenbauer_dual_route():
 
 def _direct_by_pochhammer_calls(n):
     # the explicit double-Pochhammer form with every symbol built afresh
-    lam, base = RF.lam(), QBase.q()
+    lam, base = RF.lam(), 1
     return CosPolynomial.sum([
         CosPolynomial({abs(n - 2 * ell): q_pochhammer(lam, base, ell) * q_pochhammer(lam, base, n - ell)
                        / (q_pochhammer(Q, base, ell) * q_pochhammer(Q, base, n - ell))})

@@ -5,7 +5,6 @@ import pytest
 from qpoly.field import RationalFunction as RF
 from qpoly.qkernel import (
     IndexOutOfRange,
-    QBase,
     q_binomial,
     q_exp_product_form,
     q_exp_sum,
@@ -39,7 +38,7 @@ def test_q_number_three():
 
 
 def test_q_number_inverse_base():
-    assert q_number(2, QBase.q_pow(-2)) == ONE + RF.q_power(-2)
+    assert q_number(2, -2) == ONE + RF.q_power(-2)
 
 
 def test_q_factorial_empty():
@@ -68,7 +67,7 @@ def test_q_binomial_symmetry():
 
 
 def test_q_pochhammer_examples():
-    base = QBase.q()
+    base = 1
     assert q_pochhammer(RF.lam(), base, 0) == ONE
     assert q_pochhammer(RF.lam(), base, 1) == ONE - RF.lam()
     assert q_pochhammer(Q, base, 2) == (ONE - Q) * (ONE - Q**2)
@@ -96,8 +95,8 @@ def test_quesne_c_classical_limit():
 
 def test_q_exp_sum_coefficients():
     arg = t_series(4)
-    little = q_exp_sum("e", arg, QBase.q())
-    big = q_exp_sum("E", arg, QBase.q())
+    little = q_exp_sum("e", arg, 1)
+    big = q_exp_sum("E", arg, 1)
     assert little.coeff(1) == ONE / (ONE - Q)
     assert big.coeff(2) == Q / ((ONE - Q) * (ONE - Q**2))
     assert big.coeff(1) == ONE / (ONE - Q)
@@ -106,16 +105,16 @@ def test_q_exp_sum_coefficients():
 def test_q_exp_zero_argument():
     zero_arg = TruncatedSeries.zero(RF_RING, 5)
     for kind in ("e", "E"):
-        assert q_exp_sum(kind, zero_arg, QBase.q()) == TruncatedSeries.one(RF_RING, 5)
-        assert q_exp_product_form(kind, zero_arg, QBase.q()) == TruncatedSeries.one(RF_RING, 5)
+        assert q_exp_sum(kind, zero_arg, 1) == TruncatedSeries.one(RF_RING, 5)
+        assert q_exp_product_form(kind, zero_arg, 1) == TruncatedSeries.one(RF_RING, 5)
 
 
 def test_q_exp_rejects_constant_term():
     bad = TruncatedSeries.one(RF_RING, 4)
     with pytest.raises(NonzeroConstantTerm):
-        q_exp_sum("e", bad, QBase.q())
+        q_exp_sum("e", bad, 1)
     with pytest.raises(NonzeroConstantTerm):
-        q_exp_product_form("E", bad, QBase.q())
+        q_exp_product_form("E", bad, 1)
 
 
 @pytest.mark.parametrize("exp", [1, -2, -4])
@@ -123,13 +122,12 @@ def test_q_exp_rejects_constant_term():
 def test_quesne_identity(exp, kind):
     # the defining sum and the exp-of-log-series forms agree exactly
     arg = t_series(12)
-    base = QBase.q_pow(exp)
-    assert q_exp_sum(kind, arg, base) == q_exp_product_form(kind, arg, base)
+    assert q_exp_sum(kind, arg, exp) == q_exp_product_form(kind, arg, exp)
 
 
 def test_inverse_identity():
     arg = t_series(12)
-    base = QBase.q()
+    base = 1
     product = q_exp_sum("e", arg, base) * q_exp_sum("E", -arg, base)
     assert product == TruncatedSeries.one(RF_RING, 12)
 
@@ -137,11 +135,31 @@ def test_inverse_identity():
 def test_physicists_exponential_scaling():
     # exp of sum_k c_k z^k equals the little q-exponential at (1-q)z
     arg = t_series(10)
-    assert quesne_series(arg, QBase.q()) == q_exp_sum("e", arg.scale(ONE - Q), QBase.q())
+    assert quesne_series(arg, 1) == q_exp_sum("e", arg.scale(ONE - Q), 1)
 
 
 def test_base_must_not_be_one():
+    # the base exponent 0 is the base q**0 = 1
     with pytest.raises(ValueError):
-        QBase(ONE)
+        q_number(2, 0)
     with pytest.raises(ValueError):
-        QBase.q_pow(0)
+        q_exp_sum("e", t_series(3), 0)
+
+
+def test_bases_given_by_exponent():
+    # q_number(n, b) is [n] in the base q**b, for bases verify does not use too
+    for b in (1, -2, -4, 3):
+        for n in range(6):
+            assert q_number(n, b) == (ONE - RF.q_power(b * n)) / (ONE - RF.q_power(b))
+    # the two q-exponential routes agree at a base outside verify's three
+    arg = t_series(8)
+    for kind in ("e", "E"):
+        assert q_exp_sum(kind, arg, 3) == q_exp_product_form(kind, arg, 3)
+    # the exponent 0 is the base 1, which every function rejects
+    for call in (lambda: q_number(3, 0), lambda: q_factorial(0, 0), lambda: q_factorial(3, 0),
+                 lambda: q_binomial(3, 1, 0), lambda: q_pochhammer(Q, 0, 0),
+                 lambda: quesne_c(2, 0), lambda: q_exp_sum("E", arg, 0),
+                 lambda: q_exp_product_form("e", arg, 0),
+                 lambda: quesne_series(TruncatedSeries.zero(RF_RING, 3), 0)):
+        with pytest.raises(ValueError):
+            call()

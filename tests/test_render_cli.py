@@ -127,6 +127,18 @@ def test_cli_connect_gegenbauer_golden(capsys):
     assert "".join(chunks) == (GOLDEN / "connect_gegenbauer_n0_5.txt").read_text()
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (("eval", "hermite", "--n", "5"), "eval_hermite_n5.tex"),
+    (("eval", "gegenbauer", "--n", "3"), "eval_gegenbauer_n3.tex"),
+    (("connect", "laguerre", "--n", "3", "--k", "3"), "connect_laguerre_n3_k3.tex"),
+    (("connect", "gegenbauer", "--n", "3"), "connect_gegenbauer_n3.tex"),
+])
+def test_cli_latex_golden(capsys, argv, golden):
+    code, out = run_cli(capsys, *argv, "--format", "latex")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_cli_connect_hermite_rows(capsys):
     code, out = run_cli(capsys, "connect", "hermite", "--n", "5")
     assert code == 0
