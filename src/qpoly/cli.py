@@ -7,8 +7,8 @@
 Families for eval: hermite, laguerre, gegenbauer and their classical-*
 counterparts.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 --q-sample adds a floating-point cross-check of the command's dual-route
-identity at the given rational q; JSON output carries it as the document's
-numeric_check object.
+identity at the given rational q, a usage error where doubles cannot hold it;
+JSON output carries it as the document's numeric_check object.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import math
 import sys
 from fractions import Fraction
 
+from . import render
 from .families import (
     LaguerreIndex,
-    ZPolynomial,
     gegenbauer_classical,
     hermite_classical,
     laguerre_classical,
@@ -31,22 +31,13 @@ from .families import (
     q_laguerre,
 )
 from .connection import (
+    CPolynomial,
     gegenbauer_connection,
     gegenbauer_connection_value,
     hermite_connection,
     laguerre_connection,
 )
-from .render import (
-    latex_cospoly,
-    latex_cpoly,
-    latex_zpoly,
-    polynomial_json_dict,
-    text_beta,
-    text_cmono,
-    text_cospoly,
-    text_cpoly,
-    text_zpoly,
-)
+from .field import NumericPole
 from .verify import (
     SUITE_NAMES,
     chebyshev_recurrence,
@@ -59,9 +50,8 @@ EVAL_FAMILIES = ("hermite", "laguerre", "gegenbauer",
                  "classical-hermite", "classical-laguerre", "classical-gegenbauer")
 CONNECT_FAMILIES = ("hermite", "laguerre", "gegenbauer")
 
-# numeric cross-check sample points (z, theta, lambda)
-_Z_SAMPLE = 1.3
-_THETA_SAMPLE = 0.9
+# numeric cross-check sample points: the variable of each basis, and lambda
+_SAMPLES = {"z": 1.3, "cos": 0.9}
 _LAMBDA_SAMPLE = 2.5
 
 
@@ -133,28 +123,22 @@ def _eval_polynomial(family, n, k):
     raise ValueError(family)
 
 
-def _poly_text(poly):
-    return text_zpoly(poly) if isinstance(poly, ZPolynomial) else text_cospoly(poly)
-
-
-def _poly_latex(poly):
-    return latex_zpoly(poly) if isinstance(poly, ZPolynomial) else latex_cospoly(poly)
-
-
-def _poly_numeric(poly, q_value, z=_Z_SAMPLE, theta=_THETA_SAMPLE, lam=_LAMBDA_SAMPLE):
-    s_value = math.sqrt(q_value)
-    lam_value = q_value**lam
-    if isinstance(poly, ZPolynomial):
-        return poly.eval_numeric(z, s_value, lam_value)
-    return poly.eval_numeric(theta, s_value, lam_value)
-
-
-def _numeric_check(poly, other, q_sample):
-    """(primary, independent, relative diff): both routes as floats at q_sample."""
-    qv = float(q_sample)
-    a = _poly_numeric(poly, qv)
-    b = _poly_numeric(other, qv)
-    return a, b, abs(a - b) / max(abs(a), abs(b), 1.0)
+def _numeric_check(poly, other, q_sample, parser):
+    """(primary, independent, relative diff): both routes as doubles at
+    q_sample, None without one.  A check that doubles cannot hold, through
+    overflow, underflow or cancellation, is a usage error."""
+    if q_sample is None:
+        return None
+    try:
+        qv = float(q_sample)
+        a, b = (p.eval_numeric(_SAMPLES[p.basis], math.sqrt(qv), qv**_LAMBDA_SAMPLE)
+                for p in (poly, other))
+        diff = abs(a - b) / max(abs(a), abs(b), 1.0)
+    except (OverflowError, NumericPole):
+        diff = math.nan
+    if not math.isfinite(diff):
+        parser.error("--q-sample: the numeric check cannot be evaluated in doubles at this q")
+    return a, b, diff
 
 
 def _print_json(doc, check, q_sample, out):
@@ -169,7 +153,8 @@ def _print_json(doc, check, q_sample, out):
 def _print_numeric_check(check, q_sample, out):
     a, b, diff = check
     print(f"numeric cross-check at q = {q_sample} "
-          f"(z = {_Z_SAMPLE}, theta = {_THETA_SAMPLE}, lambda = {_LAMBDA_SAMPLE}):", file=out)
+          f"(z = {_SAMPLES['z']}, theta = {_SAMPLES['cos']}, lambda = {_LAMBDA_SAMPLE}):",
+          file=out)
     print(f"  primary route:     {a}", file=out)
     print(f"  independent route: {b}", file=out)
     print(f"  relative diff:     {diff:.3e}", file=out)
@@ -193,12 +178,12 @@ def _cmd_eval(args, parser, out):
     family = args.family
     _check_n_k(args, parser)
     poly, other = _eval_polynomial(family, args.n, args.k)
-    numeric = None if args.q_sample is None else _numeric_check(poly, other, args.q_sample)
+    numeric = _numeric_check(poly, other, args.q_sample, parser)
     if args.format == "json":
-        doc = polynomial_json_dict(poly, family, args.n, args.k, total_check=(poly == other))
+        doc = render.polynomial_json_dict(poly, family, args.n, args.k, total_check=(poly == other))
         _print_json(doc, numeric, args.q_sample, out)
         return 0
-    print(_poly_latex(poly) if args.format == "latex" else _poly_text(poly), file=out)
+    print(render.latex(poly) if args.format == "latex" else render.text(poly), file=out)
     if numeric is not None:
         _print_numeric_check(numeric, args.q_sample, out)
     return 0
@@ -220,12 +205,22 @@ def _parse_aux(text, parser):
 
 def _connect_table(expansion, fmt):
     """Rows of (label, rendered value) mirroring the contribution tables."""
-    rows = []
-    for term in expansion.terms:
-        value = expansion.rescaled_term_value(term)
-        rendered = _poly_text(value) if fmt == "text" else _poly_latex(value)
-        rows.append((term.descriptor.label(), rendered))
-    return rows
+    emit = render.text if fmt == "text" else render.latex
+    return [(term.descriptor.label(), emit(expansion.rescaled_term_value(term)))
+            for term in expansion.terms]
+
+
+def _factor_texts(family, solution, aux):
+    """The classical factors of one Hermite or Laguerre row, as text."""
+    if family == "hermite":
+        return [f"H{m}(zeta{k})" for k, m in solution.parts]
+    return [f"L{kj}^({aux.get(j, 0) - kj})(" + ("z" if j == 1 else f"c{j}(q)*z^{j}") + ")"
+            for j, kj in solution.kparts]
+
+
+def _c_monomial(mono):
+    """A product of classical factors C_m as text, "1" for none."""
+    return render.text(CPolynomial({mono: 1}))
 
 
 def _cmd_connect(args, parser, out):
@@ -240,25 +235,27 @@ def _cmd_connect(args, parser, out):
         value = gegenbauer_connection_value(expansion)
         direct = q_gegenbauer_direct(args.n)
         check = value == direct
-        numeric = None if args.q_sample is None else _numeric_check(value, direct, args.q_sample)
+        numeric = _numeric_check(value, direct, args.q_sample, parser)
         if args.format == "json":
             doc = {
                 "family": family, "n": args.n,
                 "terms": [
-                    {"monomial": text_cmono(t.descriptor), "coefficient": text_beta(t.coefficient)}
+                    {"monomial": _c_monomial(t.descriptor),
+                     "coefficient": render.text(t.coefficient)}
                     for t in expansion.terms
                 ],
-                "total": text_cpoly(expansion.total),
+                "total": render.text(expansion.total),
                 "total_check": "pass" if check else "fail",
             }
             _print_json(doc, numeric, args.q_sample, out)
             return 0 if check else 1
         if args.format == "latex":
-            print(latex_cpoly(expansion.total), file=out)
+            print(render.latex(expansion.total), file=out)
         else:
             for term in expansion.terms:
-                print(f"{text_cmono(term.descriptor):12s}  {text_beta(term.coefficient)}", file=out)
-            print(f"total: {text_cpoly(expansion.total)}", file=out)
+                print(f"{_c_monomial(term.descriptor):12s}  {render.text(term.coefficient)}",
+                      file=out)
+            print(f"total: {render.text(expansion.total)}", file=out)
             print(f"check against explicit form: {'pass' if check else 'fail'}", file=out)
         if numeric is not None:
             _print_numeric_check(numeric, args.q_sample, out)
@@ -272,14 +269,14 @@ def _cmd_connect(args, parser, out):
         target = q_laguerre(args.n, args.k)
     total = expansion.rescaled_total()
     check = total == target
-    numeric = None if args.q_sample is None else _numeric_check(total, target, args.q_sample)
+    numeric = _numeric_check(total, target, args.q_sample, parser)
 
     if args.format == "json":
-        doc = polynomial_json_dict(total, family, args.n, args.k, total_check=check)
+        doc = render.polynomial_json_dict(total, family, args.n, args.k, total_check=check)
         doc["terms"] = [
             {"solution": t.descriptor.label(),
-             "factors": list(t.factors),
-             "value": _poly_text(expansion.rescaled_term_value(t))}
+             "factors": _factor_texts(family, t.descriptor, aux),
+             "value": render.text(expansion.rescaled_term_value(t))}
             for t in expansion.terms
         ]
         if aux:
@@ -291,13 +288,13 @@ def _cmd_connect(args, parser, out):
             print(f"% {label}", file=out)
             print(rendered + r" \\", file=out)
         print("% total", file=out)
-        print(_poly_latex(total), file=out)
+        print(render.latex(total), file=out)
     else:
         rows = _connect_table(expansion, "text")
         width = max(len(label) for label, _ in rows)
         for label, rendered in rows:
             print(f"{label:<{width}}  |  {rendered}", file=out)
-        print(f"total: {_poly_text(total)}", file=out)
+        print(f"total: {render.text(total)}", file=out)
         print(f"check against direct construction: {'pass' if check else 'fail'}", file=out)
     if numeric is not None:
         _print_numeric_check(numeric, args.q_sample, out)

@@ -166,13 +166,11 @@ class ConnectionTerm:
     coefficient — scalar prefactor; rational function for Laguerre rows,
                   a BetaPolynomial for Gegenbauer rows, None when the value
                   absorbs everything (Hermite rows)
-    factors     — human-readable classical-factor descriptions
     value       — the row's polynomial value (None for abstract rows)
     """
 
     descriptor: object
     coefficient: object
-    factors: tuple
     value: object
 
 
@@ -259,8 +257,7 @@ def hermite_connection(n):
     terms = []
     for sol in partitions_of(n):
         value = _prefix_product(built, sol.parts[::-1], _hermite_block)
-        factors = tuple(f"H{m}(zeta{k})" for k, m in sol.parts)
-        terms.append(ConnectionTerm(sol, None, factors, value))
+        terms.append(ConnectionTerm(sol, None, value))
     total = ZPolynomial.sum([t.value for t in terms])
     rescale = q_factorial(n, -2) * RationalFunction.s_power(-n)
     return ConnectionExpansion("hermite", n, None, tuple(terms), total, rescale)
@@ -302,13 +299,7 @@ def laguerre_connection(n, k, aux=None):
             poch_scalar *= Fraction((-1) ** lj) * pochhammer(aux.get(j, 0), lj) / math.factorial(lj)
         coefficient = prefs[ell] * poch_scalar
         poly = _prefix_product(built, sol.kparts[::-1], classical)
-        factor_bits = []
-        for j, kj in sol.kparts:
-            nj = aux.get(j, 0)
-            arg_text = "z" if j == 1 else f"c{j}(q)*z^{j}"
-            factor_bits.append(f"L{kj}^({nj - kj})({arg_text})")
-        value = poly.scale(coefficient)
-        terms.append(ConnectionTerm(sol, coefficient, tuple(factor_bits), value))
+        terms.append(ConnectionTerm(sol, coefficient, poly.scale(coefficient)))
     total = ZPolynomial.sum([t.value for t in terms])
     rescale = RationalFunction.q_power(-((n - k) * (n - k + 1) // 2))
     return ConnectionExpansion("laguerre", n, k, tuple(terms), total, rescale)
@@ -354,6 +345,7 @@ class BetaPolynomial(SparsePoly):
     beta_k standing for [lambda]_{q**k}."""
 
     __slots__ = ()
+    basis = "b_k"
     _coerce = Fraction
     _unit = ()
     _times = staticmethod(_merge)
@@ -368,24 +360,17 @@ class BetaPolynomial(SparsePoly):
                  for mono, c in self._terms.items()]
         return ring_sum(parts, one_value * 0)
 
-    def __repr__(self):
-        from .render import text_beta
-        return f"BetaPolynomial({text_beta(self)})"
-
 
 class LambdaPolynomial(SparsePoly):
     """Univariate polynomial in the classical weight lambda over Q."""
 
     __slots__ = ()
+    basis = "lambda"
     _coerce = Fraction
     _unit = ()
     _times = staticmethod(_merge)
     _order = staticmethod(_revlex)
     gen = classmethod(_gen)
-
-    def __repr__(self):
-        from .render import text_lambda_poly
-        return f"LambdaPolynomial({text_lambda_poly(self)})"
 
 
 def _partition_key(mono):
@@ -405,6 +390,7 @@ class CPolynomial(SparsePoly):
     formulae."""
 
     __slots__ = ()
+    basis = "C_m"
     _scalars = (int, Fraction, SparsePoly)
     _unit = ()
     _times = staticmethod(_merge)
@@ -417,10 +403,6 @@ class CPolynomial(SparsePoly):
 
     def monomials(self):
         return self.support()
-
-    def __repr__(self):
-        from .render import text_cpoly
-        return f"CPolynomial({text_cpoly(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +444,8 @@ def gegenbauer_connection(n):
     classical log coefficients; the t**n coefficient is the connection,
     valid for every n (the low orders reproduce the displayed forms)."""
     total = _weighted_exp(n, BetaPolynomial.gen, BetaPolynomial.one())
-    terms = []
-    for mono, coeff in total.sorted_terms():
-        factors = tuple(f"C{m}^{e}" if e > 1 else f"C{m}" for m, e in sorted(mono, reverse=True))
-        terms.append(ConnectionTerm(mono, coeff, factors, None))
-    return ConnectionExpansion("gegenbauer", n, None, tuple(terms), total, None)
+    terms = tuple(ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms())
+    return ConnectionExpansion("gegenbauer", n, None, terms, total, None)
 
 
 def substitute_beta(coeff, mode):
@@ -485,6 +464,7 @@ class _RationalCos(SparsePoly):
     """A combination of cos(m*theta) over Q, folded by CosPolynomial's rule."""
 
     __slots__ = ()
+    basis = "cos"
     _coerce = Fraction
     _times = staticmethod(CosPolynomial._times)
 

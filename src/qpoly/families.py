@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import RationalFunction, _coerce_or_raise, _power
-from .qkernel import q_binomial, q_factorial
+from .qkernel import q_binomial, q_exp_sum, q_factorial
 from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
@@ -39,8 +39,9 @@ class SparsePoly:
     one; and `_times(m1, m2, c)`, which returns the (monomial, coefficient)
     pairs of the product of two monomials whose coefficients multiply to c.
     `_scalars` are the types that act as constants, and `_order` keys the
-    display order of `sorted_terms` (highest first).  Zero coefficients are
-    never stored, so equal polynomials have equal dicts.
+    display order of `sorted_terms` (highest first).  `basis` names how a
+    monomial prints (see render).  Zero coefficients are never stored, so
+    equal polynomials have equal dicts.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -227,6 +228,10 @@ class SparsePoly:
         """Apply the q -> 1 limit to every (RationalFunction) coefficient."""
         return self.map_coeffs(lambda v: RationalFunction.from_fraction(v.limit_q_to_1()))
 
+    def __repr__(self):
+        from .render import text  # render imports this module
+        return f"{type(self).__name__}({text(self)})"
+
 
 _RF_scalars = (int, Fraction, RationalFunction)
 
@@ -236,6 +241,7 @@ class ZPolynomial(SparsePoly):
     the exponent of z."""
 
     __slots__ = ()
+    basis = "z"
     _scalars = _RF_scalars
     _coerce = staticmethod(_coerce_or_raise)
 
@@ -251,10 +257,6 @@ class ZPolynomial(SparsePoly):
         return sum(v.eval_numeric(s_value, lam_value) * complex(z_value) ** k
                    for k, v in self._terms.items())
 
-    def __repr__(self):
-        from .render import text_zpoly
-        return f"ZPolynomial({text_zpoly(self)})"
-
 
 _HALF = Fraction(1, 2)
 
@@ -264,6 +266,7 @@ class CosPolynomial(SparsePoly):
     product folds by cos(a)cos(b) = (cos(a+b) + cos(|a-b|))/2."""
 
     __slots__ = ()
+    basis = "cos"
     _scalars = _RF_scalars
     _coerce = staticmethod(_coerce_or_raise)
 
@@ -281,10 +284,6 @@ class CosPolynomial(SparsePoly):
     def eval_numeric(self, theta, s_value, lam_value=None):
         return sum(v.eval_numeric(s_value, lam_value) * math.cos(m * theta)
                    for m, v in self._terms.items())
-
-    def __repr__(self):
-        from .render import text_cospoly
-        return f"CosPolynomial({text_cospoly(self)})"
 
 
 ZPOLY_RING = Ring(ZPolynomial.zero(), ZPolynomial.one())
@@ -383,7 +382,6 @@ def q_hermite(n):
     scaled by [n]_{q^-2}! * q**(-n/2), working to order n.  Coefficients
     live in Q(s).
     """
-    from .qkernel import q_exp_sum
     if n < 0:
         raise ValueError("degree must be >= 0")
     q = RationalFunction.q()
@@ -409,7 +407,6 @@ def q_laguerre(n, k):
     sum_l q**((n-l)(n-l+1)/2) [n over l]_q t**l, then divided by
     q**((n-k)(n-k+1)/2), working to order k.
     """
-    from .qkernel import q_exp_sum
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     q = RationalFunction.q()

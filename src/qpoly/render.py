@@ -1,5 +1,10 @@
 """Text, LaTeX and JSON rendering for engine outputs, plus the JSON parser.
 
+Every SparsePoly prints through one text() and one latex().  Its class names
+its basis (SparsePoly.basis), and _BASES maps the basis to a text and a LaTeX
+rule for one monomial; a coefficient prints by its kind: a RationalFunction,
+a nested SparsePoly (in parentheses when it has several terms) or a number.
+
 Conventions (shared with field.format_*):
 
   * the term layout (field._render) and the q-monomials with their
@@ -9,10 +14,11 @@ Conventions (shared with field.format_*):
   * the generator Lambda (= q**lambda) prints as `lam` in text/JSON and as
     q^{\\lambda} in LaTeX;
   * the abstract weights beta_k print as `b1, b2, ...` in text and as
-    [\\lambda]_{q^{k}} in LaTeX;
-  * JSON polynomial schema:
-        {"family": ..., "n": ..., ("k": ...,)
-         "coefficients": [{"basis": "z"|"cos", "degree_or_m": d,
+    [\\lambda]_{q^{k}} in LaTeX, the classical factors as `C1, C2, ...` and
+    C_{m}(z);
+  * JSON polynomial schema, for ZPolynomial ("z") and CosPolynomial ("cos"):
+        {"family": ..., "n": ..., ("k": ...,) "basis": "z"|"cos",
+         "coefficients": [{"basis": <the same>, "degree_or_m": d,
                            "num": "<poly>", "den": "<poly>"}],
          "total_check": "pass"|"fail"}
     and parse_polynomial_json() round-trips it bit-exactly.
@@ -28,130 +34,57 @@ from .field import (
     ParseError,
     RationalFunction,
     _number,
-    _poly_text,
     _rational_text,
     _render,
     format_poly,
     format_rational,
     parse_poly,
 )
-from .families import CosPolynomial, ZPolynomial
+from .families import CosPolynomial, SparsePoly, ZPolynomial
 
 
 # ---------------------------------------------------------------------------
-# coefficients and monomials over the shared term layout (field._render)
+# monomial rules per basis, coefficient rules per kind, over field._render
 # ---------------------------------------------------------------------------
+
+def _power(one, many):
+    """Monomial rule for an exponent m of one variable; None for m = 0."""
+    return lambda m: None if m == 0 else (one if m == 1 else many % m)
+
+
+def _factors(factor, sep, descending=False):
+    """Monomial rule for ((generator, exponent), ...): factor(g, e) of each,
+    joined by sep, generators ascending unless descending; None for ()."""
+    return lambda mono: sep.join(factor(g, e) for g, e in sorted(mono, reverse=descending)) or None
+
+
+def _latex_beta(k, e):
+    base = r"[\lambda]_{q}" if k == 1 else r"[\lambda]_{q^{%d}}" % k
+    return base if e == 1 else base + "^{%d}" % e
+
+
+# SparsePoly.basis -> (text rule, LaTeX rule); a rule prints one monomial
+_BASES = {
+    "z": (_power("z", "z^%d"), _power("z", "z^{%d}")),
+    "cos": (_power("cos(theta)", "cos(%d*theta)"), _power(r"\cos\theta", r"\cos %d\theta")),
+    "b_k": (_factors(lambda k, e: f"b{k}" if e == 1 else f"b{k}^{e}", "*"),
+            _factors(_latex_beta, r"\,")),
+    "lambda": (_factors(lambda _, e: "lambda" if e == 1 else f"lambda^{e}", "*"),
+               _factors(lambda _, e: r"\lambda" if e == 1 else r"\lambda^{%d}" % e, r"\,")),
+    "C_m": (_factors(lambda m, e: f"C{m}" if e == 1 else f"C{m}^{e}", "*", descending=True),
+            _factors(lambda m, e: "C_{%d}(z)" % m if e == 1 else "C_{%d}^{%d}(z)" % (m, e),
+                     r"\,", descending=True)),
+}
+
 
 def _signed(text, left="(", right=")"):
-    """coeff_fn result for a rendered coefficient: a composite goes in
+    """A rendered coefficient as (text, negative): a composite goes in
     parentheses, a bare leading minus is lifted out."""
     if " + " in text or " - " in text:
         return left + text + right, False
     if text.startswith("-"):
         return text[1:], True
     return text, False
-
-
-def _factors(factor_fn, sep):
-    """basis_fn for ((generator, exponent), ...) monomials."""
-    return lambda mono: sep.join(factor_fn(g, e) for g, e in mono) or None
-
-
-# ---------------------------------------------------------------------------
-# text
-# ---------------------------------------------------------------------------
-
-def _text_coeff(rf):
-    return _signed(format_rational(rf))
-
-
-def text_zpoly(poly):
-    return _render(poly.sorted_terms(), _text_coeff,
-                   lambda d: None if d == 0 else ("z" if d == 1 else f"z^{d}"), "*")
-
-
-def text_cospoly(poly):
-    return _render(poly.sorted_terms(), _text_coeff,
-                   lambda m: None if m == 0 else ("cos(theta)" if m == 1 else f"cos({m}*theta)"),
-                   "*")
-
-
-def text_beta(poly):
-    return _render(poly.sorted_terms(), _number(),
-                   _factors(lambda k, e: f"b{k}" if e == 1 else f"b{k}^{e}", "*"), "*")
-
-
-def text_lambda_poly(poly):
-    return _render(poly.sorted_terms(), _number(),
-                   _factors(lambda _g, e: "lambda" if e == 1 else f"lambda^{e}", "*"), "*")
-
-
-def text_cmono(mono):
-    if not mono:
-        return "1"
-    return "*".join(f"C{m}^{e}" if e > 1 else f"C{m}" for m, e in sorted(mono, reverse=True))
-
-
-def text_cpoly(poly, coeff_text=None):
-    """CPolynomial text; coefficient ring rendered by coeff_text (default:
-    beta text for BetaPolynomial, fractions otherwise)."""
-    return _render(poly.sorted_terms(), coeff_text or _default_coeff_text,
-                   lambda m: text_cmono(m) if m else None, "*")
-
-
-def _default_coeff_text(c):
-    from .connection import BetaPolynomial, LambdaPolynomial
-    if isinstance(c, BetaPolynomial):
-        return _signed(text_beta(c))
-    if isinstance(c, LambdaPolynomial):
-        return _signed(text_lambda_poly(c))
-    return _signed(str(c))
-
-
-# ---------------------------------------------------------------------------
-# LaTeX
-# ---------------------------------------------------------------------------
-
-def latex_poly(p):
-    return _poly_text(p.sorted_terms(), _LATEX_STYLE)
-
-
-def latex_rational(r):
-    """Monomial denominators with unit coefficient fold into negative
-    exponents (so 1/s**45 renders as q^{-45/2}); otherwise \\frac."""
-    return _rational_text(r, _LATEX_STYLE)
-
-
-def _latex_signed(text):
-    return _signed(text, r"\left(", r"\right)")
-
-
-def _latex_coeff(rf):
-    text = latex_rational(rf)
-    return (text, False) if text.startswith(r"\frac") else _latex_signed(text)
-
-
-def latex_zpoly(poly):
-    return _render(poly.sorted_terms(), _latex_coeff,
-                   lambda d: None if d == 0 else ("z" if d == 1 else "z^{%d}" % d), r"\,")
-
-
-def latex_cospoly(poly):
-    return _render(poly.sorted_terms(), _latex_coeff,
-                   lambda m: None if m == 0 else (r"\cos\theta" if m == 1 else r"\cos %d\theta" % m),
-                   r"\,")
-
-
-def latex_beta_gen(k, e=1):
-    base = r"[\lambda]_{q}" if k == 1 else r"[\lambda]_{q^{%d}}" % k
-    if e == 1:
-        return base
-    return base + "^{%d}" % e
-
-
-def latex_beta(poly):
-    return _render(poly.sorted_terms(), _number(_latex_fraction),
-                   _factors(latex_beta_gen, r"\,"), r"\,")
 
 
 def _latex_fraction(fr):
@@ -161,35 +94,56 @@ def _latex_fraction(fr):
     return r"\frac{%d}{%d}" % (fr.numerator, fr.denominator)
 
 
-def latex_cmono(mono):
-    if not mono:
-        return "1"
-    return r"\,".join(
-        "C_{%d}^{%d}(z)" % (m, e) if e > 1 else "C_{%d}(z)" % m
-        for m, e in sorted(mono, reverse=True))
+_text_number = _number()
+_latex_number = _number(_latex_fraction)
 
 
-def latex_cpoly(poly):
-    return _render(
-        poly.sorted_terms(),
-        lambda c: _latex_signed(latex_beta(c) if hasattr(c, "sorted_terms") else _latex_fraction(c)),
-        lambda m: latex_cmono(m) if m else None, r"\,")
+def _text_coeff(c):
+    """A RationalFunction, a nested SparsePoly or a number, in text."""
+    if isinstance(c, RationalFunction):
+        return _signed(format_rational(c))
+    if isinstance(c, SparsePoly):
+        return _signed(text(c))
+    return _text_number(c)
 
 
-def latex_qbinom(n, k):
-    return r"\Big[{%d \atop %d}\Big]_{q}" % (n, k)
+def _latex_coeff(c):
+    """A RationalFunction, a nested SparsePoly or a number, in LaTeX."""
+    if isinstance(c, RationalFunction):
+        out = latex_rational(c)
+        return (out, False) if out.startswith(r"\frac") else _signed(out, r"\left(", r"\right)")
+    if isinstance(c, SparsePoly):
+        return _signed(latex(c), r"\left(", r"\right)")
+    return _latex_number(c)
+
+
+def text(poly):
+    """Any SparsePoly in text, highest monomial first."""
+    return _render(poly.sorted_terms(), _text_coeff, _BASES[poly.basis][0], "*")
+
+
+def latex(poly):
+    """Any SparsePoly in LaTeX, highest monomial first."""
+    return _render(poly.sorted_terms(), _latex_coeff, _BASES[poly.basis][1], r"\,")
+
+
+def latex_rational(r):
+    """Monomial denominators with unit coefficient fold into negative
+    exponents (so 1/s**45 renders as q^{-45/2}); otherwise \\frac."""
+    return _rational_text(r, _LATEX_STYLE)
 
 
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
 
+# the classes with a JSON schema, by basis
+_JSON_CLASSES = {cls.basis: cls for cls in (ZPolynomial, CosPolynomial)}
+
+
 def polynomial_json_dict(poly, family, n, k=None, total_check=None):
-    if isinstance(poly, ZPolynomial):
-        basis = "z"
-    elif isinstance(poly, CosPolynomial):
-        basis = "cos"
-    else:
+    basis = getattr(poly, "basis", None)
+    if _JSON_CLASSES.get(basis) is not type(poly):
         raise TypeError(f"no JSON polynomial schema for {type(poly).__name__}")
     doc = {"family": family, "n": n}
     if k is not None:
@@ -224,15 +178,24 @@ def parse_polynomial_json(text):
     basis = doc.get("basis")
     for entry in doc.get("coefficients", []):
         try:
-            basis, degree = entry["basis"], entry["degree_or_m"]
+            entry_basis, degree = entry["basis"], entry["degree_or_m"]
             num, den = parse_poly(entry["num"]), parse_poly(entry["den"])
         except (KeyError, TypeError, AttributeError):
             raise ParseError(f"malformed coefficient entry {entry!r}") from None
+        if basis is None:
+            basis = entry_basis
+        if entry_basis != basis:
+            raise ParseError(f"an entry in basis {entry_basis!r} in a {basis!r} polynomial")
         if type(degree) is not int or degree < 0:
             raise ParseError(f"degree_or_m must be an integer >= 0, got {degree!r}")
+        if degree in coeffs:
+            raise ParseError(f"degree_or_m {degree} appears twice")
         if den.is_zero():
             raise ParseError("zero denominator")
         coeffs[degree] = RationalFunction(num, den)
-    cls = CosPolynomial if basis == "cos" else ZPolynomial
+    if basis is None:
+        basis = "z"  # no basis anywhere: an empty document reads as a zero in z
+    if type(basis) is not str or basis not in _JSON_CLASSES:
+        raise ParseError(f"unknown basis {basis!r}")
     meta = {key: doc[key] for key in ("family", "n", "k", "total_check") if key in doc}
-    return cls(coeffs), meta
+    return _JSON_CLASSES[basis](coeffs), meta

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .field import RationalFunction
 from .families import (
+    CosPolynomial,
     LaguerreIndex,
     ZPOLY_RING,
     ZPolynomial,
@@ -150,7 +151,6 @@ def laguerre_genfun_classical(n, k):
 
 def chebyshev_recurrence(n):
     """U_n in the cosine basis via U_n = 2cos(theta) U_{n-1} - U_{n-2}."""
-    from .families import CosPolynomial
     prev, cur = CosPolynomial.one(), CosPolynomial.cos(1).scale(2)
     if n == 0:
         return prev

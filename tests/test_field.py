@@ -253,6 +253,12 @@ def test_constants_hash_like_equal_numbers():
     (parse_polynomial_json, '{"coefficients": [{"basis": "z", "degree_or_m": -1, '
                             '"num": "1", "den": "1"}]}'),
     (parse_polynomial_json, '{"coefficients": 3}'),
+    (parse_polynomial_json, '{"basis": "foo", "coefficients": []}'),
+    (parse_polynomial_json, '{"basis": "cos", "coefficients": [{"basis": "z", "degree_or_m": 0, '
+                            '"num": "1", "den": "1"}]}'),
+    (parse_polynomial_json, '{"basis": "z", "coefficients": [{"basis": "z", "degree_or_m": 1, '
+                            '"num": "1", "den": "1"}, {"basis": "z", "degree_or_m": 1, '
+                            '"num": "2", "den": "1"}]}'),
 ])
 def test_malformed_text_raises_parse_error(parse, text):
     with pytest.raises(ParseError):

@@ -5,20 +5,25 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from qpoly.cli import main
-from qpoly.connection import BetaPolynomial
+from qpoly.connection import (
+    BetaPolynomial,
+    LambdaPolynomial,
+    classical_log_coefficients,
+    gegenbauer_classical_lambda,
+)
 from qpoly.families import CosPolynomial, ZPolynomial, q_hermite
 from qpoly.field import IntPoly, RationalFunction as RF
 from qpoly.render import (
-    latex_beta,
-    latex_qbinom,
+    latex,
     latex_rational,
-    latex_zpoly,
     parse_polynomial_json,
     render_polynomial_json,
+    text,
 )
 from qpoly.verify import VerificationReport, CheckResult
 
@@ -35,12 +40,8 @@ def test_latex_negative_half_power():
 
 def test_latex_beta_square():
     b1 = BetaPolynomial.gen(1)
-    assert latex_beta(b1 * b1) == r"[\lambda]_{q}^{2}"
-    assert latex_beta(BetaPolynomial.gen(3)) == r"[\lambda]_{q^{3}}"
-
-
-def test_latex_qbinom():
-    assert latex_qbinom(3, 1) == r"\Big[{3 \atop 1}\Big]_{q}"
+    assert latex(b1 * b1) == r"[\lambda]_{q}^{2}"
+    assert latex(BetaPolynomial.gen(3)) == r"[\lambda]_{q^{3}}"
 
 
 def test_latex_fraction_form():
@@ -49,7 +50,26 @@ def test_latex_fraction_form():
 
 
 def test_latex_zpoly_hermite1():
-    assert latex_zpoly(q_hermite(1)) == r"2\,q^{-1/2}\,z"
+    assert latex(q_hermite(1)) == r"2\,q^{-1/2}\,z"
+
+
+def test_every_basis_prints_through_text_latex_and_repr():
+    lam = LambdaPolynomial.gen(1)
+    cases = [
+        (lam * lam * Fraction(1, 2) - lam,
+         "1/2*lambda^2 - lambda", r"\frac{1}{2}\,\lambda^{2} - \lambda"),
+        (classical_log_coefficients(2)[1],
+         "C2 - 1/2*C1^2", r"C_{2}(z) - \frac{1}{2}\,C_{1}^{2}(z)"),
+        (gegenbauer_classical_lambda(2),
+         "lambda*C2 + (1/2*lambda^2 - 1/2*lambda)*C1^2",
+         r"\lambda\,C_{2}(z) + \left(\frac{1}{2}\,\lambda^{2} - \frac{1}{2}\,\lambda\right)"
+         r"\,C_{1}^{2}(z)"),
+        (CosPolynomial.cos(3).scale(-2), "-2*cos(3*theta)", r"-2\,\cos 3\theta"),
+        (ZPolynomial.z(2) + Fraction(1, 3), "z^2 + (1)/(3)", r"z^{2} + \frac{1}{3}"),
+    ]
+    for poly, as_text, as_latex in cases:
+        assert text(poly) == as_text and latex(poly) == as_latex
+        assert repr(poly) == f"{type(poly).__name__}({as_text})"
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +211,22 @@ def test_cli_usage_errors(capsys):
                  ["connect", "laguerre", "--n", "3", "--k", "3", "--aux", ",1"],
                  ["eval", "hermite", "--n", "1", "--q-sample", "x"],
                  ["eval", "hermite", "--n", "1", "--q-sample", "1"],
+                 # numeric checks that doubles cannot evaluate: underflow,
+                 # overflow, a q beyond the doubles, and inf / inf
+                 ["eval", "hermite", "--n", "8", "--q-sample", "1e-30"],
+                 ["eval", "hermite", "--n", "8", "--q-sample", "1e30"],
+                 ["connect", "laguerre", "--n", "4", "--k", "4", "--q-sample", "1e30"],
+                 ["eval", "hermite", "--n", "1", "--q-sample", "1e400"],
+                 ["eval", "gegenbauer", "--n", "4", "--q-sample", "1e20"],
                  ["verify", "--suite", "bogus"],
                  ["verify", "--max-n", "-1"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         # the usage line is the subcommand's, also for errors found after parsing
-        assert capsys.readouterr().err.startswith(f"usage: qpoly {argv[0]} "), argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: qpoly {argv[0]} "), argv
+        assert captured.out == "", argv
 
 
 def test_cli_connect_latex_and_json(capsys):
