@@ -74,8 +74,6 @@ from .connection import (
     laguerre_connection,
     laguerre_partitions,
     partitions_of,
-    pochhammer,
-    substitute_beta,
     sum_rule_explicit,
 )
 from .verify import VerificationReport, run_suite

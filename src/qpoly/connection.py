@@ -21,8 +21,10 @@ relation:
 
 Each engine builds every distinct building block once per call, in tables
 local to the call: the Hermite blocks, the Laguerre prefactors and classical
-factors, the Gegenbauer classical powers and weights.  The Hermite and
-Laguerre row products are keyed largest part first, and each distinct
+factors, the Gegenbauer classical powers and weights.  One product table,
+_prefix_product, forms every product over the parts of a key: the Hermite
+and Laguerre rows (keyed largest part first), the Gegenbauer classical
+products and weight monomials, and BetaPolynomial.substitute.  Each distinct
 partial product is built once per call, from its longest prefix; the total
 stays the sum of the row values.
 """
@@ -41,12 +43,13 @@ from .families import (
     LaguerreIndex,
     SparsePoly,
     ZPolynomial,
+    falling_binomial,
     gegenbauer_classical,
     gegenbauer_weight,
     laguerre_classical,
     q_gegenbauer_direct,
 )
-from .qkernel import q_binomial, q_factorial, quesne_c
+from .qkernel import _power_sum, q_binomial, q_factorial, quesne_c
 from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
@@ -144,16 +147,6 @@ def laguerre_partitions(n, k):
     return tuple(out)
 
 
-def pochhammer(alpha, ell):
-    """Rising factorial (alpha)_ell = alpha(alpha+1)...(alpha+ell-1)."""
-    if ell < 0:
-        raise ValueError("pochhammer length must be >= 0")
-    result = Fraction(1)
-    for j in range(ell):
-        result *= alpha + j
-    return result
-
-
 # ---------------------------------------------------------------------------
 # expansion containers
 # ---------------------------------------------------------------------------
@@ -229,16 +222,17 @@ def _hermite_block(k, m):
 
 
 def _prefix_product(built, key, block):
-    """prod block(*part) over the parts of key, a ZPolynomial.  Every prefix of
-    key is recorded in built, a dict local to one engine call, so a row is one
-    product of its longest prefix built before with its last block, and each
-    block is built once; a one-part key is the block itself."""
+    """prod block(*part) over the parts of key.  built is a dict local to one
+    call, which the caller seeds with the unit at built[()]; every prefix of
+    key is recorded in it, so a product is one product of its longest prefix
+    built before with its last block, and each block is built once; a
+    one-part key is the block itself."""
     value = built.get(key)
     if value is None:
         if len(key) > 1:
             value = _prefix_product(built, key[:-1], block) * _prefix_product(built, key[-1:], block)
         else:
-            value = block(*key[0]) if key else ZPolynomial.one()
+            value = block(*key[0])
         built[key] = value
     return value
 
@@ -253,7 +247,7 @@ def hermite_connection(n):
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    built = {}
+    built = {(): ZPolynomial.one()}
     terms = []
     for sol in partitions_of(n):
         value = _prefix_product(built, sol.parts[::-1], _hermite_block)
@@ -274,7 +268,7 @@ def laguerre_connection(n, k, aux=None):
     summed total is independent of that choice.  Each term multiplies
 
         q**((n-l)(n-l+1)/2) [n over l]_q
-        * prod_j (-1)**(l_j) (n_j)_{l_j} / l_j!
+        * prod_j binom(-n_j, l_j)      [= (-1)**(l_j) (n_j)_{l_j} / l_j!]
         * prod_j L_{k_j}^{(n_j - k_j)}(c_j(q) z**j)
 
     over one partition solution; total * rescale equals q_laguerre(n, k).
@@ -290,14 +284,11 @@ def laguerre_connection(n, k, aux=None):
         return laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj),
                                   ZPolynomial({j: quesne_c(j, 1)}))
 
-    built = {}
+    built = {(): ZPolynomial.one()}
     terms = []
     for sol in laguerre_partitions(n, k):
-        ell = sol.ell
-        poch_scalar = Fraction(1)
-        for j, lj in sol.lparts:
-            poch_scalar *= Fraction((-1) ** lj) * pochhammer(aux.get(j, 0), lj) / math.factorial(lj)
-        coefficient = prefs[ell] * poch_scalar
+        coefficient = prefs[sol.ell] * math.prod(
+            falling_binomial(-aux.get(j, 0), lj) for j, lj in sol.lparts)
         poly = _prefix_product(built, sol.kparts[::-1], classical)
         terms.append(ConnectionTerm(sol, coefficient, poly.scale(coefficient)))
     total = ZPolynomial.sum([t.value for t in terms])
@@ -328,18 +319,6 @@ def _gen(cls, g):
     return cls({((g, 1),): 1})
 
 
-def _monomial_value(mono, value_of, one_value, powers):
-    """prod_g value_of(g)**e over the monomial, each power taken once per
-    call through the caller's powers dict, keyed by (g, e)."""
-    value = one_value
-    for g, e in mono:
-        p = powers.get((g, e))
-        if p is None:
-            p = powers[g, e] = value_of(g) ** e
-        value = value * p
-    return value
-
-
 class BetaPolynomial(SparsePoly):
     """Polynomial with rational coefficients in the abstract generators
     beta_k standing for [lambda]_{q**k}."""
@@ -355,8 +334,8 @@ class BetaPolynomial(SparsePoly):
     def substitute(self, value_of, one_value):
         """Map each generator g to value_of(g) and sum; lands in the target
         ring, whose multiplicative unit is one_value."""
-        powers = {}
-        parts = [_monomial_value(mono, value_of, one_value, powers) * c
+        built = {(): one_value}
+        parts = [_prefix_product(built, mono, lambda g, e: value_of(g) ** e) * c
                  for mono, c in self._terms.items()]
         return ring_sum(parts, one_value * 0)
 
@@ -401,9 +380,6 @@ class CPolynomial(SparsePoly):
         """The single classical factor C_m (with the given coefficient one)."""
         return cls({((m, 1),): one})
 
-    def monomials(self):
-        return self.support()
-
 
 # ---------------------------------------------------------------------------
 # Gegenbauer connection and sum rules
@@ -422,18 +398,6 @@ def classical_log_coefficients(order):
     return tuple(logs.coeff(k) for k in range(1, order + 1))
 
 
-def _weighted_exp(n, weight, one):
-    """t**n coefficient of exp(sum_k weight(k) a_k t**k), a_k the classical
-    log coefficients: a CPolynomial over the ring of weight(k) and one."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    ring = Ring(CPolynomial.zero(), CPolynomial.constant(one))
-    logs = classical_log_coefficients(n) if n else ()
-    arg = TruncatedSeries(ring, [ring.zero] + [logs[k - 1].scale(weight(k))
-                                               for k in range(1, n + 1)], n)
-    return arg.exp().coeff(n)
-
-
 @lru_cache(maxsize=None)
 def gegenbauer_connection(n):
     """Connection expansion of the deformed Gegenbauer polynomial of degree n
@@ -443,21 +407,15 @@ def gegenbauer_connection(n):
     Mechanization: exponentiate sum_k beta_k a_k t**k where a_k are the
     classical log coefficients; the t**n coefficient is the connection,
     valid for every n (the low orders reproduce the displayed forms)."""
-    total = _weighted_exp(n, BetaPolynomial.gen, BetaPolynomial.one())
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    ring = Ring(CPolynomial.zero(), CPolynomial.constant(BetaPolynomial.one()))
+    logs = classical_log_coefficients(n) if n else ()
+    arg = TruncatedSeries(ring, [ring.zero] + [a.scale(BetaPolynomial.gen(k))
+                                               for k, a in enumerate(logs, 1)], n)
+    total = arg.exp().coeff(n)
     terms = tuple(ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms())
     return ConnectionExpansion("gegenbauer", n, None, terms, total, None)
-
-
-def substitute_beta(coeff, mode):
-    """Substitute the abstract weights: mode "q-lambda" sends beta_k to
-    (1 - Lambda**k)/(1 - q**k), mode "classical-lambda" sends every beta_k
-    to the single symbol lambda."""
-    if mode == "q-lambda":
-        return coeff.substitute(gegenbauer_weight, _RF_ONE)
-    if mode == "classical-lambda":
-        lam = LambdaPolynomial.gen(1)
-        return coeff.substitute(lambda g: lam, LambdaPolynomial.one())
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 class _RationalCos(SparsePoly):
@@ -479,23 +437,21 @@ def gegenbauer_connection_value(expansion):
     terms t is collected in the cos basis over Q, each distinct weight
     prod_k [lambda]_{q**k}**e_k is built once, and each cos(m theta)
     coefficient is one sum of weight(mu) * A_mu[m] in Q(s, Lambda)."""
-    classical = {}  # (m, e) -> C_m**e over Q
+    def classical_power(m, e):
+        """C_m**e over Q."""
+        return _RationalCos({j: c.as_fraction() for j, c in gegenbauer_classical(m).items()}) ** e
+
+    classical = {(): _RationalCos.one()}
     by_weight = {}
     for term in expansion.terms:
-        poly = _RationalCos.one()
-        for m, e in term.descriptor:
-            p = classical.get((m, e))
-            if p is None:
-                p = classical[m, e] = _RationalCos(
-                    {j: c.as_fraction() for j, c in gegenbauer_classical(m).items()}) ** e
-            poly = poly * p
+        poly = _prefix_product(classical, term.descriptor, classical_power)
         for mu, c in term.coefficient.items():
             by_weight.setdefault(mu, []).append(poly.scale(c))
     weights = {k: gegenbauer_weight(k) for k in range(1, expansion.n + 1)}
-    powers = {}
+    built = {(): _RF_ONE}
     by_cos = {}
     for mu, polys in by_weight.items():
-        weight = _monomial_value(mu, weights.__getitem__, _RF_ONE, powers)
+        weight = _prefix_product(built, mu, lambda k, e: weights[k] ** e)
         for m, c in _RationalCos.sum(polys).items():
             by_cos.setdefault(m, []).append(weight * c)
     return CosPolynomial({m: RationalFunction.sum(parts) for m, parts in by_cos.items()})
@@ -503,10 +459,20 @@ def gegenbauer_connection_value(expansion):
 
 def gegenbauer_classical_lambda(n):
     """The classical general-lambda connection: t**n coefficient of
-    exp(lambda * sum_k a_k t**k) as a CPolynomial over Q[lambda].  Equals the
-    beta_k -> lambda image of gegenbauer_connection(n)."""
+    (1 + S)**lambda with S = sum_m C_m t**m, by the binomial series
+    sum_j binom(lambda, j) S**j, as a CPolynomial over Q[lambda].  It takes
+    no log and no exp, and equals the beta_k -> lambda image of
+    gegenbauer_connection(n)."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    one = LambdaPolynomial.one()
     lam = LambdaPolynomial.gen(1)
-    return _weighted_exp(n, lambda k: lam, LambdaPolynomial.one())
+    ring = Ring(CPolynomial.zero(), CPolynomial.constant(one))
+    s = TruncatedSeries(ring, [ring.zero] + [CPolynomial.factor(m, one) for m in range(1, n + 1)], n)
+    binomials = [one]  # binom(lambda, j)
+    for j in range(1, n + 1):
+        binomials.append(binomials[-1] * (lam - (j - 1)) * Fraction(1, j))
+    return _power_sum(s, binomials.__getitem__, 0).coeff(n)
 
 
 # Explicit low-order log combinations: I_l as [(coefficient, [factor orders])].

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import RationalFunction, _coerce_or_raise, _power
-from .qkernel import q_binomial, q_exp_sum, q_factorial
+from .qkernel import _pochhammers, q_binomial, q_exp_sum, q_factorial
 from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
@@ -437,14 +437,8 @@ def q_gegenbauer_direct(n):
     with L = Lambda = q**lambda."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    lam = RationalFunction.lam()
-    q = RationalFunction.q()
-    lam_poch, q_poch = [_RF_ONE], [_RF_ONE]  # (L;q)_l and (q;q)_l, l = 0..n
-    power = _RF_ONE
-    for _ in range(n):
-        lam_poch.append(lam_poch[-1] * (_RF_ONE - lam * power))
-        power = power * q
-        q_poch.append(q_poch[-1] * (_RF_ONE - power))
+    lam_poch = _pochhammers(RationalFunction.lam(), 1, n)  # (L;q)_l, l = 0..n
+    q_poch = _pochhammers(RationalFunction.q(), 1, n)  # (q;q)_l
     return CosPolynomial.sum([
         CosPolynomial({abs(n - 2 * ell): lam_poch[ell] * lam_poch[n - ell]
                        / (q_poch[ell] * q_poch[n - ell])})

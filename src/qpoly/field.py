@@ -610,6 +610,10 @@ class IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self._rows, other._rows
+        if b == [[1]]:  # rows are never changed in place, so sharing is safe
+            return self
+        if a == [[1]]:
+            return other
         if len(a) == 1 and len(b) == 1:
             return _raw_poly([_umul(a[0], b[0])])
         return _raw_poly(_rows_mul(a, b))

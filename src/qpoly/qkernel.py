@@ -67,17 +67,21 @@ def q_binomial(n, k, base_exp=1):
     return q_factorial(n, base_exp) / (q_factorial(k, base_exp) * q_factorial(n - k, base_exp))
 
 
+def _pochhammers(a, base_exp, n):
+    """[(a; base)_0, ..., (a; base)_n], (a; base)_l = prod_{k<l} (1 - a*base**k)."""
+    v = _base(base_exp)
+    out = [_ONE]
+    for _ in range(n):
+        out.append(out[-1] * (_ONE - a))
+        a = a * v
+    return out
+
+
 def q_pochhammer(a, base_exp, n):
     """(a; base)_n = prod_{k=0..n-1} (1 - a*base**k); empty product is 1."""
     if n < 0:
         raise ValueError("q_pochhammer needs n >= 0")
-    v = _base(base_exp)
-    result = _ONE
-    power = _ONE
-    for _ in range(n):
-        result = result * (_ONE - a * power)
-        power = power * v
-    return result
+    return _pochhammers(a, base_exp, n)[-1]
 
 
 @lru_cache(maxsize=None)
@@ -89,10 +93,23 @@ def quesne_c(k, base_exp=1):
     return (_ONE - v) ** (k - 1) / (q_number(k, base_exp) * k)
 
 
-def _check_argument(argument):
-    z = argument.ring.zero
-    if argument.coeffs[0] != z:
+def _power_sum(argument, coeff, start):
+    """sum_{k >= start} coeff(k) * argument**k to the argument's order; the
+    argument has zero constant term, so the sum stops once its power is 0."""
+    if argument.coeffs[0] != argument.ring.zero:
         raise NonzeroConstantTerm("q-exponential argument needs zero constant term")
+    ring = argument.ring
+    order = argument.order
+    parts = [TruncatedSeries.zero(ring, order)]
+    power = TruncatedSeries.one(ring, order)
+    for k in range(order + 1):
+        if k:
+            power = power * argument
+            if power.is_zero():
+                break
+        if k >= start:
+            parts.append(power.scale(coeff(k)))
+    return TruncatedSeries.sum(parts)
 
 
 def q_exp_sum(kind, argument, base_exp):
@@ -104,41 +121,18 @@ def q_exp_sum(kind, argument, base_exp):
     """
     if kind not in ("e", "E"):
         raise ValueError("kind must be 'e' or 'E'")
-    _check_argument(argument)
-    ring = argument.ring
-    order = argument.order
-    v = _base(base_exp)
-    parts = [TruncatedSeries.one(ring, order)]
-    power = TruncatedSeries.one(ring, order)
-    poch = _ONE
-    vpow = _ONE
-    tri = _ONE  # base**(n(n-1)/2), advanced by base**(n-1) each step
-    for n in range(1, order + 1):
-        power = power * argument
-        poch = poch * (_ONE - vpow * v)  # (base; base)_n
-        if n > 1:
-            tri = tri * vpow
-        vpow = vpow * v
-        factor = (tri if kind == "E" else _ONE) / poch
-        parts.append(power.scale(factor))
-        if power.is_zero():
-            break
-    return TruncatedSeries.sum(parts)
+    poch = _pochhammers(_base(base_exp), base_exp, argument.order)  # (base; base)_n
+
+    def coeff(n):
+        tri = RationalFunction.q_power(base_exp * n * (n - 1) // 2) if kind == "E" else _ONE
+        return tri / poch[n]
+
+    return _power_sum(argument, coeff, 0)
 
 
 def _exp_of_powers(argument, coeff):
     """exp( sum_k coeff(k) * argument**k ) to the argument's order."""
-    _check_argument(argument)
-    ring = argument.ring
-    order = argument.order
-    parts = [TruncatedSeries.zero(ring, order)]
-    power = TruncatedSeries.one(ring, order)
-    for k in range(1, order + 1):
-        power = power * argument
-        if power.is_zero():
-            break
-        parts.append(power.scale(coeff(k)))
-    return TruncatedSeries.sum(parts).exp()
+    return _power_sum(argument, coeff, 1).exp()
 
 
 def q_exp_product_form(kind, argument, base_exp):

@@ -32,6 +32,7 @@ from .families import (
 from .connection import (
     BetaPolynomial,
     CPolynomial,
+    LambdaPolynomial,
     gegenbauer_classical_lambda,
     gegenbauer_connection,
     gegenbauer_connection_value,
@@ -39,7 +40,6 @@ from .connection import (
     hermite_connection,
     laguerre_connection,
     laguerre_partitions,
-    substitute_beta,
     sum_rule_explicit,
 )
 from .qkernel import q_exp_product_form, q_exp_sum, q_factorial, q_number, q_binomial, quesne_c, quesne_series
@@ -327,11 +327,12 @@ def _suite_limits(report, max_n):
                lambda: all(q_laguerre(n, k).limit_q_to_1()
                            == laguerre_classical(LaguerreIndex(k, n - k))
                            for n in range(min(max_n, 5) + 1) for k in range(min(max_n, 5) + 1)))
+    lam, lam_one = LambdaPolynomial.gen(1), LambdaPolynomial.one()
     _run_check(report, "gegenbauer-classical-lambda",
-               "connection with beta_k -> lambda == classical general-lambda connection",
+               "connection with beta_k -> lambda == t^n coefficient of (1 + sum_m C_m t^m)^lambda "
+               "by the binomial series",
                lambda: all(
-                   gegenbauer_connection(n).total.map_coeffs(
-                       lambda c: substitute_beta(c, "classical-lambda"))
+                   gegenbauer_connection(n).total.map_coeffs(lambda c: c.substitute(lambda g: lam, lam_one))
                    == gegenbauer_classical_lambda(n)
                    for n in range(min(max_n, 5) + 1)))
 

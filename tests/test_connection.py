@@ -1,6 +1,7 @@
 """Partition enumeration and the three connection engines."""
 
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -30,8 +31,6 @@ from qpoly.connection import (
     laguerre_connection,
     laguerre_partitions,
     partitions_of,
-    pochhammer,
-    substitute_beta,
     sum_rule_explicit,
 )
 from qpoly.qkernel import q_binomial
@@ -170,14 +169,6 @@ def test_laguerre_partitions_vs_brute_force():
             got = {(s.ell, s.kparts, s.lparts) for s in laguerre_partitions(n, k)}
             assert got == brute_laguerre_partitions(n, k)
             assert all(s.target == k for s in laguerre_partitions(n, k))
-
-
-def test_pochhammer():
-    assert pochhammer(3, 0) == 1
-    assert pochhammer(0, 2) == 0
-    assert pochhammer(3, 2) == 12
-    assert pochhammer(-2, 3) == 0  # crosses zero
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +357,40 @@ def test_gegenbauer_value_computes_each_weight_once(monkeypatch):
     assert len(calls) <= 6
 
 
+@pytest.mark.parametrize("n", [6, 9])
+def test_gegenbauer_value_builds_each_power_once(n, monkeypatch):
+    import qpoly.connection as connection
+
+    expansion = gegenbauer_connection(n)
+    expected = q_gegenbauer_direct(n)
+    weights = {k: gegenbauer_weight(k) for k in range(1, n + 1)}
+    index = {w: k for k, w in weights.items()}
+    conversions, powers = [], []
+
+    def counted_classical(m):
+        conversions.append(m)
+        return gegenbauer_classical(m)
+
+    rf_pow = RF.__pow__
+
+    def counted_pow(self, e):
+        powers.append((index[self], e))
+        return rf_pow(self, e)
+
+    monkeypatch.setattr(connection, "gegenbauer_classical", counted_classical)
+    monkeypatch.setattr(connection, "gegenbauer_weight", weights.__getitem__)
+    monkeypatch.setattr(RF, "__pow__", counted_pow)
+    value = gegenbauer_connection_value(expansion)
+    monkeypatch.undo()
+    assert value == expected
+    # one C_m**e per distinct (m, e) and one [lambda]_{q^k}**e per distinct (k, e)
+    factor_parts = {part for term in expansion.terms for part in term.descriptor}
+    weight_parts = {part for term in expansion.terms
+                    for mu in term.coefficient.support() for part in mu}
+    assert collections.Counter(conversions) == collections.Counter(m for m, _ in factor_parts)
+    assert sorted(powers) == sorted(weight_parts)
+
+
 def _term_by_term_value(expansion):
     # each row's coefficient substituted into Q(s, Lambda), times its
     # classical product, and the rows summed
@@ -501,31 +526,48 @@ def test_gegenbauer_term_order_matches_partition_order():
     assert descriptors == expected
 
 
+def _to_lambda(coeff):
+    """beta_k -> lambda for every k."""
+    lam = LambdaPolynomial.gen(1)
+    return coeff.substitute(lambda g: lam, LambdaPolynomial.one())
+
+
 def test_substitute_beta_examples():
     b1, b2 = BetaPolynomial.gen(1), BetaPolynomial.gen(2)
-    assert substitute_beta(b1, "q-lambda") == gegenbauer_weight(1)
-    lam_poly = substitute_beta(b2 - b1 * b1, "classical-lambda")
+    assert b1.substitute(gegenbauer_weight, RF.one()) == gegenbauer_weight(1)
     lam = LambdaPolynomial.gen(1)
-    assert lam_poly == lam - lam * lam
-    with pytest.raises(ValueError):
-        substitute_beta(b1, "bogus")
+    assert _to_lambda(b2 - b1 * b1) == lam - lam * lam
 
 
 def test_lambda_one_collapse():
     # at Lambda -> q every weight [lambda]_{q^k} is 1: the n=2 connection has
     # coefficient 1 on C2 and 0 on C1^2
     terms = dict(gegenbauer_connection(2).total.sorted_terms())
-    c2_val = substitute_beta(terms[((2, 1),)], "q-lambda").subs_lam_q()
-    c11_val = substitute_beta(terms[((1, 2),)], "q-lambda").subs_lam_q()
+    c2_val = terms[((2, 1),)].substitute(gegenbauer_weight, RF.one()).subs_lam_q()
+    c11_val = terms[((1, 2),)].substitute(gegenbauer_weight, RF.one()).subs_lam_q()
     assert c2_val == RF.one()
     assert c11_val.is_zero()
 
 
 def test_gegenbauer_classical_lambda_route():
     for n in range(6):
-        via_connection = gegenbauer_connection(n).total.map_coeffs(
-            lambda c: substitute_beta(c, "classical-lambda"))
+        via_connection = gegenbauer_connection(n).total.map_coeffs(_to_lambda)
         assert via_connection == gegenbauer_classical_lambda(n)
+
+
+def test_gegenbauer_classical_lambda_takes_no_log_or_exp(monkeypatch):
+    import qpoly.connection as connection
+    from qpoly.series import TruncatedSeries
+
+    expected = [gegenbauer_connection(n).total.map_coeffs(_to_lambda) for n in range(9)]
+
+    def forbidden(*args):
+        raise AssertionError("the classical-lambda route must not use the log route")
+
+    monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
+    monkeypatch.setattr(TruncatedSeries, "log", forbidden)
+    monkeypatch.setattr(connection, "classical_log_coefficients", forbidden)
+    assert [gegenbauer_classical_lambda(n) for n in range(9)] == expected
 
 
 # ---------------------------------------------------------------------------

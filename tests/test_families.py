@@ -1,5 +1,6 @@
 """Polynomial families: closed forms vs generating-function extraction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -58,6 +59,9 @@ def test_falling_binomial():
     assert falling_binomial(0, 1) == 0
     assert falling_binomial(5, 2) == 10
     assert falling_binomial(-2, 2) == 3  # (-2)(-3)/2
+    # binom(-a, l) = (-1)**l (a)_l / l!, with the rising factorial (a)_l
+    for a, ell, rising in ((3, 0, 1), (0, 2, 0), (3, 2, 12), (-2, 3, 0)):
+        assert falling_binomial(-a, ell) == Fraction((-1) ** ell * rising, math.factorial(ell))
 
 
 def test_laguerre_classical_examples():

@@ -321,6 +321,8 @@ def test_mul_matches_schoolbook_reference():
         product = IntPoly(ta) * IntPoly(tb)
         assert _terms(product) == _reference_mul(ta, tb)
         assert product == IntPoly(_reference_mul(ta, tb))
+        a = IntPoly(ta)  # a product with the unit returns the other operand
+        assert a * IntPoly.one() is a and IntPoly.one() * a is a
 
 
 def _divides_unit_monomial(divisor, key):
