@@ -324,11 +324,14 @@ def _cmd_verify(args, parser, out):
     return 0 if report.passed else 1
 
 
+# Built once per process: parsing keeps no state in the parsers.
+_PARSER, _COMMANDS = _build_parser()
+
+
 def main(argv=None):
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # usage errors found after parsing print the subcommand's usage line
-    sub = commands[args.command]
+    sub = _COMMANDS[args.command]
     if getattr(args, "q_sample", None) is not None:
         args.q_sample = _parse_q_sample(args.q_sample, sub)
     out = sys.stdout

@@ -15,18 +15,21 @@ relation:
     log rescaled per t-order by beta_k = [lambda]_{q**k}.  Exponentiating
     symbolically over polynomials in abstract generators beta_k and abstract
     classical factors C_m yields the connection for any n, plus the per-order
-    sum rules.  Its value is summed per weight monomial prod_k beta_k**e_k:
-    the classical products are collected over Q first, and each distinct
-    weight enters Q(s, Lambda) once.
+    sum rules.  The exponential runs over Z, in divided powers, on the
+    integer log coefficients k*a_k, with each monomial packed into one int,
+    and is divided by n! once.  Its value is summed over Z per weight
+    monomial prod_k beta_k**e_k: the classical products are integer Laurent
+    rows in w = e^{i theta}, each weight is a numerator over (q;q)_n, and
+    each cos(j theta) coefficient is reduced once.
 
 Each engine builds every distinct building block once per call, in tables
 local to the call: the Hermite blocks, the Laguerre prefactors and classical
-factors, the Gegenbauer classical powers and weights.  One product table,
-_prefix_product, forms every product over the parts of a key: the Hermite
-and Laguerre rows (keyed largest part first), the Gegenbauer classical
-products and weight monomials, and BetaPolynomial.substitute.  Each distinct
-partial product is built once per call, from its longest prefix; the total
-stays the sum of the row values.
+factors, the Gegenbauer classical powers and weight factors.  One product
+table, _prefix_product, forms every product over the parts of a key: the
+Hermite and Laguerre rows (keyed largest part first), the Gegenbauer
+classical rows and weight factors, and BetaPolynomial.substitute.  Each
+distinct partial product is built once per call, from its longest prefix;
+the total stays the sum of the row values.
 """
 
 from __future__ import annotations
@@ -35,8 +38,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 
-from .field import RationalFunction
+from .field import (
+    IntPoly,
+    RationalFunction,
+    _maxabs,
+    _pack,
+    _raw_poly,
+    _spread,
+    _unflatten,
+    _unorm,
+    _unpack,
+    _width,
+)
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -385,17 +400,55 @@ class CPolynomial(SparsePoly):
 # Gegenbauer connection and sum rules
 # ---------------------------------------------------------------------------
 
+# Inside the order-n kernel a monomial prod_m C_m**e_m * prod_k beta_k**f_k is
+# one int: e_m in field m - 1 and f_k in field n + k - 1, each _field_bytes(n)
+# bytes wide.  A monomial of an order-N coefficient has sum_m m*e_m = N and
+# sum_k k*f_k <= N, so no exponent exceeds n, no field carries into the next,
+# and the product of two monomials is the sum of their ints.
+
+def _field_bytes(n):
+    """Bytes per exponent field of the order-n kernel monomials."""
+    return n.bit_length() // 8 + 1
+
+
+def _generator(g, n):
+    """The kernel monomial of generator field g (C_m: m - 1, beta_k: n + k - 1)."""
+    return 1 << (8 * _field_bytes(n) * g)
+
+
+def _monomial(key, n):
+    """The ((generator, exponent), ...) tuple of the kernel monomial key over
+    the n fields it occupies, generators numbered from 1."""
+    nbytes = _field_bytes(n)
+    data = key.to_bytes(nbytes * n, "little")
+    exps = data if nbytes == 1 else [int.from_bytes(data[i:i + nbytes], "little")
+                                     for i in range(0, len(data), nbytes)]
+    return tuple((g, e) for g, e in enumerate(exps, 1) if e)
+
+
+def _integer_logs(order):
+    """A_1..A_order as dicts from order-`order` kernel monomials to ints, A_k
+    = k a_k with log(1 + C_1 t + C_2 t**2 + ...) = sum a_k t**k.  t F'/F =
+    sum_k A_k t**k for F = 1 + sum_m C_m t**m, so A_k = k C_k - sum_{j<k}
+    A_j C_{k-j} lies in Z[C]."""
+    logs = []
+    for k in range(1, order + 1):
+        out = {_generator(k - 1, order): k}
+        for j, a in enumerate(logs, 1):
+            c = _generator(k - j - 1, order)
+            for m, v in a.items():
+                out[m + c] = out.get(m + c, 0) - v
+        logs.append({m: v for m, v in out.items() if v})
+    return logs
+
+
 @lru_cache(maxsize=None)
 def classical_log_coefficients(order):
     """a_1..a_order with log(1 + C_1 t + C_2 t**2 + ...) = sum a_k t**k:
-    each a_k is a CPolynomial over Fraction in the abstract factors C_m."""
-    ring = Ring(CPolynomial.zero(), CPolynomial.constant(Fraction(1)))
-    coeffs = [ring.one]
-    for m in range(1, order + 1):
-        coeffs.append(CPolynomial.factor(m, Fraction(1)))
-    series = TruncatedSeries(ring, coeffs, order)
-    logs = series.log()
-    return tuple(logs.coeff(k) for k in range(1, order + 1))
+    each a_k is a CPolynomial over Fraction in the abstract factors C_m, the
+    displayed form of the integer logs A_k / k."""
+    return tuple(CPolynomial._raw({_monomial(m, order): Fraction(v, k) for m, v in a.items()})
+                 for k, a in enumerate(_integer_logs(order), 1))
 
 
 @lru_cache(maxsize=None)
@@ -404,27 +457,68 @@ def gegenbauer_connection(n):
     in terms of formal products of classical factors C_m, with coefficients
     polynomial in the abstract weights beta_k = [lambda]_{q**k}.
 
-    Mechanization: exponentiate sum_k beta_k a_k t**k where a_k are the
-    classical log coefficients; the t**n coefficient is the connection,
-    valid for every n (the low orders reproduce the displayed forms)."""
+    Mechanization: the t**n coefficient b_n of exp(sum_k beta_k a_k t**k),
+    a_k the classical log coefficients; it is the connection for every n (the
+    low orders reproduce the displayed forms).  The exponential runs in
+    divided powers over Z (the Hurwitz-series form; Keigher, Comm. Algebra
+    25, 1997): B_N = N! b_N satisfies B_0 = 1 and
+
+        B_N = sum_{j=1..N} (N-1)!/(N-j)! * beta_j A_j * B_{N-j},
+
+    with the integer logs A_j = j a_j (_integer_logs), on packed kernel
+    monomials (Monagan and Pearce 2010).  B_n is divided by n! once,
+    coefficient by coefficient."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    ring = Ring(CPolynomial.zero(), CPolynomial.constant(BetaPolynomial.one()))
-    logs = classical_log_coefficients(n) if n else ()
-    arg = TruncatedSeries(ring, [ring.zero] + [a.scale(BetaPolynomial.gen(k))
-                                               for k, a in enumerate(logs, 1)], n)
-    total = arg.exp().coeff(n)
+    logs = _integer_logs(n)
+    series = [{0: 1}]
+    for big_n in range(1, n + 1):
+        out = {}
+        get = out.get
+        falling = 1  # (N-1)!/(N-j)!
+        for j, a in enumerate(logs[:big_n], 1):
+            if j > 1:
+                falling *= big_n - j + 1
+            beta = _generator(n + j - 1, n)
+            rest = series[big_n - j].items()
+            for ma, ca in a.items():
+                ma += beta
+                ca *= falling
+                for mb, cb in rest:
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+        series.append({m: c for m, c in out.items() if c})
+    by_factors = {}
+    beta_shift = 8 * _field_bytes(n) * n
+    for key, c in series[n].items():
+        by_factors.setdefault(key & ((1 << beta_shift) - 1), {})[key >> beta_shift] = c
+    scale = math.factorial(n)
+    total = CPolynomial._raw({
+        _monomial(cm, n): BetaPolynomial._raw({_monomial(bm, n): Fraction(c, scale)
+                                               for bm, c in coeffs.items()})
+        for cm, coeffs in by_factors.items()})
     terms = tuple(ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms())
     return ConnectionExpansion("gegenbauer", n, None, terms, total, None)
 
 
-class _RationalCos(SparsePoly):
-    """A combination of cos(m*theta) over Q, folded by CosPolynomial's rule."""
+# The value route's factors are IntPolys in one variable each: the classical
+# rows in x = w**2 (w = e^{i theta}), stored as powers of s; the weight
+# factors in Lambda and in q.
 
-    __slots__ = ()
-    basis = "cos"
-    _coerce = Fraction
-    _times = staticmethod(CosPolynomial._times)
+def _classical_power(m, e):
+    """U_m**e as an x-row, with C_m at lambda = 1 equal to U_m = sum_l
+    w**(m-2l) = w**-m (1 + x + ... + x**m)."""
+    return IntPoly({(i, 0): 1 for i in range(m + 1)}) ** e
+
+
+def _lambda_factor(k, e):
+    """(1 - Lambda**k)**e."""
+    return IntPoly({(0, 0): 1, (0, k): -1}) ** e
+
+
+def _q_factor(k, e):
+    """(1 - q**k)**e."""
+    return IntPoly({(0, 0): 1, (2 * k, 0): -1}) ** e
 
 
 def gegenbauer_connection_value(expansion):
@@ -432,29 +526,62 @@ def gegenbauer_connection_value(expansion):
     beta_k -> [lambda]_{q**k} and C_m -> the classical (lambda = 1)
     polynomial.  Must reproduce the explicit deformed polynomial.
 
-    The classical products are rational, so the sum runs per weight monomial
-    mu = prod_k beta_k**e_k: A_mu = sum_t c_{t,mu} prod_m C_m**e over the
-    terms t is collected in the cos basis over Q, each distinct weight
-    prod_k [lambda]_{q**k}**e_k is built once, and each cos(m theta)
-    coefficient is one sum of weight(mu) * A_mu[m] in Q(s, Lambda)."""
-    def classical_power(m, e):
-        """C_m**e over Q."""
-        return _RationalCos({j: c.as_fraction() for j, c in gegenbauer_classical(m).items()}) ** e
+    The sum runs over Z, per weight monomial mu = prod_k beta_k**e_k, and
+    each cos index is reduced once.
 
-    classical = {(): _RationalCos.one()}
+      * Classical side.  A row's product prod_m U_m**e is w**-n times an
+        integer row in x = w**2 of length n + 1, the same for every row.  So
+        A_mu = sum_t c_{t,mu} prod_m U_m**e is one integer row once scaled by
+        D, the lcm of the denominators of the c_{t,mu}.  The cos(j theta)
+        coefficient of a row is its x**(n/2) entry for j = 0 and twice its
+        x**((n+j)/2) entry otherwise.
+      * Weights.  prod_k [lambda]_{q**k}**e_k = N_mu / (q;q)_n with N_mu =
+        prod_k (1 - Lambda**k)**e_k * Q_mu, and Q_mu = (q;q)_n / prod_k
+        (1 - q**k)**e_k is a polynomial since sum_k k*e_k = n.  Every N_mu
+        has Lambda-degree n and q-degree n(n-1)/2, so one Kronecker
+        substitution (q -> 2**(8*nbytes), Lambda -> 2**(8*nbytes*W), W the
+        q-length of Q_mu) makes each N_mu one int: the product of the ints
+        of its two factors.
+      * Sum.  A cos index's numerator sum_mu N_mu * A_mu[j] is summed on
+        those ints, unpacked once and reduced once over D * (q;q)_n.  nbytes
+        bounds every coefficient of every numerator, so each is one digit."""
+    n = expansion.n
+    scale = math.lcm(*(c.denominator for t in expansion.terms
+                       for c in t.coefficient._terms.values()))
+    low = (n + 1) // 2  # the x-power of cos(0 theta) or cos(theta)
+    classical = {(): IntPoly.one()}
     by_weight = {}
     for term in expansion.terms:
-        poly = _prefix_product(classical, term.descriptor, classical_power)
+        row = _prefix_product(classical, term.descriptor, _classical_power)._rows[0][low:]
         for mu, c in term.coefficient.items():
-            by_weight.setdefault(mu, []).append(poly.scale(c))
-    weights = {k: gegenbauer_weight(k) for k in range(1, expansion.n + 1)}
-    built = {(): _RF_ONE}
-    by_cos = {}
-    for mu, polys in by_weight.items():
-        weight = _prefix_product(built, mu, lambda k, e: weights[k] ** e)
-        for m, c in _RationalCos.sum(polys).items():
-            by_cos.setdefault(m, []).append(weight * c)
-    return CosPolynomial({m: RationalFunction.sum(parts) for m, parts in by_cos.items()})
+            scaled = map((c.numerator * (scale // c.denominator)).__mul__, row)
+            acc = by_weight.get(mu)
+            by_weight[mu] = list(scaled) if acc is None else list(map(add, acc, scaled))
+    doubled = [1 if 2 * (low + i) == n else 2 for i in range(n + 1 - low)]
+    lam_built, q_built = {(): IntPoly.one()}, {(): IntPoly.one()}
+    q_poch = _prefix_product(q_built, tuple((k, 1) for k in range(1, n + 1)), _q_factor)
+    factors = []  # (Lambda coefficients of N_mu, q-row of Q_mu, A_mu by cos index)
+    bound = 0  # of every coefficient of every numerator
+    for mu, acc in by_weight.items():
+        lam = [r[0] if r else 0 for r in _prefix_product(lam_built, mu, _lambda_factor)._rows]
+        quotient = q_poch.divexact(_prefix_product(q_built, mu, _q_factor))._rows[0][::2]
+        a = list(map(mul, acc, doubled))
+        bound += _maxabs(lam) * _maxabs(quotient) * _maxabs(a)
+        factors.append((lam, quotient, a))
+    nrows = max(len(f[0]) for f in factors)
+    width = max(len(f[1]) for f in factors)
+    nbytes = _width(bound.bit_length())
+    sums = [0] * len(doubled)
+    for lam, quotient, a in factors:
+        packed = _pack(lam, nbytes * width) * _pack(quotient, nbytes)
+        sums = [acc + x * packed for acc, x in zip(sums, a)]
+    den = q_poch * scale
+    coeffs = {}
+    for i, packed in enumerate(sums):
+        rows = _unflatten(_unpack(packed, nbytes, nrows * width), width)
+        coeffs[2 * (low + i) - n] = RationalFunction(
+            _raw_poly(_unorm([_spread(r) if r else r for r in rows])), den)
+    return CosPolynomial(coeffs)
 
 
 def gegenbauer_classical_lambda(n):

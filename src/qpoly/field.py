@@ -180,15 +180,17 @@ def _pos_lead_list(c):
 
 
 def _power(base, e, one):
-    """base**e for an int e >= 0 by repeated squaring; one is the unit."""
-    result = one
+    """base**e for an int e >= 0 by repeated squaring; one is the unit and
+    only e = 0 returns it.  The result starts as the power of base at the
+    lowest set bit of e, so no product has the unit as an operand."""
+    result = None
     while e:
         if e & 1:
-            result = result * base
+            result = base if result is None else result * base
         e >>= 1
         if e:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 def _ueval(c, x):
@@ -260,6 +262,11 @@ def _flatten(rows, width):
     return flat + rows[-1]
 
 
+def _unflatten(digits, width):
+    """The rows of a digit sequence with width digits per Lambda power."""
+    return [_unorm(digits[j:j + width]) for j in range(0, len(digits), width)]
+
+
 def _rows_mul_packed(a, b, na, nb):
     wa, wb = max(map(len, a)), max(map(len, b))
     width = wa + wb - 1
@@ -267,9 +274,8 @@ def _rows_mul_packed(a, b, na, nb):
             + max(map(_maxabs, filter(None, b))).bit_length() + min(na, nb).bit_length())
     nbytes = _width(bits)
     nrows = len(a) + len(b) - 1
-    digits = _unpack(_pack(_flatten(a, width), nbytes) * _pack(_flatten(b, width), nbytes),
-                     nbytes, nrows * width)
-    return [_unorm(digits[j:j + width]) for j in range(0, nrows * width, width)]
+    return _unflatten(_unpack(_pack(_flatten(a, width), nbytes) * _pack(_flatten(b, width), nbytes),
+                              nbytes, nrows * width), width)
 
 
 # -- products ------------------------------------------------------------------

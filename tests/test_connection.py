@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpoly.field import IntPoly
 from qpoly.field import RationalFunction as RF
 from qpoly.families import (
     CosPolynomial,
@@ -342,6 +343,59 @@ def test_gegenbauer_connection_reproduces_direct():
         assert value == q_gegenbauer_direct(n)
 
 
+def _series_exp_connection(n):
+    # the exponential of sum_k beta_k a_k t**k by TruncatedSeries.exp over
+    # CPolynomial[BetaPolynomial], with a_k from TruncatedSeries.log
+    from qpoly.connection import CPolynomial
+    from qpoly.series import Ring, TruncatedSeries
+
+    fractions = Ring(CPolynomial.zero(), CPolynomial.constant(Fraction(1)))
+    classical = TruncatedSeries(fractions, [fractions.one] + [
+        CPolynomial.factor(m, Fraction(1)) for m in range(1, n + 1)], n)
+    logs = [classical.log().coeff(k) for k in range(1, n + 1)]
+    ring = Ring(CPolynomial.zero(), CPolynomial.constant(BetaPolynomial.one()))
+    arg = TruncatedSeries(ring, [ring.zero] + [a.scale(BetaPolynomial.gen(k))
+                                               for k, a in enumerate(logs, 1)], n)
+    return logs, arg.exp().coeff(n)
+
+
+def test_gegenbauer_connection_matches_series_exp(monkeypatch):
+    import qpoly.connection as connection
+    from qpoly.series import TruncatedSeries
+
+    references = [_series_exp_connection(n) for n in range(10)]
+
+    def forbidden(*args):
+        raise AssertionError("the connection must not take a series exponential")
+
+    monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
+    monkeypatch.setattr(TruncatedSeries, "log", forbidden)
+    for n, (logs, total) in enumerate(references):
+        assert connection.classical_log_coefficients.__wrapped__(n) == tuple(logs)
+        expansion = gegenbauer_connection.__wrapped__(n)
+        assert expansion.total == total
+        assert [(t.descriptor, t.coefficient) for t in expansion.terms] == total.sorted_terms()
+        assert all(type(c) is Fraction for t in expansion.terms for c in t.coefficient._terms.values())
+
+
+def test_gegenbauer_value_beyond_verify_sizes(monkeypatch):
+    # the gegenbauer suite stops at n = 8; at n = 16 the packed sums need
+    # 9-byte digits, wider than any array typecode
+    import qpoly.connection as connection
+
+    widths = {}
+    unpack = connection._unpack
+
+    for n in (10, 11, 16):
+        def recorded(v, nbytes, count, n=n):
+            widths.setdefault(n, set()).add(nbytes)
+            return unpack(v, nbytes, count)
+
+        monkeypatch.setattr(connection, "_unpack", recorded)
+        assert gegenbauer_connection_value(gegenbauer_connection(n)) == q_gegenbauer_direct(n)
+    assert min(widths[16]) > 8
+
+
 def test_gegenbauer_value_computes_each_weight_once(monkeypatch):
     import qpoly.connection as connection
 
@@ -358,37 +412,36 @@ def test_gegenbauer_value_computes_each_weight_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [6, 9])
-def test_gegenbauer_value_builds_each_power_once(n, monkeypatch):
-    import qpoly.connection as connection
-
+def test_gegenbauer_value_builds_each_factor_once(n, monkeypatch):
+    # one classical row U_m**e per distinct (m, e), one (1 - Lambda**k)**e and
+    # one (1 - q**k)**e per distinct (k, e): the weight parts, and the (k, 1)
+    # of (q;q)_n
     expansion = gegenbauer_connection(n)
     expected = q_gegenbauer_direct(n)
-    weights = {k: gegenbauer_weight(k) for k in range(1, n + 1)}
-    index = {w: k for k, w in weights.items()}
-    conversions, powers = [], []
-
-    def counted_classical(m):
-        conversions.append(m)
-        return gegenbauer_classical(m)
-
-    rf_pow = RF.__pow__
+    bases = {}
+    for k in range(1, n + 1):
+        bases[IntPoly({(i, 0): 1 for i in range(k + 1)})] = ("row", k)
+        bases[IntPoly({(0, 0): 1, (0, k): -1})] = ("lambda", k)
+        bases[IntPoly({(0, 0): 1, (2 * k, 0): -1})] = ("q", k)
+    powers = []
+    int_pow = IntPoly.__pow__
 
     def counted_pow(self, e):
-        powers.append((index[self], e))
-        return rf_pow(self, e)
+        kind, k = bases[self]
+        powers.append((kind, k, e))
+        return int_pow(self, e)
 
-    monkeypatch.setattr(connection, "gegenbauer_classical", counted_classical)
-    monkeypatch.setattr(connection, "gegenbauer_weight", weights.__getitem__)
-    monkeypatch.setattr(RF, "__pow__", counted_pow)
+    monkeypatch.setattr(IntPoly, "__pow__", counted_pow)
     value = gegenbauer_connection_value(expansion)
     monkeypatch.undo()
     assert value == expected
-    # one C_m**e per distinct (m, e) and one [lambda]_{q^k}**e per distinct (k, e)
     factor_parts = {part for term in expansion.terms for part in term.descriptor}
     weight_parts = {part for term in expansion.terms
                     for mu in term.coefficient.support() for part in mu}
-    assert collections.Counter(conversions) == collections.Counter(m for m, _ in factor_parts)
-    assert sorted(powers) == sorted(weight_parts)
+    q_parts = weight_parts | {(k, 1) for k in range(1, n + 1)}
+    assert sorted(powers) == sorted([("row", m, e) for m, e in factor_parts]
+                                    + [("lambda", k, e) for k, e in weight_parts]
+                                    + [("q", k, e) for k, e in q_parts])
 
 
 def _term_by_term_value(expansion):

@@ -70,6 +70,35 @@ def test_negative_powers():
     assert f * (ONE + Q) ** 2 == ONE
 
 
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 6, 8, 13])
+def test_powers_take_no_product_with_the_unit(e, monkeypatch):
+    # IntPoly, RationalFunction and SparsePoly powers share one squaring loop:
+    # bit_length(e) - 1 squarings and popcount(e) - 1 further products
+    from qpoly.families import CosPolynomial, SparsePoly
+
+    p = IntPoly({(1, 0): 1, (0, 1): 2, (0, 0): -1})
+    count = max(e.bit_length() + bin(e).count("1") - 2, 0)
+    # (counted class, base, its unit, the counted class's unit, products per step)
+    for cls, base, one, unit, per_step in (
+            (IntPoly, p, IntPoly.one(), IntPoly.one(), 1),
+            (IntPoly, RF(p, IntPoly({(2, 0): 1, (0, 0): 3})), ONE, IntPoly.one(), 2),
+            (SparsePoly, CosPolynomial({1: Q, 0: 2}), CosPolynomial.one(), CosPolynomial.one(), 1)):
+        expected = functools.reduce(lambda acc, _: acc * base, range(e), one)
+        products = []
+        times = cls.__mul__
+
+        def counted(a, b, times=times, products=products):
+            products.append((a, b))
+            return times(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        value = base ** e
+        monkeypatch.undo()
+        assert value == expected
+        assert len(products) == count * per_step
+        assert all(a != unit and b != unit for a, b in products)
+
+
 # ---------------------------------------------------------------------------
 # q -> 1 limits
 # ---------------------------------------------------------------------------

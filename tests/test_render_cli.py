@@ -229,6 +229,25 @@ def test_cli_usage_errors(capsys):
         assert captured.out == "", argv
 
 
+def test_cli_parser_is_built_once(capsys, monkeypatch):
+    import qpoly.cli as cli
+
+    _, commands = cli._build_parser()
+
+    def forbidden():
+        raise AssertionError("main must reuse the parser built at import")
+
+    monkeypatch.setattr(cli, "_build_parser", forbidden)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "laguerre", "--n", "3"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (commands["eval"].format_usage()
+                                           + "qpoly eval: error: family laguerre needs --k\n")
+        assert main(["eval", "laguerre", "--n", "3", "--k", "1"]) == 0
+        capsys.readouterr()
+
+
 def test_cli_connect_latex_and_json(capsys):
     code, out = run_cli(capsys, "connect", "laguerre", "--n", "2", "--k", "2",
                         "--format", "latex")
