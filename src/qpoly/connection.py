@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add, mul
 
 from .field import (
@@ -592,12 +592,13 @@ def gegenbauer_classical_lambda(n):
     gegenbauer_connection(n)."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    one = LambdaPolynomial.one()
     lam = LambdaPolynomial.gen(1)
-    ring = Ring(CPolynomial.zero(), CPolynomial.constant(one))
-    s = TruncatedSeries(ring, [ring.zero] + [CPolynomial.factor(m, one) for m in range(1, n + 1)], n)
-    binomials = [one]  # binom(lambda, j)
-    for j in range(1, n + 1):
+    # S has integer coefficients, so its powers take no product of two
+    # LambdaPolynomials; the binomials scale them into Q[lambda]
+    ring = Ring(CPolynomial.zero(), CPolynomial.constant(1))
+    s = TruncatedSeries(ring, [ring.zero] + [CPolynomial.factor(m, 1) for m in range(1, n + 1)], n)
+    binomials = [LambdaPolynomial.one(), lam]  # binom(lambda, j)
+    for j in range(2, n + 1):
         binomials.append(binomials[-1] * (lam - (j - 1)) * Fraction(1, j))
     return _power_sum(s, binomials.__getitem__, 0).coeff(n)
 
@@ -646,8 +647,6 @@ def sum_rule_explicit(ell):
         raise ValueError(f"no explicit combination stored for ell = {ell}")
     parts = []
     for coeff, orders in SUM_RULE_COMBINATIONS[ell]:
-        poly = CosPolynomial.one()
-        for m in orders:
-            poly = poly * q_gegenbauer_direct(m)
+        poly = reduce(mul, map(q_gegenbauer_direct, orders))
         parts.append(poly.scale(coeff))
     return CosPolynomial.sum(parts)

@@ -51,15 +51,18 @@ positive leading coefficient, zero stored as 0/1.  All operations return
 canonical values, so equality is structural.
 
 gcd strategy: every gcd also returns the cofactors a / g and b / g, and a
-RationalFunction is reduced by those, so nothing is divided twice.  For two
-rows in s: take out the common power of s and the integer content, answer
-one-term and equal rows directly and recurse at half length on rows in
-s**2.  A gcd of 1 with no common power of s and no common content, most
-gcds, returns the caller's two rows as the cofactors, and a gcd of 1 at
-half length returns the rows in s**2 unspread.  Otherwise evaluate both rows
-at xi = 2**(8*nbytes) by packing (GCDHEU: Char, Geddes and Gonnet, J.
-Symbolic Comput. 7, 1989).  nbytes is sized from the larger coefficient of
-either row, so every coefficient is a digit and xi >= 2 * min(max|A|,
+RationalFunction is reduced by those, so nothing is divided twice.  One
+algorithm, GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989;
+Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, 7.7),
+runs at both levels: in s for rows, and in Lambda over the row gcd.
+
+For two rows in s: take out the common power of s and the integer content,
+answer one-term and equal rows directly and recurse at half length on rows
+in s**2.  A gcd of 1 with no common power of s and no common content, most
+gcds, returns the caller's two rows as the cofactors, and a gcd of 1 at half
+length returns the rows in s**2 unspread.  Otherwise evaluate both rows at
+xi = 2**(8*nbytes) by packing.  nbytes is sized from the larger coefficient
+of either row, so every coefficient is a digit and xi >= 2 * min(max|A|,
 max|B|) + 2; then a candidate that divides both rows is their gcd.  The
 candidate g is the primitive part of the balanced base-xi digits of h =
 gcd(A(xi), B(xi)), and the cofactor f of A is the digits of A(xi) / h, so
@@ -70,16 +73,28 @@ so g * f = A and f is accepted with no product.  Otherwise f is accepted
 when g * f == A.  A cofactor with a coefficient of xi/2 or more has wrong
 digits and fails that check; it is then taken by exact division.  B's
 cofactor is taken the same way.  A candidate that does not divide widens
-xi, and after _HEU_TRIES tries a primitive pseudo-remainder sequence gives
-g and exact division the cofactors.  The gcd of a Lambda-free operand with
-one of several Lambda rows is folded over the rows, starting from the
-Lambda-free row, and stops once it reaches 1; the cofactors are then exact
-row divisions.  Two operands with several Lambda rows are first mapped to
-GF(p)[Lambda] at one value of s; when the images are coprime and a leading
-row survives, so are the operands (up to content), and no PRS runs.
-Otherwise they run a primitive PRS in Lambda whose content computations use
-the same row gcd.  Its rows grow with the Lambda-degree gap, so the image
-test keeps text input such as Lambda**88 over a few Lambda rows cheap.
+xi by about a quarter of its bits, and the loop tries again.
+
+The gcd of a Lambda-free operand with one of several Lambda rows is folded
+over the rows, starting from the Lambda-free row, and stops once it reaches
+1; the cofactors are then exact row divisions.  Two operands with several
+Lambda rows are split into their Lambda-contents (the row gcd of their
+rows) and primitive parts.  The primitive parts are evaluated at Lambda =
+xi, one packed int per power of s, with nbytes sized as for rows; the row
+gcd of the two values is read back as balanced base-xi digits, one Lambda
+row per digit, and its Lambda-primitive part is the candidate.  It is
+returned when it divides both primitive parts, and xi widens as for rows
+when it does not.  The gcd is the candidate times the row gcd of the two
+contents.
+
+The widening loop ends at both levels.  Write A = G * A' and B = G * B' with
+A' and B' coprime.  The gcd of A(xi) and B(xi) is G(xi) * h with h =
+gcd(A'(xi), B'(xi)), and h divides res(A', B') != 0, since the resultant is
+u * A' + v * B'.  That resultant is a fixed integer for rows and a fixed
+polynomial in s at the Lambda level, so the coefficients of G * h are
+bounded by res and G alone.  Once xi/2 exceeds them, the digits are those of
+G * h, whose primitive part is G, and G divides both.  xi grows
+geometrically with each try, so no try cap and no fallback are needed.
 
 Sums.  RationalFunction.sum reduces a long sum once, not once per term: it
 adds the numerators of equal denominators, merges the distinct fractions
@@ -101,6 +116,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from itertools import zip_longest
 from operator import add, index, neg, sub
 
 
@@ -163,16 +179,6 @@ def _spread(c):
 
 def _maxabs(c):
     return max(max(c), -min(c))
-
-
-def _uprimitive(c):
-    """Divide out integer content and make the leading coefficient positive."""
-    g = math.gcd(*c)
-    if g == 0:
-        return []
-    if c[-1] < 0:
-        g = -g
-    return c if g == 1 else [x // g for x in c]
 
 
 def _pos_lead_list(c):
@@ -392,34 +398,6 @@ def _rows_divexact(a, b):
 
 # -- univariate gcd ------------------------------------------------------------
 
-def _uprem(a, b):
-    """Pseudo-remainder of a by b over Z[s], scaled by as little of lead(b) as
-    each step needs."""
-    db = len(b) - 1
-    lead = b[db]
-    low = b[:-1]
-    r = list(a)
-    while len(r) > db:
-        top = r.pop()
-        g = math.gcd(top, lead)
-        fl, ft = lead // g, top // g
-        if fl != 1:
-            r = [x * fl for x in r]
-        k = len(r) - db
-        r[k:] = map(sub, r[k:], map(ft.__mul__, low))
-        _unorm(r)
-    return r
-
-
-def _ugcd_prs(a, b):
-    a, b = _uprimitive(a), _uprimitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        a, b = b, _uprimitive(_uprem(a, b))
-    return a if not b else [1]
-
-
 def _digits(v, nbytes):
     """The balanced base-2**(8*nbytes) digits of v, low first, no trailing zeros."""
     return _unorm(_unpack(v, nbytes, v.bit_length() // (8 * nbytes) + 2))
@@ -429,15 +407,12 @@ def _scaled(c, k):
     return c if k == 1 else list(map(k.__mul__, c))
 
 
-# Evaluation points the heuristic gcd tries before the PRS fallback.
-_HEU_TRIES = 8
-
-
 def _ugcd_heu(A, B):
     """(g, A / g, B / g) for primitive rows of two or more terms, g their gcd
-    with positive leading coefficient: GCDHEU at xi = 2**(8*nbytes)."""
+    with positive leading coefficient: GCDHEU at xi = 2**(8*nbytes), widened
+    until a candidate divides both."""
     nbytes = _width(max(_maxabs(A), _maxabs(B)).bit_length())
-    for _ in range(_HEU_TRIES):
+    while True:
         ea, eb = _pack(A, nbytes), _pack(B, nbytes)
         h = math.gcd(ea, eb)
         if h == 1:
@@ -460,8 +435,6 @@ def _ugcd_heu(A, B):
             if fb is not None:
                 return g, fa, fb
         nbytes += nbytes // 4 + 1
-    g = _ugcd_prs(A, B)
-    return g, _udivexact(A, g), _udivexact(B, g)
 
 
 def _ugcd_cof(a, b):
@@ -723,81 +696,27 @@ def _lam_content_split(rows):
     return cont, rows if cont == [1] else _div_rows(rows, cont)
 
 
-def _prem_lam(a, b):
-    """Pseudo-remainder of a by b viewed as polynomials in Lambda."""
-    db = len(b) - 1
-    lead = b[db]
-    r = a
-    while len(r) > db:
-        top = list(map(neg, r[-1]))
-        shift = len(r) - 1 - db
-        r = [_uadd(_umul(lead, x), _umul(top, b[j - shift]) if j >= shift else [])
-             for j, x in enumerate(r)]
-        _unorm(r)
-    return r
+def _lam_eval(rows, nbytes):
+    """The rows at Lambda = 2**(8*nbytes), a row in s: one packed column
+    per power of s."""
+    return [_pack(col, nbytes) for col in zip_longest(*rows, fillvalue=0)]
 
 
-# The image s -> _IMAGE_S in GF(_IMAGE_P), a prime, tests for a gcd of
-# Lambda-degree 0 before the PRS.
-_IMAGE_P = 2**61 - 1
-_IMAGE_S = 1000003
-
-
-def _lam_image(rows):
-    """The rows at s = _IMAGE_S mod _IMAGE_P, by ascending power of Lambda,
-    without trailing zeros."""
-    out = []
-    for r in rows:
-        v = 0
-        for c in reversed(r):
-            v = (v * _IMAGE_S + c) % _IMAGE_P
-        out.append(v)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _images_coprime(a, b):
-    """True when the images of a and b have a gcd of degree 0 in Lambda and
-    one of them keeps its Lambda-degree.  Then a and b have one too: the
-    leading row of a common factor G divides both leading rows, so G's image
-    keeps its degree and divides both images."""
-    f, g = _lam_image(a), _lam_image(b)
-    if len(f) < len(a) and len(g) < len(b):
-        return False
-    p = _IMAGE_P
-    while g:
-        inv = pow(g[-1], -1, p)
-        f = f[:]
-        while len(f) >= len(g):
-            c = f[-1] * inv % p
-            shift = len(f) - len(g)
-            for j in range(len(g) - 1):
-                f[shift + j] = (f[shift + j] - c * g[j]) % p
-            f.pop()
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
-    return len(f) == 1
-
-
-def _gcd_lam_prs(a, b):
-    """gcd of Lambda-primitive rows with more than one row somewhere."""
-    if len(a) < len(b):
-        a, b = b, a
-    if _images_coprime(a, b):
-        return [[1]]
-    while b and len(b) > 1:
-        r = _prem_lam(a, b)
-        if not r:
-            _, g = _lam_content_split(b)
+def _gcd_lam_heu(a, b):
+    """gcd of Lambda-primitive rows, each with several rows: GCDHEU in Lambda
+    at xi = 2**(8*nbytes) over the row gcd, widened until a candidate
+    divides both."""
+    nbytes = _width(max(max(map(_maxabs, filter(None, r))) for r in (a, b)).bit_length())
+    while True:
+        h = _ugcd_cof(_lam_eval(a, nbytes), _lam_eval(b, nbytes))[0]
+        digits = [_digits(c, nbytes) for c in h]
+        g = [_unorm(list(r)) for r in zip_longest(*digits, fillvalue=0)]
+        if len(g) == 1:  # Lambda-degree 0: the primitive part is 1
+            return [[1]]
+        _, g = _lam_content_split(g)
+        if _rows_divexact(a, g) is not None and _rows_divexact(b, g) is not None:
             return g
-        _, r = _lam_content_split(r)
-        a, b = b, r
-    if not b:
-        _, g = _lam_content_split(a)
-        return g
-    return [[1]]
+        nbytes += nbytes // 4 + 1
 
 
 def poly_gcd(a, b):
@@ -830,7 +749,7 @@ def _gcd_cof(a, b):
     else:
         ca, pa = _lam_content_split(ra)
         cb, pb = _lam_content_split(rb)
-        g = _pos_lead(_raw_poly(_rows_mul([_ugcd_cof(ca, cb)[0]], _gcd_lam_prs(pa, pb))))
+        g = _pos_lead(_raw_poly(_rows_mul([_ugcd_cof(ca, cb)[0]], _gcd_lam_heu(pa, pb))))
     return g, a.divexact(g), b.divexact(g)
 
 

@@ -650,3 +650,32 @@ def test_sum_rules_exact(ell):
 def test_sum_rules_explicit_combinations(ell):
     lhs, _ = gegenbauer_sum_rule(ell)
     assert lhs == sum_rule_explicit(ell)
+
+
+def test_verify_suites_take_no_sparse_product_with_the_unit(monkeypatch):
+    # the sum-rule products and the classical-lambda binomial series start
+    # from real factors, not from the unit
+    import sys
+
+    from qpoly.families import SparsePoly
+    from qpoly.verify import run_suite
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qpoly."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    products, with_unit = [], []
+    times = SparsePoly.__mul__
+
+    def counted(a, b):
+        if type(b) is type(a):
+            products.append(type(a))
+            if a == a.one() or b == b.one():
+                with_unit.append(type(a))
+        return times(a, b)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", counted)
+    assert run_suite("all").passed
+    assert {cls.__name__ for cls in products} >= {"CosPolynomial", "LambdaPolynomial"}
+    assert with_unit == []

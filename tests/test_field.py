@@ -485,17 +485,6 @@ def test_gcd_cofactors_randomized():
         _check_cofactors(a * g, b * g)
 
 
-def test_gcd_cofactors_prs_fallback(monkeypatch):
-    import qpoly.field as field
-
-    rng = random.Random(21)
-    cases = [tuple(IntPoly(_random_terms(rng, rng.randint(2, 10), 0, 20)) for _ in range(3))
-             for _ in range(20)]
-    monkeypatch.setattr(field, "_HEU_TRIES", 0)
-    for a, b, g in cases:
-        _check_cofactors(a * g, b * g)
-
-
 # ---------------------------------------------------------------------------
 # row kernels: Kronecker digits and the heuristic gcd
 # ---------------------------------------------------------------------------
@@ -572,10 +561,10 @@ def test_heuristic_gcd_cofactors_with_and_without_the_size_bound(monkeypatch):
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
             before = len(checks)
-            g, fa, fb = field._ugcd_heu(field._uprimitive(x), field._uprimitive(y))
-            assert _row_mul(g, fa) == field._uprimitive(x)
-            assert _row_mul(g, fb) == field._uprimitive(y)
-            assert g[-1] > 0 and field._ugcd_prs(fa, fb) == [1]
+            x, y = _uprimitive(x), _uprimitive(y)
+            g, fa, fb = field._ugcd_heu(x, y)
+            assert g == _ugcd_prs(x, y)
+            assert _row_mul(g, fa) == x and _row_mul(g, fb) == y
             bound_held += g != [1] and len(checks) == before
     assert checks, "no cofactor went through the product check"
     assert bound_held, "no cofactor was accepted by the size bound"
@@ -619,73 +608,242 @@ def test_rational_arithmetic_matches_gcd_divexact_reference():
         assert (p.num, p.den) == reduced(x.num * y.num, x.den * y.den)
 
 
-def test_gcd_prs_fallback_agrees_with_heuristic():
-    # the primitive PRS only runs when the heuristic gcd keeps failing
-    from qpoly.field import _ugcd_prs
+# ---------------------------------------------------------------------------
+# gcd against a primitive PRS reference
+# ---------------------------------------------------------------------------
 
+# The reference: primitive pseudo-remainder sequences (Collins 1967), one over
+# Z[s] for rows and one in Lambda over Z[s] for the primitive parts.  Slow,
+# but no evaluation point enters it.
+
+def _uprimitive(c):
+    """The row over its integer content, with positive leading coefficient."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if c[-1] > 0 else [-x // g for x in c]
+
+
+def _uprem(a, b):
+    """Pseudo-remainder of the row a by the row b over Z[s]."""
+    db, lead = len(b) - 1, b[-1]
+    r = list(a)
+    while len(r) > db:
+        top = r.pop()
+        g = math.gcd(top, lead)
+        r = [x * (lead // g) for x in r]
+        for j, y in enumerate(b[:-1], len(r) - db):
+            r[j] -= top // g * y
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _ugcd_prs(a, b):
+    """gcd of nonzero rows without integer content, positive leading coefficient."""
+    a, b = _uprimitive(a), _uprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _uprem(a, b)
+        a, b = b, _uprimitive(r) if r else []
+    return a if not b else [1]
+
+
+def _row_quotient(a, b):
+    """a / b for rows b that divide a."""
+    q, r = [0] * (len(a) - len(b) + 1), list(a)
+    for i in range(len(q) - 1, -1, -1):
+        q[i], m = divmod(r[i + len(b) - 1], b[-1])
+        assert not m
+        for j, y in enumerate(b):
+            r[i + j] -= q[i] * y
+    assert not any(r)
+    return q
+
+
+def _row_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _prs_content_split(rows):
+    """(content, primitive part) of rows in Lambda: the content is the gcd of
+    the nonzero rows over Z[s], integer content included."""
+    cont = None
+    for r in filter(None, rows):
+        if cont is None:
+            cont = r if r[-1] > 0 else [-x for x in r]
+        else:
+            cont = [math.gcd(math.gcd(*cont), math.gcd(*r)) * x for x in _ugcd_prs(cont, r)]
+    return cont, [_row_quotient(r, cont) if r else r for r in rows]
+
+
+def _prem_lam(a, b):
+    """Pseudo-remainder of a by b as polynomials in Lambda over Z[s]."""
+    db, lead = len(b) - 1, b[-1]
+    r = a
+    while len(r) > db:
+        top = [-x for x in r[-1]]
+        shift = len(r) - 1 - db
+        r = [_row_add(_row_mul(lead, x), _row_mul(top, b[j - shift]) if j >= shift else [])
+             for j, x in enumerate(r)]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _prs_gcd(a, b):
+    """gcd of nonzero IntPolys by primitive PRS at both levels, positive
+    leading coefficient: the reference for _gcd_cof."""
+    (ca, pa), (cb, pb) = _prs_content_split(a._rows), _prs_content_split(b._rows)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    while len(pb) > 1:
+        r = _prem_lam(pa, pb)
+        pa, pb = pb, _prs_content_split(r)[1] if r else []
+    g = pa if not pb else [[1]]
+    c = [math.gcd(math.gcd(*ca), math.gcd(*cb)) * x for x in _ugcd_prs(ca, cb)]
+    g = IntPoly({(i, j): x for j, r in enumerate(g) for i, x in enumerate(_row_mul(c, r)) if x})
+    return -g if g.leading_coeff() < 0 else g
+
+
+def _check_against_prs(a, b):
+    g = _prs_gcd(a, b)
+    assert _gcd_cof(a, b) == (g, a.divexact(g), b.divexact(g)), (a, b)
+
+
+def _row_cases(seed, count):
+    rng = random.Random(seed)
+    return [tuple(IntPoly(_random_terms(rng, rng.randint(2, 10), 0, 20)) for _ in range(3))
+            for _ in range(count)]
+
+
+def test_gcd_cofactors_prs_fallback():
+    # cofactors of s-only pairs with a common factor, the same as the PRS gives
+    for a, b, g in _row_cases(21, 20):
+        _check_cofactors(a * g, b * g)
+        _check_against_prs(a * g, b * g)
+        _check_against_prs(b * g, a * g)
+
+
+def test_gcd_prs_fallback_agrees_with_heuristic():
+    # the row PRS reference and poly_gcd agree on the primitive part
     def row(p):
         out = [0] * (p.deg_s() + 1)
         for (a, _), c in p.sorted_terms():
             out[a] = c
         return out
 
-    rng = random.Random(19)
-    for _ in range(40):
-        a, b, g = (IntPoly(_random_terms(rng, rng.randint(2, 10), 0, 20)) for _ in range(3))
+    for a, b, g in _row_cases(19, 40):
         h = poly_gcd(a * g, b * g)
         assert _ugcd_prs(row(a * g), row(b * g)) == row(h.divexact(IntPoly.const(h.content())))
+        _check_against_prs(a * g, b * g)
+        _check_against_prs(b * g, a * g)
 
 
-def test_lambda_gcd_image_test_agrees_with_prs(monkeypatch):
-    import qpoly.field as field
+def test_row_gcd_matches_prs_reference():
+    s, one = IntPoly.s_pow(1), IntPoly.one()
+    # the cofactor (1 + s + s**2)**k has coefficients above xi/2
+    for k in range(4, 30):
+        _check_against_prs((one - s**3) ** k, (one - s**2) ** k)
 
+
+def _bivariate_pairs(seed, count):
+    """Pairs a * g, b * g with a and b of Lambda-degree 1 to 3 and a common
+    factor g of Lambda-degree 0 to 3, dense or sparse, small coefficients."""
+    rng = random.Random(seed)
+
+    def poly(deg_lam, deg_s, bits):
+        fill = rng.choice([1.0, 0.6, 0.3])
+        terms = {(i, j): rng.randint(-2**bits, 2**bits)
+                 for i in range(deg_s + 1) for j in range(deg_lam + 1) if rng.random() < fill}
+        return IntPoly(terms) or IntPoly.lam_pow(deg_lam)
+
+    for case in range(count):
+        bits = rng.choice([1, 3, 12])
+        a, b = (poly(rng.randint(1, 3), rng.randint(0, 4), bits) for _ in range(2))
+        g = poly(case % 4, rng.randint(0, 3), rng.choice([1, 3]))
+        yield a * g, b * g
+
+
+def test_lambda_gcd_matches_prs_reference():
     rng = random.Random(23)
-    cases = []
     for case in range(60):
         # coprime pairs, and pairs sharing a factor of Lambda-degree 0, 1 or 2
         da, db, dg = rng.randint(1, 3), rng.randint(1, 3), case % 4 - 1
         a, b = (IntPoly(_random_terms(rng, rng.randint(2, 8), d, rng.choice([3, 40])))
                 for d in (da, db))
         g = IntPoly(_random_terms(rng, 4, dg, 5)) if dg >= 0 else IntPoly.one()
-        cases.append((a * g, b * g))
-    fast = [poly_gcd(a, b) for a, b in cases]
-    monkeypatch.setattr(field, "_images_coprime", lambda a, b: False)
-    assert fast == [poly_gcd(a, b) for a, b in cases]
+        _check_against_prs(a * g, b * g)
+    lambda_level = 0
+    for a, b in _bivariate_pairs(24, 1000):
+        _check_against_prs(a, b)
+        lambda_level += a.has_lam() and b.has_lam()
+    assert lambda_level >= 600
 
 
-def test_lambda_gcd_unlucky_image_falls_back_to_prs(monkeypatch):
+def test_lambda_gcd_pairs_with_unlucky_images():
+    # pairs that a test at s = 1000003 over GF(2**61 - 1) got wrong: equal
+    # there but coprime, and with leading rows that vanish there
+    s, lam, one = IntPoly.s_pow(1), IntPoly.lam_pow(1), IntPoly.one()
+    point = IntPoly.const(1000003)
+    a, b = (lam - s) * (lam + s), lam - point
+    _check_against_prs(a, b)
+    assert poly_gcd(a, b).is_one()
+    common = (s - point) * lam + one
+    a, b = common * (lam + s), common * (lam + IntPoly.const(2))
+    _check_against_prs(a, b)
+    assert poly_gcd(a, b) in (common, -common)
+
+
+def test_gcd_widens_xi_until_a_candidate_divides(monkeypatch):
+    # 1 + 5 x and 5 + 4 x + 6 x**2 + 7 x**3 + 5 x**4 are coprime, but at the
+    # first xi = 2**8 their values share a factor whose digits divide neither
     import qpoly.field as field
 
-    calls = []
-    prem = field._prem_lam
-    monkeypatch.setattr(field, "_prem_lam", lambda a, b: calls.append(1) or prem(a, b))
-    s, lam = IntPoly.s_pow(1), IntPoly.lam_pow(1)
-    # coprime, but equal at the image point s = _IMAGE_S
-    a = lam - s
-    b = lam - IntPoly.const(field._IMAGE_S)
-    assert poly_gcd(a * (lam + s), b).is_one()
-    assert calls
-    # leading rows that vanish at the image point: the images are coprime,
-    # the operands are not
-    common = (s - IntPoly.const(field._IMAGE_S)) * lam + IntPoly.one()
-    g = poly_gcd(common * (lam + s), common * (lam + IntPoly.const(2)))
-    assert g in (common, -common)
+    packed, evaluated = [], []
+    pack, lam_eval = field._pack, field._lam_eval
+    monkeypatch.setattr(field, "_pack", lambda c, n: packed.append(n) or pack(c, n))
+    monkeypatch.setattr(field, "_lam_eval", lambda r, n: evaluated.append(n) or lam_eval(r, n))
+    a, b = [1, 5], [5, 4, 6, 7, 5]
+    assert field._ugcd_heu(a, b) == ([1], a, b)
+    assert packed == [1, 1, 2, 2]  # two values at each of two points
+    # the same rows as polynomials in Lambda, times a common factor
+    lam = IntPoly.lam_pow(1)
+    x, y = (sum((lam**j * c for j, c in enumerate(r)), IntPoly.zero()) for r in (a, b))
+    common = IntPoly.s_pow(1) * lam + IntPoly.const(2)
+    assert _gcd_cof(x * common, y * common) == (common, x, y)
+    assert evaluated == [1, 1, 2, 2]
 
 
-def test_parse_rational_high_lambda_degree_skips_prs(monkeypatch):
-    # a random edit of a printed fraction can make a Lambda exponent 88; the
-    # primitive PRS over that Lambda-degree gap takes far longer than a parse
+def test_lambda_gap_gcd_recovers_common_factor():
+    # a Lambda-degree gap of 30 between the operands
+    rng = random.Random(30)
+    common = parse_rational("q^{1/2}*lam + 2").num
+    u = IntPoly({(i, j): rng.randint(-9, 9) for i in range(3) for j in range(31)})
+    v = IntPoly({(i, j): rng.randint(-9, 9) for i in range(3) for j in range(2)})
+    assert u.deg_lam() == 30 and v.deg_lam() == 1
+    assert poly_gcd(common * u, common * v) == common
+    _check_against_prs(common * u, common * v)
+
+
+def test_parse_rational_high_lambda_degree_evaluates_once(monkeypatch):
+    # a random edit of a printed fraction can make a Lambda exponent 88: the
+    # coprime operands are settled at the first xi, one value of each
     import qpoly.field as field
 
-    def no_prs(a, b):
-        raise AssertionError("coprime operands reached the PRS")
-
-    monkeypatch.setattr(field, "_prem_lam", no_prs)
+    evaluated = []
+    lam_eval = field._lam_eval
+    monkeypatch.setattr(field, "_lam_eval", lambda r, n: evaluated.append(n) or lam_eval(r, n))
     text = ("(-5*q^{3/2}*lam^{88} + 123456789012*q^{17/2}*lam - 7)"
             "/(q^{20} + 1099511627773*q^{9/2}*lam^{2} - 3*q^{2}*lam^{2} - 11*q*lam - 5)")
     f = parse_rational(text)
     assert str(f) == text
     assert f.num.deg_lam() == 88 and f.den.deg_lam() == 2
+    assert len(evaluated) == 2 and len(set(evaluated)) == 1
 
 
 # ---------------------------------------------------------------------------
