@@ -49,6 +49,7 @@ from .families import (
     ZPolynomial,
     falling_binomial,
     gegenbauer_classical,
+    gegenbauer_genfun_series,
     gegenbauer_weight,
     hermite_classical,
     laguerre_classical,
@@ -70,6 +71,7 @@ from .connection import (
     gegenbauer_connection,
     gegenbauer_connection_value,
     gegenbauer_sum_rule,
+    gegenbauer_sum_rule_logs,
     hermite_connection,
     laguerre_connection,
     laguerre_partitions,

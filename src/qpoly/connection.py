@@ -618,26 +618,28 @@ SUM_RULE_COMBINATIONS = {
 }
 
 
-def _log_coefficient_of(series_coeffs, ell, ring):
-    series = TruncatedSeries(ring, series_coeffs, ell)
-    return series.log().coeff(ell)
+def gegenbauer_sum_rule_logs(order):
+    """The logs of the deformed and of the classical (lambda = 1) series,
+    log(sum_n C_n^(lambda)(z; q) t**n) and log(sum_n C_n^(1) t**n), to the
+    given order; the deformed series is built from the explicit polynomials.
+    A log coefficient does not depend on the truncation order, so one pair
+    serves every sum rule of order up to `order`."""
+    if order < 1:
+        raise ValueError("sum-rule order must be >= 1")
+    deformed = TruncatedSeries(COSPOLY_RING, [q_gegenbauer_direct(i) for i in range(order + 1)], order)
+    classical = TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(i) for i in range(order + 1)], order)
+    return deformed.log(), classical.log()
 
 
 def gegenbauer_sum_rule(ell):
-    """Both sides of the order-ell sum rule.
+    """Both sides of the order-ell sum rule, read from the logs to order ell.
 
-    lhs: t**ell coefficient of log(sum_n C_n^(lambda)(z; q) t**n), built from
-    the explicit deformed polynomials.
+    lhs: t**ell coefficient of log(sum_n C_n^(lambda)(z; q) t**n).
     rhs: [lambda]_{q**ell} times the t**ell coefficient of the log of the
     classical (lambda = 1) series.  The two agree identically in Q(s, Lambda).
     """
-    if ell < 1:
-        raise ValueError("sum-rule order must be >= 1")
-    deformed = [q_gegenbauer_direct(i) for i in range(ell + 1)]
-    classical = [gegenbauer_classical(i) for i in range(ell + 1)]
-    lhs = _log_coefficient_of(deformed, ell, COSPOLY_RING)
-    rhs = _log_coefficient_of(classical, ell, COSPOLY_RING).scale(gegenbauer_weight(ell))
-    return lhs, rhs
+    deformed, classical = gegenbauer_sum_rule_logs(ell)
+    return deformed.coeff(ell), classical.coeff(ell).scale(gegenbauer_weight(ell))
 
 
 def sum_rule_explicit(ell):

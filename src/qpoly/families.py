@@ -15,6 +15,8 @@ implementation, shared with the abstract rings of the connection module):
 
 A generating function is expanded only to the order of the coefficient
 extracted from it: the coefficient does not depend on the truncation order.
+So one expansion to order N serves every degree n <= N
+(gegenbauer_genfun_series), and a single-degree call expands to order n.
 """
 
 from __future__ import annotations
@@ -393,7 +395,7 @@ def q_hermite(n):
     c2 = (_RF_ONE - qm4) * (-2) / (q * (_RF_ONE + qm2))
     arg2 = TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c2), 2, n)
     f2 = q_exp_sum("e", arg2, -4)
-    extracted = (f1 * f2).coeff(n)
+    extracted = f1.product_coeff(f2, n)
     scale = q_factorial(n, -2) * RationalFunction.s_power(-n)
     return extracted.scale(scale)
 
@@ -417,7 +419,7 @@ def q_laguerre(n, k):
         ZPolynomial.constant(RationalFunction.q_power((n - ell) * (n - ell + 1) // 2)
                              * q_binomial(n, ell, 1))
         for ell in range(min(n, k) + 1)], k)
-    extracted = (efactor * tail).coeff(k)
+    extracted = efactor.product_coeff(tail, k)
     return extracted.scale(RationalFunction.q_power(-((n - k) * (n - k + 1) // 2)))
 
 
@@ -445,11 +447,18 @@ def q_gegenbauer_direct(n):
         for ell in range(n + 1)])
 
 
-def q_gegenbauer_genfun(n):
-    """Deformed Gegenbauer polynomial by coefficient extraction from
-    exp( 2 sum_k [lambda]_{q**k} cos(k theta) t**k / k ), to order n."""
-    if n < 0:
+def gegenbauer_genfun_series(order):
+    """The generating function exp( 2 sum_k [lambda]_{q**k} cos(k theta)
+    t**k / k ) to the given order: its t**n coefficient is the deformed
+    Gegenbauer polynomial of degree n, for every n <= order."""
+    if order < 0:
         raise ValueError("degree must be >= 0")
     log_series = TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + [
-        CosPolynomial({k: gegenbauer_weight(k) * Fraction(2, k)}) for k in range(1, n + 1)], n)
-    return log_series.exp().coeff(n)
+        CosPolynomial({k: gegenbauer_weight(k) * Fraction(2, k)}) for k in range(1, order + 1)], order)
+    return log_series.exp()
+
+
+def q_gegenbauer_genfun(n):
+    """Deformed Gegenbauer polynomial by coefficient extraction from its
+    generating function, expanded to order n."""
+    return gegenbauer_genfun_series(n).coeff(n)

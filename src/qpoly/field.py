@@ -703,19 +703,21 @@ def _lam_eval(rows, nbytes):
 
 
 def _gcd_lam_heu(a, b):
-    """gcd of Lambda-primitive rows, each with several rows: GCDHEU in Lambda
-    at xi = 2**(8*nbytes) over the row gcd, widened until a candidate
-    divides both."""
+    """(g, a / g, b / g) for Lambda-primitive rows, each with several rows:
+    GCDHEU in Lambda at xi = 2**(8*nbytes) over the row gcd, widened until a
+    candidate divides both; the quotients that accept it are the cofactors."""
     nbytes = _width(max(max(map(_maxabs, filter(None, r))) for r in (a, b)).bit_length())
     while True:
         h = _ugcd_cof(_lam_eval(a, nbytes), _lam_eval(b, nbytes))[0]
         digits = [_digits(c, nbytes) for c in h]
         g = [_unorm(list(r)) for r in zip_longest(*digits, fillvalue=0)]
         if len(g) == 1:  # Lambda-degree 0: the primitive part is 1
-            return [[1]]
+            return [[1]], a, b
         _, g = _lam_content_split(g)
-        if _rows_divexact(a, g) is not None and _rows_divexact(b, g) is not None:
-            return g
+        fa = _rows_divexact(a, g)
+        fb = None if fa is None else _rows_divexact(b, g)
+        if fb is not None:
+            return g, fa, fb
         nbytes += nbytes // 4 + 1
 
 
@@ -746,11 +748,15 @@ def _gcd_cof(a, b):
         return _raw_poly([g]), _raw_poly(_div_rows(ra, g)), _raw_poly(_div_rows(rb, g))
     if a == b:
         g = _pos_lead(a)
-    else:
-        ca, pa = _lam_content_split(ra)
-        cb, pb = _lam_content_split(rb)
-        g = _pos_lead(_raw_poly(_rows_mul([_ugcd_cof(ca, cb)[0]], _gcd_lam_heu(pa, pb))))
-    return g, a.divexact(g), b.divexact(g)
+        unit = _INTPOLY_ONE if g is a else -_INTPOLY_ONE
+        return g, unit, unit
+    ca, pa = _lam_content_split(ra)
+    cb, pb = _lam_content_split(rb)
+    cg, fa, fb = _ugcd_cof(ca, cb)
+    pg, qa, qb = _gcd_lam_heu(pa, pb)
+    g, fa, fb = (_raw_poly(p if c == [1] else _rows_mul([c], p))
+                 for c, p in ((cg, pg), (fa, qa), (fb, qb)))
+    return (-g, -fa, -fb) if g.leading_coeff() < 0 else (g, fa, fb)
 
 
 def _pos_lead(p):

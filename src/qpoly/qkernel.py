@@ -94,21 +94,24 @@ def quesne_c(k, base_exp=1):
 
 
 def _power_sum(argument, coeff, start):
-    """sum_{k >= start} coeff(k) * argument**k to the argument's order; the
-    argument has zero constant term, so the sum stops once its power is 0."""
+    """sum_{k >= start} coeff(k) * argument**k to the argument's order, start
+    0 or 1; the argument has zero constant term, so the sum stops once its
+    power is 0.  The running power starts at the argument, so no product has
+    the unit series as an operand."""
     if argument.coeffs[0] != argument.ring.zero:
         raise NonzeroConstantTerm("q-exponential argument needs zero constant term")
     ring = argument.ring
     order = argument.order
     parts = [TruncatedSeries.zero(ring, order)]
-    power = TruncatedSeries.one(ring, order)
-    for k in range(order + 1):
-        if k:
+    if start == 0:
+        parts.append(TruncatedSeries.one(ring, order).scale(coeff(0)))
+    power = argument
+    for k in range(1, order + 1):
+        if k > 1:
             power = power * argument
-            if power.is_zero():
-                break
-        if k >= start:
-            parts.append(power.scale(coeff(k)))
+        if power.is_zero():
+            break
+        parts.append(power.scale(coeff(k)))
     return TruncatedSeries.sum(parts)
 
 

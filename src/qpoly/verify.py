@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .field import RationalFunction
 from .families import (
@@ -22,10 +23,11 @@ from .families import (
     LaguerreIndex,
     ZPOLY_RING,
     ZPolynomial,
+    gegenbauer_genfun_series,
+    gegenbauer_weight,
     hermite_classical,
     laguerre_classical,
     q_gegenbauer_direct,
-    q_gegenbauer_genfun,
     q_hermite,
     q_laguerre,
 )
@@ -36,7 +38,7 @@ from .connection import (
     gegenbauer_classical_lambda,
     gegenbauer_connection,
     gegenbauer_connection_value,
-    gegenbauer_sum_rule,
+    gegenbauer_sum_rule_logs,
     hermite_connection,
     laguerre_connection,
     laguerre_partitions,
@@ -281,10 +283,13 @@ def _suite_laguerre(report, max_n):
 
 
 def _suite_gegenbauer(report, max_n):
+    # expanded once, to the top order, by the first check that reads it; a
+    # raise is not kept, so every check that reads a failed build fails
+    genfun = cache(lambda: gegenbauer_genfun_series(max_n))
     for n in range(max_n + 1):
         _run_check(report, f"dual-route-n{n}",
                    "explicit double-Pochhammer form == generating-function extraction",
-                   lambda n=n: q_gegenbauer_direct(n) == q_gegenbauer_genfun(n))
+                   lambda n=n: q_gegenbauer_direct(n) == genfun().coeff(n))
         _run_check(report, f"connection-value-n{n}",
                    "connection with beta_k -> [lambda]_{q^k} == explicit form",
                    lambda n=n: gegenbauer_connection_value(gegenbauer_connection(n))
@@ -296,21 +301,17 @@ def _suite_gegenbauer(report, max_n):
 
 
 def _suite_sumrules(report, max_n):
-    rules = {}
-
-    def rule(ell):
-        if ell not in rules:
-            rules[ell] = gegenbauer_sum_rule(ell)
-        return rules[ell]
-
+    # the log pair is built once, to the top order, as in _suite_gegenbauer
+    logs = cache(lambda: gegenbauer_sum_rule_logs(max_n))
     for ell in range(1, max_n + 1):
         _run_check(report, f"rule-l{ell}",
                    "t^l coefficient of log of deformed series == [lambda]_{q^l} times classical",
-                   lambda ell=ell: rule(ell)[0] == rule(ell)[1])
+                   lambda ell=ell: logs()[0].coeff(ell)
+                   == logs()[1].coeff(ell).scale(gegenbauer_weight(ell)))
     for ell in range(1, min(max_n, 5) + 1):
         _run_check(report, f"explicit-l{ell}",
                    "log coefficient == explicit I_l combination",
-                   lambda ell=ell: rule(ell)[0] == sum_rule_explicit(ell))
+                   lambda ell=ell: logs()[0].coeff(ell) == sum_rule_explicit(ell))
 
 
 def _suite_limits(report, max_n):

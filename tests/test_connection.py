@@ -652,19 +652,23 @@ def test_sum_rules_explicit_combinations(ell):
     assert lhs == sum_rule_explicit(ell)
 
 
-def test_verify_suites_take_no_sparse_product_with_the_unit(monkeypatch):
-    # the sum-rule products and the classical-lambda binomial series start
-    # from real factors, not from the unit
+def _clear_caches():
     import sys
-
-    from qpoly.families import SparsePoly
-    from qpoly.verify import run_suite
 
     for name, module in list(sys.modules.items()):
         if name.startswith("qpoly."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+
+
+def test_verify_suites_take_no_sparse_product_with_the_unit(monkeypatch):
+    # the sum-rule products and the classical-lambda binomial series start
+    # from real factors, not from the unit
+    from qpoly.families import SparsePoly
+    from qpoly.verify import run_suite
+
+    _clear_caches()
     products, with_unit = [], []
     times = SparsePoly.__mul__
 
@@ -678,4 +682,28 @@ def test_verify_suites_take_no_sparse_product_with_the_unit(monkeypatch):
     monkeypatch.setattr(SparsePoly, "__mul__", counted)
     assert run_suite("all").passed
     assert {cls.__name__ for cls in products} >= {"CosPolynomial", "LambdaPolynomial"}
+    assert with_unit == []
+
+
+def test_verify_suites_take_no_series_product_with_the_unit(monkeypatch):
+    # power sums start their running power at the argument, and q_hermite and
+    # q_laguerre take the one product coefficient they extract
+    from qpoly.series import TruncatedSeries
+    from qpoly.verify import run_suite
+
+    _clear_caches()
+    products, with_unit = [], []
+    times = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        if isinstance(b, TruncatedSeries):
+            products.append(a.ring)
+            one = TruncatedSeries.one(a.ring, a.order)
+            if a == one or b == one:
+                with_unit.append(a.order)
+        return times(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    assert run_suite("all").passed
+    assert len(products) > 100
     assert with_unit == []

@@ -819,6 +819,24 @@ def test_gcd_widens_xi_until_a_candidate_divides(monkeypatch):
     assert evaluated == [1, 1, 2, 2]
 
 
+def test_lambda_gcd_divides_each_operand_once(monkeypatch):
+    # the quotients that accept the candidate are the cofactors
+    import qpoly.field as field
+
+    divisions = []
+    divexact = field._rows_divexact
+    monkeypatch.setattr(field, "_rows_divexact", lambda a, b: divisions.append(b) or divexact(a, b))
+    common = parse_rational("q^{1/2}*lam + 2").num
+    x, y = parse_rational("lam^2 + q^{1/2}").num, parse_rational("lam + q + 3").num
+    assert _gcd_cof(common * x, common * y) == (common, x, y)
+    assert len(divisions) == 2
+    # with integer contents, and a candidate whose leading coefficient is negative
+    common = parse_rational("lam - q^{1/2}").num
+    a, b = common * x * 6, -(common * y * 4)
+    assert _gcd_cof(a, b) == (-common * 2, -x * 3, y * 2)
+    _check_against_prs(a, b)
+
+
 def test_lambda_gap_gcd_recovers_common_factor():
     # a Lambda-degree gap of 30 between the operands
     rng = random.Random(30)

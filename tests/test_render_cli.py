@@ -330,16 +330,28 @@ def test_cli_q_sample_far_below_one(capsys):
 
 
 def test_sumrules_suite_computes_each_rule_once(monkeypatch):
+    # each suite expands its series once, to its top order: one log pair for
+    # every sum rule and one exponential for every dual-route check
     import qpoly.verify as verify
+    from qpoly.series import TruncatedSeries
 
     calls = []
-    rule = verify.gegenbauer_sum_rule
-    monkeypatch.setattr(verify, "gegenbauer_sum_rule", lambda ell: calls.append(ell) or rule(ell))
+    for name in ("exp", "log"):
+        method = getattr(TruncatedSeries, name)
+        monkeypatch.setattr(TruncatedSeries, name,
+                            lambda self, name=name, method=method: calls.append(name) or method(self))
     report = verify.run_suite("sumrules")
     assert report.passed
     assert [c.check_id for c in report.checks] == (
         [f"rule-l{ell}" for ell in range(1, 9)] + [f"explicit-l{ell}" for ell in range(1, 6)])
-    assert sorted(calls) == list(range(1, 9))
+    assert calls == ["log", "log"]
+    for n in (4, 8):
+        calls.clear()
+        assert verify.run_suite("sumrules", n).passed
+        assert calls == ["log", "log"]
+        calls.clear()
+        assert verify.run_suite("gegenbauer", n).passed
+        assert calls == ["exp"]
 
 
 def test_console_script_entry_point():
