@@ -6,9 +6,11 @@
 
 Families for eval: hermite, laguerre, gegenbauer and their classical-*
 counterparts.  Exit codes: 0 success, 1 verification failure, 2 usage error.
---q-sample adds a floating-point cross-check of the command's dual-route
-identity at the given rational q, a usage error where doubles cannot hold it;
-JSON output carries it as the document's numeric_check object.
+Each eval and connect request computes its identity by two independent
+routes, prints the primary one and exits 1, in every format, when the two
+differ.  --q-sample adds a floating-point cross-check of the two routes at
+the given rational q, a usage error where doubles cannot hold it; JSON
+output carries it as the document's numeric_check object.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from .verify import (
     run_suite,
 )
 
-EVAL_FAMILIES = ("hermite", "laguerre", "gegenbauer",
-                 "classical-hermite", "classical-laguerre", "classical-gegenbauer")
 CONNECT_FAMILIES = ("hermite", "laguerre", "gegenbauer")
 
 # numeric cross-check sample points: the variable of each basis, and lambda
@@ -103,32 +103,105 @@ def _parse_q_sample(text, parser):
 
 
 # ---------------------------------------------------------------------------
-# eval
+# eval and connect: two routes, a body per format, one emitter
 # ---------------------------------------------------------------------------
+#
+# A request builder returns (primary, independent, body): the two routes of
+# the command's identity and body(format, check), the text and LaTeX lines or
+# the JSON document, given whether the routes agree.
 
-def _eval_polynomial(family, n, k):
-    """Returns (polynomial, independent-route polynomial)."""
+# eval: the two routes of each family, from n and k
+_EVAL_ROUTES = {
+    "hermite": lambda n, k: (q_hermite(n), hermite_connection(n).rescaled_total()),
+    "laguerre": lambda n, k: (q_laguerre(n, k), laguerre_connection(n, k).rescaled_total()),
+    "gegenbauer": lambda n, k: (q_gegenbauer_direct(n), q_gegenbauer_genfun(n)),
+    "classical-hermite": lambda n, k: (hermite_classical(n), hermite_genfun_classical(n)),
+    "classical-laguerre": lambda n, k: (laguerre_classical(LaguerreIndex(k, n - k)),
+                                        laguerre_genfun_classical(n, k)),
+    "classical-gegenbauer": lambda n, k: (gegenbauer_classical(n), chebyshev_recurrence(n)),
+}
+EVAL_FAMILIES = tuple(_EVAL_ROUTES)
+
+# how a polynomial prints in each format; JSON carries text
+_STYLES = {"text": render.text, "latex": render.latex, "json": render.text}
+
+
+def _verdict(check):
+    return "pass" if check else "fail"
+
+
+def _eval_request(args, aux):
+    poly, other = _EVAL_ROUTES[args.family](args.n, args.k)
+
+    def body(fmt, check):
+        if fmt == "json":
+            return render.polynomial_json_dict(poly, args.family, args.n, args.k, total_check=check)
+        return [_STYLES[fmt](poly)]
+    return poly, other, body
+
+
+def _connect_gegenbauer_request(args, aux):
+    """The C-monomial expansion, its value against the explicit form."""
+    expansion = gegenbauer_connection(args.n)
+    value = gegenbauer_connection_value(expansion)
+
+    def body(fmt, check):
+        total = _STYLES[fmt](expansion.total)
+        if fmt == "latex":
+            return [total]
+        # a product of classical factors C_m, "1" for none, and its coefficient
+        rows = [(render.text(CPolynomial({t.descriptor: 1})), render.text(t.coefficient))
+                for t in expansion.terms]
+        if fmt == "json":
+            return {"family": "gegenbauer", "n": args.n,
+                    "terms": [{"monomial": m, "coefficient": c} for m, c in rows],
+                    "total": total, "total_check": _verdict(check)}
+        return ([f"{m:12s}  {c}" for m, c in rows]
+                + [f"total: {total}", f"check against explicit form: {_verdict(check)}"])
+    return value, q_gegenbauer_direct(args.n), body
+
+
+def _factor_texts(family, solution, aux):
+    """The classical factors of one Hermite or Laguerre row, as text."""
     if family == "hermite":
-        return q_hermite(n), hermite_connection(n).rescaled_total()
-    if family == "laguerre":
-        return q_laguerre(n, k), laguerre_connection(n, k).rescaled_total()
-    if family == "gegenbauer":
-        return q_gegenbauer_direct(n), q_gegenbauer_genfun(n)
-    if family == "classical-hermite":
-        return hermite_classical(n), hermite_genfun_classical(n)
-    if family == "classical-laguerre":
-        return laguerre_classical(LaguerreIndex(k, n - k)), laguerre_genfun_classical(n, k)
-    if family == "classical-gegenbauer":
-        return gegenbauer_classical(n), chebyshev_recurrence(n)
-    raise ValueError(family)
+        return [f"H{m}(zeta{k})" for k, m in solution.parts]
+    return [f"L{kj}^({aux.get(j, 0) - kj})(" + ("z" if j == 1 else f"c{j}(q)*z^{j}") + ")"
+            for j, kj in solution.kparts]
+
+
+def _connect_rows_request(args, aux):
+    """The Hermite or Laguerre partition rows, their total against the
+    direct construction."""
+    if args.family == "hermite":
+        expansion, target = hermite_connection(args.n), q_hermite(args.n)
+    else:
+        expansion, target = laguerre_connection(args.n, args.k, aux), q_laguerre(args.n, args.k)
+    total = expansion.rescaled_total()
+
+    def body(fmt, check):
+        emit = _STYLES[fmt]
+        rows = [(t.descriptor, emit(expansion.rescaled_term_value(t))) for t in expansion.terms]
+        if fmt == "json":
+            doc = render.polynomial_json_dict(total, args.family, args.n, args.k, total_check=check)
+            doc["terms"] = [{"solution": sol.label(),
+                             "factors": _factor_texts(args.family, sol, aux), "value": value}
+                            for sol, value in rows]
+            if aux:
+                doc["aux"] = {str(j): v for j, v in sorted(aux.items())}
+            return doc
+        if fmt == "latex":
+            return ([line for sol, value in rows for line in (f"% {sol.label()}", value + r" \\")]
+                    + ["% total", emit(total)])
+        width = max(len(sol.label()) for sol, _ in rows)
+        return ([f"{sol.label():<{width}}  |  {value}" for sol, value in rows]
+                + [f"total: {emit(total)}", f"check against direct construction: {_verdict(check)}"])
+    return total, target, body
 
 
 def _numeric_check(poly, other, q_sample, parser):
     """(primary, independent, relative diff): both routes as doubles at
-    q_sample, None without one.  A check that doubles cannot hold, through
-    overflow, underflow or cancellation, is a usage error."""
-    if q_sample is None:
-        return None
+    q_sample.  A check that doubles cannot hold, through overflow, underflow
+    or cancellation, is a usage error."""
     try:
         qv = float(q_sample)
         a, b = (p.eval_numeric(_SAMPLES[p.basis], math.sqrt(qv), qv**_LAMBDA_SAMPLE)
@@ -141,28 +214,10 @@ def _numeric_check(poly, other, q_sample, parser):
     return a, b, diff
 
 
-def _print_json(doc, check, q_sample, out):
-    """Print the JSON document, with the numeric cross-check in it if any."""
-    if check is not None:
-        a, b, diff = check
-        doc["numeric_check"] = {"q": str(q_sample), "primary": [a.real, a.imag],
-                                "independent": [b.real, b.imag], "relative_diff": diff}
-    print(json.dumps(doc, indent=2), file=out)
-
-
-def _print_numeric_check(check, q_sample, out):
-    a, b, diff = check
-    print(f"numeric cross-check at q = {q_sample} "
-          f"(z = {_SAMPLES['z']}, theta = {_SAMPLES['cos']}, lambda = {_LAMBDA_SAMPLE}):",
-          file=out)
-    print(f"  primary route:     {a}", file=out)
-    print(f"  independent route: {b}", file=out)
-    print(f"  relative diff:     {diff:.3e}", file=out)
-
-
-def _check_n_k(args, parser):
-    """The --n and --k checks of eval and connect: the Laguerre families need
-    --k, the others take none."""
+def _check_args(args, parser):
+    """The --n, --k and --aux checks of eval and connect: the Laguerre
+    families need --k, the others take none, and only connect laguerre
+    takes --aux.  Returns the auxiliary integers by order."""
     if args.n < 0:
         parser.error("--n must be >= 0")
     if "laguerre" in args.family:
@@ -172,132 +227,44 @@ def _check_n_k(args, parser):
             parser.error("--k must be >= 0")
     elif args.k is not None:
         parser.error(f"family {args.family} takes no --k")
-
-
-def _cmd_eval(args, parser, out):
-    family = args.family
-    _check_n_k(args, parser)
-    poly, other = _eval_polynomial(family, args.n, args.k)
-    numeric = _numeric_check(poly, other, args.q_sample, parser)
-    if args.format == "json":
-        doc = render.polynomial_json_dict(poly, family, args.n, args.k, total_check=(poly == other))
-        _print_json(doc, numeric, args.q_sample, out)
-        return 0
-    print(render.latex(poly) if args.format == "latex" else render.text(poly), file=out)
-    if numeric is not None:
-        _print_numeric_check(numeric, args.q_sample, out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# connect
-# ---------------------------------------------------------------------------
-
-def _parse_aux(text, parser):
-    if text is None:
+    aux = getattr(args, "aux", None)
+    if aux is None:
         return {}
+    if args.family != "laguerre":
+        parser.error(f"family {args.family} takes no --aux")
     try:
-        values = [int(x) for x in text.split(",")]
+        values = [int(x) for x in aux.split(",")]
     except ValueError:
-        parser.error(f"--aux needs comma-separated integers, got {text!r}")
+        parser.error(f"--aux needs comma-separated integers, got {aux!r}")
     return {j + 1: v for j, v in enumerate(values)}
 
 
-def _connect_table(expansion, fmt):
-    """Rows of (label, rendered value) mirroring the contribution tables."""
-    emit = render.text if fmt == "text" else render.latex
-    return [(term.descriptor.label(), emit(expansion.rescaled_term_value(term)))
-            for term in expansion.terms]
-
-
-def _factor_texts(family, solution, aux):
-    """The classical factors of one Hermite or Laguerre row, as text."""
-    if family == "hermite":
-        return [f"H{m}(zeta{k})" for k, m in solution.parts]
-    return [f"L{kj}^({aux.get(j, 0) - kj})(" + ("z" if j == 1 else f"c{j}(q)*z^{j}") + ")"
-            for j, kj in solution.kparts]
-
-
-def _c_monomial(mono):
-    """A product of classical factors C_m as text, "1" for none."""
-    return render.text(CPolynomial({mono: 1}))
-
-
-def _cmd_connect(args, parser, out):
-    family = args.family
-    _check_n_k(args, parser)
-    if family != "laguerre" and args.aux is not None:
-        parser.error(f"family {family} takes no --aux")
-    aux = _parse_aux(args.aux, parser)
-
-    if family == "gegenbauer":
-        expansion = gegenbauer_connection(args.n)
-        value = gegenbauer_connection_value(expansion)
-        direct = q_gegenbauer_direct(args.n)
-        check = value == direct
-        numeric = _numeric_check(value, direct, args.q_sample, parser)
+def _run_request(args, parser, out):
+    """Build the request's two routes, compare them, add the --q-sample
+    cross-check, print the body in its format and return 1 when the routes
+    differ.  Every usage error comes before the first line printed."""
+    aux = _check_args(args, parser)
+    if args.command == "eval":
+        build = _eval_request
+    elif args.family == "gegenbauer":
+        build = _connect_gegenbauer_request
+    else:
+        build = _connect_rows_request
+    primary, independent, body = build(args, aux)
+    check = primary == independent
+    doc = body(args.format, check)
+    if args.q_sample is not None:
+        a, b, diff = _numeric_check(primary, independent, args.q_sample, parser)
         if args.format == "json":
-            doc = {
-                "family": family, "n": args.n,
-                "terms": [
-                    {"monomial": _c_monomial(t.descriptor),
-                     "coefficient": render.text(t.coefficient)}
-                    for t in expansion.terms
-                ],
-                "total": render.text(expansion.total),
-                "total_check": "pass" if check else "fail",
-            }
-            _print_json(doc, numeric, args.q_sample, out)
-            return 0 if check else 1
-        if args.format == "latex":
-            print(render.latex(expansion.total), file=out)
+            doc["numeric_check"] = {"q": str(args.q_sample), "primary": [a.real, a.imag],
+                                    "independent": [b.real, b.imag], "relative_diff": diff}
         else:
-            for term in expansion.terms:
-                print(f"{_c_monomial(term.descriptor):12s}  {render.text(term.coefficient)}",
-                      file=out)
-            print(f"total: {render.text(expansion.total)}", file=out)
-            print(f"check against explicit form: {'pass' if check else 'fail'}", file=out)
-        if numeric is not None:
-            _print_numeric_check(numeric, args.q_sample, out)
-        return 0 if check else 1
-
-    if family == "hermite":
-        expansion = hermite_connection(args.n)
-        target = q_hermite(args.n)
-    else:
-        expansion = laguerre_connection(args.n, args.k, aux)
-        target = q_laguerre(args.n, args.k)
-    total = expansion.rescaled_total()
-    check = total == target
-    numeric = _numeric_check(total, target, args.q_sample, parser)
-
-    if args.format == "json":
-        doc = render.polynomial_json_dict(total, family, args.n, args.k, total_check=check)
-        doc["terms"] = [
-            {"solution": t.descriptor.label(),
-             "factors": _factor_texts(family, t.descriptor, aux),
-             "value": render.text(expansion.rescaled_term_value(t))}
-            for t in expansion.terms
-        ]
-        if aux:
-            doc["aux"] = {str(j): v for j, v in sorted(aux.items())}
-        _print_json(doc, numeric, args.q_sample, out)
-        return 0 if check else 1
-    if args.format == "latex":
-        for label, rendered in _connect_table(expansion, "latex"):
-            print(f"% {label}", file=out)
-            print(rendered + r" \\", file=out)
-        print("% total", file=out)
-        print(render.latex(total), file=out)
-    else:
-        rows = _connect_table(expansion, "text")
-        width = max(len(label) for label, _ in rows)
-        for label, rendered in rows:
-            print(f"{label:<{width}}  |  {rendered}", file=out)
-        print(f"total: {render.text(total)}", file=out)
-        print(f"check against direct construction: {'pass' if check else 'fail'}", file=out)
-    if numeric is not None:
-        _print_numeric_check(numeric, args.q_sample, out)
+            doc += [f"numeric cross-check at q = {args.q_sample} "
+                    f"(z = {_SAMPLES['z']}, theta = {_SAMPLES['cos']}, lambda = {_LAMBDA_SAMPLE}):",
+                    f"  primary route:     {a}",
+                    f"  independent route: {b}",
+                    f"  relative diff:     {diff:.3e}"]
+    print(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(doc), file=out)
     return 0 if check else 1
 
 
@@ -336,11 +303,9 @@ def main(argv=None):
         args.q_sample = _parse_q_sample(args.q_sample, sub)
     out = sys.stdout
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, sub, out)
-        if args.command == "connect":
-            return _cmd_connect(args, sub, out)
-        return _cmd_verify(args, sub, out)
+        if args.command == "verify":
+            return _cmd_verify(args, sub, out)
+        return _run_request(args, sub, out)
     except BrokenPipeError:
         return 0
 

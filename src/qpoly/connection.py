@@ -8,7 +8,8 @@ relation:
     but the combinations u_k = 2*zeta_k*tau_k and v_k = tau_k**2 are rational,
     so each partition's grouped value is computed entirely in Q(s) via
     the classical rewrite  H_m(zeta) tau**m / m! =
-    sum_l (-1)**l u**(m-2l) v**l / (l! (m-2l)!).
+    sum_d h_d u**d v**((m-d)/2) / (m! 2**d), read off the coefficients h_d
+    of the classical H_m(z).
   * Laguerre:  sum_j j*(k_j + l_j) + l = k, with one free auxiliary integer
     n_j per order j; the summed total provably does not depend on them.
   * Gegenbauer: the log of the deformed generating function is the classical
@@ -61,6 +62,7 @@ from .families import (
     falling_binomial,
     gegenbauer_classical,
     gegenbauer_weight,
+    hermite_classical,
     laguerre_classical,
     q_gegenbauer_direct,
 )
@@ -227,13 +229,14 @@ def _hermite_v(k):
 
 
 def _hermite_block(k, m):
-    """Grouped factor for one order k with multiplicity m:
-    sum_l (-1)**l u_k**(m-2l) v_k**l / (l! (m-2l)!), a polynomial in z."""
+    """Grouped factor for one order k with multiplicity m, the classical
+    rewrite H_m(zeta) tau**m / m! = sum_d h_d / (m! 2**d) u**d v**((m-d)/2)
+    over the z**d coefficients h_d of H_m: a polynomial in z."""
     u = _hermite_u(k)
     v = _hermite_v(k)
-    return ZPolynomial({k * (m - 2 * ell): u**(m - 2 * ell) * v**ell
-                        * Fraction((-1) ** ell, math.factorial(ell) * math.factorial(m - 2 * ell))
-                        for ell in range(m // 2 + 1)})
+    m_factorial = math.factorial(m)
+    return ZPolynomial({k * d: u**d * v**((m - d) // 2) * (h.as_fraction() / (m_factorial * 2**d))
+                        for d, h in hermite_classical(m).items()})
 
 
 def _prefix_product(built, key, block):

@@ -127,21 +127,9 @@ class SparsePoly:
         return self._hash
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            if not isinstance(other, self._scalars):
-                return NotImplemented
-            other = self.constant(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            if m in out:
-                c = out[m] + c
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
-            else:
-                out[m] = c
-        return self._raw(out)
+        if type(other) is not type(self) and not isinstance(other, self._scalars):
+            return NotImplemented
+        return self.sum([self, other])
 
     __radd__ = __add__
 
@@ -157,11 +145,8 @@ class SparsePoly:
     @classmethod
     def sum(cls, polys):
         """The sum of a list of polynomials of this class and scalars, each
-        monomial's coefficients summed once; two are added by +, as in
-        RationalFunction.sum."""
+        monomial's coefficients summed once; + is its two-term case."""
         polys = [p if type(p) is cls else cls.constant(p) for p in polys]
-        if len(polys) == 2:
-            return polys[0] + polys[1]
         cols = {}
         for p in polys:
             for m, c in p._terms.items():

@@ -139,14 +139,10 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check(other)
-        return TruncatedSeries(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order)
+        return TruncatedSeries.sum([self, other])
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check(other)
-        return TruncatedSeries(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order)
+        return self + -other
 
     def __neg__(self):
         return TruncatedSeries(self.ring, tuple(-a for a in self.coeffs), self.order)

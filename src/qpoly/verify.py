@@ -132,7 +132,8 @@ def gegenbauer_displayed_connection(n):
 
 
 # ---------------------------------------------------------------------------
-# oracles used by several suites
+# classical generating-function and recurrence routes: the independent routes
+# of `qpoly eval classical-*`
 # ---------------------------------------------------------------------------
 
 def hermite_genfun_classical(n):

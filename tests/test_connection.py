@@ -707,3 +707,21 @@ def test_verify_suites_take_no_series_product_with_the_unit(monkeypatch):
     assert run_suite("all").passed
     assert len(products) > 100
     assert with_unit == []
+
+
+def test_hermite_blocks_read_the_classical_polynomial(monkeypatch):
+    # each block H_m(zeta) tau**m / m! is read off the classical H_m(z), not
+    # from a second copy of its coefficient formula
+    import qpoly.connection as connection
+
+    _clear_caches()
+    degrees = []
+    classical = connection.hermite_classical
+
+    def counted(m):
+        degrees.append(m)
+        return classical(m)
+
+    monkeypatch.setattr(connection, "hermite_classical", counted)
+    assert hermite_connection(8).rescaled_total() == q_hermite(8)
+    assert set(degrees) == {1, 2, 3, 4, 5, 6, 8}  # the multiplicities in partitions of 8

@@ -305,6 +305,62 @@ def test_cli_json_numeric_check_stays_valid_json(capsys):
         assert parse_polynomial_json(out)[0] == poly
 
 
+# one request of each kind, with the route a patch makes disagree: the
+# independent route, so that the printed primary route stays the same
+_DISAGREEING_ROUTES = [
+    (("eval", "gegenbauer", "--n", "3"), "q_gegenbauer_genfun"),
+    (("eval", "classical-laguerre", "--n", "3", "--k", "2"), "laguerre_genfun_classical"),
+    (("connect", "gegenbauer", "--n", "3"), "q_gegenbauer_direct"),
+    (("connect", "hermite", "--n", "4"), "q_hermite"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+@pytest.mark.parametrize("argv,route", _DISAGREEING_ROUTES,
+                         ids=[" ".join(argv[:2]) for argv, _ in _DISAGREEING_ROUTES])
+def test_cli_exits_1_when_the_routes_differ(capsys, monkeypatch, argv, route, fmt):
+    import qpoly.cli as cli
+
+    code, agreed = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    right = getattr(cli, route)
+    monkeypatch.setattr(cli, route, lambda *a: right(*a) + 1)
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 1
+    # the same output, but for the verdict where the format prints one
+    assert out == agreed.replace(": pass", ": fail").replace('"pass"', '"fail"')
+
+
+_EVERY_REQUEST = [("eval", family, "--n", "3") for family in
+                  ("hermite", "gegenbauer", "classical-hermite", "classical-gegenbauer")]
+_EVERY_REQUEST += [("eval", family, "--n", "3", "--k", "2")
+                   for family in ("laguerre", "classical-laguerre")]
+_EVERY_REQUEST += [("connect", "hermite", "--n", "3"), ("connect", "gegenbauer", "--n", "3"),
+                   ("connect", "laguerre", "--n", "3", "--k", "2", "--aux", "2,-1,3")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+@pytest.mark.parametrize("argv", _EVERY_REQUEST, ids=[" ".join(argv[:2]) for argv in _EVERY_REQUEST])
+def test_cli_q_sample_closes_every_output(capsys, argv, fmt):
+    code, plain = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    code, out = run_cli(capsys, *argv, "--format", fmt, "--q-sample", "7/10")
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        assert list(doc)[-1] == "numeric_check"
+        check = doc.pop("numeric_check")
+        assert check["q"] == "7/10" and check["relative_diff"] < 1e-12
+        assert doc == json.loads(plain)
+    else:
+        lines = out.splitlines()
+        assert lines[:-4] == plain.splitlines()
+        assert lines[-4].startswith("numeric cross-check at q = 7/10 ")
+        assert [line.split(":")[0] for line in lines[-3:]] == [
+            "  primary route", "  independent route", "  relative diff"]
+        assert float(lines[-1].split()[-1]) < 1e-12
+
+
 def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     failing = VerificationReport("stub", [CheckResult("x", "y", False, 0.1, "boom")])
     monkeypatch.setattr("qpoly.cli.run_suite", lambda *a, **k: failing)
