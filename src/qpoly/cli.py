@@ -259,11 +259,14 @@ def _run_request(args, parser, out):
             doc["numeric_check"] = {"q": str(args.q_sample), "primary": [a.real, a.imag],
                                     "independent": [b.real, b.imag], "relative_diff": diff}
         else:
-            doc += [f"numeric cross-check at q = {args.q_sample} "
-                    f"(z = {_SAMPLES['z']}, theta = {_SAMPLES['cos']}, lambda = {_LAMBDA_SAMPLE}):",
-                    f"  primary route:     {a}",
-                    f"  independent route: {b}",
-                    f"  relative diff:     {diff:.3e}"]
+            # LaTeX carries the check as comments, as it does its row labels
+            mark = "% " if args.format == "latex" else ""
+            doc += [mark + line for line in (
+                f"numeric cross-check at q = {args.q_sample} "
+                f"(z = {_SAMPLES['z']}, theta = {_SAMPLES['cos']}, lambda = {_LAMBDA_SAMPLE}):",
+                f"  primary route:     {a}",
+                f"  independent route: {b}",
+                f"  relative diff:     {diff:.3e}")]
     print(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(doc), file=out)
     return 0 if check else 1
 

@@ -653,10 +653,11 @@ class IntPoly:
 
     # -- text ----------------------------------------------------------------
     def __str__(self):
-        return format_poly(self)
+        from .render import text  # render imports this module
+        return text(self)
 
     def __repr__(self):
-        return f"IntPoly({format_poly(self)})"
+        return f"IntPoly({self})"
 
 
 def _raw_poly(rows):
@@ -746,10 +747,6 @@ def _gcd_cof(a, b):
         if g == [1]:
             return _INTPOLY_ONE, a, b
         return _raw_poly([g]), _raw_poly(_div_rows(ra, g)), _raw_poly(_div_rows(rb, g))
-    if a == b:
-        g = _pos_lead(a)
-        unit = _INTPOLY_ONE if g is a else -_INTPOLY_ONE
-        return g, unit, unit
     ca, pa = _lam_content_split(ra)
     cb, pb = _lam_content_split(rb)
     cg, fa, fb = _ugcd_cof(ca, cb)
@@ -1014,10 +1011,11 @@ class RationalFunction:
 
     # -- text ----------------------------------------------------------------
     def __str__(self):
-        return format_rational(self)
+        from .render import text  # render imports this module
+        return text(self)
 
     def __repr__(self):
-        return f"RationalFunction({format_rational(self)})"
+        return f"RationalFunction({self})"
 
 
 def _rf_raw(num, den):
@@ -1083,81 +1081,8 @@ _RF_ONE = _rf_raw(_INTPOLY_ONE, _INTPOLY_ONE)
 
 
 # ---------------------------------------------------------------------------
-# text rendering and parsing (q / q^{1/2} notation; s never shown)
+# text parsing (q / q^{1/2} notation, as qpoly.render prints it)
 # ---------------------------------------------------------------------------
-
-# A style renders q-monomials: (factor separator, Lambda, Lambda**e, fraction
-# of two polynomials).  s**e prints as a power of q in both.
-_TEXT_STYLE = ("*", "lam", "lam^{%d}", "(%s)/(%s)")
-_LATEX_STYLE = (r"\,", r"q^{\lambda}", r"q^{%d\lambda}", r"\frac{%s}{%s}")
-
-
-def _q_monomial(key, style):
-    """s**exp_s * Lambda**exp_lam for key = (exp_s, exp_lam) in a style, None
-    for 1; an odd exp_s prints as a half-integer power of q."""
-    exp_s, exp_lam = key
-    sep, lam, lam_pow, _ = style
-    factors = []
-    if exp_s % 2:
-        factors.append("q^{%d/2}" % exp_s)
-    elif exp_s:
-        factors.append("q" if exp_s == 2 else "q^{%d}" % (exp_s // 2))
-    if exp_lam:
-        factors.append(lam if exp_lam == 1 else lam_pow % exp_lam)
-    return sep.join(factors) or None
-
-
-def _render(terms, coeff_fn, basis_fn, sep):
-    """Signed sum of (monomial, coefficient) terms, "0" for none: the one term
-    layout.  coeff_fn(c) gives (text, negative); basis_fn(m) gives the basis
-    text, None for the unit.  A coefficient "1" in front of a basis element
-    is dropped."""
-    out = []
-    for m, c in terms:
-        text, negative = coeff_fn(c)
-        basis = basis_fn(m)
-        if basis is not None:
-            text = basis if text == "1" else text + sep + basis
-        if out:
-            out.append((" - " if negative else " + ") + text)
-        else:
-            out.append("-" + text if negative else text)
-    return "".join(out) or "0"
-
-
-def _number(fmt=str):
-    """coeff_fn for numeric coefficients: the magnitude and the sign."""
-    return lambda c: (fmt(abs(c)), c < 0)
-
-
-def _poly_text(terms, style):
-    """Integer-coefficient ((exp_s, exp_lam), coeff) terms in a style."""
-    return _render(terms, _number(), lambda key: _q_monomial(key, style), style[0])
-
-
-def _rational_text(r, style):
-    """A RationalFunction in a style.  A denominator that is a single monomial
-    with coefficient 1 folds into negative exponents (so 1/s**45 renders as
-    q^{-45/2}); any other renders as the style's fraction."""
-    terms, den = r.num.sorted_terms(), r.den
-    if den.is_one():
-        return _poly_text(terms, style)
-    if den.is_monomial() and den.leading_coeff() == 1:
-        (ds, dl), _ = den.sorted_terms()[0]
-        return _poly_text([((es - ds, el - dl), c) for (es, el), c in terms], style)
-    return style[3] % (_poly_text(terms, style), _poly_text(den.sorted_terms(), style))
-
-
-def format_poly(p):
-    """Canonical text of an IntPoly in q / q^{1/2} / lam notation."""
-    return _poly_text(p.sorted_terms(), _TEXT_STYLE)
-
-
-def format_rational(r):
-    """Canonical text of a RationalFunction: a monomial denominator with
-    coefficient 1 folds into negative exponents, any other is (num)/(den)."""
-    return _rational_text(r, _TEXT_STYLE)
-
 
 class ParseError(ValueError):
     """Malformed polynomial / rational-function text."""

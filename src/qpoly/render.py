@@ -1,16 +1,19 @@
-"""Text, LaTeX and JSON rendering for engine outputs, plus the JSON parser.
+"""Text, LaTeX and JSON rendering for every value, plus the JSON parser.
 
-Every SparsePoly prints through one text() and one latex().  Its class names
-its basis (SparsePoly.basis), and _BASES maps the basis to a text and a LaTeX
-rule for one monomial; a coefficient prints by its kind: a RationalFunction,
-a nested SparsePoly (in parentheses when it has several terms) or a number.
+text() and latex() print any IntPoly, RationalFunction or SparsePoly through
+one emitter and one style record per format.  A value prints as a signed sum
+of (monomial, coefficient) terms, highest first.  _BASES maps the monomial
+kind (a SparsePoly's basis, "q" for IntPoly) to a text and a LaTeX rule for
+one monomial; a coefficient prints by its kind: an integer of an IntPoly, a
+RationalFunction, a nested SparsePoly (in parentheses when it has several
+terms) or a number.
 
-Conventions (shared with field.format_*):
+Conventions:
 
-  * the term layout (field._render) and the q-monomials with their
-    denominator fold (field._q_monomial, field._rational_text) are defined
-    once in field, in a text and a LaTeX style;
   * s is never shown; everything prints in q and q^{1/2};
+  * a RationalFunction whose denominator is one monomial with coefficient 1
+    folds it into negative exponents (1/s**45 prints as q^{-45/2}); any
+    other prints as the style's fraction, (num)/(den) or \\frac{num}{den};
   * the generator Lambda (= q**lambda) prints as `lam` in text/JSON and as
     q^{\\lambda} in LaTeX;
   * the abstract weights beta_k print as `b1, b2, ...` in text and as
@@ -27,24 +30,15 @@ Conventions (shared with field.format_*):
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 
-from .field import (
-    _LATEX_STYLE,
-    ParseError,
-    RationalFunction,
-    _number,
-    _rational_text,
-    _render,
-    format_poly,
-    format_rational,
-    parse_poly,
-)
+from .field import IntPoly, ParseError, RationalFunction, parse_poly
 from .families import CosPolynomial, SparsePoly, ZPolynomial
 
 
 # ---------------------------------------------------------------------------
-# monomial rules per basis, coefficient rules per kind, over field._render
+# monomial rules per kind, one style per format, one emitter
 # ---------------------------------------------------------------------------
 
 def _power(one, many):
@@ -58,13 +52,30 @@ def _factors(factor, sep, descending=False):
     return lambda mono: sep.join(factor(g, e) for g, e in sorted(mono, reverse=descending)) or None
 
 
+def _q_power(sep, lam, lam_many):
+    """Monomial rule for s**exp_s * Lambda**exp_lam, key (exp_s, exp_lam);
+    an odd exp_s prints as a half-integer power of q."""
+    def rule(key):
+        exp_s, exp_lam = key
+        factors = []
+        if exp_s % 2:
+            factors.append("q^{%d/2}" % exp_s)
+        elif exp_s:
+            factors.append("q" if exp_s == 2 else "q^{%d}" % (exp_s // 2))
+        if exp_lam:
+            factors.append(lam if exp_lam == 1 else lam_many % exp_lam)
+        return sep.join(factors) or None
+    return rule
+
+
 def _latex_beta(k, e):
     base = r"[\lambda]_{q}" if k == 1 else r"[\lambda]_{q^{%d}}" % k
     return base if e == 1 else base + "^{%d}" % e
 
 
-# SparsePoly.basis -> (text rule, LaTeX rule); a rule prints one monomial
+# monomial kind -> (text rule, LaTeX rule); a rule prints one monomial
 _BASES = {
+    "q": (_q_power("*", "lam", "lam^{%d}"), _q_power(r"\,", r"q^{\lambda}", r"q^{%d\lambda}")),
     "z": (_power("z", "z^%d"), _power("z", "z^{%d}")),
     "cos": (_power("cos(theta)", "cos(%d*theta)"), _power(r"\cos\theta", r"\cos %d\theta")),
     "b_k": (_factors(lambda k, e: f"b{k}" if e == 1 else f"b{k}^{e}", "*"),
@@ -77,16 +88,6 @@ _BASES = {
 }
 
 
-def _signed(text, left="(", right=")"):
-    """A rendered coefficient as (text, negative): a composite goes in
-    parentheses, a bare leading minus is lifted out."""
-    if " + " in text or " - " in text:
-        return left + text + right, False
-    if text.startswith("-"):
-        return text[1:], True
-    return text, False
-
-
 def _latex_fraction(fr):
     fr = Fraction(fr)
     if fr.denominator == 1:
@@ -94,43 +95,72 @@ def _latex_fraction(fr):
     return r"\frac{%d}{%d}" % (fr.numerator, fr.denominator)
 
 
-_text_number = _number()
-_latex_number = _number(_latex_fraction)
+# A format: the separator between a coefficient and its monomial, the
+# fraction of two polynomials, the magnitude of a number, the parentheses
+# around a composite coefficient and the index of its rule in _BASES.
+_Style = namedtuple("_Style", "sep fraction number left right rule")
+_TEXT = _Style("*", "(%s)/(%s)", str, "(", ")", 0)
+_LATEX = _Style(r"\,", r"\frac{%s}{%s}", _latex_fraction, r"\left(", r"\right)", 1)
 
 
-def _text_coeff(c):
-    """A RationalFunction, a nested SparsePoly or a number, in text."""
-    if isinstance(c, RationalFunction):
-        return _signed(format_rational(c))
-    if isinstance(c, SparsePoly):
-        return _signed(text(c))
-    return _text_number(c)
+def _coeff(c, style):
+    """A coefficient as (text, negative): a number by magnitude and sign; a
+    polynomial or rational function in parentheses when composite, else with
+    a leading minus lifted out, but a LaTeX fraction of two polynomials
+    stands bare."""
+    if type(c) is int:  # every IntPoly coefficient: no Fraction formatting
+        return str(abs(c)), c < 0
+    if not isinstance(c, (RationalFunction, SparsePoly)):
+        return style.number(abs(c)), c < 0
+    out = _emit(c, style)
+    if " + " in out or " - " in out:
+        if isinstance(c, RationalFunction) and out.startswith(r"\frac"):
+            return out, False
+        return style.left + out + style.right, False
+    if out.startswith("-"):
+        return out[1:], True
+    return out, False
 
 
-def _latex_coeff(c):
-    """A RationalFunction, a nested SparsePoly or a number, in LaTeX."""
-    if isinstance(c, RationalFunction):
-        out = latex_rational(c)
-        return (out, False) if out.startswith(r"\frac") else _signed(out, r"\left(", r"\right)")
-    if isinstance(c, SparsePoly):
-        return _signed(latex(c), r"\left(", r"\right)")
-    return _latex_number(c)
+def _layout(terms, basis, style):
+    """Signed sum of (monomial, coefficient) terms, "0" for none: the one term
+    layout.  basis(m) gives the monomial text, None for the unit.  A
+    coefficient "1" in front of a monomial is dropped."""
+    out = []
+    for m, c in terms:
+        text, negative = _coeff(c, style)
+        mono = basis(m)
+        if mono is not None:
+            text = mono if text == "1" else text + style.sep + mono
+        if out:
+            out.append((" - " if negative else " + ") + text)
+        else:
+            out.append("-" + text if negative else text)
+    return "".join(out) or "0"
 
 
-def text(poly):
-    """Any SparsePoly in text, highest monomial first."""
-    return _render(poly.sorted_terms(), _text_coeff, _BASES[poly.basis][0], "*")
+def _emit(x, style):
+    """An IntPoly, a RationalFunction or a SparsePoly in a style."""
+    if isinstance(x, SparsePoly):
+        return _layout(x.sorted_terms(), _BASES[x.basis][style.rule], style)
+    if isinstance(x, IntPoly):
+        terms = x.sorted_terms()
+    elif x.den.is_monomial() and x.den.leading_coeff() == 1:
+        (ds, dl), _ = x.den.sorted_terms()[0]
+        terms = [((es - ds, el - dl), c) for (es, el), c in x.num.sorted_terms()]
+    else:
+        return style.fraction % (_emit(x.num, style), _emit(x.den, style))
+    return _layout(terms, _BASES["q"][style.rule], style)
 
 
-def latex(poly):
-    """Any SparsePoly in LaTeX, highest monomial first."""
-    return _render(poly.sorted_terms(), _latex_coeff, _BASES[poly.basis][1], r"\,")
+def text(x):
+    """Any IntPoly, RationalFunction or SparsePoly in text."""
+    return _emit(x, _TEXT)
 
 
-def latex_rational(r):
-    """Monomial denominators with unit coefficient fold into negative
-    exponents (so 1/s**45 renders as q^{-45/2}); otherwise \\frac."""
-    return _rational_text(r, _LATEX_STYLE)
+def latex(x):
+    """Any IntPoly, RationalFunction or SparsePoly in LaTeX."""
+    return _emit(x, _LATEX)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +181,7 @@ def polynomial_json_dict(poly, family, n, k=None, total_check=None):
     doc["basis"] = basis  # top-level copy; keeps empty polynomials unambiguous
     doc["coefficients"] = [
         {"basis": basis, "degree_or_m": d,
-         "num": format_poly(rf.num), "den": format_poly(rf.den)}
+         "num": _emit(rf.num, _TEXT), "den": _emit(rf.den, _TEXT)}
         for d, rf in poly.sorted_terms()
     ]
     if total_check is not None:

@@ -464,6 +464,9 @@ def test_gcd_cofactors_special_cases():
         ((s**2 - one) * (lam * s + lam + s * 3), (s + one) * (lam - one)),
         (lam * (s + one) * 6, (s**2 - one) * 4),
         (lam * s + lam * 2, s + one * 2),
+        # equal bivariate operands, up to sign
+        ((lam + s) * (lam * s - one), (lam + s) * (lam * s - one)),
+        ((lam + s) * (lam * s - one), -((lam + s) * (lam * s - one))),
         # a cofactor with larger coefficients than either input: (1 + s + ... + s**9)**4
         # has a 670 where (1 - s**10)**4 has nothing above 6
         ((one - s**10) ** 4, (one - s) ** 4 * (s + one * 3)),

@@ -17,10 +17,9 @@ from qpoly.connection import (
     gegenbauer_classical_lambda,
 )
 from qpoly.families import CosPolynomial, ZPolynomial, q_hermite
-from qpoly.field import IntPoly, RationalFunction as RF
+from qpoly.field import IntPoly, RationalFunction as RF, parse_poly, parse_rational
 from qpoly.render import (
     latex,
-    latex_rational,
     parse_polynomial_json,
     render_polynomial_json,
     text,
@@ -35,7 +34,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # ---------------------------------------------------------------------------
 
 def test_latex_negative_half_power():
-    assert latex_rational(RF.s_power(-45)) == "q^{-45/2}"
+    assert latex(RF.s_power(-45)) == "q^{-45/2}"
 
 
 def test_latex_beta_square():
@@ -46,7 +45,7 @@ def test_latex_beta_square():
 
 def test_latex_fraction_form():
     f = (RF.one() - RF.q()) / ((RF.one() + RF.q()) * 2)
-    assert latex_rational(f) == r"\frac{-q + 1}{2\,q + 2}"
+    assert latex(f) == r"\frac{-q + 1}{2\,q + 2}"
 
 
 def test_latex_zpoly_hermite1():
@@ -70,6 +69,34 @@ def test_every_basis_prints_through_text_latex_and_repr():
     for poly, as_text, as_latex in cases:
         assert text(poly) == as_text and latex(poly) == as_latex
         assert repr(poly) == f"{type(poly).__name__}({as_text})"
+
+
+def _random_intpoly(rng):
+    return IntPoly({(rng.randint(0, 9), rng.randint(0, 2)): rng.randint(-9, 9)
+                    for _ in range(rng.randint(1, 4))})
+
+
+def test_field_values_print_through_text_and_latex():
+    rng = random.Random(16)
+    for case in range(300):
+        p, den = _random_intpoly(rng), IntPoly.zero()
+        if rng.random() < 0.5:  # a monomial denominator prints as a Laurent sum
+            den = IntPoly.monomial(1, rng.randint(0, 9), rng.randint(0, 2))
+        while den.is_zero():
+            den = _random_intpoly(rng)
+        r = RF(p, den)
+        for x in (p, r, r.num, r.den):
+            assert text(x) == str(x), f"case {case}"
+        assert parse_poly(text(p)) == p and parse_rational(text(r)) == r, f"case {case}"
+    one, s, lam = IntPoly.one(), IntPoly.s_pow(1), IntPoly.lam_pow(1)
+    assert latex(IntPoly.monomial(-3, 5, 2) + lam * 12 + one) == (
+        r"-3\,q^{5/2}\,q^{2\lambda} + 12\,q^{\lambda} + 1")
+    assert latex(RF(lam * s - one * 2, IntPoly.monomial(1, 3, 1))) == (
+        r"q^{-1} - 2\,q^{-3/2}\,q^{-1\lambda}")
+    assert latex(RF(lam**2 * s**4 + one, s**2 * 2 - lam)) == (
+        r"\frac{q^{2}\,q^{2\lambda} + 1}{2\,q - q^{\lambda}}")
+    assert latex(RF(-one, s**2 * 3)) == r"\frac{-1}{3\,q}"
+    assert latex(IntPoly.zero()) == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +382,10 @@ def test_cli_q_sample_closes_every_output(capsys, argv, fmt):
     else:
         lines = out.splitlines()
         assert lines[:-4] == plain.splitlines()
+        # LaTeX carries the check as comments, so the document stays LaTeX
+        mark = "% " if fmt == "latex" else ""
+        assert all(line.startswith(mark) for line in lines[-4:])
+        lines = [line[len(mark):] for line in lines[-4:]]
         assert lines[-4].startswith("numeric cross-check at q = 7/10 ")
         assert [line.split(":")[0] for line in lines[-3:]] == [
             "  primary route", "  independent route", "  relative diff"]
