@@ -6,10 +6,10 @@ relation:
 
   * Hermite:  sum_k k*n_k = n.  The per-factor parameters contain radicals,
     but the combinations u_k = 2*zeta_k*tau_k and v_k = tau_k**2 are rational,
-    so each partition's grouped value is computed entirely in Q(s) via
-    the classical rewrite  H_m(zeta) tau**m / m! =
-    sum_d h_d u**d v**((m-d)/2) / (m! 2**d), read off the coefficients h_d
-    of the classical H_m(z).
+    and each partition's grouped value follows from the classical rewrite
+    H_m(zeta) tau**m / m! = sum_d h_d u**d v**((m-d)/2) / (m! 2**d), read
+    off the coefficients h_d of the classical H_m(z).  Its terms are summed
+    over Z, as integer q-multinomial quotients in q**-2.
   * Laguerre:  sum_j j*(k_j + l_j) + l = k, with one free auxiliary integer
     n_j per order j; the summed total provably does not depend on them.
   * Gegenbauer: the log of the deformed generating function is the classical
@@ -24,10 +24,10 @@ relation:
     each cos(j theta) coefficient is reduced once.
 
 Each engine builds every distinct building block once per call, in tables
-local to the call: the Hermite blocks, the Laguerre prefactors and classical
-factors, the Gegenbauer classical powers and weight factors.  One product
-table, _prefix_product, forms every product over the parts of a key: the
-Hermite and Laguerre rows (keyed largest part first), the Gegenbauer
+local to the call: the Hermite part choices and quotients, the Laguerre
+prefactors and classical factors, the Gegenbauer classical powers and weight
+factors.  One product table, _prefix_product, forms every product over the
+parts of a key: the Laguerre rows (keyed largest part first), the Gegenbauer
 classical rows and weight factors, and BetaPolynomial.substitute.  Each
 distinct partial product is built once per call, from its longest prefix;
 the total stays the sum of the row values.
@@ -38,8 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, mul
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
+from operator import add, mul, sub
 
 from .field import (
     IntPoly,
@@ -66,11 +67,8 @@ from .families import (
     laguerre_classical,
     q_gegenbauer_direct,
 )
-from .qkernel import _power_sum, q_binomial, q_factorial, quesne_c
+from .qkernel import _power_sum, q_binomial, quesne_c
 from .series import Ring, TruncatedSeries, ring_sum
-
-_RF_ONE = RationalFunction.one()
-
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -186,15 +184,21 @@ class ConnectionTerm:
 
 @dataclass(frozen=True)
 class ConnectionExpansion:
-    """Terms plus exact total; `rescale` maps the generating-function
-    normalization back to the polynomial itself."""
+    """Terms plus exact total.  `make_terms` returns the tuple of terms and
+    is called once, when `terms` is first read.  `rescale` maps the
+    generating-function normalization back to the polynomial itself; it is
+    None when the values are already in it (Hermite, Gegenbauer)."""
 
     family: str
     n: int
     k: object
-    terms: tuple
+    make_terms: object
     total: object
     rescale: object
+
+    @cached_property
+    def terms(self):
+        return self.make_terms()
 
     def rescaled_total(self):
         if self.rescale is None:
@@ -205,38 +209,6 @@ class ConnectionExpansion:
         if self.rescale is None:
             return term.value
         return term.value.scale(self.rescale)
-
-
-# ---------------------------------------------------------------------------
-# Hermite connection (radical-free grouped rows)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _hermite_u(k):
-    """z**k coefficient of u_k = 2 zeta_k tau_k: (-1)**(k+1) 2**k c_k(q^-2)."""
-    sign = 1 if (k + 1) % 2 == 0 else -1
-    return quesne_c(k, -2) * (sign * 2**k)
-
-
-@lru_cache(maxsize=None)
-def _hermite_v(k):
-    """t**(2k)-stripped value of v_k = tau_k**2:
-    (-1)**(k+1) (2q/(1+q**2))**k c_k(q^-4)."""
-    sign = 1 if (k + 1) % 2 == 0 else -1
-    q = RationalFunction.q()
-    ratio = RationalFunction.q() * 2 / (_RF_ONE + q**2)
-    return quesne_c(k, -4) * ratio**k * sign
-
-
-def _hermite_block(k, m):
-    """Grouped factor for one order k with multiplicity m, the classical
-    rewrite H_m(zeta) tau**m / m! = sum_d h_d / (m! 2**d) u**d v**((m-d)/2)
-    over the z**d coefficients h_d of H_m: a polynomial in z."""
-    u = _hermite_u(k)
-    v = _hermite_v(k)
-    m_factorial = math.factorial(m)
-    return ZPolynomial({k * d: u**d * v**((m - d) // 2) * (h.as_fraction() / (m_factorial * 2**d))
-                        for d, h in hermite_classical(m).items()})
 
 
 def _prefix_product(built, key, block):
@@ -255,24 +227,156 @@ def _prefix_product(built, key, block):
     return value
 
 
+# ---------------------------------------------------------------------------
+# Hermite connection (radical-free grouped rows, over Z)
+# ---------------------------------------------------------------------------
+# A row multiplies, over the parts (k, m) of one partition, the classical
+# rewrite H_m(zeta) tau**m / m! = sum_d h_d u**d v**e / (m! 2**d), e =
+# (m - d)/2, with u_k = 2 zeta_k tau_k = (-1)**(k+1) 2**k c_k(q**-2) and
+# v_k = tau_k**2 = (-1)**(k+1) (2q/(1 + q**2))**k c_k(q**-4).  By quesne_c,
+# with x = q**-2, [a] = [a]_x and b_k = (-1)**(k+1) 2**k / k,
+#
+#     u_k = b_k (1 - x)**(k-1) / [k],   v_k = b_k q**-k (1 - x)**(k-1) / [2k].
+#
+# So a row term (d_k chosen per part, at z**j with j = sum_k k d_k, t =
+# (n - j)/2) times the normalization [n]! s**-n of H_n(z; q) is
+#
+#     c s**(-n-2t) (1 - x)**(n-t-|mu|) Q_mu,   Q_mu = [n]! / prod_{a in mu} [a],
+#
+# c rational and mu the partition of n into d_k parts k and e_k parts 2k.
+# Q_mu is a q-multinomial coefficient times prod [a - 1]! (Andrews, The
+# Theory of Partitions, 1976, ch. 3): an x-row with nonnegative coefficients
+# summing to n!/prod a.  So the route runs over Z, with no polynomial gcd.
+# A key mu keeps the parts above 1 (as [1] = 1), largest first.
+
+@lru_cache(maxsize=None)
+def _hermite_u(k):
+    """u_k as (b_k, a) with a = k, for b_k (1 - x)**(k-1) q**(k-a) / [a]."""
+    return Fraction((-1) ** (k + 1) * 2**k, k), k
+
+
+@lru_cache(maxsize=None)
+def _hermite_v(k):
+    """v_k as (b_k, a) with a = 2k, read as for u_k."""
+    return _hermite_u(k)[0], 2 * k
+
+
+def _q_factorial_row(n):
+    """[n]! as an x-row (ascending powers); times [a] is a window sum."""
+    row = [1]
+    for a in range(2, n + 1):
+        row = [sum(row[max(0, i - a + 1):i + 1]) for i in range(len(row) + a - 1)]
+    return row
+
+
+def _divide_q_number(row, a):
+    """row / [a] for an x-row: row * (1 - x) over 1 - x**a, a running sum
+    with stride a.  Its top a entries are the remainder: if one is nonzero,
+    ArithmeticError."""
+    r = list(map(sub, row + [0], [0] + row))
+    for i in range(a):
+        r[i::a] = accumulate(r[i::a])
+    if any(r[len(r) - a:]):
+        raise ArithmeticError(f"[{a}]_x does not divide the row")
+    del r[len(r) - a:]
+    return r
+
+
+def _hermite_tables(n):
+    """Per partition of n (partitions_of order), its row terms (j, mu, a, b),
+    a/b reduced.  Each part's choices are read off H_m once per call."""
+    choices = {}
+    tables = []
+    for sol in partitions_of(n):
+        row = [(0, (), 1, 1)]
+        for k, m in sol.parts:
+            options = choices.get((k, m))
+            if options is None:
+                (bu, au), (bv, av) = _hermite_u(k), _hermite_v(k)
+                options = choices[k, m] = []
+                for d, h in hermite_classical(m).items():
+                    e = (m - d) // 2
+                    c = h.as_fraction() / (math.factorial(m) * 2**d) * bu**d * bv**e
+                    options.append((k * d, (au,) * d + (av,) * e, c.numerator, c.denominator))
+            row = [(j + kd, mu + parts, a * ca, b * cb)
+                   for j, mu, a, b in row for kd, parts, ca, cb in options]
+        table = []
+        for j, mu, a, b in row:
+            g = math.gcd(a, b)
+            table.append((j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a // g, b // g))
+        tables.append(table)
+    return tables
+
+
+def _hermite_value(n, terms):
+    """The sum of the terms (j, mu, a, b), each a/b z**j s**(-n-2t) (1 - x)**E
+    Q_mu with E = n - t - |mu|.  The keys mu are walked in order, each Q_mu
+    one division of its parent prefix's quotient, and only the current path
+    is kept.  A z**j coefficient is one packed int (x -> 2**(8*nbytes)) over
+    the lcm of its b: the Q_mu of one E are summed, then multiplied by
+    (1 - x)**E.  nbytes holds sum |a| (n!/prod mu) 2**E, a bound on every
+    coefficient, so each is one digit."""
+    uses = {}  # mu -> [(j, E, a, b)]
+    scale = {}  # j -> lcm of the b
+    for j, mu, a, b in terms:
+        # E = n - t - |mu|: the sum of p - 1 over the parts p of the key, less t
+        uses.setdefault(mu, []).append((j, sum(mu) - len(mu) - (n - j) // 2, a, b))
+        scale[j] = math.lcm(scale.get(j, 1), b)
+    bound = dict.fromkeys(scale, 0)
+    for mu, entries in uses.items():
+        size = math.factorial(n) // math.prod(mu)
+        for j, e, a, b in entries:
+            bound[j] += abs(a) * (scale[j] // b) * size << e
+    nbytes = _width(max(bound.values()).bit_length())
+    sums = {}  # (j, E) -> packed sum of the Q_mu
+    path, prev = [_q_factorial_row(n)], ()  # path[i]: [n]! over the first i parts of prev
+    for mu in sorted(uses):
+        common = next((i for i, (p, r) in enumerate(zip(prev, mu)) if p != r), min(len(prev), len(mu)))
+        del path[common + 1:]
+        for p in mu[common:]:
+            path.append(_divide_q_number(path[-1], p))
+        packed, prev = _pack(path[-1], nbytes), mu
+        for j, e, a, b in uses[mu]:
+            sums[j, e] = sums.get((j, e), 0) + a * (scale[j] // b) * packed
+    powers, totals = {}, {}  # E -> (1 - x)**E packed; j -> packed numerator
+    for (j, power), v in sums.items():
+        if power not in powers:
+            powers[power] = _pack([(-1) ** r * math.comb(power, r) for r in range(power + 1)], nbytes)
+        totals[j] = totals.get(j, 0) + v * powers[power]
+    value = {}
+    for j, v in totals.items():
+        t = (n - j) // 2
+        degree = n * (n - 1) // 2 - t
+        digits = _unpack(v, nbytes, degree + 1)
+        if any(digits):
+            row = [0] * (4 * degree + 1)  # x**r = s**(4(degree - r)) / s**(4 degree)
+            row[::4] = digits[::-1]
+            den = [0] * (n + 2 * t + 4 * degree) + [scale[j]]
+            value[j] = RationalFunction(_raw_poly([_unorm(row)]), _raw_poly([den]))
+    return ZPolynomial._raw(value)
+
+
 @lru_cache(maxsize=None)
 def hermite_connection(n):
     """Expansion of the deformed Hermite polynomial over partition solutions.
 
     Each term is the grouped value of one partition {n_k} (the classical
     product H_{n_1}(zeta_1) H_{n_2}(zeta_2)... with its prefactors, all
-    radicals cancelled); the total times `rescale` equals q_hermite(n).
+    radicals cancelled) in the normalization of H_n(z; q): `rescale` is None
+    and the total equals q_hermite(n).  The total sums the row terms of every
+    partition at once; the rows, from the same terms, are built when `terms`
+    is first read.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    built = {(): ZPolynomial.one()}
-    terms = []
-    for sol in partitions_of(n):
-        value = _prefix_product(built, sol.parts[::-1], _hermite_block)
-        terms.append(ConnectionTerm(sol, None, value))
-    total = ZPolynomial.sum([t.value for t in terms])
-    rescale = q_factorial(n, -2) * RationalFunction.s_power(-n)
-    return ConnectionExpansion("hermite", n, None, tuple(terms), total, rescale)
+    tables = _hermite_tables(n)
+    total = _hermite_value(n, [term for table in tables for term in table])
+
+    def rows():
+        return tuple(ConnectionTerm(sol, None, _hermite_value(n, table))
+                     for sol, table in zip(partitions_of(n), tables))
+
+    return ConnectionExpansion("hermite", n, None, rows, total, None)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +415,8 @@ def laguerre_connection(n, k, aux=None):
         terms.append(ConnectionTerm(sol, coefficient, poly.scale(coefficient)))
     total = ZPolynomial.sum([t.value for t in terms])
     rescale = RationalFunction.q_power(-((n - k) * (n - k + 1) // 2))
-    return ConnectionExpansion("laguerre", n, k, tuple(terms), total, rescale)
+    terms = tuple(terms)
+    return ConnectionExpansion("laguerre", n, k, lambda: terms, total, rescale)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +606,7 @@ def gegenbauer_connection(n):
                                                for bm, c in coeffs.items()})
         for cm, coeffs in by_factors.items()})
     terms = tuple(ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms())
-    return ConnectionExpansion("gegenbauer", n, None, terms, total, None)
+    return ConnectionExpansion("gegenbauer", n, None, lambda: terms, total, None)
 
 
 # The value route's factors are IntPolys in one variable each: the classical

@@ -52,9 +52,10 @@ def _factors(factor, sep, descending=False):
     return lambda mono: sep.join(factor(g, e) for g, e in sorted(mono, reverse=descending)) or None
 
 
-def _q_power(sep, lam, lam_many):
+def _q_power(sep, lam, lam_inverse, lam_many):
     """Monomial rule for s**exp_s * Lambda**exp_lam, key (exp_s, exp_lam);
-    an odd exp_s prints as a half-integer power of q."""
+    an odd exp_s prints as a half-integer power of q, and Lambda**1 and
+    Lambda**-1 as lam and lam_inverse."""
     def rule(key):
         exp_s, exp_lam = key
         factors = []
@@ -63,7 +64,7 @@ def _q_power(sep, lam, lam_many):
         elif exp_s:
             factors.append("q" if exp_s == 2 else "q^{%d}" % (exp_s // 2))
         if exp_lam:
-            factors.append(lam if exp_lam == 1 else lam_many % exp_lam)
+            factors.append({1: lam, -1: lam_inverse}.get(exp_lam) or lam_many % exp_lam)
         return sep.join(factors) or None
     return rule
 
@@ -75,7 +76,8 @@ def _latex_beta(k, e):
 
 # monomial kind -> (text rule, LaTeX rule); a rule prints one monomial
 _BASES = {
-    "q": (_q_power("*", "lam", "lam^{%d}"), _q_power(r"\,", r"q^{\lambda}", r"q^{%d\lambda}")),
+    "q": (_q_power("*", "lam", "lam^{-1}", "lam^{%d}"),
+          _q_power(r"\,", r"q^{\lambda}", r"q^{-\lambda}", r"q^{%d\lambda}")),
     "z": (_power("z", "z^%d"), _power("z", "z^{%d}")),
     "cos": (_power("cos(theta)", "cos(%d*theta)"), _power(r"\cos\theta", r"\cos %d\theta")),
     "b_k": (_factors(lambda k, e: f"b{k}" if e == 1 else f"b{k}^{e}", "*"),

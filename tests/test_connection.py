@@ -23,6 +23,7 @@ from qpoly.families import (
 )
 from qpoly.connection import (
     BetaPolynomial,
+    ConnectionTerm,
     LambdaPolynomial,
     gegenbauer_classical_lambda,
     gegenbauer_connection,
@@ -183,7 +184,7 @@ def test_hermite_connection_degree_zero():
 
 
 def test_hermite_connection_matches_family():
-    for n in range(9):
+    for n in [*range(9), 17, 20]:
         assert hermite_connection(n).rescaled_total() == q_hermite(n)
 
 
@@ -194,11 +195,101 @@ def test_hermite_connection_five():
 
 
 def test_hermite_total_is_term_sum():
-    expansion = hermite_connection(6)
-    total = None
-    for term in expansion.terms:
-        total = term.value if total is None else total + term.value
-    assert total == expansion.total
+    for n in (6, 9):
+        expansion = hermite_connection(n)
+        total = None
+        for term in expansion.terms:
+            value = expansion.rescaled_term_value(term)
+            total = value if total is None else total + value
+        assert total == expansion.rescaled_total()
+
+
+def test_hermite_u_v_integer_forms_match_quesne_c():
+    # (b, a) stands for b (1 - x)**(k-1) q**(k-a) / [a]_x with x = q**-2
+    from qpoly.connection import _hermite_u, _hermite_v
+    from qpoly.qkernel import q_number, quesne_c
+
+    q, x = RF.q(), RF.q_power(-2)
+    for k in range(1, 13):
+        sign = 1 if k % 2 else -1
+        forms = {}
+        for name, (b, a) in (("u", _hermite_u(k)), ("v", _hermite_v(k))):
+            forms[name] = (1 - x) ** (k - 1) * RF.q_power(k - a) / q_number(a, -2) * b
+        assert forms["u"] == quesne_c(k, -2) * (sign * 2**k)
+        assert forms["v"] == quesne_c(k, -4) * (q * 2 / (1 + q**2)) ** k * sign
+
+
+def test_divide_q_number_is_exact_or_raises():
+    from qpoly.connection import _divide_q_number
+
+    rng = random.Random(17)
+    for _ in range(200):
+        a = rng.randint(1, 7)
+        quotient = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
+        quotient[-1] = quotient[-1] or 1
+        row = [sum(quotient[i - r] for r in range(a) if 0 <= i - r < len(quotient))
+               for i in range(len(quotient) + a - 1)]  # quotient * [a]_x
+        assert _divide_q_number(row, a) == quotient
+        if a > 1:
+            broken = list(row)
+            broken[rng.randrange(len(row))] += rng.choice((-1, 1))  # plus a monomial
+            with pytest.raises(ArithmeticError):
+                _divide_q_number(broken, a)
+    assert _divide_q_number([1, 2, 1], 2) == [1, 1]  # (1 + x)**2 / [2]
+    with pytest.raises(ArithmeticError):
+        _divide_q_number([1, 2, 1, 1], 2)
+
+
+def _hermite_mu_keys(n):
+    """The keys mu of the Hermite row terms, enumerated independently: per
+    part (k, m), d parts k and (m - d)/2 parts 2k for d = m, m - 2, ...; the
+    parts above 1, largest first."""
+    keys = set()
+    for sol in partitions_of(n):
+        choices = [[(k,) * d + (2 * k,) * ((m - d) // 2) for d in range(m % 2, m + 1, 2)]
+                   for k, m in sol.parts]
+        for combo in itertools.product(*choices):
+            keys.add(tuple(sorted((a for part in combo for a in part if a > 1), reverse=True)))
+    return keys
+
+
+def test_hermite_builds_each_quotient_once(monkeypatch):
+    import qpoly.connection as connection
+
+    divide = connection._divide_q_number
+    divisions = []
+
+    def counted(row, a):
+        divisions.append(a)
+        return divide(row, a)
+
+    monkeypatch.setattr(connection, "_divide_q_number", counted)
+    n = 16
+    expansion = hermite_connection.__wrapped__(n)
+    prefixes = {mu[:i] for mu in _hermite_mu_keys(n) for i in range(1, len(mu) + 1)}
+    assert len(divisions) == len(prefixes) == 230
+    assert 1 not in divisions
+    assert expansion.rescaled_total() == q_hermite(n)
+
+
+def test_hermite_total_takes_no_rational_function_arithmetic(monkeypatch):
+    import qpoly.connection as connection
+
+    calls, rows = [], []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__truediv__"):
+        original = getattr(RF, name)
+        monkeypatch.setattr(RF, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    original_sum = RF.sum
+    monkeypatch.setattr(RF, "sum", staticmethod(lambda terms: calls.append("sum") or original_sum(terms)))
+    monkeypatch.setattr(connection, "ConnectionTerm",
+                        lambda *args: rows.append(args) or ConnectionTerm(*args))
+    expansion = hermite_connection.__wrapped__(16)
+    total = expansion.rescaled_total()
+    assert calls == [] and rows == []
+    assert "terms" not in vars(expansion)  # the rows are built only when read
+    monkeypatch.undo()
+    assert total == q_hermite(16)
+    assert len(expansion.terms) == len(partitions_of(16))
 
 
 def test_hermite_sum_invariant_under_order():
@@ -475,23 +566,6 @@ def test_gegenbauer_value_matches_term_by_term_substitution(n, monkeypatch):
     assert value == expected
 
 
-def test_hermite_builds_each_block_once(monkeypatch):
-    import qpoly.connection as connection
-
-    block = connection._hermite_block
-    calls = []
-
-    def counted(k, m):
-        calls.append((k, m))
-        return block(k, m)
-
-    monkeypatch.setattr(connection, "_hermite_block", counted)
-    n = 12
-    expansion = hermite_connection.__wrapped__(n)
-    assert expansion.rescaled_total() == q_hermite(n)
-    assert sorted(calls) == sorted({part for sol in partitions_of(n) for part in sol.parts})
-
-
 def test_laguerre_builds_each_prefactor_and_factor_once(monkeypatch):
     import qpoly.connection as connection
 
@@ -541,16 +615,6 @@ def _count_zpoly_products(monkeypatch, skip_inside=None):
 
         monkeypatch.setattr(connection, skip_inside, wrapped)
     return products
-
-
-def test_hermite_builds_each_prefix_product_once(monkeypatch):
-    products = _count_zpoly_products(monkeypatch)
-    expansion = hermite_connection.__wrapped__(16)
-    one = ZPolynomial.one()
-    assert len(products) == 371  # distinct prefixes of two or more parts
-    assert not any(a == one or b == one for a, b in products)
-    assert expansion.rescaled_total() == q_hermite(16)
-    assert expansion.total == ZPolynomial.sum([t.value for t in expansion.terms])
 
 
 def test_laguerre_builds_each_prefix_product_once(monkeypatch):

@@ -92,7 +92,7 @@ def test_field_values_print_through_text_and_latex():
     assert latex(IntPoly.monomial(-3, 5, 2) + lam * 12 + one) == (
         r"-3\,q^{5/2}\,q^{2\lambda} + 12\,q^{\lambda} + 1")
     assert latex(RF(lam * s - one * 2, IntPoly.monomial(1, 3, 1))) == (
-        r"q^{-1} - 2\,q^{-3/2}\,q^{-1\lambda}")
+        r"q^{-1} - 2\,q^{-3/2}\,q^{-\lambda}")
     assert latex(RF(lam**2 * s**4 + one, s**2 * 2 - lam)) == (
         r"\frac{q^{2}\,q^{2\lambda} + 1}{2\,q - q^{\lambda}}")
     assert latex(RF(-one, s**2 * 3)) == r"\frac{-1}{3\,q}"
