@@ -112,8 +112,8 @@ def _parse_q_sample(text, parser):
 
 # eval: the two routes of each family, from n and k
 _EVAL_ROUTES = {
-    "hermite": lambda n, k: (q_hermite(n), hermite_connection(n).rescaled_total()),
-    "laguerre": lambda n, k: (q_laguerre(n, k), laguerre_connection(n, k).rescaled_total()),
+    "hermite": lambda n, k: (q_hermite(n), hermite_connection(n).total),
+    "laguerre": lambda n, k: (q_laguerre(n, k), laguerre_connection(n, k).total),
     "gegenbauer": lambda n, k: (q_gegenbauer_direct(n), q_gegenbauer_genfun(n)),
     "classical-hermite": lambda n, k: (hermite_classical(n), hermite_genfun_classical(n)),
     "classical-laguerre": lambda n, k: (laguerre_classical(LaguerreIndex(k, n - k)),
@@ -176,11 +176,11 @@ def _connect_rows_request(args, aux):
         expansion, target = hermite_connection(args.n), q_hermite(args.n)
     else:
         expansion, target = laguerre_connection(args.n, args.k, aux), q_laguerre(args.n, args.k)
-    total = expansion.rescaled_total()
+    total = expansion.total
 
     def body(fmt, check):
         emit = _STYLES[fmt]
-        rows = [(t.descriptor, emit(expansion.rescaled_term_value(t))) for t in expansion.terms]
+        rows = [(t.descriptor, emit(t.value)) for t in expansion.terms]
         if fmt == "json":
             doc = render.polynomial_json_dict(total, args.family, args.n, args.k, total_check=check)
             doc["terms"] = [{"solution": sol.label(),

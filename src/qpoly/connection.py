@@ -20,17 +20,22 @@ relation:
     integer log coefficients k*a_k, with each monomial packed into one int,
     and is divided by n! once.  Its value is summed over Z per weight
     monomial prod_k beta_k**e_k: the classical products are integer Laurent
-    rows in w = e^{i theta}, each weight is a numerator over (q;q)_n, and
-    each cos(j theta) coefficient is reduced once.
+    rows in w = e^{i theta}, each weight is a numerator over (q;q)_n with
+    integer q-multinomial quotients in q, and each cos(j theta) coefficient
+    is reduced once.
 
-Each engine builds every distinct building block once per call, in tables
-local to the call: the Hermite part choices and quotients, the Laguerre
-prefactors and classical factors, the Gegenbauer classical powers and weight
-factors.  One product table, _prefix_product, forms every product over the
-parts of a key: the Laguerre rows (keyed largest part first), the Gegenbauer
-classical rows and weight factors, and BetaPolynomial.substitute.  Each
-distinct partial product is built once per call, from its longest prefix;
-the total stays the sum of the row values.
+Every expansion's terms and total are in the normalization of the polynomial
+itself.  Each engine builds every distinct building block once per call, in
+tables local to the call: the Hermite part choices, the Laguerre prefactors
+and classical factors, the Gegenbauer classical powers and Lambda factors.
+One quotient kernel, _quotient_sums, builds each q-multinomial quotient
+[n]!/prod [a] of the Hermite and Gegenbauer value routes once per call, by
+exact stride division from its parent prefix.  One product table,
+_prefix_product, forms every product over the parts of a key: the Laguerre
+rows (keyed largest part first), the Gegenbauer classical rows and Lambda
+factors, and BetaPolynomial.substitute.  Each distinct partial product is
+built once per call, from its longest prefix; the total stays the sum of the
+row values.
 """
 
 from __future__ import annotations
@@ -38,18 +43,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, mul, sub
 
 from .field import (
     IntPoly,
     RationalFunction,
-    _maxabs,
     _pack,
     _raw_poly,
     _spread,
-    _unflatten,
     _unorm,
     _unpack,
     _width,
@@ -184,31 +187,24 @@ class ConnectionTerm:
 
 @dataclass(frozen=True)
 class ConnectionExpansion:
-    """Terms plus exact total.  `make_terms` returns the tuple of terms and
-    is called once, when `terms` is first read.  `rescale` maps the
-    generating-function normalization back to the polynomial itself; it is
-    None when the values are already in it (Hermite, Gegenbauer)."""
+    """Terms plus exact total, both in the normalization of the polynomial
+    itself.  `make_terms` returns the tuple of terms; it is called on each
+    read of `terms`, so an expansion holds no rows it has handed out."""
 
     family: str
     n: int
     k: object
     make_terms: object
     total: object
-    rescale: object
 
-    @cached_property
+    @property
     def terms(self):
         return self.make_terms()
 
     def rescaled_total(self):
-        if self.rescale is None:
-            return self.total
-        return self.total.scale(self.rescale)
-
-    def rescaled_term_value(self, term):
-        if self.rescale is None:
-            return term.value
-        return term.value.scale(self.rescale)
+        """The total: every expansion is in the polynomial's own
+        normalization."""
+        return self.total
 
 
 def _prefix_product(built, key, block):
@@ -228,38 +224,15 @@ def _prefix_product(built, key, block):
 
 
 # ---------------------------------------------------------------------------
-# Hermite connection (radical-free grouped rows, over Z)
+# q-multinomial quotients over Z (the Hermite and Gegenbauer value routes)
 # ---------------------------------------------------------------------------
-# A row multiplies, over the parts (k, m) of one partition, the classical
-# rewrite H_m(zeta) tau**m / m! = sum_d h_d u**d v**e / (m! 2**d), e =
-# (m - d)/2, with u_k = 2 zeta_k tau_k = (-1)**(k+1) 2**k c_k(q**-2) and
-# v_k = tau_k**2 = (-1)**(k+1) (2q/(1 + q**2))**k c_k(q**-4).  By quesne_c,
-# with x = q**-2, [a] = [a]_x and b_k = (-1)**(k+1) 2**k / k,
-#
-#     u_k = b_k (1 - x)**(k-1) / [k],   v_k = b_k q**-k (1 - x)**(k-1) / [2k].
-#
-# So a row term (d_k chosen per part, at z**j with j = sum_k k d_k, t =
-# (n - j)/2) times the normalization [n]! s**-n of H_n(z; q) is
-#
-#     c s**(-n-2t) (1 - x)**(n-t-|mu|) Q_mu,   Q_mu = [n]! / prod_{a in mu} [a],
-#
-# c rational and mu the partition of n into d_k parts k and e_k parts 2k.
-# Q_mu is a q-multinomial coefficient times prod [a - 1]! (Andrews, The
-# Theory of Partitions, 1976, ch. 3): an x-row with nonnegative coefficients
-# summing to n!/prod a.  So the route runs over Z, with no polynomial gcd.
-# A key mu keeps the parts above 1 (as [1] = 1), largest first.
-
-@lru_cache(maxsize=None)
-def _hermite_u(k):
-    """u_k as (b_k, a) with a = k, for b_k (1 - x)**(k-1) q**(k-a) / [a]."""
-    return Fraction((-1) ** (k + 1) * 2**k, k), k
-
-
-@lru_cache(maxsize=None)
-def _hermite_v(k):
-    """v_k as (b_k, a) with a = 2k, read as for u_k."""
-    return _hermite_u(k)[0], 2 * k
-
+# Both value routes weigh their terms by powers of 1 - x times the quotients
+# Q_mu = [n]! / prod_{a in mu} [a], [a] = [a]_x, for partitions mu of n (the
+# Hermite route in x = q**-2, the Gegenbauer route in x = q).  Q_mu is a
+# q-multinomial coefficient times prod [a - 1]! (Andrews, The Theory of
+# Partitions, 1976, ch. 3): an x-row with nonnegative coefficients summing to
+# n!/prod a.  So both routes run over Z, with no polynomial gcd.  A key mu
+# keeps the parts above 1 (as [1] = 1), largest first.
 
 def _q_factorial_row(n):
     """[n]! as an x-row (ascending powers); times [a] is a window sum."""
@@ -280,6 +253,70 @@ def _divide_q_number(row, a):
         raise ArithmeticError(f"[{a}]_x does not divide the row")
     del r[len(r) - a:]
     return r
+
+
+def _quotient_sums(n, uses):
+    """Per key, the x-row of sum c (1 - x)**E Q_mu over the entries (key, E,
+    c) of every uses[mu], c an int, with as many digits as the longest term
+    of any key.  The keys mu are walked in order, each Q_mu one
+    division of its parent prefix's quotient, and only the current path is
+    kept.  A key's row is one packed int (x -> 2**(8*nbytes)): the c Q_mu of
+    one E are summed, then multiplied by (1 - x)**E.  nbytes holds sum |c|
+    (n!/prod mu) 2**E, a bound on every coefficient, so each is one digit."""
+    bound, length = {}, 0
+    for mu, entries in uses.items():
+        size = math.factorial(n) // math.prod(mu)
+        degree = n * (n - 1) // 2 - sum(mu) + len(mu)  # of Q_mu
+        for key, e, c in entries:
+            bound[key] = bound.get(key, 0) + (abs(c) * size << e)
+            length = max(length, degree + e + 1)
+    nbytes = _width(max(bound.values()).bit_length())
+    sums = {}  # (key, E) -> packed sum of the c Q_mu
+    path, prev = [_q_factorial_row(n)], ()  # path[i]: [n]! over the first i parts of prev
+    for mu in sorted(uses):
+        common = next((i for i, (p, r) in enumerate(zip(prev, mu)) if p != r), min(len(prev), len(mu)))
+        del path[common + 1:]
+        for p in mu[common:]:
+            path.append(_divide_q_number(path[-1], p))
+        packed, prev = _pack(path[-1], nbytes), mu
+        for key, e, c in uses[mu]:
+            sums[key, e] = sums.get((key, e), 0) + c * packed
+    powers, totals = {}, {}  # E -> (1 - x)**E packed; key -> packed row
+    for (key, power), v in sums.items():
+        if power not in powers:
+            powers[power] = _pack([(-1) ** r * math.comb(power, r) for r in range(power + 1)], nbytes)
+        totals[key] = totals.get(key, 0) + v * powers[power]
+    return {key: _unpack(v, nbytes, length) for key, v in totals.items()}
+
+
+# ---------------------------------------------------------------------------
+# Hermite connection (radical-free grouped rows, over Z)
+# ---------------------------------------------------------------------------
+# A row multiplies, over the parts (k, m) of one partition, the classical
+# rewrite H_m(zeta) tau**m / m! = sum_d h_d u**d v**e / (m! 2**d), e =
+# (m - d)/2, with u_k = 2 zeta_k tau_k = (-1)**(k+1) 2**k c_k(q**-2) and
+# v_k = tau_k**2 = (-1)**(k+1) (2q/(1 + q**2))**k c_k(q**-4).  By quesne_c,
+# with x = q**-2, [a] = [a]_x and b_k = (-1)**(k+1) 2**k / k,
+#
+#     u_k = b_k (1 - x)**(k-1) / [k],   v_k = b_k q**-k (1 - x)**(k-1) / [2k].
+#
+# So a row term (d_k chosen per part, at z**j with j = sum_k k d_k, t =
+# (n - j)/2) times the normalization [n]! s**-n of H_n(z; q) is
+#
+#     c s**(-n-2t) (1 - x)**(n-t-|mu|) Q_mu,
+#
+# c rational and mu the partition of n into d_k parts k and e_k parts 2k.
+
+@lru_cache(maxsize=None)
+def _hermite_u(k):
+    """u_k as (b_k, a) with a = k, for b_k (1 - x)**(k-1) q**(k-a) / [a]."""
+    return Fraction((-1) ** (k + 1) * 2**k, k), k
+
+
+@lru_cache(maxsize=None)
+def _hermite_v(k):
+    """v_k as (b_k, a) with a = 2k, read as for u_k."""
+    return _hermite_u(k)[0], 2 * k
 
 
 def _hermite_tables(n):
@@ -310,47 +347,22 @@ def _hermite_tables(n):
 
 def _hermite_value(n, terms):
     """The sum of the terms (j, mu, a, b), each a/b z**j s**(-n-2t) (1 - x)**E
-    Q_mu with E = n - t - |mu|.  The keys mu are walked in order, each Q_mu
-    one division of its parent prefix's quotient, and only the current path
-    is kept.  A z**j coefficient is one packed int (x -> 2**(8*nbytes)) over
-    the lcm of its b: the Q_mu of one E are summed, then multiplied by
-    (1 - x)**E.  nbytes holds sum |a| (n!/prod mu) 2**E, a bound on every
-    coefficient, so each is one digit."""
-    uses = {}  # mu -> [(j, E, a, b)]
+    Q_mu with E = n - t - |mu|: per z-power, the quotient sums over the lcm
+    of its b, as one RationalFunction over an integer times a power of s."""
     scale = {}  # j -> lcm of the b
     for j, mu, a, b in terms:
-        # E = n - t - |mu|: the sum of p - 1 over the parts p of the key, less t
-        uses.setdefault(mu, []).append((j, sum(mu) - len(mu) - (n - j) // 2, a, b))
         scale[j] = math.lcm(scale.get(j, 1), b)
-    bound = dict.fromkeys(scale, 0)
-    for mu, entries in uses.items():
-        size = math.factorial(n) // math.prod(mu)
-        for j, e, a, b in entries:
-            bound[j] += abs(a) * (scale[j] // b) * size << e
-    nbytes = _width(max(bound.values()).bit_length())
-    sums = {}  # (j, E) -> packed sum of the Q_mu
-    path, prev = [_q_factorial_row(n)], ()  # path[i]: [n]! over the first i parts of prev
-    for mu in sorted(uses):
-        common = next((i for i, (p, r) in enumerate(zip(prev, mu)) if p != r), min(len(prev), len(mu)))
-        del path[common + 1:]
-        for p in mu[common:]:
-            path.append(_divide_q_number(path[-1], p))
-        packed, prev = _pack(path[-1], nbytes), mu
-        for j, e, a, b in uses[mu]:
-            sums[j, e] = sums.get((j, e), 0) + a * (scale[j] // b) * packed
-    powers, totals = {}, {}  # E -> (1 - x)**E packed; j -> packed numerator
-    for (j, power), v in sums.items():
-        if power not in powers:
-            powers[power] = _pack([(-1) ** r * math.comb(power, r) for r in range(power + 1)], nbytes)
-        totals[j] = totals.get(j, 0) + v * powers[power]
+    uses = {}  # mu -> [(j, E, c)]
+    for j, mu, a, b in terms:
+        # E = n - t - |mu|: the sum of p - 1 over the parts p of the key, less t
+        uses.setdefault(mu, []).append((j, sum(mu) - len(mu) - (n - j) // 2, a * (scale[j] // b)))
     value = {}
-    for j, v in totals.items():
+    for j, digits in _quotient_sums(n, uses).items():
         t = (n - j) // 2
         degree = n * (n - 1) // 2 - t
-        digits = _unpack(v, nbytes, degree + 1)
         if any(digits):
             row = [0] * (4 * degree + 1)  # x**r = s**(4(degree - r)) / s**(4 degree)
-            row[::4] = digits[::-1]
+            row[::4] = digits[degree::-1]
             den = [0] * (n + 2 * t + 4 * degree) + [scale[j]]
             value[j] = RationalFunction(_raw_poly([_unorm(row)]), _raw_poly([den]))
     return ZPolynomial._raw(value)
@@ -362,10 +374,10 @@ def hermite_connection(n):
 
     Each term is the grouped value of one partition {n_k} (the classical
     product H_{n_1}(zeta_1) H_{n_2}(zeta_2)... with its prefactors, all
-    radicals cancelled) in the normalization of H_n(z; q): `rescale` is None
-    and the total equals q_hermite(n).  The total sums the row terms of every
-    partition at once; the rows, from the same terms, are built when `terms`
-    is first read.
+    radicals cancelled) in the normalization of H_n(z; q), and the total
+    equals q_hermite(n).  The total sums the row terms of every partition at
+    once; the rows, from the same terms, are built on each read of `terms`,
+    so a cached expansion keeps only its total.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -376,7 +388,7 @@ def hermite_connection(n):
         return tuple(ConnectionTerm(sol, None, _hermite_value(n, table))
                      for sol, table in zip(partitions_of(n), tables))
 
-    return ConnectionExpansion("hermite", n, None, rows, total, None)
+    return ConnectionExpansion("hermite", n, None, rows, total)
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +401,17 @@ def laguerre_connection(n, k, aux=None):
     `aux` assigns an arbitrary integer n_j to each order j (default 0); the
     summed total is independent of that choice.  Each term multiplies
 
-        q**((n-l)(n-l+1)/2) [n over l]_q
+        q**((n-l)(n-l+1)/2 - (n-k)(n-k+1)/2) [n over l]_q
         * prod_j binom(-n_j, l_j)      [= (-1)**(l_j) (n_j)_{l_j} / l_j!]
         * prod_j L_{k_j}^{(n_j - k_j)}(c_j(q) z**j)
 
-    over one partition solution; total * rescale equals q_laguerre(n, k).
+    over one partition solution; the total equals q_laguerre(n, k).
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     aux = dict(aux) if aux else {}
-    prefs = [RationalFunction.q_power((n - ell) * (n - ell + 1) // 2) * q_binomial(n, ell, 1)
+    shift = (n - k) * (n - k + 1) // 2  # q**shift: the generating function's normalization
+    prefs = [RationalFunction.q_power((n - ell) * (n - ell + 1) // 2 - shift) * q_binomial(n, ell, 1)
              for ell in range(min(n, k) + 1)]
 
     def classical(j, kj):
@@ -414,9 +427,8 @@ def laguerre_connection(n, k, aux=None):
         poly = _prefix_product(built, sol.kparts[::-1], classical)
         terms.append(ConnectionTerm(sol, coefficient, poly.scale(coefficient)))
     total = ZPolynomial.sum([t.value for t in terms])
-    rescale = RationalFunction.q_power(-((n - k) * (n - k + 1) // 2))
     terms = tuple(terms)
-    return ConnectionExpansion("laguerre", n, k, lambda: terms, total, rescale)
+    return ConnectionExpansion("laguerre", n, k, lambda: terms, total)
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +618,11 @@ def gegenbauer_connection(n):
                                                for bm, c in coeffs.items()})
         for cm, coeffs in by_factors.items()})
     terms = tuple(ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms())
-    return ConnectionExpansion("gegenbauer", n, None, lambda: terms, total, None)
+    return ConnectionExpansion("gegenbauer", n, None, lambda: terms, total)
 
 
-# The value route's factors are IntPolys in one variable each: the classical
-# rows in x = w**2 (w = e^{i theta}), stored as powers of s; the weight
-# factors in Lambda and in q.
+# The value route's classical rows are x-rows in x = w**2 (w = e^{i theta})
+# and its weight factors rows in Lambda, both IntPolys in one variable.
 
 def _classical_power(m, e):
     """U_m**e as an x-row, with C_m at lambda = 1 equal to U_m = sum_l
@@ -622,11 +633,6 @@ def _classical_power(m, e):
 def _lambda_factor(k, e):
     """(1 - Lambda**k)**e."""
     return IntPoly({(0, 0): 1, (0, k): -1}) ** e
-
-
-def _q_factor(k, e):
-    """(1 - q**k)**e."""
-    return IntPoly({(0, 0): 1, (2 * k, 0): -1}) ** e
 
 
 def gegenbauer_connection_value(expansion):
@@ -643,52 +649,41 @@ def gegenbauer_connection_value(expansion):
         D, the lcm of the denominators of the c_{t,mu}.  The cos(j theta)
         coefficient of a row is its x**(n/2) entry for j = 0 and twice its
         x**((n+j)/2) entry otherwise.
-      * Weights.  prod_k [lambda]_{q**k}**e_k = N_mu / (q;q)_n with N_mu =
-        prod_k (1 - Lambda**k)**e_k * Q_mu, and Q_mu = (q;q)_n / prod_k
-        (1 - q**k)**e_k is a polynomial since sum_k k*e_k = n.  Every N_mu
-        has Lambda-degree n and q-degree n(n-1)/2, so one Kronecker
-        substitution (q -> 2**(8*nbytes), Lambda -> 2**(8*nbytes*W), W the
-        q-length of Q_mu) makes each N_mu one int: the product of the ints
-        of its two factors.
-      * Sum.  A cos index's numerator sum_mu N_mu * A_mu[j] is summed on
-        those ints, unpacked once and reduced once over D * (q;q)_n.  nbytes
-        bounds every coefficient of every numerator, so each is one digit."""
+      * Weights.  prod_k [lambda]_{q**k}**e_k = L_mu (1 - q)**E Q_mu /
+        (q;q)_n, with L_mu = prod_k (1 - Lambda**k)**e_k, E = n - sum_k e_k
+        and Q_mu = [n]_q! / prod_k [k]_q**e_k, since sum_k k*e_k = n.
+      * Sum.  The Lambda**p coefficient of a cos index's numerator is
+        sum_mu A_mu[j] L_mu[p] (1 - q)**E Q_mu, one q-row of the quotient
+        kernel (_quotient_sums, keyed by cos index and p); each cos index is
+        reduced once over D * (q;q)_n = D (1 - q)**n [n]_q!."""
     n = expansion.n
-    scale = math.lcm(*(c.denominator for t in expansion.terms
-                       for c in t.coefficient._terms.values()))
+    terms = expansion.terms
+    scale = math.lcm(*(c.denominator for t in terms for c in t.coefficient._terms.values()))
     low = (n + 1) // 2  # the x-power of cos(0 theta) or cos(theta)
     classical = {(): IntPoly.one()}
     by_weight = {}
-    for term in expansion.terms:
+    for term in terms:
         row = _prefix_product(classical, term.descriptor, _classical_power)._rows[0][low:]
         for mu, c in term.coefficient.items():
             scaled = map((c.numerator * (scale // c.denominator)).__mul__, row)
             acc = by_weight.get(mu)
             by_weight[mu] = list(scaled) if acc is None else list(map(add, acc, scaled))
     doubled = [1 if 2 * (low + i) == n else 2 for i in range(n + 1 - low)]
-    lam_built, q_built = {(): IntPoly.one()}, {(): IntPoly.one()}
-    q_poch = _prefix_product(q_built, tuple((k, 1) for k in range(1, n + 1)), _q_factor)
-    factors = []  # (Lambda coefficients of N_mu, q-row of Q_mu, A_mu by cos index)
-    bound = 0  # of every coefficient of every numerator
+    lam_built = {(): IntPoly.one()}
+    uses = {}  # mu's parts above 1, largest first -> [((cos index, Lambda power), E, c)]
     for mu, acc in by_weight.items():
-        lam = [r[0] if r else 0 for r in _prefix_product(lam_built, mu, _lambda_factor)._rows]
-        quotient = q_poch.divexact(_prefix_product(q_built, mu, _q_factor))._rows[0][::2]
-        a = list(map(mul, acc, doubled))
-        bound += _maxabs(lam) * _maxabs(quotient) * _maxabs(a)
-        factors.append((lam, quotient, a))
-    nrows = max(len(f[0]) for f in factors)
-    width = max(len(f[1]) for f in factors)
-    nbytes = _width(bound.bit_length())
-    sums = [0] * len(doubled)
-    for lam, quotient, a in factors:
-        packed = _pack(lam, nbytes * width) * _pack(quotient, nbytes)
-        sums = [acc + x * packed for acc, x in zip(sums, a)]
-    den = q_poch * scale
+        lam = [(p, r[0]) for p, r in enumerate(_prefix_product(lam_built, mu, _lambda_factor)._rows) if r]
+        parts = tuple(k for k, e in reversed(mu) if k > 1 for _ in range(e))
+        power = n - sum(e for _, e in mu)
+        uses[parts] = [((i, p), power, a * d * l)
+                       for i, (a, d) in enumerate(zip(acc, doubled)) if a for p, l in lam]
+    rows = _quotient_sums(n, uses)
+    # D (q;q)_n: the kernel's empty key, Q = [n]!, times D (1 - q)**n
+    den = _raw_poly([_spread(_quotient_sums(n, {(): [(0, n, scale)]})[0])])
     coeffs = {}
-    for i, packed in enumerate(sums):
-        rows = _unflatten(_unpack(packed, nbytes, nrows * width), width)
-        coeffs[2 * (low + i) - n] = RationalFunction(
-            _raw_poly(_unorm([_spread(r) if r else r for r in rows])), den)
+    for i in range(len(doubled)):
+        num = [_spread(_unorm(rows.get((i, p), []))) for p in range(n + 1)]
+        coeffs[2 * (low + i) - n] = RationalFunction(_raw_poly(_unorm(num)), den)
     return CosPolynomial(coeffs)
 
 
