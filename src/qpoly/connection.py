@@ -331,7 +331,7 @@ def _hermite_tables(n):
             if options is None:
                 (bu, au), (bv, av) = _hermite_u(k), _hermite_v(k)
                 options = choices[k, m] = []
-                for d, h in hermite_classical(m).items():
+                for d, h in hermite_classical(m)._terms.items():
                     e = (m - d) // 2
                     c = h.as_fraction() / (math.factorial(m) * 2**d) * bu**d * bv**e
                     options.append((k * d, (au,) * d + (av,) * e, c.numerator, c.denominator))
@@ -415,9 +415,11 @@ def laguerre_connection(n, k, aux=None):
              for ell in range(min(n, k) + 1)]
 
     def classical(j, kj):
-        """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j)."""
-        return laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj),
-                                  ZPolynomial({j: quesne_c(j, 1)}))
+        """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j): each z**d coefficient h_d of
+        L_{k_j}^{(n_j - k_j)}(z) goes to z**(j d) as h_d c_j**d."""
+        c = quesne_c(j, 1)
+        factor = laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj))
+        return ZPolynomial({j * d: h * c**d for d, h in factor._terms.items()})
 
     built = {(): ZPolynomial.one()}
     terms = []
@@ -664,7 +666,7 @@ def gegenbauer_connection_value(expansion):
     by_weight = {}
     for term in terms:
         row = _prefix_product(classical, term.descriptor, _classical_power)._rows[0][low:]
-        for mu, c in term.coefficient.items():
+        for mu, c in term.coefficient._terms.items():
             scaled = map((c.numerator * (scale // c.denominator)).__mul__, row)
             acc = by_weight.get(mu)
             by_weight[mu] = list(scaled) if acc is None else list(map(add, acc, scaled))

@@ -91,9 +91,6 @@ class SparsePoly:
         c = self._terms.get(m)
         return self._coerce(0) if c is None else c
 
-    def items(self):
-        return sorted(self._terms.items())
-
     def sorted_terms(self):
         """(monomial, coefficient) pairs in display order, highest first."""
         key = self._order
@@ -321,24 +318,12 @@ def hermite_classical(n):
     return ZPolynomial(coeffs)
 
 
-def laguerre_classical(idx, argument=None):
-    """L_k^{(alpha)} evaluated at a polynomial argument (default z):
-    sum_l (-1)**l C(n, k-l) argument**l / l!  with n = k + alpha and the
-    generalized falling-factorial binomial (valid for negative n too)."""
-    if argument is None:
-        argument = ZPolynomial.z()
-    n = idx.n
-    parts = []
-    power = ZPolynomial.one()
-    for ell in range(idx.k + 1):
-        if ell:
-            power = power * argument if ell > 1 else argument
-        c = falling_binomial(n, idx.k - ell) / math.factorial(ell)
-        if ell % 2:
-            c = -c
-        if c:
-            parts.append(power.scale(c))
-    return ZPolynomial.sum(parts)
+def laguerre_classical(idx):
+    """L_k^{(alpha)}(z) = sum_l (-1)**l C(n, k-l) z**l / l!  with n = k + alpha
+    and the generalized falling-factorial binomial (valid for negative n too);
+    at an argument c z**j, its z**l coefficient times c**l sits at z**(j l)."""
+    return ZPolynomial({ell: (-1) ** ell * falling_binomial(idx.n, idx.k - ell) / math.factorial(ell)
+                        for ell in range(idx.k + 1)})
 
 
 @lru_cache(maxsize=None)

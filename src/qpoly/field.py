@@ -108,11 +108,15 @@ Fraction or a constant RationalFunction p/q, the other is A/B with A, B
 coprime and p, q coprime, so gcd(A*p, B*q) = gcd(content(A), q) *
 gcd(p, content(B)).  Those two integer gcds give the canonical product with
 no polynomial gcd.
+
+q -> 1 limits.  A canonical value's numerator and denominator are coprime,
+so they never both vanish at s = 1: the limit is num(1) / den(1), or a pole.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -964,23 +968,15 @@ class RationalFunction:
 
     # -- limits & evaluation -----------------------------------------------
     def limit_q_to_1(self):
-        """Exact value at s = 1 after cancelling any shared (s - 1) factors.
-
-        Requires a Lambda-free element; raises PoleAtOne if the limit is
-        infinite.  Returns a Fraction.
-        """
+        """The exact value at s = 1, num(1) / den(1), as a Fraction: no
+        factor s - 1 is left to cancel (see q -> 1 limits above).  Requires a
+        Lambda-free element; raises PoleAtOne if den(1) = 0."""
         if self.has_lam():
             raise LambdaPresent("element contains q**lambda")
-        num = self.num._rows[0] if self.num._rows else []
-        den = self.den._rows[0]
-        nv, dv = sum(num), sum(den)
-        while dv == 0 and nv == 0:
-            num = _syndiv_s_minus_1(num)
-            den = _syndiv_s_minus_1(den)
-            nv, dv = sum(num), sum(den)
+        dv = sum(self.den._rows[0])
         if dv == 0:
             raise PoleAtOne("denominator vanishes at q = 1")
-        return Fraction(nv, dv)
+        return Fraction(sum(self.num._rows[0]) if self.num._rows else 0, dv)
 
     def eval_numeric(self, s_value, lam_value=None):
         """Double-precision complex value at the given generator values."""
@@ -1066,16 +1062,6 @@ def _coerce_or_raise(x):
     return r
 
 
-def _syndiv_s_minus_1(c):
-    """Synthetic division by (s - 1); caller guarantees divisibility."""
-    out = [0] * (len(c) - 1) if len(c) > 1 else [0]
-    acc = 0
-    for i in range(len(c) - 1, 0, -1):
-        acc += c[i]
-        out[i - 1] = acc
-    return _unorm(out)
-
-
 _RF_ZERO = _rf_raw(_INTPOLY_ZERO, _INTPOLY_ONE)
 _RF_ONE = _rf_raw(_INTPOLY_ONE, _INTPOLY_ONE)
 
@@ -1089,9 +1075,10 @@ class ParseError(ValueError):
 
 
 def _parse_int(text):
+    """An integer as render prints it: ASCII digits with an optional sign."""
     try:
-        return int(text)
-    except ValueError:
+        return int(re.fullmatch(r"[+-]?[0-9]+", text)[0])
+    except (TypeError, ValueError):  # no match, or more digits than int() converts
         raise ParseError(f"not an integer: {text!r}") from None
 
 

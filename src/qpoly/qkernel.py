@@ -133,11 +133,6 @@ def q_exp_sum(kind, argument, base_exp):
     return _power_sum(argument, coeff, 0)
 
 
-def _exp_of_powers(argument, coeff):
-    """exp( sum_k coeff(k) * argument**k ) to the argument's order."""
-    return _power_sum(argument, coeff, 1).exp()
-
-
 def q_exp_product_form(kind, argument, base_exp):
     """Jackson q-exponential as exp of its explicit log-series."""
     if kind not in ("e", "E"):
@@ -148,11 +143,11 @@ def q_exp_product_form(kind, argument, base_exp):
         c = _ONE / ((_ONE - v**k) * k)
         return -c if kind == "E" and k % 2 == 0 else c
 
-    return _exp_of_powers(argument, coeff)
+    return _power_sum(argument, coeff, 1).exp()
 
 
 def quesne_series(argument, base_exp):
     """exp( sum_k c_k(base) * argument**k ): the product-of-exponentials
     form of the physicists' q-exponential sum_n z**n/[n]!."""
     _base(base_exp)  # base 1 is rejected for a zero argument too
-    return _exp_of_powers(argument, lambda k: quesne_c(k, base_exp))
+    return _power_sum(argument, lambda k: quesne_c(k, base_exp), 1).exp()

@@ -372,13 +372,9 @@ _DEFAULT_MAX_N = {"qexp": 12, "hermite": 8, "laguerre": 5, "gegenbauer": 8,
 
 def run_suite(suite, max_n=None):
     """Run one suite (or "all") and return a VerificationReport."""
-    if suite == "all":
-        report = VerificationReport("all")
-        for name, fn in _SUITES.items():
-            fn(report, max_n if max_n is not None else _DEFAULT_MAX_N[name])
-        return report
-    if suite not in _SUITES:
+    if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     report = VerificationReport(suite)
-    _SUITES[suite](report, max_n if max_n is not None else _DEFAULT_MAX_N[suite])
+    for name in _SUITES if suite == "all" else (suite,):
+        _SUITES[name](report, max_n if max_n is not None else _DEFAULT_MAX_N[name])
     return report

@@ -605,65 +605,38 @@ def test_laguerre_builds_each_prefactor_and_factor_once(monkeypatch):
         binomials.append(ell)
         return q_binomial(n, ell, base)
 
-    def counted_classical(idx, argument):
-        factors.append((max(argument.support()), idx.k))
-        return laguerre_classical(idx, argument)
+    def counted_classical(idx):
+        factors.append((idx.k, idx.alpha))
+        return laguerre_classical(idx)
 
     monkeypatch.setattr(connection, "q_binomial", counted_binomial)
     monkeypatch.setattr(connection, "laguerre_classical", counted_classical)
-    n, k = 5, 6
-    expansion = laguerre_connection(n, k, {1: 2, 2: -1, 3: 3})
+    n, k, aux = 5, 6, {1: 2, 2: -1, 3: 3}
+    expansion = laguerre_connection(n, k, aux)
     assert expansion.rescaled_total() == q_laguerre(n, k)
     assert sorted(binomials) == list(range(min(n, k) + 1))
-    solutions = laguerre_partitions(n, k)
-    assert sorted(factors) == sorted({part for sol in solutions for part in sol.kparts})
-
-
-def _count_zpoly_products(monkeypatch, skip_inside=None):
-    """Record every ZPolynomial product as (left, right), except those made
-    inside the connection-module function named skip_inside."""
-    import qpoly.connection as connection
-
-    products, inside = [], []
-    mul = ZPolynomial.__mul__
-
-    def counted(a, b):
-        if not inside:
-            products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(ZPolynomial, "__mul__", counted)
-    if skip_inside is not None:
-        fn = getattr(connection, skip_inside)
-
-        def wrapped(*args):
-            inside.append(1)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(connection, skip_inside, wrapped)
-    return products
+    # one L_{k_j}^{(n_j - k_j)}(z) per distinct (j, k_j)
+    parts = {part for sol in laguerre_partitions(n, k) for part in sol.kparts}
+    assert sorted(factors) == sorted((kj, aux.get(j, 0) - kj) for j, kj in parts)
 
 
 def test_laguerre_builds_each_prefix_product_once(monkeypatch):
-    products = _count_zpoly_products(monkeypatch, skip_inside="laguerre_classical")
+    # 46 prefix products and none inside a factor: each factor is read off
+    # the coefficients of L_{k_j}, with no power of its argument
+    products = []
+    mul = ZPolynomial.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ZPolynomial, "__mul__", counted)
     expansion = laguerre_connection(8, 8, {1: 2, 2: -1, 3: 3})
     one = ZPolynomial.one()
     assert len(products) == 46
     assert not any(a == one or b == one for a, b in products)
     assert expansion.rescaled_total() == q_laguerre(8, 8)
     assert expansion.total == ZPolynomial.sum([t.value for t in expansion.terms])
-
-
-def test_laguerre_classical_powers_start_at_the_argument(monkeypatch):
-    products = _count_zpoly_products(monkeypatch)
-    expansion = laguerre_connection(8, 8, {1: 2, 2: -1, 3: 3})
-    one = ZPolynomial.one()
-    assert len(products) == 82  # 46 prefix products, 36 powers of arguments
-    assert not any(a == one or b == one for a, b in products)
-    assert expansion.rescaled_total() == q_laguerre(8, 8)
 
 
 def test_gegenbauer_term_order_matches_partition_order():

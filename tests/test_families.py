@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpoly.connection import BetaPolynomial, CPolynomial, LambdaPolynomial
+from qpoly.connection import BetaPolynomial, CPolynomial, LambdaPolynomial, laguerre_connection
 from qpoly.field import RationalFunction as RF
 from qpoly.families import (
     CosPolynomial,
@@ -22,7 +22,7 @@ from qpoly.families import (
     q_hermite,
     q_laguerre,
 )
-from qpoly.qkernel import q_pochhammer
+from qpoly.qkernel import q_pochhammer, quesne_c
 from qpoly.verify import (
     chebyshev_recurrence,
     hermite5_reference,
@@ -72,12 +72,30 @@ def test_laguerre_classical_examples():
     assert laguerre_classical(LaguerreIndex(0, 123)) == ZPolynomial.one()
 
 
-def test_laguerre_classical_polynomial_argument():
-    # composing with c z^2 rescales degrees
-    arg = ZPolynomial({2: Q})
-    poly = laguerre_classical(LaguerreIndex(2, 1), arg)
-    direct = laguerre_classical(LaguerreIndex(2, 1))
-    assert poly == ZPolynomial({2 * d: c * Q**d for d, c in direct.items()})
+def _composed_laguerre(idx, argument):
+    """L_k^{(alpha)} at a polynomial argument, summed over its powers:
+    sum_l (-1)**l C(n, k-l) argument**l / l!."""
+    parts, power = [], ZPolynomial.one()
+    for ell in range(idx.k + 1):
+        parts.append(power.scale((-1) ** ell * falling_binomial(idx.n, idx.k - ell) / math.factorial(ell)))
+        power = power * argument
+    return ZPolynomial.sum(parts)
+
+
+@pytest.mark.parametrize("random_aux", [False, True], ids=["no-aux", "random-aux"])
+def test_laguerre_rows_match_factors_composed_at_their_arguments(random_aux):
+    # the connection reads each factor L_{k_j}^{(n_j - k_j)}(c_j z**j) off the
+    # coefficients of L_{k_j}; composing with c_j z**j by powers agrees
+    rng = random.Random(19)
+    for n in range(7):
+        for k in range(7):
+            aux = {j: rng.randint(-3, 3) for j in range(1, k + 1)} if random_aux else {}
+            for term in laguerre_connection(n, k, aux).terms:
+                factors = [_composed_laguerre(LaguerreIndex(kj, aux.get(j, 0) - kj),
+                                              ZPolynomial({j: quesne_c(j, 1)}))
+                           for j, kj in term.descriptor.kparts]
+                expected = math.prod(factors, start=ZPolynomial.one()).scale(term.coefficient)
+                assert term.value == expected, (n, k, aux, term.descriptor)
 
 
 def test_laguerre_classical_vs_genfun():

@@ -123,6 +123,22 @@ def test_limit_pole():
         (ONE / (ONE - Q)).limit_q_to_1()
 
 
+@pytest.mark.parametrize("value, limit", [
+    ((ONE - Q) ** 3 / (ONE - Q**2) ** 2, 0),
+    ((ONE - Q**2) ** 2 / (ONE - Q) ** 2, 4),
+    (RF.s_power(-3) * (ONE - Q**2) / (ONE - Q), 2),  # (1 + q) / s**3
+    (ONE / (ONE - Q) ** 2, None),
+], ids=["cubed-over-squared", "squared-over-squared", "s-power-denominator", "double-pole"])
+def test_limit_of_repeated_factors_of_one_minus_q(value, limit):
+    # arithmetic cancels every common factor 1 - q, so the limit reads the
+    # value at s = 1 and a pole is left only in the denominator
+    if limit is None:
+        with pytest.raises(PoleAtOne):
+            value.limit_q_to_1()
+    else:
+        assert value.limit_q_to_1() == limit
+
+
 def test_limit_lambda_rejected():
     with pytest.raises(LambdaPresent):
         LAM.limit_q_to_1()
@@ -272,6 +288,10 @@ def test_constants_hash_like_equal_numbers():
     (parse_rational, "2/3"),
     (parse_rational, "(1)/(0)"),
     (parse_rational, "q^{1048577}"),
+    (parse_rational, "1_000*q"),
+    (parse_rational, "\u0663*q"),  # an Arabic-Indic digit
+    (parse_rational, "q^{\u0662}"),
+    (parse_rational, "\uff13"),  # a fullwidth digit
     (parse_polynomial_json, "[]"),
     (parse_polynomial_json, "{"),
     (parse_polynomial_json, '{"coefficients": [{"basis": "z", "degree_or_m": 0, '
