@@ -11,7 +11,9 @@ relation:
     off the coefficients h_d of the classical H_m(z).  Its terms are summed
     over Z, as integer q-multinomial quotients in q**-2.
   * Laguerre:  sum_j j*(k_j + l_j) + l = k, with one free auxiliary integer
-    n_j per order j; the summed total provably does not depend on them.
+    n_j per order j; the summed total provably does not depend on them.  The
+    total is summed over Z, per order j and then as integer q-multinomial
+    quotients in q; the rows are the classical products, scaled.
   * Gegenbauer: the log of the deformed generating function is the classical
     log rescaled per t-order by beta_k = [lambda]_{q**k}.  Exponentiating
     symbolically over polynomials in abstract generators beta_k and abstract
@@ -29,13 +31,13 @@ itself.  Each engine builds every distinct building block once per call, in
 tables local to the call: the Hermite part choices, the Laguerre prefactors
 and classical factors, the Gegenbauer classical powers and Lambda factors.
 One quotient kernel, _quotient_sums, builds each q-multinomial quotient
-[n]!/prod [a] of the Hermite and Gegenbauer value routes once per call, by
-exact stride division from its parent prefix.  One product table,
-_prefix_product, forms every product over the parts of a key: the Laguerre
-rows (keyed largest part first), the Gegenbauer classical rows and Lambda
-factors, and BetaPolynomial.substitute.  Each distinct partial product is
-built once per call, from its longest prefix; the total stays the sum of the
-row values.
+[n]!/prod [a] of the Hermite and Laguerre totals and of the Gegenbauer value
+route once per call, by exact stride division from its parent prefix.  One
+product table, _prefix_product, forms every product over the parts of a key:
+the Laguerre rows (keyed largest part first), the Gegenbauer classical rows
+and Lambda factors, and BetaPolynomial.substitute.  Each distinct partial
+product is built once per call, from its longest prefix.  The Hermite and
+Laguerre rows are built only when `terms` is read.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .field import (
     _pack,
     _raw_poly,
     _spread,
+    _uadd,
+    _umul,
     _unorm,
     _unpack,
     _width,
@@ -70,7 +74,7 @@ from .families import (
     laguerre_classical,
     q_gegenbauer_direct,
 )
-from .qkernel import _power_sum, q_binomial, quesne_c
+from .qkernel import _power_sum, quesne_c
 from .series import Ring, TruncatedSeries, ring_sum
 
 # ---------------------------------------------------------------------------
@@ -224,22 +228,26 @@ def _prefix_product(built, key, block):
 
 
 # ---------------------------------------------------------------------------
-# q-multinomial quotients over Z (the Hermite and Gegenbauer value routes)
+# q-multinomial quotients over Z (the Hermite, Laguerre and Gegenbauer sums)
 # ---------------------------------------------------------------------------
-# Both value routes weigh their terms by powers of 1 - x times the quotients
-# Q_mu = [n]! / prod_{a in mu} [a], [a] = [a]_x, for partitions mu of n (the
-# Hermite route in x = q**-2, the Gegenbauer route in x = q).  Q_mu is a
-# q-multinomial coefficient times prod [a - 1]! (Andrews, The Theory of
-# Partitions, 1976, ch. 3): an x-row with nonnegative coefficients summing to
-# n!/prod a.  So both routes run over Z, with no polynomial gcd.  A key mu
-# keeps the parts above 1 (as [1] = 1), largest first.
+# The Hermite and Laguerre totals and the Gegenbauer value weigh their terms
+# by powers of 1 - x times the quotients Q_mu = [n]! / prod_{a in mu} [a], [a]
+# = [a]_x, for partitions mu of n, or of at most n for Laguerre (Hermite in x
+# = q**-2, the others in x = q).  Q_mu is a q-multinomial coefficient times
+# prod [a - 1]! and times [n]!/[|mu|]! (Andrews, The Theory of Partitions,
+# 1976, ch. 3): an x-row with nonnegative coefficients summing to n!/prod a.
+# So the three sums run over Z, with no polynomial gcd before the one
+# reduction per z-power or cos index.  A key mu keeps the parts above 1 (as
+# [1] = 1), largest first.
+
+def _times_q_number(row, a):
+    """row * [a] for an x-row: a window sum."""
+    return [sum(row[max(0, i - a + 1):i + 1]) for i in range(len(row) + a - 1)]
+
 
 def _q_factorial_row(n):
-    """[n]! as an x-row (ascending powers); times [a] is a window sum."""
-    row = [1]
-    for a in range(2, n + 1):
-        row = [sum(row[max(0, i - a + 1):i + 1]) for i in range(len(row) + a - 1)]
-    return row
+    """[n]! as an x-row (ascending powers)."""
+    return reduce(_times_q_number, range(2, n + 1), [1])
 
 
 def _divide_q_number(row, a):
@@ -395,6 +403,75 @@ def hermite_connection(n):
 # Laguerre connection (auxiliary integers)
 # ---------------------------------------------------------------------------
 
+# The total sums every row at once, reassociated: the constants binom(-n_j,
+# l_j) of order j go into factor j, so it is the t**k coefficient of
+#     sum_l q**p_l [n over l] t**l
+#     * prod_j sum_m t**(j m) sum_{i <= m} binom(-n_j, m - i) L_i^{(n_j - i)}(c_j z**j).
+# As c_j = (1 - q)**(j-1) / (j [j]_q), a choice of the z**d coefficient h_d of
+# each factor gives z**D (D = sum j d) times c (1 - q)**E Q_mu / (D! [k]!),
+# with E = sum (j - 1) d, mu the partition of D into d parts j, Q_mu =
+# [k]!/prod [j]**d, and c = D! prod h_d / j**d an integer (h_d d! is one, and
+# D!/prod d! j**d counts the permutations of cycle type mu).  So choice d of
+# factor j carries h_d (j d)! / j**d, and products of z-degrees D and D' join
+# with binom(D + D', D), as exponential generating functions do.
+
+def _q_binomial_rows(n, top):
+    """[n over l]_q for l = 0..top as q-rows, each the last times [n - l + 1]
+    over [l]."""
+    rows = [[1]]
+    for ell in range(1, top + 1):
+        rows.append(_divide_q_number(_times_q_number(rows[-1], n - ell + 1), ell))
+    return rows
+
+
+def _q_ratio(num, den, power):
+    """q**power num / den for nonzero q-rows num and den, reduced."""
+    num, den = _spread(num), _spread(den)
+    if power > 0:
+        num = [0] * (2 * power) + num
+    else:
+        den = [0] * (-2 * power) + den
+    return RationalFunction(_raw_poly([num]), _raw_poly([den]))
+
+
+def _laguerre_total(k, aux, factor, binomials, powers):
+    """The sum of every row (see above), with the prefactors [n over l] and
+    p_l = powers[l].  The t-series runs over Z, keyed by (D, mu); the
+    quotient kernel sums each (D, l), and each z**D is one RationalFunction
+    over D! [k]!."""
+    series = [{(0, ()): 1}] + [{} for _ in range(k)]  # t-power -> (D, mu) -> c
+    for j in range(1, k + 1):
+        binom = [falling_binomial(-aux.get(j, 0), m).numerator for m in range(k // j + 1)]
+        scaled, blocks = [{0: 1}], []  # per m: d -> h_d (j d)! / j**d of L_m; the t**(j m) term
+        for m in range(1, k // j + 1):
+            scaled.append({d: int(h.as_fraction() * math.factorial(j * d) / j**d)
+                           for d, h in factor(j, m).items()})
+            block = {}
+            for i, choices in enumerate(scaled):
+                for d, h in choices.items():
+                    block[d] = block.get(d, 0) + binom[m - i] * h
+            blocks.append({d: h for d, h in block.items() if h})
+        for w in range(k, j - 1, -1):  # down, so series[w - j m] is still the old one
+            acc = series[w]
+            for m, block in enumerate(blocks[:w // j], 1):
+                for (zpow, mu), c in series[w - j * m].items():
+                    for d, h in block.items():
+                        key = (zpow + j * d, (j,) * d + mu if j > 1 else mu)
+                        acc[key] = acc.get(key, 0) + c * h * math.comb(zpow + j * d, zpow)
+    uses = {}  # mu -> [((D, l), E, c)]
+    for ell in range(len(binomials)):
+        for (zpow, mu), c in series[k - ell].items():
+            if c:
+                uses.setdefault(mu, []).append(((zpow, ell), sum(mu) - len(mu), c))
+    low = min(powers)
+    nums = {}  # D -> sum_l q**(p_l - low) [n over l] times the kernel row of (D, l)
+    for (zpow, ell), row in _quotient_sums(k, uses).items():
+        nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], _unorm(row)))
+    fact = _q_factorial_row(k)  # z-powers descending: the row sum's order when aux is {}
+    return ZPolynomial._raw({zpow: _q_ratio(nums[zpow], [math.factorial(zpow) * x for x in fact], low)
+                             for zpow in sorted(nums, reverse=True) if _unorm(nums[zpow])})
+
+
 def laguerre_connection(n, k, aux=None):
     """Expansion of the deformed Laguerre polynomial L_k^{(n-k)}(z; q).
 
@@ -405,32 +482,41 @@ def laguerre_connection(n, k, aux=None):
         * prod_j binom(-n_j, l_j)      [= (-1)**(l_j) (n_j)_{l_j} / l_j!]
         * prod_j L_{k_j}^{(n_j - k_j)}(c_j(q) z**j)
 
-    over one partition solution; the total equals q_laguerre(n, k).
+    over one partition solution; the total equals q_laguerre(n, k).  The
+    total is summed over Z (_laguerre_total); the rows, from the same factors,
+    are built on each read of `terms`.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     aux = dict(aux) if aux else {}
     shift = (n - k) * (n - k + 1) // 2  # q**shift: the generating function's normalization
-    prefs = [RationalFunction.q_power((n - ell) * (n - ell + 1) // 2 - shift) * q_binomial(n, ell, 1)
-             for ell in range(min(n, k) + 1)]
+    binomials = _q_binomial_rows(n, min(n, k))
+    powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
+    factors = {}
+
+    def factor(j, kj):
+        """The z**d coefficients h_d of L_{k_j}^{(n_j - k_j)}(z), read once per call."""
+        if (j, kj) not in factors:
+            factors[j, kj] = laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj))._terms
+        return factors[j, kj]
 
     def classical(j, kj):
-        """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j): each z**d coefficient h_d of
-        L_{k_j}^{(n_j - k_j)}(z) goes to z**(j d) as h_d c_j**d."""
+        """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j): each h_d goes to z**(j d) as h_d c_j**d."""
         c = quesne_c(j, 1)
-        factor = laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj))
-        return ZPolynomial({j * d: h * c**d for d, h in factor._terms.items()})
+        return ZPolynomial({j * d: h * c**d for d, h in factor(j, kj).items()})
 
-    built = {(): ZPolynomial.one()}
-    terms = []
-    for sol in laguerre_partitions(n, k):
-        coefficient = prefs[sol.ell] * math.prod(
-            falling_binomial(-aux.get(j, 0), lj) for j, lj in sol.lparts)
-        poly = _prefix_product(built, sol.kparts[::-1], classical)
-        terms.append(ConnectionTerm(sol, coefficient, poly.scale(coefficient)))
-    total = ZPolynomial.sum([t.value for t in terms])
-    terms = tuple(terms)
-    return ConnectionExpansion("laguerre", n, k, lambda: terms, total)
+    def rows():
+        prefs = [_q_ratio(row, [1], power) for row, power in zip(binomials, powers)]
+        built = {(): ZPolynomial.one()}
+        terms = []
+        for sol in laguerre_partitions(n, k):
+            coefficient = prefs[sol.ell] * math.prod(
+                falling_binomial(-aux.get(j, 0), lj) for j, lj in sol.lparts)
+            poly = _prefix_product(built, sol.kparts[::-1], classical)
+            terms.append(ConnectionTerm(sol, coefficient, poly.scale(coefficient)))
+        return tuple(terms)
+
+    return ConnectionExpansion("laguerre", n, k, rows, _laguerre_total(k, aux, factor, binomials, powers))
 
 
 # ---------------------------------------------------------------------------

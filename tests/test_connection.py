@@ -412,11 +412,23 @@ def test_laguerre_gauge_independence():
 
 
 def test_laguerre_terms_sum_to_total():
-    expansion = laguerre_connection(3, 3, {1: 1, 2: 2, 3: -1})
-    total = None
-    for term in expansion.terms:
-        total = term.value if total is None else total + term.value
-    assert total == expansion.total
+    # the total is summed over Z and the rows are classical products scaled
+    # by their prefactors: two routes from the same factors
+    rng = random.Random(8)
+    for n, aux in ((3, {1: 1, 2: 2, 3: -1}), (6, {j: rng.randint(-3, 3) for j in range(1, 7)}),
+                   (8, {j: rng.randint(-3, 3) for j in range(1, 9)})):
+        expansion = laguerre_connection(n, n, aux)
+        total = None
+        for term in expansion.terms:
+            total = term.value if total is None else total + term.value
+        assert total == expansion.total, (n, aux)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_laguerre_total_matches_family_at_high_degree(n):
+    rng = random.Random(100 + n)
+    aux = {j: rng.randint(-3, 3) for j in range(1, n + 1)}
+    assert laguerre_connection(n, n, aux).total == q_laguerre(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -596,33 +608,41 @@ def test_gegenbauer_value_matches_term_by_term_substitution(n, monkeypatch):
     assert value == expected
 
 
-def test_laguerre_builds_each_prefactor_and_factor_once(monkeypatch):
+def test_laguerre_builds_each_binomial_row_and_factor_once(monkeypatch):
+    # one q-binomial row per l and one L_{k_j}^{(n_j - k_j)}(z) per distinct
+    # (j, k_j), shared by the total and by every read of the rows
     import qpoly.connection as connection
 
     binomials, factors = [], []
+    binomial_rows = connection._q_binomial_rows
 
-    def counted_binomial(n, ell, base):
-        binomials.append(ell)
-        return q_binomial(n, ell, base)
+    def counted_rows(n, top):
+        rows = binomial_rows(n, top)
+        binomials.extend((n, ell, tuple(row)) for ell, row in enumerate(rows))
+        return rows
 
     def counted_classical(idx):
         factors.append((idx.k, idx.alpha))
         return laguerre_classical(idx)
 
-    monkeypatch.setattr(connection, "q_binomial", counted_binomial)
+    monkeypatch.setattr(connection, "_q_binomial_rows", counted_rows)
     monkeypatch.setattr(connection, "laguerre_classical", counted_classical)
     n, k, aux = 5, 6, {1: 2, 2: -1, 3: 3}
     expansion = laguerre_connection(n, k, aux)
     assert expansion.rescaled_total() == q_laguerre(n, k)
-    assert sorted(binomials) == list(range(min(n, k) + 1))
-    # one L_{k_j}^{(n_j - k_j)}(z) per distinct (j, k_j)
+    assert expansion.terms == expansion.terms
+    q = RF.q()
+    assert [ell for _, ell, _ in binomials] == list(range(min(n, k) + 1))
+    for _, ell, row in binomials:
+        assert sum((c * q**i for i, c in enumerate(row)), RF.zero()) == q_binomial(n, ell, 1)
     parts = {part for sol in laguerre_partitions(n, k) for part in sol.kparts}
     assert sorted(factors) == sorted((kj, aux.get(j, 0) - kj) for j, kj in parts)
 
 
-def test_laguerre_builds_each_prefix_product_once(monkeypatch):
-    # 46 prefix products and none inside a factor: each factor is read off
-    # the coefficients of L_{k_j}, with no power of its argument
+def test_laguerre_rows_build_each_prefix_product_once(monkeypatch):
+    # the total takes no ZPolynomial product; each read of the rows makes 46
+    # prefix products and none inside a factor: each factor is read off the
+    # coefficients of L_{k_j}, with no power of its argument
     products = []
     mul = ZPolynomial.__mul__
 
@@ -632,11 +652,36 @@ def test_laguerre_builds_each_prefix_product_once(monkeypatch):
 
     monkeypatch.setattr(ZPolynomial, "__mul__", counted)
     expansion = laguerre_connection(8, 8, {1: 2, 2: -1, 3: 3})
+    assert products == []
+    terms = expansion.terms
     one = ZPolynomial.one()
     assert len(products) == 46
+    assert len({(a, b) for a, b in products}) == 46
     assert not any(a == one or b == one for a, b in products)
+    monkeypatch.undo()
     assert expansion.rescaled_total() == q_laguerre(8, 8)
-    assert expansion.total == ZPolynomial.sum([t.value for t in expansion.terms])
+    assert expansion.total == ZPolynomial.sum([t.value for t in terms])
+
+
+def test_laguerre_total_takes_no_rational_function_arithmetic(monkeypatch):
+    import qpoly.connection as connection
+
+    calls, rows = [], []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__truediv__"):
+        original = getattr(RF, name)
+        monkeypatch.setattr(RF, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    original_sum = RF.sum
+    monkeypatch.setattr(RF, "sum", staticmethod(lambda terms: calls.append("sum") or original_sum(terms)))
+    mul = ZPolynomial.__mul__
+    monkeypatch.setattr(ZPolynomial, "__mul__", lambda a, b: calls.append("product") or mul(a, b))
+    monkeypatch.setattr(connection, "ConnectionTerm",
+                        lambda *args: rows.append(args) or ConnectionTerm(*args))
+    expansion = laguerre_connection(8, 8, {1: 2, 2: -1, 3: 3})
+    total = expansion.rescaled_total()
+    assert calls == [] and rows == []  # the rows are built only when read
+    monkeypatch.undo()
+    assert total == q_laguerre(8, 8)
+    assert len(expansion.terms) == len(laguerre_partitions(8, 8))
 
 
 def test_gegenbauer_term_order_matches_partition_order():

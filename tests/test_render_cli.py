@@ -409,6 +409,22 @@ def test_cli_verify_json(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_cli_verify_laguerre_reaches_max_n(capsys, monkeypatch):
+    # --max-n bounds both n and k of the gauge checks, beyond the default 5
+    import qpoly.verify as verify
+
+    reached = set()
+    connection = verify.laguerre_connection
+    monkeypatch.setattr(verify, "laguerre_connection",
+                        lambda n, k, aux: reached.add((n, k)) or connection(n, k, aux))
+    code, out = run_cli(capsys, "verify", "--suite", "laguerre", "--max-n", "7", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert all(c["status"] == "pass" for c in doc["checks"])
+    assert [c["id"] for c in doc["checks"]][:8] == [f"connection-gauge-n{n}" for n in range(8)]
+    assert reached == {(n, k) for n in range(8) for k in range(8)}
+
+
 def test_cli_q_sample_far_below_one(capsys):
     # the Hermite coefficients have denominators s**k, about 1e-36 at q = 1/100
     code, out = run_cli(capsys, "eval", "hermite", "--n", "6", "--q-sample", "1/100")
