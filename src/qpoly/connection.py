@@ -24,7 +24,9 @@ relation:
     monomial prod_k beta_k**e_k: the classical products are integer Laurent
     rows in w = e^{i theta}, each weight is a numerator over (q;q)_n with
     integer q-multinomial quotients in q, and each cos(j theta) coefficient
-    is reduced once.
+    is reduced once.  The deformed side of the sum rules is the log of the
+    explicit polynomials, over Z in the packed frame of the generating
+    function (families).
 
 Every expansion's terms and total are in the normalization of the polynomial
 itself.  Each engine builds every distinct building block once per call, in
@@ -46,27 +48,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, mul
 
-from .field import (
-    IntPoly,
-    RationalFunction,
-    _pack,
-    _raw_poly,
-    _spread,
-    _uadd,
-    _umul,
-    _unorm,
-    _unpack,
-    _width,
-)
+from .field import IntPoly, _is_even, _pack, _rows_mul, _uadd, _udivexact, _umul, _unorm, _unpack, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
     LaguerreIndex,
     SparsePoly,
     ZPolynomial,
+    _cos_value,
+    _frame,
+    _pack_cells,
+    _unpack_cells,
     falling_binomial,
     gegenbauer_classical,
     gegenbauer_weight,
@@ -74,7 +68,15 @@ from .families import (
     laguerre_classical,
     q_gegenbauer_direct,
 )
-from .qkernel import _power_sum, quesne_c
+from .qkernel import (
+    _divide_q_number,
+    _power_sum,
+    _q_binomial_rows,
+    _q_factorial_row,
+    _q_pochhammer_rows,
+    _q_rows_ratio,
+    quesne_c,
+)
 from .series import Ring, TruncatedSeries, ring_sum
 
 # ---------------------------------------------------------------------------
@@ -240,29 +242,6 @@ def _prefix_product(built, key, block):
 # reduction per z-power or cos index.  A key mu keeps the parts above 1 (as
 # [1] = 1), largest first.
 
-def _times_q_number(row, a):
-    """row * [a] for an x-row: a window sum."""
-    return [sum(row[max(0, i - a + 1):i + 1]) for i in range(len(row) + a - 1)]
-
-
-def _q_factorial_row(n):
-    """[n]! as an x-row (ascending powers)."""
-    return reduce(_times_q_number, range(2, n + 1), [1])
-
-
-def _divide_q_number(row, a):
-    """row / [a] for an x-row: row * (1 - x) over 1 - x**a, a running sum
-    with stride a.  Its top a entries are the remainder: if one is nonzero,
-    ArithmeticError."""
-    r = list(map(sub, row + [0], [0] + row))
-    for i in range(a):
-        r[i::a] = accumulate(r[i::a])
-    if any(r[len(r) - a:]):
-        raise ArithmeticError(f"[{a}]_x does not divide the row")
-    del r[len(r) - a:]
-    return r
-
-
 def _quotient_sums(n, uses):
     """Per key, the x-row of sum c (1 - x)**E Q_mu over the entries (key, E,
     c) of every uses[mu], c an int, with as many digits as the longest term
@@ -369,10 +348,9 @@ def _hermite_value(n, terms):
         t = (n - j) // 2
         degree = n * (n - 1) // 2 - t
         if any(digits):
-            row = [0] * (4 * degree + 1)  # x**r = s**(4(degree - r)) / s**(4 degree)
-            row[::4] = digits[degree::-1]
-            den = [0] * (n + 2 * t + 4 * degree) + [scale[j]]
-            value[j] = RationalFunction(_raw_poly([_unorm(row)]), _raw_poly([den]))
+            row = [0] * (2 * degree + 1)  # x**r = q**(2(degree - r)) / q**(2 degree)
+            row[::2] = digits[degree::-1]
+            value[j] = _q_rows_ratio([row], [scale[j]], -(n + 2 * t + 4 * degree))
     return ZPolynomial._raw(value)
 
 
@@ -415,25 +393,6 @@ def hermite_connection(n):
 # factor j carries h_d (j d)! / j**d, and products of z-degrees D and D' join
 # with binom(D + D', D), as exponential generating functions do.
 
-def _q_binomial_rows(n, top):
-    """[n over l]_q for l = 0..top as q-rows, each the last times [n - l + 1]
-    over [l]."""
-    rows = [[1]]
-    for ell in range(1, top + 1):
-        rows.append(_divide_q_number(_times_q_number(rows[-1], n - ell + 1), ell))
-    return rows
-
-
-def _q_ratio(num, den, power):
-    """q**power num / den for nonzero q-rows num and den, reduced."""
-    num, den = _spread(num), _spread(den)
-    if power > 0:
-        num = [0] * (2 * power) + num
-    else:
-        den = [0] * (-2 * power) + den
-    return RationalFunction(_raw_poly([num]), _raw_poly([den]))
-
-
 def _laguerre_total(k, aux, factor, binomials, powers):
     """The sum of every row (see above), with the prefactors [n over l] and
     p_l = powers[l].  The t-series runs over Z, keyed by (D, mu); the
@@ -468,7 +427,7 @@ def _laguerre_total(k, aux, factor, binomials, powers):
     for (zpow, ell), row in _quotient_sums(k, uses).items():
         nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], _unorm(row)))
     fact = _q_factorial_row(k)  # z-powers descending: the row sum's order when aux is {}
-    return ZPolynomial._raw({zpow: _q_ratio(nums[zpow], [math.factorial(zpow) * x for x in fact], low)
+    return ZPolynomial._raw({zpow: _q_rows_ratio([nums[zpow]], [math.factorial(zpow) * x for x in fact], 2 * low)
                              for zpow in sorted(nums, reverse=True) if _unorm(nums[zpow])})
 
 
@@ -506,7 +465,7 @@ def laguerre_connection(n, k, aux=None):
         return ZPolynomial({j * d: h * c**d for d, h in factor(j, kj).items()})
 
     def rows():
-        prefs = [_q_ratio(row, [1], power) for row, power in zip(binomials, powers)]
+        prefs = [_q_rows_ratio([row], [1], 2 * power) for row, power in zip(binomials, powers)]
         built = {(): ZPolynomial.one()}
         terms = []
         for sol in laguerre_partitions(n, k):
@@ -767,12 +726,9 @@ def gegenbauer_connection_value(expansion):
                        for i, (a, d) in enumerate(zip(acc, doubled)) if a for p, l in lam]
     rows = _quotient_sums(n, uses)
     # D (q;q)_n: the kernel's empty key, Q = [n]!, times D (1 - q)**n
-    den = _raw_poly([_spread(_quotient_sums(n, {(): [(0, n, scale)]})[0])])
-    coeffs = {}
-    for i in range(len(doubled)):
-        num = [_spread(_unorm(rows.get((i, p), []))) for p in range(n + 1)]
-        coeffs[2 * (low + i) - n] = RationalFunction(_raw_poly(_unorm(num)), den)
-    return CosPolynomial(coeffs)
+    den = _quotient_sums(n, {(): [(0, n, scale)]})[0]
+    return CosPolynomial({2 * (low + i) - n: _q_rows_ratio([rows.get((i, p), []) for p in range(n + 1)], den)
+                          for i in range(len(doubled))})
 
 
 def gegenbauer_classical_lambda(n):
@@ -809,17 +765,97 @@ SUM_RULE_COMBINATIONS = {
 }
 
 
+def _q_row(row):
+    """The q-row of an s-row that is a polynomial in q = s**2."""
+    if not _is_even(row):
+        raise ArithmeticError("an odd power of s where a power of q is expected")
+    return row[::2]
+
+
+def _direct_cells(i, poch):
+    """G_i = (q;q)_i b_i as w-cells (see families), read off the explicit
+    polynomial of degree i: its cos(j theta) coefficient num/den gives the
+    w**j and w**-j cells num (q;q)_i / (d den), d = 2 for j > 0 and 1 for j
+    = 0, by exact division; a remainder raises ArithmeticError."""
+    cells = {}
+    for j, c in q_gegenbauer_direct(i)._terms.items():
+        cofactor = None if len(c.den._rows) > 1 else _udivexact(poch[i], _q_row(c.den._rows[0]))
+        if cofactor is None:
+            raise ArithmeticError(f"the denominator of a degree-{i} coefficient does not divide (q;q)_{i}")
+        rows = _rows_mul([_q_row(r) for r in c.num._rows], [cofactor])
+        if j:
+            if any(x & 1 for r in rows for x in r):
+                raise ArithmeticError(f"a degree-{i} cos coefficient is not twice its w-cell")
+            rows = [[x >> 1 for x in r] for r in rows]
+            cells[-j] = rows
+        cells[j] = rows
+    return cells
+
+
+def _log_coefficients(order):
+    """The t**n coefficients, n = 1..order, of the log of the series of the
+    explicit deformed polynomials.
+
+    The log recurrence n c_n = n b_n - sum_{j<n} j c_j b_{n-j}, times (q;q)_n,
+    reads over Z, with G_m = (q;q)_m b_m (_direct_cells),
+
+        K_n = n (q;q)_n c_n = n G_n - sum_{j<n} [n over j]_q K_j G_{n-j}.
+
+    The G_m are packed in the frame of families; K_j is kept as its distinct
+    nonzero q-rows up to sign, each multiplied once by a packed G_{n-j} and
+    placed by shifts.  A step's digits hold K_n by the bound n |G_n| + sum
+    |[n over j] r|_1 |G_{n-j}| over the rows r placed, from the measured
+    maxima (|.| the largest coefficient, |.|_1 the sum of absolute values);
+    when a step needs wider digits, the G_m are packed again.  Each c_n is
+    reduced once per cos index."""
+    poch = _q_pochhammer_rows(order)
+    cells = [_direct_cells(i, poch) for i in range(order + 1)]
+    top = [max(max(map(abs, r), default=0) for rows in g.values() for r in rows) for g in cells]
+    qs, ls = _frame(order)
+    nbytes, packed, logs = 0, [], [None]  # logs[j]: K_j's rows, q-row up to sign -> [(sign, digit shift)]
+    out = []
+    for n in range(1, order + 1):
+        binom = _q_binomial_rows(n, n)
+        terms, bound = [], n * top[n]
+        for j in range(1, n):
+            for row, places in logs[j].items():
+                row = _umul(binom[j], list(row))
+                terms.append((n - j, row, places))
+                bound += sum(map(abs, row)) * len(places) * top[n - j]
+        if _width(bound.bit_length()) > nbytes:
+            nbytes, packed = _width(bound.bit_length()), []
+        packed += [_pack_cells(cells[m], m, order, nbytes) for m in range(len(packed), n + 1)]
+        total = n * packed[n]
+        for m, row, places in terms:
+            prod = packed[m] * _pack(row, nbytes)
+            for sign, shift in places:
+                total -= sign * (prod << (8 * nbytes * shift))
+        k = _unpack_cells(total, n, order, nbytes)
+        groups = {}
+        for e, rows in k.items():
+            for b, r in enumerate(rows):
+                if r:
+                    sign = 1 if r[-1] > 0 else -1
+                    groups.setdefault(tuple(sign * x for x in r), []).append((sign, qs * (b + ls * (e + n) // 2)))
+        logs.append(groups)
+        out.append(_cos_value(k, [n * x for x in poch[n]]))
+    return out
+
+
 def gegenbauer_sum_rule_logs(order):
     """The logs of the deformed and of the classical (lambda = 1) series,
     log(sum_n C_n^(lambda)(z; q) t**n) and log(sum_n C_n^(1) t**n), to the
     given order; the deformed series is built from the explicit polynomials.
     A log coefficient does not depend on the truncation order, so one pair
-    serves every sum rule of order up to `order`."""
+    serves every sum rule of order up to `order`.  The deformed log runs over
+    Z (_log_coefficients), with no TruncatedSeries log and no CosPolynomial
+    product; the classical one is TruncatedSeries.log, so the two sides of a
+    rule come from different code."""
     if order < 1:
         raise ValueError("sum-rule order must be >= 1")
-    deformed = TruncatedSeries(COSPOLY_RING, [q_gegenbauer_direct(i) for i in range(order + 1)], order)
+    deformed = TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + _log_coefficients(order), order)
     classical = TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(i) for i in range(order + 1)], order)
-    return deformed.log(), classical.log()
+    return deformed, classical.log()
 
 
 def gegenbauer_sum_rule(ell):

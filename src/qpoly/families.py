@@ -17,6 +17,12 @@ A generating function is expanded only to the order of the coefficient
 extracted from it: the coefficient does not depend on the truncation order.
 So one expansion to order N serves every degree n <= N
 (gegenbauer_genfun_series), and a single-degree call expands to order n.
+
+The Gegenbauer generating function runs over Z: its exponential is a
+recurrence in q-divided powers on integer numerators in q, Lambda and w =
+e**(i theta), each packed into one int, and only the coefficients read are
+reduced, once per cos index.  The same packed frame serves the deformed log
+of the sum rules (connection).
 """
 
 from __future__ import annotations
@@ -26,8 +32,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import RationalFunction, _coerce_or_raise, _power
-from .qkernel import _pochhammers, q_binomial, q_exp_sum, q_factorial
+from .field import RationalFunction, _coerce_or_raise, _pack, _pack_rows, _power, _umul, _unorm, _unpack_rows, _width
+from .qkernel import (
+    _pochhammers,
+    _q_binomial_rows,
+    _q_pochhammer_rows,
+    _q_rows_ratio,
+    q_binomial,
+    q_exp_sum,
+    q_factorial,
+)
 from .series import Ring, TruncatedSeries, ring_sum
 
 _RF_ONE = RationalFunction.one()
@@ -136,9 +150,6 @@ class SparsePoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     @classmethod
     def sum(cls, polys):
         """The sum of a list of polynomials of this class and scalars, each
@@ -220,6 +231,13 @@ class SparsePoly:
 _RF_scalars = (int, Fraction, RationalFunction)
 
 
+def _fsum_complex(values):
+    """The sum of complex values, each part correctly rounded (math.fsum), so
+    it does not depend on their order: equal polynomials built in different
+    term orders evaluate to the same double."""
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+
 class ZPolynomial(SparsePoly):
     """Sparse polynomial in the variable z over Q(s, Lambda); a monomial is
     the exponent of z."""
@@ -238,8 +256,8 @@ class ZPolynomial(SparsePoly):
         return cls({k: _RF_ONE})
 
     def eval_numeric(self, z_value, s_value, lam_value=None):
-        return sum(v.eval_numeric(s_value, lam_value) * complex(z_value) ** k
-                   for k, v in self._terms.items())
+        return _fsum_complex([v.eval_numeric(s_value, lam_value) * complex(z_value) ** k
+                              for k, v in self._terms.items()])
 
 
 _HALF = Fraction(1, 2)
@@ -266,8 +284,8 @@ class CosPolynomial(SparsePoly):
         return cls({m: _RF_ONE})
 
     def eval_numeric(self, theta, s_value, lam_value=None):
-        return sum(v.eval_numeric(s_value, lam_value) * math.cos(m * theta)
-                   for m, v in self._terms.items())
+        return _fsum_complex([v.eval_numeric(s_value, lam_value) * math.cos(m * theta)
+                              for m, v in self._terms.items()])
 
 
 ZPOLY_RING = Ring(ZPolynomial.zero(), ZPolynomial.one())
@@ -417,18 +435,121 @@ def q_gegenbauer_direct(n):
         for ell in range(n + 1)])
 
 
+# ---------------------------------------------------------------------------
+# the Gegenbauer generating function over Z
+# ---------------------------------------------------------------------------
+# With w = e**(i theta), the t**m coefficient b_m of the generating function
+# (and of its log) is a Laurent polynomial in w, even under w -> 1/w, whose
+# cos(j theta) coefficient is its w**j coefficient, doubled for j > 0.  Its
+# numerator G_m = (q;q)_m b_m lies in Z[q, Lambda, w, 1/w], of q-degree at
+# most m(m-1)/2 and Lambda-degree at most m.  It is kept as w-cells, {e:
+# [q-row per power of Lambda]}, or packed into one int in the frame of an
+# order N >= m (Kronecker substitution; Monagan and Pearce, 2010): q**a
+# Lambda**b w**e is the digit a + qs*(b + ls*(e + m)/2), qs = N(N-1)/2 + 1,
+# ls = N + 1.  Lambda**j is then a shift by j*qs digits, w**j (into degree
+# m + j) a shift by j*qs*ls digits and w**-j no shift.
+
+def _frame(order):
+    """(qs, ls): the q and Lambda strides, in digits, of the order frame."""
+    return order * (order - 1) // 2 + 1, order + 1
+
+
+def _pack_cells(cells, m, order, nbytes):
+    """The degree-m w-cells as one int in the order frame, nbytes bytes a
+    digit; a cell beyond q-degree m(m-1)/2 or Lambda-degree m raises
+    ArithmeticError."""
+    qs, ls = _frame(order)
+    rows = []
+    for e, cell in cells.items():
+        if len(cell) > m + 1 or max(map(len, cell)) > m * (m - 1) // 2 + 1:
+            raise ArithmeticError(f"a degree-{m} cell beyond q-degree {m * (m - 1) // 2} or Lambda-degree {m}")
+        start = (e + m) // 2 * ls * qs
+        rows += [(start + b * qs, r) for b, r in enumerate(cell) if r]
+    return _pack_rows(rows, qs * ls * (m + 1), nbytes)
+
+
+def _unpack_cells(v, m, order, nbytes):
+    """The nonzero w-cells of the degree-m polynomial packed in v, read to
+    q-degree m(m-1)/2 and Lambda-degree m."""
+    qs, ls = _frame(order)
+    rows = _unpack_rows(v, nbytes, qs * ls * (m + 1), qs)
+    cells = {}
+    for k in range(m + 1):
+        cell = _unorm([_unorm(r[:m * (m - 1) // 2 + 1]) for r in rows[k * ls:k * ls + m + 1]])
+        if cell:
+            cells[2 * k - m] = cell
+    return cells
+
+
+def _cos_value(cells, den):
+    """The CosPolynomial sum_e cells[e] w**e / den for a q-row den, one
+    RationalFunction reduction per cos index."""
+    return CosPolynomial._raw({e: _q_rows_ratio(rows if not e else [[2 * x for x in r] for r in rows], den)
+                               for e, rows in cells.items() if e >= 0})
+
+
+def _genfun_coefficients(order, degrees):
+    """The t**m coefficients, m in degrees, of the Gegenbauer generating
+    function expanded to the given order.
+
+    The exponential runs in q-divided powers over Z, as in
+    gegenbauer_connection (Keigher 1997): n b_n = sum_j j a_j b_{n-j}, with
+    j a_j = (1 - Lambda**j)(w**j + w**-j)/(1 - q**j), times (q;q)_n, is
+
+        n G_n = sum_{j=1..n} row_j (1 - Lambda**j)(w**j + w**-j) G_{n-j},
+
+    row_j = [n over j]_q (q;q)_{j-1}, each term within the frame.  A step is
+    n products of a packed G by a packed row, shifts and one exact division
+    by n; a remainder raises ArithmeticError.  The digits hold every
+    coefficient by the same recurrence on norms, per w-exponent e: |G_n[e]|
+    <= sum_j 2 |row_j|_1 (|G_{n-j}[e-j]| + |G_{n-j}[e+j]|) / n, |.| the
+    largest coefficient and |.|_1 the sum of absolute values.  Only the
+    degrees asked for are reduced, one RationalFunction per cos index."""
+    poch = _q_pochhammer_rows(order)
+    rows = [[_umul(binom, poch[j - 1]) for j, binom in enumerate(_q_binomial_rows(n, n)[1:], 1)]
+            for n in range(1, order + 1)]  # rows[n - 1][j - 1]: [n over j]_q (q;q)_{j-1}
+    bound = [{0: 1}]  # per w-exponent, a bound on every coefficient of G_m
+    for n, row in enumerate(rows, 1):
+        cells = {}
+        for j, r in enumerate(row, 1):
+            norm = 2 * sum(map(abs, r))
+            for e, c in bound[n - j].items():
+                cells[e - j] = cells.get(e - j, 0) + norm * c
+                cells[e + j] = cells.get(e + j, 0) + norm * c
+        bound.append({e: c // n for e, c in cells.items()})
+    top = max(max(b.values()) for b in bound)
+    nbytes = _width(max([top] + [max(map(abs, r)) for row in rows for r in row]).bit_length())
+    qs, ls = _frame(order)
+    lam, slot = 8 * nbytes * qs, 8 * nbytes * qs * ls  # bits per power of Lambda and per w slot
+    series = [1]
+    for n, row in enumerate(rows, 1):
+        total = 0
+        for j, r in enumerate(row, 1):
+            g = series[n - j] * _pack(r, nbytes)
+            g -= g << (lam * j)
+            total += g + (g << (slot * j))
+        g, rem = divmod(total, n)
+        if rem:
+            raise ArithmeticError(f"{n} does not divide n G_n")
+        series.append(g)
+    return [_cos_value(_unpack_cells(series[m], m, order, nbytes), poch[m]) for m in degrees]
+
+
 def gegenbauer_genfun_series(order):
     """The generating function exp( 2 sum_k [lambda]_{q**k} cos(k theta)
     t**k / k ) to the given order: its t**n coefficient is the deformed
-    Gegenbauer polynomial of degree n, for every n <= order."""
+    Gegenbauer polynomial of degree n, for every n <= order.  The
+    exponential runs over Z (_genfun_coefficients), with no TruncatedSeries
+    exp and no CosPolynomial product."""
     if order < 0:
         raise ValueError("degree must be >= 0")
-    log_series = TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + [
-        CosPolynomial({k: gegenbauer_weight(k) * Fraction(2, k)}) for k in range(1, order + 1)], order)
-    return log_series.exp()
+    return TruncatedSeries(COSPOLY_RING, _genfun_coefficients(order, range(order + 1)), order)
 
 
 def q_gegenbauer_genfun(n):
     """Deformed Gegenbauer polynomial by coefficient extraction from its
-    generating function, expanded to order n."""
-    return gegenbauer_genfun_series(n).coeff(n)
+    generating function, expanded to order n; only the t**n coefficient is
+    reduced."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    return _genfun_coefficients(n, (n,))[0]

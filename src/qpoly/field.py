@@ -239,28 +239,54 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 def _pack(c, nbytes):
     """c evaluated at 2**(8*nbytes); every |c_i| < 2**(8*nbytes-1)."""
+    return int.from_bytes(_biased_bytes(c, nbytes), "little") - _bias(nbytes, len(c))
+
+
+def _pack_rows(rows, n, nbytes):
+    """The packed int of n digits whose digits from i on are c, for each pair
+    (i, c) of rows, and zero elsewhere; the rows do not overlap."""
+    data = bytearray(_biased_bytes([0], nbytes) * n)
+    for i, c in rows:
+        data[i * nbytes:(i + len(c)) * nbytes] = _biased_bytes(c, nbytes)
+    return int.from_bytes(data, "little") - _bias(nbytes, n)
+
+
+def _biased_bytes(c, nbytes):
+    """The little-endian bytes of the digits c plus the bias 2**(8*nbytes-1)."""
     half = 1 << (8 * nbytes - 1)
-    if nbytes in _DIGIT_CODES:
-        digits = array(_DIGIT_CODES[nbytes], map(half.__add__, c))
-        if _BIG_ENDIAN:
-            digits.byteswap()
-        data = digits.tobytes()
-    else:
-        data = b"".join([(x + half).to_bytes(nbytes, "little") for x in c])
-    return int.from_bytes(data, "little") - _bias(nbytes, len(c))
+    if nbytes not in _DIGIT_CODES:
+        return b"".join([(x + half).to_bytes(nbytes, "little") for x in c])
+    digits = array(_DIGIT_CODES[nbytes], map(half.__add__, c))
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return digits.tobytes()
 
 
 def _unpack(v, nbytes, n):
     """The n balanced base-2**(8*nbytes) digits of v, low first."""
-    half = 1 << (8 * nbytes - 1)
+    return _unbiased((v + _bias(nbytes, n)).to_bytes(nbytes * n, "little"), nbytes)
+
+
+def _unpack_rows(v, nbytes, n, width):
+    """The n digits of v, as _unpack, cut into rows of width digits; a zero
+    row is [] and is not converted."""
     data = (v + _bias(nbytes, n)).to_bytes(nbytes * n, "little")
-    if nbytes in _DIGIT_CODES:
-        digits = array(_DIGIT_CODES[nbytes], data)
-        if _BIG_ENDIAN:
-            digits.byteswap()
-        return list(map(half.__rsub__, digits))
-    return [int.from_bytes(data[i:i + nbytes], "little") - half
-            for i in range(0, len(data), nbytes)]
+    size = nbytes * width
+    zero = _biased_bytes([0], nbytes) * width
+    return [[] if data[i:i + size] == zero else _unbiased(data[i:i + size], nbytes)
+            for i in range(0, len(data), size)]
+
+
+def _unbiased(data, nbytes):
+    """The digits of little-endian bytes of digits plus the bias."""
+    half = 1 << (8 * nbytes - 1)
+    if nbytes not in _DIGIT_CODES:
+        return [int.from_bytes(data[i:i + nbytes], "little") - half
+                for i in range(0, len(data), nbytes)]
+    digits = array(_DIGIT_CODES[nbytes], data)
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return list(map(half.__rsub__, digits))
 
 
 def _flatten(rows, width):
@@ -835,9 +861,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_one(self):
-        return self.num.is_one() and self.den.is_one()
-
     def has_lam(self):
         return self.num.has_lam() or self.den.has_lam()
 
@@ -950,12 +973,6 @@ class RationalFunction:
         if den.leading_coeff() < 0:
             num, den = -num, -den
         return self * _rf_raw(num, den)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, e):
         if e == 0:

@@ -20,9 +20,11 @@ anywhere — all identities here are exact rational-function identities.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import sub
 
-from .field import RationalFunction
+from .field import RationalFunction, _raw_poly, _spread, _unorm
 from .series import NonzeroConstantTerm, TruncatedSeries
 
 
@@ -151,3 +153,63 @@ def quesne_series(argument, base_exp):
     form of the physicists' q-exponential sum_n z**n/[n]!."""
     _base(base_exp)  # base 1 is rejected for a zero argument too
     return _power_sum(argument, lambda k: quesne_c(k, base_exp), 1).exp()
+
+
+# ---------------------------------------------------------------------------
+# q-rows: integer polynomials in one variable x as lists, ascending powers
+# ---------------------------------------------------------------------------
+# The integer routes (the connection totals, the Gegenbauer generating
+# function and sum-rule log) keep their q-polynomials as x-rows, x = q (or
+# q**-2 for Hermite), and build a RationalFunction only at the end.
+
+def _times_q_number(row, a):
+    """row * [a] for an x-row: a window sum."""
+    return [sum(row[max(0, i - a + 1):i + 1]) for i in range(len(row) + a - 1)]
+
+
+def _q_factorial_row(n):
+    """[n]! as an x-row (ascending powers)."""
+    return reduce(_times_q_number, range(2, n + 1), [1])
+
+
+def _divide_q_number(row, a):
+    """row / [a] for an x-row: row * (1 - x) over 1 - x**a, a running sum
+    with stride a.  Its top a entries are the remainder: if one is nonzero,
+    ArithmeticError."""
+    r = list(map(sub, row + [0], [0] + row))
+    for i in range(a):
+        r[i::a] = accumulate(r[i::a])
+    if any(r[len(r) - a:]):
+        raise ArithmeticError(f"[{a}]_x does not divide the row")
+    del r[len(r) - a:]
+    return r
+
+
+def _q_binomial_rows(n, top):
+    """[n over l]_q for l = 0..top as q-rows, each the last times [n - l + 1]
+    over [l]."""
+    rows = [[1]]
+    for ell in range(1, top + 1):
+        rows.append(_divide_q_number(_times_q_number(rows[-1], n - ell + 1), ell))
+    return rows
+
+
+def _q_pochhammer_rows(n):
+    """(q;q)_k for k = 0..n as q-rows, each the last times 1 - q**k."""
+    rows = [[1]]
+    for k in range(1, n + 1):
+        rows.append(list(map(sub, rows[-1] + [0] * k, [0] * k + rows[-1])))
+    return rows
+
+
+def _q_rows_ratio(rows, den, s_power=0):
+    """s**s_power * sum_p rows[p] Lambda**p / den, reduced, for q-rows rows[p]
+    and a nonzero q-row den (q = s**2; trailing zeros allowed): the one
+    assembly of a RationalFunction from q-rows."""
+    num = _unorm([_unorm(_spread(r)) for r in rows])
+    den = _unorm(_spread(den))
+    if s_power > 0:
+        num = [[0] * s_power + r if r else r for r in num]
+    else:
+        den = [0] * -s_power + den
+    return RationalFunction(_raw_poly(num), _raw_poly([den]))

@@ -14,6 +14,7 @@ import pytest
 from qpoly.field import IntPoly
 from qpoly.field import RationalFunction as RF
 from qpoly.families import (
+    COSPOLY_RING,
     CosPolynomial,
     ZPolynomial,
     gegenbauer_classical,
@@ -31,6 +32,7 @@ from qpoly.connection import (
     gegenbauer_connection,
     gegenbauer_connection_value,
     gegenbauer_sum_rule,
+    gegenbauer_sum_rule_logs,
     hermite_connection,
     laguerre_connection,
     laguerre_partitions,
@@ -38,6 +40,7 @@ from qpoly.connection import (
     sum_rule_explicit,
 )
 from qpoly.qkernel import q_binomial
+from qpoly.series import TruncatedSeries
 from qpoly.verify import (
     gegenbauer_displayed_connection,
     hermite5_reference,
@@ -221,7 +224,7 @@ def test_hermite_u_v_integer_forms_match_quesne_c():
 
 
 def test_divide_q_number_is_exact_or_raises():
-    from qpoly.connection import _divide_q_number
+    from qpoly.qkernel import _divide_q_number
 
     rng = random.Random(17)
     for _ in range(200):
@@ -762,6 +765,50 @@ def test_sum_rules_exact(ell):
 def test_sum_rules_explicit_combinations(ell):
     lhs, _ = gegenbauer_sum_rule(ell)
     assert lhs == sum_rule_explicit(ell)
+
+
+def _log_by_series_log(order):
+    # the reference route: TruncatedSeries.log of the series of the explicit
+    # polynomials over CosPolynomial[RationalFunction]
+    return TruncatedSeries(COSPOLY_RING, [q_gegenbauer_direct(i) for i in range(order + 1)], order).log()
+
+
+def test_sum_rule_log_over_z_matches_series_log():
+    deformed, _ = gegenbauer_sum_rule_logs(10)
+    assert deformed.coeffs == _log_by_series_log(10).coeffs
+
+
+def test_sum_rule_logs_take_series_log_only_for_the_classical_side(monkeypatch):
+    import qpoly.connection as connection
+
+    def forbidden(*args):
+        raise AssertionError("series exp or CosPolynomial product called")
+
+    logged = []
+    log = TruncatedSeries.log
+    expected = _log_by_series_log(9).coeffs[1:]
+    monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
+    monkeypatch.setattr(TruncatedSeries, "log", lambda self: logged.append(self.coeffs) or log(self))
+    gegenbauer_sum_rule_logs(9)
+    assert logged == [tuple(gegenbauer_classical(i) for i in range(10))]
+    monkeypatch.setattr(CosPolynomial, "dot", classmethod(forbidden))
+    coefficients = connection._log_coefficients(9)
+    monkeypatch.undo()
+    assert tuple(coefficients) == expected
+
+
+def test_sum_rule_log_reads_the_explicit_polynomials_exactly(monkeypatch):
+    # a direct value whose cos coefficient is not an integer row over
+    # (q;q)_n, or not twice its w-cell, fails the division it is read by
+    import qpoly.connection as connection
+
+    broken = {2: q_gegenbauer_direct(2) + CosPolynomial({1: RF.q() / (1 + RF.q() ** 3)}),
+              3: q_gegenbauer_direct(3) + CosPolynomial({1: RF.one() / (1 - RF.q())})}
+    for n, value in broken.items():
+        monkeypatch.setattr(connection, "q_gegenbauer_direct", lambda i, n=n, value=value:
+                            value if i == n else q_gegenbauer_direct(i))
+        with pytest.raises(ArithmeticError):
+            connection._log_coefficients(4)
 
 
 def _clear_caches():

@@ -9,11 +9,13 @@ import pytest
 from qpoly.connection import BetaPolynomial, CPolynomial, LambdaPolynomial, laguerre_connection
 from qpoly.field import RationalFunction as RF
 from qpoly.families import (
+    COSPOLY_RING,
     CosPolynomial,
     LaguerreIndex,
     ZPolynomial,
     falling_binomial,
     gegenbauer_classical,
+    gegenbauer_genfun_series,
     gegenbauer_weight,
     hermite_classical,
     laguerre_classical,
@@ -23,6 +25,7 @@ from qpoly.families import (
     q_laguerre,
 )
 from qpoly.qkernel import q_pochhammer, quesne_c
+from qpoly.series import TruncatedSeries
 from qpoly.verify import (
     chebyshev_recurrence,
     hermite5_reference,
@@ -210,6 +213,60 @@ def test_q_gegenbauer_small():
 def test_q_gegenbauer_dual_route():
     for n in range(9):
         assert q_gegenbauer_direct(n) == q_gegenbauer_genfun(n)
+
+
+def _genfun_by_series_exp(order):
+    # the reference route: TruncatedSeries.exp of the log series over
+    # CosPolynomial[RationalFunction]
+    log_series = TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + [
+        CosPolynomial({k: gegenbauer_weight(k) * Fraction(2, k)}) for k in range(1, order + 1)], order)
+    return log_series.exp()
+
+
+def test_gegenbauer_genfun_over_z_matches_series_exp():
+    reference = _genfun_by_series_exp(10)
+    assert gegenbauer_genfun_series(10).coeffs == reference.coeffs
+    for n in range(11):
+        assert q_gegenbauer_genfun(n) == reference.coeff(n)
+
+
+def test_gegenbauer_genfun_takes_no_series_exp_and_no_cos_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("series exp or CosPolynomial product called")
+
+    expected = [q_gegenbauer_direct(n) for n in range(10)]
+    monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
+    monkeypatch.setattr(CosPolynomial, "dot", classmethod(forbidden))
+    series = gegenbauer_genfun_series(9)
+    single = q_gegenbauer_genfun(9)
+    monkeypatch.undo()
+    assert list(series.coeffs) == expected
+    assert single == expected[9]
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 8, 9])
+def test_gegenbauer_cells_round_trip_through_the_frame(nbytes):
+    # w-cells of degree m packed in the order frame and read back, for
+    # digits converted in bulk (1, 3, 8 bytes) and one by one (9 bytes)
+    from qpoly.families import _pack_cells, _unpack_cells
+
+    rng = random.Random(nbytes)
+    half = 1 << (8 * nbytes - 1)
+    order = 6
+    for m in range(order + 1):
+        cells = {}
+        for e in range(-m, m + 1, 2):
+            rows = [[rng.randint(-half, half - 1) for _ in range(rng.randint(0, m * (m - 1) // 2 + 1))]
+                    for _ in range(rng.randint(0, m + 1))]
+            rows = [r[:-1] + [r[-1] or 1] if r else r for r in rows]
+            while rows and not rows[-1]:
+                rows.pop()
+            if rows:
+                cells[e] = rows
+        assert _unpack_cells(_pack_cells(cells, m, order, nbytes), m, order, nbytes) == cells
+    for cells in ({0: [[1] * 3]}, {0: [[1]] * 4}):  # q-degree 2 or Lambda-degree 3 at m = 2
+        with pytest.raises(ArithmeticError):
+            _pack_cells(cells, 2, order, nbytes)
 
 
 def _direct_by_pochhammer_calls(n):

@@ -425,6 +425,34 @@ def test_cli_verify_laguerre_reaches_max_n(capsys, monkeypatch):
     assert reached == {(n, k) for n in range(8) for k in range(8)}
 
 
+def test_cli_verify_limits_reaches_max_n(capsys, monkeypatch):
+    # --max-n bounds every degree of the limits suite, beyond its defaults
+    import qpoly.verify as verify
+
+    reached = {"hermite": set(), "laguerre": set(), "lambda": set()}
+    for name, key in (("q_hermite", "hermite"), ("q_laguerre", "laguerre"),
+                      ("gegenbauer_classical_lambda", "lambda")):
+        route = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, key=key, route=route:
+                            reached[key].add(args if len(args) > 1 else args[0]) or route(*args))
+    code, out = run_cli(capsys, "verify", "--suite", "limits", "--max-n", "7", "--format", "json")
+    assert code == 0
+    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+    assert reached == {"hermite": set(range(8)), "laguerre": {(n, k) for n in range(8) for k in range(8)},
+                       "lambda": set(range(8))}
+
+
+def test_cli_numeric_check_of_equal_values_is_equal(capsys):
+    # the Laguerre total and the direct polynomial are == but keep their
+    # terms in different orders; both evaluate to the same doubles
+    code, out = run_cli(capsys, "connect", "laguerre", "--n", "10", "--k", "10", "--aux", "2,-1,3",
+                        "--q-sample", "7/10", "--format", "json")
+    assert code == 0
+    check = json.loads(out)["numeric_check"]
+    assert check["primary"] == check["independent"]
+    assert check["relative_diff"] == 0.0
+
+
 def test_cli_q_sample_far_below_one(capsys):
     # the Hermite coefficients have denominators s**k, about 1e-36 at q = 1/100
     code, out = run_cli(capsys, "eval", "hermite", "--n", "6", "--q-sample", "1/100")
@@ -433,28 +461,32 @@ def test_cli_q_sample_far_below_one(capsys):
 
 
 def test_sumrules_suite_computes_each_rule_once(monkeypatch):
-    # each suite expands its series once, to its top order: one log pair for
-    # every sum rule and one exponential for every dual-route check
+    # each suite expands its series once, to its top order: one log pair (the
+    # deformed log over Z, the classical one by TruncatedSeries.log) for every
+    # sum rule and one exponential over Z for every dual-route check
+    import qpoly.connection as connection
+    import qpoly.families as families
     import qpoly.verify as verify
     from qpoly.series import TruncatedSeries
 
     calls = []
-    for name in ("exp", "log"):
-        method = getattr(TruncatedSeries, name)
-        monkeypatch.setattr(TruncatedSeries, name,
-                            lambda self, name=name, method=method: calls.append(name) or method(self))
+    for owner, name in ((TruncatedSeries, "exp"), (TruncatedSeries, "log"),
+                        (connection, "_log_coefficients"), (families, "_genfun_coefficients")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, name=name, method=method: calls.append(name) or method(*args))
     report = verify.run_suite("sumrules")
     assert report.passed
     assert [c.check_id for c in report.checks] == (
         [f"rule-l{ell}" for ell in range(1, 9)] + [f"explicit-l{ell}" for ell in range(1, 6)])
-    assert calls == ["log", "log"]
+    assert calls == ["_log_coefficients", "log"]
     for n in (4, 8):
         calls.clear()
         assert verify.run_suite("sumrules", n).passed
-        assert calls == ["log", "log"]
+        assert calls == ["_log_coefficients", "log"]
         calls.clear()
         assert verify.run_suite("gegenbauer", n).passed
-        assert calls == ["exp"]
+        assert calls == ["_genfun_coefficients"]
 
 
 def test_console_script_entry_point():
