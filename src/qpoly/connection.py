@@ -18,13 +18,13 @@ relation:
     log rescaled per t-order by beta_k = [lambda]_{q**k}.  Exponentiating
     symbolically over polynomials in abstract generators beta_k and abstract
     classical factors C_m yields the connection for any n, plus the per-order
-    sum rules.  The exponential runs over Z, in divided powers, on the
-    integer log coefficients k*a_k, with each monomial packed into one int,
-    and is divided by n! once.  Its value is summed over Z per weight
-    monomial prod_k beta_k**e_k: the classical products are integer Laurent
-    rows in w = e^{i theta}, each weight is a numerator over (q;q)_n with
-    integer q-multinomial quotients in q, and each cos(j theta) coefficient
-    is reduced once.  The deformed side of the sum rules is the log of the
+    sum rules.  The exponential is prod_k exp(beta_k a_k t**k): one term per
+    partition f of n, prod_k A_k**f_k of the integer logs A_k = k*a_k, over
+    Z on packed monomials.  Its value is summed over Z per weight monomial
+    prod_k beta_k**e_k: the classical products are integer Laurent rows in w
+    = e^{i theta}, each weight is a numerator over (q;q)_n with integer
+    q-multinomial quotients in q, and each cos(j theta) coefficient is
+    reduced once.  The deformed side of the sum rules is the log of the
     explicit polynomials, over Z in the packed frame of the generating
     function (families).
 
@@ -32,9 +32,9 @@ Every expansion's terms and total are in the normalization of the polynomial
 itself.  Each engine builds every distinct building block once per call, in
 tables local to the call: the Hermite part choices, the Laguerre prefactors
 and classical factors, the Gegenbauer classical powers and Lambda factors.
-One quotient kernel, _quotient_sums, builds each q-multinomial quotient
-[n]!/prod [a] of the Hermite and Laguerre totals and of the Gegenbauer value
-route once per call, by exact stride division from its parent prefix.  One
+One prefix walk, _prefix_walk, builds the Gegenbauer products and, in the
+kernel _quotient_sums, each quotient [n]!/prod [a] of the Hermite and Laguerre
+totals and of the Gegenbauer value route (by exact stride division).  One
 product table, _prefix_product, forms every product over the parts of a key:
 the Laguerre rows (keyed largest part first), the Gegenbauer classical rows
 and Lambda factors, and BetaPolynomial.substitute.  Each distinct partial
@@ -229,6 +229,20 @@ def _prefix_product(built, key, block):
     return value
 
 
+def _prefix_walk(keys, root, step):
+    """Yield (key, value) per key in sorted order: value is step(parent,
+    key[-1]), parent the value of key[:-1], and root for ().  Only the
+    current path is kept, so step runs once per distinct nonempty prefix."""
+    path, prev = [root], ()  # path[i]: the value of prev[:i]
+    for key in sorted(keys):
+        common = next((i for i, (p, r) in enumerate(zip(prev, key)) if p != r), min(len(prev), len(key)))
+        del path[common + 1:]
+        for part in key[common:]:
+            path.append(step(path[-1], part))
+        prev = key
+        yield key, path[-1]
+
+
 # ---------------------------------------------------------------------------
 # q-multinomial quotients over Z (the Hermite, Laguerre and Gegenbauer sums)
 # ---------------------------------------------------------------------------
@@ -245,11 +259,10 @@ def _prefix_product(built, key, block):
 def _quotient_sums(n, uses):
     """Per key, the x-row of sum c (1 - x)**E Q_mu over the entries (key, E,
     c) of every uses[mu], c an int, with as many digits as the longest term
-    of any key.  The keys mu are walked in order, each Q_mu one
-    division of its parent prefix's quotient, and only the current path is
-    kept.  A key's row is one packed int (x -> 2**(8*nbytes)): the c Q_mu of
-    one E are summed, then multiplied by (1 - x)**E.  nbytes holds sum |c|
-    (n!/prod mu) 2**E, a bound on every coefficient, so each is one digit."""
+    of any key, each Q_mu built once (_prefix_walk).  A key's row is one
+    packed int (x -> 2**(8*nbytes)): the c Q_mu of one E are summed, then
+    multiplied by (1 - x)**E.  nbytes holds sum |c| (n!/prod mu) 2**E, a
+    bound on every coefficient, so each is one digit."""
     bound, length = {}, 0
     for mu, entries in uses.items():
         size = math.factorial(n) // math.prod(mu)
@@ -259,13 +272,8 @@ def _quotient_sums(n, uses):
             length = max(length, degree + e + 1)
     nbytes = _width(max(bound.values()).bit_length())
     sums = {}  # (key, E) -> packed sum of the c Q_mu
-    path, prev = [_q_factorial_row(n)], ()  # path[i]: [n]! over the first i parts of prev
-    for mu in sorted(uses):
-        common = next((i for i, (p, r) in enumerate(zip(prev, mu)) if p != r), min(len(prev), len(mu)))
-        del path[common + 1:]
-        for p in mu[common:]:
-            path.append(_divide_q_number(path[-1], p))
-        packed, prev = _pack(path[-1], nbytes), mu
+    for mu, row in _prefix_walk(uses, _q_factorial_row(n), _divide_q_number):
+        packed = _pack(row, nbytes)
         for key, e, c in uses[mu]:
             sums[key, e] = sums.get((key, e), 0) + c * packed
     powers, totals = {}, {}  # E -> (1 - x)**E packed; key -> packed row
@@ -567,11 +575,10 @@ class CPolynomial(SparsePoly):
 # Gegenbauer connection and sum rules
 # ---------------------------------------------------------------------------
 
-# Inside the order-n kernel a monomial prod_m C_m**e_m * prod_k beta_k**f_k is
-# one int: e_m in field m - 1 and f_k in field n + k - 1, each _field_bytes(n)
-# bytes wide.  A monomial of an order-N coefficient has sum_m m*e_m = N and
-# sum_k k*f_k <= N, so no exponent exceeds n, no field carries into the next,
-# and the product of two monomials is the sum of their ints.
+# Inside the order-n kernel a monomial prod_m C_m**e_m is one int: e_m in
+# field m - 1, _field_bytes(n) bytes wide.  A monomial has sum_m m*e_m <= n,
+# so no exponent exceeds n, no field carries into the next, and the product of
+# two monomials is the sum of their ints.
 
 def _field_bytes(n):
     """Bytes per exponent field of the order-n kernel monomials."""
@@ -579,7 +586,7 @@ def _field_bytes(n):
 
 
 def _generator(g, n):
-    """The kernel monomial of generator field g (C_m: m - 1, beta_k: n + k - 1)."""
+    """The kernel monomial of field g (C_{g+1})."""
     return 1 << (8 * _field_bytes(n) * g)
 
 
@@ -624,46 +631,38 @@ def gegenbauer_connection(n):
     in terms of formal products of classical factors C_m, with coefficients
     polynomial in the abstract weights beta_k = [lambda]_{q**k}.
 
-    Mechanization: the t**n coefficient b_n of exp(sum_k beta_k a_k t**k),
-    a_k the classical log coefficients; it is the connection for every n (the
-    low orders reproduce the displayed forms).  The exponential runs in
-    divided powers over Z (the Hurwitz-series form; Keigher, Comm. Algebra
-    25, 1997): B_N = N! b_N satisfies B_0 = 1 and
+    Mechanization: the t**n coefficient of exp(sum_k beta_k a_k t**k) =
+    prod_k exp(beta_k a_k t**k), a_k the classical log coefficients (the low
+    orders reproduce the displayed forms).  With A_k = k a_k (_integer_logs)
 
-        B_N = sum_{j=1..N} (N-1)!/(N-j)! * beta_j A_j * B_{N-j},
+        sum_{f |- n} prod_k beta_k**f_k A_k**f_k / (k**f_k f_k!),
 
-    with the integer logs A_j = j a_j (_integer_logs), on packed kernel
-    monomials (Monagan and Pearce 2010).  B_n is divided by n! once,
-    coefficient by coefficient."""
+    n!/prod_k k**f_k f_k! the count of cycle type f (Andrews 1976).  Each
+    P_f = prod_k A_k**f_k is its parent prefix's P times one A_k (parts
+    largest first), on packed monomials (Monagan and Pearce 2010)."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     logs = _integer_logs(n)
-    series = [{0: 1}]
-    for big_n in range(1, n + 1):
+
+    def times(p, k):
+        # A_k's C-monomials with j factors have the sign (-1)**(j-1), so no
+        # coefficient of a product cancels to 0
         out = {}
         get = out.get
-        falling = 1  # (N-1)!/(N-j)!
-        for j, a in enumerate(logs[:big_n], 1):
-            if j > 1:
-                falling *= big_n - j + 1
-            beta = _generator(n + j - 1, n)
-            rest = series[big_n - j].items()
-            for ma, ca in a.items():
-                ma += beta
-                ca *= falling
-                for mb, cb in rest:
-                    m = ma + mb
-                    out[m] = get(m, 0) + ca * cb
-        series.append({m: c for m, c in out.items() if c})
+        for ma, ca in logs[k - 1].items():
+            for mb, cb in p.items():
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+        return out
+
+    betas = {tuple(k for k, f in reversed(sol.parts) for _ in range(f)): sol.parts for sol in partitions_of(n)}
     by_factors = {}
-    beta_shift = 8 * _field_bytes(n) * n
-    for key, c in series[n].items():
-        by_factors.setdefault(key & ((1 << beta_shift) - 1), {})[key >> beta_shift] = c
-    scale = math.factorial(n)
-    total = CPolynomial._raw({
-        _monomial(cm, n): BetaPolynomial._raw({_monomial(bm, n): Fraction(c, scale)
-                                               for bm, c in coeffs.items()})
-        for cm, coeffs in by_factors.items()})
+    for key, p in _prefix_walk(betas, {0: 1}, times):
+        beta = betas[key]
+        scale = math.prod(k**f * math.factorial(f) for k, f in beta)
+        for cm, c in p.items():
+            by_factors.setdefault(cm, {})[beta] = Fraction(c, scale)
+    total = CPolynomial._raw({_monomial(cm, n): BetaPolynomial._raw(coeffs) for cm, coeffs in by_factors.items()})
     terms = tuple(ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms())
     return ConnectionExpansion("gegenbauer", n, None, lambda: terms, total)
 

@@ -492,8 +492,8 @@ def _genfun_coefficients(order, degrees):
     """The t**m coefficients, m in degrees, of the Gegenbauer generating
     function expanded to the given order.
 
-    The exponential runs in q-divided powers over Z, as in
-    gegenbauer_connection (Keigher 1997): n b_n = sum_j j a_j b_{n-j}, with
+    The exponential runs in q-divided powers over Z (Keigher, Comm.
+    Algebra 25, 1997): n b_n = sum_j j a_j b_{n-j}, with
     j a_j = (1 - Lambda**j)(w**j + w**-j)/(1 - q**j), times (q;q)_n, is
 
         n G_n = sum_{j=1..n} row_j (1 - Lambda**j)(w**j + w**-j) G_{n-j},

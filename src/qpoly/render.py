@@ -204,18 +204,18 @@ def parse_polynomial_json(text):
         doc = json.loads(text)
     except ValueError as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("coefficients", []), list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("coefficients"), list):
         raise ParseError("expected an object with a list of coefficients")
-    coeffs = {}
     basis = doc.get("basis")
-    for entry in doc.get("coefficients", []):
+    if type(basis) is not str or basis not in _JSON_CLASSES:
+        raise ParseError(f"unknown basis {basis!r}")
+    coeffs = {}
+    for entry in doc["coefficients"]:
         try:
             entry_basis, degree = entry["basis"], entry["degree_or_m"]
             num, den = parse_poly(entry["num"]), parse_poly(entry["den"])
         except (KeyError, TypeError, AttributeError):
             raise ParseError(f"malformed coefficient entry {entry!r}") from None
-        if basis is None:
-            basis = entry_basis
         if entry_basis != basis:
             raise ParseError(f"an entry in basis {entry_basis!r} in a {basis!r} polynomial")
         if type(degree) is not int or degree < 0:
@@ -225,9 +225,5 @@ def parse_polynomial_json(text):
         if den.is_zero():
             raise ParseError("zero denominator")
         coeffs[degree] = RationalFunction(num, den)
-    if basis is None:
-        basis = "z"  # no basis anywhere: an empty document reads as a zero in z
-    if type(basis) is not str or basis not in _JSON_CLASSES:
-        raise ParseError(f"unknown basis {basis!r}")
     meta = {key: doc[key] for key in ("family", "n", "k", "total_check") if key in doc}
     return _JSON_CLASSES[basis](coeffs), meta

@@ -236,22 +236,6 @@ class TruncatedSeries:
             return self.reciprocal().int_pow(-e)
         return _power(self, e, TruncatedSeries.one(self.ring, self.order))
 
-    def substitute(self, scalar, k):
-        """t -> scalar * t**k (k >= 1), same truncation order."""
-        if k < 1:
-            raise ValueError("substitution exponent must be >= 1")
-        z = self.ring.zero
-        out = [z] * (self.order + 1)
-        power = self.ring.one
-        for j, c in enumerate(self.coeffs):
-            if j * k > self.order:
-                break
-            if j > 0:
-                power = power * scalar
-            if c != z:
-                out[j * k] = out[j * k] + c * power
-        return TruncatedSeries(self.ring, out, self.order)
-
     def __repr__(self):
         body = ", ".join(f"t^{i}: {c}" for i, c in enumerate(self.coeffs) if c != self.ring.zero)
         return f"TruncatedSeries(order={self.order}; {body or '0'})"

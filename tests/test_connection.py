@@ -276,6 +276,44 @@ def test_hermite_builds_each_quotient_once(monkeypatch):
     assert expansion.rescaled_total() == q_hermite(n)
 
 
+def test_prefix_walk_steps_each_prefix_once():
+    from qpoly.connection import _prefix_walk
+
+    keys = [(3, 1), (2, 2, 1), (), (3,), (2, 1), (2, 2, 1, 1), (1,)]
+    steps = []
+
+    def step(value, part):
+        steps.append(value + (part,))
+        return value + (part,)
+
+    assert list(_prefix_walk(keys, (), step)) == [(key, key) for key in sorted(keys)]
+    assert sorted(steps) == sorted({key[:i] for key in keys for i in range(1, len(key) + 1)})
+    steps.clear()
+    # the empty key is the root, with no step (n = 0 of every engine)
+    assert list(_prefix_walk({(): None}, "root", step)) == [((), "root")]
+    assert steps == []
+
+
+def test_gegenbauer_connection_builds_each_prefix_once(monkeypatch):
+    # one product P * A_k per distinct prefix of the partitions of n, parts
+    # largest first, and no coefficient of any lower order
+    import qpoly.connection as connection
+
+    walk = connection._prefix_walk
+    steps = []
+
+    def counted(keys, root, step):
+        return walk(keys, root, lambda value, part: steps.append(part) or step(value, part))
+
+    monkeypatch.setattr(connection, "_prefix_walk", counted)
+    n = 12
+    expansion = gegenbauer_connection.__wrapped__(n)
+    monkeypatch.undo()
+    keys = {tuple(k for k, m in reversed(sol.parts) for _ in range(m)) for sol in partitions_of(n)}
+    assert len(steps) == len({mu[:i] for mu in keys for i in range(1, len(mu) + 1)}) == 271
+    assert gegenbauer_connection_value(expansion) == q_gegenbauer_direct(n)
+
+
 @pytest.mark.parametrize("n", [6, 9])
 def test_gegenbauer_value_builds_each_quotient_once(n, monkeypatch):
     # the weights' quotients come from the same kernel as Hermite's: one

@@ -294,13 +294,15 @@ def test_constants_hash_like_equal_numbers():
     (parse_rational, "\uff13"),  # a fullwidth digit
     (parse_polynomial_json, "[]"),
     (parse_polynomial_json, "{"),
+    (parse_polynomial_json, "{}"),
+    (parse_polynomial_json, '{"basis": "z", "coefficents": []}'),  # misspelled
     (parse_polynomial_json, '{"coefficients": [{"basis": "z", "degree_or_m": 0, '
-                            '"num": "1", "den": "0"}]}'),
-    (parse_polynomial_json, '{"coefficients": [{"basis": "z", "num": "1", "den": "1"}]}'),
+                            '"num": "1", "den": "0"}], "basis": "z"}'),
+    (parse_polynomial_json, '{"coefficients": [{"basis": "z", "num": "1", "den": "1"}], "basis": "z"}'),
     (parse_polynomial_json, '{"coefficients": [{"basis": "z", "degree_or_m": 0, '
-                            '"num": 1, "den": "1"}]}'),
+                            '"num": 1, "den": "1"}], "basis": "z"}'),
     (parse_polynomial_json, '{"coefficients": [{"basis": "z", "degree_or_m": -1, '
-                            '"num": "1", "den": "1"}]}'),
+                            '"num": "1", "den": "1"}], "basis": "z"}'),
     (parse_polynomial_json, '{"coefficients": 3}'),
     (parse_polynomial_json, '{"basis": "foo", "coefficients": []}'),
     (parse_polynomial_json, '{"basis": "cos", "coefficients": [{"basis": "z", "degree_or_m": 0, '

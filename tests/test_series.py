@@ -138,15 +138,6 @@ def test_coeff_access():
         t.coeff(5)
 
 
-def test_substitute():
-    # exp(t) with t -> 2 t^2: coefficient of t^(2j) becomes 2^j / j!
-    e = frac_series([0, 1], 8).exp()
-    sub = e.substitute(Fraction(2), 2)
-    for j in range(5):
-        assert sub.coeff(2 * j) == Fraction(2**j) * e.coeff(j)
-    assert sub.coeff(3) == 0
-
-
 # ---------------------------------------------------------------------------
 # randomized properties
 # ---------------------------------------------------------------------------
