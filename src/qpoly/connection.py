@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import add, mul
+from operator import add, index, mul
 
 from .field import IntPoly, _is_even, _pack, _rows_mul, _uadd, _udivexact, _umul, _unorm, _unpack, _width
 from .families import (
@@ -370,17 +370,16 @@ def hermite_connection(n):
     product H_{n_1}(zeta_1) H_{n_2}(zeta_2)... with its prefactors, all
     radicals cancelled) in the normalization of H_n(z; q), and the total
     equals q_hermite(n).  The total sums the row terms of every partition at
-    once; the rows, from the same terms, are built on each read of `terms`,
-    so a cached expansion keeps only its total.
+    once; the rows are built from the terms, made again, on each read of
+    `terms`, so a cached expansion keeps only its total.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    tables = _hermite_tables(n)
-    total = _hermite_value(n, [term for table in tables for term in table])
+    total = _hermite_value(n, [term for table in _hermite_tables(n) for term in table])
 
     def rows():
         return tuple(ConnectionTerm(sol, None, _hermite_value(n, table))
-                     for sol, table in zip(partitions_of(n), tables))
+                     for sol, table in zip(partitions_of(n), _hermite_tables(n)))
 
     return ConnectionExpansion("hermite", n, None, rows, total)
 
@@ -442,8 +441,9 @@ def _laguerre_total(k, aux, factor, binomials, powers):
 def laguerre_connection(n, k, aux=None):
     """Expansion of the deformed Laguerre polynomial L_k^{(n-k)}(z; q).
 
-    `aux` assigns an arbitrary integer n_j to each order j (default 0); the
-    summed total is independent of that choice.  Each term multiplies
+    `aux` assigns an arbitrary integer n_j to each order j (default 0; a
+    value that is not an int raises TypeError); the summed total is
+    independent of that choice.  Each term multiplies
 
         q**((n-l)(n-l+1)/2 - (n-k)(n-k+1)/2) [n over l]_q
         * prod_j binom(-n_j, l_j)      [= (-1)**(l_j) (n_j)_{l_j} / l_j!]
@@ -455,7 +455,7 @@ def laguerre_connection(n, k, aux=None):
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
-    aux = dict(aux) if aux else {}
+    aux = {j: index(v) for j, v in aux.items()} if aux else {}
     shift = (n - k) * (n - k + 1) // 2  # q**shift: the generating function's normalization
     binomials = _q_binomial_rows(n, min(n, k))
     powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
@@ -724,8 +724,7 @@ def gegenbauer_connection_value(expansion):
         uses[parts] = [((i, p), power, a * d * l)
                        for i, (a, d) in enumerate(zip(acc, doubled)) if a for p, l in lam]
     rows = _quotient_sums(n, uses)
-    # D (q;q)_n: the kernel's empty key, Q = [n]!, times D (1 - q)**n
-    den = _quotient_sums(n, {(): [(0, n, scale)]})[0]
+    den = [scale * x for x in _q_pochhammer_rows(n)[n]]  # D (q;q)_n
     return CosPolynomial({2 * (low + i) - n: _q_rows_ratio([rows.get((i, p), []) for p in range(n + 1)], den)
                           for i in range(len(doubled))})
 

@@ -1,8 +1,9 @@
 """Classical and q-deformed polynomial families.
 
-Each family exists twice: in explicit closed form and by coefficient
-extraction from its generating function, so every constructor carries a
-built-in independent cross-check.
+Each family is an explicit finite sum.  The deformed Hermite and Laguerre
+sums are the coefficients of products of Jackson q-exponentials, read off
+their defining sums (the connection engines check them); the Gegenbauer
+families are also read off their generating function.
 
 Working bases, both SparsePoly subclasses (the one sparse polynomial
 implementation, shared with the abstract rings of the connection module):
@@ -13,16 +14,12 @@ implementation, shared with the abstract rings of the connection module):
     folded by cos(a)cos(b) = (cos(a+b) + cos(|a-b|))/2; hosts the
     (q-)Gegenbauer families (lambda enters only through Lambda = q**lambda).
 
-A generating function is expanded only to the order of the coefficient
-extracted from it: the coefficient does not depend on the truncation order.
-So one expansion to order N serves every degree n <= N
-(gegenbauer_genfun_series), and a single-degree call expands to order n.
-
-The Gegenbauer generating function runs over Z: its exponential is a
-recurrence in q-divided powers on integer numerators in q, Lambda and w =
-e**(i theta), each packed into one int, and only the coefficients read are
-reduced, once per cos index.  The same packed frame serves the deformed log
-of the sum rules (connection).
+The Gegenbauer generating function is expanded only to the order of the
+coefficients read, which do not depend on it, and runs over Z: its
+exponential is a recurrence in q-divided powers on integer numerators in q,
+Lambda and w = e**(i theta), each packed into one int, and only the
+coefficients read are reduced, once per cos index.  The same packed frame
+serves the deformed log of the sum rules (connection).
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from .qkernel import (
     _q_pochhammer_rows,
     _q_rows_ratio,
     q_binomial,
-    q_exp_sum,
     q_factorial,
 )
 from .series import Ring, TruncatedSeries, ring_sum
@@ -363,52 +359,38 @@ def gegenbauer_classical(n):
 
 @lru_cache(maxsize=None)
 def q_hermite(n):
-    """Deformed Hermite polynomial H_n(z; q).
-
-    Extracted as the t**n coefficient of
-
-        E_{q^-2}(2(1 - q^-2) z t) * e_{q^-4}(-2(1 - q^-4) t**2 / (q(1 + q^-2)))
-
-    scaled by [n]_{q^-2}! * q**(-n/2), working to order n.  Coefficients
-    live in Q(s).
-    """
+    """Deformed Hermite polynomial H_n(z; q): [n]_x! s**-n times the t**n
+    coefficient of E_x(2(1 - x) z t) e_{x**2}(-2(1 - x**2) t**2 / (q(1 + x))),
+    x = q**-2.  By the defining sums it has one term per z**m, m = n - 2l:
+    s**-n [n]_x! x**(m(m-1)/2) 2**m (-2/(q(1 + x)))**l / ([m]_x! [l]_{x**2}!)."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    q = RationalFunction.q()
-    qm2 = RationalFunction.q_power(-2)
-    qm4 = RationalFunction.q_power(-4)
-    arg1 = TruncatedSeries.monomial(
-        ZPOLY_RING, ZPolynomial({1: (_RF_ONE - qm2) * 2}), 1, n)
-    f1 = q_exp_sum("E", arg1, -2)
-    c2 = (_RF_ONE - qm4) * (-2) / (q * (_RF_ONE + qm2))
-    arg2 = TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c2), 2, n)
-    f2 = q_exp_sum("e", arg2, -4)
-    extracted = f1.product_coeff(f2, n)
     scale = q_factorial(n, -2) * RationalFunction.s_power(-n)
-    return extracted.scale(scale)
+    c = RationalFunction.q() * (_RF_ONE + RationalFunction.q_power(-2))
+    terms = {}
+    for ell in range(n // 2 + 1):
+        m = n - 2 * ell
+        terms[m] = (scale * RationalFunction.q_power(-m * (m - 1)) * (2**m * (-2)**ell)
+                    / (q_factorial(m, -2) * q_factorial(ell, -4) * c**ell))
+    return ZPolynomial._raw(terms)
 
 
 @lru_cache(maxsize=None)
 def q_laguerre(n, k):
-    """Deformed Laguerre polynomial L_k^{(n-k)}(z; q).
-
-    Extracted as the t**k coefficient of E_q(-(1-q) z t) * (-q/t; q)_n t**n,
-    the second factor expanded by the q-binomial theorem as
-    sum_l q**((n-l)(n-l+1)/2) [n over l]_q t**l, then divided by
-    q**((n-k)(n-k+1)/2), working to order k.
-    """
+    """Deformed Laguerre polynomial L_k^{(n-k)}(z; q): q**-((n-k)(n-k+1)/2)
+    times the t**k coefficient of E_q(-(1-q) z t) (-q/t; q)_n t**n, the last
+    factor sum_l q**((n-l)(n-l+1)/2) [n over l]_q t**l.  By the defining sum
+    of E_q it has one term per z**m, m = k - l: that factor's t**l term times
+    q**(m(m-1)/2) (-1)**m / [m]_q!, over the same shift."""
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
-    q = RationalFunction.q()
-    arg = TruncatedSeries.monomial(
-        ZPOLY_RING, ZPolynomial({1: -(_RF_ONE - q)}), 1, k)
-    efactor = q_exp_sum("E", arg, 1)
-    tail = TruncatedSeries(ZPOLY_RING, [
-        ZPolynomial.constant(RationalFunction.q_power((n - ell) * (n - ell + 1) // 2)
-                             * q_binomial(n, ell, 1))
-        for ell in range(min(n, k) + 1)], k)
-    extracted = efactor.product_coeff(tail, k)
-    return extracted.scale(RationalFunction.q_power(-((n - k) * (n - k + 1) // 2)))
+    shift = (n - k) * (n - k + 1) // 2
+    terms = {}
+    for ell in range(min(n, k) + 1):
+        m = k - ell
+        power = m * (m - 1) // 2 + (n - ell) * (n - ell + 1) // 2 - shift
+        terms[m] = RationalFunction.q_power(power) * q_binomial(n, ell) * (-1)**m / q_factorial(m)
+    return ZPolynomial._raw(terms)
 
 
 def gegenbauer_weight(k):

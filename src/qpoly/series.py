@@ -161,16 +161,6 @@ class TruncatedSeries:
             return TruncatedSeries(self.ring, [ring_dot(c, z) for c in cols], n)
         return self.scale(other)
 
-    def product_coeff(self, other, n):
-        """The t**n coefficient of self * other: the column n of __mul__,
-        without the other columns."""
-        self._check(other)
-        if n < 0 or n > self.order:
-            raise OrderExceeded(f"coefficient {n} of a series truncated at {self.order}")
-        z = self.ring.zero
-        return ring_dot([(a, b) for a, b in zip(self.coeffs[:n + 1], reversed(other.coeffs[:n + 1]))
-                         if a != z and b != z], z)
-
     def __rmul__(self, other):
         return self.scale(other)
 

@@ -349,6 +349,13 @@ def test_cached_hermite_expansion_holds_no_rows():
     assert row() is None
 
 
+def test_cached_hermite_expansion_holds_no_tables():
+    # its rows rebuild the term tables on each read: the closure holds only n
+    expansion = hermite_connection(8)
+    assert [cell.cell_contents for cell in expansion.make_terms.__closure__] == [8]
+    assert sum((t.value for t in expansion.terms), ZPolynomial.zero()) == expansion.total
+
+
 def test_hermite_total_takes_no_rational_function_arithmetic(monkeypatch):
     import qpoly.connection as connection
 
@@ -463,6 +470,13 @@ def test_laguerre_terms_sum_to_total():
         for term in expansion.terms:
             total = term.value if total is None else total + term.value
         assert total == expansion.total, (n, aux)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 2.5, Fraction(2)])
+def test_laguerre_aux_that_is_not_an_int_raises_type_error(value):
+    # a half-integer aux used to give a total other than q_laguerre(3, 3)
+    with pytest.raises(TypeError):
+        laguerre_connection(3, 3, {1: value})
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -883,8 +897,7 @@ def test_verify_suites_take_no_sparse_product_with_the_unit(monkeypatch):
 
 
 def test_verify_suites_take_no_series_product_with_the_unit(monkeypatch):
-    # power sums start their running power at the argument, and q_hermite and
-    # q_laguerre take the one product coefficient they extract
+    # power sums start their running power at the argument
     from qpoly.series import TruncatedSeries
     from qpoly.verify import run_suite
 

@@ -10,6 +10,7 @@ from qpoly.connection import BetaPolynomial, CPolynomial, LambdaPolynomial, lagu
 from qpoly.field import RationalFunction as RF
 from qpoly.families import (
     COSPOLY_RING,
+    ZPOLY_RING,
     CosPolynomial,
     LaguerreIndex,
     ZPolynomial,
@@ -24,7 +25,7 @@ from qpoly.families import (
     q_hermite,
     q_laguerre,
 )
-from qpoly.qkernel import q_pochhammer, quesne_c
+from qpoly.qkernel import q_binomial, q_exp_sum, q_factorial, q_pochhammer, quesne_c
 from qpoly.series import TruncatedSeries
 from qpoly.verify import (
     chebyshev_recurrence,
@@ -199,6 +200,56 @@ def test_q_laguerre_classical_limit():
     for n in range(6):
         for k in range(6):
             assert q_laguerre(n, k).limit_q_to_1() == laguerre_classical(LaguerreIndex(k, n - k))
+
+
+# ---------------------------------------------------------------------------
+# deformed Hermite and Laguerre against their generating functions
+# ---------------------------------------------------------------------------
+# The reference route: the q-exponentials as TruncatedSeries over
+# ZPolynomial[RationalFunction], multiplied, and one coefficient read.
+
+def _q_hermite_by_series(n):
+    qm2, qm4 = RF.q_power(-2), RF.q_power(-4)
+    big = q_exp_sum("E", TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial({1: (ONE - qm2) * 2}), 1, n), -2)
+    c = (ONE - qm4) * -2 / (Q * (ONE + qm2))
+    little = q_exp_sum("e", TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial.constant(c), 2, n), -4)
+    return (big * little).coeff(n).scale(q_factorial(n, -2) * RF.s_power(-n))
+
+
+def _q_laguerre_by_series(n, k):
+    big = q_exp_sum("E", TruncatedSeries.monomial(ZPOLY_RING, ZPolynomial({1: Q - 1}), 1, k), 1)
+    tail = TruncatedSeries(ZPOLY_RING, [
+        ZPolynomial.constant(RF.q_power((n - ell) * (n - ell + 1) // 2) * q_binomial(n, ell))
+        for ell in range(min(n, k) + 1)], k)
+    return (big * tail).coeff(k).scale(RF.q_power(-((n - k) * (n - k + 1) // 2)))
+
+
+def test_q_hermite_is_its_generating_function_coefficient():
+    for n in range(13):
+        assert q_hermite(n) == _q_hermite_by_series(n)
+
+
+def test_q_laguerre_is_its_generating_function_coefficient():
+    for n in range(9):
+        for k in range(9):
+            assert q_laguerre(n, k) == _q_laguerre_by_series(n, k)
+
+
+def test_q_hermite_and_q_laguerre_build_no_series(monkeypatch):
+    import qpoly.qkernel as qkernel
+
+    def forbidden(*args):
+        raise AssertionError("a series built or a q-exponential series called")
+
+    q_hermite.cache_clear()
+    q_laguerre.cache_clear()
+    monkeypatch.setattr(TruncatedSeries, "__init__", forbidden)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", forbidden)
+    monkeypatch.setattr(qkernel, "q_exp_sum", forbidden)
+    hermite, laguerre = q_hermite(9), q_laguerre(6, 7)
+    monkeypatch.undo()
+    assert hermite == _q_hermite_by_series(9)
+    assert laguerre == _q_laguerre_by_series(6, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -50,16 +50,6 @@ def test_mul_truncation():
     assert (t * t).is_zero()
 
 
-def test_product_coeff_is_the_product_column():
-    rng = random.Random(5)
-    a, b = (frac_series([rng.randint(-3, 3) for _ in range(7)], 6) for _ in range(2))
-    assert [a.product_coeff(b, n) for n in range(7)] == list((a * b).coeffs)
-    with pytest.raises(OrderExceeded):
-        a.product_coeff(b, 7)
-    with pytest.raises(OrderMismatch):
-        a.product_coeff(frac_series([1], 5), 5)
-
-
 def test_order_mismatch():
     with pytest.raises(OrderMismatch):
         frac_series([1], 3) + frac_series([1], 4)
