@@ -25,8 +25,8 @@ relation:
     = e^{i theta}, each weight is a numerator over (q;q)_n with integer
     q-multinomial quotients in q, and each cos(j theta) coefficient is
     reduced once.  The deformed side of the sum rules is the log of the
-    explicit polynomials, over Z in the packed frame of the generating
-    function (families).
+    explicit polynomials, over Z from their integer numerators in the packed
+    frame of the generating function (families).
 
 Every expansion's terms and total are in the normalization of the polynomial
 itself.  Each engine builds every distinct building block once per call, in
@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, mul
 
-from .field import IntPoly, _is_even, _pack, _rows_mul, _uadd, _udivexact, _umul, _unorm, _unpack, _width
+from .field import IntPoly, _pack, _rows_mul, _uadd, _umul, _unorm, _unpack, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -70,6 +70,7 @@ from .families import (
 )
 from .qkernel import (
     _divide_q_number,
+    _lambda_pochhammer_rows,
     _power_sum,
     _q_binomial_rows,
     _q_factorial_row,
@@ -763,36 +764,20 @@ SUM_RULE_COMBINATIONS = {
 }
 
 
-def _q_row(row):
-    """The q-row of an s-row that is a polynomial in q = s**2."""
-    if not _is_even(row):
-        raise ArithmeticError("an odd power of s where a power of q is expected")
-    return row[::2]
-
-
-def _direct_cells(i, poch):
-    """G_i = (q;q)_i b_i as w-cells (see families), read off the explicit
-    polynomial of degree i: its cos(j theta) coefficient num/den gives the
-    w**j and w**-j cells num (q;q)_i / (d den), d = 2 for j > 0 and 1 for j
-    = 0, by exact division; a remainder raises ArithmeticError."""
+def _direct_cells(i, lam):
+    """G_i = (q;q)_i b_i as w-cells (see families), b_i the explicit
+    polynomial of degree i: its w**(i-2l) and w**-(i-2l) cells are both
+    [i over l]_q (Lambda;q)_l (Lambda;q)_{i-l}, built for l <= i/2 from the
+    rows lam[l] of (Lambda;q)_l (_lambda_pochhammer_rows)."""
     cells = {}
-    for j, c in q_gegenbauer_direct(i)._terms.items():
-        cofactor = None if len(c.den._rows) > 1 else _udivexact(poch[i], _q_row(c.den._rows[0]))
-        if cofactor is None:
-            raise ArithmeticError(f"the denominator of a degree-{i} coefficient does not divide (q;q)_{i}")
-        rows = _rows_mul([_q_row(r) for r in c.num._rows], [cofactor])
-        if j:
-            if any(x & 1 for r in rows for x in r):
-                raise ArithmeticError(f"a degree-{i} cos coefficient is not twice its w-cell")
-            rows = [[x >> 1 for x in r] for r in rows]
-            cells[-j] = rows
-        cells[j] = rows
+    for ell, binom in enumerate(_q_binomial_rows(i, i // 2)):
+        cells[i - 2 * ell] = cells[2 * ell - i] = _rows_mul([binom], _rows_mul(lam[ell], lam[i - ell]))
     return cells
 
 
-def _log_coefficients(order):
-    """The t**n coefficients, n = 1..order, of the log of the series of the
-    explicit deformed polynomials.
+def _log_coefficients(order, degrees):
+    """The t**n coefficients, n in degrees (each 1..order), of the log of the
+    series of the explicit deformed polynomials.
 
     The log recurrence n c_n = n b_n - sum_{j<n} j c_j b_{n-j}, times (q;q)_n,
     reads over Z, with G_m = (q;q)_m b_m (_direct_cells),
@@ -804,14 +789,14 @@ def _log_coefficients(order):
     placed by shifts.  A step's digits hold K_n by the bound n |G_n| + sum
     |[n over j] r|_1 |G_{n-j}| over the rows r placed, from the measured
     maxima (|.| the largest coefficient, |.|_1 the sum of absolute values);
-    when a step needs wider digits, the G_m are packed again.  Each c_n is
-    reduced once per cos index."""
-    poch = _q_pochhammer_rows(order)
-    cells = [_direct_cells(i, poch) for i in range(order + 1)]
+    when a step needs wider digits, the G_m are packed again.  Only the c_n
+    asked for are reduced, once per cos index."""
+    poch, lam = _q_pochhammer_rows(order), _lambda_pochhammer_rows(order)
+    cells = [_direct_cells(i, lam) for i in range(order + 1)]
     top = [max(max(map(abs, r), default=0) for rows in g.values() for r in rows) for g in cells]
     qs, ls = _frame(order)
     nbytes, packed, logs = 0, [], [None]  # logs[j]: K_j's rows, q-row up to sign -> [(sign, digit shift)]
-    out = []
+    ks = [None]
     for n in range(1, order + 1):
         binom = _q_binomial_rows(n, n)
         terms, bound = [], n * top[n]
@@ -836,8 +821,8 @@ def _log_coefficients(order):
                     sign = 1 if r[-1] > 0 else -1
                     groups.setdefault(tuple(sign * x for x in r), []).append((sign, qs * (b + ls * (e + n) // 2)))
         logs.append(groups)
-        out.append(_cos_value(k, [n * x for x in poch[n]]))
-    return out
+        ks.append(k)
+    return [_cos_value(ks[m], [m * x for x in poch[m]]) for m in degrees]
 
 
 def gegenbauer_sum_rule_logs(order):
@@ -851,20 +836,24 @@ def gegenbauer_sum_rule_logs(order):
     rule come from different code."""
     if order < 1:
         raise ValueError("sum-rule order must be >= 1")
-    deformed = TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + _log_coefficients(order), order)
+    logs = _log_coefficients(order, range(1, order + 1))
+    deformed = TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + logs, order)
     classical = TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(i) for i in range(order + 1)], order)
     return deformed, classical.log()
 
 
 def gegenbauer_sum_rule(ell):
-    """Both sides of the order-ell sum rule, read from the logs to order ell.
+    """Both sides of the order-ell sum rule, from the logs to order ell.
 
-    lhs: t**ell coefficient of log(sum_n C_n^(lambda)(z; q) t**n).
+    lhs: t**ell coefficient of log(sum_n C_n^(lambda)(z; q) t**n), the only
+    coefficient of the deformed log reduced.
     rhs: [lambda]_{q**ell} times the t**ell coefficient of the log of the
     classical (lambda = 1) series.  The two agree identically in Q(s, Lambda).
     """
-    deformed, classical = gegenbauer_sum_rule_logs(ell)
-    return deformed.coeff(ell), classical.coeff(ell).scale(gegenbauer_weight(ell))
+    if ell < 1:
+        raise ValueError("sum-rule order must be >= 1")
+    classical = TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(i) for i in range(ell + 1)], ell).log()
+    return _log_coefficients(ell, (ell,))[0], classical.coeff(ell).scale(gegenbauer_weight(ell))
 
 
 def sum_rule_explicit(ell):

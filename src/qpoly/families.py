@@ -3,7 +3,8 @@
 Each family is an explicit finite sum.  The deformed Hermite and Laguerre
 sums are the coefficients of products of Jackson q-exponentials, read off
 their defining sums (the connection engines check them); the Gegenbauer
-families are also read off their generating function.
+families are also read off their generating function.  The direct Hermite
+and Gegenbauer coefficients are built from integer q-rows in lowest terms.
 
 Working bases, both SparsePoly subclasses (the one sparse polynomial
 implementation, shared with the abstract rings of the connection module):
@@ -29,12 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import RationalFunction, _coerce_or_raise, _pack, _pack_rows, _power, _umul, _unorm, _unpack_rows, _width
+from .field import (RationalFunction, _coerce_or_raise, _pack, _pack_rows, _power, _raw_poly, _rf_raw, _rows_mul,
+                    _spread, _umul, _unorm, _unpack_rows, _width)
 from .qkernel import (
-    _pochhammers,
+    _lambda_pochhammer_rows,
     _q_binomial_rows,
     _q_pochhammer_rows,
     _q_rows_ratio,
+    _times_q_number,
     q_binomial,
     q_factorial,
 )
@@ -361,17 +364,22 @@ def gegenbauer_classical(n):
 def q_hermite(n):
     """Deformed Hermite polynomial H_n(z; q): [n]_x! s**-n times the t**n
     coefficient of E_x(2(1 - x) z t) e_{x**2}(-2(1 - x**2) t**2 / (q(1 + x))),
-    x = q**-2.  By the defining sums it has one term per z**m, m = n - 2l:
-    s**-n [n]_x! x**(m(m-1)/2) 2**m (-2/(q(1 + x)))**l / ([m]_x! [l]_{x**2}!)."""
+    x = q**-2.  By the defining sums and [l]_{x**2}! (1 + x)**l = prod_{j<=l}
+    [2j]_x, its z**m coefficient, m = n - 2l, is the integer x-row
+
+        s**-n q**-l 2**m (-2)**l x**(m(m-1)/2) [n over m]_x prod_{j<=l} [2j-1]_x
+
+    over a power of s, so its reduction takes no gcd beyond that power."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    scale = q_factorial(n, -2) * RationalFunction.s_power(-n)
-    c = RationalFunction.q() * (_RF_ONE + RationalFunction.q_power(-2))
-    terms = {}
+    binom, odd, terms = _q_binomial_rows(n, n), [1], {}  # odd: prod_{j<=l} [2j-1]_x
     for ell in range(n // 2 + 1):
         m = n - 2 * ell
-        terms[m] = (scale * RationalFunction.q_power(-m * (m - 1)) * (2**m * (-2)**ell)
-                    / (q_factorial(m, -2) * q_factorial(ell, -4) * c**ell))
+        odd = _times_q_number(odd, 2 * ell - 1) if ell else odd
+        row = _umul(binom[m], odd)
+        c, d = 2**m * (-2)**ell, len(row) - 1  # x**k = q**(2(d - k)) s**(-4d)
+        terms[m] = _q_rows_ratio([_spread([c * x for x in reversed(row)])], [1],
+                                 -(n + 2 * ell + 2 * m * (m - 1) + 4 * d))
     return ZPolynomial._raw(terms)
 
 
@@ -406,15 +414,21 @@ def gegenbauer_weight(k):
 def q_gegenbauer_direct(n):
     """Deformed Gegenbauer polynomial from its explicit double-Pochhammer
     form: sum_l (L;q)_l (L;q)_{n-l} / ((q;q)_l (q;q)_{n-l}) cos((n-2l)theta)
-    with L = Lambda = q**lambda."""
+    with L = Lambda = q**lambda, so 2 (or 1 at l = n/2) times that fraction
+    for cos((n-2l)theta), l <= n/2, from integer q-rows.  The fraction is in
+    lowest terms: a common factor is free of Lambda, as the denominator is,
+    so it divides the numerator's Lambda**0 term 2 or 1 and the denominator's
+    constant term 1.  The denominator's top coefficient is (-1)**n, so odd n
+    negates both."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    lam_poch = _pochhammers(RationalFunction.lam(), 1, n)  # (L;q)_l, l = 0..n
-    q_poch = _pochhammers(RationalFunction.q(), 1, n)  # (q;q)_l
-    return CosPolynomial.sum([
-        CosPolynomial({abs(n - 2 * ell): lam_poch[ell] * lam_poch[n - ell]
-                       / (q_poch[ell] * q_poch[n - ell])})
-        for ell in range(n + 1)])
+    lam, poch, sign, terms = _lambda_pochhammer_rows(n), _q_pochhammer_rows(n), (-1) ** n, {}
+    for ell in range(n // 2 + 1):
+        c = sign if 2 * ell == n else 2 * sign
+        num = [_spread([c * x for x in r]) for r in _rows_mul(lam[ell], lam[n - ell])]
+        den = _spread([sign * x for x in _umul(poch[ell], poch[n - ell])])
+        terms[n - 2 * ell] = _rf_raw(_raw_poly(num), _raw_poly([den]))
+    return CosPolynomial._raw(terms)
 
 
 # ---------------------------------------------------------------------------

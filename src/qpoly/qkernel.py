@@ -24,7 +24,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import sub
 
-from .field import RationalFunction, _raw_poly, _spread, _unorm
+from .field import RationalFunction, _raw_poly, _spread, _uadd, _unorm
 from .series import NonzeroConstantTerm, TruncatedSeries
 
 
@@ -200,6 +200,17 @@ def _q_pochhammer_rows(n):
     for k in range(1, n + 1):
         rows.append(list(map(sub, rows[-1] + [0] * k, [0] * k + rows[-1])))
     return rows
+
+
+def _lambda_pochhammer_rows(n):
+    """(Lambda;q)_l for l = 0..n, each as q-rows, one per power of Lambda:
+    the last times 1 - Lambda q**(l-1)."""
+    out = [[[1]]]
+    for k in range(n):
+        last = out[-1]
+        shifted = [[0] * k + [-x for x in r] for r in last]  # -Lambda q**k times the last
+        out.append([[1]] + [_uadd(a, b) for a, b in zip(last[1:], shifted)] + shifted[-1:])
+    return out
 
 
 def _q_rows_ratio(rows, den, s_power=0):

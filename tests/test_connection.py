@@ -844,23 +844,35 @@ def test_sum_rule_logs_take_series_log_only_for_the_classical_side(monkeypatch):
     gegenbauer_sum_rule_logs(9)
     assert logged == [tuple(gegenbauer_classical(i) for i in range(10))]
     monkeypatch.setattr(CosPolynomial, "dot", classmethod(forbidden))
-    coefficients = connection._log_coefficients(9)
+    coefficients = connection._log_coefficients(9, range(1, 10))
     monkeypatch.undo()
     assert tuple(coefficients) == expected
 
 
-def test_sum_rule_log_reads_the_explicit_polynomials_exactly(monkeypatch):
-    # a direct value whose cos coefficient is not an integer row over
-    # (q;q)_n, or not twice its w-cell, fails the division it is read by
+def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
+    # the cells reduced by the generic gcd equal the closed form, which is
+    # assembled in lowest terms with no gcd, so its coprimality is checked too
+    from qpoly.connection import _direct_cells
+    from qpoly.families import _cos_value
+    from qpoly.qkernel import _lambda_pochhammer_rows, _q_pochhammer_rows
+
+    lam, poch = _lambda_pochhammer_rows(12), _q_pochhammer_rows(12)
+    for i in range(13):
+        assert _cos_value(_direct_cells(i, lam), poch[i]) == q_gegenbauer_direct(i)
+
+
+def test_log_coefficients_reduce_only_the_degrees_read(monkeypatch):
     import qpoly.connection as connection
 
-    broken = {2: q_gegenbauer_direct(2) + CosPolynomial({1: RF.q() / (1 + RF.q() ** 3)}),
-              3: q_gegenbauer_direct(3) + CosPolynomial({1: RF.one() / (1 - RF.q())})}
-    for n, value in broken.items():
-        monkeypatch.setattr(connection, "q_gegenbauer_direct", lambda i, n=n, value=value:
-                            value if i == n else q_gegenbauer_direct(i))
-        with pytest.raises(ArithmeticError):
-            connection._log_coefficients(4)
+    full = connection._log_coefficients(8, range(1, 9))
+    reduced = []
+    cos_value = connection._cos_value
+    monkeypatch.setattr(connection, "_cos_value", lambda *args: reduced.append(args) or cos_value(*args))
+    assert connection._log_coefficients(8, (8, 3)) == [full[7], full[2]]
+    assert len(reduced) == 2
+    reduced.clear()
+    lhs, rhs = gegenbauer_sum_rule(8)
+    assert lhs == full[7] == rhs and len(reduced) == 1
 
 
 def _clear_caches():

@@ -229,6 +229,20 @@ def test_q_hermite_is_its_generating_function_coefficient():
         assert q_hermite(n) == _q_hermite_by_series(n)
 
 
+def _q_hermite_by_q_factorials(n):
+    # the defining sums over q-factorials, each term reduced by the generic gcd
+    scale = q_factorial(n, -2) * RF.s_power(-n)
+    c = Q * (ONE + RF.q_power(-2))
+    return ZPolynomial({n - 2 * ell: scale * RF.q_power(-(n - 2 * ell) * (n - 2 * ell - 1)) * 2**(n - 2 * ell)
+                        * (-2)**ell / (q_factorial(n - 2 * ell, -2) * q_factorial(ell, -4) * c**ell)
+                        for ell in range(n // 2 + 1)})
+
+
+def test_q_hermite_is_its_q_factorial_sum():
+    for n in range(21):
+        assert q_hermite(n) == _q_hermite_by_q_factorials(n)
+
+
 def test_q_laguerre_is_its_generating_function_coefficient():
     for n in range(9):
         for k in range(9):
@@ -333,7 +347,7 @@ def test_q_gegenbauer_direct_uses_running_products(monkeypatch):
     import qpoly.families as families
     import qpoly.qkernel as qkernel
 
-    expected = [_direct_by_pochhammer_calls(n) for n in range(9)]
+    expected = [_direct_by_pochhammer_calls(n) for n in range(13)]
     calls = []
 
     def counted(*args):
@@ -343,9 +357,32 @@ def test_q_gegenbauer_direct_uses_running_products(monkeypatch):
     monkeypatch.setattr(qkernel, "q_pochhammer", counted)
     # families may hold its own reference to the function
     monkeypatch.setattr(families, "q_pochhammer", counted, raising=False)
-    values = [q_gegenbauer_direct.__wrapped__(n) for n in range(9)]
+    values = [q_gegenbauer_direct.__wrapped__(n) for n in range(13)]
     assert calls == []
     assert values == expected
+
+
+def test_direct_forms_are_built_in_lowest_terms(monkeypatch):
+    # each coefficient is assembled from integer rows with no generic gcd:
+    # q_gegenbauer_direct takes no polynomial gcd and q_hermite only the
+    # one against its power of s, and reducing a coefficient again returns
+    # the same rows
+    import qpoly.field as field
+
+    def forbidden(*args):
+        raise AssertionError("a polynomial gcd called")
+
+    for fn in (q_hermite, q_gegenbauer_direct):
+        fn.cache_clear()
+    monkeypatch.setattr(field, "_ugcd_heu", forbidden)
+    hermite = [q_hermite(n) for n in range(17)]
+    monkeypatch.setattr(field, "_gcd_cof", forbidden)
+    gegenbauer = [q_gegenbauer_direct(n) for n in range(17)]
+    monkeypatch.undo()
+    for value in hermite + gegenbauer:
+        for c in value._terms.values():
+            again = RF(c.num, c.den)
+            assert (again.num._rows, again.den._rows) == (c.num._rows, c.den._rows)
 
 
 def test_q_gegenbauer_lambda_one_collapses_to_classical():

@@ -73,6 +73,16 @@ def test_q_pochhammer_examples():
     assert q_pochhammer(Q, base, 2) == (ONE - Q) * (ONE - Q**2)
 
 
+def test_lambda_pochhammer_rows_are_the_pochhammer_symbols():
+    from qpoly.qkernel import _lambda_pochhammer_rows, _q_rows_ratio
+
+    table = _lambda_pochhammer_rows(8)
+    assert len(table) == 9
+    for ell, rows in enumerate(table):
+        assert all(rows) and len(rows) == ell + 1
+        assert _q_rows_ratio(rows, [1]) == q_pochhammer(RF.lam(), 1, ell)
+
+
 # ---------------------------------------------------------------------------
 # Quesne coefficients
 # ---------------------------------------------------------------------------
