@@ -32,14 +32,13 @@ Every expansion's terms and total are in the normalization of the polynomial
 itself.  Each engine builds every distinct building block once per call, in
 tables local to the call: the Hermite part choices, the Laguerre prefactors
 and classical factors, the Gegenbauer classical powers and Lambda factors.
-One prefix walk, _prefix_walk, builds the Gegenbauer products and, in the
-kernel _quotient_sums, each quotient [n]!/prod [a] of the Hermite and Laguerre
-totals and of the Gegenbauer value route (by exact stride division).  One
-product table, _prefix_product, forms every product over the parts of a key:
-the Laguerre rows (keyed largest part first), the Gegenbauer classical rows
-and Lambda factors, and BetaPolynomial.substitute.  Each distinct partial
-product is built once per call, from its longest prefix.  The Hermite and
-Laguerre rows are built only when `terms` is read.
+One prefix walk, _prefix_walk, forms every product over the parts of a key,
+each distinct prefix once from its parent: the Gegenbauer products, each
+quotient [n]!/prod [a] of the kernel _quotient_sums (by exact stride
+division), and through _products the Hermite part choices and the Laguerre
+rows (both keyed largest part first), the Gegenbauer classical rows and Lambda
+factors, and BetaPolynomial.substitute.  The Hermite and Laguerre rows are
+built only when `terms` is read.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, mul
 
-from .field import IntPoly, _pack, _rows_mul, _uadd, _umul, _unorm, _unpack, _width
+from .field import _pack, _rows_mul, _uadd, _umul, _unorm, _unpack, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -76,6 +75,7 @@ from .qkernel import (
     _q_factorial_row,
     _q_pochhammer_rows,
     _q_rows_ratio,
+    _times_q_number,
     quesne_c,
 )
 from .series import Ring, TruncatedSeries, ring_sum
@@ -214,34 +214,30 @@ class ConnectionExpansion:
         return self.total
 
 
-def _prefix_product(built, key, block):
-    """prod block(*part) over the parts of key.  built is a dict local to one
-    call, which the caller seeds with the unit at built[()]; every prefix of
-    key is recorded in it, so a product is one product of its longest prefix
-    built before with its last block, and each block is built once; a
-    one-part key is the block itself."""
-    value = built.get(key)
-    if value is None:
-        if len(key) > 1:
-            value = _prefix_product(built, key[:-1], block) * _prefix_product(built, key[-1:], block)
-        else:
-            value = block(*key[0])
-        built[key] = value
-    return value
-
-
 def _prefix_walk(keys, root, step):
     """Yield (key, value) per key in sorted order: value is step(parent,
     key[-1]), parent the value of key[:-1], and root for ().  Only the
     current path is kept, so step runs once per distinct nonempty prefix."""
     path, prev = [root], ()  # path[i]: the value of prev[:i]
     for key in sorted(keys):
-        common = next((i for i, (p, r) in enumerate(zip(prev, key)) if p != r), min(len(prev), len(key)))
+        common = 0
+        for p, r in zip(prev, key):
+            if p != r:
+                break
+            common += 1
         del path[common + 1:]
         for part in key[common:]:
             path.append(step(path[-1], part))
         prev = key
         yield key, path[-1]
+
+
+def _products(keys, block, times, unit):
+    """The prefix walk of (key, prod block(*part) over its parts), unit for
+    (): each distinct part's block is built once, and a one-part prefix is
+    its block, so no product has the unit as an operand."""
+    blocks = {part: block(*part) for part in {part for key in keys for part in key}}
+    return _prefix_walk(keys, unit, lambda p, part: blocks[part] if p is unit else times(p, blocks[part]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +313,24 @@ def _hermite_v(k):
 
 def _hermite_tables(n):
     """Per partition of n (partitions_of order), its row terms (j, mu, a, b),
-    a/b reduced.  Each part's choices are read off H_m once per call."""
-    choices = {}
-    tables = []
-    for sol in partitions_of(n):
-        row = [(0, (), 1, 1)]
-        for k, m in sol.parts:
-            options = choices.get((k, m))
-            if options is None:
-                (bu, au), (bv, av) = _hermite_u(k), _hermite_v(k)
-                options = choices[k, m] = []
-                for d, h in hermite_classical(m)._terms.items():
-                    e = (m - d) // 2
-                    c = h.as_fraction() / (math.factorial(m) * 2**d) * bu**d * bv**e
-                    options.append((k * d, (au,) * d + (av,) * e, c.numerator, c.denominator))
-            row = [(j + kd, mu + parts, a * ca, b * cb)
-                   for j, mu, a, b in row for kd, parts, ca, cb in options]
-        table = []
-        for j, mu, a, b in row:
-            g = math.gcd(a, b)
-            table.append((j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a // g, b // g))
-        tables.append(table)
-    return tables
+    a/b reduced, from the choices of its parts by the prefix walk, keyed
+    largest part first (partitions_of order reversed, so sorting is cheap)."""
+    def choices(k, m):
+        (bu, au), (bv, av) = _hermite_u(k), _hermite_v(k)
+        options = []
+        for d, h in hermite_classical(m)._terms.items():
+            e = (m - d) // 2
+            c = h.as_fraction() / (math.factorial(m) * 2**d) * bu**d * bv**e
+            options.append((k * d, (au,) * d + (av,) * e, c.numerator, c.denominator))
+        return options
+
+    def join(row, options):  # terms in the order of the product taken smallest part first
+        return [(kd + j, parts + mu, ca * a, cb * b) for kd, parts, ca, cb in options for j, mu, a, b in row]
+
+    rows = _products([sol.parts[::-1] for sol in partitions_of(n)], choices, join, [(0, (), 1, 1)])
+    tables = {key: [(j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a // (g := math.gcd(a, b)), b // g)
+                    for j, mu, a, b in row] for key, row in rows}
+    return [tables[sol.parts[::-1]] for sol in partitions_of(n)]
 
 
 def _hermite_value(n, terms):
@@ -475,13 +467,13 @@ def laguerre_connection(n, k, aux=None):
 
     def rows():
         prefs = [_q_rows_ratio([row], [1], 2 * power) for row, power in zip(binomials, powers)]
-        built = {(): ZPolynomial.one()}
+        sols = laguerre_partitions(n, k)
+        products = dict(_products([sol.kparts[::-1] for sol in sols], classical, mul, ZPolynomial.one()))
         terms = []
-        for sol in laguerre_partitions(n, k):
+        for sol in sols:
             coefficient = prefs[sol.ell] * math.prod(
                 falling_binomial(-aux.get(j, 0), lj) for j, lj in sol.lparts)
-            poly = _prefix_product(built, sol.kparts[::-1], classical)
-            terms.append(ConnectionTerm(sol, coefficient, poly.scale(coefficient)))
+            terms.append(ConnectionTerm(sol, coefficient, products[sol.kparts[::-1]].scale(coefficient)))
         return tuple(terms)
 
     return ConnectionExpansion("laguerre", n, k, rows, _laguerre_total(k, aux, factor, binomials, powers))
@@ -525,9 +517,8 @@ class BetaPolynomial(SparsePoly):
     def substitute(self, value_of, one_value):
         """Map each generator g to value_of(g) and sum; lands in the target
         ring, whose multiplicative unit is one_value."""
-        built = {(): one_value}
-        parts = [_prefix_product(built, mono, lambda g, e: value_of(g) ** e) * c
-                 for mono, c in self._terms.items()]
+        products = dict(_products(self._terms, lambda g, e: value_of(g) ** e, mul, one_value))
+        parts = [products[mono] * c for mono, c in self._terms.items()]
         return ring_sum(parts, one_value * 0)
 
 
@@ -668,18 +659,20 @@ def gegenbauer_connection(n):
     return ConnectionExpansion("gegenbauer", n, None, lambda: terms, total)
 
 
-# The value route's classical rows are x-rows in x = w**2 (w = e^{i theta})
-# and its weight factors rows in Lambda, both IntPolys in one variable.
+# The value route's classical rows are int rows in x = w**2 (w = e^{i theta})
+# and its weight factors int rows in Lambda.
 
 def _classical_power(m, e):
     """U_m**e as an x-row, with C_m at lambda = 1 equal to U_m = sum_l
     w**(m-2l) = w**-m (1 + x + ... + x**m)."""
-    return IntPoly({(i, 0): 1 for i in range(m + 1)}) ** e
+    return reduce(_times_q_number, [m + 1] * (e - 1), [1] * (m + 1))
 
 
 def _lambda_factor(k, e):
-    """(1 - Lambda**k)**e."""
-    return IntPoly({(0, 0): 1, (0, k): -1}) ** e
+    """(1 - Lambda**k)**e as a Lambda-row."""
+    row = [0] * (k * e + 1)
+    row[::k] = [(-1) ** i * math.comb(e, i) for i in range(e + 1)]
+    return row
 
 
 def gegenbauer_connection_value(expansion):
@@ -707,19 +700,19 @@ def gegenbauer_connection_value(expansion):
     terms = expansion.terms
     scale = math.lcm(*(c.denominator for t in terms for c in t.coefficient._terms.values()))
     low = (n + 1) // 2  # the x-power of cos(0 theta) or cos(theta)
-    classical = {(): IntPoly.one()}
+    classical = dict(_products([term.descriptor for term in terms], _classical_power, _umul, [1]))
     by_weight = {}
     for term in terms:
-        row = _prefix_product(classical, term.descriptor, _classical_power)._rows[0][low:]
+        row = classical[term.descriptor][low:]
         for mu, c in term.coefficient._terms.items():
             scaled = map((c.numerator * (scale // c.denominator)).__mul__, row)
             acc = by_weight.get(mu)
             by_weight[mu] = list(scaled) if acc is None else list(map(add, acc, scaled))
     doubled = [1 if 2 * (low + i) == n else 2 for i in range(n + 1 - low)]
-    lam_built = {(): IntPoly.one()}
+    lam_rows = dict(_products(by_weight, _lambda_factor, _umul, [1]))
     uses = {}  # mu's parts above 1, largest first -> [((cos index, Lambda power), E, c)]
     for mu, acc in by_weight.items():
-        lam = [(p, r[0]) for p, r in enumerate(_prefix_product(lam_built, mu, _lambda_factor)._rows) if r]
+        lam = [(p, c) for p, c in enumerate(lam_rows[mu]) if c]
         parts = tuple(k for k, e in reversed(mu) if k > 1 for _ in range(e))
         power = n - sum(e for _, e in mu)
         uses[parts] = [((i, p), power, a * d * l)

@@ -369,17 +369,19 @@ def q_hermite(n):
 
         s**-n q**-l 2**m (-2)**l x**(m(m-1)/2) [n over m]_x prod_{j<=l} [2j-1]_x
 
-    over a power of s, so its reduction takes no gcd beyond that power."""
+    over a power of s, in lowest terms: the x-row has first and last
+    coefficient 1, so the numerator has content 2**(m+l) and no factor s."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    binom, odd, terms = _q_binomial_rows(n, n), [1], {}  # odd: prod_{j<=l} [2j-1]_x
+    binom, odd, terms = _q_binomial_rows(n, n // 2), [1], {}  # odd: prod_{j<=l} [2j-1]_x
     for ell in range(n // 2 + 1):
         m = n - 2 * ell
         odd = _times_q_number(odd, 2 * ell - 1) if ell else odd
-        row = _umul(binom[m], odd)
-        c, d = 2**m * (-2)**ell, len(row) - 1  # x**k = q**(2(d - k)) s**(-4d)
-        terms[m] = _q_rows_ratio([_spread([c * x for x in reversed(row)])], [1],
-                                 -(n + 2 * ell + 2 * m * (m - 1) + 4 * d))
+        row = _umul(binom[min(m, n - m)], odd)  # [n over m] = [n over n - m]
+        c, d = 2**m * (-2)**ell, len(row) - 1  # x**k = s**(4(d - k)) s**(-4d)
+        num, den = [0] * (4 * d + 1), [0] * (n + 2 * ell + 2 * m * (m - 1) + 4 * d) + [1]
+        num[::4] = [c * x for x in reversed(row)]
+        terms[m] = _rf_raw(_raw_poly([num]), _raw_poly([den]))
     return ZPolynomial._raw(terms)
 
 

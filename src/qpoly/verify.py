@@ -302,13 +302,14 @@ def _suite_gegenbauer(report, max_n):
 
 def _suite_sumrules(report, max_n):
     # the log pair is built once, to the top order, as in _suite_gegenbauer
-    logs = cache(lambda: gegenbauer_sum_rule_logs(max_n))
-    for ell in range(1, max_n + 1):
+    order = max(max_n, 1)
+    logs = cache(lambda: gegenbauer_sum_rule_logs(order))
+    for ell in range(1, order + 1):
         _run_check(report, f"rule-l{ell}",
                    "t^l coefficient of log of deformed series == [lambda]_{q^l} times classical",
                    lambda ell=ell: logs()[0].coeff(ell)
                    == logs()[1].coeff(ell).scale(gegenbauer_weight(ell)))
-    for ell in range(1, min(max_n, 5) + 1):
+    for ell in range(1, min(order, 5) + 1):
         _run_check(report, f"explicit-l{ell}",
                    "log coefficient == explicit I_l combination",
                    lambda ell=ell: logs()[0].coeff(ell) == sum_rule_explicit(ell))

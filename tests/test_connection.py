@@ -294,6 +294,105 @@ def test_prefix_walk_steps_each_prefix_once():
     assert steps == []
 
 
+def _prefixes(keys):
+    return {key[:i] for key in keys for i in range(1, len(key) + 1)}
+
+
+def test_product_callers_build_each_block_and_prefix_once(monkeypatch):
+    # every product over the parts of a key goes through _products: each
+    # distinct part's block is built once, each distinct prefix is stepped
+    # once in the prefix walk, and only prefixes of two or more parts take a
+    # product, none with the unit
+    import qpoly.connection as connection
+
+    _clear_caches()
+    walk, products = connection._prefix_walk, connection._products
+    walks, calls = [], []
+
+    def counted_walk(keys, root, step):
+        steps = []
+        walks.append(steps)
+        return walk(keys, root, lambda value, part: steps.append(part) or step(value, part))
+
+    def counted_products(keys, block, times, unit):
+        keys, built, taken, first = list(keys), [], [], len(walks)
+
+        def counted_times(a, b):
+            taken.append(a is unit or b is unit)
+            return times(a, b)
+
+        out = products(keys, lambda *part: built.append(part) or block(*part), counted_times, unit)
+        (steps,) = walks[first:]
+        calls.append((keys, built, steps, taken))
+        return out
+
+    monkeypatch.setattr(connection, "_prefix_walk", counted_walk)
+    monkeypatch.setattr(connection, "_products", counted_products)
+    aux = {1: 2, 2: -1, 3: 3}
+    hermite_connection(12).terms
+    laguerre_connection(8, 8, aux).terms
+    gegenbauer_connection_value(gegenbauer_connection(10))
+    weights = {k: gegenbauer_weight(k) for k in range(1, 11)}
+    total = gegenbauer_connection(10).total
+    values = [c.substitute(weights.__getitem__, RF.one()) for _, c in total.sorted_terms()]
+    monkeypatch.undo()
+    sizes = []
+    for keys, built, steps, taken in calls:
+        assert sorted(built) == sorted({part for key in keys for part in key})
+        prefixes = _prefixes(keys)
+        assert sorted(steps) == sorted(p[-1] for p in prefixes)
+        assert taken == [False] * sum(len(p) > 1 for p in prefixes)
+        sizes.append((len(built), len(steps)))
+    assert len(calls) == 5 + len(values)  # Hermite total and rows, Laguerre rows, two in the value route
+    assert sizes[:5] == [(34, 132), (34, 132), (20, 20 + 46), (26, 71), (26, 71)]
+    assert values == [_substitute_factor_by_factor(c, weights) for _, c in total.sorted_terms()]
+
+
+def _substitute_factor_by_factor(coeff, weights):
+    # each monomial's weights multiplied from the unit, one factor at a time
+    terms = []
+    for mono, c in coeff._terms.items():
+        value = RF.one()
+        for g, e in mono:
+            for _ in range(e):
+                value = value * weights[g]
+        terms.append(value * c)
+    return RF.sum(terms)
+
+
+def _hermite_tables_by_partition(n):
+    # the per-partition loop the prefix walk replaced: each partition's
+    # choices multiplied from the unit row
+    from qpoly.connection import _hermite_u, _hermite_v
+    from qpoly.families import hermite_classical
+
+    tables = []
+    for sol in partitions_of(n):
+        row = [(0, (), 1, 1)]
+        for k, m in sol.parts:
+            (bu, au), (bv, av) = _hermite_u(k), _hermite_v(k)
+            options = []
+            for d, h in hermite_classical(m)._terms.items():
+                e = (m - d) // 2
+                c = h.as_fraction() / (math.factorial(m) * 2**d) * bu**d * bv**e
+                options.append((k * d, (au,) * d + (av,) * e, c.numerator, c.denominator))
+            row = [(j + kd, mu + parts, a * ca, b * cb)
+                   for j, mu, a, b in row for kd, parts, ca, cb in options]
+        table = []
+        for j, mu, a, b in row:
+            g = math.gcd(a, b)
+            table.append((j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a // g, b // g))
+        tables.append(table)
+    return tables
+
+
+def test_hermite_tables_match_the_per_partition_loop():
+    from qpoly.connection import _hermite_tables
+
+    for n in range(15):
+        assert _hermite_tables(n) == _hermite_tables_by_partition(n), n
+
+
 def test_gegenbauer_connection_builds_each_prefix_once(monkeypatch):
     # one product P * A_k per distinct prefix of the partitions of n, parts
     # largest first, and no coefficient of any lower order
@@ -607,21 +706,15 @@ def test_gegenbauer_value_computes_each_weight_once(monkeypatch):
 def test_gegenbauer_value_builds_each_factor_once(n, monkeypatch):
     # one classical row U_m**e per distinct (m, e) and one (1 - Lambda**k)**e
     # per distinct (k, e) of the weight parts
+    import qpoly.connection as connection
+
     expansion = gegenbauer_connection(n)
     expected = q_gegenbauer_direct(n)
-    bases = {}
-    for k in range(1, n + 1):
-        bases[IntPoly({(i, 0): 1 for i in range(k + 1)})] = ("row", k)
-        bases[IntPoly({(0, 0): 1, (0, k): -1})] = ("lambda", k)
     powers = []
-    int_pow = IntPoly.__pow__
-
-    def counted_pow(self, e):
-        kind, k = bases[self]
-        powers.append((kind, k, e))
-        return int_pow(self, e)
-
-    monkeypatch.setattr(IntPoly, "__pow__", counted_pow)
+    for kind, name in (("row", "_classical_power"), ("lambda", "_lambda_factor")):
+        block = getattr(connection, name)
+        monkeypatch.setattr(connection, name,
+                            lambda k, e, kind=kind, block=block: powers.append((kind, k, e)) or block(k, e))
     value = gegenbauer_connection_value(expansion)
     monkeypatch.undo()
     assert value == expected
@@ -630,6 +723,18 @@ def test_gegenbauer_value_builds_each_factor_once(n, monkeypatch):
                     for mu in term.coefficient.support() for part in mu}
     assert sorted(powers) == sorted([("row", m, e) for m, e in factor_parts]
                                     + [("lambda", k, e) for k, e in weight_parts])
+
+
+def test_gegenbauer_value_blocks_are_int_rows_of_the_powers():
+    # U_m**e in x and (1 - Lambda**k)**e in Lambda, against IntPoly powers
+    from qpoly.connection import _classical_power, _lambda_factor
+
+    for k in range(1, 7):
+        for e in range(1, 5):
+            row = IntPoly({(i, 0): 1 for i in range(k + 1)}) ** e
+            assert _classical_power(k, e) == row._rows[0]
+            lam = IntPoly({(0, 0): 1, (0, k): -1}) ** e
+            assert _lambda_factor(k, e) == [r[0] if r else 0 for r in lam._rows]
 
 
 def _term_by_term_value(expansion):

@@ -363,10 +363,9 @@ def test_q_gegenbauer_direct_uses_running_products(monkeypatch):
 
 
 def test_direct_forms_are_built_in_lowest_terms(monkeypatch):
-    # each coefficient is assembled from integer rows with no generic gcd:
-    # q_gegenbauer_direct takes no polynomial gcd and q_hermite only the
-    # one against its power of s, and reducing a coefficient again returns
-    # the same rows
+    # each coefficient is assembled from integer rows with no polynomial
+    # gcd, not even q_hermite's against its power of s, and reducing a
+    # coefficient again returns the same rows
     import qpoly.field as field
 
     def forbidden(*args):
@@ -375,11 +374,10 @@ def test_direct_forms_are_built_in_lowest_terms(monkeypatch):
     for fn in (q_hermite, q_gegenbauer_direct):
         fn.cache_clear()
     monkeypatch.setattr(field, "_ugcd_heu", forbidden)
-    hermite = [q_hermite(n) for n in range(17)]
     monkeypatch.setattr(field, "_gcd_cof", forbidden)
-    gegenbauer = [q_gegenbauer_direct(n) for n in range(17)]
+    values = [fn(n) for fn in (q_hermite, q_gegenbauer_direct) for n in range(17)]
     monkeypatch.undo()
-    for value in hermite + gegenbauer:
+    for value in values:
         for c in value._terms.values():
             again = RF(c.num, c.den)
             assert (again.num._rows, again.den._rows) == (c.num._rows, c.den._rows)

@@ -24,7 +24,7 @@ from qpoly.render import (
     render_polynomial_json,
     text,
 )
-from qpoly.verify import VerificationReport, CheckResult
+from qpoly.verify import SUITE_NAMES, VerificationReport, CheckResult
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -487,6 +487,17 @@ def test_sumrules_suite_computes_each_rule_once(monkeypatch):
         calls.clear()
         assert verify.run_suite("gegenbauer", n).passed
         assert calls == ["_genfun_coefficients"]
+
+
+@pytest.mark.parametrize("suite", [name for name in SUITE_NAMES if name != "all"])
+def test_every_suite_checks_something_at_max_n_0(suite):
+    # a suite that passes with no check says nothing; "all" runs each of them
+    import qpoly.verify as verify
+
+    report = verify.run_suite(suite, 0)
+    assert report.checks and report.passed
+    everything = verify.run_suite("all", 0)
+    assert any(c.check_id == report.checks[0].check_id for c in everything.checks)
 
 
 def test_console_script_entry_point():
