@@ -38,7 +38,8 @@ quotient [n]!/prod [a] of the kernel _quotient_sums (by exact stride
 division), and through _products the Hermite part choices and the Laguerre
 rows (both keyed largest part first), the Gegenbauer classical rows and Lambda
 factors, and BetaPolynomial.substitute.  The Hermite and Laguerre rows are
-built only when `terms` is read.
+built only when `terms` is read; the Hermite rows, like the total, in one
+kernel call.
 """
 
 from __future__ import annotations
@@ -333,26 +334,29 @@ def _hermite_tables(n):
     return [tables[sol.parts[::-1]] for sol in partitions_of(n)]
 
 
-def _hermite_value(n, terms):
-    """The sum of the terms (j, mu, a, b), each a/b z**j s**(-n-2t) (1 - x)**E
-    Q_mu with E = n - t - |mu|: per z-power, the quotient sums over the lcm
-    of its b, as one RationalFunction over an integer times a power of s."""
-    scale = {}  # j -> lcm of the b
-    for j, mu, a, b in terms:
-        scale[j] = math.lcm(scale.get(j, 1), b)
-    uses = {}  # mu -> [(j, E, c)]
-    for j, mu, a, b in terms:
-        # E = n - t - |mu|: the sum of p - 1 over the parts p of the key, less t
-        uses.setdefault(mu, []).append((j, sum(mu) - len(mu) - (n - j) // 2, a * (scale[j] // b)))
-    value = {}
-    for j, digits in _quotient_sums(n, uses).items():
+def _hermite_values(n, tables):
+    """Per table, the sum of its terms (j, mu, a, b), each a/b z**j
+    s**(-n-2t) (1 - x)**E Q_mu with E = n - t - |mu|: one quotient kernel
+    call over the keys (table index, z-power), each key's sum over the lcm of
+    its b as one RationalFunction over an integer times a power of s."""
+    scale = {}  # (table index, j) -> lcm of the b
+    for i, terms in enumerate(tables):
+        for j, mu, a, b in terms:
+            scale[i, j] = math.lcm(scale.get((i, j), 1), b)
+    uses = {}  # mu -> [((table index, j), E, c)]
+    for i, terms in enumerate(tables):
+        for j, mu, a, b in terms:
+            # E = n - t - |mu|: the sum of p - 1 over the parts p of the key, less t
+            uses.setdefault(mu, []).append(((i, j), sum(mu) - len(mu) - (n - j) // 2, a * (scale[i, j] // b)))
+    values = [{} for _ in tables]
+    for (i, j), digits in _quotient_sums(n, uses).items():
         t = (n - j) // 2
         degree = n * (n - 1) // 2 - t
         if any(digits):
             row = [0] * (2 * degree + 1)  # x**r = q**(2(degree - r)) / q**(2 degree)
             row[::2] = digits[degree::-1]
-            value[j] = _q_rows_ratio([row], [scale[j]], -(n + 2 * t + 4 * degree))
-    return ZPolynomial._raw(value)
+            values[i][j] = _q_rows_ratio([row], [scale[i, j]], -(n + 2 * t + 4 * degree))
+    return [ZPolynomial._raw(value) for value in values]
 
 
 @lru_cache(maxsize=None)
@@ -362,17 +366,17 @@ def hermite_connection(n):
     Each term is the grouped value of one partition {n_k} (the classical
     product H_{n_1}(zeta_1) H_{n_2}(zeta_2)... with its prefactors, all
     radicals cancelled) in the normalization of H_n(z; q), and the total
-    equals q_hermite(n).  The total sums the row terms of every partition at
-    once; the rows are built from the terms, made again, on each read of
-    `terms`, so a cached expansion keeps only its total.
+    equals q_hermite(n).  The total and the rows, made again on each read of
+    `terms`, are one quotient kernel call each (_hermite_values), so a cached
+    expansion keeps only its total.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    total = _hermite_value(n, [term for table in _hermite_tables(n) for term in table])
+    total, = _hermite_values(n, [[term for table in _hermite_tables(n) for term in table]])
 
     def rows():
-        return tuple(ConnectionTerm(sol, None, _hermite_value(n, table))
-                     for sol, table in zip(partitions_of(n), _hermite_tables(n)))
+        return tuple(ConnectionTerm(sol, None, value)
+                     for sol, value in zip(partitions_of(n), _hermite_values(n, _hermite_tables(n))))
 
     return ConnectionExpansion("hermite", n, None, rows, total)
 
@@ -568,24 +572,19 @@ class CPolynomial(SparsePoly):
 # ---------------------------------------------------------------------------
 
 # Inside the order-n kernel a monomial prod_m C_m**e_m is one int: e_m in
-# field m - 1, _field_bytes(n) bytes wide.  A monomial has sum_m m*e_m <= n,
-# so no exponent exceeds n, no field carries into the next, and the product of
-# two monomials is the sum of their ints.
-
-def _field_bytes(n):
-    """Bytes per exponent field of the order-n kernel monomials."""
-    return n.bit_length() // 8 + 1
-
+# field m - 1, _width(n.bit_length()) bytes wide.  A monomial has sum_m
+# m*e_m <= n, so no exponent exceeds n, no field carries into the next, and
+# the product of two monomials is the sum of their ints.
 
 def _generator(g, n):
     """The kernel monomial of field g (C_{g+1})."""
-    return 1 << (8 * _field_bytes(n) * g)
+    return 1 << (8 * _width(n.bit_length()) * g)
 
 
 def _monomial(key, n):
     """The ((generator, exponent), ...) tuple of the kernel monomial key over
     the n fields it occupies, generators numbered from 1."""
-    nbytes = _field_bytes(n)
+    nbytes = _width(n.bit_length())
     data = key.to_bytes(nbytes * n, "little")
     exps = data if nbytes == 1 else [int.from_bytes(data[i:i + nbytes], "little")
                                      for i in range(0, len(data), nbytes)]

@@ -141,9 +141,6 @@ class TruncatedSeries:
             return NotImplemented
         return TruncatedSeries.sum([self, other])
 
-    def __sub__(self, other):
-        return self + -other
-
     def __neg__(self):
         return TruncatedSeries(self.ring, tuple(-a for a in self.coeffs), self.order)
 
@@ -159,9 +156,6 @@ class TruncatedSeries:
                         if b != z:
                             cols[i + j].append((a, b))
             return TruncatedSeries(self.ring, [ring_dot(c, z) for c in cols], n)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     @staticmethod

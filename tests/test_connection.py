@@ -474,6 +474,24 @@ def test_hermite_total_takes_no_rational_function_arithmetic(monkeypatch):
     assert len(expansion.terms) == len(partitions_of(16))
 
 
+def test_hermite_rows_take_one_kernel_call(monkeypatch):
+    # every row of one read of `terms` comes from one _quotient_sums call,
+    # which builds [n]! once (one call per partition would be p(12) = 77)
+    import qpoly.connection as connection
+
+    expansion = hermite_connection.__wrapped__(12)
+    calls = []
+    for name in ("_quotient_sums", "_q_factorial_row"):
+        original = getattr(connection, name)
+        monkeypatch.setattr(connection, name,
+                            lambda n, *args, _f=original, _n=name: calls.append((_n, n)) or _f(n, *args))
+    terms = expansion.terms
+    monkeypatch.undo()
+    assert calls == [("_quotient_sums", 12), ("_q_factorial_row", 12)]
+    assert len(terms) == len(partitions_of(12)) == 77
+    assert sum((t.value for t in terms), ZPolynomial.zero()) == expansion.total
+
+
 def test_hermite_sum_invariant_under_order():
     expansion = hermite_connection(7)
     values = [t.value for t in expansion.terms]
@@ -522,12 +540,15 @@ def hermite_row_oracle(solution, n, q, z):
     return total
 
 
-def test_hermite_rows_match_numeric_oracle():
+@pytest.mark.parametrize("n", [5, 8, 10])
+def test_hermite_rows_match_numeric_oracle(n):
+    # the rows and the total come from one kernel call shape; this complex
+    # evaluation of the classical products shares no code with it
     q, z = 0.7, 1.3
-    expansion = hermite_connection(5)
+    expansion = hermite_connection(n)
     for term in expansion.terms:
         exact = term.value.eval_numeric(z, math.sqrt(q))
-        oracle = hermite_row_oracle(term.descriptor, 5, q, z)
+        oracle = hermite_row_oracle(term.descriptor, n, q, z)
         assert abs(exact - oracle) <= 1e-9 * abs(oracle)
 
 
