@@ -34,12 +34,14 @@ tables local to the call: the Hermite part choices, the Laguerre prefactors
 and classical factors, the Gegenbauer classical powers and Lambda factors.
 One prefix walk, _prefix_walk, forms every product over the parts of a key,
 each distinct prefix once from its parent: the Gegenbauer products, each
-quotient [n]!/prod [a] of the kernel _quotient_sums (by exact stride
-division), and through _products the Hermite part choices and the Laguerre
-rows (both keyed largest part first), the Gegenbauer classical rows and Lambda
-factors, and BetaPolynomial.substitute.  The Hermite and Laguerre rows are
-built only when `terms` is read; the Hermite rows, like the total, in one
-kernel call.
+quotient [n]!/prod [a] of the kernel _quotient_sums (one exact big-int
+division of packed rows per prefix), and through _products the Hermite part
+choices and the Laguerre rows (both keyed largest part first), the Gegenbauer
+classical rows and Lambda factors, and BetaPolynomial.substitute.  The kernel
+checks each division by its remainder only, a necessary condition; the
+dual-route checks stay the oracle.  The Hermite and Laguerre rows are built
+only when `terms` is read; the Hermite rows, like the total, in one kernel
+call, each z-power in lowest terms with no polynomial gcd.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, mul
 
-from .field import _pack, _rows_mul, _uadd, _umul, _unorm, _unpack, _width
+from .field import _pack, _raw_poly, _rf_raw, _rows_mul, _spread, _uadd, _umul, _unorm, _unpack, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -69,7 +71,6 @@ from .families import (
     q_gegenbauer_direct,
 )
 from .qkernel import (
-    _divide_q_number,
     _lambda_pochhammer_rows,
     _power_sum,
     _q_binomial_rows,
@@ -257,27 +258,40 @@ def _products(keys, block, times, unit):
 def _quotient_sums(n, uses):
     """Per key, the x-row of sum c (1 - x)**E Q_mu over the entries (key, E,
     c) of every uses[mu], c an int, with as many digits as the longest term
-    of any key, each Q_mu built once (_prefix_walk).  A key's row is one
-    packed int (x -> 2**(8*nbytes)): the c Q_mu of one E are summed, then
-    multiplied by (1 - x)**E.  nbytes holds sum |c| (n!/prod mu) 2**E, a
-    bound on every coefficient, so each is one digit."""
+    of any key.  Rows are packed ints, evaluated at xi = 2**(8*nbytes), a
+    ring map: [n]! is packed once, and each Q_mu (_prefix_walk) is its parent
+    prefix's divided by the packed [a] = (xi**a - 1)/(xi - 1).  A nonzero
+    remainder raises ArithmeticError; a zero one is necessary, not
+    sufficient, for an exact division of rows, so the dual-route checks stay
+    the oracle.  nbytes holds n! (the coefficient sum of [n]!) and sum |c|
+    (n!/prod mu) 2**E, a bound on every coefficient of a key's row, so only
+    the per-key sums, each c Q_mu of one E summed and then multiplied by
+    (1 - x)**E, are unpacked."""
+    top = math.factorial(n)
     bound, length = {}, 0
     for mu, entries in uses.items():
-        size = math.factorial(n) // math.prod(mu)
+        size = top // math.prod(mu)
         degree = n * (n - 1) // 2 - sum(mu) + len(mu)  # of Q_mu
         for key, e, c in entries:
             bound[key] = bound.get(key, 0) + (abs(c) * size << e)
             length = max(length, degree + e + 1)
-    nbytes = _width(max(bound.values()).bit_length())
+    nbytes = _width(max(top, *bound.values()).bit_length())
+    xi = 1 << (8 * nbytes)
+
+    def divide(v, a):
+        quotient, remainder = divmod(v, ((1 << (8 * nbytes * a)) - 1) // (xi - 1))
+        if remainder:
+            raise ArithmeticError(f"[{a}]_x does not divide the row")
+        return quotient
+
     sums = {}  # (key, E) -> packed sum of the c Q_mu
-    for mu, row in _prefix_walk(uses, _q_factorial_row(n), _divide_q_number):
-        packed = _pack(row, nbytes)
+    for mu, packed in _prefix_walk(uses, _pack(_q_factorial_row(n), nbytes), divide):
         for key, e, c in uses[mu]:
             sums[key, e] = sums.get((key, e), 0) + c * packed
     powers, totals = {}, {}  # E -> (1 - x)**E packed; key -> packed row
     for (key, power), v in sums.items():
         if power not in powers:
-            powers[power] = _pack([(-1) ** r * math.comb(power, r) for r in range(power + 1)], nbytes)
+            powers[power] = (1 - xi) ** power
         totals[key] = totals.get(key, 0) + v * powers[power]
     return {key: _unpack(v, nbytes, length) for key, v in totals.items()}
 
@@ -316,13 +330,15 @@ def _hermite_tables(n):
     """Per partition of n (partitions_of order), its row terms (j, mu, a, b),
     a/b reduced, from the choices of its parts by the prefix walk, keyed
     largest part first (partitions_of order reversed, so sorting is cheap)."""
-    def choices(k, m):
-        (bu, au), (bv, av) = _hermite_u(k), _hermite_v(k)
+    def choices(k, m):  # h b_k**(d+e) / (m! 2**d) as ints, b_k that of u_k and v_k
+        (b, au), (_, av) = _hermite_u(k), _hermite_v(k)
         options = []
         for d, h in hermite_classical(m)._terms.items():
             e = (m - d) // 2
-            c = h.as_fraction() / (math.factorial(m) * 2**d) * bu**d * bv**e
-            options.append((k * d, (au,) * d + (av,) * e, c.numerator, c.denominator))
+            a = h.num.leading_coeff() * b.numerator ** (d + e)
+            c = h.den.leading_coeff() * math.factorial(m) * 2**d * b.denominator ** (d + e)
+            g = math.gcd(a, c)
+            options.append((k * d, (au,) * d + (av,) * e, a // g, c // g))
         return options
 
     def join(row, options):  # terms in the order of the product taken smallest part first
@@ -338,7 +354,8 @@ def _hermite_values(n, tables):
     """Per table, the sum of its terms (j, mu, a, b), each a/b z**j
     s**(-n-2t) (1 - x)**E Q_mu with E = n - t - |mu|: one quotient kernel
     call over the keys (table index, z-power), each key's sum over the lcm of
-    its b as one RationalFunction over an integer times a power of s."""
+    its b as one RationalFunction over an integer times a power of s, built
+    in lowest terms with no gcd of polynomials (as q_hermite)."""
     scale = {}  # (table index, j) -> lcm of the b
     for i, terms in enumerate(tables):
         for j, mu, a, b in terms:
@@ -351,11 +368,17 @@ def _hermite_values(n, tables):
     values = [{} for _ in tables]
     for (i, j), digits in _quotient_sums(n, uses).items():
         t = (n - j) // 2
-        degree = n * (n - 1) // 2 - t
-        if any(digits):
-            row = [0] * (2 * degree + 1)  # x**r = q**(2(degree - r)) / q**(2 degree)
-            row[::2] = digits[degree::-1]
-            values[i][j] = _q_rows_ratio([row], [scale[i, j]], -(n + 2 * t + 4 * degree))
+        # x**r is s**(4(degree - r)) s**(-4 degree), degree = n(n - 1)/2 - t.
+        # Both sides shed s**(4(degree - top)), top the highest r with a
+        # nonzero digit, so the numerator has no factor s; the denominator is
+        # an integer times a power of s, so once the gcd of the integers is
+        # out, the two are coprime
+        row = _unorm(digits[:n * (n - 1) // 2 - t + 1])
+        if row:
+            g = math.gcd(*row, scale[i, j])
+            num = _unorm(_spread(_spread([c // g for c in reversed(row)])))
+            den = [0] * (n + 2 * t + 4 * len(row) - 4) + [scale[i, j] // g]
+            values[i][j] = _rf_raw(_raw_poly([num]), _raw_poly([den]))
     return [ZPolynomial._raw(value) for value in values]
 
 

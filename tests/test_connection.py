@@ -257,23 +257,39 @@ def _hermite_mu_keys(n):
     return keys
 
 
-def test_hermite_builds_each_quotient_once(monkeypatch):
+def _count_packed_divisions(monkeypatch):
+    """Patch the quotient kernel's divmod, one per packed division step, and
+    return the list that gathers each step's divisor."""
     import qpoly.connection as connection
 
-    divide = connection._divide_q_number
-    divisions = []
+    divisors = []
 
-    def counted(row, a):
-        divisions.append(a)
-        return divide(row, a)
+    def counted(v, d):
+        divisors.append(d)
+        return divmod(v, d)
 
-    monkeypatch.setattr(connection, "_divide_q_number", counted)
+    monkeypatch.setattr(connection, "divmod", counted, raising=False)
+    return divisors
+
+
+def test_hermite_builds_each_quotient_once(monkeypatch):
+    divisors = _count_packed_divisions(monkeypatch)
     n = 16
     expansion = hermite_connection.__wrapped__(n)
+    monkeypatch.undo()
     prefixes = {mu[:i] for mu in _hermite_mu_keys(n) for i in range(1, len(mu) + 1)}
-    assert len(divisions) == len(prefixes) == 230
-    assert 1 not in divisions
+    assert len(divisors) == len(prefixes) == 230
+    assert 1 not in divisors  # no division by the packed [1]
     assert expansion.rescaled_total() == q_hermite(n)
+
+
+def test_quotient_kernel_raises_on_a_nonzero_remainder():
+    from qpoly.connection import _quotient_sums
+
+    # [3]! / [2] = [3], which [2] does not divide
+    with pytest.raises(ArithmeticError):
+        _quotient_sums(3, {(2, 2): [(0, 0, 1)]})
+    assert _quotient_sums(3, {(2,): [(0, 0, 1)], (3,): [(0, 1, 2)]}) == {0: [3, 1, -1]}
 
 
 def test_prefix_walk_steps_each_prefix_once():
@@ -389,7 +405,7 @@ def _hermite_tables_by_partition(n):
 def test_hermite_tables_match_the_per_partition_loop():
     from qpoly.connection import _hermite_tables
 
-    for n in range(15):
+    for n in range(19):
         assert _hermite_tables(n) == _hermite_tables_by_partition(n), n
 
 
@@ -416,29 +432,20 @@ def test_gegenbauer_connection_builds_each_prefix_once(monkeypatch):
 @pytest.mark.parametrize("n", [6, 9])
 def test_gegenbauer_value_builds_each_quotient_once(n, monkeypatch):
     # the weights' quotients come from the same kernel as Hermite's: one
-    # stride division per distinct prefix of the parts above 1 of a partition
+    # packed division per distinct prefix of the parts above 1 of a partition
     # of n (every partition is a weight monomial), and no bivariate divexact
-    import qpoly.connection as connection
-
-    divide = connection._divide_q_number
-    divisions = []
-
-    def counted(row, a):
-        divisions.append(a)
-        return divide(row, a)
-
     def forbidden(self, d):
         raise AssertionError("IntPoly.divexact called")
 
     expansion = gegenbauer_connection(n)
-    monkeypatch.setattr(connection, "_divide_q_number", counted)
+    divisors = _count_packed_divisions(monkeypatch)
     monkeypatch.setattr(IntPoly, "divexact", forbidden)
     value = gegenbauer_connection_value(expansion)
     monkeypatch.undo()
     keys = {tuple(sorted((k for k, m in sol.parts if k > 1 for _ in range(m)), reverse=True))
             for sol in partitions_of(n)}
-    assert len(divisions) == len({mu[:i] for mu in keys for i in range(1, len(mu) + 1)})
-    assert 1 not in divisions
+    assert len(divisors) == len({mu[:i] for mu in keys for i in range(1, len(mu) + 1)})
+    assert 1 not in divisors
     assert value == q_gegenbauer_direct(n)
 
 
@@ -550,6 +557,27 @@ def test_hermite_rows_match_numeric_oracle(n):
         exact = term.value.eval_numeric(z, math.sqrt(q))
         oracle = hermite_row_oracle(term.descriptor, n, q, z)
         assert abs(exact - oracle) <= 1e-9 * abs(oracle)
+
+
+def test_hermite_values_take_no_polynomial_gcd(monkeypatch):
+    # each z-power of the total and of a row is built in lowest terms from
+    # its integer contents and its power of s, as q_hermite is
+    import qpoly.field as field
+
+    def forbidden(*args):
+        raise AssertionError("polynomial gcd called")
+
+    expected = [q_hermite.__wrapped__(n) for n in range(13)]
+    monkeypatch.setattr(field, "_gcd_cof", forbidden)
+    monkeypatch.setattr(field, "_ugcd_heu", forbidden)
+    q, z = 0.7, 1.3
+    for n, direct in enumerate(expected):
+        expansion = hermite_connection.__wrapped__(n)
+        assert expansion.total == direct, n
+        for term in expansion.terms:
+            exact = term.value.eval_numeric(z, math.sqrt(q))
+            oracle = hermite_row_oracle(term.descriptor, n, q, z)
+            assert abs(exact - oracle) <= 1e-9 * abs(oracle), (n, term.descriptor)
 
 
 # ---------------------------------------------------------------------------
