@@ -12,8 +12,9 @@ relation:
     over Z, as integer q-multinomial quotients in q**-2.
   * Laguerre:  sum_j j*(k_j + l_j) + l = k, with one free auxiliary integer
     n_j per order j; the summed total provably does not depend on them.  The
-    total is summed over Z, per order j and then as integer q-multinomial
-    quotients in q; the rows are the classical products, scaled.
+    total is summed over Z from integer choice weights, per order j and then
+    as integer q-multinomial quotients in q; the rows are the classical
+    products, scaled.
   * Gegenbauer: the log of the deformed generating function is the classical
     log rescaled per t-order by beta_k = [lambda]_{q**k}.  Exponentiating
     symbolically over polynomials in abstract generators beta_k and abstract
@@ -25,8 +26,9 @@ relation:
     = e^{i theta}, each weight is a numerator over (q;q)_n with integer
     q-multinomial quotients in q, and each cos(j theta) coefficient is
     reduced once.  The deformed side of the sum rules is the log of the
-    explicit polynomials, over Z from their integer numerators in the packed
-    frame of the generating function (families).
+    explicit polynomials, over Z in the packed frame of the generating
+    function (families): each numerator is formed packed, by big-int
+    products of the (Lambda;q)_l packed once per digit width.
 
 Every expansion's terms and total are in the normalization of the polynomial
 itself.  Each engine builds every distinct building block once per call, in
@@ -52,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, mul
 
-from .field import _pack, _raw_poly, _rf_raw, _rows_mul, _spread, _uadd, _umul, _unorm, _unpack, _width
+from .field import _pack, _pack_rows, _raw_poly, _rf_raw, _spread, _uadd, _umul, _unorm, _unpack, _widen, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -61,7 +63,6 @@ from .families import (
     ZPolynomial,
     _cos_value,
     _frame,
-    _pack_cells,
     _unpack_cells,
     falling_binomial,
     gegenbauer_classical,
@@ -418,9 +419,11 @@ def hermite_connection(n):
 # [k]!/prod [j]**d, and c = D! prod h_d / j**d an integer (h_d d! is one, and
 # D!/prod d! j**d counts the permutations of cycle type mu).  So choice d of
 # factor j carries h_d (j d)! / j**d, and products of z-degrees D and D' join
-# with binom(D + D', D), as exponential generating functions do.
+# with binom(D + D', D), as exponential generating functions do.  With h_d =
+# (-1)**d binom(n_j, m - d) / d! for L_m^{(n_j - m)}, that weight is the int
+# (-1)**d binom(n_j, m - d) (j d)! / (d! j**d), formed with no Fraction.
 
-def _laguerre_total(k, aux, factor, binomials, powers):
+def _laguerre_total(k, aux, binomials, powers):
     """The sum of every row (see above), with the prefactors [n over l] and
     p_l = powers[l].  The t-series runs over Z, keyed by (D, mu); the
     quotient kernel sums each (D, l), and each z**D is one RationalFunction
@@ -430,8 +433,9 @@ def _laguerre_total(k, aux, factor, binomials, powers):
         binom = [falling_binomial(-aux.get(j, 0), m).numerator for m in range(k // j + 1)]
         scaled, blocks = [{0: 1}], []  # per m: d -> h_d (j d)! / j**d of L_m; the t**(j m) term
         for m in range(1, k // j + 1):
-            scaled.append({d: int(h.as_fraction() * math.factorial(j * d) / j**d)
-                           for d, h in factor(j, m).items()})
+            weights = ((d, (-1) ** d * falling_binomial(aux.get(j, 0), m - d).numerator
+                        * math.factorial(j * d) // (math.factorial(d) * j**d)) for d in range(m + 1))
+            scaled.append({d: h for d, h in weights if h})
             block = {}
             for i, choices in enumerate(scaled):
                 for d, h in choices.items():
@@ -470,8 +474,8 @@ def laguerre_connection(n, k, aux=None):
         * prod_j L_{k_j}^{(n_j - k_j)}(c_j(q) z**j)
 
     over one partition solution; the total equals q_laguerre(n, k).  The
-    total is summed over Z (_laguerre_total); the rows, from the same factors,
-    are built on each read of `terms`.
+    total is summed over Z from integer choice weights (_laguerre_total); the
+    rows, from the classical factors, are built on each read of `terms`.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
@@ -503,7 +507,7 @@ def laguerre_connection(n, k, aux=None):
             terms.append(ConnectionTerm(sol, coefficient, products[sol.kparts[::-1]].scale(coefficient)))
         return tuple(terms)
 
-    return ConnectionExpansion("laguerre", n, k, rows, _laguerre_total(k, aux, factor, binomials, powers))
+    return ConnectionExpansion("laguerre", n, k, rows, _laguerre_total(k, aux, binomials, powers))
 
 
 # ---------------------------------------------------------------------------
@@ -779,15 +783,19 @@ SUM_RULE_COMBINATIONS = {
 }
 
 
-def _direct_cells(i, lam):
-    """G_i = (q;q)_i b_i as w-cells (see families), b_i the explicit
-    polynomial of degree i: its w**(i-2l) and w**-(i-2l) cells are both
-    [i over l]_q (Lambda;q)_l (Lambda;q)_{i-l}, built for l <= i/2 from the
-    rows lam[l] of (Lambda;q)_l (_lambda_pochhammer_rows)."""
-    cells = {}
-    for ell, binom in enumerate(_q_binomial_rows(i, i // 2)):
-        cells[i - 2 * ell] = cells[2 * ell - i] = _rows_mul([binom], _rows_mul(lam[ell], lam[i - ell]))
-    return cells
+def _direct_packed(i, binom, blocks, nbytes, slot):
+    """G_i = (q;q)_i b_i packed in the order frame (see families), b_i the
+    explicit polynomial of degree i: for l <= i/2, its w**(i-2l) and
+    w**-(i-2l) cells are both binom[l] = [i over l]_q times the packed
+    blocks[l] and blocks[i-l] of (Lambda;q)_l and (Lambda;q)_{i-l}, placed
+    by shifts of slot bits per w-slot."""
+    g = 0
+    for ell in range(i // 2 + 1):
+        cell = _pack(binom[ell], nbytes) * blocks[ell] * blocks[i - ell]
+        g += cell << (slot * (i - ell))
+        if 2 * ell != i:
+            g += cell << (slot * ell)
+    return g
 
 
 def _log_coefficients(order, degrees):
@@ -795,34 +803,45 @@ def _log_coefficients(order, degrees):
     series of the explicit deformed polynomials.
 
     The log recurrence n c_n = n b_n - sum_{j<n} j c_j b_{n-j}, times (q;q)_n,
-    reads over Z, with G_m = (q;q)_m b_m (_direct_cells),
+    reads over Z, with G_m = (q;q)_m b_m (_direct_packed),
 
         K_n = n (q;q)_n c_n = n G_n - sum_{j<n} [n over j]_q K_j G_{n-j}.
 
-    The G_m are packed in the frame of families; K_j is kept as its distinct
-    nonzero q-rows up to sign, each multiplied once by a packed G_{n-j} and
-    placed by shifts.  A step's digits hold K_n by the bound n |G_n| + sum
-    |[n over j] r|_1 |G_{n-j}| over the rows r placed, from the measured
-    maxima (|.| the largest coefficient, |.|_1 the sum of absolute values);
-    when a step needs wider digits, the G_m are packed again.  Only the c_n
-    asked for are reduced, once per cos index."""
+    Each (Lambda;q)_l is packed once per digit width as a frame block (q
+    stride 1, Lambda stride qs), and the G_m are formed from the blocks.
+    K_j is kept as its distinct nonzero q-rows up to sign, each multiplied
+    once by a packed G_{n-j} and placed by shifts.  A step's digits hold K_n
+    by the bound n |G_n| + sum |[n over j] r|_1 |G_{n-j}| over the rows r
+    placed, with |G_i| <= max_l |[i over l]|_1 |(Lambda;q)_l|_1
+    |(Lambda;q)_{i-l}| (|.| the largest coefficient, |.|_1 the sum of
+    absolute values); a step that needs wider digits packs the blocks again
+    and widens the packed G_m (_widen), with no product.  Only the c_n asked
+    for are reduced, once per cos index."""
     poch, lam = _q_pochhammer_rows(order), _lambda_pochhammer_rows(order)
-    cells = [_direct_cells(i, lam) for i in range(order + 1)]
-    top = [max(max(map(abs, r), default=0) for rows in g.values() for r in rows) for g in cells]
+    binoms = [_q_binomial_rows(i, i) for i in range(order + 1)]
+    norms = [sum(sum(map(abs, r)) for r in rows) for rows in lam]
+    tops = [max(max(map(abs, r)) for r in rows) for rows in lam]
+    top = [max(sum(binoms[i][ell]) * norms[ell] * tops[i - ell] for ell in range(i // 2 + 1))
+           for i in range(order + 1)]
     qs, ls = _frame(order)
-    nbytes, packed, logs = 0, [], [None]  # logs[j]: K_j's rows, q-row up to sign -> [(sign, digit shift)]
+    nbytes, blocks, packed, logs = 0, [], [], [None]  # logs[j]: K_j's rows, q-row up to sign -> [(sign, digit shift)]
     ks = [None]
     for n in range(1, order + 1):
-        binom = _q_binomial_rows(n, n)
+        binom = binoms[n]
         terms, bound = [], n * top[n]
         for j in range(1, n):
             for row, places in logs[j].items():
                 row = _umul(binom[j], list(row))
                 terms.append((n - j, row, places))
                 bound += sum(map(abs, row)) * len(places) * top[n - j]
-        if _width(bound.bit_length()) > nbytes:
-            nbytes, packed = _width(bound.bit_length()), []
-        packed += [_pack_cells(cells[m], m, order, nbytes) for m in range(len(packed), n + 1)]
+        wider = _width(bound.bit_length())
+        if wider > nbytes:
+            packed = [_widen(g, qs * ls * (m + 1), nbytes, wider) for m, g in enumerate(packed)]
+            nbytes, blocks = wider, []
+            slot = 8 * nbytes * qs * ls  # bits per w slot
+        blocks += [_pack_rows([(qs * b, r) for b, r in enumerate(rows)], qs * len(rows), nbytes)
+                   for rows in lam[len(blocks):n + 1]]
+        packed += [_direct_packed(m, binoms[m], blocks, nbytes, slot) for m in range(len(packed), n + 1)]
         total = n * packed[n]
         for m, row, places in terms:
             prod = packed[m] * _pack(row, nbytes)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import (RationalFunction, _coerce_or_raise, _pack, _pack_rows, _power, _raw_poly, _rf_raw, _rows_mul,
+from .field import (RationalFunction, _coerce_or_raise, _pack, _power, _raw_poly, _rf_raw, _rows_mul,
                     _spread, _umul, _unorm, _unpack_rows, _width)
 from .qkernel import (
     _lambda_pochhammer_rows,
@@ -450,20 +450,6 @@ def q_gegenbauer_direct(n):
 def _frame(order):
     """(qs, ls): the q and Lambda strides, in digits, of the order frame."""
     return order * (order - 1) // 2 + 1, order + 1
-
-
-def _pack_cells(cells, m, order, nbytes):
-    """The degree-m w-cells as one int in the order frame, nbytes bytes a
-    digit; a cell beyond q-degree m(m-1)/2 or Lambda-degree m raises
-    ArithmeticError."""
-    qs, ls = _frame(order)
-    rows = []
-    for e, cell in cells.items():
-        if len(cell) > m + 1 or max(map(len, cell)) > m * (m - 1) // 2 + 1:
-            raise ArithmeticError(f"a degree-{m} cell beyond q-degree {m * (m - 1) // 2} or Lambda-degree {m}")
-        start = (e + m) // 2 * ls * qs
-        rows += [(start + b * qs, r) for b, r in enumerate(cell) if r]
-    return _pack_rows(rows, qs * ls * (m + 1), nbytes)
 
 
 def _unpack_cells(v, m, order, nbytes):

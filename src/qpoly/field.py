@@ -29,8 +29,10 @@ unsigned field, and the bias of all fields together is one integer.  Fields
 of 1, 2, 4 or 8 bytes are converted in bulk, through an unsigned
 array.array; others one by one with int.to_bytes and int.from_bytes
 (strided bulk conversion of 3- to 20-byte fields measured 1.5-4.5x slower).
-Of the 66 308 digits converted either way in one frontier pass of the
-benchmark (seed 3001), 37 953 have 1- or 2-byte fields, 26 317 3-, 5- or
+A packed int moves to wider fields with no per-digit work: its biased bytes
+are copied by strided slices (_widen).
+Of the 28 121 digits converted either way in one frontier pass of the
+benchmark (seed 3001), 11 778 have 1- or 2-byte fields, 14 305 3-, 5- or
 6-byte fields and 2 038 11- or 13-byte fields.  Rows that are polynomials in
 s**2 (q-polynomials, most of the traffic) are multiplied, divided and gcd'ed
 as polynomials in s**2, at half the length.
@@ -79,9 +81,12 @@ cofactor is taken the same way.  A candidate that does not divide widens
 xi by about a quarter of its bits, and the loop tries again.
 
 The gcd of a Lambda-free operand with one of several Lambda rows is folded
-over the rows, starting from the Lambda-free row, and stops once it reaches
-1; the cofactors are then exact row divisions.  Two operands with several
-Lambda rows are split into their Lambda-contents (the row gcd of their
+over the rows (_rows_gcd_cof), starting from the Lambda-free row, and stops
+once it reaches 1.  The fold divides first: only a row that the running gcd
+does not divide runs a gcd, whose cofactor g_old / g_new rescales the
+quotients already taken.  A denominator's gcd with the first Lambda row
+mostly divides every later one.  Two operands with several Lambda rows are
+split by the same fold into their Lambda-contents (the row gcd of their
 rows) and primitive parts.  The primitive parts are evaluated at Lambda =
 xi, one packed int per power of s, with nbytes sized as for rows; the row
 gcd of the two values is read back as balanced base-xi digits, one Lambda
@@ -256,6 +261,18 @@ def _biased_bytes(c, nbytes):
     if _BIG_ENDIAN:
         digits.byteswap()
     return digits.tobytes()
+
+
+def _widen(v, n, nbytes, wider):
+    """The n digits of v, nbytes bytes each, packed again at wider bytes a
+    digit: each biased field is copied, by strided slices, into the low bytes
+    of a wider one, whose bias is then the old one."""
+    data = (v + _bias(nbytes, n)).to_bytes(nbytes * n, "little")
+    out = bytearray(wider * n)
+    for k in range(nbytes):
+        out[k::wider] = data[k::nbytes]
+    return int.from_bytes(out, "little") - int.from_bytes(
+        (bytes(nbytes - 1) + b"\x80" + bytes(wider - nbytes)) * n, "little")
 
 
 def _unpack(v, nbytes, n):
@@ -701,26 +718,24 @@ _INTPOLY_ONE = _raw_poly([[1]])
 # polynomial gcd
 # ---------------------------------------------------------------------------
 
-def _rows_gcd(rows):
-    """gcd of the nonzero rows, positive leading coefficient; stops at [1]."""
-    g = None
+def _rows_gcd_cof(rows):
+    """(g, [r / g for r in rows]) for rows not all zero: g the gcd of the
+    nonzero rows, positive leading coefficient, folded dividing first (see
+    the module docstring).  A gcd of [1] returns the rows themselves."""
+    g, cof = None, []
     for r in rows:
-        if r:
-            g = _pos_lead_list(r) if g is None else _ugcd_cof(g, r)[0]
-            if g == [1]:
-                break
-    return g
-
-
-def _div_rows(rows, g):
-    return [_udivexact(r, g) if r else r for r in rows]
-
-
-def _lam_content_split(rows):
-    """Split nonzero rows into (content, primitive): the content is the gcd of
-    the Lambda-coefficients, a row with positive leading coefficient."""
-    cont = _rows_gcd(rows)
-    return cont, rows if cont == [1] else _div_rows(rows, cont)
+        if not r:
+            f = r
+        elif g is None:
+            g = _pos_lead_list(r)
+            f = [1 if g is r else -1]
+        elif (f := _udivexact(r, g)) is None:
+            g, shrink, f = _ugcd_cof(g, r)
+            cof = [_umul(c, shrink) for c in cof]
+        if g == [1]:
+            return g, rows
+        cof.append(f)
+    return g, cof
 
 
 def _lam_eval(rows, nbytes):
@@ -740,7 +755,7 @@ def _gcd_lam_heu(a, b):
         g = [_unorm(list(r)) for r in zip_longest(*digits, fillvalue=0)]
         if len(g) == 1:  # Lambda-degree 0: the primitive part is 1
             return [[1]], a, b
-        _, g = _lam_content_split(g)
+        _, g = _rows_gcd_cof(g)
         fa = _rows_divexact(a, g)
         fb = None if fa is None else _rows_divexact(b, g)
         if fb is not None:
@@ -769,12 +784,14 @@ def _gcd_cof(a, b):
             return _INTPOLY_ONE, a, b
         return _raw_poly([g]), _raw_poly([fa]), _raw_poly([fb])
     if len(ra) == 1 or len(rb) == 1:
-        g = _rows_gcd(ra + rb if len(ra) == 1 else rb + ra)
+        free = len(ra) == 1  # the fold starts from the Lambda-free row
+        g, cof = _rows_gcd_cof(ra + rb if free else rb + ra)
         if g == [1]:
             return _INTPOLY_ONE, a, b
-        return _raw_poly([g]), _raw_poly(_div_rows(ra, g)), _raw_poly(_div_rows(rb, g))
-    ca, pa = _lam_content_split(ra)
-    cb, pb = _lam_content_split(rb)
+        fa, fb = (cof[:1], cof[1:]) if free else (cof[1:], cof[:1])
+        return _raw_poly([g]), _raw_poly(fa), _raw_poly(fb)
+    ca, pa = _rows_gcd_cof(ra)
+    cb, pb = _rows_gcd_cof(rb)
     cg, fa, fb = _ugcd_cof(ca, cb)
     pg, qa, qb = _gcd_lam_heu(pa, pb)
     g, fa, fb = (_raw_poly(p if c == [1] else _rows_mul([c], p))

@@ -818,8 +818,9 @@ def test_gegenbauer_value_matches_term_by_term_substitution(n, monkeypatch):
 
 
 def test_laguerre_builds_each_binomial_row_and_factor_once(monkeypatch):
-    # one q-binomial row per l and one L_{k_j}^{(n_j - k_j)}(z) per distinct
-    # (j, k_j), shared by the total and by every read of the rows
+    # one q-binomial row per l, shared by the total and by every read of the
+    # rows, and one L_{k_j}^{(n_j - k_j)}(z) per distinct (j, k_j), shared by
+    # every read of the rows (the total takes integer weights instead)
     import qpoly.connection as connection
 
     binomials, factors = [], []
@@ -891,6 +892,39 @@ def test_laguerre_total_takes_no_rational_function_arithmetic(monkeypatch):
     monkeypatch.undo()
     assert total == q_laguerre(8, 8)
     assert len(expansion.terms) == len(laguerre_partitions(8, 8))
+
+
+def test_laguerre_total_takes_integer_choice_weights(monkeypatch):
+    # the total reads no classical Laguerre polynomial: each choice weight is
+    # an int formed from binomials and factorials
+    import qpoly.connection as connection
+
+    def forbidden(*args):
+        raise AssertionError("the total read a classical Laguerre polynomial")
+
+    monkeypatch.setattr(connection, "laguerre_classical", forbidden)
+    for aux in ({}, {1: 2, 2: -1, 3: 3}, {1: -3, 2: 4, 4: -2}):
+        for n in range(7):
+            for k in range(7):
+                assert laguerre_connection(n, k, aux).total == q_laguerre(n, k), (n, k, aux)
+
+
+def test_gegenbauer_reductions_run_few_heuristic_gcds(monkeypatch):
+    # every cos-index reduction finds its gcd on the first Lambda row and
+    # divides the later rows by it (32 GCDHEU runs each when every row ran one)
+    import qpoly.field as field
+    from qpoly.families import q_gegenbauer_genfun
+
+    calls = []
+    gcd_heu = field._ugcd_heu
+    monkeypatch.setattr(field, "_ugcd_heu", lambda a, b: calls.append(1) or gcd_heu(a, b))
+    genfun = q_gegenbauer_genfun(8)
+    assert len(calls) <= 5
+    calls.clear()
+    value = gegenbauer_connection_value(gegenbauer_connection.__wrapped__(8))
+    assert len(calls) <= 5
+    monkeypatch.undo()
+    assert genfun == value == q_gegenbauer_direct(8)
 
 
 def test_gegenbauer_term_order_matches_partition_order():
@@ -1004,15 +1038,27 @@ def test_sum_rule_logs_take_series_log_only_for_the_classical_side(monkeypatch):
 
 
 def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
-    # the cells reduced by the generic gcd equal the closed form, which is
-    # assembled in lowest terms with no gcd, so its coprimality is checked too
-    from qpoly.connection import _direct_cells
-    from qpoly.families import _cos_value
-    from qpoly.qkernel import _lambda_pochhammer_rows, _q_pochhammer_rows
+    # G_i packed from the Pochhammer blocks reads back as the explicit
+    # products [i over l]_q (Lambda;q)_l (Lambda;q)_{i-l} at w**(i-2l) and
+    # w**-(i-2l); reduced by the generic gcd they equal the closed form, which
+    # is assembled in lowest terms with no gcd, so its coprimality is checked
+    from qpoly.connection import _direct_packed
+    from qpoly.families import _cos_value, _frame, _unpack_cells
+    from qpoly.field import _pack_rows, _rows_mul
+    from qpoly.qkernel import _lambda_pochhammer_rows, _q_binomial_rows, _q_pochhammer_rows
 
-    lam, poch = _lambda_pochhammer_rows(12), _q_pochhammer_rows(12)
-    for i in range(13):
-        assert _cos_value(_direct_cells(i, lam), poch[i]) == q_gegenbauer_direct(i)
+    order, nbytes = 12, 4
+    lam, poch = _lambda_pochhammer_rows(order), _q_pochhammer_rows(order)
+    qs, ls = _frame(order)
+    blocks = [_pack_rows([(qs * b, r) for b, r in enumerate(rows)], qs * len(rows), nbytes) for rows in lam]
+    for i in range(order + 1):
+        expected = {}
+        for ell, binom in enumerate(_q_binomial_rows(i, i // 2)):
+            expected[i - 2 * ell] = expected[2 * ell - i] = _rows_mul([binom], _rows_mul(lam[ell], lam[i - ell]))
+        packed = _direct_packed(i, _q_binomial_rows(i, i), blocks, nbytes, 8 * nbytes * qs * ls)
+        cells = _unpack_cells(packed, i, order, nbytes)
+        assert cells == expected
+        assert _cos_value(cells, poch[i]) == q_gegenbauer_direct(i)
 
 
 def test_log_coefficients_reduce_only_the_degrees_read(monkeypatch):

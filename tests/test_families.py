@@ -313,11 +313,13 @@ def test_gegenbauer_genfun_takes_no_series_exp_and_no_cos_product(monkeypatch):
 def test_gegenbauer_cells_round_trip_through_the_frame(nbytes):
     # w-cells of degree m packed in the order frame and read back, for
     # digits converted in bulk (1, 3, 8 bytes) and one by one (9 bytes)
-    from qpoly.families import _pack_cells, _unpack_cells
+    from qpoly.families import _frame, _unpack_cells
+    from qpoly.field import _pack_rows
 
     rng = random.Random(nbytes)
     half = 1 << (8 * nbytes - 1)
     order = 6
+    qs, ls = _frame(order)
     for m in range(order + 1):
         cells = {}
         for e in range(-m, m + 1, 2):
@@ -328,10 +330,9 @@ def test_gegenbauer_cells_round_trip_through_the_frame(nbytes):
                 rows.pop()
             if rows:
                 cells[e] = rows
-        assert _unpack_cells(_pack_cells(cells, m, order, nbytes), m, order, nbytes) == cells
-    for cells in ({0: [[1] * 3]}, {0: [[1]] * 4}):  # q-degree 2 or Lambda-degree 3 at m = 2
-        with pytest.raises(ArithmeticError):
-            _pack_cells(cells, 2, order, nbytes)
+        # q**a Lambda**b w**e is the digit a + qs*(b + ls*(e + m)/2)
+        placed = [(qs * (b + ls * (e + m) // 2), r) for e, rows in cells.items() for b, r in enumerate(rows) if r]
+        assert _unpack_cells(_pack_rows(placed, qs * ls * (m + 1), nbytes), m, order, nbytes) == cells
 
 
 def _direct_by_pochhammer_calls(n):

@@ -523,7 +523,7 @@ def _row_mul(a, b):
 
 
 def test_pack_unpack_round_trip_every_width():
-    from qpoly.field import _pack, _unpack
+    from qpoly.field import _pack, _unpack, _widen
 
     rng = random.Random(41)
     for nbytes in range(1, 10):
@@ -538,6 +538,8 @@ def test_pack_unpack_round_trip_every_width():
             v = _pack(digits, nbytes)
             assert v == sum(d << (8 * nbytes * i) for i, d in enumerate(digits)), (nbytes, n)
             assert _unpack(v, nbytes, n) == digits, (nbytes, n)
+            wider = nbytes + 1 + n % 3
+            assert _widen(v, n, nbytes, wider) == _pack(digits, wider), (nbytes, n)
 
 
 def _primitive_row(rng, length, bits):
@@ -774,6 +776,58 @@ def test_row_gcd_matches_prs_reference():
     # the cofactor (1 + s + s**2)**k has coefficients above xi/2
     for k in range(4, 30):
         _check_against_prs((one - s**3) ** k, (one - s**2) ** k)
+
+
+def _row_block(rng):
+    """An integer times a power of s times factors 1 - s**k, the shape of
+    every denominator."""
+    g = [0] * rng.randint(0, 2) + [rng.choice([1, 2, 3, 6])]
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randint(1, 4)
+        g = _row_mul(g, [1] + [0] * (k - 1) + [-1])
+    return g
+
+
+def test_rows_gcd_cof_divides_first_and_keeps_cofactors(monkeypatch):
+    import qpoly.field as field
+    from qpoly.field import _raw_poly, _rows_gcd_cof
+
+    gcds = []
+    ugcd_cof = field._ugcd_cof
+    monkeypatch.setattr(field, "_ugcd_cof", lambda a, b: gcds.append(1) or ugcd_cof(a, b))
+    rng = random.Random(47)
+    for case in range(200):
+        # the first two rows share more than the common block, so a later
+        # row shrinks the gcd; zero rows sit anywhere, leading rows may be
+        # negative and some cases are coprime
+        common = _row_block(rng) if case % 4 else [1]
+        extra = _primitive_row(rng, rng.randint(1, 3), 2)
+        rows = []
+        for i in range(rng.randint(2, 6)):
+            if rng.random() < 0.3:
+                rows.append([])
+            r = _row_mul(common, _primitive_row(rng, rng.randint(1, 4), 3))
+            r = _row_mul(r, extra) if i < 2 else r
+            rows.append([-x for x in r] if rng.random() < 0.5 else r)
+        g, cofactors = _rows_gcd_cof(rows)
+        nonzero = [_raw_poly([r]) for r in rows if r]
+        assert _raw_poly([g]) == functools.reduce(poly_gcd, nonzero), case
+        assert len(cofactors) == len(rows)
+        for r, c in zip(rows, cofactors):
+            assert (_row_mul(g, c) if c else c) == r, case
+        assert functools.reduce(poly_gcd, [_raw_poly([c]) for c in cofactors if c]) == 1, case
+        if g == [1]:
+            assert cofactors is rows, case
+    # a gcd found on the first pair divides every later row: one gcd
+    block = [0, 2, 0, -2, 0, 2]
+    rows = [_row_mul(block, r) if r else r for r in ([1, 1], [1, 2], [], [-3, 0, 1], [5])]
+    gcds.clear()
+    g, cofactors = _rows_gcd_cof(rows)
+    assert (g, cofactors, len(gcds)) == (block, [[1, 1], [1, 2], [], [-3, 0, 1], [5]], 1)
+    # a negative leading first row, and a row that takes the gcd to 1
+    rows = [[-1, 0, -1], [], [1, 0, 1], [2, 3]]
+    assert _rows_gcd_cof(rows)[1] is rows
+    assert _rows_gcd_cof([[], [-4, 0, -4], [2, 0, 2]]) == ([2, 0, 2], [[], [-2], [1]])
 
 
 def _bivariate_pairs(seed, count):
