@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, mul
 
-from .field import _pack, _pack_rows, _raw_poly, _rf_raw, _spread, _uadd, _umul, _unorm, _unpack, _widen, _width
+from .field import _flatten, _pack, _uadd, _umul, _unorm, _unpack, _widen, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -79,6 +79,7 @@ from .qkernel import (
     _q_pochhammer_rows,
     _q_rows_ratio,
     _times_q_number,
+    _x_row_ratio,
     quesne_c,
 )
 from .series import Ring, TruncatedSeries, ring_sum
@@ -356,7 +357,7 @@ def _hermite_values(n, tables):
     s**(-n-2t) (1 - x)**E Q_mu with E = n - t - |mu|: one quotient kernel
     call over the keys (table index, z-power), each key's sum over the lcm of
     its b as one RationalFunction over an integer times a power of s, built
-    in lowest terms with no gcd of polynomials (as q_hermite)."""
+    in lowest terms by _x_row_ratio, as q_hermite's terms are."""
     scale = {}  # (table index, j) -> lcm of the b
     for i, terms in enumerate(tables):
         for j, mu, a, b in terms:
@@ -368,18 +369,10 @@ def _hermite_values(n, tables):
             uses.setdefault(mu, []).append(((i, j), sum(mu) - len(mu) - (n - j) // 2, a * (scale[i, j] // b)))
     values = [{} for _ in tables]
     for (i, j), digits in _quotient_sums(n, uses).items():
-        t = (n - j) // 2
-        # x**r is s**(4(degree - r)) s**(-4 degree), degree = n(n - 1)/2 - t.
-        # Both sides shed s**(4(degree - top)), top the highest r with a
-        # nonzero digit, so the numerator has no factor s; the denominator is
-        # an integer times a power of s, so once the gcd of the integers is
-        # out, the two are coprime
+        t = (n - j) // 2  # the digits are an x-row of degree <= n(n - 1)/2 - t
         row = _unorm(digits[:n * (n - 1) // 2 - t + 1])
         if row:
-            g = math.gcd(*row, scale[i, j])
-            num = _unorm(_spread(_spread([c // g for c in reversed(row)])))
-            den = [0] * (n + 2 * t + 4 * len(row) - 4) + [scale[i, j] // g]
-            values[i][j] = _rf_raw(_raw_poly([num]), _raw_poly([den]))
+            values[i][j] = _x_row_ratio(row, scale[i, j], n + 2 * t)
     return [ZPolynomial._raw(value) for value in values]
 
 
@@ -486,7 +479,8 @@ def laguerre_connection(n, k, aux=None):
     factors = {}
 
     def factor(j, kj):
-        """The z**d coefficients h_d of L_{k_j}^{(n_j - k_j)}(z), read once per call."""
+        """The z**d coefficients h_d of L_{k_j}^{(n_j - k_j)}(z), built once per
+        expansion and shared by every read of `terms`."""
         if (j, kj) not in factors:
             factors[j, kj] = laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj))._terms
         return factors[j, kj]
@@ -601,7 +595,8 @@ class CPolynomial(SparsePoly):
 # Inside the order-n kernel a monomial prod_m C_m**e_m is one int: e_m in
 # field m - 1, _width(n.bit_length()) bytes wide.  A monomial has sum_m
 # m*e_m <= n, so no exponent exceeds n, no field carries into the next, and
-# the product of two monomials is the sum of their ints.
+# the product of two monomials is the sum of their ints.  As n < 2**(8 *
+# width - 1), each exponent is also the field's balanced digit (field._unpack).
 
 def _generator(g, n):
     """The kernel monomial of field g (C_{g+1})."""
@@ -611,11 +606,7 @@ def _generator(g, n):
 def _monomial(key, n):
     """The ((generator, exponent), ...) tuple of the kernel monomial key over
     the n fields it occupies, generators numbered from 1."""
-    nbytes = _width(n.bit_length())
-    data = key.to_bytes(nbytes * n, "little")
-    exps = data if nbytes == 1 else [int.from_bytes(data[i:i + nbytes], "little")
-                                     for i in range(0, len(data), nbytes)]
-    return tuple((g, e) for g, e in enumerate(exps, 1) if e)
+    return tuple((g, e) for g, e in enumerate(_unpack(key, _width(n.bit_length()), n), 1) if e)
 
 
 def _integer_logs(order):
@@ -839,8 +830,7 @@ def _log_coefficients(order, degrees):
             packed = [_widen(g, qs * ls * (m + 1), nbytes, wider) for m, g in enumerate(packed)]
             nbytes, blocks = wider, []
             slot = 8 * nbytes * qs * ls  # bits per w slot
-        blocks += [_pack_rows([(qs * b, r) for b, r in enumerate(rows)], qs * len(rows), nbytes)
-                   for rows in lam[len(blocks):n + 1]]
+        blocks += [_pack(_flatten(rows, qs), nbytes) for rows in lam[len(blocks):n + 1]]
         packed += [_direct_packed(m, binoms[m], blocks, nbytes, slot) for m in range(len(packed), n + 1)]
         total = n * packed[n]
         for m, row, places in terms:

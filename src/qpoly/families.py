@@ -38,6 +38,7 @@ from .qkernel import (
     _q_pochhammer_rows,
     _q_rows_ratio,
     _times_q_number,
+    _x_row_ratio,
     q_binomial,
     q_factorial,
 )
@@ -378,10 +379,8 @@ def q_hermite(n):
         m = n - 2 * ell
         odd = _times_q_number(odd, 2 * ell - 1) if ell else odd
         row = _umul(binom[min(m, n - m)], odd)  # [n over m] = [n over n - m]
-        c, d = 2**m * (-2)**ell, len(row) - 1  # x**k = s**(4(d - k)) s**(-4d)
-        num, den = [0] * (4 * d + 1), [0] * (n + 2 * ell + 2 * m * (m - 1) + 4 * d) + [1]
-        num[::4] = [c * x for x in reversed(row)]
-        terms[m] = _rf_raw(_raw_poly([num]), _raw_poly([den]))
+        c = 2**m * (-2)**ell
+        terms[m] = _x_row_ratio([c * x for x in row], 1, n + 2 * ell + 2 * m * (m - 1))
     return ZPolynomial._raw(terms)
 
 

@@ -29,8 +29,11 @@ unsigned field, and the bias of all fields together is one integer.  Fields
 of 1, 2, 4 or 8 bytes are converted in bulk, through an unsigned
 array.array; others one by one with int.to_bytes and int.from_bytes
 (strided bulk conversion of 3- to 20-byte fields measured 1.5-4.5x slower).
-A packed int moves to wider fields with no per-digit work: its biased bytes
-are copied by strided slices (_widen).
+Every packed int is written by _pack of a digit list (rows of one width laid
+end to end by _flatten) and read by _unpack as a digit list or by
+_unpack_rows cut into rows of one width, zero rows left unconverted; no other
+module converts digits.  A packed int moves to wider fields with no
+per-digit work: its biased bytes are copied by strided slices (_widen).
 Of the 28 121 digits converted either way in one frontier pass of the
 benchmark (seed 3001), 11 778 have 1- or 2-byte fields, 14 305 3-, 5- or
 6-byte fields and 2 038 11- or 13-byte fields.  Rows that are polynomials in
@@ -243,15 +246,6 @@ def _pack(c, nbytes):
     return int.from_bytes(_biased_bytes(c, nbytes), "little") - _bias(nbytes, len(c))
 
 
-def _pack_rows(rows, n, nbytes):
-    """The packed int of n digits whose digits from i on are c, for each pair
-    (i, c) of rows, and zero elsewhere; the rows do not overlap."""
-    data = bytearray(_biased_bytes([0], nbytes) * n)
-    for i, c in rows:
-        data[i * nbytes:(i + len(c)) * nbytes] = _biased_bytes(c, nbytes)
-    return int.from_bytes(data, "little") - _bias(nbytes, n)
-
-
 def _biased_bytes(c, nbytes):
     """The little-endian bytes of the digits c plus the bias 2**(8*nbytes-1)."""
     half = 1 << (8 * nbytes - 1)
@@ -285,8 +279,8 @@ def _unpack_rows(v, nbytes, n, width):
     row is [] and is not converted."""
     data = (v + _bias(nbytes, n)).to_bytes(nbytes * n, "little")
     size = nbytes * width
-    zero = _biased_bytes([0], nbytes) * width
-    return [[] if data[i:i + size] == zero else _unbiased(data[i:i + size], nbytes)
+    zero = (bytes(nbytes - 1) + b"\x80") * width
+    return [_unbiased(row, nbytes) if (row := data[i:i + size]) != zero else []
             for i in range(0, len(data), size)]
 
 
@@ -311,20 +305,14 @@ def _flatten(rows, width):
     return flat + rows[-1]
 
 
-def _unflatten(digits, width):
-    """The rows of a digit sequence with width digits per Lambda power."""
-    return [_unorm(digits[j:j + width]) for j in range(0, len(digits), width)]
-
-
 def _rows_mul_packed(a, b, na, nb):
     wa, wb = max(map(len, a)), max(map(len, b))
     width = wa + wb - 1
     bits = (max(map(_maxabs, filter(None, a))).bit_length()
             + max(map(_maxabs, filter(None, b))).bit_length() + min(na, nb).bit_length())
     nbytes = _width(bits)
-    nrows = len(a) + len(b) - 1
-    return _unflatten(_unpack(_pack(_flatten(a, width), nbytes) * _pack(_flatten(b, width), nbytes),
-                              nbytes, nrows * width), width)
+    product = _pack(_flatten(a, width), nbytes) * _pack(_flatten(b, width), nbytes)
+    return list(map(_unorm, _unpack_rows(product, nbytes, (len(a) + len(b) - 1) * width, width)))
 
 
 # -- products ------------------------------------------------------------------

@@ -20,11 +20,12 @@ anywhere — all identities here are exact rational-function identities.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import sub
 
-from .field import RationalFunction, _raw_poly, _spread, _uadd, _unorm
+from .field import RationalFunction, _raw_poly, _rf_raw, _spread, _uadd, _unorm
 from .series import NonzeroConstantTerm, TruncatedSeries
 
 
@@ -214,9 +215,10 @@ def _lambda_pochhammer_rows(n):
 
 
 def _q_rows_ratio(rows, den, s_power=0):
-    """s**s_power * sum_p rows[p] Lambda**p / den, reduced, for q-rows rows[p]
-    and a nonzero q-row den (q = s**2; trailing zeros allowed): the one
-    assembly of a RationalFunction from q-rows."""
+    """s**s_power * sum_p rows[p] Lambda**p / den, reduced by the gcd, for
+    q-rows rows[p] and a nonzero q-row den (q = s**2; trailing zeros
+    allowed).  An x-row over an integer times a power of s needs no gcd of
+    polynomials: see _x_row_ratio."""
     num = _unorm([_unorm(_spread(r)) for r in rows])
     den = _unorm(_spread(den))
     if s_power > 0:
@@ -224,3 +226,18 @@ def _q_rows_ratio(rows, den, s_power=0):
     else:
         den = [0] * -s_power + den
     return RationalFunction(_raw_poly(num), _raw_poly([den]))
+
+
+def _x_row_ratio(row, d, k):
+    """sum_r row[r] x**r / (d s**k) in lowest terms, x = q**-2 = s**-4, for a
+    nonzero x-row with no trailing zeros and an int d > 0.  Times s**(4 deg)
+    on both sides the numerator has the nonzero constant term row[deg], so no
+    factor s, and the denominator is an integer times a power of s: once the
+    integer gcd is out the two are coprime, with no gcd of polynomials."""
+    g = math.gcd(d, *row)
+    if g != 1:
+        row, d = [c // g for c in row], d // g
+    num = [0] * (4 * len(row) - 3)
+    num[::4] = reversed(row)
+    den = [0] * (k + len(num) - 1) + [d]
+    return _rf_raw(_raw_poly([_unorm(num)]), _raw_poly([den]))

@@ -718,6 +718,19 @@ def test_gegenbauer_connection_matches_series_exp(monkeypatch):
         assert all(type(c) is Fraction for t in expansion.terms for c in t.coefficient._terms.values())
 
 
+def test_kernel_monomial_decodes_two_byte_fields():
+    # gegenbauer_connection stops short of n = 128, so its monomials never
+    # have fields wider than a byte; at n = 200 each field is 2 bytes, and an
+    # exponent of 200 has its low byte's top bit set
+    from qpoly.connection import _generator, _monomial
+
+    n = 200
+    assert _generator(1, n) == 1 << 16
+    key = 200 * _generator(0, n) + 129 * _generator(1, n) + 7 * _generator(99, n) + 200 * _generator(n - 1, n)
+    assert _monomial(key, n) == ((1, 200), (2, 129), (100, 7), (200, 200))
+    assert _monomial(0, n) == ()
+
+
 def test_gegenbauer_value_beyond_verify_sizes(monkeypatch):
     # the gegenbauer suite stops at n = 8; at n = 16 the packed sums need
     # 9-byte digits, wider than any array typecode
@@ -731,8 +744,9 @@ def test_gegenbauer_value_beyond_verify_sizes(monkeypatch):
             widths.setdefault(n, set()).add(nbytes)
             return unpack(v, nbytes, count)
 
+        expansion = gegenbauer_connection(n)  # built first: its monomials decode 1-byte fields
         monkeypatch.setattr(connection, "_unpack", recorded)
-        assert gegenbauer_connection_value(gegenbauer_connection(n)) == q_gegenbauer_direct(n)
+        assert gegenbauer_connection_value(expansion) == q_gegenbauer_direct(n)
     assert min(widths[16]) > 8
 
 
@@ -1044,13 +1058,13 @@ def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
     # is assembled in lowest terms with no gcd, so its coprimality is checked
     from qpoly.connection import _direct_packed
     from qpoly.families import _cos_value, _frame, _unpack_cells
-    from qpoly.field import _pack_rows, _rows_mul
+    from qpoly.field import _flatten, _pack, _rows_mul
     from qpoly.qkernel import _lambda_pochhammer_rows, _q_binomial_rows, _q_pochhammer_rows
 
     order, nbytes = 12, 4
     lam, poch = _lambda_pochhammer_rows(order), _q_pochhammer_rows(order)
     qs, ls = _frame(order)
-    blocks = [_pack_rows([(qs * b, r) for b, r in enumerate(rows)], qs * len(rows), nbytes) for rows in lam]
+    blocks = [_pack(_flatten(rows, qs), nbytes) for rows in lam]
     for i in range(order + 1):
         expected = {}
         for ell, binom in enumerate(_q_binomial_rows(i, i // 2)):

@@ -314,7 +314,7 @@ def test_gegenbauer_cells_round_trip_through_the_frame(nbytes):
     # w-cells of degree m packed in the order frame and read back, for
     # digits converted in bulk (1, 3, 8 bytes) and one by one (9 bytes)
     from qpoly.families import _frame, _unpack_cells
-    from qpoly.field import _pack_rows
+    from qpoly.field import _flatten, _pack
 
     rng = random.Random(nbytes)
     half = 1 << (8 * nbytes - 1)
@@ -330,9 +330,12 @@ def test_gegenbauer_cells_round_trip_through_the_frame(nbytes):
                 rows.pop()
             if rows:
                 cells[e] = rows
-        # q**a Lambda**b w**e is the digit a + qs*(b + ls*(e + m)/2)
-        placed = [(qs * (b + ls * (e + m) // 2), r) for e, rows in cells.items() for b, r in enumerate(rows) if r]
-        assert _unpack_cells(_pack_rows(placed, qs * ls * (m + 1), nbytes), m, order, nbytes) == cells
+        # q**a Lambda**b w**e is digit a of the frame row b + ls*(e + m)/2, qs digits wide
+        placed = [[] for _ in range(ls * (m + 1))]
+        for e, rows in cells.items():
+            for b, r in enumerate(rows):
+                placed[b + ls * (e + m) // 2] = r
+        assert _unpack_cells(_pack(_flatten(placed, qs), nbytes), m, order, nbytes) == cells
 
 
 def _direct_by_pochhammer_calls(n):
