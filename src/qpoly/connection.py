@@ -756,7 +756,7 @@ def gegenbauer_classical_lambda(n):
     binomials = [LambdaPolynomial.one(), lam]  # binom(lambda, j)
     for j in range(2, n + 1):
         binomials.append(binomials[-1] * (lam - (j - 1)) * Fraction(1, j))
-    return _power_sum(s, binomials.__getitem__, 0).coeff(n)
+    return _power_sum(s, binomials.__getitem__).coeff(n)
 
 
 # Explicit low-order log combinations: I_l as [(coefficient, [factor orders])].

@@ -33,6 +33,7 @@ from functools import lru_cache
 from .field import (RationalFunction, _coerce_or_raise, _pack, _power, _raw_poly, _rf_raw, _rows_mul,
                     _spread, _umul, _unorm, _unpack_rows, _width)
 from .qkernel import (
+    _divided_power_rows,
     _lambda_pochhammer_rows,
     _q_binomial_rows,
     _q_pochhammer_rows,
@@ -451,16 +452,21 @@ def _frame(order):
     return order * (order - 1) // 2 + 1, order + 1
 
 
-def _unpack_cells(v, m, order, nbytes):
+def _unpack_cells(v, m, order, nbytes, low=0):
     """The nonzero w-cells of the degree-m polynomial packed in v, read to
-    q-degree m(m-1)/2 and Lambda-degree m."""
+    q-degree m(m-1)/2 and Lambda-degree m, from w-slot low (e = 2 low - m)
+    up; the slots below are dropped unconverted by a balanced shift, exact
+    as every digit is below 2**(8*nbytes-1) in magnitude."""
     qs, ls = _frame(order)
-    rows = _unpack_rows(v, nbytes, qs * ls * (m + 1), qs)
+    skip = 8 * nbytes * qs * ls * low
+    if skip:
+        v = (v + (1 << (skip - 1))) >> skip
+    rows = _unpack_rows(v, nbytes, qs * ls * (m + 1 - low), qs)
     cells = {}
-    for k in range(m + 1):
+    for k in range(m + 1 - low):
         cell = _unorm([_unorm(r[:m * (m - 1) // 2 + 1]) for r in rows[k * ls:k * ls + m + 1]])
         if cell:
-            cells[2 * k - m] = cell
+            cells[2 * (k + low) - m] = cell
     return cells
 
 
@@ -487,10 +493,10 @@ def _genfun_coefficients(order, degrees):
     coefficient by the same recurrence on norms, per w-exponent e: |G_n[e]|
     <= sum_j 2 |row_j|_1 (|G_{n-j}[e-j]| + |G_{n-j}[e+j]|) / n, |.| the
     largest coefficient and |.|_1 the sum of absolute values.  Only the
-    degrees asked for are reduced, one RationalFunction per cos index."""
+    degrees asked for are read, from their cells with e >= 0 (cos indices),
+    and reduced, one RationalFunction per cos index."""
     poch = _q_pochhammer_rows(order)
-    rows = [[_umul(binom, poch[j - 1]) for j, binom in enumerate(_q_binomial_rows(n, n)[1:], 1)]
-            for n in range(1, order + 1)]  # rows[n - 1][j - 1]: [n over j]_q (q;q)_{j-1}
+    rows = _divided_power_rows(order)
     bound = [{0: 1}]  # per w-exponent, a bound on every coefficient of G_m
     for n, row in enumerate(rows, 1):
         cells = {}
@@ -515,7 +521,7 @@ def _genfun_coefficients(order, degrees):
         if rem:
             raise ArithmeticError(f"{n} does not divide n G_n")
         series.append(g)
-    return [_cos_value(_unpack_cells(series[m], m, order, nbytes), poch[m]) for m in degrees]
+    return [_cos_value(_unpack_cells(series[m], m, order, nbytes, (m + 1) // 2), poch[m]) for m in degrees]
 
 
 def gegenbauer_genfun_series(order):

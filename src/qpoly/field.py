@@ -27,13 +27,15 @@ product coefficient, so each coefficient is exactly one digit.  Packing and
 unpacking are linear: each coefficient plus the bias 2**(w-1) is a w-bit
 unsigned field, and the bias of all fields together is one integer.  Fields
 of 1, 2, 4 or 8 bytes are converted in bulk, through an unsigned
-array.array; others one by one with int.to_bytes and int.from_bytes
-(strided bulk conversion of 3- to 20-byte fields measured 1.5-4.5x slower).
+array.array.  Other fields are packed one by one with int.to_bytes (strided
+bulk packing of 3- to 20-byte fields measured slower), and unpacked in bulk
+up to 8 bytes, after their bytes are copied by strided slices into 4- or
+8-byte fields (_restride); wider ones one by one with int.from_bytes.
 Every packed int is written by _pack of a digit list (rows of one width laid
 end to end by _flatten) and read by _unpack as a digit list or by
 _unpack_rows cut into rows of one width, zero rows left unconverted; no other
 module converts digits.  A packed int moves to wider fields with no
-per-digit work: its biased bytes are copied by strided slices (_widen).
+per-digit work: its biased bytes are copied the same way (_widen).
 Of the 28 121 digits converted either way in one frontier pass of the
 benchmark (seed 3001), 11 778 have 1- or 2-byte fields, 14 305 3-, 5- or
 6-byte fields and 2 038 11- or 13-byte fields.  Rows that are polynomials in
@@ -185,10 +187,10 @@ def _is_even(c):
     return not any(c[1::2])
 
 
-def _spread(c):
-    """The row c(s**2) from the row c(s)."""
-    out = [0] * (2 * len(c) - 1)
-    out[::2] = c
+def _spread(c, k=2):
+    """The row c(s**k) from the row c(s)."""
+    out = [0] * (k * len(c) - k + 1)
+    out[::k] = c
     return out
 
 
@@ -236,8 +238,9 @@ def _bias(nbytes, n):
 
 
 # Unsigned array typecodes by item size (any code of that size will do), for
-# digits converted in bulk.
+# digits converted in bulk, and the least item size holding each width.
 _DIGIT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_BULK = {n: min(w for w in _DIGIT_CODES if w >= n) for n in range(1, max(_DIGIT_CODES) + 1)}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -259,14 +262,20 @@ def _biased_bytes(c, nbytes):
 
 def _widen(v, n, nbytes, wider):
     """The n digits of v, nbytes bytes each, packed again at wider bytes a
-    digit: each biased field is copied, by strided slices, into the low bytes
-    of a wider one, whose bias is then the old one."""
-    data = (v + _bias(nbytes, n)).to_bytes(nbytes * n, "little")
-    out = bytearray(wider * n)
+    digit: each biased field is copied into the low bytes of a wider one,
+    whose bias is then the old one."""
+    data = _restride((v + _bias(nbytes, n)).to_bytes(nbytes * n, "little"), nbytes, wider)
+    return int.from_bytes(data, "little") - int.from_bytes(
+        (bytes(nbytes - 1) + b"\x80" + bytes(wider - nbytes)) * n, "little")
+
+
+def _restride(data, nbytes, wider):
+    """The nbytes-byte fields of data, each copied by strided slices into the
+    low bytes of a wider field."""
+    out = bytearray(wider * (len(data) // nbytes))
     for k in range(nbytes):
         out[k::wider] = data[k::nbytes]
-    return int.from_bytes(out, "little") - int.from_bytes(
-        (bytes(nbytes - 1) + b"\x80" + bytes(wider - nbytes)) * n, "little")
+    return out
 
 
 def _unpack(v, nbytes, n):
@@ -285,12 +294,16 @@ def _unpack_rows(v, nbytes, n, width):
 
 
 def _unbiased(data, nbytes):
-    """The digits of little-endian bytes of digits plus the bias."""
+    """The digits of little-endian bytes of digits plus the bias; fields of
+    other widths up to 8 bytes are copied into wider ones for the array."""
     half = 1 << (8 * nbytes - 1)
-    if nbytes not in _DIGIT_CODES:
+    if nbytes not in _BULK:
         return [int.from_bytes(data[i:i + nbytes], "little") - half
                 for i in range(0, len(data), nbytes)]
-    digits = array(_DIGIT_CODES[nbytes], data)
+    wider = _BULK[nbytes]
+    if wider != nbytes:
+        data = _restride(data, nbytes, wider)
+    digits = array(_DIGIT_CODES[wider], data)
     if _BIG_ENDIAN:
         digits.byteswap()
     return list(map(half.__rsub__, digits))

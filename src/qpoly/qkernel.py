@@ -11,6 +11,9 @@ independently computed forms:
   * the exponential of an explicit log-series
         e_q(z) = exp( sum_k z**k / (k (1-q**k)) )
         E_q(z) = exp( sum_k (-1)**(k+1) z**k / (k (1-q**k)) )
+    whose coefficients come from the exp recurrence in q-divided powers over
+    Z (_exp_coefficients), composed with the argument by the power sum that
+    the defining sums use too.
 
 A base is given by its integer exponent base_exp: the base is q**base_exp
 (1, -2 and -4 in the paper), an ordinary rational function of s, and
@@ -25,7 +28,8 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import sub
 
-from .field import RationalFunction, _raw_poly, _rf_raw, _spread, _uadd, _unorm
+from .field import (_BULK, RationalFunction, _maxabs, _pack, _raw_poly, _rf_raw, _spread, _uadd, _unorm, _unpack,
+                    _width)
 from .series import NonzeroConstantTerm, TruncatedSeries
 
 
@@ -96,18 +100,15 @@ def quesne_c(k, base_exp=1):
     return (_ONE - v) ** (k - 1) / (q_number(k, base_exp) * k)
 
 
-def _power_sum(argument, coeff, start):
-    """sum_{k >= start} coeff(k) * argument**k to the argument's order, start
-    0 or 1; the argument has zero constant term, so the sum stops once its
-    power is 0.  The running power starts at the argument, so no product has
-    the unit series as an operand."""
+def _power_sum(argument, coeff):
+    """sum_k coeff(k) * argument**k to the argument's order; the argument has
+    zero constant term, so the sum stops once its power is 0.  The running
+    power starts at the argument, so no product has the unit series as an
+    operand."""
     if argument.coeffs[0] != argument.ring.zero:
         raise NonzeroConstantTerm("q-exponential argument needs zero constant term")
-    ring = argument.ring
     order = argument.order
-    parts = [TruncatedSeries.zero(ring, order)]
-    if start == 0:
-        parts.append(TruncatedSeries.one(ring, order).scale(coeff(0)))
+    parts = [TruncatedSeries.one(argument.ring, order).scale(coeff(0))]
     power = argument
     for k in range(1, order + 1):
         if k > 1:
@@ -133,27 +134,62 @@ def q_exp_sum(kind, argument, base_exp):
         tri = RationalFunction.q_power(base_exp * n * (n - 1) // 2) if kind == "E" else _ONE
         return tri / poch[n]
 
-    return _power_sum(argument, coeff, 0)
+    return _power_sum(argument, coeff)
 
 
 def q_exp_product_form(kind, argument, base_exp):
-    """Jackson q-exponential as exp of its explicit log-series."""
+    """Jackson q-exponential as exp of its explicit log-series, over Z
+    (_exp_coefficients) and composed with the argument."""
     if kind not in ("e", "E"):
         raise ValueError("kind must be 'e' or 'E'")
-    v = _base(base_exp)
-
-    def coeff(k):
-        c = _ONE / ((_ONE - v**k) * k)
-        return -c if kind == "E" and k % 2 == 0 else c
-
-    return _power_sum(argument, coeff, 1).exp()
+    sign = -1 if kind == "E" else 1
+    e = _exp_coefficients(lambda k: [sign ** (k + 1)], base_exp, argument.order)
+    return _power_sum(argument, e.__getitem__)
 
 
 def quesne_series(argument, base_exp):
     """exp( sum_k c_k(base) * argument**k ): the product-of-exponentials
     form of the physicists' q-exponential sum_n z**n/[n]!."""
-    _base(base_exp)  # base 1 is rejected for a zero argument too
-    return _power_sum(argument, lambda k: quesne_c(k, base_exp), 1).exp()
+    e = _exp_coefficients(lambda k: [(-1) ** i * math.comb(k, i) for i in range(k + 1)],
+                          base_exp, argument.order)  # k c_k (1 - v**k) = (1 - v)**k
+    return _power_sum(argument, e.__getitem__)
+
+
+def _exp_coefficients(weight, base_exp, order):
+    """e_0..e_order of exp(sum_k a_k z**k), for integer v-rows w_k =
+    weight(k) = k a_k (1 - v**k), v = q**base_exp.  With G_n = (v;v)_n e_n,
+    n e_n = sum_j j a_j e_{n-j} reads over Z (q-divided powers)
+
+        n G_n = sum_{j=1..n} [n over j]_v (v;v)_{j-1} w_j G_{n-j},
+
+    on packed G_n; a remainder of the division by n raises ArithmeticError.
+    Each e_n = G_n / (v;v)_n is reduced once, after the factors 1 - v common
+    to both are divided out by running sums.  As exp(sum_k a_k f**k) =
+    sum_n e_n f**n, composing with an f of zero constant term is exact."""
+    _base(base_exp)
+    rows, w = _divided_power_rows(order), [weight(k) for k in range(1, order + 1)]
+    top, widest = [1], [1] + [_maxabs(r) for r in w + [r for row in rows for r in row] if r]
+    for n, row in enumerate(rows, 1):  # top[m] bounds G_m, widest every digit
+        widest.append(sum(sum(map(abs, r)) * sum(map(abs, w[j])) * top[n - 1 - j] for j, r in enumerate(row)))
+        top.append(widest[-1] // n)
+    nbytes = _width(max(widest).bit_length())
+    nbytes = _BULK.get(nbytes, nbytes)  # a width that _pack converts in bulk
+    digit = 8 * nbytes
+    pw = [_pack(r, nbytes) for r in w]
+    g, packed = [[1]], [1]
+    for n, row in enumerate(rows, 1):
+        total = sum(_pack(r, nbytes) * pw[j] * packed[n - 1 - j] for j, r in enumerate(row))
+        digits = _unpack(total, nbytes, abs(total).bit_length() // digit + 1)
+        if any(c % n for c in digits):
+            raise ArithmeticError(f"{n} does not divide n G_n")
+        g.append(_unorm([c // n for c in digits]))
+        packed.append(total // n)
+    out = []
+    for num, den in zip(g, _q_pochhammer_rows(order)):
+        while num and not sum(num) and not sum(den):  # both vanish at v = 1
+            num, den = list(accumulate(num))[:-1], list(accumulate(den))[:-1]
+        out.append(_v_rows_ratio(num, den, base_exp))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +239,20 @@ def _q_pochhammer_rows(n):
     return rows
 
 
+def _divided_power_rows(order):
+    """rows[n - 1][j - 1] = [n over j]_q (q;q)_{j-1}, 1 <= j <= n <= order:
+    the weights of an exponential in q-divided powers (_exp_coefficients,
+    families._genfun_coefficients).  By q-Pascal, [n over j] = [n-1 over j-1]
+    + q**j [n-1 over j], a row is (1 - q**(j-1)) times the row above-left plus
+    q**j times the row above, with [n]_q at j = 1."""
+    rows = [[[1]]]
+    for n in range(2, order + 1):
+        above = rows[-1] + [[]]
+        rows.append([[1] * n] + [_uadd(list(map(sub, a + [0] * (j - 1), [0] * (j - 1) + a)), [0] * j + b if b else b)
+                                 for j, a, b in zip(range(2, n + 1), above, above[1:])])
+    return rows[:order]
+
+
 def _lambda_pochhammer_rows(n):
     """(Lambda;q)_l for l = 0..n, each as q-rows, one per power of Lambda:
     the last times 1 - Lambda q**(l-1)."""
@@ -226,6 +276,16 @@ def _q_rows_ratio(rows, den, s_power=0):
     else:
         den = [0] * -s_power + den
     return RationalFunction(_raw_poly(num), _raw_poly([den]))
+
+
+def _v_rows_ratio(num, den, b):
+    """num(v) / den(v) reduced by the gcd, for v-rows num and den != 0 with
+    no trailing zeros, v = q**b: a v-row is a q-row of stride |b|, and for
+    b < 0 a v-row of degree d is q**(b d) times its reverse in q**-b."""
+    shift = 0
+    if b < 0:
+        shift, num, den = 2 * b * (len(num) - len(den)), num[::-1], den[::-1]
+    return _q_rows_ratio([_spread(num, abs(b))], _spread(den, abs(b)), shift)
 
 
 def _x_row_ratio(row, d, k):

@@ -338,6 +338,27 @@ def test_gegenbauer_cells_round_trip_through_the_frame(nbytes):
         assert _unpack_cells(_pack(_flatten(placed, qs), nbytes), m, order, nbytes) == cells
 
 
+@pytest.mark.parametrize("nbytes", [1, 3, 9])
+def test_gegenbauer_cells_read_from_a_slot_up(nbytes):
+    # the cells above a w-slot are read after a balanced shift drops the
+    # slots below, for any digits within _pack's bound, at every width path
+    from qpoly.families import _frame, _unpack_cells
+    from qpoly.field import _flatten, _pack
+
+    rng = random.Random(10 + nbytes)
+    half = 1 << (8 * nbytes - 1)
+    order = 5
+    qs, ls = _frame(order)
+    for m in range(order + 1):
+        placed = [[rng.choice([1 - half, half - 1, rng.randint(1 - half, half - 1)])
+                   for _ in range(m * (m - 1) // 2 + 1)] if b % ls <= m else []
+                  for b in range(ls * (m + 1))]
+        cells = _unpack_cells(_pack(_flatten(placed, qs), nbytes), m, order, nbytes)
+        for low in range(m + 2):
+            assert _unpack_cells(_pack(_flatten(placed, qs), nbytes), m, order, nbytes, low) == {
+                e: c for e, c in cells.items() if e >= 2 * low - m}, (m, low)
+
+
 def _direct_by_pochhammer_calls(n):
     # the explicit double-Pochhammer form with every symbol built afresh
     lam, base = RF.lam(), 1

@@ -173,3 +173,70 @@ def test_bases_given_by_exponent():
                  lambda: quesne_series(TruncatedSeries.zero(RF_RING, 3), 0)):
         with pytest.raises(ValueError):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the product forms in q-divided powers over Z
+# ---------------------------------------------------------------------------
+
+def _exp_of_log_series(arg, coeff):
+    # exp(sum_k coeff(k) arg**k) by TruncatedSeries arithmetic alone: the
+    # route the product forms took before the integer recurrence
+    total, power = TruncatedSeries.zero(RF_RING, arg.order), TruncatedSeries.one(RF_RING, arg.order)
+    for k in range(1, arg.order + 1):
+        power = power * arg
+        total = total + power.scale(coeff(k))
+    return total.exp()
+
+
+def _arguments(order):
+    lam = RF.lam()
+    wide = TruncatedSeries(RF_RING, [RF.zero(), lam * 2 - Q, ONE / (ONE + Q), RF.zero(), lam * lam], order)
+    return [t_series(order), wide]
+
+
+@pytest.mark.parametrize("exp", [1, -2, -4])
+def test_product_forms_match_exp_of_the_log_series(exp):
+    v = RF.q_power(exp)
+    logs = {
+        "e": lambda k: ONE / ((ONE - v**k) * k),
+        "E": lambda k: ONE / ((ONE - v**k) * (k if k % 2 else -k)),
+        "quesne": lambda k: (ONE - v) ** k / ((ONE - v**k) * k),
+    }
+    for order in (1, 4, 8):
+        for arg in _arguments(order):
+            for kind in ("e", "E"):
+                assert q_exp_product_form(kind, arg, exp) == _exp_of_log_series(arg, logs[kind]), (order, kind)
+            assert quesne_series(arg, exp) == _exp_of_log_series(arg, logs["quesne"]), order
+
+
+def test_product_forms_take_no_series_exp(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("TruncatedSeries.exp called")
+
+    monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
+    arg = t_series(12)
+    for exp in (1, -2, -4):
+        for kind in ("e", "E"):
+            assert q_exp_product_form(kind, arg, exp) == q_exp_sum(kind, arg, exp)
+    assert quesne_series(arg, 1) == q_exp_sum("e", arg.scale(ONE - Q), 1)
+
+
+def test_exp_coefficients_raise_when_n_does_not_divide():
+    from qpoly.qkernel import _exp_coefficients
+
+    # exp(z/(1 - q)) has e_2 = 1/(2 (1 - q)**2), so 2 G_2 = 1 + q is odd
+    with pytest.raises(ArithmeticError):
+        _exp_coefficients(lambda k: [1] if k == 1 else [], 1, 4)
+    assert _exp_coefficients(lambda k: [1] if k == 1 else [], 1, 1) == [ONE, ONE / (ONE - Q)]
+
+
+def test_divided_power_rows_are_binomials_times_pochhammers():
+    from qpoly.field import _umul
+    from qpoly.qkernel import _divided_power_rows, _q_binomial_rows, _q_pochhammer_rows
+
+    for order in range(10):
+        poch = _q_pochhammer_rows(order)
+        assert _divided_power_rows(order) == [
+            [_umul(binom, poch[j - 1]) for j, binom in enumerate(_q_binomial_rows(n, n)[1:], 1)]
+            for n in range(1, order + 1)]
