@@ -26,9 +26,10 @@ relation:
     = e^{i theta}, each weight is a numerator over (q;q)_n with integer
     q-multinomial quotients in q, and each cos(j theta) coefficient is
     reduced once.  The deformed side of the sum rules is the log of the
-    explicit polynomials, over Z in the packed frame of the generating
-    function (families): each numerator is formed packed, by big-int
-    products of the (Lambda;q)_l packed once per digit width.
+    explicit polynomials, the log of the q-divided-power kernel (qkernel)
+    in the packed frame of the generating function (families): each
+    numerator is formed packed, by big-int products of the (Lambda;q)_l
+    packed once per digit width.
 
 Every expansion's terms and total are in the normalization of the polynomial
 itself.  Each engine builds every distinct building block once per call, in
@@ -54,16 +55,16 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, mul
 
-from .field import _flatten, _pack, _uadd, _umul, _unorm, _unpack, _widen, _width
+from .field import _flatten, _pack, _uadd, _umul, _unorm, _unpack, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
     LaguerreIndex,
     SparsePoly,
     ZPolynomial,
+    _cells,
     _cos_value,
     _frame,
-    _unpack_cells,
     falling_binomial,
     gegenbauer_classical,
     gegenbauer_weight,
@@ -72,9 +73,11 @@ from .families import (
     q_gegenbauer_direct,
 )
 from .qkernel import (
+    _divided_powers,
     _lambda_pochhammer_rows,
     _power_sum,
     _q_binomial_rows,
+    _q_pascal_rows,
     _q_factorial_row,
     _q_pochhammer_rows,
     _q_rows_ratio,
@@ -791,62 +794,26 @@ def _direct_packed(i, binom, blocks, nbytes, slot):
 
 def _log_coefficients(order, degrees):
     """The t**n coefficients, n in degrees (each 1..order), of the log of the
-    series of the explicit deformed polynomials.
-
-    The log recurrence n c_n = n b_n - sum_{j<n} j c_j b_{n-j}, times (q;q)_n,
-    reads over Z, with G_m = (q;q)_m b_m (_direct_packed),
-
-        K_n = n (q;q)_n c_n = n G_n - sum_{j<n} [n over j]_q K_j G_{n-j}.
-
-    Each (Lambda;q)_l is packed once per digit width as a frame block (q
-    stride 1, Lambda stride qs), and the G_m are formed from the blocks.
-    K_j is kept as its distinct nonzero q-rows up to sign, each multiplied
-    once by a packed G_{n-j} and placed by shifts.  A step's digits hold K_n
-    by the bound n |G_n| + sum |[n over j] r|_1 |G_{n-j}| over the rows r
-    placed, with |G_i| <= max_l |[i over l]|_1 |(Lambda;q)_l|_1
-    |(Lambda;q)_{i-l}| (|.| the largest coefficient, |.|_1 the sum of
-    absolute values); a step that needs wider digits packs the blocks again
-    and widens the packed G_m (_widen), with no product.  Only the c_n asked
-    for are reduced, once per cos index."""
-    poch, lam = _q_pochhammer_rows(order), _lambda_pochhammer_rows(order)
-    binoms = [_q_binomial_rows(i, i) for i in range(order + 1)]
+    series of the explicit deformed polynomials: K_n = n (q;q)_n c_n, the log
+    of qkernel._divided_powers in the order frame, given G_m = (q;q)_m b_m
+    (_direct_packed) from the (Lambda;q)_l packed once per digit width, with
+    |G_i| <= max_l |[i over l]|_1 |(Lambda;q)_l|_1 |(Lambda;q)_{i-l}| (|.| the
+    largest coefficient, |.|_1 the sum of absolute values).  Only the c_n
+    asked for are reduced, once per cos index."""
+    poch, lam, binoms = _q_pochhammer_rows(order), _lambda_pochhammer_rows(order), _q_pascal_rows(order)
     norms = [sum(sum(map(abs, r)) for r in rows) for rows in lam]
     tops = [max(max(map(abs, r)) for r in rows) for rows in lam]
     top = [max(sum(binoms[i][ell]) * norms[ell] * tops[i - ell] for ell in range(i // 2 + 1))
            for i in range(order + 1)]
-    qs, ls = _frame(order)
-    nbytes, blocks, packed, logs = 0, [], [], [None]  # logs[j]: K_j's rows, q-row up to sign -> [(sign, digit shift)]
-    ks = [None]
-    for n in range(1, order + 1):
-        binom = binoms[n]
-        terms, bound = [], n * top[n]
-        for j in range(1, n):
-            for row, places in logs[j].items():
-                row = _umul(binom[j], list(row))
-                terms.append((n - j, row, places))
-                bound += sum(map(abs, row)) * len(places) * top[n - j]
-        wider = _width(bound.bit_length())
-        if wider > nbytes:
-            packed = [_widen(g, qs * ls * (m + 1), nbytes, wider) for m, g in enumerate(packed)]
-            nbytes, blocks = wider, []
-            slot = 8 * nbytes * qs * ls  # bits per w slot
-        blocks += [_pack(_flatten(rows, qs), nbytes) for rows in lam[len(blocks):n + 1]]
-        packed += [_direct_packed(m, binoms[m], blocks, nbytes, slot) for m in range(len(packed), n + 1)]
-        total = n * packed[n]
-        for m, row, places in terms:
-            prod = packed[m] * _pack(row, nbytes)
-            for sign, shift in places:
-                total -= sign * (prod << (8 * nbytes * shift))
-        k = _unpack_cells(total, n, order, nbytes)
-        groups = {}
-        for e, rows in k.items():
-            for b, r in enumerate(rows):
-                if r:
-                    sign = 1 if r[-1] > 0 else -1
-                    groups.setdefault(tuple(sign * x for x in r), []).append((sign, qs * (b + ls * (e + n) // 2)))
-        logs.append(groups)
-        ks.append(k)
-    return [_cos_value(ks[m], [m * x for x in poch[m]]) for m in degrees]
+    (qs, ls), blocks = _frame(order), {}  # blocks[nbytes]: the packed (Lambda;q)_l
+
+    def pack(m, nbytes):
+        packed_lam = blocks.setdefault(nbytes, [])
+        packed_lam += [_pack(_flatten(rows, qs), nbytes) for rows in lam[len(packed_lam):m + 1]]
+        return _direct_packed(m, binoms[m], packed_lam, nbytes, 8 * nbytes * qs * ls)
+
+    ks = _divided_powers(binoms, qs, series=(top, pack), read=degrees)[2]
+    return [_cos_value(_cells(ks[m], m, ls), [m * x for x in poch[m]]) for m in degrees]
 
 
 def gegenbauer_sum_rule_logs(order):
@@ -861,9 +828,12 @@ def gegenbauer_sum_rule_logs(order):
     if order < 1:
         raise ValueError("sum-rule order must be >= 1")
     logs = _log_coefficients(order, range(1, order + 1))
-    deformed = TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + logs, order)
-    classical = TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(i) for i in range(order + 1)], order)
-    return deformed, classical.log()
+    return TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + logs, order), _classical_log(order)
+
+
+def _classical_log(order):
+    """log(sum_n C_n^(1) t**n) to the given order, by TruncatedSeries.log."""
+    return TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(i) for i in range(order + 1)], order).log()
 
 
 def gegenbauer_sum_rule(ell):
@@ -876,8 +846,7 @@ def gegenbauer_sum_rule(ell):
     """
     if ell < 1:
         raise ValueError("sum-rule order must be >= 1")
-    classical = TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(i) for i in range(ell + 1)], ell).log()
-    return _log_coefficients(ell, (ell,))[0], classical.coeff(ell).scale(gegenbauer_weight(ell))
+    return _log_coefficients(ell, (ell,))[0], _classical_log(ell).coeff(ell).scale(gegenbauer_weight(ell))
 
 
 def sum_rule_explicit(ell):

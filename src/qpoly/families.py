@@ -17,10 +17,10 @@ implementation, shared with the abstract rings of the connection module):
 
 The Gegenbauer generating function is expanded only to the order of the
 coefficients read, which do not depend on it, and runs over Z: its
-exponential is a recurrence in q-divided powers on integer numerators in q,
-Lambda and w = e**(i theta), each packed into one int, and only the
-coefficients read are reduced, once per cos index.  The same packed frame
-serves the deformed log of the sum rules (connection).
+exponential is the q-divided-power kernel (qkernel) on integer numerators
+in q, Lambda and w = e**(i theta), each packed into one int, and only the
+coefficients read are reduced, once per cos index.  The kernel's log in the
+same packed frame is the deformed side of the sum rules (connection).
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import (RationalFunction, _coerce_or_raise, _pack, _power, _raw_poly, _rf_raw, _rows_mul,
-                    _spread, _umul, _unorm, _unpack_rows, _width)
+from .field import (RationalFunction, _coerce_or_raise, _power, _raw_poly, _rf_raw, _rows_mul, _spread, _umul,
+                    _unorm, _unpack_rows)
 from .qkernel import (
-    _divided_power_rows,
+    _divided_powers,
     _lambda_pochhammer_rows,
     _q_binomial_rows,
+    _q_pascal_rows,
     _q_pochhammer_rows,
     _q_rows_ratio,
     _times_q_number,
@@ -445,7 +446,8 @@ def q_gegenbauer_direct(n):
 # order N >= m (Kronecker substitution; Monagan and Pearce, 2010): q**a
 # Lambda**b w**e is the digit a + qs*(b + ls*(e + m)/2), qs = N(N-1)/2 + 1,
 # ls = N + 1.  Lambda**j is then a shift by j*qs digits, w**j (into degree
-# m + j) a shift by j*qs*ls digits and w**-j no shift.
+# m + j) a shift by j*qs*ls digits and w**-j no shift, the places of the
+# q-divided-power kernel (qkernel._divided_powers) in its exp and its log.
 
 def _frame(order):
     """(qs, ls): the q and Lambda strides, in digits, of the order frame."""
@@ -461,7 +463,11 @@ def _unpack_cells(v, m, order, nbytes, low=0):
     skip = 8 * nbytes * qs * ls * low
     if skip:
         v = (v + (1 << (skip - 1))) >> skip
-    rows = _unpack_rows(v, nbytes, qs * ls * (m + 1 - low), qs)
+    return _cells(_unpack_rows(v, nbytes, qs * ls * (m + 1 - low), qs), m, ls, low)
+
+
+def _cells(rows, m, ls, low=0):
+    """The w-cells, as _unpack_cells, of the frame rows given from slot low."""
     cells = {}
     for k in range(m + 1 - low):
         cell = _unorm([_unorm(r[:m * (m - 1) // 2 + 1]) for r in rows[k * ls:k * ls + m + 1]])
@@ -481,46 +487,16 @@ def _genfun_coefficients(order, degrees):
     """The t**m coefficients, m in degrees, of the Gegenbauer generating
     function expanded to the given order.
 
-    The exponential runs in q-divided powers over Z (Keigher, Comm.
-    Algebra 25, 1997): n b_n = sum_j j a_j b_{n-j}, with
-    j a_j = (1 - Lambda**j)(w**j + w**-j)/(1 - q**j), times (q;q)_n, is
-
-        n G_n = sum_{j=1..n} row_j (1 - Lambda**j)(w**j + w**-j) G_{n-j},
-
-    row_j = [n over j]_q (q;q)_{j-1}, each term within the frame.  A step is
-    n products of a packed G by a packed row, shifts and one exact division
-    by n; a remainder raises ArithmeticError.  The digits hold every
-    coefficient by the same recurrence on norms, per w-exponent e: |G_n[e]|
-    <= sum_j 2 |row_j|_1 (|G_{n-j}[e-j]| + |G_{n-j}[e+j]|) / n, |.| the
-    largest coefficient and |.|_1 the sum of absolute values.  Only the
-    degrees asked for are read, from their cells with e >= 0 (cos indices),
-    and reduced, one RationalFunction per cos index."""
-    poch = _q_pochhammer_rows(order)
-    rows = _divided_power_rows(order)
-    bound = [{0: 1}]  # per w-exponent, a bound on every coefficient of G_m
-    for n, row in enumerate(rows, 1):
-        cells = {}
-        for j, r in enumerate(row, 1):
-            norm = 2 * sum(map(abs, r))
-            for e, c in bound[n - j].items():
-                cells[e - j] = cells.get(e - j, 0) + norm * c
-                cells[e + j] = cells.get(e + j, 0) + norm * c
-        bound.append({e: c // n for e, c in cells.items()})
-    top = max(max(b.values()) for b in bound)
-    nbytes = _width(max([top] + [max(map(abs, r)) for row in rows for r in row]).bit_length())
+    Its exponential is the exp of qkernel._divided_powers in the order frame:
+    j a_j = (1 - Lambda**j)(w**j + w**-j)/(1 - q**j), so K_j is (q;q)_{j-1},
+    kept in the table, times (1 - Lambda**j)(w**j + w**-j), the row 1 at four
+    places.  Only the degrees asked for are read, from their cells with
+    e >= 0 (cos indices), and reduced, one RationalFunction per cos index."""
     qs, ls = _frame(order)
-    lam, slot = 8 * nbytes * qs, 8 * nbytes * qs * ls  # bits per power of Lambda and per w slot
-    series = [1]
-    for n, row in enumerate(rows, 1):
-        total = 0
-        for j, r in enumerate(row, 1):
-            g = series[n - j] * _pack(r, nbytes)
-            g -= g << (lam * j)
-            total += g + (g << (slot * j))
-        g, rem = divmod(total, n)
-        if rem:
-            raise ArithmeticError(f"{n} does not divide n G_n")
-        series.append(g)
+    logs = [None] + [{(1,): {0: 1, qs * ls * j: 1, qs * j: -1, qs * (ls + 1) * j: -1}}
+                     for j in range(1, order + 1)]
+    series, nbytes, _ = _divided_powers(_q_pascal_rows(order, True), qs, logs)
+    poch = _q_pochhammer_rows(order)
     return [_cos_value(_unpack_cells(series[m], m, order, nbytes, (m + 1) // 2), poch[m]) for m in degrees]
 
 

@@ -263,7 +263,9 @@ def _biased_bytes(c, nbytes):
 def _widen(v, n, nbytes, wider):
     """The n digits of v, nbytes bytes each, packed again at wider bytes a
     digit: each biased field is copied into the low bytes of a wider one,
-    whose bias is then the old one."""
+    whose bias is then the old one.  One digit is the same int at any width."""
+    if n == 1:
+        return v
     data = _restride((v + _bias(nbytes, n)).to_bytes(nbytes * n, "little"), nbytes, wider)
     return int.from_bytes(data, "little") - int.from_bytes(
         (bytes(nbytes - 1) + b"\x80" + bytes(wider - nbytes)) * n, "little")

@@ -11,9 +11,12 @@ independently computed forms:
   * the exponential of an explicit log-series
         e_q(z) = exp( sum_k z**k / (k (1-q**k)) )
         E_q(z) = exp( sum_k (-1)**(k+1) z**k / (k (1-q**k)) )
-    whose coefficients come from the exp recurrence in q-divided powers over
-    Z (_exp_coefficients), composed with the argument by the power sum that
-    the defining sums use too.
+    whose coefficients come from the exp of _divided_powers, composed with
+    the argument by the power sum that the defining sums use too.
+
+_divided_powers is the one q-divided-power loop over Z: its exp gives the
+product forms and the Gegenbauer generating function (families), its log
+the deformed side of the sum rules (connection).
 
 A base is given by its integer exponent base_exp: the base is q**base_exp
 (1, -2 and -4 in the paper), an ordinary rational function of s, and
@@ -28,8 +31,8 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import sub
 
-from .field import (_BULK, RationalFunction, _maxabs, _pack, _raw_poly, _rf_raw, _spread, _uadd, _unorm, _unpack,
-                    _width)
+from .field import (RationalFunction, _maxabs, _pack, _raw_poly, _rf_raw, _spread, _uadd, _umul, _unorm,
+                    _unpack_rows, _widen, _width)
 from .series import NonzeroConstantTerm, TruncatedSeries
 
 
@@ -157,39 +160,88 @@ def quesne_series(argument, base_exp):
 
 def _exp_coefficients(weight, base_exp, order):
     """e_0..e_order of exp(sum_k a_k z**k), for integer v-rows w_k =
-    weight(k) = k a_k (1 - v**k), v = q**base_exp.  With G_n = (v;v)_n e_n,
-    n e_n = sum_j j a_j e_{n-j} reads over Z (q-divided powers)
-
-        n G_n = sum_{j=1..n} [n over j]_v (v;v)_{j-1} w_j G_{n-j},
-
-    on packed G_n; a remainder of the division by n raises ArithmeticError.
-    Each e_n = G_n / (v;v)_n is reduced once, after the factors 1 - v common
-    to both are divided out by running sums.  As exp(sum_k a_k f**k) =
-    sum_n e_n f**n, composing with an f of zero constant term is exact."""
+    weight(k) = k a_k (1 - v**k), v = q**base_exp: G_n = (v;v)_n e_n from the
+    exp of _divided_powers, K_j = (v;v)_{j-1} w_j with (v;v)_{j-1} in the
+    table and w_j's coefficients as places, every step read.  Each e_n =
+    G_n / (v;v)_n is reduced once, after the factors 1 - v common to both are
+    divided out by running sums.  As exp(sum_k a_k f**k) = sum_n e_n f**n,
+    composing with an f of zero constant term is exact."""
     _base(base_exp)
-    rows, w = _divided_power_rows(order), [weight(k) for k in range(1, order + 1)]
-    top, widest = [1], [1] + [_maxabs(r) for r in w + [r for row in rows for r in row] if r]
-    for n, row in enumerate(rows, 1):  # top[m] bounds G_m, widest every digit
-        widest.append(sum(sum(map(abs, r)) * sum(map(abs, w[j])) * top[n - 1 - j] for j, r in enumerate(row)))
-        top.append(widest[-1] // n)
-    nbytes = _width(max(widest).bit_length())
-    nbytes = _BULK.get(nbytes, nbytes)  # a width that _pack converts in bulk
-    digit = 8 * nbytes
-    pw = [_pack(r, nbytes) for r in w]
-    g, packed = [[1]], [1]
-    for n, row in enumerate(rows, 1):
-        total = sum(_pack(r, nbytes) * pw[j] * packed[n - 1 - j] for j, r in enumerate(row))
-        digits = _unpack(total, nbytes, abs(total).bit_length() // digit + 1)
-        if any(c % n for c in digits):
-            raise ArithmeticError(f"{n} does not divide n G_n")
-        g.append(_unorm([c // n for c in digits]))
-        packed.append(total // n)
+    logs = [None] + [{(1,): {i: c for i, c in enumerate(weight(k)) if c}} for k in range(1, order + 1)]
+    rows = _divided_powers(_q_pascal_rows(order, True), None, logs, read=range(order + 1))[2]
     out = []
-    for num, den in zip(g, _q_pochhammer_rows(order)):
+    for num, den in zip([[1]] + [_unorm(rows[n][0]) for n in range(1, order + 1)], _q_pochhammer_rows(order)):
         while num and not sum(num) and not sum(den):  # both vanish at v = 1
             num, den = list(accumulate(num))[:-1], list(accumulate(den))[:-1]
         out.append(_v_rows_ratio(num, den, base_exp))
     return out
+
+
+def _divided_powers(binoms, width, logs=None, series=None, read=()):
+    """Solve n G_n = sum_{j=1..n} [n over j]_x K_j G_{n-j}, G_0 = 1, over Z,
+    that is b = exp(sum_j a_j t**j) with G_n = (x;x)_n b_n and K_j =
+    j (x;x)_j a_j (Keigher, Comm. Algebra 25, 1997), on packed ints: digit i
+    is the coefficient of x**(i mod width) in frame monomial i div width.
+    binoms = _q_pascal_rows(order) may hold a factor of every K_j.  K_j is
+    {x-row: {digit shift: coefficient}}; a row (1,) is the table row itself.
+
+    Given logs[j] = K_j (exp), a remainder by n raises ArithmeticError: of
+    the packed total each step, of any digit on a step read.  Given series =
+    (tops, pack), G_m = pack(m, nbytes) with coefficients at most tops[m]
+    (log), each K_n = n G_n - sum_{j<n} is unpacked.  The digits hold the
+    rows packed, G_n and any total unpacked by the bound sum |[n over j] r|_1
+    |places|_1 |G_{n-j}| (+ n |G_n| in the log; over n for G_n in the exp),
+    |.| the largest coefficient, |.|_1 the sum of absolute values; a wider
+    step widens the G (_widen).  Returns the G and their width in bytes, and
+    {n: digit rows of G_n or K_n, width digits a row (None: one)} for n in
+    read."""
+    log, logs = logs is None, logs or [None]
+    tops, pack = series or ([1], None)
+    packed, nbytes, out = [1], 1, {}
+    for n in range(1, len(binoms)):
+        terms = [(n - j, binoms[n][j] if row == (1,) else _umul(binoms[n][j], list(row)), places)
+                 for j in range(1, n + 1 - log) if tops[n - j] for row, places in logs[j].items() if places]
+        bound = sum([sum(map(abs, row)) * sum(map(abs, places.values())) * tops[m] for m, row, places in terms])
+        if log:
+            bound += n * tops[n]
+        else:
+            tops.append(bound // n)
+        unpack = log or n in read
+        # every row packed meets a G != 0 and a place, so a bound on an unpacked total holds it too
+        need = bound if unpack else max([tops[n]] + [_maxabs(row) for _, row, _ in terms])
+        wider = _width(need.bit_length())
+        if wider > nbytes:
+            for m, g in enumerate(packed):  # in place: one G at a time is copied
+                packed[m] = _widen(g, abs(g).bit_length() // (8 * nbytes) + 1, nbytes, wider)
+            nbytes = wider
+        total, digit = 0, 8 * nbytes
+        for m, row, places in terms:
+            prod = packed[m] * _pack(row, nbytes)
+            for shift, c in places.items():  # a shift 0 and c = +-1 take no copy and no product
+                placed = prod << digit * shift if shift else prod
+                total = total + placed if c == 1 else total - placed if c == -1 else total + c * placed
+        if log:
+            packed.append(pack(n, nbytes))
+            total = n * packed[n] - total
+        else:
+            g, rem = divmod(total, n)
+            if rem:
+                raise ArithmeticError(f"{n} does not divide n G_n")
+            packed.append(g)
+        if unpack:
+            count = abs(total).bit_length() // (8 * nbytes) + 1
+            rows = _unpack_rows(total, nbytes, count, width or count)
+            if not log and any(c % n for r in rows for c in r):
+                raise ArithmeticError(f"{n} does not divide every digit of n G_n")
+            if log:
+                logs.append({})
+                for i, r in enumerate(rows):
+                    if _unorm(r):
+                        sign = 1 if r[-1] > 0 else -1
+                        logs[n].setdefault(tuple(sign * x for x in r), {})[width * i] = sign
+            if n in read:
+                out[n] = rows if log else [[c // n for c in r] for r in rows]
+    return packed, nbytes, out
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +291,19 @@ def _q_pochhammer_rows(n):
     return rows
 
 
-def _divided_power_rows(order):
-    """rows[n - 1][j - 1] = [n over j]_q (q;q)_{j-1}, 1 <= j <= n <= order:
-    the weights of an exponential in q-divided powers (_exp_coefficients,
-    families._genfun_coefficients).  By q-Pascal, [n over j] = [n-1 over j-1]
-    + q**j [n-1 over j], a row is (1 - q**(j-1)) times the row above-left plus
-    q**j times the row above, with [n]_q at j = 1."""
-    rows = [[[1]]]
-    for n in range(2, order + 1):
-        above = rows[-1] + [[]]
-        rows.append([[1] * n] + [_uadd(list(map(sub, a + [0] * (j - 1), [0] * (j - 1) + a)), [0] * j + b if b else b)
-                                 for j, a, b in zip(range(2, n + 1), above, above[1:])])
-    return rows[:order]
+def _q_pascal_rows(order, pochhammer=False):
+    """rows[n][j] = [n over j]_x, times (x;x)_{j-1} for j >= 1 if pochhammer,
+    for 0 <= j <= n <= order.  By q-Pascal, [n over j] = [n-1 over j-1] +
+    x**j [n-1 over j]: a row is the row above-left, times 1 - x**(j-1) for
+    j >= 2 if pochhammer, plus x**j times the row above; shifts and adds."""
+    table = [[[1]]]
+    for n in range(1, order + 1):
+        above, rows = table[-1] + [[]], [[1]]
+        for j, a, b in zip(range(1, n + 1), above, above[1:]):
+            k = j - 1 if pochhammer else 0
+            rows.append(_uadd(list(map(sub, a + [0] * k, [0] * k + a)) if k else a, [0] * j + b if b else b))
+        table.append(rows)
+    return table
 
 
 def _lambda_pochhammer_rows(n):

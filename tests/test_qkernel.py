@@ -222,6 +222,38 @@ def test_product_forms_take_no_series_exp(monkeypatch):
     assert quesne_series(arg, 1) == q_exp_sum("e", arg.scale(ONE - Q), 1)
 
 
+def test_references_take_no_divided_power_kernel(monkeypatch):
+    # the exp and log of the one q-divided-power kernel are checked against
+    # routes that must not share it: with the kernel patched to raise, the
+    # explicit Gegenbauer polynomials, the classical log of the sum rules,
+    # the defining sums and the series exp of the log series still build,
+    # and equal what the kernel gave
+    import qpoly.connection as connection
+    import qpoly.families as families
+    import qpoly.qkernel as qkernel
+
+    order, v = 8, RF.q_power(-2)
+    genfun = families.gegenbauer_genfun_series(order).coeffs
+    deformed, _ = connection.gegenbauer_sum_rule_logs(order)
+    args = _arguments(order)
+    products = [q_exp_product_form(kind, arg, -2) for kind in ("e", "E") for arg in args]
+    quesne = [quesne_series(arg, -2) for arg in args]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("q-divided-power kernel called")
+
+    for module in (qkernel, families, connection):
+        monkeypatch.setattr(module, "_divided_powers", forbidden)
+    with pytest.raises(AssertionError):
+        families.q_gegenbauer_genfun(1)
+    assert [families.q_gegenbauer_direct.__wrapped__(n) for n in range(order + 1)] == list(genfun)
+    classical = connection._classical_log(order)
+    for ell in range(1, order + 1):
+        assert deformed.coeff(ell) == classical.coeff(ell).scale(families.gegenbauer_weight(ell))
+    assert products == [q_exp_sum(kind, arg, -2) for kind in ("e", "E") for arg in args]
+    assert quesne == [_exp_of_log_series(arg, lambda k: (ONE - v) ** k / ((ONE - v**k) * k)) for arg in args]
+
+
 def test_exp_coefficients_raise_when_n_does_not_divide():
     from qpoly.qkernel import _exp_coefficients
 
@@ -229,14 +261,18 @@ def test_exp_coefficients_raise_when_n_does_not_divide():
     with pytest.raises(ArithmeticError):
         _exp_coefficients(lambda k: [1] if k == 1 else [], 1, 4)
     assert _exp_coefficients(lambda k: [1] if k == 1 else [], 1, 1) == [ONE, ONE / (ONE - Q)]
+    # w_1 = 1, w_2 = 1 + q give 2 G_2 = 2 + q - q**2: the packed int is even
+    # at 1-, 2- and 4-byte digits, so only the digit-by-digit check sees it
+    with pytest.raises(ArithmeticError):
+        _exp_coefficients(lambda k: [[1], [1, 1]][k - 1], 1, 2)
 
 
-def test_divided_power_rows_are_binomials_times_pochhammers():
+def test_q_pascal_rows_are_binomials():
     from qpoly.field import _umul
-    from qpoly.qkernel import _divided_power_rows, _q_binomial_rows, _q_pochhammer_rows
+    from qpoly.qkernel import _q_binomial_rows, _q_pascal_rows, _q_pochhammer_rows
 
     for order in range(10):
-        poch = _q_pochhammer_rows(order)
-        assert _divided_power_rows(order) == [
-            [_umul(binom, poch[j - 1]) for j, binom in enumerate(_q_binomial_rows(n, n)[1:], 1)]
-            for n in range(1, order + 1)]
+        binoms, poch = [_q_binomial_rows(n, n) for n in range(order + 1)], _q_pochhammer_rows(order)
+        assert _q_pascal_rows(order) == binoms
+        assert _q_pascal_rows(order, True) == [[[1]] + [_umul(b, poch[j - 1]) for j, b in enumerate(row[1:], 1)]
+                                               for row in binoms]
