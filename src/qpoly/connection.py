@@ -419,6 +419,12 @@ def hermite_connection(n):
 # (-1)**d binom(n_j, m - d) / d! for L_m^{(n_j - m)}, that weight is the int
 # (-1)**d binom(n_j, m - d) (j d)! / (d! j**d), formed with no Fraction.
 
+def _int_binomial(x, m):
+    """The generalized binomial x(x-1)...(x-m+1)/m! of ints x and m >= 0, as
+    an int: falling_binomial with no Fraction."""
+    return math.comb(x, m) if x >= 0 else (-1) ** m * math.comb(m - x - 1, m)
+
+
 def _laguerre_total(k, aux, binomials, powers):
     """The sum of every row (see above), with the prefactors [n over l] and
     p_l = powers[l].  The t-series runs over Z, keyed by (D, mu); the
@@ -426,10 +432,10 @@ def _laguerre_total(k, aux, binomials, powers):
     over D! [k]!."""
     series = [{(0, ()): 1}] + [{} for _ in range(k)]  # t-power -> (D, mu) -> c
     for j in range(1, k + 1):
-        binom = [falling_binomial(-aux.get(j, 0), m).numerator for m in range(k // j + 1)]
+        binom = [_int_binomial(-aux.get(j, 0), m) for m in range(k // j + 1)]
         scaled, blocks = [{0: 1}], []  # per m: d -> h_d (j d)! / j**d of L_m; the t**(j m) term
         for m in range(1, k // j + 1):
-            weights = ((d, (-1) ** d * falling_binomial(aux.get(j, 0), m - d).numerator
+            weights = ((d, (-1) ** d * _int_binomial(aux.get(j, 0), m - d)
                         * math.factorial(j * d) // (math.factorial(d) * j**d)) for d in range(m + 1))
             scaled.append({d: h for d, h in weights if h})
             block = {}

@@ -33,16 +33,16 @@ from functools import lru_cache
 from .field import (RationalFunction, _coerce_or_raise, _power, _raw_poly, _rf_raw, _rows_mul, _spread, _umul,
                     _unorm, _unpack_rows)
 from .qkernel import (
+    _cyclotomic_value,
     _divided_powers,
     _lambda_pochhammer_rows,
+    _poch_exponents,
     _q_binomial_rows,
     _q_pascal_rows,
     _q_pochhammer_rows,
     _q_rows_ratio,
     _times_q_number,
     _x_row_ratio,
-    q_binomial,
-    q_factorial,
 )
 from .series import Ring, TruncatedSeries, ring_sum
 
@@ -392,7 +392,8 @@ def q_laguerre(n, k):
     times the t**k coefficient of E_q(-(1-q) z t) (-q/t; q)_n t**n, the last
     factor sum_l q**((n-l)(n-l+1)/2) [n over l]_q t**l.  By the defining sum
     of E_q it has one term per z**m, m = k - l: that factor's t**l term times
-    q**(m(m-1)/2) (-1)**m / [m]_q!, over the same shift."""
+    q**(m(m-1)/2) (-1)**m / [m]_q!, over the same shift: a ratio of
+    Pochhammer symbols, in lowest terms from its cyclotomic exponents."""
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     shift = (n - k) * (n - k + 1) // 2
@@ -400,7 +401,7 @@ def q_laguerre(n, k):
     for ell in range(min(n, k) + 1):
         m = k - ell
         power = m * (m - 1) // 2 + (n - ell) * (n - ell + 1) // 2 - shift
-        terms[m] = RationalFunction.q_power(power) * q_binomial(n, ell) * (-1)**m / q_factorial(m)
+        terms[m] = _cyclotomic_value((-1) ** m, power, _poch_exponents((n,) + (1,) * m, (ell, n - ell, m)), 1)
     return ZPolynomial._raw(terms)
 
 

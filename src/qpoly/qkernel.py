@@ -14,6 +14,11 @@ independently computed forms:
     whose coefficients come from the exp of _divided_powers, composed with
     the argument by the power sum that the defining sums use too.
 
+The q-numbers, q-factorials, q-binomials, Quesne coefficients, the
+defining sums' coefficients and the q-Laguerre terms (families) are closed
+forms c q**p prod_d Phi_d(v)**e_d over cyclotomic polynomials, assembled in
+lowest terms by _cyclotomic_value with no polynomial gcd.
+
 _divided_powers is the one q-divided-power loop over Z: its exp gives the
 product forms and the Gegenbauer generating function (families), its log
 the deformed side of the sum rules (connection).
@@ -27,7 +32,8 @@ anywhere — all identities here are exact rational-function identities.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
@@ -41,6 +47,7 @@ class IndexOutOfRange(ValueError):
 
 
 _ONE = RationalFunction.one()
+_ZERO = RationalFunction.zero()
 
 
 def _base(b):
@@ -55,8 +62,7 @@ def q_number(n, base_exp=1):
     """[n] = (1 - base**n)/(1 - base) with base = q**base_exp; [0] = 0."""
     if n < 0:
         raise ValueError("q_number needs n >= 0")
-    v = _base(base_exp)
-    return (_ONE - v**n) / (_ONE - v)
+    return _cyclotomic_value(min(n, 1), 0, _poch_exponents((n,), (n - 1, 1)), base_exp)
 
 
 @lru_cache(maxsize=None)
@@ -64,34 +70,25 @@ def q_factorial(n, base_exp=1):
     """[n]! = [n][n-1]...[1]; [0]! = 1."""
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
-    if n == 0:
-        _base(base_exp)  # base 1 is rejected for the empty product too
-        return _ONE
-    return q_factorial(n - 1, base_exp) * q_number(n, base_exp)
+    return _cyclotomic_value(1, 0, _poch_exponents((n,), (1,) * n), base_exp)
 
 
 def q_binomial(n, k, base_exp=1):
     """[n over k] = [n]!/([k]![n-k]!), a polynomial in the base."""
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"q_binomial({n}, {k})")
-    return q_factorial(n, base_exp) / (q_factorial(k, base_exp) * q_factorial(n - k, base_exp))
-
-
-def _pochhammers(a, base_exp, n):
-    """[(a; base)_0, ..., (a; base)_n], (a; base)_l = prod_{k<l} (1 - a*base**k)."""
-    v = _base(base_exp)
-    out = [_ONE]
-    for _ in range(n):
-        out.append(out[-1] * (_ONE - a))
-        a = a * v
-    return out
+    return _cyclotomic_value(1, 0, _poch_exponents((n,), (k, n - k)), base_exp)
 
 
 def q_pochhammer(a, base_exp, n):
     """(a; base)_n = prod_{k=0..n-1} (1 - a*base**k); empty product is 1."""
     if n < 0:
         raise ValueError("q_pochhammer needs n >= 0")
-    return _pochhammers(a, base_exp, n)[-1]
+    v, out = _base(base_exp), _ONE
+    for _ in range(n):
+        out = out * (_ONE - a)
+        a = a * v
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -99,19 +96,114 @@ def quesne_c(k, base_exp=1):
     """c_k = (1 - base)**(k-1) / (k * [k]), the product-expansion coefficients."""
     if k < 1:
         raise ValueError("quesne_c needs k >= 1")
-    v = _base(base_exp)
-    return (_ONE - v) ** (k - 1) / (q_number(k, base_exp) * k)
+    return _cyclotomic_value(Fraction(1, k), 0, _poch_exponents((k - 1,) + (1,) * k, (k,)), base_exp)
+
+
+# ---------------------------------------------------------------------------
+# closed forms over cyclotomic exponents
+# ---------------------------------------------------------------------------
+# With Phi_1 read as 1 - v, 1 - v**k = prod_{d|k} Phi_d(v) and (v;v)_n =
+# prod_d Phi_d**floor(n/d).  A ratio of Pochhammer symbols is then an
+# exponent vector {d: e}, and cancelled exponents are lowest terms: distinct
+# Phi_d are coprime, even as polynomials in s (no root of unity is a
+# primitive root of two orders), and each has constant term 1 and content 1.
+
+def _poch_exponents(tops, bottoms):
+    """{d: e}: prod (v;v)_t over prod (v;v)_b as powers of Phi_d(v)."""
+    exps = {}
+    for d in range(1, max((*tops, *bottoms), default=0) + 1):
+        e = sum(t // d for t in tops) - sum(b // d for b in bottoms)
+        if e:
+            exps[d] = e
+    return exps
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_factors(d):
+    """Phi_d(x), d >= 2, or 1 - x for d = 1, as {m: e} with Phi_d =
+    prod_m (1 - x**m)**e (e = mu(d/m)): 1 - x**d over the factors of its
+    proper divisors."""
+    out = {d: 1}
+    for m in range(1, d // 2 + 1):
+        if not d % m:
+            for k, e in _cyclotomic_factors(m).items():
+                out[k] = out.get(k, 0) - e
+    return {k: e for k, e in out.items() if e}
+
+
+def _cyclotomic_rows(exps):
+    """The v-rows of prod_d Phi_d**exps[d] over the positive and over the
+    negative exponents: each a product of factors 1 - v**m, multiplied by
+    shifts and then divided out exactly by running sums."""
+    rows = []
+    for side in (1, -1):
+        powers = {}
+        for d, e in exps.items():
+            if side * e > 0:
+                for m, f in _cyclotomic_factors(d).items():
+                    powers[m] = powers.get(m, 0) + side * e * f
+        row = [1]
+        for m in sorted(powers, key=powers.get, reverse=True):  # every product before a division
+            for _ in range(abs(powers[m])):
+                row = (_times_one_minus if powers[m] > 0 else _divide_one_minus)(row, m)
+        rows.append(row)
+    return rows
+
+
+def _cyclotomic_value(c, p, exps, b):
+    """c q**p prod_d Phi_d(v)**exps[d], v = q**b, for a rational c (int or
+    Fraction) and int exponents, as the canonical RationalFunction (see
+    above): the only gcd is the integer one of c."""
+    _base(b)  # base 1 is rejected
+    if not c:
+        return _ZERO
+    num, den = _cyclotomic_rows(exps)
+    if c.numerator != 1:
+        num = [c.numerator * x for x in num]
+    if c.denominator != 1:
+        den = [c.denominator * x for x in den]
+    return _coprime_ratio(num, den, b, 2 * p)
+
+
+def _coprime_ratio(num, den, b, s_power):
+    """s**s_power num(v) / den(v), v = q**b, as a canonical RationalFunction
+    with no gcd, for coprime nonzero v-rows with no trailing zeros and coprime
+    contents, with nonzero constant terms if b > 0 (for b < 0 a factor v is a
+    power of s).  A v-row is a q-row of stride |b|; for b < 0 a v-row of
+    degree d is q**(b d) times its reverse in q**-b."""
+    if b < 0:
+        s_power += 2 * b * (len(num) - len(den))
+        num, den = _unorm(num[::-1]), _unorm(den[::-1])
+    num, den = _spread(num, 2 * abs(b)), _spread(den, 2 * abs(b))
+    if s_power > 0:
+        num = [0] * s_power + num
+    elif s_power < 0:
+        den = [0] * -s_power + den
+    if den[-1] < 0:
+        num, den = [-x for x in num], [-x for x in den]
+    return _rf_raw(_raw_poly([num]), _raw_poly([den]))
 
 
 def _power_sum(argument, coeff):
     """sum_k coeff(k) * argument**k to the argument's order; the argument has
-    zero constant term, so the sum stops once its power is 0.  The running
-    power starts at the argument, so no product has the unit series as an
-    operand."""
-    if argument.coeffs[0] != argument.ring.zero:
+    zero constant term, so the sum stops once its power is 0.  A one-term
+    argument c t**d puts coeff(k) c**k at t**(d k), with no series product;
+    otherwise the running power starts at the argument, so no product has
+    the unit series as an operand."""
+    ring, order = argument.ring, argument.order
+    if argument.coeffs[0] != ring.zero:
         raise NonzeroConstantTerm("q-exponential argument needs zero constant term")
-    order = argument.order
-    parts = [TruncatedSeries.one(argument.ring, order).scale(coeff(0))]
+    terms = [(d, c) for d, c in enumerate(argument.coeffs) if c != ring.zero]
+    if len(terms) == 1:
+        (d, c), = terms
+        coeffs = [ring.zero] * (order + 1)
+        coeffs[0], power = ring.one * coeff(0), c
+        for k in range(1, order // d + 1):
+            if k > 1:
+                power = power * c
+            coeffs[d * k] = power * coeff(k)
+        return TruncatedSeries(ring, coeffs, order)
+    parts = [TruncatedSeries.one(ring, order).scale(coeff(0))]
     power = argument
     for k in range(1, order + 1):
         if k > 1:
@@ -131,11 +223,10 @@ def q_exp_sum(kind, argument, base_exp):
     """
     if kind not in ("e", "E"):
         raise ValueError("kind must be 'e' or 'E'")
-    poch = _pochhammers(_base(base_exp), base_exp, argument.order)  # (base; base)_n
 
-    def coeff(n):
-        tri = RationalFunction.q_power(base_exp * n * (n - 1) // 2) if kind == "E" else _ONE
-        return tri / poch[n]
+    def coeff(n):  # base**tri / (base; base)_n
+        tri = n * (n - 1) // 2 if kind == "E" else 0
+        return _cyclotomic_value(1, base_exp * tri, _poch_exponents((), (n,)), base_exp)
 
     return _power_sum(argument, coeff)
 
@@ -257,21 +348,31 @@ def _times_q_number(row, a):
 
 
 def _q_factorial_row(n):
-    """[n]! as an x-row (ascending powers)."""
-    return reduce(_times_q_number, range(2, n + 1), [1])
+    """[n]! as an x-row (ascending powers): (x;x)_n / (1 - x)**n."""
+    return _cyclotomic_rows(_poch_exponents((n,), (1,) * n))[0]
+
+
+def _times_one_minus(row, m):
+    """row * (1 - x**m) for an x-row: a shifted difference."""
+    return list(map(sub, row + [0] * m, [0] * m + row))
+
+
+def _divide_one_minus(row, m):
+    """row / (1 - x**m) for an x-row: a running sum with stride m.  Its top
+    m entries are the remainder: if one is nonzero, ArithmeticError."""
+    r = list(row)
+    for i in range(m):
+        r[i::m] = accumulate(r[i::m])
+    if any(r[len(r) - m:]):
+        raise ArithmeticError(f"1 - x**{m} does not divide the row")
+    del r[len(r) - m:]
+    return r
 
 
 def _divide_q_number(row, a):
-    """row / [a] for an x-row: row * (1 - x) over 1 - x**a, a running sum
-    with stride a.  Its top a entries are the remainder: if one is nonzero,
-    ArithmeticError."""
-    r = list(map(sub, row + [0], [0] + row))
-    for i in range(a):
-        r[i::a] = accumulate(r[i::a])
-    if any(r[len(r) - a:]):
-        raise ArithmeticError(f"[{a}]_x does not divide the row")
-    del r[len(r) - a:]
-    return r
+    """row / [a] for an x-row: row * (1 - x) over 1 - x**a; ArithmeticError
+    if [a] does not divide it."""
+    return _divide_one_minus(_times_one_minus(row, 1), a)
 
 
 def _q_binomial_rows(n, top):
@@ -287,21 +388,23 @@ def _q_pochhammer_rows(n):
     """(q;q)_k for k = 0..n as q-rows, each the last times 1 - q**k."""
     rows = [[1]]
     for k in range(1, n + 1):
-        rows.append(list(map(sub, rows[-1] + [0] * k, [0] * k + rows[-1])))
+        rows.append(_times_one_minus(rows[-1], k))
     return rows
 
 
+@lru_cache(maxsize=None)
 def _q_pascal_rows(order, pochhammer=False):
     """rows[n][j] = [n over j]_x, times (x;x)_{j-1} for j >= 1 if pochhammer,
     for 0 <= j <= n <= order.  By q-Pascal, [n over j] = [n-1 over j-1] +
     x**j [n-1 over j]: a row is the row above-left, times 1 - x**(j-1) for
-    j >= 2 if pochhammer, plus x**j times the row above; shifts and adds."""
+    j >= 2 if pochhammer, plus x**j times the row above; shifts and adds.
+    The table is built once per order and shared: no caller changes it."""
     table = [[[1]]]
     for n in range(1, order + 1):
         above, rows = table[-1] + [[]], [[1]]
         for j, a, b in zip(range(1, n + 1), above, above[1:]):
             k = j - 1 if pochhammer else 0
-            rows.append(_uadd(list(map(sub, a + [0] * k, [0] * k + a)) if k else a, [0] * j + b if b else b))
+            rows.append(_uadd(_times_one_minus(a, k) if k else a, [0] * j + b if b else b))
         table.append(rows)
     return table
 
@@ -343,14 +446,9 @@ def _v_rows_ratio(num, den, b):
 
 def _x_row_ratio(row, d, k):
     """sum_r row[r] x**r / (d s**k) in lowest terms, x = q**-2 = s**-4, for a
-    nonzero x-row with no trailing zeros and an int d > 0.  Times s**(4 deg)
-    on both sides the numerator has the nonzero constant term row[deg], so no
-    factor s, and the denominator is an integer times a power of s: once the
-    integer gcd is out the two are coprime, with no gcd of polynomials."""
+    nonzero x-row with no trailing zeros and an int d > 0: the row and d are
+    coprime once their integer gcd is out (_coprime_ratio)."""
     g = math.gcd(d, *row)
     if g != 1:
         row, d = [c // g for c in row], d // g
-    num = [0] * (4 * len(row) - 3)
-    num[::4] = reversed(row)
-    den = [0] * (k + len(num) - 1) + [d]
-    return _rf_raw(_raw_poly([_unorm(num)]), _raw_poly([den]))
+    return _coprime_ratio(row, [d], -2, -k)

@@ -1123,8 +1123,11 @@ def test_verify_suites_take_no_sparse_product_with_the_unit(monkeypatch):
 
 
 def test_verify_suites_take_no_series_product_with_the_unit(monkeypatch):
-    # power sums start their running power at the argument
-    from qpoly.series import TruncatedSeries
+    # power sums start their running power at the argument; the verify
+    # suites' one-term arguments take no series product at all, so the
+    # q-exponentials also run on the two-term argument t + Lambda t**3
+    from qpoly.qkernel import q_exp_product_form, q_exp_sum, quesne_series
+    from qpoly.series import Ring, TruncatedSeries
     from qpoly.verify import run_suite
 
     _clear_caches()
@@ -1141,6 +1144,12 @@ def test_verify_suites_take_no_series_product_with_the_unit(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
     assert run_suite("all").passed
+    arg = TruncatedSeries(Ring(RF.zero(), RF.one()), [RF.zero(), RF.one(), RF.zero(), RF.lam()], 8)
+    for base in (1, -2, -4):
+        for kind in ("e", "E"):
+            q_exp_sum(kind, arg, base)
+            q_exp_product_form(kind, arg, base)
+        quesne_series(arg, base)
     assert len(products) > 100
     assert with_unit == []
 

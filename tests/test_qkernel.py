@@ -276,3 +276,174 @@ def test_q_pascal_rows_are_binomials():
         assert _q_pascal_rows(order) == binoms
         assert _q_pascal_rows(order, True) == [[[1]] + [_umul(b, poch[j - 1]) for j, b in enumerate(row[1:], 1)]
                                                for row in binoms]
+
+
+def test_q_pascal_tables_are_built_once_and_never_changed():
+    # _q_pascal_rows is cached, so its tables are shared by every kernel call
+    # of one order: the exp, the generating function and the log read them
+    import copy
+
+    from qpoly.connection import gegenbauer_sum_rule
+    from qpoly.families import q_gegenbauer_genfun
+    from qpoly.qkernel import _q_pascal_rows
+
+    order = 8
+    tables = {flag: _q_pascal_rows(order, flag) for flag in (False, True)}
+    copies = copy.deepcopy(tables)
+    arg = t_series(order)
+    for exp in (1, -2, -4):
+        for kind in ("e", "E"):
+            q_exp_product_form(kind, arg, exp)
+        quesne_series(arg, exp)
+    q_gegenbauer_genfun(order)
+    gegenbauer_sum_rule(order)
+    for flag, table in tables.items():
+        assert _q_pascal_rows(order, flag) is table
+        assert table == copies[flag]
+
+
+# ---------------------------------------------------------------------------
+# the power sum of a one-term argument
+# ---------------------------------------------------------------------------
+
+def _q_exp_by_series_products(kind, arg, exp):
+    # sum_n base**tri z**n / (base; base)_n with z**n by TruncatedSeries
+    # products, the coefficients by RationalFunction products: the general
+    # power sum, and no cyclotomic closed form
+    v = RF.q_power(exp)
+    total, power, poch = TruncatedSeries.one(RF_RING, arg.order), TruncatedSeries.one(RF_RING, arg.order), ONE
+    for n in range(1, arg.order + 1):
+        power, poch = power * arg, poch * (ONE - v**n)
+        total = total + power.scale((v ** (n * (n - 1) // 2) if kind == "E" else ONE) / poch)
+    return total
+
+
+@pytest.mark.parametrize("exp", [1, -2, -4])
+def test_power_sum_of_a_monomial_matches_the_series_products(exp):
+    for c in (ONE, -ONE, ONE - Q, RF.lam()):
+        for d in (1, 2):
+            arg = TruncatedSeries.monomial(RF_RING, c, d, 7)
+            for kind in ("e", "E"):
+                assert q_exp_sum(kind, arg, exp) == _q_exp_by_series_products(kind, arg, exp), (c, d, kind)
+
+
+# ---------------------------------------------------------------------------
+# closed forms from cyclotomic exponents, with no polynomial gcd
+# ---------------------------------------------------------------------------
+
+BASES = (1, 2, -1, -2, -4)
+
+
+def _forbidden(*args):
+    raise AssertionError("polynomial gcd called")
+
+
+def _closed_forms(max_n, max_laguerre, order):
+    """The q-numbers, q-factorials, q-binomials and Quesne coefficients for
+    n <= max_n, q_laguerre(n, k) for n, k <= max_laguerre and q_exp_sum to
+    the given order, by label, built with field's polynomial gcd patched to
+    raise."""
+    from unittest import mock
+
+    import qpoly.field as field
+    from qpoly.families import q_laguerre
+
+    values = {}
+    with mock.patch.object(field, "_gcd_cof", _forbidden), mock.patch.object(field, "_ugcd_heu", _forbidden):
+        for b in BASES:
+            for n in range(max_n + 1):
+                values["number", n, b] = q_number.__wrapped__(n, b)
+                values["factorial", n, b] = q_factorial.__wrapped__(n, b)
+                values.update({("binomial", n, k, b): q_binomial(n, k, b) for k in range(n + 1)})
+                if n:
+                    values["quesne", n, b] = quesne_c.__wrapped__(n, b)
+            for kind in ("e", "E"):
+                values["exp", kind, b] = q_exp_sum(kind, t_series(order), b)
+        for n in range(max_laguerre + 1):
+            values.update({("laguerre", n, k): q_laguerre.__wrapped__(n, k) for k in range(max_laguerre + 1)})
+    return values
+
+
+def _chain_forms(max_n, max_laguerre, order):
+    """The same values by RationalFunction products and quotients, each
+    reduced by a polynomial gcd: the route the closed forms replaced."""
+    from qpoly.families import ZPolynomial
+
+    values = {}
+    for b in BASES:
+        v = RF.q_power(b)
+        numbers = [(ONE - v**n) / (ONE - v) for n in range(max(max_n, order) + 1)]
+        facts, poch = [ONE], [ONE]
+        for n in range(1, len(numbers)):
+            facts.append(facts[-1] * numbers[n])
+            poch.append(poch[-1] * (ONE - v**n))
+        for n in range(max_n + 1):
+            values["number", n, b], values["factorial", n, b] = numbers[n], facts[n]
+            values.update({("binomial", n, k, b): facts[n] / (facts[k] * facts[n - k]) for k in range(n + 1)})
+            if n:
+                values["quesne", n, b] = (ONE - v) ** (n - 1) / (numbers[n] * n)
+        for kind in ("e", "E"):
+            coeffs = [(v ** (n * (n - 1) // 2) if kind == "E" else ONE) / poch[n] for n in range(order + 1)]
+            values["exp", kind, b] = TruncatedSeries(RF_RING, coeffs, order)
+    facts = [ONE]
+    for n in range(1, max_laguerre + 1):
+        facts.append(facts[-1] * (ONE - Q**n) / (ONE - Q))
+    for n in range(max_laguerre + 1):
+        for k in range(max_laguerre + 1):
+            shift = (n - k) * (n - k + 1) // 2
+            values["laguerre", n, k] = ZPolynomial({
+                k - ell: RF.q_power((k - ell) * (k - ell - 1) // 2 + (n - ell) * (n - ell + 1) // 2 - shift)
+                * facts[n] / (facts[ell] * facts[n - ell] * facts[k - ell]) * (-1) ** (k - ell)
+                for ell in range(min(n, k) + 1)})
+    return values
+
+
+def _closed_form_mismatches(max_n, max_laguerre, order):
+    """The labels whose closed form (built with no polynomial gcd) and chain
+    value differ in ==, in hash or in a numerator or denominator row."""
+    closed, chain = _closed_forms(max_n, max_laguerre, order), _chain_forms(max_n, max_laguerre, order)
+    assert closed.keys() == chain.keys()
+
+    def parts(x):
+        if isinstance(x, RF):
+            return [x]
+        return list(x.coeffs) if isinstance(x, TruncatedSeries) else [c for _, c in sorted(x._terms.items())]
+
+    return [label for label, value in closed.items()
+            if value != chain[label] or hash(value) != hash(chain[label])
+            or [(p.num._rows, p.den._rows) for p in parts(value)]
+            != [(p.num._rows, p.den._rows) for p in parts(chain[label])]]
+
+
+def test_closed_forms_take_no_polynomial_gcd_and_match_the_chain():
+    from unittest import mock
+
+    import qpoly.field as field
+
+    assert _closed_form_mismatches(10, 8, 8) == []
+    with mock.patch.object(field, "_gcd_cof", _forbidden), pytest.raises(AssertionError):
+        (ONE - Q**2) / (ONE - Q)  # the patch reaches the gcd of a RationalFunction
+
+
+def test_exp_digit_widths_stay_within_their_bounds(monkeypatch):
+    # upper bounds on the exp's digit widths: a narrowing passes, a widening
+    # fails
+    import qpoly.families as families
+    import qpoly.qkernel as qkernel
+
+    widths, kernel = [], qkernel._divided_powers
+
+    def recorded(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        widths.append(out[1])
+        return out
+
+    for module in (qkernel, families):
+        monkeypatch.setattr(module, "_divided_powers", recorded)
+    for order, bound in ((10, 3), (16, 5), (22, 7)):
+        families._genfun_coefficients(order, ())
+        assert widths.pop() <= bound, ("genfun", order)
+    for order, bound in ((8, 2), (12, 3), (20, 4)):
+        for sign in (1, -1):
+            qkernel._exp_coefficients(lambda k: [sign ** (k + 1)], 1, order)
+            assert widths.pop() <= bound, ("qexp", sign, order)
