@@ -13,8 +13,8 @@ relation:
   * Laguerre:  sum_j j*(k_j + l_j) + l = k, with one free auxiliary integer
     n_j per order j; the summed total provably does not depend on them.  The
     total is summed over Z from integer choice weights, per order j and then
-    as integer q-multinomial quotients in q; the rows are the classical
-    products, scaled.
+    as integer q-multinomial quotients in q, each z**D reduced over D! [D]!;
+    the rows are the classical products, scaled.
   * Gegenbauer: the log of the deformed generating function is the classical
     log rescaled per t-order by beta_k = [lambda]_{q**k}.  Exponentiating
     symbolically over polynomials in abstract generators beta_k and abstract
@@ -417,7 +417,13 @@ def hermite_connection(n):
 # factor j carries h_d (j d)! / j**d, and products of z-degrees D and D' join
 # with binom(D + D', D), as exponential generating functions do.  With h_d =
 # (-1)**d binom(n_j, m - d) / d! for L_m^{(n_j - m)}, that weight is the int
-# (-1)**d binom(n_j, m - d) (j d)! / (d! j**d), formed with no Fraction.
+# binom(n_j, m - d) times the cycle weight (-1)**d (j d)! / (d! j**d), which
+# does not depend on n_j: it is formed once per order j, with no Fraction.
+# The parts of each mu at z**D sum to at most D, so prod_{a in mu} [a]
+# divides [D]! (see the quotient kernel), and [k]!/[D]! = prod_{a=D+1..k} [a]
+# divides every Q_mu at z**D, hence its whole numerator.  So each z**D is
+# reduced over D! [D]!: one kernel call of order D per z-power forms its
+# terms c (1 - q)**E [D]!/prod [a], with no factor [k]!/[D]! formed.
 
 def _int_binomial(x, m):
     """The generalized binomial x(x-1)...(x-m+1)/m! of ints x and m >= 0, as
@@ -425,19 +431,18 @@ def _int_binomial(x, m):
     return math.comb(x, m) if x >= 0 else (-1) ** m * math.comb(m - x - 1, m)
 
 
-def _laguerre_total(k, aux, binomials, powers):
-    """The sum of every row (see above), with the prefactors [n over l] and
-    p_l = powers[l].  The t-series runs over Z, keyed by (D, mu); the
-    quotient kernel sums each (D, l), and each z**D is one RationalFunction
-    over D! [k]!."""
-    series = [{(0, ()): 1}] + [{} for _ in range(k)]  # t-power -> (D, mu) -> c
+def _laguerre_series(k, aux):
+    """The t-series of the total (see above) to t**k, over Z: per t-power,
+    {(D, mu): c} for the terms c (1 - q)**E Q_mu z**D / (D! [k]!)."""
+    series = [{(0, ()): 1}] + [{} for _ in range(k)]
     for j in range(1, k + 1):
-        binom = [_int_binomial(-aux.get(j, 0), m) for m in range(k // j + 1)]
+        nj = aux.get(j, 0)
+        top = range(k // j + 1)
+        binom, coeffs = [_int_binomial(-nj, m) for m in top], [_int_binomial(nj, m) for m in top]
+        cycle = [(-1) ** d * math.factorial(j * d) // (math.factorial(d) * j**d) for d in top]
         scaled, blocks = [{0: 1}], []  # per m: d -> h_d (j d)! / j**d of L_m; the t**(j m) term
         for m in range(1, k // j + 1):
-            weights = ((d, (-1) ** d * _int_binomial(aux.get(j, 0), m - d)
-                        * math.factorial(j * d) // (math.factorial(d) * j**d)) for d in range(m + 1))
-            scaled.append({d: h for d, h in weights if h})
+            scaled.append({d: h for d in range(m + 1) if (h := coeffs[m - d] * cycle[d])})
             block = {}
             for i, choices in enumerate(scaled):
                 for d, h in choices.items():
@@ -450,18 +455,29 @@ def _laguerre_total(k, aux, binomials, powers):
                     for d, h in block.items():
                         key = (zpow + j * d, (j,) * d + mu if j > 1 else mu)
                         acc[key] = acc.get(key, 0) + c * h * math.comb(zpow + j * d, zpow)
-    uses = {}  # mu -> [((D, l), E, c)]
+    return series
+
+
+def _laguerre_total(k, aux, binomials, powers):
+    """The sum of every row (see above), with the prefactors [n over l] and
+    p_l = powers[l], from the t-series (_laguerre_series): one call of the
+    quotient kernel per z**D sums each l, and each z**D is one
+    RationalFunction over D! [D]!."""
+    series, uses = _laguerre_series(k, aux), {}  # uses: D -> mu -> [(l, E, c)]
     for ell in range(len(binomials)):
         for (zpow, mu), c in series[k - ell].items():
             if c:
-                uses.setdefault(mu, []).append(((zpow, ell), sum(mu) - len(mu), c))
+                uses.setdefault(zpow, {}).setdefault(mu, []).append((ell, sum(mu) - len(mu), c))
     low = min(powers)
-    nums = {}  # D -> sum_l q**(p_l - low) [n over l] times the kernel row of (D, l)
-    for (zpow, ell), row in _quotient_sums(k, uses).items():
-        nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], _unorm(row)))
-    fact = _q_factorial_row(k)  # z-powers descending: the row sum's order when aux is {}
-    return ZPolynomial._raw({zpow: _q_rows_ratio([nums[zpow]], [math.factorial(zpow) * x for x in fact], 2 * low)
-                             for zpow in sorted(nums, reverse=True) if _unorm(nums[zpow])})
+    terms = {}
+    for zpow in sorted(uses, reverse=True):  # z-powers descending: the row sum's order when aux is {}
+        num = []  # sum_l q**(p_l - low) [n over l] times the kernel row of l
+        for ell, row in _quotient_sums(zpow, uses[zpow]).items():
+            num = _uadd(num, [0] * (powers[ell] - low) + _umul(binomials[ell], _unorm(row)))
+        if _unorm(num):
+            den = [math.factorial(zpow) * x for x in _q_factorial_row(zpow)]
+            terms[zpow] = _q_rows_ratio([num], den, 2 * low)
+    return ZPolynomial._raw(terms)
 
 
 def laguerre_connection(n, k, aux=None):

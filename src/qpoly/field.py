@@ -312,12 +312,14 @@ def _unbiased(data, nbytes):
 
 
 def _flatten(rows, width):
-    """The rows as one digit sequence with width digits per Lambda power."""
+    """The rows (lists or tuples) as one digit list with width digits per
+    Lambda power."""
     flat = []
     for r in rows[:-1]:
         flat += r
         flat += [0] * (width - len(r))
-    return flat + rows[-1]
+    flat += rows[-1]
+    return flat
 
 
 def _rows_mul_packed(a, b, na, nb):

@@ -17,7 +17,8 @@ independently computed forms:
 The q-numbers, q-factorials, q-binomials, Quesne coefficients, the
 defining sums' coefficients and the q-Laguerre terms (families) are closed
 forms c q**p prod_d Phi_d(v)**e_d over cyclotomic polynomials, assembled in
-lowest terms by _cyclotomic_value with no polynomial gcd.
+lowest terms by _cyclotomic_value with no polynomial gcd, from rows built
+once per exponent vector and cached as tuples.
 
 _divided_powers is the one q-divided-power loop over Z: its exp gives the
 product forms and the Gegenbauer generating function (families), its log
@@ -104,18 +105,19 @@ def quesne_c(k, base_exp=1):
 # ---------------------------------------------------------------------------
 # With Phi_1 read as 1 - v, 1 - v**k = prod_{d|k} Phi_d(v) and (v;v)_n =
 # prod_d Phi_d**floor(n/d).  A ratio of Pochhammer symbols is then an
-# exponent vector {d: e}, and cancelled exponents are lowest terms: distinct
-# Phi_d are coprime, even as polynomials in s (no root of unity is a
+# exponent vector ((d, e), ...), and cancelled exponents are lowest terms:
+# distinct Phi_d are coprime, even as polynomials in s (no root of unity is a
 # primitive root of two orders), and each has constant term 1 and content 1.
+# The rows of an exponent vector are built once (_cyclotomic_rows, cached,
+# as tuples) and shared by the closed forms, as each [n]! row
+# (_q_factorial_row) is by the Laguerre total and the quotient kernel.
 
 def _poch_exponents(tops, bottoms):
-    """{d: e}: prod (v;v)_t over prod (v;v)_b as powers of Phi_d(v)."""
-    exps = {}
-    for d in range(1, max((*tops, *bottoms), default=0) + 1):
-        e = sum(t // d for t in tops) - sum(b // d for b in bottoms)
-        if e:
-            exps[d] = e
-    return exps
+    """((d, e), ...) ascending in d: prod (v;v)_t over prod (v;v)_b as powers
+    of Phi_d(v), each distinct argument counted once with its multiplicity."""
+    counts = {t: tops.count(t) - bottoms.count(t) for t in {*tops, *bottoms}}
+    return tuple((d, e) for d in range(1, max(counts, default=0) + 1)
+                 if (e := sum([c * (t // d) for t, c in counts.items()])))
 
 
 @lru_cache(maxsize=None)
@@ -131,14 +133,16 @@ def _cyclotomic_factors(d):
     return {k: e for k, e in out.items() if e}
 
 
+@lru_cache(maxsize=None)
 def _cyclotomic_rows(exps):
-    """The v-rows of prod_d Phi_d**exps[d] over the positive and over the
-    negative exponents: each a product of factors 1 - v**m, multiplied by
-    shifts and then divided out exactly by running sums."""
+    """The v-rows, as tuples, of prod_d Phi_d**e over the positive and over
+    the negative exponents of exps = ((d, e), ...): each a product of factors
+    1 - v**m, multiplied by shifts and then divided out exactly by running
+    sums.  Built once per exponent vector and shared: no caller changes them."""
     rows = []
     for side in (1, -1):
         powers = {}
-        for d, e in exps.items():
+        for d, e in exps:
             if side * e > 0:
                 for m, f in _cyclotomic_factors(d).items():
                     powers[m] = powers.get(m, 0) + side * e * f
@@ -146,23 +150,19 @@ def _cyclotomic_rows(exps):
         for m in sorted(powers, key=powers.get, reverse=True):  # every product before a division
             for _ in range(abs(powers[m])):
                 row = (_times_one_minus if powers[m] > 0 else _divide_one_minus)(row, m)
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _cyclotomic_value(c, p, exps, b):
-    """c q**p prod_d Phi_d(v)**exps[d], v = q**b, for a rational c (int or
-    Fraction) and int exponents, as the canonical RationalFunction (see
-    above): the only gcd is the integer one of c."""
+    """c q**p prod_d Phi_d(v)**e over exps = ((d, e), ...), v = q**b, for a
+    rational c (int or Fraction) and int exponents, as the canonical
+    RationalFunction (see above): the only gcd is the integer one of c."""
     _base(b)  # base 1 is rejected
     if not c:
         return _ZERO
-    num, den = _cyclotomic_rows(exps)
-    if c.numerator != 1:
-        num = [c.numerator * x for x in num]
-    if c.denominator != 1:
-        den = [c.denominator * x for x in den]
-    return _coprime_ratio(num, den, b, 2 * p)
+    num, den = _cyclotomic_rows(exps)  # shared tuples: scaled into fresh lists
+    return _coprime_ratio([c.numerator * x for x in num], [c.denominator * x for x in den], b, 2 * p)
 
 
 def _coprime_ratio(num, den, b, s_power):
@@ -347,9 +347,14 @@ def _times_q_number(row, a):
     return [sum(row[max(0, i - a + 1):i + 1]) for i in range(len(row) + a - 1)]
 
 
+@lru_cache(maxsize=None)
 def _q_factorial_row(n):
-    """[n]! as an x-row (ascending powers): (x;x)_n / (1 - x)**n."""
-    return _cyclotomic_rows(_poch_exponents((n,), (1,) * n))[0]
+    """[n]! as an x-row tuple (ascending powers): the product of [a] = (1 -
+    x**a)/(1 - x) for a <= n, each a shifted difference and a running sum."""
+    row = [1]
+    for a in range(2, n + 1):
+        row = _divide_one_minus(_times_one_minus(row, a), 1)
+    return tuple(row)
 
 
 def _times_one_minus(row, m):
@@ -375,13 +380,15 @@ def _divide_q_number(row, a):
     return _divide_one_minus(_times_one_minus(row, 1), a)
 
 
+@lru_cache(maxsize=None)
 def _q_binomial_rows(n, top):
-    """[n over l]_q for l = 0..top as q-rows, each the last times [n - l + 1]
-    over [l]."""
+    """[n over l]_q for l = 0..top as q-row tuples, each the last times
+    [n - l + 1] over [l].  Built once per (n, top) and shared: no caller
+    changes them."""
     rows = [[1]]
     for ell in range(1, top + 1):
         rows.append(_divide_q_number(_times_q_number(rows[-1], n - ell + 1), ell))
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def _q_pochhammer_rows(n):

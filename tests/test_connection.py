@@ -634,6 +634,93 @@ def test_laguerre_total_matches_family_at_high_degree(n):
     assert laguerre_connection(n, n, aux).total == q_laguerre(n, n)
 
 
+def _laguerre_numerators(n, k, aux, fact):
+    """Per z**D, the numerator over D! [k]! of the Laguerre total, summed from
+    its t-series with each Q_mu = [k]!/prod [a] divided out of the row fact =
+    [k]! by stride sums, and the s-power 2 min p_l: no quotient kernel and no
+    cyclotomic row."""
+    from qpoly.connection import _laguerre_series
+    from qpoly.field import _uadd, _umul
+    from qpoly.qkernel import _divide_q_number, _q_binomial_rows, _times_one_minus
+
+    binomials = _q_binomial_rows(n, min(n, k))
+    shift = (n - k) * (n - k + 1) // 2
+    powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
+    low, quotients, nums = min(powers), {}, {}
+    for ell, terms in enumerate(_laguerre_series(k, aux)[k::-1][:len(binomials)]):
+        for (zpow, mu), c in terms.items():
+            if mu not in quotients:
+                row = fact
+                for a in mu:
+                    row = _divide_q_number(row, a)
+                quotients[mu] = row
+            row = [c * x for x in quotients[mu]]
+            for _ in range(sum(mu) - len(mu)):  # (1 - q)**E
+                row = _times_one_minus(row, 1)
+            row = [0] * (powers[ell] - low) + _umul(binomials[ell], row)
+            nums[zpow] = _uadd(nums.get(zpow, []), row)
+    return nums, 2 * low
+
+
+def _over(num, den, s_power):
+    """s**s_power num(q) / den(q) for q-rows, reduced by the generic gcd."""
+    return RF(IntPoly({(2 * i + max(s_power, 0), 0): c for i, c in enumerate(num)}),
+              IntPoly({(2 * i - min(s_power, 0), 0): c for i, c in enumerate(den)}))
+
+
+def _laguerre_reduction_mismatches(max_nk, auxes, seed):
+    """(n, k, aux, D) for each z**D, n, k <= max_nk and `auxes` seeded aux
+    dicts each, where the Laguerre total (reduced over D! [D]!) and its
+    numerator over D! [k]! reduced by the generic gcd differ in ==, in hash
+    or in a numerator or denominator row.  [k]! is a product of window sums."""
+    from qpoly.qkernel import _times_q_number
+
+    facts = [[1]]
+    for a in range(1, max_nk + 1):
+        facts.append(_times_q_number(facts[-1], a))
+    rng, bad = random.Random(seed), []
+    for n in range(max_nk + 1):
+        for k in range(max_nk + 1):
+            for _ in range(auxes):
+                aux = {j: rng.randint(-3, 3) for j in range(1, k + 1)}
+                total = laguerre_connection(n, k, aux).total._terms
+                nums, s_power = _laguerre_numerators(n, k, aux, facts[k])
+                ref = {zpow: _over(num, [math.factorial(zpow) * x for x in facts[k]], s_power)
+                       for zpow, num in nums.items() if any(num)}
+                for zpow in sorted(total.keys() | ref.keys()):
+                    a, b = total.get(zpow), ref.get(zpow)
+                    if (a is None or b is None or a != b or hash(a) != hash(b)
+                            or (a.num._rows, a.den._rows) != (b.num._rows, b.den._rows)):
+                        bad.append((n, k, aux, zpow))
+    return bad
+
+
+def test_laguerre_total_matches_its_gcd_reduced_numerators_over_d_and_k_factorial():
+    assert _laguerre_reduction_mismatches(8, 3, 33) == []
+
+
+def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ratio():
+    # [k]!/[D]! divides each z**D numerator over D! [k]!, and the quotient over
+    # D! [D]! is the total's coefficient; one unit more at any power is no
+    # multiple of [k]!/[D]! for D < k, and the stride division says so
+    from qpoly.qkernel import _divide_q_number, _q_factorial_row
+
+    n, k, aux = 6, 6, {1: 2, 2: -1, 3: 3}
+    total = laguerre_connection(n, k, aux).total._terms
+    nums, s_power = _laguerre_numerators(n, k, aux, list(_q_factorial_row(k)))
+    rng = random.Random(6)
+    for zpow in range(1, k):
+        num = nums[zpow]
+        for a in range(zpow + 1, k + 1):
+            num = _divide_q_number(num, a)
+        assert _over(num, [math.factorial(zpow) * x for x in _q_factorial_row(zpow)], s_power) == total[zpow]
+        changed = list(nums[zpow])
+        changed[rng.randrange(len(changed))] += 1
+        with pytest.raises(ArithmeticError):
+            for a in range(zpow + 1, k + 1):
+                changed = _divide_q_number(changed, a)
+
+
 # ---------------------------------------------------------------------------
 # Gegenbauer connection
 # ---------------------------------------------------------------------------

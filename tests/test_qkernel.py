@@ -272,7 +272,7 @@ def test_q_pascal_rows_are_binomials():
     from qpoly.qkernel import _q_binomial_rows, _q_pascal_rows, _q_pochhammer_rows
 
     for order in range(10):
-        binoms, poch = [_q_binomial_rows(n, n) for n in range(order + 1)], _q_pochhammer_rows(order)
+        binoms, poch = [list(map(list, _q_binomial_rows(n, n))) for n in range(order + 1)], _q_pochhammer_rows(order)
         assert _q_pascal_rows(order) == binoms
         assert _q_pascal_rows(order, True) == [[[1]] + [_umul(b, poch[j - 1]) for j, b in enumerate(row[1:], 1)]
                                                for row in binoms]
@@ -300,6 +300,62 @@ def test_q_pascal_tables_are_built_once_and_never_changed():
     for flag, table in tables.items():
         assert _q_pascal_rows(order, flag) is table
         assert table == copies[flag]
+
+
+def test_cyclotomic_rows_are_built_once_and_never_changed(monkeypatch):
+    # the rows of each exponent vector, each [n]! and each [n over l] table
+    # are cached tuples shared by the closed forms, the power sums, the
+    # Laguerre totals and the quotient kernel: a second round of the same
+    # calls builds none again, and every row read back is the same unchanged
+    # object
+    import qpoly.families as families
+    import qpoly.qkernel as qkernel
+    from qpoly.connection import hermite_connection, laguerre_connection
+
+    caches = (qkernel._cyclotomic_rows, qkernel._q_factorial_row, qkernel._q_binomial_rows)
+    keys, poch = set(), qkernel._poch_exponents
+
+    def recorded(tops, bottoms):
+        exps = poch(tops, bottoms)
+        keys.add(exps)
+        return exps
+
+    for module in (qkernel, families):
+        monkeypatch.setattr(module, "_poch_exponents", recorded)
+
+    def calls():
+        for n in range(6):
+            for k in range(6):
+                families.q_laguerre.__wrapped__(n, k)
+                laguerre_connection(n, k, {1: 2, 2: -1, 3: 3}).total
+            hermite_connection.__wrapped__(n).total
+        for exp in (1, -2, -4):
+            for kind in ("e", "E"):
+                q_exp_sum(kind, t_series(8), exp)
+
+    for cache in caches:
+        cache.cache_clear()
+    calls()
+    rows = {exps: qkernel._cyclotomic_rows(exps) for exps in keys}
+    facts = {n: qkernel._q_factorial_row(n) for n in range(6)}
+    binoms = {(n, top): qkernel._q_binomial_rows(n, top) for n in range(6) for top in range(n + 1)}
+    built = [cache.cache_info().misses for cache in caches]
+    copies = {exps: [list(r) for r in pair] for exps, pair in rows.items()}
+    binom_copies = {key: [list(r) for r in table] for key, table in binoms.items()}
+    calls()
+    assert [cache.cache_info().misses for cache in caches] == built
+    assert built == [len(keys), len(facts), len(binoms)]
+    for exps, pair in rows.items():
+        assert qkernel._cyclotomic_rows(exps) is pair
+        assert type(pair) is tuple and all(type(r) is tuple for r in pair)
+        assert [list(r) for r in pair] == copies[exps]
+    for n, row in facts.items():
+        assert qkernel._q_factorial_row(n) is row and type(row) is tuple
+        assert row == qkernel._cyclotomic_rows(qkernel._poch_exponents((n,), (1,) * n))[0]
+    for key, table in binoms.items():
+        assert qkernel._q_binomial_rows(*key) is table
+        assert type(table) is tuple and all(type(r) is tuple for r in table)
+        assert [list(r) for r in table] == binom_copies[key]
 
 
 # ---------------------------------------------------------------------------
