@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import add, index, mul
+from operator import add, index, itemgetter, mul
 
 from .field import _flatten, _pack, _uadd, _umul, _unorm, _unpack, _width
 from .families import (
@@ -260,7 +260,7 @@ def _products(keys, block, times, unit):
 # reduction per z-power or cos index.  A key mu keeps the parts above 1 (as
 # [1] = 1), largest first.
 
-def _quotient_sums(n, uses):
+def _quotient_sums(n, uses, order=None):
     """Per key, the x-row of sum c (1 - x)**E Q_mu over the entries (key, E,
     c) of every uses[mu], c an int, with as many digits as the longest term
     of any key.  Rows are packed ints, evaluated at xi = 2**(8*nbytes), a
@@ -271,7 +271,11 @@ def _quotient_sums(n, uses):
     the oracle.  nbytes holds n! (the coefficient sum of [n]!) and sum |c|
     (n!/prod mu) 2**E, a bound on every coefficient of a key's row, so only
     the per-key sums, each c Q_mu of one E summed and then multiplied by
-    (1 - x)**E, are unpacked."""
+    (1 - x)**E, are unpacked.  With order, each key's sum is also divided,
+    packed and with the same check, by [n]!/[m]! = prod_{a=m+1..n} [a] for m
+    = order(key): its terms are then c (1 - x)**E [m]!/prod [a], which needs
+    the parts of every mu of the key to sum to at most m.  The quotient's
+    coefficients are bounded as the key's, so nbytes holds them too."""
     top = math.factorial(n)
     bound, length = {}, 0
     for mu, entries in uses.items():
@@ -298,7 +302,18 @@ def _quotient_sums(n, uses):
         if power not in powers:
             powers[power] = (1 - xi) ** power
         totals[key] = totals.get(key, 0) + v * powers[power]
-    return {key: _unpack(v, nbytes, length) for key, v in totals.items()}
+    if order is None:
+        return {key: _unpack(v, nbytes, length) for key, v in totals.items()}
+    ratios, rows = {n: 1}, {}  # m -> [n]!/[m]! packed
+    for key, v in totals.items():
+        m = order(key)
+        for a in range(min(ratios), m, -1):
+            ratios[a - 1] = ratios[a] * (((1 << (8 * nbytes * a)) - 1) // (xi - 1))
+        quotient, remainder = divmod(v, ratios[m])
+        if remainder:
+            raise ArithmeticError(f"[{n}]!/[{m}]! does not divide the row")
+        rows[key] = _unpack(quotient, nbytes, length - (n * (n - 1) - m * (m - 1)) // 2)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +437,11 @@ def hermite_connection(n):
 # The parts of each mu at z**D sum to at most D, so prod_{a in mu} [a]
 # divides [D]! (see the quotient kernel), and [k]!/[D]! = prod_{a=D+1..k} [a]
 # divides every Q_mu at z**D, hence its whole numerator.  So each z**D is
-# reduced over D! [D]!: one kernel call of order D per z-power forms its
-# terms c (1 - q)**E [D]!/prod [a], with no factor [k]!/[D]! formed.
+# reduced over D! [D]!: one kernel call of order k shares each Q_mu among all
+# z-powers and divides each (D, l) sum, packed, by [k]!/[D]!.  (One kernel
+# call of order D per z-power shares no Q_mu across z-powers and was slower
+# from n = k = 16 up; stride-sum division of the unpacked numerators was
+# slower at every n measured.)
 
 def _int_binomial(x, m):
     """The generalized binomial x(x-1)...(x-m+1)/m! of ints x and m >= 0, as
@@ -461,23 +479,20 @@ def _laguerre_series(k, aux):
 def _laguerre_total(k, aux, binomials, powers):
     """The sum of every row (see above), with the prefactors [n over l] and
     p_l = powers[l], from the t-series (_laguerre_series): one call of the
-    quotient kernel per z**D sums each l, and each z**D is one
+    quotient kernel sums each (D, l) over [D]!, and each z**D is one
     RationalFunction over D! [D]!."""
-    series, uses = _laguerre_series(k, aux), {}  # uses: D -> mu -> [(l, E, c)]
+    series, uses = _laguerre_series(k, aux), {}  # uses: mu -> [((D, l), E, c)]
     for ell in range(len(binomials)):
         for (zpow, mu), c in series[k - ell].items():
             if c:
-                uses.setdefault(zpow, {}).setdefault(mu, []).append((ell, sum(mu) - len(mu), c))
+                uses.setdefault(mu, []).append(((zpow, ell), sum(mu) - len(mu), c))
     low = min(powers)
-    terms = {}
-    for zpow in sorted(uses, reverse=True):  # z-powers descending: the row sum's order when aux is {}
-        num = []  # sum_l q**(p_l - low) [n over l] times the kernel row of l
-        for ell, row in _quotient_sums(zpow, uses[zpow]).items():
-            num = _uadd(num, [0] * (powers[ell] - low) + _umul(binomials[ell], _unorm(row)))
-        if _unorm(num):
-            den = [math.factorial(zpow) * x for x in _q_factorial_row(zpow)]
-            terms[zpow] = _q_rows_ratio([num], den, 2 * low)
-    return ZPolynomial._raw(terms)
+    nums = {}  # D -> sum_l q**(p_l - low) [n over l] times the kernel row of (D, l)
+    for (zpow, ell), row in _quotient_sums(k, uses, itemgetter(0)).items():
+        nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], _unorm(row)))
+    return ZPolynomial._raw({  # z-powers descending: the row sum's order when aux is {}
+        zpow: _q_rows_ratio([nums[zpow]], [math.factorial(zpow) * x for x in _q_factorial_row(zpow)], 2 * low)
+        for zpow in sorted(nums, reverse=True) if _unorm(nums[zpow])})
 
 
 def laguerre_connection(n, k, aux=None):

@@ -349,12 +349,8 @@ def _times_q_number(row, a):
 
 @lru_cache(maxsize=None)
 def _q_factorial_row(n):
-    """[n]! as an x-row tuple (ascending powers): the product of [a] = (1 -
-    x**a)/(1 - x) for a <= n, each a shifted difference and a running sum."""
-    row = [1]
-    for a in range(2, n + 1):
-        row = _divide_one_minus(_times_one_minus(row, a), 1)
-    return tuple(row)
+    """[n]! as an x-row tuple (ascending powers): (x;x)_n / (1 - x)**n."""
+    return _cyclotomic_rows(_poch_exponents((n,), (1,) * n))[0]
 
 
 def _times_one_minus(row, m):

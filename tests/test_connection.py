@@ -8,6 +8,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -290,6 +291,11 @@ def test_quotient_kernel_raises_on_a_nonzero_remainder():
     with pytest.raises(ArithmeticError):
         _quotient_sums(3, {(2, 2): [(0, 0, 1)]})
     assert _quotient_sums(3, {(2,): [(0, 0, 1)], (3,): [(0, 1, 2)]}) == {0: [3, 1, -1]}
+    # with an order m per key, the sum is also divided by [3]!/[m]!: [3]!/[2]
+    # over [3] is 1, and [3]!/[3] = [2]! is no multiple of [3]
+    assert _quotient_sums(3, {(2,): [(2, 0, 1)]}, lambda m: m) == {2: [1]}
+    with pytest.raises(ArithmeticError):
+        _quotient_sums(3, {(3,): [(2, 0, 1)]}, lambda m: m)
 
 
 def test_prefix_walk_steps_each_prefix_once():
@@ -702,7 +708,9 @@ def test_laguerre_total_matches_its_gcd_reduced_numerators_over_d_and_k_factoria
 def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ratio():
     # [k]!/[D]! divides each z**D numerator over D! [k]!, and the quotient over
     # D! [D]! is the total's coefficient; one unit more at any power is no
-    # multiple of [k]!/[D]! for D < k, and the stride division says so
+    # multiple of [k]!/[D]! for D < k, and the stride division says so, as
+    # does the quotient kernel for one more term [k]!/[k] at z**D
+    from qpoly.connection import _laguerre_series, _quotient_sums
     from qpoly.qkernel import _divide_q_number, _q_factorial_row
 
     n, k, aux = 6, 6, {1: 2, 2: -1, 3: 3}
@@ -719,6 +727,15 @@ def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ra
         with pytest.raises(ArithmeticError):
             for a in range(zpow + 1, k + 1):
                 changed = _divide_q_number(changed, a)
+    uses, keys = {}, {}  # the kernel's entries in the total, keyed by (D, l); D -> one key
+    for ell, terms in enumerate(_laguerre_series(k, aux)[k::-1]):
+        for (zpow, mu), c in terms.items():
+            uses.setdefault(mu, []).append(((zpow, ell), sum(mu) - len(mu), c))
+            keys[zpow] = (zpow, ell)
+    assert len(_quotient_sums(k, uses, itemgetter(0))) >= len(keys) == k + 1
+    for zpow in range(k):
+        with pytest.raises(ArithmeticError):
+            _quotient_sums(k, {**uses, (k,): uses.get((k,), []) + [(keys[zpow], 0, 1)]}, itemgetter(0))
 
 
 # ---------------------------------------------------------------------------
