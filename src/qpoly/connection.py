@@ -76,13 +76,11 @@ from .qkernel import (
     _divided_powers,
     _lambda_pochhammer_rows,
     _power_sum,
-    _q_binomial_rows,
-    _q_pascal_rows,
     _q_factorial_row,
+    _q_pascal_rows,
     _q_pochhammer_rows,
-    _q_rows_ratio,
+    _ratio,
     _times_q_number,
-    _x_row_ratio,
     quesne_c,
 )
 from .series import Ring, TruncatedSeries, ring_sum
@@ -374,8 +372,8 @@ def _hermite_values(n, tables):
     """Per table, the sum of its terms (j, mu, a, b), each a/b z**j
     s**(-n-2t) (1 - x)**E Q_mu with E = n - t - |mu|: one quotient kernel
     call over the keys (table index, z-power), each key's sum over the lcm of
-    its b as one RationalFunction over an integer times a power of s, built
-    in lowest terms by _x_row_ratio, as q_hermite's terms are."""
+    its b as one RationalFunction over an integer times a power of s, in
+    lowest terms by the integer gcd alone (_ratio), as q_hermite's terms are."""
     scale = {}  # (table index, j) -> lcm of the b
     for i, terms in enumerate(tables):
         for j, mu, a, b in terms:
@@ -390,7 +388,7 @@ def _hermite_values(n, tables):
         t = (n - j) // 2  # the digits are an x-row of degree <= n(n - 1)/2 - t
         row = _unorm(digits[:n * (n - 1) // 2 - t + 1])
         if row:
-            values[i][j] = _x_row_ratio(row, scale[i, j], n + 2 * t)
+            values[i][j] = _ratio([row], [scale[i, j]], -2, -n - 2 * t)
     return [ZPolynomial._raw(value) for value in values]
 
 
@@ -480,7 +478,7 @@ def _laguerre_total(k, aux, binomials, powers):
     """The sum of every row (see above), with the prefactors [n over l] and
     p_l = powers[l], from the t-series (_laguerre_series): one call of the
     quotient kernel sums each (D, l) over [D]!, and each z**D is one
-    RationalFunction over D! [D]!."""
+    RationalFunction over D! [D]!, reduced by _ratio's polynomial gcd."""
     series, uses = _laguerre_series(k, aux), {}  # uses: mu -> [((D, l), E, c)]
     for ell in range(len(binomials)):
         for (zpow, mu), c in series[k - ell].items():
@@ -491,7 +489,7 @@ def _laguerre_total(k, aux, binomials, powers):
     for (zpow, ell), row in _quotient_sums(k, uses, itemgetter(0)).items():
         nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], _unorm(row)))
     return ZPolynomial._raw({  # z-powers descending: the row sum's order when aux is {}
-        zpow: _q_rows_ratio([nums[zpow]], [math.factorial(zpow) * x for x in _q_factorial_row(zpow)], 2 * low)
+        zpow: _ratio([nums[zpow]], [math.factorial(zpow) * x for x in _q_factorial_row(zpow)], 1, 2 * low)
         for zpow in sorted(nums, reverse=True) if _unorm(nums[zpow])})
 
 
@@ -514,7 +512,7 @@ def laguerre_connection(n, k, aux=None):
         raise ValueError("indices must be >= 0")
     aux = {j: index(v) for j, v in aux.items()} if aux else {}
     shift = (n - k) * (n - k + 1) // 2  # q**shift: the generating function's normalization
-    binomials = _q_binomial_rows(n, min(n, k))
+    binomials = _q_pascal_rows(n)[n][:min(n, k) + 1]
     powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
     factors = {}
 
@@ -531,7 +529,7 @@ def laguerre_connection(n, k, aux=None):
         return ZPolynomial({j * d: h * c**d for d, h in factor(j, kj).items()})
 
     def rows():
-        prefs = [_q_rows_ratio([row], [1], 2 * power) for row, power in zip(binomials, powers)]
+        prefs = [_ratio([row], [1], 1, 2 * power) for row, power in zip(binomials, powers)]
         sols = laguerre_partitions(n, k)
         products = dict(_products([sol.kparts[::-1] for sol in sols], classical, mul, ZPolynomial.one()))
         terms = []
@@ -776,7 +774,7 @@ def gegenbauer_connection_value(expansion):
                        for i, (a, d) in enumerate(zip(acc, doubled)) if a for p, l in lam]
     rows = _quotient_sums(n, uses)
     den = [scale * x for x in _q_pochhammer_rows(n)[n]]  # D (q;q)_n
-    return CosPolynomial({2 * (low + i) - n: _q_rows_ratio([rows.get((i, p), []) for p in range(n + 1)], den)
+    return CosPolynomial({2 * (low + i) - n: _ratio(_unorm([_unorm(rows.get((i, p), [])) for p in range(n + 1)]), den)
                           for i in range(len(doubled))})
 
 

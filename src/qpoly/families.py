@@ -30,19 +30,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import (RationalFunction, _coerce_or_raise, _power, _raw_poly, _rf_raw, _rows_mul, _spread, _umul,
-                    _unorm, _unpack_rows)
+from .field import RationalFunction, _coerce_or_raise, _power, _rows_mul, _umul, _unorm, _unpack_rows
 from .qkernel import (
     _cyclotomic_value,
     _divided_powers,
     _lambda_pochhammer_rows,
     _poch_exponents,
-    _q_binomial_rows,
     _q_pascal_rows,
     _q_pochhammer_rows,
-    _q_rows_ratio,
+    _ratio,
     _times_q_number,
-    _x_row_ratio,
 )
 from .series import Ring, TruncatedSeries, ring_sum
 
@@ -376,13 +373,12 @@ def q_hermite(n):
     coefficient 1, so the numerator has content 2**(m+l) and no factor s."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    binom, odd, terms = _q_binomial_rows(n, n // 2), [1], {}  # odd: prod_{j<=l} [2j-1]_x
+    binom, odd, terms = _q_pascal_rows(n)[n], [1], {}  # odd: prod_{j<=l} [2j-1]_x
     for ell in range(n // 2 + 1):
         m = n - 2 * ell
         odd = _times_q_number(odd, 2 * ell - 1) if ell else odd
-        row = _umul(binom[min(m, n - m)], odd)  # [n over m] = [n over n - m]
         c = 2**m * (-2)**ell
-        terms[m] = _x_row_ratio([c * x for x in row], 1, n + 2 * ell + 2 * m * (m - 1))
+        terms[m] = _ratio([[c * x for x in _umul(binom[m], odd)]], [1], -2, -n - 2 * ell - 2 * m * (m - 1))
     return ZPolynomial._raw(terms)
 
 
@@ -420,18 +416,17 @@ def q_gegenbauer_direct(n):
     form: sum_l (L;q)_l (L;q)_{n-l} / ((q;q)_l (q;q)_{n-l}) cos((n-2l)theta)
     with L = Lambda = q**lambda, so 2 (or 1 at l = n/2) times that fraction
     for cos((n-2l)theta), l <= n/2, from integer q-rows.  The fraction is in
-    lowest terms: a common factor is free of Lambda, as the denominator is,
-    so it divides the numerator's Lambda**0 term 2 or 1 and the denominator's
-    constant term 1.  The denominator's top coefficient is (-1)**n, so odd n
-    negates both."""
+    lowest terms, so qkernel._ratio assembles it with no gcd (coprime=True):
+    a common factor is free of Lambda, as the denominator is, so it divides
+    the numerator's Lambda**0 term 2 or 1 and the denominator's constant
+    term 1."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    lam, poch, sign, terms = _lambda_pochhammer_rows(n), _q_pochhammer_rows(n), (-1) ** n, {}
+    lam, poch, terms = _lambda_pochhammer_rows(n), _q_pochhammer_rows(n), {}
     for ell in range(n // 2 + 1):
-        c = sign if 2 * ell == n else 2 * sign
-        num = [_spread([c * x for x in r]) for r in _rows_mul(lam[ell], lam[n - ell])]
-        den = _spread([sign * x for x in _umul(poch[ell], poch[n - ell])])
-        terms[n - 2 * ell] = _rf_raw(_raw_poly(num), _raw_poly([den]))
+        c = 1 if 2 * ell == n else 2
+        num = [[c * x for x in r] for r in _rows_mul(lam[ell], lam[n - ell])]
+        terms[n - 2 * ell] = _ratio(num, _umul(poch[ell], poch[n - ell]), coprime=True)
     return CosPolynomial._raw(terms)
 
 
@@ -479,8 +474,8 @@ def _cells(rows, m, ls, low=0):
 
 def _cos_value(cells, den):
     """The CosPolynomial sum_e cells[e] w**e / den for a q-row den, one
-    RationalFunction reduction per cos index."""
-    return CosPolynomial._raw({e: _q_rows_ratio(rows if not e else [[2 * x for x in r] for r in rows], den)
+    RationalFunction reduction (qkernel._ratio) per cos index."""
+    return CosPolynomial._raw({e: _ratio(rows if not e else [[2 * x for x in r] for r in rows], den)
                                for e, rows in cells.items() if e >= 0})
 
 

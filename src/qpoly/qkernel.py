@@ -18,7 +18,10 @@ The q-numbers, q-factorials, q-binomials, Quesne coefficients, the
 defining sums' coefficients and the q-Laguerre terms (families) are closed
 forms c q**p prod_d Phi_d(v)**e_d over cyclotomic polynomials, assembled in
 lowest terms by _cyclotomic_value with no polynomial gcd, from rows built
-once per exponent vector and cached as tuples.
+once per exponent vector and cached as tuples.  Every RationalFunction
+built from integer rows (here, in families and in connection) comes from
+one assembly, _ratio, and every [n over l] row from one cached q-Pascal
+table, _q_pascal_rows.
 
 _divided_powers is the one q-divided-power loop over Z: its exp gives the
 product forms and the Gegenbauer generating function (families), its log
@@ -38,8 +41,9 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
-from .field import (RationalFunction, _maxabs, _pack, _raw_poly, _rf_raw, _spread, _uadd, _umul, _unorm,
-                    _unpack_rows, _widen, _width)
+from . import field
+from .field import (RationalFunction, _content_gcd, _maxabs, _pack, _raw_poly, _rf_raw, _uadd, _umul, _unorm,
+                    _unpack_rows, _uval, _widen, _width)
 from .series import NonzeroConstantTerm, TruncatedSeries
 
 
@@ -157,31 +161,14 @@ def _cyclotomic_rows(exps):
 def _cyclotomic_value(c, p, exps, b):
     """c q**p prod_d Phi_d(v)**e over exps = ((d, e), ...), v = q**b, for a
     rational c (int or Fraction) and int exponents, as the canonical
-    RationalFunction (see above): the only gcd is the integer one of c."""
+    RationalFunction (see above), with no gcd as c is in lowest terms."""
     _base(b)  # base 1 is rejected
     if not c:
         return _ZERO
-    num, den = _cyclotomic_rows(exps)  # shared tuples: scaled into fresh lists
-    return _coprime_ratio([c.numerator * x for x in num], [c.denominator * x for x in den], b, 2 * p)
-
-
-def _coprime_ratio(num, den, b, s_power):
-    """s**s_power num(v) / den(v), v = q**b, as a canonical RationalFunction
-    with no gcd, for coprime nonzero v-rows with no trailing zeros and coprime
-    contents, with nonzero constant terms if b > 0 (for b < 0 a factor v is a
-    power of s).  A v-row is a q-row of stride |b|; for b < 0 a v-row of
-    degree d is q**(b d) times its reverse in q**-b."""
-    if b < 0:
-        s_power += 2 * b * (len(num) - len(den))
-        num, den = _unorm(num[::-1]), _unorm(den[::-1])
-    num, den = _spread(num, 2 * abs(b)), _spread(den, 2 * abs(b))
-    if s_power > 0:
-        num = [0] * s_power + num
-    elif s_power < 0:
-        den = [0] * -s_power + den
-    if den[-1] < 0:
-        num, den = [-x for x in num], [-x for x in den]
-    return _rf_raw(_raw_poly([num]), _raw_poly([den]))
+    num, den = _cyclotomic_rows(exps)  # shared tuples: _ratio changes no row
+    if c != 1:
+        num, den = [c.numerator * x for x in num], [c.denominator * x for x in den]
+    return _ratio([num], den, b, 2 * p, coprime=True)
 
 
 def _power_sum(argument, coeff):
@@ -264,7 +251,7 @@ def _exp_coefficients(weight, base_exp, order):
     for num, den in zip([[1]] + [_unorm(rows[n][0]) for n in range(1, order + 1)], _q_pochhammer_rows(order)):
         while num and not sum(num) and not sum(den):  # both vanish at v = 1
             num, den = list(accumulate(num))[:-1], list(accumulate(den))[:-1]
-        out.append(_v_rows_ratio(num, den, base_exp))
+        out.append(_ratio([num], den, base_exp))
     return out
 
 
@@ -340,7 +327,7 @@ def _divided_powers(binoms, width, logs=None, series=None, read=()):
 # ---------------------------------------------------------------------------
 # The integer routes (the connection totals, the Gegenbauer generating
 # function and sum-rule log) keep their q-polynomials as x-rows, x = q (or
-# q**-2 for Hermite), and build a RationalFunction only at the end.
+# q**-2 for Hermite), and build a RationalFunction only at the end (_ratio).
 
 def _times_q_number(row, a):
     """row * [a] for an x-row: a window sum."""
@@ -368,23 +355,6 @@ def _divide_one_minus(row, m):
         raise ArithmeticError(f"1 - x**{m} does not divide the row")
     del r[len(r) - m:]
     return r
-
-
-def _divide_q_number(row, a):
-    """row / [a] for an x-row: row * (1 - x) over 1 - x**a; ArithmeticError
-    if [a] does not divide it."""
-    return _divide_one_minus(_times_one_minus(row, 1), a)
-
-
-@lru_cache(maxsize=None)
-def _q_binomial_rows(n, top):
-    """[n over l]_q for l = 0..top as q-row tuples, each the last times
-    [n - l + 1] over [l].  Built once per (n, top) and shared: no caller
-    changes them."""
-    rows = [[1]]
-    for ell in range(1, top + 1):
-        rows.append(_divide_q_number(_times_q_number(rows[-1], n - ell + 1), ell))
-    return tuple(map(tuple, rows))
 
 
 def _q_pochhammer_rows(n):
@@ -423,35 +393,41 @@ def _lambda_pochhammer_rows(n):
     return out
 
 
-def _q_rows_ratio(rows, den, s_power=0):
-    """s**s_power * sum_p rows[p] Lambda**p / den, reduced by the gcd, for
-    q-rows rows[p] and a nonzero q-row den (q = s**2; trailing zeros
-    allowed).  An x-row over an integer times a power of s needs no gcd of
-    polynomials: see _x_row_ratio."""
-    num = _unorm([_unorm(_spread(r)) for r in rows])
-    den = _unorm(_spread(den))
-    if s_power > 0:
-        num = [[0] * s_power + r if r else r for r in num]
-    else:
-        den = [0] * -s_power + den
-    return RationalFunction(_raw_poly(num), _raw_poly([den]))
+def _ratio(rows, den, b=1, s_power=0, coprime=False):
+    """The canonical RationalFunction s**s_power sum_p rows[p](v) Lambda**p /
+    den(v), v = q**b, from int v-rows (lists or tuples, none changed; no
+    trailing zeros or empty rows) and a nonzero v-row den.  A power of v on
+    either side goes into the power of s; the input decides the common
+    factor taken out of the v-rows: an int den shares only an int, rows
+    coprime by the caller's argument (coprime=True) nothing, any other den
+    the polynomial gcd.  Each row is then placed once (_s_row)."""
+    if not rows:
+        return _ZERO
+    if not (rows[0] and rows[0][0] and den[0]):
+        low, dlow = min([_uval(r) for r in rows if r]), _uval(den)
+        s_power += 2 * b * (low - dlow)
+        rows, den = [r[low:] for r in rows], den[dlow:]
+    if not coprime and len(den) == 1:
+        g = _content_gcd(rows, den[0])
+        if g != 1:
+            rows, den = [[c // g for c in r] for r in rows], [den[0] // g]
+    elif not coprime:  # on field, so a patch of field._gcd_cof reaches it as it does RationalFunction
+        _, fn, fd = field._gcd_cof(_raw_poly(rows), _raw_poly([den]))
+        rows, (den,) = fn._rows, fd._rows
+    top, dtop = (max(map(len, rows)), len(den)) if b < 0 else (0, 0)  # for b < 0 the rows are reversed
+    s_power += 2 * b * (top - dtop)
+    if (den[0] if b < 0 else den[-1]) < 0:
+        rows, den = [[-c for c in r] for r in rows], [-c for c in den]
+    k, lift = 2 * abs(b), max(s_power, 0)
+    num = [_s_row(r, k, lift, top) if r else [] for r in rows]
+    return _rf_raw(_raw_poly(num), _raw_poly([_s_row(den, k, lift - s_power, dtop)]))
 
 
-def _v_rows_ratio(num, den, b):
-    """num(v) / den(v) reduced by the gcd, for v-rows num and den != 0 with
-    no trailing zeros, v = q**b: a v-row is a q-row of stride |b|, and for
-    b < 0 a v-row of degree d is q**(b d) times its reverse in q**-b."""
-    shift = 0
-    if b < 0:
-        shift, num, den = 2 * b * (len(num) - len(den)), num[::-1], den[::-1]
-    return _q_rows_ratio([_spread(num, abs(b))], _spread(den, abs(b)), shift)
-
-
-def _x_row_ratio(row, d, k):
-    """sum_r row[r] x**r / (d s**k) in lowest terms, x = q**-2 = s**-4, for a
-    nonzero x-row with no trailing zeros and an int d > 0: the row and d are
-    coprime once their integer gcd is out (_coprime_ratio)."""
-    g = math.gcd(d, *row)
-    if g != 1:
-        row, d = [c // g for c in row], d // g
-    return _coprime_ratio(row, [d], -2, -k)
+def _s_row(row, k, shift, top=0):
+    """The s-row of s**shift row(s**k), or given top >= len(row), of
+    s**shift (s**k)**(top - 1) row(s**-k): for b < 0, a v-row of degree d is
+    v**d times its reverse in 1/v = q**-b."""
+    n = top or len(row)
+    out = [0] * (shift + k * n - k + 1)
+    out[shift + k * (n - len(row))::k] = reversed(row) if top else row
+    return _unorm(out)

@@ -224,9 +224,15 @@ def test_hermite_u_v_integer_forms_match_quesne_c():
         assert forms["v"] == quesne_c(k, -4) * (q * 2 / (1 + q**2)) ** k * sign
 
 
-def test_divide_q_number_is_exact_or_raises():
-    from qpoly.qkernel import _divide_q_number
+def _divide_q_number(row, a):
+    """row / [a] for an x-row: row (1 - x) over 1 - x**a by qkernel's stride
+    sums; ArithmeticError if [a] does not divide it."""
+    from qpoly.qkernel import _divide_one_minus, _times_one_minus
 
+    return _divide_one_minus(_times_one_minus(row, 1), a)
+
+
+def test_divide_q_number_is_exact_or_raises():
     rng = random.Random(17)
     for _ in range(200):
         a = rng.randint(1, 7)
@@ -647,9 +653,11 @@ def _laguerre_numerators(n, k, aux, fact):
     cyclotomic row."""
     from qpoly.connection import _laguerre_series
     from qpoly.field import _uadd, _umul
-    from qpoly.qkernel import _divide_q_number, _q_binomial_rows, _times_one_minus
+    from qpoly.qkernel import _times_one_minus, _times_q_number
 
-    binomials = _q_binomial_rows(n, min(n, k))
+    binomials = [[1]]
+    for ell in range(1, min(n, k) + 1):  # [n over l] = [n over l - 1] [n - l + 1] / [l]
+        binomials.append(_divide_q_number(_times_q_number(binomials[-1], n - ell + 1), ell))
     shift = (n - k) * (n - k + 1) // 2
     powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
     low, quotients, nums = min(powers), {}, {}
@@ -711,7 +719,7 @@ def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ra
     # multiple of [k]!/[D]! for D < k, and the stride division says so, as
     # does the quotient kernel for one more term [k]!/[k] at z**D
     from qpoly.connection import _laguerre_series, _quotient_sums
-    from qpoly.qkernel import _divide_q_number, _q_factorial_row
+    from qpoly.qkernel import _q_factorial_row
 
     n, k, aux = 6, 6, {1: 2, 2: -1, 3: 3}
     total = laguerre_connection(n, k, aux).total._terms
@@ -941,28 +949,27 @@ def test_laguerre_builds_each_binomial_row_and_factor_once(monkeypatch):
     # every read of the rows (the total takes integer weights instead)
     import qpoly.connection as connection
 
-    binomials, factors = [], []
-    binomial_rows = connection._q_binomial_rows
+    tables, factors = [], []
+    pascal_rows = connection._q_pascal_rows
 
-    def counted_rows(n, top):
-        rows = binomial_rows(n, top)
-        binomials.extend((n, ell, tuple(row)) for ell, row in enumerate(rows))
-        return rows
+    def counted_rows(order):
+        tables.append(order)
+        return pascal_rows(order)
 
     def counted_classical(idx):
         factors.append((idx.k, idx.alpha))
         return laguerre_classical(idx)
 
-    monkeypatch.setattr(connection, "_q_binomial_rows", counted_rows)
+    monkeypatch.setattr(connection, "_q_pascal_rows", counted_rows)
     monkeypatch.setattr(connection, "laguerre_classical", counted_classical)
     n, k, aux = 5, 6, {1: 2, 2: -1, 3: 3}
     expansion = laguerre_connection(n, k, aux)
     assert expansion.rescaled_total() == q_laguerre(n, k)
     assert expansion.terms == expansion.terms
     q = RF.q()
-    assert [ell for _, ell, _ in binomials] == list(range(min(n, k) + 1))
-    for _, ell, row in binomials:
-        assert sum((c * q**i for i, c in enumerate(row)), RF.zero()) == q_binomial(n, ell, 1)
+    assert tables == [n]
+    for ell in range(min(n, k) + 1):
+        assert sum((c * q**i for i, c in enumerate(pascal_rows(n)[n][ell])), RF.zero()) == q_binomial(n, ell, 1)
     parts = {part for sol in laguerre_partitions(n, k) for part in sol.kparts}
     assert sorted(factors) == sorted((kj, aux.get(j, 0) - kj) for j, kj in parts)
 
@@ -1163,7 +1170,7 @@ def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
     from qpoly.connection import _direct_packed
     from qpoly.families import _cos_value, _frame, _unpack_cells
     from qpoly.field import _flatten, _pack, _rows_mul
-    from qpoly.qkernel import _lambda_pochhammer_rows, _q_binomial_rows, _q_pochhammer_rows
+    from qpoly.qkernel import _lambda_pochhammer_rows, _q_pascal_rows, _q_pochhammer_rows
 
     order, nbytes = 12, 4
     lam, poch = _lambda_pochhammer_rows(order), _q_pochhammer_rows(order)
@@ -1171,9 +1178,9 @@ def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
     blocks = [_pack(_flatten(rows, qs), nbytes) for rows in lam]
     for i in range(order + 1):
         expected = {}
-        for ell, binom in enumerate(_q_binomial_rows(i, i // 2)):
+        for ell, binom in enumerate(_q_pascal_rows(order)[i][:i // 2 + 1]):
             expected[i - 2 * ell] = expected[2 * ell - i] = _rows_mul([binom], _rows_mul(lam[ell], lam[i - ell]))
-        packed = _direct_packed(i, _q_binomial_rows(i, i), blocks, nbytes, 8 * nbytes * qs * ls)
+        packed = _direct_packed(i, _q_pascal_rows(order)[i], blocks, nbytes, 8 * nbytes * qs * ls)
         cells = _unpack_cells(packed, i, order, nbytes)
         assert cells == expected
         assert _cos_value(cells, poch[i]) == q_gegenbauer_direct(i)

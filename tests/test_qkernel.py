@@ -74,13 +74,62 @@ def test_q_pochhammer_examples():
 
 
 def test_lambda_pochhammer_rows_are_the_pochhammer_symbols():
-    from qpoly.qkernel import _lambda_pochhammer_rows, _q_rows_ratio
+    from qpoly.qkernel import _lambda_pochhammer_rows, _ratio
 
     table = _lambda_pochhammer_rows(8)
     assert len(table) == 9
     for ell, rows in enumerate(table):
         assert all(rows) and len(rows) == ell + 1
-        assert _q_rows_ratio(rows, [1]) == q_pochhammer(RF.lam(), 1, ell)
+        assert _ratio(rows, [1]) == q_pochhammer(RF.lam(), 1, ell)
+
+
+def _random_row(rng, low):
+    """A nonzero v-row of up to 5 random ints after `low` zeros (a factor
+    v**low), with no trailing zeros."""
+    row = [0] * low + [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+    row[-1] = row[-1] or rng.choice((-1, 1))
+    return row
+
+
+def test_ratio_matches_the_gcd_reduced_fraction():
+    # _ratio against RationalFunction(num, den) of the spread IntPolys, both
+    # times one power of s that makes every exponent >= 0, reduced by the
+    # generic gcd: ==, hash and both rows agree, and no input row changes
+    import copy
+    import random
+
+    from qpoly.field import IntPoly, _umul, poly_gcd
+    from qpoly.qkernel import _ratio
+
+    rng, coprimes = random.Random(34), 0
+    for case in range(600):
+        b, s_power = rng.choice((1, 2, -1, -2, -4)), rng.randint(-7, 7)
+        common = rng.choice(([1], [2], [1, -1], [1, 1], [3, 0, -1], [0, 1], [0, 0, 2]))  # a factor of both
+        rows = [[] if rng.random() < 0.3 else _random_row(rng, rng.randint(0, 2)) for _ in range(rng.randint(1, 4))]
+        rows[-1] = rows[-1] or _random_row(rng, 0)  # empty rows only between nonzero ones
+        if case % 3:
+            rows = [_umul(r, common) if r else r for r in rows]
+        den = [rng.choice((-1, 1)) * rng.randint(1, 12)] if case % 4 == 0 else _random_row(rng, rng.randint(0, 2))
+        den = [0] * rng.randint(0, 2) + den if case % 8 == 0 else den  # an int times a power of v
+        if case % 3:
+            den = _umul(den, common)
+        given = [tuple(r) for r in rows] if case % 5 == 0 else rows
+        before = copy.deepcopy((given, den))
+        shift = 2 * abs(b) * max(map(len, rows + [den])) + abs(s_power)
+        expected = RF(IntPoly({(2 * b * i + s_power + shift, p): c for p, r in enumerate(rows) for i, c in enumerate(r)
+                               if c}),
+                      IntPoly({(2 * b * i + shift, 0): c for i, c in enumerate(den) if c}))
+        got = _ratio(given, den, b, s_power)
+        assert (given, den) == before, case
+        assert got == expected and hash(got) == hash(expected), case
+        assert (got.num._rows, got.den._rows) == (expected.num._rows, expected.den._rows), case
+        if poly_gcd(IntPoly({(i, p): c for p, r in enumerate(rows) for i, c in enumerate(r) if c}),
+                    IntPoly({(i, 0): c for i, c in enumerate(den) if c})) == 1:  # coprime as rows in v
+            coprimes += 1
+            coprime = _ratio(given, den, b, s_power, coprime=True)
+            assert (coprime.num._rows, coprime.den._rows) == (expected.num._rows, expected.den._rows), case
+    assert coprimes > 100
+    assert _ratio([], [3], -2, 5) == 0 and _ratio([], [3], -2, 5).den._rows == [[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +317,32 @@ def test_exp_coefficients_raise_when_n_does_not_divide():
 
 
 def test_q_pascal_rows_are_binomials():
+    # against q_binomial's rows, products and stride quotients of 1 - x**m
     from qpoly.field import _umul
-    from qpoly.qkernel import _q_binomial_rows, _q_pascal_rows, _q_pochhammer_rows
+    from qpoly.qkernel import _cyclotomic_rows, _poch_exponents, _q_pascal_rows, _q_pochhammer_rows
 
     for order in range(10):
-        binoms, poch = [list(map(list, _q_binomial_rows(n, n))) for n in range(order + 1)], _q_pochhammer_rows(order)
+        binoms = [[list(_cyclotomic_rows(_poch_exponents((n,), (j, n - j)))[0]) for j in range(n + 1)]
+                  for n in range(order + 1)]
+        poch = _q_pochhammer_rows(order)
         assert _q_pascal_rows(order) == binoms
         assert _q_pascal_rows(order, True) == [[[1]] + [_umul(b, poch[j - 1]) for j, b in enumerate(row[1:], 1)]
                                                for row in binoms]
 
 
 def test_q_pascal_tables_are_built_once_and_never_changed():
-    # _q_pascal_rows is cached, so its tables are shared by every kernel call
-    # of one order: the exp, the generating function and the log read them
+    # _q_pascal_rows is cached, so its tables are shared by every call of one
+    # order: the exp, the generating function and the log read them, and
+    # q_hermite and the Laguerre totals and rows read their [n over l] rows
     import copy
 
-    from qpoly.connection import gegenbauer_sum_rule
-    from qpoly.families import q_gegenbauer_genfun
+    from qpoly.connection import gegenbauer_sum_rule, laguerre_connection
+    from qpoly.families import ZPolynomial, q_gegenbauer_genfun, q_hermite
     from qpoly.qkernel import _q_pascal_rows
 
     order = 8
-    tables = {flag: _q_pascal_rows(order, flag) for flag in (False, True)}
+    tables = {(m, flag): _q_pascal_rows(m, flag) for m in range(order + 1) for flag in (False, True)}
+    rows = {key: [row for line in table for row in line] for key, table in tables.items()}
     copies = copy.deepcopy(tables)
     arg = t_series(order)
     for exp in (1, -2, -4):
@@ -297,22 +351,28 @@ def test_q_pascal_tables_are_built_once_and_never_changed():
         quesne_series(arg, exp)
     q_gegenbauer_genfun(order)
     gegenbauer_sum_rule(order)
-    for flag, table in tables.items():
-        assert _q_pascal_rows(order, flag) is table
-        assert table == copies[flag]
+    for n in range(order + 1):
+        q_hermite.__wrapped__(n)
+        for k in range(min(n, 6) + 1):
+            expansion = laguerre_connection(n, k, {1: 2, 2: -1, 3: 3})
+            assert expansion.total == ZPolynomial.sum([term.value for term in expansion.terms])
+    for key, table in tables.items():
+        assert _q_pascal_rows(*key) is table
+        assert all(a is b for a, b in zip([row for line in table for row in line], rows[key], strict=True))
+        assert table == copies[key]
 
 
 def test_cyclotomic_rows_are_built_once_and_never_changed(monkeypatch):
-    # the rows of each exponent vector, each [n]! and each [n over l] table
-    # are cached tuples shared by the closed forms, the power sums, the
-    # Laguerre totals and the quotient kernel: a second round of the same
-    # calls builds none again, and every row read back is the same unchanged
-    # object
+    # the rows of each exponent vector and each [n]! are cached tuples, and
+    # each q-Pascal table is cached, shared by the closed forms, the power
+    # sums, the Laguerre totals and the quotient kernel: a second round of the
+    # same calls builds none again, and every row read back is the same
+    # unchanged object
     import qpoly.families as families
     import qpoly.qkernel as qkernel
     from qpoly.connection import hermite_connection, laguerre_connection
 
-    caches = (qkernel._cyclotomic_rows, qkernel._q_factorial_row, qkernel._q_binomial_rows)
+    caches = (qkernel._cyclotomic_rows, qkernel._q_factorial_row, qkernel._q_pascal_rows)
     keys, poch = set(), qkernel._poch_exponents
 
     def recorded(tops, bottoms):
@@ -338,7 +398,7 @@ def test_cyclotomic_rows_are_built_once_and_never_changed(monkeypatch):
     calls()
     rows = {exps: qkernel._cyclotomic_rows(exps) for exps in keys}
     facts = {n: qkernel._q_factorial_row(n) for n in range(6)}
-    binoms = {(n, top): qkernel._q_binomial_rows(n, top) for n in range(6) for top in range(n + 1)}
+    binoms = {n: qkernel._q_pascal_rows(n) for n in range(6)}
     built = [cache.cache_info().misses for cache in caches]
     calls()
     assert [cache.cache_info().misses for cache in caches] == built
@@ -347,9 +407,8 @@ def test_cyclotomic_rows_are_built_once_and_never_changed(monkeypatch):
         assert type(pair) is tuple and all(type(r) is tuple for r in pair)
     for n, row in facts.items():
         assert qkernel._q_factorial_row(n) is row and type(row) is tuple
-    for key, table in binoms.items():
-        assert qkernel._q_binomial_rows(*key) is table
-        assert type(table) is tuple and all(type(r) is tuple for r in table)
+    for n, table in binoms.items():
+        assert qkernel._q_pascal_rows(n) is table
 
 
 # ---------------------------------------------------------------------------
