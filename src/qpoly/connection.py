@@ -65,7 +65,7 @@ from .families import (
     _cells,
     _cos_value,
     _frame,
-    falling_binomial,
+    _int_binomial,
     gegenbauer_classical,
     gegenbauer_weight,
     hermite_classical,
@@ -74,11 +74,11 @@ from .families import (
 )
 from .qkernel import (
     _divided_powers,
-    _lambda_pochhammer_rows,
+    _lambda_pochhammer_row,
     _power_sum,
     _q_factorial_row,
-    _q_pascal_rows,
-    _q_pochhammer_rows,
+    _q_pascal_row,
+    _q_pochhammer_row,
     _ratio,
     _times_q_number,
     quesne_c,
@@ -441,12 +441,6 @@ def hermite_connection(n):
 # from n = k = 16 up; stride-sum division of the unpacked numerators was
 # slower at every n measured.)
 
-def _int_binomial(x, m):
-    """The generalized binomial x(x-1)...(x-m+1)/m! of ints x and m >= 0, as
-    an int: falling_binomial with no Fraction."""
-    return math.comb(x, m) if x >= 0 else (-1) ** m * math.comb(m - x - 1, m)
-
-
 def _laguerre_series(k, aux):
     """The t-series of the total (see above) to t**k, over Z: per t-power,
     {(D, mu): c} for the terms c (1 - q)**E Q_mu z**D / (D! [k]!)."""
@@ -512,7 +506,7 @@ def laguerre_connection(n, k, aux=None):
         raise ValueError("indices must be >= 0")
     aux = {j: index(v) for j, v in aux.items()} if aux else {}
     shift = (n - k) * (n - k + 1) // 2  # q**shift: the generating function's normalization
-    binomials = _q_pascal_rows(n)[n][:min(n, k) + 1]
+    binomials = _q_pascal_row(n, False)[:min(n, k) + 1]
     powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
     factors = {}
 
@@ -535,7 +529,7 @@ def laguerre_connection(n, k, aux=None):
         terms = []
         for sol in sols:
             coefficient = prefs[sol.ell] * math.prod(
-                falling_binomial(-aux.get(j, 0), lj) for j, lj in sol.lparts)
+                _int_binomial(-aux.get(j, 0), lj) for j, lj in sol.lparts)
             terms.append(ConnectionTerm(sol, coefficient, products[sol.kparts[::-1]].scale(coefficient)))
         return tuple(terms)
 
@@ -773,7 +767,7 @@ def gegenbauer_connection_value(expansion):
         uses[parts] = [((i, p), power, a * d * l)
                        for i, (a, d) in enumerate(zip(acc, doubled)) if a for p, l in lam]
     rows = _quotient_sums(n, uses)
-    den = [scale * x for x in _q_pochhammer_rows(n)[n]]  # D (q;q)_n
+    den = [scale * x for x in _q_pochhammer_row(n)]  # D (q;q)_n
     return CosPolynomial({2 * (low + i) - n: _ratio(_unorm([_unorm(rows.get((i, p), [])) for p in range(n + 1)]), den)
                           for i in range(len(doubled))})
 
@@ -835,7 +829,8 @@ def _log_coefficients(order, degrees):
     |G_i| <= max_l |[i over l]|_1 |(Lambda;q)_l|_1 |(Lambda;q)_{i-l}| (|.| the
     largest coefficient, |.|_1 the sum of absolute values).  Only the c_n
     asked for are reduced, once per cos index."""
-    poch, lam, binoms = _q_pochhammer_rows(order), _lambda_pochhammer_rows(order), _q_pascal_rows(order)
+    lam = [_lambda_pochhammer_row(ell) for ell in range(order + 1)]
+    binoms = [_q_pascal_row(i, False) for i in range(order + 1)]
     norms = [sum(sum(map(abs, r)) for r in rows) for rows in lam]
     tops = [max(max(map(abs, r)) for r in rows) for rows in lam]
     top = [max(sum(binoms[i][ell]) * norms[ell] * tops[i - ell] for ell in range(i // 2 + 1))
@@ -848,7 +843,7 @@ def _log_coefficients(order, degrees):
         return _direct_packed(m, binoms[m], packed_lam, nbytes, 8 * nbytes * qs * ls)
 
     ks = _divided_powers(binoms, qs, series=(top, pack), read=degrees)[2]
-    return [_cos_value(_cells(ks[m], m, ls), [m * x for x in poch[m]]) for m in degrees]
+    return [_cos_value(_cells(ks[m], m, ls), [m * x for x in _q_pochhammer_row(m)]) for m in degrees]
 
 
 def gegenbauer_sum_rule_logs(order):

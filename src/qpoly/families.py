@@ -34,10 +34,10 @@ from .field import RationalFunction, _coerce_or_raise, _power, _rows_mul, _umul,
 from .qkernel import (
     _cyclotomic_value,
     _divided_powers,
-    _lambda_pochhammer_rows,
+    _lambda_pochhammer_row,
     _poch_exponents,
-    _q_pascal_rows,
-    _q_pochhammer_rows,
+    _q_pascal_row,
+    _q_pochhammer_row,
     _ratio,
     _times_q_number,
 )
@@ -308,14 +308,17 @@ class LaguerreIndex:
         return self.k + self.alpha
 
 
+def _int_binomial(x, m):
+    """The generalized binomial x(x-1)...(x-m+1)/m! of ints x and m >= 0, as
+    an int."""
+    return math.comb(x, m) if x >= 0 else (-1) ** m * math.comb(m - x - 1, m)
+
+
 def falling_binomial(n, m):
     """Generalized binomial n(n-1)...(n-m+1)/m! for any integer n, m >= 0."""
     if m < 0:
         raise ValueError("lower index must be >= 0")
-    num = 1
-    for j in range(m):
-        num *= n - j
-    return Fraction(num, math.factorial(m))
+    return Fraction(_int_binomial(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +376,7 @@ def q_hermite(n):
     coefficient 1, so the numerator has content 2**(m+l) and no factor s."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    binom, odd, terms = _q_pascal_rows(n)[n], [1], {}  # odd: prod_{j<=l} [2j-1]_x
+    binom, odd, terms = _q_pascal_row(n, False), [1], {}  # odd: prod_{j<=l} [2j-1]_x
     for ell in range(n // 2 + 1):
         m = n - 2 * ell
         odd = _times_q_number(odd, 2 * ell - 1) if ell else odd
@@ -422,11 +425,11 @@ def q_gegenbauer_direct(n):
     term 1."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    lam, poch, terms = _lambda_pochhammer_rows(n), _q_pochhammer_rows(n), {}
+    terms = {}
     for ell in range(n // 2 + 1):
         c = 1 if 2 * ell == n else 2
-        num = [[c * x for x in r] for r in _rows_mul(lam[ell], lam[n - ell])]
-        terms[n - 2 * ell] = _ratio(num, _umul(poch[ell], poch[n - ell]), coprime=True)
+        num = [[c * x for x in r] for r in _rows_mul(_lambda_pochhammer_row(ell), _lambda_pochhammer_row(n - ell))]
+        terms[n - 2 * ell] = _ratio(num, _umul(_q_pochhammer_row(ell), _q_pochhammer_row(n - ell)), coprime=True)
     return CosPolynomial._raw(terms)
 
 
@@ -491,9 +494,9 @@ def _genfun_coefficients(order, degrees):
     qs, ls = _frame(order)
     logs = [None] + [{(1,): {0: 1, qs * ls * j: 1, qs * j: -1, qs * (ls + 1) * j: -1}}
                      for j in range(1, order + 1)]
-    series, nbytes, _ = _divided_powers(_q_pascal_rows(order, True), qs, logs)
-    poch = _q_pochhammer_rows(order)
-    return [_cos_value(_unpack_cells(series[m], m, order, nbytes, (m + 1) // 2), poch[m]) for m in degrees]
+    series, nbytes, _ = _divided_powers([_q_pascal_row(m, True) for m in range(order + 1)], qs, logs)
+    return [_cos_value(_unpack_cells(series[m], m, order, nbytes, (m + 1) // 2), _q_pochhammer_row(m))
+            for m in degrees]
 
 
 def gegenbauer_genfun_series(order):

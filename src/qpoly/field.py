@@ -770,10 +770,9 @@ def _gcd_lam_heu(a, b):
 
 def poly_gcd(a, b):
     """gcd in Z[s, Lambda], positive leading coefficient, content included."""
-    if a.is_zero():
-        return b if b.is_zero() else _pos_lead(b)
-    if b.is_zero():
-        return _pos_lead(a)
+    if a.is_zero() or b.is_zero():
+        p = b if a.is_zero() else a
+        return -p if p.leading_coeff() < 0 else p
     return _gcd_cof(a, b)[0]
 
 
@@ -802,12 +801,6 @@ def _gcd_cof(a, b):
     g, fa, fb = (_raw_poly(p if c == [1] else _rows_mul([c], p))
                  for c, p in ((cg, pg), (fa, qa), (fb, qb)))
     return (-g, -fa, -fb) if g.leading_coeff() < 0 else (g, fa, fb)
-
-
-def _pos_lead(p):
-    if p.leading_coeff() < 0:
-        return -p
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ forms c q**p prod_d Phi_d(v)**e_d over cyclotomic polynomials, assembled in
 lowest terms by _cyclotomic_value with no polynomial gcd, from rows built
 once per exponent vector and cached as tuples.  Every RationalFunction
 built from integer rows (here, in families and in connection) comes from
-one assembly, _ratio, and every [n over l] row from one cached q-Pascal
-table, _q_pascal_rows.
+one assembly, _ratio.  Every q-row table, [n over l] (_q_pascal_row),
+(q;q)_k (_q_pochhammer_row) and (Lambda;q)_l (_lambda_pochhammer_row), is
+one cached row per index, built from the row before it and shared by every
+order: no caller changes one.
 
 _divided_powers is the one q-divided-power loop over Z: its exp gives the
 product forms and the Gegenbauer generating function (families), its log
@@ -246,9 +248,11 @@ def _exp_coefficients(weight, base_exp, order):
     composing with an f of zero constant term is exact."""
     _base(base_exp)
     logs = [None] + [{(1,): {i: c for i, c in enumerate(weight(k)) if c}} for k in range(1, order + 1)]
-    rows = _divided_powers(_q_pascal_rows(order, True), None, logs, read=range(order + 1))[2]
+    binoms = [_q_pascal_row(n, True) for n in range(order + 1)]
+    rows = _divided_powers(binoms, None, logs, read=range(order + 1))[2]
     out = []
-    for num, den in zip([[1]] + [_unorm(rows[n][0]) for n in range(1, order + 1)], _q_pochhammer_rows(order)):
+    for num, den in zip([[1]] + [_unorm(rows[n][0]) for n in range(1, order + 1)],
+                        map(_q_pochhammer_row, range(order + 1))):
         while num and not sum(num) and not sum(den):  # both vanish at v = 1
             num, den = list(accumulate(num))[:-1], list(accumulate(den))[:-1]
         out.append(_ratio([num], den, base_exp))
@@ -260,8 +264,9 @@ def _divided_powers(binoms, width, logs=None, series=None, read=()):
     that is b = exp(sum_j a_j t**j) with G_n = (x;x)_n b_n and K_j =
     j (x;x)_j a_j (Keigher, Comm. Algebra 25, 1997), on packed ints: digit i
     is the coefficient of x**(i mod width) in frame monomial i div width.
-    binoms = _q_pascal_rows(order) may hold a factor of every K_j.  K_j is
-    {x-row: {digit shift: coefficient}}; a row (1,) is the table row itself.
+    binoms lists _q_pascal_row(n, pochhammer) for n = 0..order, whose entries
+    may hold a factor of every K_j.  K_j is {x-row: {digit shift:
+    coefficient}}; a row (1,) is the table entry itself.
 
     Given logs[j] = K_j (exp), a remainder by n raises ArithmeticError: of
     the packed total each step, of any digit on a step read.  Given series =
@@ -357,40 +362,38 @@ def _divide_one_minus(row, m):
     return r
 
 
-def _q_pochhammer_rows(n):
-    """(q;q)_k for k = 0..n as q-rows, each the last times 1 - q**k."""
-    rows = [[1]]
-    for k in range(1, n + 1):
-        rows.append(_times_one_minus(rows[-1], k))
-    return rows
+@lru_cache(maxsize=None)
+def _q_pochhammer_row(k):
+    """(q;q)_k as a q-row: the cached (q;q)_{k-1} times 1 - q**k."""
+    return _times_one_minus(_q_pochhammer_row(k - 1), k) if k else [1]
 
 
 @lru_cache(maxsize=None)
-def _q_pascal_rows(order, pochhammer=False):
-    """rows[n][j] = [n over j]_x, times (x;x)_{j-1} for j >= 1 if pochhammer,
-    for 0 <= j <= n <= order.  By q-Pascal, [n over j] = [n-1 over j-1] +
-    x**j [n-1 over j]: a row is the row above-left, times 1 - x**(j-1) for
-    j >= 2 if pochhammer, plus x**j times the row above; shifts and adds.
-    The table is built once per order and shared: no caller changes it."""
-    table = [[[1]]]
-    for n in range(1, order + 1):
-        above, rows = table[-1] + [[]], [[1]]
-        for j, a, b in zip(range(1, n + 1), above, above[1:]):
-            k = j - 1 if pochhammer else 0
-            rows.append(_uadd(_times_one_minus(a, k) if k else a, [0] * j + b if b else b))
-        table.append(rows)
-    return table
+def _q_pascal_row(n, pochhammer):
+    """[n over j]_x for 0 <= j <= n, times (x;x)_{j-1} for j >= 1 if
+    pochhammer.  By q-Pascal, [n over j] = [n-1 over j-1] + x**j [n-1 over j]:
+    an entry is the one above-left, times 1 - x**(j-1) for j >= 2 if
+    pochhammer, plus x**j times the one above, from the cached row n - 1;
+    shifts and adds.  The flag is positional, so each row has one cache
+    key."""
+    if not n:
+        return [[1]]
+    above, row = _q_pascal_row(n - 1, pochhammer) + [[]], [[1]]
+    for j, a, b in zip(range(1, n + 1), above, above[1:]):
+        k = j - 1 if pochhammer else 0
+        row.append(_uadd(_times_one_minus(a, k) if k else a, [0] * j + b if b else b))
+    return row
 
 
-def _lambda_pochhammer_rows(n):
-    """(Lambda;q)_l for l = 0..n, each as q-rows, one per power of Lambda:
-    the last times 1 - Lambda q**(l-1)."""
-    out = [[[1]]]
-    for k in range(n):
-        last = out[-1]
-        shifted = [[0] * k + [-x for x in r] for r in last]  # -Lambda q**k times the last
-        out.append([[1]] + [_uadd(a, b) for a, b in zip(last[1:], shifted)] + shifted[-1:])
-    return out
+@lru_cache(maxsize=None)
+def _lambda_pochhammer_row(ell):
+    """(Lambda;q)_l as q-rows, one per power of Lambda: the cached
+    (Lambda;q)_{l-1} times 1 - Lambda q**(l-1)."""
+    if not ell:
+        return [[1]]
+    last = _lambda_pochhammer_row(ell - 1)
+    shifted = [[0] * (ell - 1) + [-x for x in r] for r in last]  # -Lambda q**(l-1) times the last
+    return [[1]] + [_uadd(a, b) for a, b in zip(last[1:], shifted)] + shifted[-1:]
 
 
 def _ratio(rows, den, b=1, s_power=0, coprime=False):

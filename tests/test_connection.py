@@ -949,27 +949,27 @@ def test_laguerre_builds_each_binomial_row_and_factor_once(monkeypatch):
     # every read of the rows (the total takes integer weights instead)
     import qpoly.connection as connection
 
-    tables, factors = [], []
-    pascal_rows = connection._q_pascal_rows
+    reads, factors = [], []
+    pascal_row = connection._q_pascal_row
 
-    def counted_rows(order):
-        tables.append(order)
-        return pascal_rows(order)
+    def counted_row(n, pochhammer):
+        reads.append((n, pochhammer))
+        return pascal_row(n, pochhammer)
 
     def counted_classical(idx):
         factors.append((idx.k, idx.alpha))
         return laguerre_classical(idx)
 
-    monkeypatch.setattr(connection, "_q_pascal_rows", counted_rows)
+    monkeypatch.setattr(connection, "_q_pascal_row", counted_row)
     monkeypatch.setattr(connection, "laguerre_classical", counted_classical)
     n, k, aux = 5, 6, {1: 2, 2: -1, 3: 3}
     expansion = laguerre_connection(n, k, aux)
     assert expansion.rescaled_total() == q_laguerre(n, k)
     assert expansion.terms == expansion.terms
     q = RF.q()
-    assert tables == [n]
+    assert reads == [(n, False)]
     for ell in range(min(n, k) + 1):
-        assert sum((c * q**i for i, c in enumerate(pascal_rows(n)[n][ell])), RF.zero()) == q_binomial(n, ell, 1)
+        assert sum((c * q**i for i, c in enumerate(pascal_row(n, False)[ell])), RF.zero()) == q_binomial(n, ell, 1)
     parts = {part for sol in laguerre_partitions(n, k) for part in sol.kparts}
     assert sorted(factors) == sorted((kj, aux.get(j, 0) - kj) for j, kj in parts)
 
@@ -1170,20 +1170,20 @@ def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
     from qpoly.connection import _direct_packed
     from qpoly.families import _cos_value, _frame, _unpack_cells
     from qpoly.field import _flatten, _pack, _rows_mul
-    from qpoly.qkernel import _lambda_pochhammer_rows, _q_pascal_rows, _q_pochhammer_rows
+    from qpoly.qkernel import _lambda_pochhammer_row, _q_pascal_row, _q_pochhammer_row
 
     order, nbytes = 12, 4
-    lam, poch = _lambda_pochhammer_rows(order), _q_pochhammer_rows(order)
+    lam = [_lambda_pochhammer_row(ell) for ell in range(order + 1)]
     qs, ls = _frame(order)
     blocks = [_pack(_flatten(rows, qs), nbytes) for rows in lam]
     for i in range(order + 1):
         expected = {}
-        for ell, binom in enumerate(_q_pascal_rows(order)[i][:i // 2 + 1]):
+        for ell, binom in enumerate(_q_pascal_row(i, False)[:i // 2 + 1]):
             expected[i - 2 * ell] = expected[2 * ell - i] = _rows_mul([binom], _rows_mul(lam[ell], lam[i - ell]))
-        packed = _direct_packed(i, _q_pascal_rows(order)[i], blocks, nbytes, 8 * nbytes * qs * ls)
+        packed = _direct_packed(i, _q_pascal_row(i, False), blocks, nbytes, 8 * nbytes * qs * ls)
         cells = _unpack_cells(packed, i, order, nbytes)
         assert cells == expected
-        assert _cos_value(cells, poch[i]) == q_gegenbauer_direct(i)
+        assert _cos_value(cells, _q_pochhammer_row(i)) == q_gegenbauer_direct(i)
 
 
 def test_log_coefficients_reduce_only_the_degrees_read(monkeypatch):

@@ -66,6 +66,13 @@ def test_falling_binomial():
     # binom(-a, l) = (-1)**l (a)_l / l!, with the rising factorial (a)_l
     for a, ell, rising in ((3, 0, 1), (0, 2, 0), (3, 2, 12), (-2, 3, 0)):
         assert falling_binomial(-a, ell) == Fraction((-1) ** ell * rising, math.factorial(ell))
+    # against the falling product x(x-1)...(x-m+1) over m!
+    for x in range(-12, 13):
+        for m in range(12):
+            value = falling_binomial(x, m)
+            assert type(value) is Fraction and value == Fraction(math.prod(range(x - m + 1, x + 1)), math.factorial(m))
+    with pytest.raises(ValueError):
+        falling_binomial(3, -1)
 
 
 def test_laguerre_classical_examples():

@@ -460,6 +460,17 @@ def test_poly_gcd_properties():
         assert poly_gcd(y, x) == h and poly_gcd(x, x) == poly_gcd(-x, x)
 
 
+def test_poly_gcd_with_a_zero_operand():
+    # gcd(0, b) and gcd(b, 0) are b with a positive leading coefficient, with
+    # or without Lambda; gcd(0, 0) is 0
+    zero = IntPoly.zero()
+    for p in (IntPoly({(2, 1): 3, (5, 0): -7, (0, 0): 5}), IntPoly({(3, 0): -2, (1, 0): 4})):
+        assert p.leading_coeff() < 0
+        for x in (p, -p):
+            assert poly_gcd(zero, x) == -p and poly_gcd(x, zero) == -p
+    assert poly_gcd(zero, zero).is_zero()
+
+
 def _check_cofactors(a, b):
     g, a1, b1 = _gcd_cof(a, b)
     assert g == poly_gcd(a, b)

@@ -74,11 +74,11 @@ def test_q_pochhammer_examples():
 
 
 def test_lambda_pochhammer_rows_are_the_pochhammer_symbols():
-    from qpoly.qkernel import _lambda_pochhammer_rows, _ratio
+    from qpoly.qkernel import _lambda_pochhammer_row, _ratio
 
-    table = _lambda_pochhammer_rows(8)
-    assert len(table) == 9
-    for ell, rows in enumerate(table):
+    _lambda_pochhammer_row.cache_clear()
+    for ell in reversed(range(9)):  # the first read builds every row below it
+        rows = _lambda_pochhammer_row(ell)
         assert all(rows) and len(rows) == ell + 1
         assert _ratio(rows, [1]) == q_pochhammer(RF.lam(), 1, ell)
 
@@ -317,54 +317,96 @@ def test_exp_coefficients_raise_when_n_does_not_divide():
 
 
 def test_q_pascal_rows_are_binomials():
-    # against q_binomial's rows, products and stride quotients of 1 - x**m
+    # against q_binomial's rows and the rows of (x;x)_k, products and stride
+    # quotients of 1 - x**m, and their _umul products
     from qpoly.field import _umul
-    from qpoly.qkernel import _cyclotomic_rows, _poch_exponents, _q_pascal_rows, _q_pochhammer_rows
+    from qpoly.qkernel import _cyclotomic_rows, _poch_exponents, _q_pascal_row, _q_pochhammer_row
 
-    for order in range(10):
-        binoms = [[list(_cyclotomic_rows(_poch_exponents((n,), (j, n - j)))[0]) for j in range(n + 1)]
-                  for n in range(order + 1)]
-        poch = _q_pochhammer_rows(order)
-        assert _q_pascal_rows(order) == binoms
-        assert _q_pascal_rows(order, True) == [[[1]] + [_umul(b, poch[j - 1]) for j, b in enumerate(row[1:], 1)]
-                                               for row in binoms]
+    def poch(k):
+        return list(_cyclotomic_rows(_poch_exponents((k,), ()))[0])
+
+    for cache in (_q_pascal_row, _q_pochhammer_row):
+        cache.cache_clear()
+    for n in reversed(range(10)):  # the first read builds every row below it
+        binoms = [list(_cyclotomic_rows(_poch_exponents((n,), (j, n - j)))[0]) for j in range(n + 1)]
+        assert _q_pochhammer_row(n) == poch(n)
+        assert _q_pascal_row(n, False) == binoms
+        assert _q_pascal_row(n, True) == [[1]] + [_umul(b, poch(j - 1)) for j, b in enumerate(binoms[1:], 1)]
 
 
-def test_q_pascal_tables_are_built_once_and_never_changed():
-    # _q_pascal_rows is cached, so its tables are shared by every call of one
-    # order: the exp, the generating function and the log read them, and
-    # q_hermite and the Laguerre totals and rows read their [n over l] rows
+def test_q_pascal_tables_are_built_once_and_never_changed(monkeypatch):
+    # each q-row table is one cached row per index, shared by every order:
+    # the exp, the generating function and the log read whole tables, and
+    # q_hermite, the Laguerre totals and rows, the direct Gegenbauer
+    # polynomials and the Gegenbauer connection value read single rows.  Every
+    # read of a row returns the same unchanged object, a second round of the
+    # same calls builds no row again, and each cache holds one entry per
+    # distinct argument tuple (a default or keyword argument would add another)
     import copy
+    import inspect
 
-    from qpoly.connection import gegenbauer_sum_rule, laguerre_connection
-    from qpoly.families import ZPolynomial, q_gegenbauer_genfun, q_hermite
-    from qpoly.qkernel import _q_pascal_rows
+    import qpoly.connection as connection
+    import qpoly.families as families
+    import qpoly.qkernel as qkernel
 
-    order = 8
-    tables = {(m, flag): _q_pascal_rows(m, flag) for m in range(order + 1) for flag in (False, True)}
-    rows = {key: [row for line in table for row in line] for key, table in tables.items()}
-    copies = copy.deepcopy(tables)
-    arg = t_series(order)
-    for exp in (1, -2, -4):
-        for kind in ("e", "E"):
-            q_exp_product_form(kind, arg, exp)
-        quesne_series(arg, exp)
-    q_gegenbauer_genfun(order)
-    gegenbauer_sum_rule(order)
-    for n in range(order + 1):
-        q_hermite.__wrapped__(n)
-        for k in range(min(n, 6) + 1):
-            expansion = laguerre_connection(n, k, {1: 2, 2: -1, 3: 3})
-            assert expansion.total == ZPolynomial.sum([term.value for term in expansion.terms])
-    for key, table in tables.items():
-        assert _q_pascal_rows(*key) is table
-        assert all(a is b for a, b in zip([row for line in table for row in line], rows[key], strict=True))
-        assert table == copies[key]
+    caches = {name: getattr(qkernel, name) for name in ("_q_pascal_row", "_q_pochhammer_row", "_lambda_pochhammer_row")}
+    reads, copies = {}, {}
+
+    def recorded(name):
+        cache = caches[name]
+
+        def read(*args, **kwargs):
+            bound = inspect.signature(cache).bind(*args, **kwargs)
+            bound.apply_defaults()
+            key = (name, *bound.arguments.values())
+            row = cache(*args, **kwargs)
+            if key not in reads:
+                reads[key], copies[key] = [], copy.deepcopy(row)
+            reads[key].append(row)
+            return row
+        return read
+
+    for module in (qkernel, families, connection):
+        for name in caches:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded(name))
+
+    def calls():
+        for order in (4, 6, 8):
+            for exp in (1, -2, -4):
+                for kind in ("e", "E"):
+                    q_exp_product_form(kind, t_series(order), exp)
+                quesne_series(t_series(order), exp)
+            families.q_gegenbauer_genfun(order)
+            connection.gegenbauer_sum_rule(order)
+        for n in range(9):
+            families.q_hermite.__wrapped__(n)
+            families.q_gegenbauer_direct.__wrapped__(n)
+            for k in range(min(n, 6) + 1):
+                expansion = connection.laguerre_connection(n, k, {1: 2, 2: -1, 3: 3})
+                assert expansion.total == families.ZPolynomial.sum([term.value for term in expansion.terms])
+        for n in range(6):
+            connection.gegenbauer_connection_value(connection.gegenbauer_connection.__wrapped__(n))
+
+    for cache in caches.values():
+        cache.cache_clear()
+    calls()
+    built = {name: cache.cache_info().misses for name, cache in caches.items()}
+    calls()
+    assert {name: cache.cache_info().misses for name, cache in caches.items()} == built
+    for name, cache in caches.items():
+        assert cache.cache_info().currsize == len([key for key in reads if key[0] == name])
+    assert {key[0] for key in reads} == set(caches)
+    assert {(key[0], key[2]) for key in reads if len(key) == 3} == {("_q_pascal_row", False), ("_q_pascal_row", True)}
+    for key, rows in reads.items():
+        assert all(row is rows[0] for row in rows)
+        assert caches[key[0]](*key[1:]) is rows[0]
+        assert rows[0] == copies[key]
 
 
 def test_cyclotomic_rows_are_built_once_and_never_changed(monkeypatch):
     # the rows of each exponent vector and each [n]! are cached tuples, and
-    # each q-Pascal table is cached, shared by the closed forms, the power
+    # each [n over l] row is cached, shared by the closed forms, the power
     # sums, the Laguerre totals and the quotient kernel: a second round of the
     # same calls builds none again, and every row read back is the same
     # unchanged object
@@ -372,7 +414,7 @@ def test_cyclotomic_rows_are_built_once_and_never_changed(monkeypatch):
     import qpoly.qkernel as qkernel
     from qpoly.connection import hermite_connection, laguerre_connection
 
-    caches = (qkernel._cyclotomic_rows, qkernel._q_factorial_row, qkernel._q_pascal_rows)
+    caches = (qkernel._cyclotomic_rows, qkernel._q_factorial_row, qkernel._q_pascal_row)
     keys, poch = set(), qkernel._poch_exponents
 
     def recorded(tops, bottoms):
@@ -398,7 +440,7 @@ def test_cyclotomic_rows_are_built_once_and_never_changed(monkeypatch):
     calls()
     rows = {exps: qkernel._cyclotomic_rows(exps) for exps in keys}
     facts = {n: qkernel._q_factorial_row(n) for n in range(6)}
-    binoms = {n: qkernel._q_pascal_rows(n) for n in range(6)}
+    binoms = {n: qkernel._q_pascal_row(n, False) for n in range(6)}
     built = [cache.cache_info().misses for cache in caches]
     calls()
     assert [cache.cache_info().misses for cache in caches] == built
@@ -407,8 +449,8 @@ def test_cyclotomic_rows_are_built_once_and_never_changed(monkeypatch):
         assert type(pair) is tuple and all(type(r) is tuple for r in pair)
     for n, row in facts.items():
         assert qkernel._q_factorial_row(n) is row and type(row) is tuple
-    for n, table in binoms.items():
-        assert qkernel._q_pascal_rows(n) is table
+    for n, row in binoms.items():
+        assert qkernel._q_pascal_row(n, False) is row
 
 
 # ---------------------------------------------------------------------------
