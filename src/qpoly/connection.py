@@ -519,7 +519,7 @@ def laguerre_connection(n, k, aux=None):
 
     def classical(j, kj):
         """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j): each h_d goes to z**(j d) as h_d c_j**d."""
-        c = quesne_c(j, 1)
+        c = quesne_c(j)
         return ZPolynomial({j * d: h * c**d for d, h in factor(j, kj).items()})
 
     def rows():
@@ -735,16 +735,16 @@ def gegenbauer_connection_value(expansion):
       * Classical side.  A row's product prod_m U_m**e is w**-n times an
         integer row in x = w**2 of length n + 1, the same for every row.  So
         A_mu = sum_t c_{t,mu} prod_m U_m**e is one integer row once scaled by
-        D, the lcm of the denominators of the c_{t,mu}.  The cos(j theta)
-        coefficient of a row is its x**(n/2) entry for j = 0 and twice its
-        x**((n+j)/2) entry otherwise.
+        D, the lcm of the denominators of the c_{t,mu}.  Its x**((n+j)/2)
+        entry is the w**j coefficient, for j >= 0.
       * Weights.  prod_k [lambda]_{q**k}**e_k = L_mu (1 - q)**E Q_mu /
         (q;q)_n, with L_mu = prod_k (1 - Lambda**k)**e_k, E = n - sum_k e_k
         and Q_mu = [n]_q! / prod_k [k]_q**e_k, since sum_k k*e_k = n.
-      * Sum.  The Lambda**p coefficient of a cos index's numerator is
-        sum_mu A_mu[j] L_mu[p] (1 - q)**E Q_mu, one q-row of the quotient
-        kernel (_quotient_sums, keyed by cos index and p); each cos index is
-        reduced once over D * (q;q)_n = D (1 - q)**n [n]_q!."""
+      * Sum.  The Lambda**p coefficient of the w**j cell is sum_mu
+        A_mu[x**((n+j)/2)] L_mu[p] (1 - q)**E Q_mu, one q-row of the quotient
+        kernel (_quotient_sums, keyed by w-power and p); families._cos_value
+        doubles each cell with j > 0 into a cos(j theta) coefficient and
+        reduces it once over D * (q;q)_n = D (1 - q)**n [n]_q!."""
     n = expansion.n
     terms = expansion.terms
     scale = math.lcm(*(c.denominator for t in terms for c in t.coefficient._terms.values()))
@@ -757,19 +757,17 @@ def gegenbauer_connection_value(expansion):
             scaled = map((c.numerator * (scale // c.denominator)).__mul__, row)
             acc = by_weight.get(mu)
             by_weight[mu] = list(scaled) if acc is None else list(map(add, acc, scaled))
-    doubled = [1 if 2 * (low + i) == n else 2 for i in range(n + 1 - low)]
     lam_rows = dict(_products(by_weight, _lambda_factor, _umul, [1]))
-    uses = {}  # mu's parts above 1, largest first -> [((cos index, Lambda power), E, c)]
+    uses = {}  # mu's parts above 1, largest first -> [((w-power, Lambda power), E, c)]
     for mu, acc in by_weight.items():
         lam = [(p, c) for p, c in enumerate(lam_rows[mu]) if c]
         parts = tuple(k for k, e in reversed(mu) if k > 1 for _ in range(e))
         power = n - sum(e for _, e in mu)
-        uses[parts] = [((i, p), power, a * d * l)
-                       for i, (a, d) in enumerate(zip(acc, doubled)) if a for p, l in lam]
+        uses[parts] = [((2 * (low + i) - n, p), power, a * l) for i, a in enumerate(acc) if a for p, l in lam]
     rows = _quotient_sums(n, uses)
-    den = [scale * x for x in _q_pochhammer_row(n)]  # D (q;q)_n
-    return CosPolynomial({2 * (low + i) - n: _ratio(_unorm([_unorm(rows.get((i, p), [])) for p in range(n + 1)]), den)
-                          for i in range(len(doubled))})
+    cells = {e: cell for e in range(2 * low - n, n + 1, 2)  # _cos_value keeps empty cells, so skip them
+             if (cell := _unorm([_unorm(rows.get((e, p), [])) for p in range(n + 1)]))}
+    return _cos_value(cells, [scale * x for x in _q_pochhammer_row(n)])  # over D (q;q)_n
 
 
 def gegenbauer_classical_lambda(n):

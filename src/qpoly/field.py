@@ -124,6 +124,18 @@ no polynomial gcd.
 
 q -> 1 limits.  A canonical value's numerator and denominator are coprime,
 so they never both vanish at s = 1: the limit is num(1) / den(1), or a pole.
+
+Text.  parse_laurent reads the q / q^{1/2} notation that render prints by one
+grammar, all whitespace ignored (parse_poly and parse_rational call it):
+
+    text  = term (sign term)*, the first term's sign optional
+    term  = (unsigned integer | power) ('*' (signed integer | power))*
+    power = (q | lam) ['^' (e | '{' e '}' | '(' e ')')], e = signed integer ['/2']
+
+An integer is ASCII digits.  q^a is s**(2a), q^{a/2} is s**a and lam^b is
+Lambda**b; lam takes no /2.  Equal monomials add, and a zero sum is dropped.
+Other text, an integer that int() refuses and an exponent above
+_MAX_PARSED_EXP raise ParseError.  parse_rational also reads (num)/(den).
 """
 
 from __future__ import annotations
@@ -1102,97 +1114,46 @@ class ParseError(ValueError):
     """Malformed polynomial / rational-function text."""
 
 
-def _parse_int(text):
-    """An integer as render prints it: ASCII digits with an optional sign."""
-    try:
-        return int(re.fullmatch(r"[+-]?[0-9]+", text)[0])
-    except (TypeError, ValueError):  # no match, or more digits than int() converts
-        raise ParseError(f"not an integer: {text!r}") from None
-
-
-def _parse_exponent(text):
-    text = text.strip()
-    if text.startswith("{") and text.endswith("}"):
-        text = text[1:-1]
-    elif text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    if text.endswith("/2"):
-        return _parse_int(text[:-2]), True
-    return _parse_int(text), False
-
-
-def _parse_laurent_term(term):
-    """One product term -> (coeff, exp_s, exp_lam); exponents may be negative."""
-    coeff, es, el = 1, 0, 0
-    if term.startswith("-"):
-        coeff, term = -1, term[1:]
-    elif term.startswith("+"):
-        term = term[1:]
-    for factor in term.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise ParseError(f"empty factor in {term!r}")
-        if factor[0] in "+-" or factor[0].isdigit():
-            coeff *= _parse_int(factor)
-        elif factor.startswith("q"):
-            rest = factor[1:]
-            if not rest:
-                es += 2
-            elif rest.startswith("^"):
-                val, is_half = _parse_exponent(rest[1:])
-                es += val if is_half else 2 * val
-            else:
-                raise ParseError(f"bad factor {factor!r}")
-        elif factor.startswith("lam"):
-            rest = factor[3:]
-            if not rest:
-                el += 1
-            elif rest.startswith("^"):
-                val, is_half = _parse_exponent(rest[1:])
-                if is_half:
-                    raise ParseError("half-integer lam exponent")
-                el += val
-            else:
-                raise ParseError(f"bad factor {factor!r}")
-        else:
-            raise ParseError(f"bad factor {factor!r}")
-    return coeff, es, el
-
-
-def _split_sum(text):
-    """Split on top-level +/- signs, keeping signs with the terms.
-
-    A sign right after '*', '^', '{' or '(' belongs to an exponent or a
-    signed coefficient, not to a new term.
-    """
-    terms, current = [], []
-    for ch in text:
-        if ch in "+-" and current and current[-1] not in "*^{(":
-            terms.append("".join(current))
-            current = [ch]
-        else:
-            current.append(ch)
-    if current:
-        terms.append("".join(current))
-    return terms
+# The grammar of the module docstring's Text paragraph, in words: terms
+# joined by signs; a term is an unsigned integer or a power, then '*' and a
+# signed integer or a power, any number of times; a power is q or lam with an
+# optional '^' exponent, a signed integer, optionally /2, bare or bracketed.
+_INT = r"[0-9]+"
+_EXPONENT = rf"[+-]?{_INT}(?:/2)?"
+_POWER = rf"(?:q|lam)(?:\^(?:{_EXPONENT}|\{{{_EXPONENT}\}}|\({_EXPONENT}\)))?"
+_TERM = re.compile(rf"([+-]?)((?:{_INT}|{_POWER})(?:\*(?:[+-]?{_INT}|{_POWER}))*)")
+# One factor of a term that _TERM matched.  The pattern is loose (it skips
+# the '*' and the closing brackets) because _TERM has checked the term.
+_FACTOR = re.compile(r"([+-]?[0-9]+)|(q|lam)(?:\^[{(]?([+-]?[0-9]+)(/2)?)?")
 
 
 def parse_laurent(text):
     """Parse a sum of monomial terms into {(exp_s, exp_lam): coeff};
     exponents may be negative."""
-    text = text.replace(" ", "")
-    if not text:
-        raise ParseError("empty polynomial text")
-    out = {}
-    for term in _split_sum(text):
-        coeff, es, el = _parse_laurent_term(term)
-        key = (es, el)
-        v = out.get(key, 0) + coeff
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
+    text, out, pos = "".join(text.split()), {}, 0
+    try:
+        while True:  # an empty text matches no term
+            term = _TERM.match(text, pos)
+            if term is None or (pos and not term[1]):  # a later term needs its sign
+                raise ParseError(f"malformed polynomial text at {text[pos:pos + 20]!r}")
+            coeff, es, el = -1 if term[1] == "-" else 1, 0, 0
+            for integer, var, exp, half in _FACTOR.findall(term[2]):
+                if integer:
+                    coeff *= int(integer)
+                elif var == "q":
+                    es += (int(exp) if half else 2 * int(exp)) if exp else 2
+                elif half:
+                    raise ParseError("half-integer lam exponent")
+                else:
+                    el += int(exp) if exp else 1
+            out[es, el] = out.get((es, el), 0) + coeff
+            pos = term.end()
+            if pos == len(text):
+                return {key: c for key, c in out.items() if c}
+    except ParseError:
+        raise
+    except ValueError:  # an integer of more digits than int() converts
+        raise ParseError("integer too long in polynomial text") from None
 
 
 def parse_poly(text):
@@ -1218,7 +1179,7 @@ def _parsed_poly(terms):
 
 def parse_rational(text):
     """Parse RationalFunction text: plain sum, Laurent sum, or (num)/(den)."""
-    text = text.strip()
+    text = "".join(text.split())
     if ")/(" in text and text.startswith("(") and text.endswith(")"):
         i = text.index(")/(")
         num, den = parse_poly(text[1:i]), parse_poly(text[i + 3:-1])

@@ -40,12 +40,13 @@ from qpoly.connection import (
     partitions_of,
     sum_rule_explicit,
 )
-from qpoly.qkernel import q_binomial
+from qpoly.qkernel import q_binomial, quesne_c
 from qpoly.series import TruncatedSeries
 from qpoly.verify import (
     gegenbauer_displayed_connection,
     hermite5_reference,
     laguerre33_reference,
+    run_suite,
 )
 
 
@@ -1281,3 +1282,10 @@ def test_hermite_blocks_read_the_classical_polynomial(monkeypatch):
     monkeypatch.setattr(connection, "hermite_classical", counted)
     assert hermite_connection(8).rescaled_total() == q_hermite(8)
     assert set(degrees) == {1, 2, 3, 4, 5, 6, 8}  # the multiplicities in partitions of 8
+
+
+def test_laguerre_and_limits_share_one_quesne_c_entry_per_k():
+    quesne_c.cache_clear()
+    laguerre_connection(4, 4, {1: 1, 2: -1}).terms
+    run_suite("limits", 4)
+    assert quesne_c.cache_info().currsize == 6  # k = 1..6, one spelling each

@@ -16,6 +16,7 @@ from qpoly.field import (
     PoleAtOne,
     RationalFunction as RF,
     _gcd_cof,
+    parse_laurent,
     parse_rational,
     poly_gcd,
 )
@@ -292,6 +293,16 @@ def test_constants_hash_like_equal_numbers():
     (parse_rational, "\u0663*q"),  # an Arabic-Indic digit
     (parse_rational, "q^{\u0662}"),
     (parse_rational, "\uff13"),  # a fullwidth digit
+    (parse_rational, "-+1"),
+    (parse_rational, "q^{3}/2"),
+    (parse_rational, "lam^{1/2}"),
+    (parse_rational, "lam^{2/2}"),
+    (parse_rational, "2**q"),
+    (parse_rational, "qq"),
+    (parse_rational, "q^{1+2}"),
+    (parse_rational, "(q)/(1)/(q)"),
+    pytest.param(parse_rational, "9" * 5000, id="parse_rational-5000-digit-integer"),  # beyond int()'s digit limit
+    pytest.param(parse_rational, "q^" + "9" * 5000, id="parse_rational-5000-digit-exponent"),
     (parse_polynomial_json, "[]"),
     (parse_polynomial_json, "{"),
     (parse_polynomial_json, "{}"),
@@ -314,6 +325,30 @@ def test_constants_hash_like_equal_numbers():
 def test_malformed_text_raises_parse_error(parse, text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("q^3", {(6, 0): 1}),
+    ("q^{3}", {(6, 0): 1}),
+    ("q^(3)", {(6, 0): 1}),
+    ("q^{-3/2}*lam^(2)", {(-3, 2): 1}),
+    ("q^3/2", {(3, 0): 1}),
+    ("lam^+2*q", {(2, 2): 1}),
+    ("q^-1-2", {(-2, 0): 1, (0, 0): -2}),
+    ("2*-3*q", {(2, 0): -6}),
+    ("+3", {(0, 0): 3}),
+    ("q+1-q", {(0, 0): 1}),
+    ("1 2", {(0, 0): 12}),
+    ("1\t2", {(0, 0): 12}),
+    ("q\n^2", {(4, 0): 1}),
+    ("\r-q^{1/2}\f*lam\v", {(1, 1): -1}),
+    ("(q) / (1)", {(2, 0): 1}),
+])
+def test_accepted_text_parses_to_its_terms(text, terms):
+    if ")/(" in "".join(text.split()):
+        assert parse_rational(text) == RF(IntPoly(terms))
+    else:
+        assert parse_laurent(text) == terms
 
 
 # ---------------------------------------------------------------------------

@@ -73,25 +73,43 @@ def test_polynomial_json_round_trip_fuzz(cls):
         assert type(parsed) is cls and parsed == poly, f"case {case}"
 
 
-def test_edited_rational_text_parses_or_raises_parse_error():
-    rng = random.Random(2026)
-    for case in range(2000):
-        text = _edit(rng, str(_random_rf(rng)))
+def _rational_text(rng):
+    return str(_random_rf(rng))
+
+
+def _json_text(rng):
+    return render_polynomial_json(_random_sparse(rng, rng.choice((ZPolynomial, CosPolynomial))), "fuzz", 2)
+
+
+def _is_rf(value):
+    return isinstance(value, RF)
+
+
+def _is_polynomial_and_meta(value):
+    return isinstance(value[0], (ZPolynomial, CosPolynomial)) and isinstance(value[1], dict)
+
+
+def _edit_fuzz_failures(parse, make_text, valid, seed, count):
+    """The texts, of count random edits of make_text(rng) texts, on which parse
+    raises anything other than ParseError or returns a value that is not valid."""
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(count):
+        text = _edit(rng, make_text(rng))
         try:
-            value = parse_rational(text)
+            if valid(parse(text)):
+                continue
         except ParseError:
             continue
-        assert isinstance(value, RF), f"case {case}: {text!r}"
+        except Exception:  # noqa: BLE001 - any other exception is a failure
+            pass
+        failures.append(text)
+    return failures
+
+
+def test_edited_rational_text_parses_or_raises_parse_error():
+    assert _edit_fuzz_failures(parse_rational, _rational_text, _is_rf, 2026, 2000) == []
 
 
 def test_edited_polynomial_json_parses_or_raises_parse_error():
-    rng = random.Random(2027)
-    for case in range(600):
-        cls = rng.choice((ZPolynomial, CosPolynomial))
-        text = _edit(rng, render_polynomial_json(_random_sparse(rng, cls), "fuzz", 2))
-        try:
-            value, meta = parse_polynomial_json(text)
-        except ParseError:
-            continue
-        assert isinstance(value, (ZPolynomial, CosPolynomial)), f"case {case}: {text!r}"
-        assert isinstance(meta, dict), f"case {case}: {text!r}"
+    assert _edit_fuzz_failures(parse_polynomial_json, _json_text, _is_polynomial_and_meta, 2027, 600) == []
