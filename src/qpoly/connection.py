@@ -26,10 +26,7 @@ relation:
     = e^{i theta}, each weight is a numerator over (q;q)_n with integer
     q-multinomial quotients in q, and each cos(j theta) coefficient is
     reduced once.  The deformed side of the sum rules is the log of the
-    explicit polynomials, the log of the q-divided-power kernel (qkernel)
-    in the packed frame of the generating function (families): each
-    numerator is formed packed, by big-int products of the (Lambda;q)_l
-    packed once per digit width.
+    explicit polynomials over Z (families._log_coefficients).
 
 Every expansion's terms and total are in the normalization of the polynomial
 itself.  Each engine builds every distinct building block once per call, in
@@ -55,17 +52,16 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, itemgetter, mul
 
-from .field import _flatten, _pack, _uadd, _umul, _unorm, _unpack, _width
+from .field import _pack, _uadd, _umul, _unorm, _unpack, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
     LaguerreIndex,
     SparsePoly,
     ZPolynomial,
-    _cells,
     _cos_value,
-    _frame,
     _int_binomial,
+    _log_coefficients,
     gegenbauer_classical,
     gegenbauer_weight,
     hermite_classical,
@@ -73,8 +69,6 @@ from .families import (
     q_gegenbauer_direct,
 )
 from .qkernel import (
-    _divided_powers,
-    _lambda_pochhammer_row,
     _power_sum,
     _q_factorial_row,
     _q_pascal_row,
@@ -802,46 +796,6 @@ SUM_RULE_COMBINATIONS = {
         (Fraction(1), (1, 1, 3)), (Fraction(1), (1, 2, 2)),
         (Fraction(-1), (1, 1, 1, 2)), (Fraction(1, 5), (1, 1, 1, 1, 1))],
 }
-
-
-def _direct_packed(i, binom, blocks, nbytes, slot):
-    """G_i = (q;q)_i b_i packed in the order frame (see families), b_i the
-    explicit polynomial of degree i: for l <= i/2, its w**(i-2l) and
-    w**-(i-2l) cells are both binom[l] = [i over l]_q times the packed
-    blocks[l] and blocks[i-l] of (Lambda;q)_l and (Lambda;q)_{i-l}, placed
-    by shifts of slot bits per w-slot."""
-    g = 0
-    for ell in range(i // 2 + 1):
-        cell = _pack(binom[ell], nbytes) * blocks[ell] * blocks[i - ell]
-        g += cell << (slot * (i - ell))
-        if 2 * ell != i:
-            g += cell << (slot * ell)
-    return g
-
-
-def _log_coefficients(order, degrees):
-    """The t**n coefficients, n in degrees (each 1..order), of the log of the
-    series of the explicit deformed polynomials: K_n = n (q;q)_n c_n, the log
-    of qkernel._divided_powers in the order frame, given G_m = (q;q)_m b_m
-    (_direct_packed) from the (Lambda;q)_l packed once per digit width, with
-    |G_i| <= max_l |[i over l]|_1 |(Lambda;q)_l|_1 |(Lambda;q)_{i-l}| (|.| the
-    largest coefficient, |.|_1 the sum of absolute values).  Only the c_n
-    asked for are reduced, once per cos index."""
-    lam = [_lambda_pochhammer_row(ell) for ell in range(order + 1)]
-    binoms = [_q_pascal_row(i, False) for i in range(order + 1)]
-    norms = [sum(sum(map(abs, r)) for r in rows) for rows in lam]
-    tops = [max(max(map(abs, r)) for r in rows) for rows in lam]
-    top = [max(sum(binoms[i][ell]) * norms[ell] * tops[i - ell] for ell in range(i // 2 + 1))
-           for i in range(order + 1)]
-    (qs, ls), blocks = _frame(order), {}  # blocks[nbytes]: the packed (Lambda;q)_l
-
-    def pack(m, nbytes):
-        packed_lam = blocks.setdefault(nbytes, [])
-        packed_lam += [_pack(_flatten(rows, qs), nbytes) for rows in lam[len(packed_lam):m + 1]]
-        return _direct_packed(m, binoms[m], packed_lam, nbytes, 8 * nbytes * qs * ls)
-
-    ks = _divided_powers(binoms, qs, series=(top, pack), read=degrees)[2]
-    return [_cos_value(_cells(ks[m], m, ls), [m * x for x in _q_pochhammer_row(m)]) for m in degrees]
 
 
 def gegenbauer_sum_rule_logs(order):

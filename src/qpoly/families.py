@@ -20,7 +20,7 @@ coefficients read, which do not depend on it, and runs over Z: its
 exponential is the q-divided-power kernel (qkernel) on integer numerators
 in q, Lambda and w = e**(i theta), each packed into one int, and only the
 coefficients read are reduced, once per cos index.  The kernel's log in the
-same packed frame is the deformed side of the sum rules (connection).
+same frame (_log_coefficients) is the deformed side of the sum rules.
 """
 
 from __future__ import annotations
@@ -30,7 +30,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import RationalFunction, _coerce_or_raise, _power, _rows_mul, _umul, _unorm, _unpack_rows
+from .field import (
+    RationalFunction,
+    _coerce_or_raise,
+    _flatten,
+    _pack,
+    _power,
+    _rows_mul,
+    _umul,
+    _unorm,
+    _unpack_rows,
+)
 from .qkernel import (
     _cyclotomic_value,
     _divided_powers,
@@ -434,7 +444,7 @@ def q_gegenbauer_direct(n):
 
 
 # ---------------------------------------------------------------------------
-# the Gegenbauer generating function over Z
+# the Gegenbauer generating function and the sum-rule log over Z
 # ---------------------------------------------------------------------------
 # With w = e**(i theta), the t**m coefficient b_m of the generating function
 # (and of its log) is a Laurent polynomial in w, even under w -> 1/w, whose
@@ -467,12 +477,8 @@ def _unpack_cells(v, m, order, nbytes, low=0):
 
 def _cells(rows, m, ls, low=0):
     """The w-cells, as _unpack_cells, of the frame rows given from slot low."""
-    cells = {}
-    for k in range(m + 1 - low):
-        cell = _unorm([_unorm(r[:m * (m - 1) // 2 + 1]) for r in rows[k * ls:k * ls + m + 1]])
-        if cell:
-            cells[2 * (k + low) - m] = cell
-    return cells
+    return {2 * (k + low) - m: cell for k in range(m + 1 - low)
+            if (cell := _unorm([_unorm(r[:m * (m - 1) // 2 + 1]) for r in rows[k * ls:k * ls + m + 1]]))}
 
 
 def _cos_value(cells, den):
@@ -497,6 +503,46 @@ def _genfun_coefficients(order, degrees):
     series, nbytes, _ = _divided_powers([_q_pascal_row(m, True) for m in range(order + 1)], qs, logs)
     return [_cos_value(_unpack_cells(series[m], m, order, nbytes, (m + 1) // 2), _q_pochhammer_row(m))
             for m in degrees]
+
+
+def _direct_packed(i, binom, blocks, nbytes, slot):
+    """G_i = (q;q)_i b_i packed in the order frame, b_i the explicit
+    polynomial of degree i: for l <= i/2, its w**(i-2l) and w**-(i-2l) cells
+    are both binom[l] = [i over l]_q times the packed blocks[l] and
+    blocks[i-l] of (Lambda;q)_l and (Lambda;q)_{i-l}, placed by shifts of
+    slot bits per w-slot."""
+    g = 0
+    for ell in range(i // 2 + 1):
+        cell = _pack(binom[ell], nbytes) * blocks[ell] * blocks[i - ell]
+        g += cell << (slot * (i - ell))
+        if 2 * ell != i:
+            g += cell << (slot * ell)
+    return g
+
+
+def _log_coefficients(order, degrees):
+    """The t**n coefficients, n in degrees (each 1..order), of the log of the
+    series of the explicit deformed polynomials: K_n = n (q;q)_n c_n, the log
+    of qkernel._divided_powers in the order frame, given G_m = (q;q)_m b_m
+    (_direct_packed) from the (Lambda;q)_l packed once per digit width, with
+    |G_i| <= max_l |[i over l]|_1 |(Lambda;q)_l|_1 |(Lambda;q)_{i-l}| (|.| the
+    largest coefficient, |.|_1 the sum of absolute values).  Only the c_n
+    asked for are reduced, once per cos index."""
+    lam = [_lambda_pochhammer_row(ell) for ell in range(order + 1)]
+    binoms = [_q_pascal_row(i, False) for i in range(order + 1)]
+    norms = [sum(sum(map(abs, r)) for r in rows) for rows in lam]
+    tops = [max(max(map(abs, r)) for r in rows) for rows in lam]
+    top = [max(sum(binoms[i][ell]) * norms[ell] * tops[i - ell] for ell in range(i // 2 + 1))
+           for i in range(order + 1)]
+    (qs, ls), blocks = _frame(order), {}  # blocks[nbytes]: the packed (Lambda;q)_l
+
+    def pack(m, nbytes):
+        packed_lam = blocks.setdefault(nbytes, [])
+        packed_lam += [_pack(_flatten(rows, qs), nbytes) for rows in lam[len(packed_lam):m + 1]]
+        return _direct_packed(m, binoms[m], packed_lam, nbytes, 8 * nbytes * qs * ls)
+
+    ks = _divided_powers(binoms, qs, series=(top, pack), read=degrees)[2]
+    return [_cos_value(_cells(ks[m], m, ls), [m * x for x in _q_pochhammer_row(m)]) for m in degrees]
 
 
 def gegenbauer_genfun_series(order):

@@ -132,9 +132,9 @@ grammar, all whitespace ignored (parse_poly and parse_rational call it):
     term  = (unsigned integer | power) ('*' (signed integer | power))*
     power = (q | lam) ['^' (e | '{' e '}' | '(' e ')')], e = signed integer ['/2']
 
-An integer is ASCII digits.  q^a is s**(2a), q^{a/2} is s**a and lam^b is
-Lambda**b; lam takes no /2.  Equal monomials add, and a zero sum is dropped.
-Other text, an integer that int() refuses and an exponent above
+An integer is 1 to 4300 ASCII digits, whatever int()'s digit limit.  q^a is
+s**(2a), q^{a/2} is s**a and lam^b is Lambda**b; lam takes no /2.  Equal
+monomials add, and a zero sum is dropped.  Other text and an exponent above
 _MAX_PARSED_EXP raise ParseError.  parse_rational also reads (num)/(den).
 """
 
@@ -144,6 +144,7 @@ import math
 import re
 import sys
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 from operator import add, index, neg, sub
@@ -199,10 +200,10 @@ def _is_even(c):
     return not any(c[1::2])
 
 
-def _spread(c, k=2):
-    """The row c(s**k) from the row c(s)."""
-    out = [0] * (k * len(c) - k + 1)
-    out[::k] = c
+def _spread(c):
+    """The row c(s**2) from the row c(s)."""
+    out = [0] * (2 * len(c) - 1)
+    out[::2] = c
     return out
 
 
@@ -692,13 +693,6 @@ class IntPoly:
                     acc += c * s_value**a * lam_value**b
         return acc
 
-    def subs_lam_spow(self, m):
-        """Substitute Lambda -> s**m (m >= 0)."""
-        out = []
-        for b, row in enumerate(self._rows):
-            out = _uadd(out, [0] * (m * b) + row) if row else out
-        return _raw_poly([out] if out else [])
-
     # -- division ----------------------------------------------------------
     def divexact(self, d):
         """Exact quotient self / d, or None if d does not divide self."""
@@ -1034,10 +1028,6 @@ class RationalFunction:
                               f"its terms' magnitudes, {size:.3e}")
         return self.num.eval_complex(sv, lv) / dv
 
-    def subs_lam_q(self):
-        """Substitute Lambda -> q, the lambda = 1 specialization."""
-        return RationalFunction(self.num.subs_lam_spow(2), self.den.subs_lam_spow(2))
-
     def as_fraction(self):
         """The element as a Fraction; raises if not constant."""
         if not self.num.is_const() or not self.den.is_const():
@@ -1118,7 +1108,7 @@ class ParseError(ValueError):
 # joined by signs; a term is an unsigned integer or a power, then '*' and a
 # signed integer or a power, any number of times; a power is q or lam with an
 # optional '^' exponent, a signed integer, optionally /2, bare or bracketed.
-_INT = r"[0-9]+"
+_INT = r"[0-9]{1,4300}"
 _EXPONENT = rf"[+-]?{_INT}(?:/2)?"
 _POWER = rf"(?:q|lam)(?:\^(?:{_EXPONENT}|\{{{_EXPONENT}\}}|\({_EXPONENT}\)))?"
 _TERM = re.compile(rf"([+-]?)((?:{_INT}|{_POWER})(?:\*(?:[+-]?{_INT}|{_POWER}))*)")
@@ -1131,29 +1121,27 @@ def parse_laurent(text):
     """Parse a sum of monomial terms into {(exp_s, exp_lam): coeff};
     exponents may be negative."""
     text, out, pos = "".join(text.split()), {}, 0
-    try:
-        while True:  # an empty text matches no term
-            term = _TERM.match(text, pos)
-            if term is None or (pos and not term[1]):  # a later term needs its sign
-                raise ParseError(f"malformed polynomial text at {text[pos:pos + 20]!r}")
-            coeff, es, el = -1 if term[1] == "-" else 1, 0, 0
-            for integer, var, exp, half in _FACTOR.findall(term[2]):
-                if integer:
-                    coeff *= int(integer)
-                elif var == "q":
-                    es += (int(exp) if half else 2 * int(exp)) if exp else 2
-                elif half:
-                    raise ParseError("half-integer lam exponent")
-                else:
-                    el += int(exp) if exp else 1
-            out[es, el] = out.get((es, el), 0) + coeff
-            pos = term.end()
-            if pos == len(text):
-                return {key: c for key, c in out.items() if c}
-    except ParseError:
-        raise
-    except ValueError:  # an integer of more digits than int() converts
-        raise ParseError("integer too long in polynomial text") from None
+    end = len(text)
+    while True:  # an empty text matches no term
+        term = _TERM.match(text, pos)
+        if term is None or (pos and not term[1]):  # a later term needs its sign
+            raise ParseError(f"malformed polynomial text at {text[pos:pos + 20]!r}")
+        coeff, es, el = -1 if term[1] == "-" else 1, 0, 0
+        body = term[2]  # int() takes 640 digits under any digit limit, Decimal any number
+        to_int = int if len(body) <= 640 else lambda digits: int(Decimal(digits))
+        for integer, var, exp, half in _FACTOR.findall(body):
+            if integer:
+                coeff *= to_int(integer)
+            elif var == "q":
+                es += (to_int(exp) if half else 2 * to_int(exp)) if exp else 2
+            elif half:
+                raise ParseError("half-integer lam exponent")
+            else:
+                el += to_int(exp) if exp else 1
+        out[es, el] = out.get((es, el), 0) + coeff
+        pos = term.end()
+        if pos == end:
+            return {key: c for key, c in out.items() if c}
 
 
 def parse_poly(text):

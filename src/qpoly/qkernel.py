@@ -254,7 +254,7 @@ def _exp_coefficients(weight, base_exp, order):
     for num, den in zip([[1]] + [_unorm(rows[n][0]) for n in range(1, order + 1)],
                         map(_q_pochhammer_row, range(order + 1))):
         while num and not sum(num) and not sum(den):  # both vanish at v = 1
-            num, den = list(accumulate(num))[:-1], list(accumulate(den))[:-1]
+            num, den = _divide_one_minus(num, 1), _divide_one_minus(den, 1)
         out.append(_ratio([num], den, base_exp))
     return out
 

@@ -191,12 +191,8 @@ def polynomial_json_dict(poly, family, n, k=None, total_check=None):
     return doc
 
 
-def render_polynomial_json(poly, family, n, k=None, total_check=None):
-    return json.dumps(polynomial_json_dict(poly, family, n, k, total_check), indent=2)
-
-
 def parse_polynomial_json(text):
-    """Inverse of render_polynomial_json: returns (polynomial, meta).
+    """Inverse of json.dumps(polynomial_json_dict(...)): returns (polynomial, meta).
 
     Raises ParseError on anything that is not such a document.
     """

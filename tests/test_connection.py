@@ -49,6 +49,8 @@ from qpoly.verify import (
     run_suite,
 )
 
+from test_field import _at_lambda_one
+
 
 # ---------------------------------------------------------------------------
 # integer partitions
@@ -1077,8 +1079,8 @@ def test_lambda_one_collapse():
     # at Lambda -> q every weight [lambda]_{q^k} is 1: the n=2 connection has
     # coefficient 1 on C2 and 0 on C1^2
     terms = dict(gegenbauer_connection(2).total.sorted_terms())
-    c2_val = terms[((2, 1),)].substitute(gegenbauer_weight, RF.one()).subs_lam_q()
-    c11_val = terms[((1, 2),)].substitute(gegenbauer_weight, RF.one()).subs_lam_q()
+    c2_val = _at_lambda_one(terms[((2, 1),)].substitute(gegenbauer_weight, RF.one()))
+    c11_val = _at_lambda_one(terms[((1, 2),)].substitute(gegenbauer_weight, RF.one()))
     assert c2_val == RF.one()
     assert c11_val.is_zero()
 
@@ -1168,8 +1170,7 @@ def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
     # products [i over l]_q (Lambda;q)_l (Lambda;q)_{i-l} at w**(i-2l) and
     # w**-(i-2l); reduced by the generic gcd they equal the closed form, which
     # is assembled in lowest terms with no gcd, so its coprimality is checked
-    from qpoly.connection import _direct_packed
-    from qpoly.families import _cos_value, _frame, _unpack_cells
+    from qpoly.families import _cos_value, _direct_packed, _frame, _unpack_cells
     from qpoly.field import _flatten, _pack, _rows_mul
     from qpoly.qkernel import _lambda_pochhammer_row, _q_pascal_row, _q_pochhammer_row
 
@@ -1189,11 +1190,12 @@ def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
 
 def test_log_coefficients_reduce_only_the_degrees_read(monkeypatch):
     import qpoly.connection as connection
+    import qpoly.families as families
 
     full = connection._log_coefficients(8, range(1, 9))
     reduced = []
-    cos_value = connection._cos_value
-    monkeypatch.setattr(connection, "_cos_value", lambda *args: reduced.append(args) or cos_value(*args))
+    cos_value = families._cos_value
+    monkeypatch.setattr(families, "_cos_value", lambda *args: reduced.append(args) or cos_value(*args))
     assert connection._log_coefficients(8, (8, 3)) == [full[7], full[2]]
     assert len(reduced) == 2
     reduced.clear()

@@ -35,6 +35,8 @@ from qpoly.verify import (
     laguerre_genfun_classical,
 )
 
+from test_field import _at_lambda_one
+
 ONE = RF.one()
 Q = RF.q()
 
@@ -418,7 +420,7 @@ def test_direct_forms_are_built_in_lowest_terms(monkeypatch):
 def test_q_gegenbauer_lambda_one_collapses_to_classical():
     # at lambda = 1 (Lambda -> q) the deformed polynomial is the classical one
     for n in range(6):
-        collapsed = q_gegenbauer_direct(n).map_coeffs(lambda c: c.subs_lam_q())
+        collapsed = q_gegenbauer_direct(n).map_coeffs(_at_lambda_one)
         assert collapsed == gegenbauer_classical(n)
 
 

@@ -200,6 +200,13 @@ def _random_rf(rng, allow_lam=True):
     return RF(num, den)
 
 
+def _at_lambda_one(value):
+    """The RationalFunction value at lambda = 1, Lambda -> q = s**2."""
+    def at(p):
+        return sum((IntPoly.monomial(c, a + 2 * b) for (a, b), c in p.sorted_terms()), IntPoly.zero())
+    return RF(at(value.num), at(value.den))
+
+
 def test_field_laws_randomized():
     rng = random.Random(1234)
     for case in range(500):
@@ -301,6 +308,7 @@ def test_constants_hash_like_equal_numbers():
     (parse_rational, "qq"),
     (parse_rational, "q^{1+2}"),
     (parse_rational, "(q)/(1)/(q)"),
+    pytest.param(parse_rational, "9" * 4301, id="parse_rational-4301-digit-integer"),  # one digit beyond the grammar
     pytest.param(parse_rational, "9" * 5000, id="parse_rational-5000-digit-integer"),  # beyond int()'s digit limit
     pytest.param(parse_rational, "q^" + "9" * 5000, id="parse_rational-5000-digit-exponent"),
     (parse_polynomial_json, "[]"),
@@ -343,6 +351,7 @@ def test_malformed_text_raises_parse_error(parse, text):
     ("q\n^2", {(4, 0): 1}),
     ("\r-q^{1/2}\f*lam\v", {(1, 1): -1}),
     ("(q) / (1)", {(2, 0): 1}),
+    pytest.param("9" * 4300, {(0, 0): 10**4300 - 1}, id="4300-digit-integer"),  # under any int() digit limit
 ])
 def test_accepted_text_parses_to_its_terms(text, terms):
     if ")/(" in "".join(text.split()):

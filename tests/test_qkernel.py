@@ -291,7 +291,7 @@ def test_references_take_no_divided_power_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("q-divided-power kernel called")
 
-    for module in (qkernel, families, connection):
+    for module in (qkernel, families):
         monkeypatch.setattr(module, "_divided_powers", forbidden)
     with pytest.raises(AssertionError):
         families.q_gegenbauer_genfun(1)

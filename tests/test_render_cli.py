@@ -21,7 +21,7 @@ from qpoly.field import IntPoly, RationalFunction as RF, parse_poly, parse_ratio
 from qpoly.render import (
     latex,
     parse_polynomial_json,
-    render_polynomial_json,
+    polynomial_json_dict,
     text,
 )
 from qpoly.verify import SUITE_NAMES, VerificationReport, CheckResult
@@ -104,7 +104,7 @@ def test_field_values_print_through_text_and_latex():
 # ---------------------------------------------------------------------------
 
 def test_json_hermite1_entry():
-    doc = json.loads(render_polynomial_json(q_hermite(1), "hermite", 1, total_check=True))
+    doc = json.loads(json.dumps(polynomial_json_dict(q_hermite(1), "hermite", 1, total_check=True), indent=2))
     assert doc["family"] == "hermite" and doc["n"] == 1
     assert doc["total_check"] == "pass"
     assert doc["coefficients"] == [
@@ -128,12 +128,12 @@ def test_json_round_trip_randomized(cls, basis):
     rng = random.Random(hash(basis) & 0xFFFF)
     for _ in range(40):
         poly = cls({rng.randint(0, 6): _random_rf(rng) for _ in range(rng.randint(0, 4))})
-        rendered = render_polynomial_json(poly, "any", 3, k=2, total_check=True)
+        rendered = json.dumps(polynomial_json_dict(poly, "any", 3, k=2, total_check=True), indent=2)
         parsed, meta = parse_polynomial_json(rendered)
         assert parsed == poly
         assert meta["n"] == 3 and meta["k"] == 2
         # bit-exact: re-rendering the parsed object reproduces the string
-        assert render_polynomial_json(parsed, "any", 3, k=2, total_check=True) == rendered
+        assert json.dumps(polynomial_json_dict(parsed, "any", 3, k=2, total_check=True), indent=2) == rendered
 
 
 # ---------------------------------------------------------------------------
