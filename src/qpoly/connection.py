@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, itemgetter, mul
 
-from .field import _pack, _uadd, _umul, _unorm, _unpack, _width
+from .field import _digits, _pack, _uadd, _umul, _unorm, _unpack, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -253,59 +253,55 @@ def _products(keys, block, times, unit):
 # [1] = 1), largest first.
 
 def _quotient_sums(n, uses, order=None):
-    """Per key, the x-row of sum c (1 - x)**E Q_mu over the entries (key, E,
-    c) of every uses[mu], c an int, with as many digits as the longest term
-    of any key.  Rows are packed ints, evaluated at xi = 2**(8*nbytes), a
-    ring map: [n]! is packed once, and each Q_mu (_prefix_walk) is its parent
-    prefix's divided by the packed [a] = (xi**a - 1)/(xi - 1).  A nonzero
-    remainder raises ArithmeticError; a zero one is necessary, not
-    sufficient, for an exact division of rows, so the dual-route checks stay
-    the oracle.  nbytes holds n! (the coefficient sum of [n]!) and sum |c|
-    (n!/prod mu) 2**E, a bound on every coefficient of a key's row, so only
-    the per-key sums, each c Q_mu of one E summed and then multiplied by
-    (1 - x)**E, are unpacked.  With order, each key's sum is also divided,
-    packed and with the same check, by [n]!/[m]! = prod_{a=m+1..n} [a] for m
-    = order(key): its terms are then c (1 - x)**E [m]!/prod [a], which needs
-    the parts of every mu of the key to sum to at most m.  The quotient's
-    coefficients are bounded as the key's, so nbytes holds them too."""
+    """Per key, the x-row of sum c (1 - x)**E Q_mu over the entries {(key,
+    E): c} of every uses[mu], one per (key, E) and c a nonzero int: each row
+    without trailing zeros, and a key whose sum is 0 absent.  Rows are packed
+    ints, evaluated at xi = 2**(8*nbytes), a ring map: [n]! is packed once,
+    and each Q_mu (_prefix_walk) is its parent prefix's divided by the packed
+    [a] = (xi**a - 1)/(xi - 1).  A nonzero remainder raises ArithmeticError;
+    a zero one is necessary, not sufficient, for an exact division of rows,
+    so the dual-route checks stay the oracle.  nbytes holds n! (the
+    coefficient sum of [n]!) and sum |c| (n!/prod mu) 2**E, a bound on every
+    coefficient of a key's row, so only the per-key sums, each c Q_mu of one
+    E summed and then multiplied by (1 - x)**E, are unpacked, each to its own
+    top digit.  With order, each key's sum is also divided, packed and with
+    the same check, by [n]!/[m]! = prod_{a=m+1..n} [a] for m = order(key):
+    its terms are then c (1 - x)**E [m]!/prod [a], which needs the parts of
+    every mu of the key to sum to at most m.  The quotient's coefficients are
+    bounded as the key's, so nbytes holds them too."""
     top = math.factorial(n)
-    bound, length = {}, 0
+    bound = {}
     for mu, entries in uses.items():
         size = top // math.prod(mu)
-        degree = n * (n - 1) // 2 - sum(mu) + len(mu)  # of Q_mu
-        for key, e, c in entries:
+        for (key, e), c in entries.items():
             bound[key] = bound.get(key, 0) + (abs(c) * size << e)
-            length = max(length, degree + e + 1)
     nbytes = _width(max(top, *bound.values()).bit_length())
     xi = 1 << (8 * nbytes)
 
-    def divide(v, a):
-        quotient, remainder = divmod(v, ((1 << (8 * nbytes * a)) - 1) // (xi - 1))
+    def exact(v, divisor, name, *args):
+        quotient, remainder = divmod(v, divisor)
         if remainder:
-            raise ArithmeticError(f"[{a}]_x does not divide the row")
+            raise ArithmeticError(name.format(*args) + " does not divide the row")
         return quotient
 
     sums = {}  # (key, E) -> packed sum of the c Q_mu
-    for mu, packed in _prefix_walk(uses, _pack(_q_factorial_row(n), nbytes), divide):
-        for key, e, c in uses[mu]:
-            sums[key, e] = sums.get((key, e), 0) + c * packed
+    for mu, packed in _prefix_walk(uses, _pack(_q_factorial_row(n), nbytes),
+                                   lambda v, a: exact(v, ((1 << (8 * nbytes * a)) - 1) // (xi - 1), "[{}]_x", a)):
+        for entry, c in uses[mu].items():
+            sums[entry] = sums.get(entry, 0) + c * packed
     powers, totals = {}, {}  # E -> (1 - x)**E packed; key -> packed row
     for (key, power), v in sums.items():
         if power not in powers:
             powers[power] = (1 - xi) ** power
         totals[key] = totals.get(key, 0) + v * powers[power]
-    if order is None:
-        return {key: _unpack(v, nbytes, length) for key, v in totals.items()}
-    ratios, rows = {n: 1}, {}  # m -> [n]!/[m]! packed
-    for key, v in totals.items():
-        m = order(key)
-        for a in range(min(ratios), m, -1):
-            ratios[a - 1] = ratios[a] * (((1 << (8 * nbytes * a)) - 1) // (xi - 1))
-        quotient, remainder = divmod(v, ratios[m])
-        if remainder:
-            raise ArithmeticError(f"[{n}]!/[{m}]! does not divide the row")
-        rows[key] = _unpack(quotient, nbytes, length - (n * (n - 1) - m * (m - 1)) // 2)
-    return rows
+    if order is not None:
+        ratios = {n: 1}  # m -> [n]!/[m]! packed
+        for key, v in totals.items():
+            m = order(key)
+            for a in range(min(ratios), m, -1):
+                ratios[a - 1] = ratios[a] * (((1 << (8 * nbytes * a)) - 1) // (xi - 1))
+            totals[key] = exact(v, ratios[m], "[{}]!/[{}]!", n, m)
+    return {key: _digits(v, nbytes) for key, v in totals.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +368,16 @@ def _hermite_values(n, tables):
     for i, terms in enumerate(tables):
         for j, mu, a, b in terms:
             scale[i, j] = math.lcm(scale.get((i, j), 1), b)
-    uses = {}  # mu -> [((table index, j), E, c)]
+    uses = {}  # mu -> {((table index, j), E): c}, equal entries merged
     for i, terms in enumerate(tables):
         for j, mu, a, b in terms:
             # E = n - t - |mu|: the sum of p - 1 over the parts p of the key, less t
-            uses.setdefault(mu, []).append(((i, j), sum(mu) - len(mu) - (n - j) // 2, a * (scale[i, j] // b)))
+            entries, entry = uses.setdefault(mu, {}), ((i, j), sum(mu) - len(mu) - (n - j) // 2)
+            if c := entries.pop(entry, 0) + a * (scale[i, j] // b):
+                entries[entry] = c
     values = [{} for _ in tables]
-    for (i, j), digits in _quotient_sums(n, uses).items():
-        t = (n - j) // 2  # the digits are an x-row of degree <= n(n - 1)/2 - t
-        row = _unorm(digits[:n * (n - 1) // 2 - t + 1])
-        if row:
-            values[i][j] = _ratio([row], [scale[i, j]], -2, -n - 2 * t)
+    for (i, j), row in _quotient_sums(n, uses).items():
+        values[i][j] = _ratio([row], [scale[i, j]], -2, j - 2 * n)
     return [ZPolynomial._raw(value) for value in values]
 
 
@@ -467,18 +462,18 @@ def _laguerre_total(k, aux, binomials, powers):
     p_l = powers[l], from the t-series (_laguerre_series): one call of the
     quotient kernel sums each (D, l) over [D]!, and each z**D is one
     RationalFunction over D! [D]!, reduced by _ratio's polynomial gcd."""
-    series, uses = _laguerre_series(k, aux), {}  # uses: mu -> [((D, l), E, c)]
+    series, uses = _laguerre_series(k, aux), {}  # uses: mu -> {((D, l), E): c}
     for ell in range(len(binomials)):
         for (zpow, mu), c in series[k - ell].items():
             if c:
-                uses.setdefault(mu, []).append(((zpow, ell), sum(mu) - len(mu), c))
+                uses.setdefault(mu, {})[(zpow, ell), sum(mu) - len(mu)] = c
     low = min(powers)
     nums = {}  # D -> sum_l q**(p_l - low) [n over l] times the kernel row of (D, l)
     for (zpow, ell), row in _quotient_sums(k, uses, itemgetter(0)).items():
-        nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], _unorm(row)))
+        nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], row))
     return ZPolynomial._raw({  # z-powers descending: the row sum's order when aux is {}
         zpow: _ratio([nums[zpow]], [math.factorial(zpow) * x for x in _q_factorial_row(zpow)], 1, 2 * low)
-        for zpow in sorted(nums, reverse=True) if _unorm(nums[zpow])})
+        for zpow in sorted(nums, reverse=True) if nums[zpow]})
 
 
 def laguerre_connection(n, k, aux=None):
@@ -752,15 +747,15 @@ def gegenbauer_connection_value(expansion):
             acc = by_weight.get(mu)
             by_weight[mu] = list(scaled) if acc is None else list(map(add, acc, scaled))
     lam_rows = dict(_products(by_weight, _lambda_factor, _umul, [1]))
-    uses = {}  # mu's parts above 1, largest first -> [((w-power, Lambda power), E, c)]
+    uses = {}  # mu's parts above 1, largest first -> {((w-power, Lambda power), E): c}
     for mu, acc in by_weight.items():
         lam = [(p, c) for p, c in enumerate(lam_rows[mu]) if c]
         parts = tuple(k for k, e in reversed(mu) if k > 1 for _ in range(e))
         power = n - sum(e for _, e in mu)
-        uses[parts] = [((2 * (low + i) - n, p), power, a * l) for i, a in enumerate(acc) if a for p, l in lam]
+        uses[parts] = {((2 * (low + i) - n, p), power): a * l for i, a in enumerate(acc) if a for p, l in lam}
     rows = _quotient_sums(n, uses)
     cells = {e: cell for e in range(2 * low - n, n + 1, 2)  # _cos_value keeps empty cells, so skip them
-             if (cell := _unorm([_unorm(rows.get((e, p), [])) for p in range(n + 1)]))}
+             if (cell := _unorm([rows.get((e, p), []) for p in range(n + 1)]))}
     return _cos_value(cells, [scale * x for x in _q_pochhammer_row(n)])  # over D (q;q)_n
 
 

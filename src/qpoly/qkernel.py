@@ -295,7 +295,7 @@ def _divided_powers(binoms, width, logs=None, series=None, read=()):
         wider = _width(need.bit_length())
         if wider > nbytes:
             for m, g in enumerate(packed):  # in place: one G at a time is copied
-                packed[m] = _widen(g, abs(g).bit_length() // (8 * nbytes) + 1, nbytes, wider)
+                packed[m] = _widen(g, nbytes, wider)
             nbytes = wider
         total, digit = 0, 8 * nbytes
         for m, row, places in terms:
@@ -312,8 +312,7 @@ def _divided_powers(binoms, width, logs=None, series=None, read=()):
                 raise ArithmeticError(f"{n} does not divide n G_n")
             packed.append(g)
         if unpack:
-            count = abs(total).bit_length() // (8 * nbytes) + 1
-            rows = _unpack_rows(total, nbytes, count, width or count)
+            rows = _unpack_rows(total, nbytes, None, width)
             if not log and any(c % n for r in rows for c in r):
                 raise ArithmeticError(f"{n} does not divide every digit of n G_n")
             if log:

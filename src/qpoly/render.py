@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from fractions import Fraction
+from decimal import Decimal
 
 from .field import IntPoly, ParseError, RationalFunction, parse_poly
 from .families import CosPolynomial, SparsePoly, ZPolynomial
@@ -90,19 +90,18 @@ _BASES = {
 }
 
 
-def _latex_fraction(fr):
-    fr = Fraction(fr)
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return r"\frac{%d}{%d}" % (fr.numerator, fr.denominator)
+def _integer(c):
+    """An int in decimal under any int() digit limit: by str() to 2126 bits
+    (640 digits), else by Decimal, as field.parse_laurent reads them."""
+    return str(c) if c.bit_length() <= 2126 else str(Decimal(c))
 
 
 # A format: the separator between a coefficient and its monomial, the
-# fraction of two polynomials, the magnitude of a number, the parentheses
-# around a composite coefficient and the index of its rule in _BASES.
+# fraction of two polynomials, that of two integers, the parentheses around
+# a composite coefficient and the index of its rule in _BASES.
 _Style = namedtuple("_Style", "sep fraction number left right rule")
-_TEXT = _Style("*", "(%s)/(%s)", str, "(", ")", 0)
-_LATEX = _Style(r"\,", r"\frac{%s}{%s}", _latex_fraction, r"\left(", r"\right)", 1)
+_TEXT = _Style("*", "(%s)/(%s)", "%s/%s", "(", ")", 0)
+_LATEX = _Style(r"\,", r"\frac{%s}{%s}", r"\frac{%s}{%s}", r"\left(", r"\right)", 1)
 
 
 def _coeff(c, style):
@@ -111,9 +110,11 @@ def _coeff(c, style):
     a leading minus lifted out, but a LaTeX fraction of two polynomials
     stands bare."""
     if type(c) is int:  # every IntPoly coefficient: no Fraction formatting
-        return str(abs(c)), c < 0
-    if not isinstance(c, (RationalFunction, SparsePoly)):
-        return style.number(abs(c)), c < 0
+        return _integer(abs(c)), c < 0
+    if not isinstance(c, (RationalFunction, SparsePoly)):  # a Fraction
+        x = abs(c)
+        number = _integer(x.numerator)
+        return number if x.denominator == 1 else style.number % (number, _integer(x.denominator)), c < 0
     out = _emit(c, style)
     if " + " in out or " - " in out:
         if isinstance(c, RationalFunction) and out.startswith(r"\frac"):

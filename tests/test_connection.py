@@ -298,13 +298,22 @@ def test_quotient_kernel_raises_on_a_nonzero_remainder():
 
     # [3]! / [2] = [3], which [2] does not divide
     with pytest.raises(ArithmeticError):
-        _quotient_sums(3, {(2, 2): [(0, 0, 1)]})
-    assert _quotient_sums(3, {(2,): [(0, 0, 1)], (3,): [(0, 1, 2)]}) == {0: [3, 1, -1]}
+        _quotient_sums(3, {(2, 2): {(0, 0): 1}})
+    assert _quotient_sums(3, {(2,): {(0, 0): 1}, (3,): {(0, 1): 2}}) == {0: [3, 1, -1]}
     # with an order m per key, the sum is also divided by [3]!/[m]!: [3]!/[2]
     # over [3] is 1, and [3]!/[3] = [2]! is no multiple of [3]
-    assert _quotient_sums(3, {(2,): [(2, 0, 1)]}, lambda m: m) == {2: [1]}
+    assert _quotient_sums(3, {(2,): {(2, 0): 1}}, lambda m: m) == {2: [1]}
     with pytest.raises(ArithmeticError):
-        _quotient_sums(3, {(3,): [(2, 0, 1)]}, lambda m: m)
+        _quotient_sums(3, {(3,): {(2, 0): 1}}, lambda m: m)
+
+
+def test_quotient_kernel_reads_each_key_to_its_top_digit():
+    from qpoly.connection import _quotient_sums
+
+    # [3]! = [2][3], so [3]! + (1 - x)[3] = 2[3]: its x**3 terms cancel, and
+    # [3]! - 2[3] + (1 - x)[3] = 0: every term cancels
+    uses = {(): {("top", 0): 1, ("zero", 0): 1}, (2,): {("top", 1): 1, ("zero", 0): -2, ("zero", 1): 1}}
+    assert _quotient_sums(3, uses) == {"top": [2, 2, 2]}
 
 
 def test_prefix_walk_steps_each_prefix_once():
@@ -741,12 +750,15 @@ def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ra
     uses, keys = {}, {}  # the kernel's entries in the total, keyed by (D, l); D -> one key
     for ell, terms in enumerate(_laguerre_series(k, aux)[k::-1]):
         for (zpow, mu), c in terms.items():
-            uses.setdefault(mu, []).append(((zpow, ell), sum(mu) - len(mu), c))
+            if c:
+                uses.setdefault(mu, {})[(zpow, ell), sum(mu) - len(mu)] = c
             keys[zpow] = (zpow, ell)
     assert len(_quotient_sums(k, uses, itemgetter(0))) >= len(keys) == k + 1
     for zpow in range(k):
+        more = dict(uses.get((k,), {}))
+        more[keys[zpow], 0] = more.get((keys[zpow], 0), 0) + 1
         with pytest.raises(ArithmeticError):
-            _quotient_sums(k, {**uses, (k,): uses.get((k,), []) + [(keys[zpow], 0, 1)]}, itemgetter(0))
+            _quotient_sums(k, {**uses, (k,): more}, itemgetter(0))
 
 
 # ---------------------------------------------------------------------------
@@ -852,15 +864,15 @@ def test_gegenbauer_value_beyond_verify_sizes(monkeypatch):
     import qpoly.connection as connection
 
     widths = {}
-    unpack = connection._unpack
+    digits = connection._digits
 
     for n in (10, 11, 16):
-        def recorded(v, nbytes, count, n=n):
+        def recorded(v, nbytes, n=n):
             widths.setdefault(n, set()).add(nbytes)
-            return unpack(v, nbytes, count)
+            return digits(v, nbytes)
 
-        expansion = gegenbauer_connection(n)  # built first: its monomials decode 1-byte fields
-        monkeypatch.setattr(connection, "_unpack", recorded)
+        expansion = gegenbauer_connection(n)
+        monkeypatch.setattr(connection, "_digits", recorded)
         assert gegenbauer_connection_value(expansion) == q_gegenbauer_direct(n)
     assert min(widths[16]) > 8
 

@@ -594,7 +594,7 @@ def test_pack_unpack_round_trip_every_width():
             assert v == sum(d << (8 * nbytes * i) for i, d in enumerate(digits)), (nbytes, n)
             assert _unpack(v, nbytes, n) == digits, (nbytes, n)
             wider = nbytes + 1 + n % 3
-            assert _widen(v, n, nbytes, wider) == _pack(digits, wider), (nbytes, n)
+            assert _widen(v, nbytes, wider) == _pack(digits, wider), (nbytes, n)
 
 
 def _primitive_row(rng, length, bits):

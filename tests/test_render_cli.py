@@ -112,6 +112,28 @@ def test_json_hermite1_entry():
     ]
 
 
+@pytest.mark.parametrize("value,over", [(10**700 + 7, ""), (Fraction(10**700 + 7, 3), "3")], ids=["int", "fraction"])
+def test_render_prints_integers_whatever_the_digit_limit(value, over):
+    # 700 digits, written out here as int() would refuse under the 640-digit limit
+    digits = "1" + "0" * 699 + "7"
+    rf, beta = RF.from_fraction(Fraction(value)), BetaPolynomial({(): value})
+    poly = ZPolynomial({0: rf, 2: -rf})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        if over:
+            assert text(rf) == f"({digits})/({over})" and text(beta) == f"{digits}/{over}"
+            assert latex(rf) == latex(beta) == rf"\frac{{{digits}}}{{{over}}}"
+        else:
+            assert text(rf) == latex(rf) == text(beta) == latex(beta) == digits
+        rendered = json.dumps(polynomial_json_dict(poly, "any", 2))
+        parsed, _ = parse_polynomial_json(rendered)
+        assert parsed == poly
+        assert json.dumps(polynomial_json_dict(parsed, "any", 2)) == rendered
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _random_rf(rng):
     def poly():
         return IntPoly({(rng.randint(0, 3), rng.randint(0, 1)): rng.randint(-5, 5)
