@@ -192,8 +192,9 @@ def _connect_rows_request(args, aux):
         if fmt == "latex":
             return ([line for sol, value in rows for line in (f"% {sol.label()}", value + r" \\")]
                     + ["% total", emit(total)])
-        width = max(len(sol.label()) for sol, _ in rows)
-        return ([f"{sol.label():<{width}}  |  {value}" for sol, value in rows]
+        labels = [sol.label() for sol, _ in rows]
+        width = max(map(len, labels))
+        return ([f"{label:<{width}}  |  {value}" for label, (_, value) in zip(labels, rows)]
                 + [f"total: {emit(total)}", f"check against direct construction: {_verdict(check)}"])
     return total, target, body
 

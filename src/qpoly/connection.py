@@ -90,28 +90,23 @@ class PartitionSolution:
 
     parts: tuple
 
-    @property
-    def target(self):
-        return sum(k * m for k, m in self.parts)
-
-    @property
-    def count(self):
-        """Total number of parts, sum_k n_k."""
-        return sum(m for _, m in self.parts)
-
     def label(self):
         if not self.parts:
             return "empty"
         return ", ".join(f"n{k}={m}" for k, m in self.parts)
 
 
-def _descending_partitions(n, maxpart):
+def _multiplicities(n, top):
+    """The partitions of n into parts at most top as ((k, n_k), ...) with k
+    descending and every n_k >= 1, ordered lexicographically by parts
+    descending: n_k runs down for each largest part k."""
     if n == 0:
         yield ()
         return
-    for p in range(min(n, maxpart), 0, -1):
-        for rest in _descending_partitions(n - p, p):
-            yield (p,) + rest
+    for k in range(min(n, top), 0, -1):
+        for m in range(n // k, 0, -1):
+            for rest in _multiplicities(n - k * m, k - 1):
+                yield ((k, m),) + rest
 
 
 @lru_cache(maxsize=None)
@@ -120,13 +115,7 @@ def partitions_of(n):
     lexicographically by parts descending ([n] first, [1,...,1] last)."""
     if n < 0:
         raise ValueError("partition target must be >= 0")
-    out = []
-    for parts in _descending_partitions(n, n):
-        mult = {}
-        for p in parts:
-            mult[p] = mult.get(p, 0) + 1
-        out.append(PartitionSolution(tuple(sorted(mult.items()))))
-    return tuple(out)
+    return tuple(PartitionSolution(parts[::-1]) for parts in _multiplicities(n, n))
 
 
 @dataclass(frozen=True)
@@ -136,12 +125,6 @@ class LaguerrePartitionSolution:
     ell: int
     kparts: tuple  # ((j, k_j), ...), k_j >= 1, j ascending
     lparts: tuple  # ((j, l_j), ...), l_j >= 1, j ascending
-
-    @property
-    def target(self):
-        return (self.ell
-                + sum(j * v for j, v in self.kparts)
-                + sum(j * v for j, v in self.lparts))
 
     def label(self):
         bits = [f"k{j}={v}" for j, v in self.kparts]
@@ -335,9 +318,10 @@ def _hermite_v(k):
 
 
 def _hermite_tables(n):
-    """Per partition of n (partitions_of order), its row terms (j, mu, a, b),
-    a/b reduced, from the choices of its parts by the prefix walk, keyed
-    largest part first (partitions_of order reversed, so sorting is cheap)."""
+    """Per partition of n (partitions_of order), its row terms (j, mu, a, b)
+    from the choices of its parts by the prefix walk, keyed largest part first
+    (_multiplicities).  a/b is left unreduced: _hermite_values scales each key
+    by the lcm of its b, and _ratio divides out the content of its sum."""
     def choices(k, m):  # h b_k**(d+e) / (m! 2**d) as ints, b_k that of u_k and v_k
         (b, au), (_, av) = _hermite_u(k), _hermite_v(k)
         options = []
@@ -352,10 +336,10 @@ def _hermite_tables(n):
     def join(row, options):  # terms in the order of the product taken smallest part first
         return [(kd + j, parts + mu, ca * a, cb * b) for kd, parts, ca, cb in options for j, mu, a, b in row]
 
-    rows = _products([sol.parts[::-1] for sol in partitions_of(n)], choices, join, [(0, (), 1, 1)])
-    tables = {key: [(j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a // (g := math.gcd(a, b)), b // g)
-                    for j, mu, a, b in row] for key, row in rows}
-    return [tables[sol.parts[::-1]] for sol in partitions_of(n)]
+    keys = list(_multiplicities(n, n))
+    tables = {key: [(j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a, b) for j, mu, a, b in row]
+              for key, row in _products(keys, choices, join, [(0, (), 1, 1)])}
+    return [tables[key] for key in keys]
 
 
 def _hermite_values(n, tables):
@@ -381,7 +365,7 @@ def _hermite_values(n, tables):
     return [ZPolynomial._raw(value) for value in values]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def hermite_connection(n):
     """Expansion of the deformed Hermite polynomial over partition solutions.
 
@@ -655,7 +639,7 @@ def classical_log_coefficients(order):
                  for k, a in enumerate(_integer_logs(order), 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def gegenbauer_connection(n):
     """Connection expansion of the deformed Gegenbauer polynomial of degree n
     in terms of formal products of classical factors C_m, with coefficients
@@ -685,7 +669,7 @@ def gegenbauer_connection(n):
                 out[m] = get(m, 0) + ca * cb
         return out
 
-    betas = {tuple(k for k, f in reversed(sol.parts) for _ in range(f)): sol.parts for sol in partitions_of(n)}
+    betas = {tuple(k for k, f in parts for _ in range(f)): parts[::-1] for parts in _multiplicities(n, n)}
     by_factors = {}
     for key, p in _prefix_walk(betas, {0: 1}, times):
         beta = betas[key]

@@ -372,8 +372,10 @@ def gegenbauer_classical(n):
 # ---------------------------------------------------------------------------
 # deformed families
 # ---------------------------------------------------------------------------
+# Whole results are cached with a bound above one verify pass's reuse (9
+# degrees, q_laguerre 49 pairs): a long-lived process keeps the latest only.
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def q_hermite(n):
     """Deformed Hermite polynomial H_n(z; q): [n]_x! s**-n times the t**n
     coefficient of E_x(2(1 - x) z t) e_{x**2}(-2(1 - x**2) t**2 / (q(1 + x))),
@@ -395,7 +397,7 @@ def q_hermite(n):
     return ZPolynomial._raw(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def q_laguerre(n, k):
     """Deformed Laguerre polynomial L_k^{(n-k)}(z; q): q**-((n-k)(n-k+1)/2)
     times the t**k coefficient of E_q(-(1-q) z t) (-q/t; q)_n t**n, the last
@@ -423,7 +425,7 @@ def gegenbauer_weight(k):
     return (_RF_ONE - lam**k) / (_RF_ONE - q**k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def q_gegenbauer_direct(n):
     """Deformed Gegenbauer polynomial from its explicit double-Pochhammer
     form: sum_l (L;q)_l (L;q)_{n-l} / ((q;q)_l (q;q)_{n-l}) cos((n-2l)theta)

@@ -98,7 +98,17 @@ def test_partitions_vs_brute_force():
                 mult[p] = mult.get(p, 0) + 1
             expected.add(tuple(sorted(mult.items())))
         assert got == expected
-        assert all(sol.target == n for sol in sols)
+        assert all(sum(k * m for k, m in sol.parts) == n for sol in sols)
+
+
+def test_partitions_equal_brute_force_in_order():
+    # every multiset of parts summing to n, parts descending, lexicographically
+    # descending, as ((k, n_k), ...) with k ascending: p(25) = 1958
+    for n in range(26):
+        expected = [tuple(sorted((k, parts.count(k)) for k in set(parts)))
+                    for parts in sorted((p[::-1] for p in brute_partitions(n)), reverse=True)]
+        assert [sol.parts for sol in partitions_of(n)] == expected
+    assert len(expected) == 1958
 
 
 def test_partitions_order_deterministic():
@@ -179,7 +189,8 @@ def test_laguerre_partitions_vs_brute_force():
         for k in range(5):
             got = {(s.ell, s.kparts, s.lparts) for s in laguerre_partitions(n, k)}
             assert got == brute_laguerre_partitions(n, k)
-            assert all(s.target == k for s in laguerre_partitions(n, k))
+            assert all(s.ell + sum(j * v for j, v in s.kparts + s.lparts) == k
+                       for s in laguerre_partitions(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +516,26 @@ def test_hermite_total_takes_no_rational_function_arithmetic(monkeypatch):
     assert len(expansion.terms) == len(partitions_of(16))
 
 
+def test_hermite_kernel_digit_widths(monkeypatch):
+    # each choice of a part is reduced once, in _hermite_tables' choices, and
+    # each key's sum is scaled by the lcm of its denominators: the kernel's
+    # digits stay at these widths
+    import qpoly.connection as connection
+
+    seen, digits = [], connection._digits
+    monkeypatch.setattr(connection, "_digits", lambda v, nbytes: seen.append(nbytes) or digits(v, nbytes))
+
+    def widths(read):
+        seen.clear()
+        read()
+        return set(seen)
+
+    assert widths(lambda: hermite_connection.__wrapped__(16)) == {13}
+    assert widths(lambda: hermite_connection.__wrapped__(24)) == {23}
+    expansion = hermite_connection.__wrapped__(16)
+    assert widths(lambda: expansion.terms) == {9}
+
+
 def test_hermite_rows_take_one_kernel_call(monkeypatch):
     # every row of one read of `terms` comes from one _quotient_sums call,
     # which builds [n]! once (one call per partition would be p(12) = 77)
@@ -562,7 +593,7 @@ def hermite_row_oracle(solution, n, q, z):
     base2, base4 = q**-2, q**-4
     imag = complex(0, 1)
     total = (_float_qfact(n, base2) * (2 / (q**2 * (1 + base2))) ** (n / 2)
-             * imag ** (n + solution.count))
+             * imag ** (n + sum(m for _, m in solution.parts)))
     for k, m in solution.parts:
         ck4 = complex(_float_quesne_c(k, base4))
         zeta = (imag ** (k + 1) * (2 * q * (1 + base2)) ** (k / 2)
