@@ -26,7 +26,8 @@ relation:
     = e^{i theta}, each weight is a numerator over (q;q)_n with integer
     q-multinomial quotients in q, and each cos(j theta) coefficient is
     reduced once.  The deformed side of the sum rules is the log of the
-    explicit polynomials over Z (families._log_coefficients).
+    explicit polynomials over Z (families._log_coefficients), the classical
+    side sum_l 2 cos(l theta) t**l / l in closed form.
 
 Every expansion's terms and total are in the normalization of the polynomial
 itself.  Each engine builds every distinct building block once per call, in
@@ -62,7 +63,6 @@ from .families import (
     _cos_value,
     _int_binomial,
     _log_coefficients,
-    gegenbauer_classical,
     gegenbauer_weight,
     hermite_classical,
     laguerre_classical,
@@ -784,8 +784,9 @@ def gegenbauer_sum_rule_logs(order):
     A log coefficient does not depend on the truncation order, so one pair
     serves every sum rule of order up to `order`.  The deformed log runs over
     Z (_log_coefficients), with no TruncatedSeries log and no CosPolynomial
-    product; the classical one is TruncatedSeries.log, so the two sides of a
-    rule come from different code."""
+    product; the classical one is in closed form (_classical_log), so the
+    two sides of a rule come from different code and neither takes a series
+    log."""
     if order < 1:
         raise ValueError("sum-rule order must be >= 1")
     logs = _log_coefficients(order, range(1, order + 1))
@@ -793,8 +794,12 @@ def gegenbauer_sum_rule_logs(order):
 
 
 def _classical_log(order):
-    """log(sum_n C_n^(1) t**n) to the given order, by TruncatedSeries.log."""
-    return TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(i) for i in range(order + 1)], order).log()
+    """log(sum_n C_n^(1) t**n) to the given order in closed form: the series
+    is 1/(1 - 2 cos(theta) t + t**2) = 1/((1 - w t)(1 - t/w)), w = e^{i
+    theta}, so its log is sum_l (w**l + w**-l) t**l / l = sum_l 2 cos(l
+    theta) t**l / l."""
+    return TruncatedSeries(COSPOLY_RING, [CosPolynomial.zero()] + [
+        CosPolynomial({ell: Fraction(2, ell)}) for ell in range(1, order + 1)], order)
 
 
 def gegenbauer_sum_rule(ell):

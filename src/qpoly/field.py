@@ -90,15 +90,29 @@ over the rows (_rows_gcd_cof), starting from the Lambda-free row, and stops
 once it reaches 1.  The fold divides first: only a row that the running gcd
 does not divide runs a gcd, whose cofactor g_old / g_new rescales the
 quotients already taken.  A denominator's gcd with the first Lambda row
-mostly divides every later one.  Two operands with several Lambda rows are
-split by the same fold into their Lambda-contents (the row gcd of their
-rows) and primitive parts.  The primitive parts are evaluated at Lambda =
-xi, one packed int per power of s, with nbytes sized as for rows; the row
-gcd of the two values is read back as balanced base-xi digits, one Lambda
-row per digit, and its Lambda-primitive part is the candidate.  It is
-returned when it divides both primitive parts, and xi widens as for rows
-when it does not.  The gcd is the candidate times the row gcd of the two
-contents.
+mostly divides every later one, so a g of two or more coefficients that a
+gcd returns is tried on the two or more rows left at once (_block_divexact).
+The first g, the Lambda-free row itself, is not tried: it rarely divides the
+next row.  The rows left are laid end to end, W digits apart (W the longest
+row), packed with g at one digit width that holds every coefficient of both,
+and divided by one divmod.  The quotient Q's balanced digits, cut into slots
+of W, are the quotients when the remainder is 0, each slot has len(r) -
+len(g) + 1 digits (none for a zero row) and sum|g_i| * max|Q_j| < xi/2.
+Then g times each slot stays in its slot, and g * Q and the packed rows are
+both the balanced digits of one integer, so they agree slot by slot, as for
+the cofactors above.  The slot lengths matter: 1 + s divides 1 + s**W for
+odd W but neither row 1.  Q needs no digit past the last slot, since |g(xi)|
+>= 1 makes |Q| no larger than the packed rows.  When a check fails, the
+per-row fold goes on with the first row left, so it stays as the fallback.
+
+Two operands with several Lambda rows are split by the same fold into their
+Lambda-contents (the row gcd of their rows) and primitive parts.  The
+primitive parts are evaluated at Lambda = xi, one packed int per power of s,
+with nbytes sized as for rows; the row gcd of the two values is read back as
+balanced base-xi digits, one Lambda row per digit, and its Lambda-primitive
+part is the candidate.  It is returned when it divides both primitive parts,
+and xi widens as for rows when it does not.  The gcd is the candidate times
+the row gcd of the two contents.
 
 The widening loop ends at both levels.  Write A = G * A' and B = G * B' with
 A' and B' coprime.  The gcd of A(xi) and B(xi) is G(xi) * h with h =
@@ -733,10 +747,11 @@ _INTPOLY_ONE = _raw_poly([[1]])
 
 def _rows_gcd_cof(rows):
     """(g, [r / g for r in rows]) for rows not all zero: g the gcd of the
-    nonzero rows, positive leading coefficient, folded dividing first (see
-    the module docstring).  A gcd of [1] returns the rows themselves."""
+    nonzero rows, positive leading coefficient, folded dividing first; after
+    each gcd the rows left are tried by one block division (see the module
+    docstring).  A gcd of [1] returns the rows themselves."""
     g, cof = None, []
-    for r in rows:
+    for i, r in enumerate(rows):
         if not r:
             f = r
         elif g is None:
@@ -745,10 +760,33 @@ def _rows_gcd_cof(rows):
         elif (f := _udivexact(r, g)) is None:
             g, shrink, f = _ugcd_cof(g, r)
             cof = [_umul(c, shrink) for c in cof]
+            if len(g) > 1 and len(rows) - i > 2:
+                block = _block_divexact(rows[i + 1:], g)
+                if block is not None:
+                    return g, cof + [f] + block
         if g == [1]:
             return g, rows
         cof.append(f)
     return g, cof
+
+
+def _block_divexact(rows, g):
+    """[r / g for r in rows] for g of two or more coefficients, by one
+    division of packed ints (see the module docstring); None when that
+    quotient is not certified, which does not mean that g fails to divide."""
+    width = max(map(len, rows))
+    if width < len(g):
+        return None
+    nbytes = _width(max(_maxabs(g), *map(_maxabs, filter(None, rows))).bit_length())
+    quotient, rem = divmod(_pack(_flatten(rows, width), nbytes), _pack(g, nbytes))
+    if rem:
+        return None
+    slots = [_unorm(s) for s in _unpack_rows(quotient, nbytes, len(rows) * width, width)]
+    drop = len(g) - 1
+    if any(len(s) != (len(r) - drop if r else 0) for r, s in zip(rows, slots)):
+        return None
+    top = max(map(_maxabs, filter(None, slots)), default=0)
+    return slots if sum(map(abs, g)) * top < 1 << (8 * nbytes - 1) else None
 
 
 def _lam_eval(rows, nbytes):

@@ -675,6 +675,21 @@ def test_laguerre_terms_sum_to_total():
         assert total == expansion.total, (n, aux)
 
 
+def test_laguerre_terms_sum_to_total_off_the_diagonal():
+    # the same two routes for n < k and n > k, where the prefactor's power
+    # of q and the binomials [n over l] for l <= min(n, k) are not those of n = k
+    rng = random.Random(9)
+    for n in range(7):
+        for k in range(7):
+            if n != k:
+                aux = {j: rng.randint(-3, 3) for j in range(1, k + 1)}
+                expansion = laguerre_connection(n, k, aux)
+                total = None
+                for term in expansion.terms:
+                    total = term.value if total is None else total + term.value
+                assert total == expansion.total, (n, k)
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 2), 2.5, Fraction(2)])
 def test_laguerre_aux_that_is_not_an_int_raises_type_error(value):
     # a half-integer aux used to give a total other than q_laguerre(3, 3)
@@ -1189,23 +1204,32 @@ def test_sum_rule_log_over_z_matches_series_log():
     assert deformed.coeffs == _log_by_series_log(10).coeffs
 
 
-def test_sum_rule_logs_take_series_log_only_for_the_classical_side(monkeypatch):
+def test_sum_rule_logs_take_no_series_log(monkeypatch):
     import qpoly.connection as connection
 
     def forbidden(*args):
-        raise AssertionError("series exp or CosPolynomial product called")
+        raise AssertionError("series exp or log or CosPolynomial product called")
 
-    logged = []
-    log = TruncatedSeries.log
     expected = _log_by_series_log(9).coeffs[1:]
     monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
-    monkeypatch.setattr(TruncatedSeries, "log", lambda self: logged.append(self.coeffs) or log(self))
+    monkeypatch.setattr(TruncatedSeries, "log", forbidden)
     gegenbauer_sum_rule_logs(9)
-    assert logged == [tuple(gegenbauer_classical(i) for i in range(10))]
     monkeypatch.setattr(CosPolynomial, "dot", classmethod(forbidden))
     coefficients = connection._log_coefficients(9, range(1, 10))
     monkeypatch.undo()
     assert tuple(coefficients) == expected
+
+
+def test_series_log_of_the_classical_series_is_the_closed_form():
+    # log sum_n U_n(cos theta) t**n = -log(1 - 2 t cos theta + t**2) = sum_l
+    # 2 cos(l theta) t**l / l: TruncatedSeries.log against the closed form
+    # the sum rules read
+    import qpoly.connection as connection
+
+    log = TruncatedSeries(COSPOLY_RING, [gegenbauer_classical(n) for n in range(21)], 20).log()
+    closed = [CosPolynomial({ell: Fraction(2, ell)}) for ell in range(1, 21)]
+    assert list(log.coeffs) == [CosPolynomial.zero()] + closed
+    assert connection._classical_log(20).coeffs == log.coeffs
 
 
 def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():

@@ -885,6 +885,141 @@ def test_rows_gcd_cof_divides_first_and_keeps_cofactors(monkeypatch):
     assert _rows_gcd_cof([[], [-4, 0, -4], [2, 0, 2]]) == ([2, 0, 2], [[], [-2], [1]])
 
 
+def _per_row_fold(rows):
+    """The row-gcd fold with one exact division per row and no packed
+    division: the reference for the block division of _rows_gcd_cof."""
+    from qpoly.field import _pos_lead_list, _udivexact, _ugcd_cof, _umul
+
+    g, cof = None, []
+    for r in rows:
+        if not r:
+            f = r
+        elif g is None:
+            g = _pos_lead_list(r)
+            f = [1 if g is r else -1]
+        elif (f := _udivexact(r, g)) is None:
+            g, shrink, f = _ugcd_cof(g, r)
+            cof = [_umul(c, shrink) for c in cof]
+        if g == [1]:
+            return g, rows
+        cof.append(f)
+    return g, cof
+
+
+def _random_row_set(rng):
+    """Rows as the fold sees them: a first row, then rows that mostly share
+    a factor with it, so that a gcd finds the factor and the block division
+    is tried on the rows left, some of them divisible by all of the first
+    row and some by neither; zero rows anywhere, leading coefficients of
+    either sign, coefficients of 1 to 60 bits, some rows in s**2."""
+    bits = rng.choice([1, 3, 8, 20, 60])
+    common = _row_block(rng) if rng.random() < 0.5 else _primitive_row(rng, rng.randint(1, 5), bits)
+    first = _row_mul(common, _primitive_row(rng, rng.randint(1, 3), rng.choice([1, bits])))
+    rows = [first]
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([])
+            continue
+        factor = common if kind < 0.8 else first if kind < 0.9 else [1]
+        r = _row_mul(factor, _primitive_row(rng, rng.randint(1, 4), rng.choice([1, 3, bits])))
+        rows.append([-x for x in r] if rng.random() < 0.5 else r)
+    if rng.random() < 0.3:
+        rows = [[x for c in r for x in (c, 0)][:-1] if r else r for r in rows]
+    return rows
+
+
+def _fold_mismatches(seed, count):
+    """The row sets of _random_row_set(random.Random(seed)), count of them,
+    on which _rows_gcd_cof raises or differs from _per_row_fold."""
+    from qpoly.field import _rows_gcd_cof
+
+    rng, bad = random.Random(seed), []
+    for case in range(count):
+        rows = _random_row_set(rng)
+        try:
+            ok = _rows_gcd_cof(rows) == _per_row_fold(rows)
+        except Exception as exc:  # every exception is a finding
+            ok = repr(exc)
+        if ok is not True:
+            bad.append((case, rows, ok))
+    return bad
+
+
+def test_block_division_matches_the_per_row_fold(monkeypatch):
+    import qpoly.field as field
+
+    taken = []
+    block = field._block_divexact
+    monkeypatch.setattr(field, "_block_divexact",
+                        lambda rows, g: taken.append(q := block(rows, g)) or q)
+    assert _fold_mismatches(53, 2000) == []
+    # both outcomes are exercised
+    accepted = sum(q is not None for q in taken)
+    assert accepted > 200 and len(taken) - accepted > 200, (accepted, len(taken))
+
+
+def _block_outcome(rows, monkeypatch):
+    """_rows_gcd_cof(rows), checked against the per-row fold, and whether
+    the rows after the first two were divided by the block division, with
+    no per-row division."""
+    import qpoly.field as field
+
+    divisions = []
+    udivexact = field._udivexact
+    monkeypatch.setattr(field, "_udivexact", lambda a, b: divisions.append(1) or udivexact(a, b))
+    result = field._rows_gcd_cof(rows)
+    monkeypatch.undo()
+    assert result == _per_row_fold(rows), rows
+    return result, len(divisions) == 1
+
+
+def test_block_division_cases(monkeypatch):
+    # in each case the first two rows are g times coprime rows, so the gcd
+    # of the second row with the first returns g and the rows left are tried
+    from qpoly.field import _flatten, _pack
+
+    # 1 + s divides 1 + xi**3, the rows 1 and 1 packed at stride 3, but
+    # neither row 1: the remainder is 0, the first slot has 3 digits, not 0,
+    # and the fold answers
+    g = [1, 1]
+    rows = [_row_mul(g, [1, -1]), _row_mul(g, [2, 1]), [1], [1], [0, 1, 1]]
+    assert _pack(_flatten(rows[2:], 3), 1) % _pack(g, 1) == 0
+    assert _block_outcome(rows, monkeypatch) == (([1], rows), False)
+    # g = (1 + s + s**2)**6 has a coefficient 141, the rows left, (1 -
+    # s**3)**6 times 1 or 5 + s, none above 128: the digits are sized for g
+    g = functools.reduce(_row_mul, [[1, 1, 1]] * 6)
+    head = [_row_mul(g, [1, 1]), _row_mul(g, [-1, 1])]
+    row = functools.reduce(_row_mul, [[1, 0, 0, -1]] * 6)
+    quotient = functools.reduce(_row_mul, [[1, -1]] * 6)
+    assert max(g) > 128 > 6 * max(map(abs, row))
+    assert _block_outcome(head + [row, [-x for x in row]], monkeypatch) == (
+        (g, [[1, 1], [-1, 1], quotient, [-x for x in quotient]]), True)
+    # with 5 + s, sum|g| * max|q| = 729 * 95 is above xi/2 = 2**15
+    wide = _row_mul(quotient, [5, 1])
+    assert sum(g) * max(map(abs, wide)) >= 2**15
+    assert _block_outcome(head + [row, _row_mul(row, [5, 1])], monkeypatch) == (
+        (g, [[1, 1], [-1, 1], quotient, wide]), False)
+    rows = head + [[1, 2], [3, 4]]
+    assert _block_outcome(rows, monkeypatch) == (([1], rows), False)
+    # sum|g| * max|q| = 2 * 63 is below xi/2 = 128 at one-byte digits, and
+    # 2 * 64 is at it: the quotient is right, but not certified
+    g = [1, 1]
+    head = [_row_mul(g, [1, 2]), _row_mul(g, [2, 1])]
+    below, at = ([c, 1] for c in (63, 64))
+    rows = head + [_row_mul(g, below), _row_mul(g, [-1, 1])]
+    assert _block_outcome(rows, monkeypatch) == ((g, [[1, 2], [2, 1], below, [-1, 1]]), True)
+    rows = head + [_row_mul(g, at), _row_mul(g, [-1, 1])]
+    assert max(map(abs, rows[2])) < 128
+    assert _block_outcome(rows, monkeypatch) == ((g, [[1, 2], [2, 1], at, [-1, 1]]), False)
+    # zero rows among the rows left, and as the last one
+    g = [-1, 0, 1]
+    rows = [_row_mul(g, [1, 1]), _row_mul(g, [1, 2]), [], _row_mul(g, [2, 3]), [],
+            _row_mul(g, [0, 0, 5]), []]
+    assert _block_outcome(rows, monkeypatch) == (
+        (g, [[1, 1], [1, 2], [], [2, 3], [], [0, 0, 5], []]), True)
+
+
 def _bivariate_pairs(seed, count):
     """Pairs a * g, b * g with a and b of Lambda-degree 1 to 3 and a common
     factor g of Lambda-degree 0 to 3, dense or sparse, small coefficients."""

@@ -484,8 +484,8 @@ def test_cli_q_sample_far_below_one(capsys):
 
 def test_sumrules_suite_computes_each_rule_once(monkeypatch):
     # each suite expands its series once, to its top order: one log pair (the
-    # deformed log over Z, the classical one by TruncatedSeries.log) for every
-    # sum rule and one exponential over Z for every dual-route check
+    # deformed log over Z, the classical one in closed form, no series log)
+    # for every sum rule and one exponential over Z for every dual-route check
     import qpoly.connection as connection
     import qpoly.families as families
     import qpoly.verify as verify
@@ -501,11 +501,11 @@ def test_sumrules_suite_computes_each_rule_once(monkeypatch):
     assert report.passed
     assert [c.check_id for c in report.checks] == (
         [f"rule-l{ell}" for ell in range(1, 9)] + [f"explicit-l{ell}" for ell in range(1, 6)])
-    assert calls == ["_log_coefficients", "log"]
+    assert calls == ["_log_coefficients"]
     for n in (4, 8):
         calls.clear()
         assert verify.run_suite("sumrules", n).passed
-        assert calls == ["_log_coefficients", "log"]
+        assert calls == ["_log_coefficients"]
         calls.clear()
         assert verify.run_suite("gegenbauer", n).passed
         assert calls == ["_genfun_coefficients"]
