@@ -40,9 +40,9 @@ division of packed rows per prefix), and through _products the Hermite part
 choices and the Laguerre rows (both keyed largest part first), the Gegenbauer
 classical rows and Lambda factors, and BetaPolynomial.substitute.  The kernel
 checks each division by its remainder only, a necessary condition; the
-dual-route checks stay the oracle.  The Hermite and Laguerre rows are built
-only when `terms` is read; the Hermite rows, like the total, in one kernel
-call, each z-power in lowest terms with no polynomial gcd.
+dual-route checks stay the oracle.  Every engine builds its rows only when
+`terms` is read and keeps its total; the Hermite rows, like the total, in one
+kernel call, each z-power in lowest terms with no polynomial gcd.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, index, itemgetter, mul
 
-from .field import _digits, _pack, _uadd, _umul, _unorm, _unpack, _width
+from .field import _digits, _pack, _uadd, _umul, _unorm, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -109,7 +109,7 @@ def _multiplicities(n, top):
                 yield ((k, m),) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def partitions_of(n):
     """All integer partitions of n as multiplicity maps, ordered
     lexicographically by parts descending ([n] first, [1,...,1] last)."""
@@ -178,7 +178,8 @@ class ConnectionTerm:
 class ConnectionExpansion:
     """Terms plus exact total, both in the normalization of the polynomial
     itself.  `make_terms` returns the tuple of terms; it is called on each
-    read of `terms`, so an expansion holds no rows it has handed out."""
+    read of `terms`, so an expansion of any engine holds no rows it has
+    handed out, only its total and what its rows are built from."""
 
     family: str
     n: int
@@ -318,10 +319,11 @@ def _hermite_v(k):
 
 
 def _hermite_tables(n):
-    """Per partition of n (partitions_of order), its row terms (j, mu, a, b)
-    from the choices of its parts by the prefix walk, keyed largest part first
-    (_multiplicities).  a/b is left unreduced: _hermite_values scales each key
-    by the lcm of its b, and _ratio divides out the content of its sum."""
+    """Per partition of n, in partitions_of order (the walk's sorted one
+    reversed), its row terms (j, mu, a, b) from the choices of its parts by
+    the prefix walk, keyed largest part first (_multiplicities).  a/b is left
+    unreduced: _hermite_values scales each key by the lcm of its b, and
+    _ratio divides out the content of its sum."""
     def choices(k, m):  # h b_k**(d+e) / (m! 2**d) as ints, b_k that of u_k and v_k
         (b, au), (_, av) = _hermite_u(k), _hermite_v(k)
         options = []
@@ -336,10 +338,9 @@ def _hermite_tables(n):
     def join(row, options):  # terms in the order of the product taken smallest part first
         return [(kd + j, parts + mu, ca * a, cb * b) for kd, parts, ca, cb in options for j, mu, a, b in row]
 
-    keys = list(_multiplicities(n, n))
-    tables = {key: [(j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a, b) for j, mu, a, b in row]
-              for key, row in _products(keys, choices, join, [(0, (), 1, 1)])}
-    return [tables[key] for key in keys]
+    walk = _products(list(_multiplicities(n, n)), choices, join, [(0, (), 1, 1)])
+    return [[(j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a, b) for j, mu, a, b in row]
+            for _, row in walk][::-1]
 
 
 def _hermite_values(n, tables):
@@ -481,19 +482,12 @@ def laguerre_connection(n, k, aux=None):
     shift = (n - k) * (n - k + 1) // 2  # q**shift: the generating function's normalization
     binomials = _q_pascal_row(n, False)[:min(n, k) + 1]
     powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
-    factors = {}
-
-    def factor(j, kj):
-        """The z**d coefficients h_d of L_{k_j}^{(n_j - k_j)}(z), built once per
-        expansion and shared by every read of `terms`."""
-        if (j, kj) not in factors:
-            factors[j, kj] = laguerre_classical(LaguerreIndex(kj, aux.get(j, 0) - kj))._terms
-        return factors[j, kj]
 
     def classical(j, kj):
-        """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j): each h_d goes to z**(j d) as h_d c_j**d."""
-        c = quesne_c(j)
-        return ZPolynomial({j * d: h * c**d for d, h in factor(j, kj).items()})
+        """L_{k_j}^{(n_j - k_j)}(c_j(q) z**j): each h_d goes to z**(j d) as h_d c_j**d,
+        built once per distinct (j, k_j) on each read of `terms` (_products)."""
+        c, idx = quesne_c(j), LaguerreIndex(kj, aux.get(j, 0) - kj)
+        return ZPolynomial({j * d: h * c**d for d, h in laguerre_classical(idx)._terms.items()})
 
     def rows():
         prefs = [_ratio([row], [1], 1, 2 * power) for row, power in zip(binomials, powers)]
@@ -601,7 +595,7 @@ class CPolynomial(SparsePoly):
 # field m - 1, _width(n.bit_length()) bytes wide.  A monomial has sum_m
 # m*e_m <= n, so no exponent exceeds n, no field carries into the next, and
 # the product of two monomials is the sum of their ints.  As n < 2**(8 *
-# width - 1), each exponent is also the field's balanced digit (field._unpack).
+# width - 1), each exponent is also the field's balanced digit (field._digits).
 
 def _generator(g, n):
     """The kernel monomial of field g (C_{g+1})."""
@@ -611,7 +605,7 @@ def _generator(g, n):
 def _monomial(key, n):
     """The ((generator, exponent), ...) tuple of the kernel monomial key over
     the n fields it occupies, generators numbered from 1."""
-    return tuple((g, e) for g, e in enumerate(_unpack(key, _width(n.bit_length()), n), 1) if e)
+    return tuple((g, e) for g, e in enumerate(_digits(key, _width(n.bit_length())), 1) if e)
 
 
 def _integer_logs(order):
@@ -630,7 +624,7 @@ def _integer_logs(order):
     return logs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def classical_log_coefficients(order):
     """a_1..a_order with log(1 + C_1 t + C_2 t**2 + ...) = sum a_k t**k:
     each a_k is a CPolynomial over Fraction in the abstract factors C_m, the
@@ -677,8 +671,8 @@ def gegenbauer_connection(n):
         for cm, c in p.items():
             by_factors.setdefault(cm, {})[beta] = Fraction(c, scale)
     total = CPolynomial._raw({_monomial(cm, n): BetaPolynomial._raw(coeffs) for cm, coeffs in by_factors.items()})
-    terms = tuple(ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms())
-    return ConnectionExpansion("gegenbauer", n, None, lambda: terms, total)
+    return ConnectionExpansion("gegenbauer", n, None, lambda: tuple(
+        ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms()), total)
 
 
 # The value route's classical rows are int rows in x = w**2 (w = e^{i theta})
@@ -703,13 +697,15 @@ def gegenbauer_connection_value(expansion):
     polynomial.  Must reproduce the explicit deformed polynomial.
 
     The sum runs over Z, per weight monomial mu = prod_k beta_k**e_k, and
-    each cos index is reduced once.
+    each cos index is reduced once.  It reads the total, not the rows.
 
-      * Classical side.  A row's product prod_m U_m**e is w**-n times an
-        integer row in x = w**2 of length n + 1, the same for every row.  So
-        A_mu = sum_t c_{t,mu} prod_m U_m**e is one integer row once scaled by
-        D, the lcm of the denominators of the c_{t,mu}.  Its x**((n+j)/2)
-        entry is the w**j coefficient, for j >= 0.
+      * Classical side.  A C-monomial t's product prod_m U_m**e is w**-n
+        times an integer row in x = w**2 of length n + 1, the same for every
+        t.  So A_mu = sum_t c_{t,mu} prod_m U_m**e is one integer row once
+        scaled by D = n!, the lcm of the denominators of the c_{t,mu}: each is
+        an integer times n!/prod_k k**e_k e_k! (the count of permutations of
+        cycle type e, an integer) over n!, and that of C_1**n at beta_1**n is
+        1/n!.  Its x**((n+j)/2) entry is the w**j coefficient, for j >= 0.
       * Weights.  prod_k [lambda]_{q**k}**e_k = L_mu (1 - q)**E Q_mu /
         (q;q)_n, with L_mu = prod_k (1 - Lambda**k)**e_k, E = n - sum_k e_k
         and Q_mu = [n]_q! / prod_k [k]_q**e_k, since sum_k k*e_k = n.
@@ -719,14 +715,14 @@ def gegenbauer_connection_value(expansion):
         doubles each cell with j > 0 into a cos(j theta) coefficient and
         reduces it once over D * (q;q)_n = D (1 - q)**n [n]_q!."""
     n = expansion.n
-    terms = expansion.terms
-    scale = math.lcm(*(c.denominator for t in terms for c in t.coefficient._terms.values()))
+    total = expansion.total._terms
+    scale = math.factorial(n)
     low = (n + 1) // 2  # the x-power of cos(0 theta) or cos(theta)
-    classical = dict(_products([term.descriptor for term in terms], _classical_power, _umul, [1]))
+    classical = dict(_products(total, _classical_power, _umul, [1]))
     by_weight = {}
-    for term in terms:
-        row = classical[term.descriptor][low:]
-        for mu, c in term.coefficient._terms.items():
+    for mono, coefficient in total.items():
+        row = classical[mono][low:]
+        for mu, c in coefficient._terms.items():
             scaled = map((c.numerator * (scale // c.denominator)).__mul__, row)
             acc = by_weight.get(mu)
             by_weight[mu] = list(scaled) if acc is None else list(map(add, acc, scaled))

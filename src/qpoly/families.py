@@ -356,7 +356,7 @@ def laguerre_classical(idx):
                         for ell in range(idx.k + 1)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def gegenbauer_classical(n):
     """The lambda = 1 Gegenbauer (Chebyshev second kind) polynomial as
     sum_l cos((n-2l)theta) in the folded cosine basis."""

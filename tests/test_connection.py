@@ -444,6 +444,15 @@ def test_hermite_tables_match_the_per_partition_loop():
         assert _hermite_tables(n) == _hermite_tables_by_partition(n), n
 
 
+def test_prefix_walk_visits_the_partitions_in_reverse():
+    # _hermite_tables returns the walk's tables reversed, in partitions_of order
+    from qpoly.connection import _multiplicities
+
+    for n in range(40):
+        keys = list(_multiplicities(n, n))
+        assert sorted(keys) == keys[::-1], n
+
+
 def test_gegenbauer_connection_builds_each_prefix_once(monkeypatch):
     # one product P * A_k per distinct prefix of the partitions of n, parts
     # largest first, and no coefficient of any lower order
@@ -484,10 +493,37 @@ def test_gegenbauer_value_builds_each_quotient_once(n, monkeypatch):
     assert value == q_gegenbauer_direct(n)
 
 
-def test_cached_hermite_expansion_holds_no_rows():
-    row = weakref.ref(hermite_connection(6).terms[0])
+@pytest.mark.parametrize("engine", ["hermite", "laguerre", "gegenbauer"])
+def test_cached_expansion_holds_no_rows(engine):
+    # every engine builds its rows on each read of `terms`: none outlives it
+    expansion = {"hermite": lambda: hermite_connection(6),
+                 "laguerre": lambda: laguerre_connection(4, 4, {1: 2, 2: -1}),
+                 "gegenbauer": lambda: gegenbauer_connection(6)}[engine]()
+    row = weakref.ref(expansion.terms[0])
     gc.collect()
     assert row() is None
+    assert expansion.terms == expansion.terms
+
+
+def test_gegenbauer_value_reads_no_rows(monkeypatch):
+    # the value route reads the expansion's total, never its rows
+    from qpoly.connection import ConnectionExpansion
+
+    def forbidden(self):
+        raise AssertionError("ConnectionExpansion.terms read")
+
+    expansion = gegenbauer_connection(7)
+    monkeypatch.setattr(ConnectionExpansion, "terms", property(forbidden))
+    assert gegenbauer_connection_value(expansion) == q_gegenbauer_direct(7)
+
+
+def test_gegenbauer_total_denominators_have_lcm_n_factorial():
+    # the value route scales by n!: each coefficient is an integer times the
+    # count of a cycle type over n!, and C_1**n's at beta_1**n is 1/n!
+    for n in range(13):
+        total = gegenbauer_connection(n).total
+        denominators = [c.denominator for beta in total._terms.values() for c in beta._terms.values()]
+        assert math.lcm(*denominators) == math.factorial(n), n
 
 
 def test_cached_hermite_expansion_holds_no_tables():
@@ -1006,8 +1042,8 @@ def test_gegenbauer_value_matches_term_by_term_substitution(n, monkeypatch):
 
 def test_laguerre_builds_each_binomial_row_and_factor_once(monkeypatch):
     # one q-binomial row per l, shared by the total and by every read of the
-    # rows, and one L_{k_j}^{(n_j - k_j)}(z) per distinct (j, k_j), shared by
-    # every read of the rows (the total takes integer weights instead)
+    # rows, and one L_{k_j}^{(n_j - k_j)}(z) per distinct (j, k_j) on each
+    # read of the rows (the total takes integer weights instead)
     import qpoly.connection as connection
 
     reads, factors = [], []
@@ -1032,7 +1068,7 @@ def test_laguerre_builds_each_binomial_row_and_factor_once(monkeypatch):
     for ell in range(min(n, k) + 1):
         assert sum((c * q**i for i, c in enumerate(pascal_row(n, False)[ell])), RF.zero()) == q_binomial(n, ell, 1)
     parts = {part for sol in laguerre_partitions(n, k) for part in sol.kparts}
-    assert sorted(factors) == sorted((kj, aux.get(j, 0) - kj) for j, kj in parts)
+    assert sorted(factors) == sorted(2 * [(kj, aux.get(j, 0) - kj) for j, kj in parts])
 
 
 def test_laguerre_rows_build_each_prefix_product_once(monkeypatch):
@@ -1358,3 +1394,12 @@ def test_laguerre_and_limits_share_one_quesne_c_entry_per_k():
     laguerre_connection(4, 4, {1: 1, 2: -1}).terms
     run_suite("limits", 4)
     assert quesne_c.cache_info().currsize == 6  # k = 1..6, one spelling each
+
+
+def test_whole_result_caches_are_bounded():
+    # each argument is asked for once per call, so a bound rebuilds nothing
+    # within a call and keeps a long-lived process's memory bounded
+    from qpoly.connection import classical_log_coefficients
+
+    for cache in (partitions_of, classical_log_coefficients, gegenbauer_classical):
+        assert cache.cache_info().maxsize == 16, cache

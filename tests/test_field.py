@@ -578,7 +578,7 @@ def _row_mul(a, b):
 
 
 def test_pack_unpack_round_trip_every_width():
-    from qpoly.field import _pack, _unpack, _widen
+    from qpoly.field import _pack, _unpack_rows, _widen
 
     rng = random.Random(41)
     for nbytes in range(1, 10):
@@ -592,7 +592,8 @@ def test_pack_unpack_round_trip_every_width():
             digits[-1] = rng.choice([-half, half - 1, digits[-1]])
             v = _pack(digits, nbytes)
             assert v == sum(d << (8 * nbytes * i) for i, d in enumerate(digits)), (nbytes, n)
-            assert _unpack(v, nbytes, n) == digits, (nbytes, n)
+            # an all-zero digit list reads as []
+            assert _unpack_rows(v, nbytes, n)[0] == (digits if any(digits) else []), (nbytes, n)
             wider = nbytes + 1 + n % 3
             assert _widen(v, nbytes, wider) == _pack(digits, wider), (nbytes, n)
 
@@ -883,6 +884,32 @@ def test_rows_gcd_cof_divides_first_and_keeps_cofactors(monkeypatch):
     rows = [[-1, 0, -1], [], [1, 0, 1], [2, 3]]
     assert _rows_gcd_cof(rows)[1] is rows
     assert _rows_gcd_cof([[], [-4, 0, -4], [2, 0, 2]]) == ([2, 0, 2], [[], [-2], [1]])
+
+
+def test_rows_gcd_cof_stops_at_a_gcd_of_one(monkeypatch):
+    # the second row is coprime to the first: once the gcd reaches 1 the fold
+    # returns the rows themselves and rescales no cofactor taken so far
+    import qpoly.field as field
+
+    reached, late = [], []
+    ugcd_cof, umul = field._ugcd_cof, field._umul
+
+    def gcd(a, b):
+        out = ugcd_cof(a, b)
+        reached.append(out[0] == [1])
+        return out
+
+    def product(a, b):
+        if any(reached):
+            late.append((a, b))
+        return umul(a, b)
+
+    monkeypatch.setattr(field, "_ugcd_cof", gcd)
+    monkeypatch.setattr(field, "_umul", product)
+    rows = [[1, 1, 2], [1, 2], [3, 0, 1]]
+    g, cofactors = field._rows_gcd_cof(rows)
+    assert (g, reached, late) == ([1], [True], [])
+    assert cofactors is rows
 
 
 def _per_row_fold(rows):
