@@ -8,8 +8,9 @@ relation:
     but the combinations u_k = 2*zeta_k*tau_k and v_k = tau_k**2 are rational,
     and each partition's grouped value follows from the classical rewrite
     H_m(zeta) tau**m / m! = sum_d h_d u**d v**((m-d)/2) / (m! 2**d), read
-    off the coefficients h_d of the classical H_m(z).  Its terms are summed
-    over Z, as integer q-multinomial quotients in q**-2.
+    off the coefficients h_d of the classical H_m(z).  Its terms, their part
+    counts packed in one int, are summed over Z, as integer q-multinomial
+    quotients in q**-2.
   * Laguerre:  sum_j j*(k_j + l_j) + l = k, with one free auxiliary integer
     n_j per order j; the summed total provably does not depend on them.  The
     total is summed over Z from integer choice weights, per order j and then
@@ -30,19 +31,15 @@ relation:
     side sum_l 2 cos(l theta) t**l / l in closed form.
 
 Every expansion's terms and total are in the normalization of the polynomial
-itself.  Each engine builds every distinct building block once per call, in
-tables local to the call: the Hermite part choices, the Laguerre prefactors
-and classical factors, the Gegenbauer classical powers and Lambda factors.
-One prefix walk, _prefix_walk, forms every product over the parts of a key,
-each distinct prefix once from its parent: the Gegenbauer products, each
-quotient [n]!/prod [a] of the kernel _quotient_sums (one exact big-int
-division of packed rows per prefix), and through _products the Hermite part
-choices and the Laguerre rows (both keyed largest part first), the Gegenbauer
-classical rows and Lambda factors, and BetaPolynomial.substitute.  The kernel
-checks each division by its remainder only, a necessary condition; the
-dual-route checks stay the oracle.  Every engine builds its rows only when
-`terms` is read and keeps its total; the Hermite rows, like the total, in one
-kernel call, each z-power in lowest terms with no polynomial gcd.
+itself; each engine keeps its total, builds its rows only when `terms` is
+read, and builds each distinct building block once per call.  One prefix
+walk, _prefix_walk, forms every product over the parts of a key, each
+distinct prefix once from its parent: the Gegenbauer products, each quotient
+[n]!/prod [a] of the kernel _quotient_sums (one exact division of packed rows
+per prefix, checked by its remainder only, so the dual-route checks stay the
+oracle; each key's powers of 1 - x by Horner), and through _products the
+Hermite part choices, the Laguerre rows, the Gegenbauer classical rows and
+Lambda factors, and BetaPolynomial.substitute.
 """
 
 from __future__ import annotations
@@ -51,6 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 from operator import add, index, itemgetter, mul
 
 from .field import _digits, _pack, _uadd, _umul, _unorm, _width
@@ -91,9 +89,7 @@ class PartitionSolution:
     parts: tuple
 
     def label(self):
-        if not self.parts:
-            return "empty"
-        return ", ".join(f"n{k}={m}" for k, m in self.parts)
+        return ", ".join(f"n{k}={m}" for k, m in self.parts) or "empty"
 
 
 def _multiplicities(n, top):
@@ -131,7 +127,7 @@ class LaguerrePartitionSolution:
         if self.ell:
             bits.append(f"l={self.ell}")
         bits += [f"l{j}={v}" for j, v in self.lparts]
-        return ", ".join(bits) if bits else "empty"
+        return ", ".join(bits) or "empty"
 
 
 def laguerre_partitions(n, k):
@@ -141,16 +137,12 @@ def laguerre_partitions(n, k):
         raise ValueError("indices must be >= 0")
     out = []
     for ell in range(min(n, k) + 1):
-        m = k - ell
-        for weighted in partitions_of(m):
-            # split each total s_j = k_j + l_j into the two kinds
-            splits = [[]]
-            for j, s in weighted.parts:
-                splits = [acc + [(j, kj, s - kj)] for acc in splits for kj in range(s, -1, -1)]
-            for combo in splits:
-                kparts = tuple((j, kj) for j, kj, _ in combo if kj)
-                lparts = tuple((j, lj) for j, _, lj in combo if lj)
-                out.append(LaguerrePartitionSolution(ell, kparts, lparts))
+        for weighted in partitions_of(k - ell):
+            # split each total s_j = k_j + l_j into the two kinds, k_j running down
+            for kjs in product(*[range(s, -1, -1) for _, s in weighted.parts]):
+                combo = [(j, kj, s - kj) for (j, s), kj in zip(weighted.parts, kjs)]
+                out.append(LaguerrePartitionSolution(ell, tuple((j, kj) for j, kj, _ in combo if kj),
+                                                     tuple((j, lj) for j, _, lj in combo if lj)))
     return tuple(out)
 
 
@@ -238,23 +230,23 @@ def _products(keys, block, times, unit):
 
 def _quotient_sums(n, uses, order=None):
     """Per key, the x-row of sum c (1 - x)**E Q_mu over the entries {(key,
-    E): c} of every uses[mu], one per (key, E) and c a nonzero int: each row
-    without trailing zeros, and a key whose sum is 0 absent.  Rows are packed
-    ints, evaluated at xi = 2**(8*nbytes), a ring map: [n]! is packed once,
-    and each Q_mu (_prefix_walk) is its parent prefix's divided by the packed
-    [a] = (xi**a - 1)/(xi - 1).  A nonzero remainder raises ArithmeticError;
-    a zero one is necessary, not sufficient, for an exact division of rows,
-    so the dual-route checks stay the oracle.  nbytes holds n! (the
-    coefficient sum of [n]!) and sum |c| (n!/prod mu) 2**E, a bound on every
-    coefficient of a key's row, so only the per-key sums, each c Q_mu of one
-    E summed and then multiplied by (1 - x)**E, are unpacked, each to its own
-    top digit.  With order, each key's sum is also divided, packed and with
-    the same check, by [n]!/[m]! = prod_{a=m+1..n} [a] for m = order(key):
-    its terms are then c (1 - x)**E [m]!/prod [a], which needs the parts of
-    every mu of the key to sum to at most m.  The quotient's coefficients are
-    bounded as the key's, so nbytes holds them too."""
-    top = math.factorial(n)
-    bound = {}
+    E): c} of every uses[mu] (one per (key, E), c a nonzero int), without
+    trailing zeros; a key whose sum is 0 is absent.  Rows are packed ints,
+    evaluated at xi = 2**(8*nbytes), a ring map: [n]! is packed once, and
+    each Q_mu (_prefix_walk) is its parent prefix's divided by the packed [a]
+    = (xi**a - 1)/(xi - 1).  A nonzero remainder raises ArithmeticError; a
+    zero one is necessary, not sufficient, for an exact division of rows, so
+    the dual-route checks stay the oracle.  nbytes holds n! (the coefficient
+    sum of [n]!) and sum |c| (n!/prod mu) 2**E, a bound on every coefficient
+    of a key's row.  A key's c Q_mu are summed per E, and the sums joined by
+    Horner in E down to its least E, each step times 1 - xi a shifted
+    difference, then times (1 - xi)**(least E); only the result is
+    unpacked, to its own top digit.  With order, each key's sum is
+    also divided, with the same check, by [n]!/[m]! = prod_{a=m+1..n} [a] for
+    m = order(key): its terms are then c (1 - x)**E [m]!/prod [a], which
+    needs the parts of every mu of the key to sum to at most m, and its
+    coefficients are bounded as the key's."""
+    top, bound = math.factorial(n), {}
     for mu, entries in uses.items():
         size = top // math.prod(mu)
         for (key, e), c in entries.items():
@@ -268,24 +260,25 @@ def _quotient_sums(n, uses, order=None):
             raise ArithmeticError(name.format(*args) + " does not divide the row")
         return quotient
 
-    sums = {}  # (key, E) -> packed sum of the c Q_mu
+    sums = {}  # key -> {E: packed sum of the c Q_mu}, then its packed row
     for mu, packed in _prefix_walk(uses, _pack(_q_factorial_row(n), nbytes),
                                    lambda v, a: exact(v, ((1 << (8 * nbytes * a)) - 1) // (xi - 1), "[{}]_x", a)):
-        for entry, c in uses[mu].items():
-            sums[entry] = sums.get(entry, 0) + c * packed
-    powers, totals = {}, {}  # E -> (1 - x)**E packed; key -> packed row
-    for (key, power), v in sums.items():
-        if power not in powers:
-            powers[power] = (1 - xi) ** power
-        totals[key] = totals.get(key, 0) + v * powers[power]
+        for (key, e), c in uses[mu].items():
+            by_power = sums.setdefault(key, {})
+            by_power[e] = by_power.get(e, 0) + c * packed
+    for key, by_power in sums.items():  # Horner from the top E down to the least: acc (1 - xi) + sum
+        acc, least = 0, min(by_power)
+        for power in range(max(by_power), least - 1, -1):
+            acc += by_power.get(power, 0) - (acc << 8 * nbytes)
+        sums[key] = acc * (1 - xi) ** least
     if order is not None:
         ratios = {n: 1}  # m -> [n]!/[m]! packed
-        for key, v in totals.items():
+        for key, v in sums.items():
             m = order(key)
             for a in range(min(ratios), m, -1):
                 ratios[a - 1] = ratios[a] * (((1 << (8 * nbytes * a)) - 1) // (xi - 1))
-            totals[key] = exact(v, ratios[m], "[{}]!/[{}]!", n, m)
-    return {key: _digits(v, nbytes) for key, v in totals.items() if v}
+            sums[key] = exact(v, ratios[m], "[{}]!/[{}]!", n, m)
+    return {key: _digits(v, nbytes) for key, v in sums.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -320,48 +313,55 @@ def _hermite_v(k):
 
 def _hermite_tables(n):
     """Per partition of n, in partitions_of order (the walk's sorted one
-    reversed), its row terms (j, mu, a, b) from the choices of its parts by
-    the prefix walk, keyed largest part first (_multiplicities).  a/b is left
-    unreduced: _hermite_values scales each key by the lcm of its b, and
-    _ratio divides out the content of its sum."""
+    reversed), its row terms (j, key, E, a, b), one per choice of each part,
+    by the prefix walk (_multiplicities order): key holds the count of each
+    part a > 1 of mu in field a, n.bit_length() bits wide, and E = sum (d +
+    e)(k - 1).  a/b is left unreduced: _hermite_values scales each key by the
+    lcm of its b, and _ratio divides out the content of its sum."""
     def choices(k, m):  # h b_k**(d+e) / (m! 2**d) as ints, b_k that of u_k and v_k
-        (b, au), (_, av) = _hermite_u(k), _hermite_v(k)
+        (b, au), (_, av), w = _hermite_u(k), _hermite_v(k), n.bit_length()
         options = []
         for d, h in hermite_classical(m)._terms.items():
             e = (m - d) // 2
-            a = h.num.leading_coeff() * b.numerator ** (d + e)
-            c = h.den.leading_coeff() * math.factorial(m) * 2**d * b.denominator ** (d + e)
-            g = math.gcd(a, c)
-            options.append((k * d, (au,) * d + (av,) * e, a // g, c // g))
+            a, c = h.num._rows[0][0] * b.numerator ** (d + e), math.factorial(m) * 2**d * b.denominator ** (d + e)
+            g, key = math.gcd(a, c), (d << w * au if au > 1 else 0) + (e << w * av)
+            options.append((k * d, key, (d + e) * (k - 1), a // g, c // g))
         return options
 
     def join(row, options):  # terms in the order of the product taken smallest part first
-        return [(kd + j, parts + mu, ca * a, cb * b) for kd, parts, ca, cb in options for j, mu, a, b in row]
+        return [(kd + j, kk + key, ke + e, ca * a, cb * b) for kd, kk, ke, ca, cb in options for j, key, e, a, b in row]
 
-    walk = _products(list(_multiplicities(n, n)), choices, join, [(0, (), 1, 1)])
-    return [[(j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a, b) for j, mu, a, b in row]
-            for _, row in walk][::-1]
+    return [row for _, row in _products(list(_multiplicities(n, n)), choices, join, [(0, 0, 0, 1, 1)])][::-1]
+
+
+def _hermite_parts(key, n):
+    """The parts of mu, largest first, from a count key of _hermite_tables."""
+    w, parts = n.bit_length(), []
+    while key:  # the highest nonzero field a, then the fields below it
+        a = (key.bit_length() - 1) // w
+        parts += [a] * (key >> w * a)
+        key &= (1 << w * a) - 1
+    return tuple(parts)
 
 
 def _hermite_values(n, tables):
-    """Per table, the sum of its terms (j, mu, a, b), each a/b z**j
-    s**(-n-2t) (1 - x)**E Q_mu with E = n - t - |mu|: one quotient kernel
-    call over the keys (table index, z-power), each key's sum over the lcm of
-    its b as one RationalFunction over an integer times a power of s, in
-    lowest terms by the integer gcd alone (_ratio), as q_hermite's terms are."""
+    """Per table, the sum of its terms (j, key, E, a, b), each a/b z**j
+    s**(-n-2t) (1 - x)**E Q_mu, mu read once per distinct count key: one
+    quotient kernel call over the keys (table index, z-power), each key's sum
+    over the lcm of its b as one RationalFunction over an integer times a
+    power of s, in lowest terms by the integer gcd alone (_ratio)."""
     scale = {}  # (table index, j) -> lcm of the b
     for i, terms in enumerate(tables):
-        for j, mu, a, b in terms:
+        for j, _, _, _, b in terms:
             scale[i, j] = math.lcm(scale.get((i, j), 1), b)
-    uses = {}  # mu -> {((table index, j), E): c}, equal entries merged
+    uses = {}  # count key -> {((table index, j), E): c}, equal entries merged
     for i, terms in enumerate(tables):
-        for j, mu, a, b in terms:
-            # E = n - t - |mu|: the sum of p - 1 over the parts p of the key, less t
-            entries, entry = uses.setdefault(mu, {}), ((i, j), sum(mu) - len(mu) - (n - j) // 2)
+        for j, key, e, a, b in terms:
+            entries, entry = uses.setdefault(key, {}), ((i, j), e)
             if c := entries.pop(entry, 0) + a * (scale[i, j] // b):
                 entries[entry] = c
     values = [{} for _ in tables]
-    for (i, j), row in _quotient_sums(n, uses).items():
+    for (i, j), row in _quotient_sums(n, {_hermite_parts(key, n): entries for key, entries in uses.items()}).items():
         values[i][j] = _ratio([row], [scale[i, j]], -2, j - 2 * n)
     return [ZPolynomial._raw(value) for value in values]
 

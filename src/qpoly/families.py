@@ -33,7 +33,6 @@ from functools import lru_cache
 from .field import (
     RationalFunction,
     _coerce_or_raise,
-    _flatten,
     _pack,
     _power,
     _rows_mul,
@@ -540,7 +539,8 @@ def _log_coefficients(order, degrees):
 
     def pack(m, nbytes):
         packed_lam = blocks.setdefault(nbytes, [])
-        packed_lam += [_pack(_flatten(rows, qs), nbytes) for rows in lam[len(packed_lam):m + 1]]
+        packed_lam += [sum(_pack(r, nbytes) << 8 * nbytes * qs * p for p, r in enumerate(rows))
+                       for rows in lam[len(packed_lam):m + 1]]
         return _direct_packed(m, binoms[m], packed_lam, nbytes, 8 * nbytes * qs * ls)
 
     ks = _divided_powers(binoms, qs, series=(top, pack), read=degrees)[2]

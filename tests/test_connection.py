@@ -327,6 +327,89 @@ def test_quotient_kernel_reads_each_key_to_its_top_digit():
     assert _quotient_sums(3, uses) == {"top": [2, 2, 2]}
 
 
+def _quotient_sums_by_powers(n, uses, order=None):
+    # the quotient kernel with each (key, E) sum multiplied by its own (1 -
+    # xi)**E, as before the Horner pass, and each Q_mu divided out of [n]!
+    # part by part with no prefix walk; the widths are the kernel's
+    from qpoly.field import _digits, _pack, _width
+    from qpoly.qkernel import _q_factorial_row
+
+    top, bound = math.factorial(n), {}
+    for mu, entries in uses.items():
+        for (key, e), c in entries.items():
+            bound[key] = bound.get(key, 0) + (abs(c) * (top // math.prod(mu)) << e)
+    nbytes = _width(max(top, *bound.values()).bit_length())
+    xi = 1 << (8 * nbytes)
+
+    def exact(v, parts):
+        for a in parts:
+            v, remainder = divmod(v, ((1 << (8 * nbytes * a)) - 1) // (xi - 1))
+            if remainder:
+                raise ArithmeticError(f"[{a}] does not divide the row")
+        return v
+
+    sums = {}
+    for mu in sorted(uses):  # the kernel's walk order, so its keys come in the same order
+        packed = exact(_pack(_q_factorial_row(n), nbytes), mu)
+        for entry, c in uses[mu].items():
+            sums[entry] = sums.get(entry, 0) + c * packed
+    totals = {}
+    for (key, e), v in sums.items():
+        totals[key] = totals.get(key, 0) + v * (1 - xi) ** e
+    if order is not None:
+        totals = {key: exact(v, range(n, order(key), -1)) for key, v in totals.items()}
+    return {key: _digits(v, nbytes) for key, v in totals.items() if v}
+
+
+def _random_uses(rng):
+    # (n, uses, orders): a few keys, each with its own m <= n (its order) and
+    # entries at exponents with gaps; mu runs over parts above 1, largest
+    # first, summing to at most m.  One key sums to 0 now and then, by Q_mu
+    # = [2] Q_mu' = (2 - (1 - x)) Q_mu' for mu' = mu and a part 2.
+    n = rng.randint(2, 11)
+    uses, orders = {}, {}
+    for key in range(rng.randint(1, 4)):
+        m = orders[key] = rng.randint(2, n)
+        powers = rng.sample(range(9), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 6)):
+            mu, rest = [], rng.randint(0, m)
+            while rest >= 2 and rng.random() < 0.8:
+                mu.append(rng.randint(2, rest))
+                rest -= mu[-1]
+            mu = tuple(sorted(mu, reverse=True))
+            c = rng.choice([1, -1]) * rng.choice([1, rng.randint(1, 99), rng.randint(1, 10**12)])
+            uses.setdefault(mu, {})[key, rng.choice(powers)] = c
+    mu = rng.choice(list(uses))
+    if sum(mu) + 2 <= n and rng.random() < 0.5:
+        e, c, orders["zero"] = rng.randrange(9), rng.randint(1, 9), n
+        uses[mu]["zero", e] = c
+        uses.setdefault(tuple(sorted(mu + (2,), reverse=True)), {}).update({("zero", e): -2 * c, ("zero", e + 1): c})
+    return n, uses, orders
+
+
+def _kernel_mismatches(seed, count):
+    """(index, order used) of each of `count` seeded random uses where the
+    quotient kernel and _quotient_sums_by_powers differ in a key, a row or
+    the order of the keys, or either raises, with and without order."""
+    from qpoly.connection import _quotient_sums
+
+    rng, bad = random.Random(seed), []
+    for index in range(count):
+        n, uses, orders = _random_uses(rng)
+        for order in (None, orders.__getitem__):
+            try:
+                if list(_quotient_sums(n, uses, order).items()) != list(
+                        _quotient_sums_by_powers(n, uses, order).items()):
+                    bad.append((index, order is not None))
+            except Exception as exc:
+                bad.append((index, order is not None, repr(exc)))
+    return bad
+
+
+def test_quotient_kernel_matches_the_per_exponent_powers():
+    assert _kernel_mismatches(44, 500) == []
+
+
 def test_prefix_walk_steps_each_prefix_once():
     from qpoly.connection import _prefix_walk
 
@@ -429,19 +512,27 @@ def _hermite_tables_by_partition(n):
                 options.append((k * d, (au,) * d + (av,) * e, c.numerator, c.denominator))
             row = [(j + kd, mu + parts, a * ca, b * cb)
                    for j, mu, a, b in row for kd, parts, ca, cb in options]
+        # each term as (j, count key, E, a, b): the count of part p > 1 of mu
+        # in field p, n's bit length wide, and E = n - t - |mu| from mu and j
         table = []
         for j, mu, a, b in row:
-            g = math.gcd(a, b)
-            table.append((j, tuple(sorted((p for p in mu if p > 1), reverse=True)), a // g, b // g))
+            g, parts = math.gcd(a, b), [p for p in mu if p > 1]
+            key = sum(1 << n.bit_length() * p for p in parts)
+            table.append((j, key, sum(parts) - len(parts) - (n - j) // 2, a // g, b // g))
         tables.append(table)
     return tables
 
 
 def test_hermite_tables_match_the_per_partition_loop():
-    from qpoly.connection import _hermite_tables
+    from qpoly.connection import _hermite_parts, _hermite_tables
 
     for n in range(19):
-        assert _hermite_tables(n) == _hermite_tables_by_partition(n), n
+        tables = _hermite_tables(n)
+        assert tables == _hermite_tables_by_partition(n), n
+        for key in {key for table in tables for _, key, _, _, _ in table}:
+            parts = _hermite_parts(key, n)  # the kernel's mu: parts above 1, largest first
+            assert list(parts) == sorted(parts, reverse=True) and min(parts, default=2) > 1, (n, key)
+            assert sum(1 << n.bit_length() * p for p in parts) == key, (n, key)
 
 
 def test_prefix_walk_visits_the_partitions_in_reverse():

@@ -576,6 +576,30 @@ def test_closed_forms_take_no_polynomial_gcd_and_match_the_chain():
         (ONE - Q**2) / (ONE - Q)  # the patch reaches the gcd of a RationalFunction
 
 
+def test_exp_digit_widths(monkeypatch):
+    # the exp of _divided_powers packs each step's rows at the width its bound
+    # needs: the rows packed at each width are pinned, so a step one byte
+    # narrower or wider fails, as test_hermite_kernel_digit_widths pins the
+    # quotient kernel's
+    import qpoly.qkernel as qkernel
+    from qpoly.families import q_gegenbauer_genfun
+
+    seen, pack = [], qkernel._pack
+    monkeypatch.setattr(qkernel, "_pack", lambda c, nbytes: seen.append(nbytes) or pack(c, nbytes))
+
+    def widths(read):
+        seen.clear()
+        read()
+        return {nbytes: seen.count(nbytes) for nbytes in seen}
+
+    assert widths(lambda: q_gegenbauer_genfun(8)) == {1: 6, 2: 15, 3: 15}
+    assert widths(lambda: q_gegenbauer_genfun(10)) == {1: 6, 2: 15, 3: 34}
+    assert widths(lambda: q_gegenbauer_genfun(12)) == {1: 6, 2: 15, 3: 34, 4: 23}
+    arg = TruncatedSeries(RF_RING, [RF.zero(), ONE], 12)
+    for kind in ("e", "E"):
+        assert widths(lambda: q_exp_product_form(kind, arg, 1)) == {1: 15, 2: 51, 3: 12}, kind
+
+
 def test_exp_digit_widths_stay_within_their_bounds(monkeypatch):
     # upper bounds on the exp's digit widths: a narrowing passes, a widening
     # fails
