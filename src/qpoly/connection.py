@@ -12,10 +12,11 @@ relation:
     counts packed in one int, are summed over Z, as integer q-multinomial
     quotients in q**-2.
   * Laguerre:  sum_j j*(k_j + l_j) + l = k, with one free auxiliary integer
-    n_j per order j; the summed total provably does not depend on them.  The
-    total is summed over Z from integer choice weights, per order j and then
-    as integer q-multinomial quotients in q, each z**D reduced over D! [D]!;
-    the rows are the classical products, scaled.
+    n_j per order j, which only the rows take.  The total is the product
+    form prod_j exp(-c_j z**j t**j), in which the n_j cancel (Vandermonde),
+    summed over Z from its integer cycle weights and then as integer
+    q-multinomial quotients in q, each z**D reduced over D! [D]!; the rows
+    are the classical products, scaled, and sum to it for every choice.
   * Gegenbauer: the log of the deformed generating function is the classical
     log rescaled per t-order by beta_k = [lambda]_{q**k}.  Exponentiating
     symbolically over polynomials in abstract generators beta_k and abstract
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import groupby, product
 from operator import add, index, itemgetter, mul
 
 from .field import _digits, _pack, _uadd, _umul, _unorm, _width
@@ -334,8 +335,9 @@ def _hermite_tables(n):
     return [row for _, row in _products(list(_multiplicities(n, n)), choices, join, [(0, 0, 0, 1, 1)])][::-1]
 
 
-def _hermite_parts(key, n):
-    """The parts of mu, largest first, from a count key of _hermite_tables."""
+def _parts(key, n):
+    """The parts, largest first, of a count key (field a, n.bit_length() bits
+    wide, holds the count of part a): a Hermite mu or a Gegenbauer monomial."""
     w, parts = n.bit_length(), []
     while key:  # the highest nonzero field a, then the fields below it
         a = (key.bit_length() - 1) // w
@@ -361,7 +363,7 @@ def _hermite_values(n, tables):
             if c := entries.pop(entry, 0) + a * (scale[i, j] // b):
                 entries[entry] = c
     values = [{} for _ in tables]
-    for (i, j), row in _quotient_sums(n, {_hermite_parts(key, n): entries for key, entries in uses.items()}).items():
+    for (i, j), row in _quotient_sums(n, {_parts(key, n): entries for key, entries in uses.items()}).items():
         values[i][j] = _ratio([row], [scale[i, j]], -2, j - 2 * n)
     return [ZPolynomial._raw(value) for value in values]
 
@@ -392,71 +394,56 @@ def hermite_connection(n):
 # Laguerre connection (auxiliary integers)
 # ---------------------------------------------------------------------------
 
-# The total sums every row at once, reassociated: the constants binom(-n_j,
-# l_j) of order j go into factor j, so it is the t**k coefficient of
-#     sum_l q**p_l [n over l] t**l
-#     * prod_j sum_m t**(j m) sum_{i <= m} binom(-n_j, m - i) L_i^{(n_j - i)}(c_j z**j).
-# As c_j = (1 - q)**(j-1) / (j [j]_q), a choice of the z**d coefficient h_d of
-# each factor gives z**D (D = sum j d) times c (1 - q)**E Q_mu / (D! [k]!),
-# with E = sum (j - 1) d, mu the partition of D into d parts j, Q_mu =
-# [k]!/prod [j]**d, and c = D! prod h_d / j**d an integer (h_d d! is one, and
-# D!/prod d! j**d counts the permutations of cycle type mu).  So choice d of
-# factor j carries h_d (j d)! / j**d, and products of z-degrees D and D' join
-# with binom(D + D', D), as exponential generating functions do.  With h_d =
-# (-1)**d binom(n_j, m - d) / d! for L_m^{(n_j - m)}, that weight is the int
-# binom(n_j, m - d) times the cycle weight (-1)**d (j d)! / (d! j**d), which
-# does not depend on n_j: it is formed once per order j, with no Fraction.
-# The parts of each mu at z**D sum to at most D, so prod_{a in mu} [a]
-# divides [D]! (see the quotient kernel), and [k]!/[D]! = prod_{a=D+1..k} [a]
-# divides every Q_mu at z**D, hence its whole numerator.  So each z**D is
-# reduced over D! [D]!: one kernel call of order k shares each Q_mu among all
-# z-powers and divides each (D, l) sum, packed, by [k]!/[D]!.  (One kernel
-# call of order D per z-power shares no Q_mu across z-powers and was slower
-# from n = k = 16 up; stride-sum division of the unpacked numerators was
-# slower at every n measured.)
+# The total sums every row at once: it is the t**k coefficient of the product
+# form sum_l q**p_l [n over l] t**l * prod_j exp(-c_j z**j t**j).  The rows
+# split exp(-x t) = (1 + t)**(-n_j) sum_i L_i^{(n_j - i)}(x) t**i, and the
+# x**d coefficient of its t**m term is (-1)**d / d! times sum_i binom(-n_j,
+# m - i) binom(n_j, i - d) = [d = m] (Vandermonde), so the total takes no
+# n_j.  As c_j = (1 - q)**(j-1) / (j [j]_q), a choice of the t**(j m) term of
+# each factor j gives z**D (D = sum j m) times c (1 - q)**E Q_mu / (D! [k]!),
+# with E = sum (j - 1) m, mu the partition of D into m parts j, Q_mu =
+# [k]!/prod [j]**m, and c = (-1)**(sum m) D!/prod m! j**m, a signed count of
+# the permutations of cycle type mu: factor j carries the cycle weight
+# (-1)**m (j m)! / (m! j**m), and z-degrees D and D' join with binom(D + D',
+# D), as exponential generating functions do.  The parts of each mu at z**D
+# sum to at most D, so prod_{a in mu} [a] divides [D]! (see the quotient
+# kernel), and [k]!/[D]! = prod_{a=D+1..k} [a] divides every Q_mu at z**D,
+# hence its whole numerator.  So each z**D is reduced over D! [D]!: one
+# kernel call of order k shares each Q_mu among all z-powers and divides each
+# (D, l) sum, packed, by [k]!/[D]!.  (One kernel call of order D per z-power
+# shares no Q_mu across z-powers and was slower from n = k = 16 up;
+# stride-sum division of the unpacked numerators was slower at every n
+# measured.)
 
-def _laguerre_series(k, aux):
-    """The t-series of the total (see above) to t**k, over Z: per t-power,
-    {(D, mu): c} for the terms c (1 - q)**E Q_mu z**D / (D! [k]!)."""
+def _laguerre_series(k):
+    """The t-series of the total (see above) to t**k, over Z: per t-power w,
+    {(D, mu): c} for the terms c (1 - q)**E Q_mu z**D / (D! [k]!); every
+    term of t**w has D = w, and no c is 0."""
     series = [{(0, ()): 1}] + [{} for _ in range(k)]
     for j in range(1, k + 1):
-        nj = aux.get(j, 0)
-        top = range(k // j + 1)
-        binom, coeffs = [_int_binomial(-nj, m) for m in top], [_int_binomial(nj, m) for m in top]
-        cycle = [(-1) ** d * math.factorial(j * d) // (math.factorial(d) * j**d) for d in top]
-        scaled, blocks = [{0: 1}], []  # per m: d -> h_d (j d)! / j**d of L_m; the t**(j m) term
-        for m in range(1, k // j + 1):
-            scaled.append({d: h for d in range(m + 1) if (h := coeffs[m - d] * cycle[d])})
-            block = {}
-            for i, choices in enumerate(scaled):
-                for d, h in choices.items():
-                    block[d] = block.get(d, 0) + binom[m - i] * h
-            blocks.append({d: h for d, h in block.items() if h})
+        cycle = [(-1) ** m * math.factorial(j * m) // (math.factorial(m) * j**m) for m in range(k // j + 1)]
         for w in range(k, j - 1, -1):  # down, so series[w - j m] is still the old one
             acc = series[w]
-            for m, block in enumerate(blocks[:w // j], 1):
-                for (zpow, mu), c in series[w - j * m].items():
-                    for d, h in block.items():
-                        key = (zpow + j * d, (j,) * d + mu if j > 1 else mu)
-                        acc[key] = acc.get(key, 0) + c * h * math.comb(zpow + j * d, zpow)
+            for m in range(1, w // j + 1):
+                for (_, mu), c in series[w - j * m].items():
+                    acc[w, (j,) * m + mu if j > 1 else mu] = c * cycle[m] * math.comb(w, j * m)
     return series
 
 
-def _laguerre_total(k, aux, binomials, powers):
+def _laguerre_total(k, binomials, powers):
     """The sum of every row (see above), with the prefactors [n over l] and
     p_l = powers[l], from the t-series (_laguerre_series): one call of the
     quotient kernel sums each (D, l) over [D]!, and each z**D is one
     RationalFunction over D! [D]!, reduced by _ratio's polynomial gcd."""
-    series, uses = _laguerre_series(k, aux), {}  # uses: mu -> {((D, l), E): c}
-    for ell in range(len(binomials)):
-        for (zpow, mu), c in series[k - ell].items():
-            if c:
-                uses.setdefault(mu, {})[(zpow, ell), sum(mu) - len(mu)] = c
+    uses = {}  # mu -> {((D, l), E): c}
+    for ell, terms in enumerate(_laguerre_series(k)[k::-1][:len(binomials)]):
+        for (zpow, mu), c in terms.items():
+            uses.setdefault(mu, {})[(zpow, ell), sum(mu) - len(mu)] = c
     low = min(powers)
     nums = {}  # D -> sum_l q**(p_l - low) [n over l] times the kernel row of (D, l)
     for (zpow, ell), row in _quotient_sums(k, uses, itemgetter(0)).items():
         nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], row))
-    return ZPolynomial._raw({  # z-powers descending: the row sum's order when aux is {}
+    return ZPolynomial._raw({  # z-powers descending: the row sum's order for every n_j = 0
         zpow: _ratio([nums[zpow]], [math.factorial(zpow) * x for x in _q_factorial_row(zpow)], 1, 2 * low)
         for zpow in sorted(nums, reverse=True) if nums[zpow]})
 
@@ -464,21 +451,25 @@ def _laguerre_total(k, aux, binomials, powers):
 def laguerre_connection(n, k, aux=None):
     """Expansion of the deformed Laguerre polynomial L_k^{(n-k)}(z; q).
 
-    `aux` assigns an arbitrary integer n_j to each order j (default 0; a
-    value that is not an int raises TypeError); the summed total is
-    independent of that choice.  Each term multiplies
+    `aux` assigns an arbitrary integer n_j to each order j >= 1 (default 0;
+    a key or value that is not an int raises TypeError, a key below 1
+    ValueError).  Only the rows take it: the total is the product form,
+    which has no n_j (see above), and the rows sum to it for every choice.
+    Each term multiplies
 
         q**((n-l)(n-l+1)/2 - (n-k)(n-k+1)/2) [n over l]_q
         * prod_j binom(-n_j, l_j)      [= (-1)**(l_j) (n_j)_{l_j} / l_j!]
         * prod_j L_{k_j}^{(n_j - k_j)}(c_j(q) z**j)
 
     over one partition solution; the total equals q_laguerre(n, k).  The
-    total is summed over Z from integer choice weights (_laguerre_total); the
+    total is summed over Z from integer cycle weights (_laguerre_total); the
     rows, from the classical factors, are built on each read of `terms`.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
-    aux = {j: index(v) for j, v in aux.items()} if aux else {}
+    aux = {index(j): index(v) for j, v in aux.items()} if aux else {}
+    if any(j < 1 for j in aux):
+        raise ValueError("auxiliary integers are keyed by orders j >= 1")
     shift = (n - k) * (n - k + 1) // 2  # q**shift: the generating function's normalization
     binomials = _q_pascal_row(n, False)[:min(n, k) + 1]
     powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
@@ -500,7 +491,7 @@ def laguerre_connection(n, k, aux=None):
             terms.append(ConnectionTerm(sol, coefficient, products[sol.kparts[::-1]].scale(coefficient)))
         return tuple(terms)
 
-    return ConnectionExpansion("laguerre", n, k, rows, _laguerre_total(k, aux, binomials, powers))
+    return ConnectionExpansion("laguerre", n, k, rows, _laguerre_total(k, binomials, powers))
 
 
 # ---------------------------------------------------------------------------
@@ -591,21 +582,15 @@ class CPolynomial(SparsePoly):
 # Gegenbauer connection and sum rules
 # ---------------------------------------------------------------------------
 
-# Inside the order-n kernel a monomial prod_m C_m**e_m is one int: e_m in
-# field m - 1, _width(n.bit_length()) bytes wide.  A monomial has sum_m
-# m*e_m <= n, so no exponent exceeds n, no field carries into the next, and
-# the product of two monomials is the sum of their ints.  As n < 2**(8 *
-# width - 1), each exponent is also the field's balanced digit (field._digits).
-
-def _generator(g, n):
-    """The kernel monomial of field g (C_{g+1})."""
-    return 1 << (8 * _width(n.bit_length()) * g)
-
+# Inside the order-n kernel a monomial prod_m C_m**e_m is the count key of
+# the Hermite walk: e_m in field m (_parts).  A monomial has sum_m m*e_m <=
+# n, so no field carries into the next, and the product of two monomials is
+# the sum of their keys.
 
 def _monomial(key, n):
-    """The ((generator, exponent), ...) tuple of the kernel monomial key over
-    the n fields it occupies, generators numbered from 1."""
-    return tuple((g, e) for g, e in enumerate(_digits(key, _width(n.bit_length())), 1) if e)
+    """The ((m, e_m), ...) tuple of the count key of prod_m C_m**e_m, m
+    ascending."""
+    return tuple((m, len(list(run))) for m, run in groupby(_parts(key, n)[::-1]))
 
 
 def _integer_logs(order):
@@ -613,11 +598,11 @@ def _integer_logs(order):
     = k a_k with log(1 + C_1 t + C_2 t**2 + ...) = sum a_k t**k.  t F'/F =
     sum_k A_k t**k for F = 1 + sum_m C_m t**m, so A_k = k C_k - sum_{j<k}
     A_j C_{k-j} lies in Z[C]."""
-    logs = []
+    w, logs = order.bit_length(), []
     for k in range(1, order + 1):
-        out = {_generator(k - 1, order): k}
+        out = {1 << w * k: k}
         for j, a in enumerate(logs, 1):
-            c = _generator(k - j - 1, order)
+            c = 1 << w * (k - j)
             for m, v in a.items():
                 out[m + c] = out.get(m + c, 0) - v
         logs.append({m: v for m, v in out.items() if v})

@@ -524,13 +524,13 @@ def _hermite_tables_by_partition(n):
 
 
 def test_hermite_tables_match_the_per_partition_loop():
-    from qpoly.connection import _hermite_parts, _hermite_tables
+    from qpoly.connection import _hermite_tables, _parts
 
     for n in range(19):
         tables = _hermite_tables(n)
         assert tables == _hermite_tables_by_partition(n), n
         for key in {key for table in tables for _, key, _, _, _ in table}:
-            parts = _hermite_parts(key, n)  # the kernel's mu: parts above 1, largest first
+            parts = _parts(key, n)  # the kernel's mu: parts above 1, largest first
             assert list(parts) == sorted(parts, reverse=True) and min(parts, default=2) > 1, (n, key)
             assert sum(1 << n.bit_length() * p for p in parts) == key, (n, key)
 
@@ -767,9 +767,24 @@ def test_hermite_values_take_no_polynomial_gcd(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_laguerre_connection_33():
+    # the total takes no aux; the rows take it, and sum to the same polynomial
     for aux in ({}, {1: 2, 2: 1, 3: 3}, {1: -3, 2: 0, 3: 2}, {1: 1, 2: -1, 3: -2}):
         expansion = laguerre_connection(3, 3, aux)
         assert expansion.rescaled_total() == laguerre33_reference()
+        assert ZPolynomial.sum([t.value for t in expansion.terms]) == laguerre33_reference(), aux
+
+
+def test_gauge_checks_read_the_rows(monkeypatch):
+    # the total takes no auxiliary integer, so only the rows can show a wrong
+    # one: rows weighted by binom(+n_j, l_j) for binom(-n_j, l_j) fail the
+    # gauge checks, and nothing else
+    import qpoly.connection as connection
+
+    assert run_suite("laguerre", 3).passed
+    binomial = connection._int_binomial
+    monkeypatch.setattr(connection, "_int_binomial", lambda a, b: binomial(-a, b))
+    failed = [c.check_id for c in run_suite("laguerre", 3).checks if not c.passed]
+    assert failed and all(check.startswith("connection-gauge-n") for check in failed)
 
 
 def test_laguerre_connection_degree_zero():
@@ -786,7 +801,9 @@ def test_laguerre_gauge_independence():
             target = q_laguerre(n, k)
             auxes = [{}] + [{j: rng.randint(-3, 3) for j in range(1, k + 1)} for _ in range(3)]
             for aux in auxes:
-                assert laguerre_connection(n, k, aux).rescaled_total() == target, (n, k, aux)
+                expansion = laguerre_connection(n, k, aux)
+                assert expansion.rescaled_total() == target, (n, k, aux)
+                assert ZPolynomial.sum([t.value for t in expansion.terms]) == target, (n, k, aux)
 
 
 def test_laguerre_terms_sum_to_total():
@@ -831,7 +848,7 @@ def test_laguerre_total_matches_family_at_high_degree(n):
     assert laguerre_connection(n, n, aux).total == q_laguerre(n, n)
 
 
-def _laguerre_numerators(n, k, aux, fact):
+def _laguerre_numerators(n, k, fact):
     """Per z**D, the numerator over D! [k]! of the Laguerre total, summed from
     its t-series with each Q_mu = [k]!/prod [a] divided out of the row fact =
     [k]! by stride sums, and the s-power 2 min p_l: no quotient kernel and no
@@ -846,7 +863,7 @@ def _laguerre_numerators(n, k, aux, fact):
     shift = (n - k) * (n - k + 1) // 2
     powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
     low, quotients, nums = min(powers), {}, {}
-    for ell, terms in enumerate(_laguerre_series(k, aux)[k::-1][:len(binomials)]):
+    for ell, terms in enumerate(_laguerre_series(k)[k::-1][:len(binomials)]):
         for (zpow, mu), c in terms.items():
             if mu not in quotients:
                 row = fact
@@ -867,35 +884,33 @@ def _over(num, den, s_power):
               IntPoly({(2 * i - min(s_power, 0), 0): c for i, c in enumerate(den)}))
 
 
-def _laguerre_reduction_mismatches(max_nk, auxes, seed):
-    """(n, k, aux, D) for each z**D, n, k <= max_nk and `auxes` seeded aux
-    dicts each, where the Laguerre total (reduced over D! [D]!) and its
-    numerator over D! [k]! reduced by the generic gcd differ in ==, in hash
-    or in a numerator or denominator row.  [k]! is a product of window sums."""
+def _laguerre_reduction_mismatches(max_nk):
+    """(n, k, D) for each z**D and n, k <= max_nk where the Laguerre total
+    (reduced over D! [D]!) and its numerator over D! [k]! reduced by the
+    generic gcd differ in ==, in hash or in a numerator or denominator row.
+    [k]! is a product of window sums."""
     from qpoly.qkernel import _times_q_number
 
     facts = [[1]]
     for a in range(1, max_nk + 1):
         facts.append(_times_q_number(facts[-1], a))
-    rng, bad = random.Random(seed), []
+    bad = []
     for n in range(max_nk + 1):
         for k in range(max_nk + 1):
-            for _ in range(auxes):
-                aux = {j: rng.randint(-3, 3) for j in range(1, k + 1)}
-                total = laguerre_connection(n, k, aux).total._terms
-                nums, s_power = _laguerre_numerators(n, k, aux, facts[k])
-                ref = {zpow: _over(num, [math.factorial(zpow) * x for x in facts[k]], s_power)
-                       for zpow, num in nums.items() if any(num)}
-                for zpow in sorted(total.keys() | ref.keys()):
-                    a, b = total.get(zpow), ref.get(zpow)
-                    if (a is None or b is None or a != b or hash(a) != hash(b)
-                            or (a.num._rows, a.den._rows) != (b.num._rows, b.den._rows)):
-                        bad.append((n, k, aux, zpow))
+            total = laguerre_connection(n, k).total._terms
+            nums, s_power = _laguerre_numerators(n, k, facts[k])
+            ref = {zpow: _over(num, [math.factorial(zpow) * x for x in facts[k]], s_power)
+                   for zpow, num in nums.items() if any(num)}
+            for zpow in sorted(total.keys() | ref.keys()):
+                a, b = total.get(zpow), ref.get(zpow)
+                if (a is None or b is None or a != b or hash(a) != hash(b)
+                        or (a.num._rows, a.den._rows) != (b.num._rows, b.den._rows)):
+                    bad.append((n, k, zpow))
     return bad
 
 
 def test_laguerre_total_matches_its_gcd_reduced_numerators_over_d_and_k_factorial():
-    assert _laguerre_reduction_mismatches(8, 3, 33) == []
+    assert _laguerre_reduction_mismatches(8) == []
 
 
 def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ratio():
@@ -906,9 +921,9 @@ def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ra
     from qpoly.connection import _laguerre_series, _quotient_sums
     from qpoly.qkernel import _q_factorial_row
 
-    n, k, aux = 6, 6, {1: 2, 2: -1, 3: 3}
-    total = laguerre_connection(n, k, aux).total._terms
-    nums, s_power = _laguerre_numerators(n, k, aux, list(_q_factorial_row(k)))
+    n = k = 6
+    total = laguerre_connection(n, k).total._terms
+    nums, s_power = _laguerre_numerators(n, k, list(_q_factorial_row(k)))
     rng = random.Random(6)
     for zpow in range(1, k):
         num = nums[zpow]
@@ -921,7 +936,7 @@ def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ra
             for a in range(zpow + 1, k + 1):
                 changed = _divide_q_number(changed, a)
     uses, keys = {}, {}  # the kernel's entries in the total, keyed by (D, l); D -> one key
-    for ell, terms in enumerate(_laguerre_series(k, aux)[k::-1]):
+    for ell, terms in enumerate(_laguerre_series(k)[k::-1]):
         for (zpow, mu), c in terms.items():
             if c:
                 uses.setdefault(mu, {})[(zpow, ell), sum(mu) - len(mu)] = c
@@ -1018,17 +1033,18 @@ def test_gegenbauer_connection_matches_series_exp(monkeypatch):
         assert all(type(c) is Fraction for t in expansion.terms for c in t.coefficient._terms.values())
 
 
-def test_kernel_monomial_decodes_two_byte_fields():
-    # gegenbauer_connection stops short of n = 128, so its monomials never
-    # have fields wider than a byte; at n = 200 each field is 2 bytes, and an
-    # exponent of 200 has its low byte's top bit set
-    from qpoly.connection import _generator, _monomial
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 255, 256])
+def test_count_keys_round_trip_at_field_width_edges(n):
+    # field m, n.bit_length() bits wide, holds the count of part m (the
+    # exponent of C_m); a count of n fills its field, so a field one bit
+    # narrower carries it into a neighbour
+    from qpoly.connection import _monomial, _parts
 
-    n = 200
-    assert _generator(1, n) == 1 << 16
-    key = 200 * _generator(0, n) + 129 * _generator(1, n) + 7 * _generator(99, n) + 200 * _generator(n - 1, n)
-    assert _monomial(key, n) == ((1, 200), (2, 129), (100, 7), (200, 200))
-    assert _monomial(0, n) == ()
+    w = n.bit_length()
+    for mono in ((), ((1, n),), ((1, n), (n + 1, 1)), ((1, 1), (2, n), (3, 1)), ((2, 1), (3, n), (5, n))):
+        key = sum(e << w * m for m, e in mono)
+        assert _monomial(key, n) == mono, (n, mono)
+        assert _parts(key, n) == tuple(m for m, e in reversed(mono) for _ in range(e)), (n, mono)
 
 
 def test_gegenbauer_value_beyond_verify_sizes(monkeypatch):
@@ -1208,8 +1224,8 @@ def test_laguerre_total_takes_no_rational_function_arithmetic(monkeypatch):
 
 
 def test_laguerre_total_takes_integer_choice_weights(monkeypatch):
-    # the total reads no classical Laguerre polynomial: each choice weight is
-    # an int formed from binomials and factorials
+    # the total reads no classical Laguerre polynomial: each cycle weight is
+    # an int formed from factorials, and no aux changes it
     import qpoly.connection as connection
 
     def forbidden(*args):
@@ -1494,3 +1510,88 @@ def test_whole_result_caches_are_bounded():
 
     for cache in (partitions_of, classical_log_coefficients, gegenbauer_classical):
         assert cache.cache_info().maxsize == 16, cache
+
+
+def _kernel_work(read):
+    """Per _quotient_sums call made by read(): (prefix-walk divisions, keys
+    returned, digit width in bytes)."""
+    import qpoly.connection as connection
+
+    calls = []
+    sums, walk, pack = connection._quotient_sums, connection._prefix_walk, connection._pack
+
+    def counted_sums(n, uses, order=None):
+        work = {"divisions": 0}
+
+        def counted_walk(keys, root, step):
+            def counted_step(v, a):
+                work["divisions"] += 1
+                return step(v, a)
+            return walk(keys, root, counted_step)
+
+        def counted_pack(c, nbytes):
+            work["nbytes"] = nbytes
+            return pack(c, nbytes)
+
+        connection._prefix_walk, connection._pack = counted_walk, counted_pack
+        try:
+            result = sums(n, uses, order)
+        finally:
+            connection._prefix_walk, connection._pack = walk, pack
+        calls.append((work["divisions"], len(result), work["nbytes"]))
+        return result
+
+    connection._quotient_sums = counted_sums
+    try:
+        read()
+    finally:
+        connection._quotient_sums = sums
+    return calls
+
+
+def _block_work(read):
+    """(calls, certified quotients) of field._block_divexact over read()."""
+    import qpoly.field as field
+
+    work, block = [0, 0], field._block_divexact
+
+    def counted(rows, g):
+        work[0] += 1
+        quotient = block(rows, g)
+        work[1] += quotient is not None
+        return quotient
+
+    field._block_divexact = counted
+    try:
+        read()
+    finally:
+        field._block_divexact = block
+    return tuple(work)
+
+
+def test_exact_work_counts():
+    # the work of the quotient kernel, the Laguerre t-series and the block
+    # division on fixed inputs: a change of any count is a change of the
+    # algorithm, to be made on purpose
+    from qpoly.connection import _laguerre_series
+    from qpoly.families import q_gegenbauer_genfun
+
+    _clear_caches()
+    assert _kernel_work(lambda: hermite_connection.__wrapped__(16).total) == [(230, 9, 13)]
+    assert _kernel_work(lambda: hermite_connection.__wrapped__(24).total) == [(1574, 13, 23)]
+    assert _kernel_work(lambda: laguerre_connection(16, 16, {1: 2, 2: -1, 3: 3}).total) == [(230, 17, 13)]
+    assert _kernel_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == [(76, 91, 8)]
+    # one entry per partition of each t-power w, at z**w: c is (-1)**cycles
+    # times the number of permutations of w of cycle type mu (1s implied)
+    series = _laguerre_series(16)
+    assert [len(terms) for terms in series] == [partition_count_dp(w) for w in range(17)]
+    for w, terms in enumerate(series):
+        for (zpow, mu), c in terms.items():
+            cycle_type = collections.Counter(mu + (1,) * (w - sum(mu)))
+            count = math.factorial(w) // math.prod(j**m * math.factorial(m) for j, m in cycle_type.items())
+            assert zpow == w and c == (-1) ** sum(cycle_type.values()) * count, (w, mu)
+    _clear_caches()
+    assert _block_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == (6, 6)
+    assert _block_work(lambda: q_gegenbauer_direct(12)) == (0, 0)
+    _clear_caches()
+    assert _block_work(lambda: q_gegenbauer_genfun(16)) == (8, 6)

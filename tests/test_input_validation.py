@@ -1,5 +1,7 @@
 """Out-of-range arguments: every public entry point rejects them."""
 
+from fractions import Fraction
+
 import pytest
 
 from qpoly.cli import main
@@ -46,6 +48,7 @@ _REJECTED = {
     "hermite_connection": lambda: hermite_connection(-1),
     "laguerre_connection-n": lambda: laguerre_connection(-1, 0),
     "laguerre_connection-k": lambda: laguerre_connection(0, -1),
+    "laguerre_connection-aux-order": lambda: laguerre_connection(3, 3, {0: 2}),
     "gegenbauer_connection": lambda: gegenbauer_connection(-1),
     "gegenbauer_classical_lambda": lambda: gegenbauer_classical_lambda(-1),
     "hermite_classical": lambda: hermite_classical(-1),
@@ -81,3 +84,11 @@ def test_out_of_range_arguments_are_rejected(name, capsys):
         return
     with pytest.raises(ValueError):
         _REJECTED[name]()
+
+
+@pytest.mark.parametrize("order", ["1", 1.0, Fraction(1)])
+def test_laguerre_aux_order_that_is_not_an_int_raises_type_error(order):
+    # only the rows read the auxiliary integers, so a mis-keyed one would
+    # change no total
+    with pytest.raises(TypeError):
+        laguerre_connection(3, 3, {order: 2})

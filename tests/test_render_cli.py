@@ -432,19 +432,28 @@ def test_cli_verify_json(capsys):
 
 
 def test_cli_verify_laguerre_reaches_max_n(capsys, monkeypatch):
-    # --max-n bounds both n and k of the gauge checks, beyond the default 5
+    # --max-n bounds both n and k of the gauge checks, beyond the default 5:
+    # each total is compared, and the rows are summed where n + k <= max-n
+    import dataclasses
+
     import qpoly.verify as verify
 
-    reached = set()
+    totals, rows = set(), set()
     connection = verify.laguerre_connection
-    monkeypatch.setattr(verify, "laguerre_connection",
-                        lambda n, k, aux: reached.add((n, k)) or connection(n, k, aux))
+
+    def recorded(n, k, aux):
+        expansion = connection(n, k, aux)
+        totals.add((n, k))
+        return dataclasses.replace(expansion, make_terms=lambda: rows.add((n, k)) or expansion.terms)
+
+    monkeypatch.setattr(verify, "laguerre_connection", recorded)
     code, out = run_cli(capsys, "verify", "--suite", "laguerre", "--max-n", "7", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert all(c["status"] == "pass" for c in doc["checks"])
     assert [c["id"] for c in doc["checks"]][:8] == [f"connection-gauge-n{n}" for n in range(8)]
-    assert reached == {(n, k) for n in range(8) for k in range(8)}
+    assert totals == {(n, k) for n in range(8) for k in range(8)}
+    assert rows == {(n, k) for n in range(8) for k in range(8) if n + k <= 7}
 
 
 def test_cli_verify_limits_reaches_max_n(capsys, monkeypatch):
