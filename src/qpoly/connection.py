@@ -12,11 +12,12 @@ relation:
     counts packed in one int, are summed over Z, as integer q-multinomial
     quotients in q**-2.
   * Laguerre:  sum_j j*(k_j + l_j) + l = k, with one free auxiliary integer
-    n_j per order j, which only the rows take.  The total is the product
-    form prod_j exp(-c_j z**j t**j), in which the n_j cancel (Vandermonde),
-    summed over Z from its integer cycle weights and then as integer
-    q-multinomial quotients in q, each z**D reduced over D! [D]!; the rows
-    are the classical products, scaled, and sum to it for every choice.
+    n_j per order j, which only the rows take.  The total is the prefactor
+    sum_l q**p_l [n over l] t**l times prod_j exp(-c_j z**j t**j), free of
+    the n_j (Vandermonde), whose t**w terms are integer cycle weights at
+    z**w: so the t**l term meets z**(k-l) alone, summed over Z as integer
+    q-multinomial quotients in q and reduced over D! [D]!, D = k - l.  The
+    rows are the classical products, scaled, and sum to it for every choice.
   * Gegenbauer: the log of the deformed generating function is the classical
     log rescaled per t-order by beta_k = [lambda]_{q**k}.  Exponentiating
     symbolically over polynomials in abstract generators beta_k and abstract
@@ -27,7 +28,9 @@ relation:
     prod_k beta_k**e_k: the classical products are integer Laurent rows in w
     = e^{i theta}, each weight is a numerator over (q;q)_n with integer
     q-multinomial quotients in q, and each cos(j theta) coefficient is
-    reduced once.  The deformed side of the sum rules is the log of the
+    reduced once.  At beta_k = lambda it is the binomial series of (1 +
+    sum_m C_m t**m)**lambda, read by the multinomial theorem over the same
+    partitions.  The deformed side of the sum rules is the log of the
     explicit polynomials over Z (families._log_coefficients), the classical
     side sum_l 2 cos(l theta) t**l / l in closed form.
 
@@ -50,9 +53,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby, product
-from operator import add, index, itemgetter, mul
+from operator import add, index, mul
 
-from .field import _digits, _pack, _uadd, _umul, _unorm, _width
+from .field import _digits, _pack, _umul, _unorm, _width
 from .families import (
     COSPOLY_RING,
     CosPolynomial,
@@ -68,15 +71,15 @@ from .families import (
     q_gegenbauer_direct,
 )
 from .qkernel import (
-    _power_sum,
     _q_factorial_row,
     _q_pascal_row,
     _q_pochhammer_row,
     _ratio,
+    _times_one_minus,
     _times_q_number,
     quesne_c,
 )
-from .series import Ring, TruncatedSeries, ring_sum
+from .series import TruncatedSeries, ring_sum
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -169,14 +172,12 @@ class ConnectionTerm:
 
 @dataclass(frozen=True)
 class ConnectionExpansion:
-    """Terms plus exact total, both in the normalization of the polynomial
-    itself.  `make_terms` returns the tuple of terms; it is called on each
-    read of `terms`, so an expansion of any engine holds no rows it has
-    handed out, only its total and what its rows are built from."""
+    """The degree n, and terms plus exact total, both in the normalization of
+    the polynomial itself.  `make_terms` returns the tuple of terms; it is called
+    on each read of `terms`, so an expansion of any engine holds no rows it
+    has handed out, only its total and what its rows are built from."""
 
-    family: str
     n: int
-    k: object
     make_terms: object
     total: object
 
@@ -387,7 +388,7 @@ def hermite_connection(n):
         return tuple(ConnectionTerm(sol, None, value)
                      for sol, value in zip(partitions_of(n), _hermite_values(n, _hermite_tables(n))))
 
-    return ConnectionExpansion("hermite", n, None, rows, total)
+    return ConnectionExpansion(n, rows, total)
 
 
 # ---------------------------------------------------------------------------
@@ -405,47 +406,46 @@ def hermite_connection(n):
 # [k]!/prod [j]**m, and c = (-1)**(sum m) D!/prod m! j**m, a signed count of
 # the permutations of cycle type mu: factor j carries the cycle weight
 # (-1)**m (j m)! / (m! j**m), and z-degrees D and D' join with binom(D + D',
-# D), as exponential generating functions do.  The parts of each mu at z**D
-# sum to at most D, so prod_{a in mu} [a] divides [D]! (see the quotient
-# kernel), and [k]!/[D]! = prod_{a=D+1..k} [a] divides every Q_mu at z**D,
-# hence its whole numerator.  So each z**D is reduced over D! [D]!: one
-# kernel call of order k shares each Q_mu among all z-powers and divides each
-# (D, l) sum, packed, by [k]!/[D]!.  (One kernel call of order D per z-power
-# shares no Q_mu across z-powers and was slower from n = k = 16 up;
-# stride-sum division of the unpacked numerators was slower at every n
-# measured.)
+# D), as exponential generating functions do.  So every t**w term of the
+# product form is at z**w, and the prefactor term t**l meets one z-power,
+# z**(k - l).  The parts of each mu at z**D sum to at most D, so prod_{a in
+# mu} [a] divides [D]! (see the quotient kernel), and [k]!/[D]! =
+# prod_{a=D+1..k} [a] divides every Q_mu at z**D, hence its whole numerator.
+# So each z**D is reduced over D! [D]!: one kernel call of order k shares
+# each Q_mu among all z-powers and divides each z-power's sum, packed, by
+# [k]!/[D]!.  (One kernel call of order D per z-power shares no Q_mu across
+# z-powers and was slower from n = k = 16 up; stride-sum division of the
+# unpacked numerators was slower at every n measured.)
 
 def _laguerre_series(k):
     """The t-series of the total (see above) to t**k, over Z: per t-power w,
-    {(D, mu): c} for the terms c (1 - q)**E Q_mu z**D / (D! [k]!); every
-    term of t**w has D = w, and no c is 0."""
-    series = [{(0, ()): 1}] + [{} for _ in range(k)]
+    {mu: c} for the terms c (1 - q)**E Q_mu z**w / (w! [k]!); no c is 0."""
+    series = [{(): 1}] + [{} for _ in range(k)]
     for j in range(1, k + 1):
         cycle = [(-1) ** m * math.factorial(j * m) // (math.factorial(m) * j**m) for m in range(k // j + 1)]
         for w in range(k, j - 1, -1):  # down, so series[w - j m] is still the old one
             acc = series[w]
             for m in range(1, w // j + 1):
-                for (_, mu), c in series[w - j * m].items():
-                    acc[w, (j,) * m + mu if j > 1 else mu] = c * cycle[m] * math.comb(w, j * m)
+                for mu, c in series[w - j * m].items():
+                    acc[(j,) * m + mu if j > 1 else mu] = c * cycle[m] * math.comb(w, j * m)
     return series
 
 
 def _laguerre_total(k, binomials, powers):
     """The sum of every row (see above), with the prefactors [n over l] and
-    p_l = powers[l], from the t-series (_laguerre_series): one call of the
-    quotient kernel sums each (D, l) over [D]!, and each z**D is one
+    p_l = powers[l], from the t-series (_laguerre_series): one quotient kernel
+    call sums each z**D over [D]!, and z**D, met by l = k - D alone, is one
     RationalFunction over D! [D]!, reduced by _ratio's polynomial gcd."""
-    uses = {}  # mu -> {((D, l), E): c}
-    for ell, terms in enumerate(_laguerre_series(k)[k::-1][:len(binomials)]):
-        for (zpow, mu), c in terms.items():
-            uses.setdefault(mu, {})[(zpow, ell), sum(mu) - len(mu)] = c
-    low = min(powers)
-    nums = {}  # D -> sum_l q**(p_l - low) [n over l] times the kernel row of (D, l)
-    for (zpow, ell), row in _quotient_sums(k, uses, itemgetter(0)).items():
-        nums[zpow] = _uadd(nums.get(zpow, []), [0] * (powers[ell] - low) + _umul(binomials[ell], row))
+    least = k + 1 - len(binomials)  # the z-power of l = min(n, k)
+    uses = {}  # mu -> {(D, E): c}
+    for zpow, terms in enumerate(_laguerre_series(k)[least:], least):
+        for mu, c in terms.items():
+            uses.setdefault(mu, {})[zpow, sum(mu) - len(mu)] = c
+    rows = _quotient_sums(k, uses, lambda zpow: zpow)
     return ZPolynomial._raw({  # z-powers descending: the row sum's order for every n_j = 0
-        zpow: _ratio([nums[zpow]], [math.factorial(zpow) * x for x in _q_factorial_row(zpow)], 1, 2 * low)
-        for zpow in sorted(nums, reverse=True) if nums[zpow]})
+        zpow: _ratio([_umul(binomials[k - zpow], rows[zpow])], [math.factorial(zpow) * x for x in _q_factorial_row(zpow)],
+                     1, 2 * powers[k - zpow])
+        for zpow in sorted(rows, reverse=True)})
 
 
 def laguerre_connection(n, k, aux=None):
@@ -491,7 +491,7 @@ def laguerre_connection(n, k, aux=None):
             terms.append(ConnectionTerm(sol, coefficient, products[sol.kparts[::-1]].scale(coefficient)))
         return tuple(terms)
 
-    return ConnectionExpansion("laguerre", n, k, rows, _laguerre_total(k, binomials, powers))
+    return ConnectionExpansion(n, rows, _laguerre_total(k, binomials, powers))
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +572,6 @@ class CPolynomial(SparsePoly):
     _times = staticmethod(_merge)
     _order = staticmethod(_partition_key)
 
-    @classmethod
-    def factor(cls, m, one):
-        """The single classical factor C_m (with the given coefficient one)."""
-        return cls({((m, 1),): one})
-
 
 # ---------------------------------------------------------------------------
 # Gegenbauer connection and sum rules
@@ -656,7 +651,7 @@ def gegenbauer_connection(n):
         for cm, c in p.items():
             by_factors.setdefault(cm, {})[beta] = Fraction(c, scale)
     total = CPolynomial._raw({_monomial(cm, n): BetaPolynomial._raw(coeffs) for cm, coeffs in by_factors.items()})
-    return ConnectionExpansion("gegenbauer", n, None, lambda: tuple(
+    return ConnectionExpansion(n, lambda: tuple(
         ConnectionTerm(mono, coeff, None) for mono, coeff in total.sorted_terms()), total)
 
 
@@ -671,9 +666,7 @@ def _classical_power(m, e):
 
 def _lambda_factor(k, e):
     """(1 - Lambda**k)**e as a Lambda-row."""
-    row = [0] * (k * e + 1)
-    row[::k] = [(-1) ** i * math.comb(e, i) for i in range(e + 1)]
-    return row
+    return reduce(_times_one_minus, [k] * e, [1])
 
 
 def gegenbauer_connection_value(expansion):
@@ -727,20 +720,18 @@ def gegenbauer_connection_value(expansion):
 def gegenbauer_classical_lambda(n):
     """The classical general-lambda connection: t**n coefficient of
     (1 + S)**lambda with S = sum_m C_m t**m, by the binomial series
-    sum_j binom(lambda, j) S**j, as a CPolynomial over Q[lambda].  It takes
-    no log and no exp, and equals the beta_k -> lambda image of
-    gegenbauer_connection(n)."""
+    sum_j binom(lambda, j) S**j and the multinomial theorem: the sum over the
+    partitions f of n, f_m parts m, of binom(lambda, |f|) |f|!/prod_m f_m!
+    prod_m C_m**f_m, as a CPolynomial over Q[lambda].  It takes no log and
+    no exp, and equals the beta_k -> lambda image of gegenbauer_connection(n)."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     lam = LambdaPolynomial.gen(1)
-    # S has integer coefficients, so its powers take no product of two
-    # LambdaPolynomials; the binomials scale them into Q[lambda]
-    ring = Ring(CPolynomial.zero(), CPolynomial.constant(1))
-    s = TruncatedSeries(ring, [ring.zero] + [CPolynomial.factor(m, 1) for m in range(1, n + 1)], n)
-    binomials = [LambdaPolynomial.one(), lam]  # binom(lambda, j)
-    for j in range(2, n + 1):
-        binomials.append(binomials[-1] * (lam - (j - 1)) * Fraction(1, j))
-    return _power_sum(s, binomials.__getitem__).coeff(n)
+    falling = [LambdaPolynomial.one(), lam]  # binom(lambda, j) j! = lambda (lambda - 1) ... (lambda - j + 1)
+    for j in range(1, n):
+        falling.append(falling[-1] * (lam - j))
+    return CPolynomial._raw({parts[::-1]: falling[sum(f for _, f in parts)].scale(
+        Fraction(1, math.prod(math.factorial(f) for _, f in parts))) for parts in _multiplicities(n, n)})
 
 
 # Explicit low-order log combinations: I_l as [(coefficient, [factor orders])].

@@ -8,7 +8,6 @@ import math
 import random
 import weakref
 from fractions import Fraction
-from operator import itemgetter
 
 import pytest
 
@@ -864,7 +863,8 @@ def _laguerre_numerators(n, k, fact):
     powers = [(n - ell) * (n - ell + 1) // 2 - shift for ell in range(len(binomials))]
     low, quotients, nums = min(powers), {}, {}
     for ell, terms in enumerate(_laguerre_series(k)[k::-1][:len(binomials)]):
-        for (zpow, mu), c in terms.items():
+        zpow = k - ell  # every term of t**w is at z**w
+        for mu, c in terms.items():
             if mu not in quotients:
                 row = fact
                 for a in mu:
@@ -935,18 +935,16 @@ def test_laguerre_numerator_off_by_one_unit_is_not_divisible_by_the_factorial_ra
         with pytest.raises(ArithmeticError):
             for a in range(zpow + 1, k + 1):
                 changed = _divide_q_number(changed, a)
-    uses, keys = {}, {}  # the kernel's entries in the total, keyed by (D, l); D -> one key
-    for ell, terms in enumerate(_laguerre_series(k)[k::-1]):
-        for (zpow, mu), c in terms.items():
-            if c:
-                uses.setdefault(mu, {})[(zpow, ell), sum(mu) - len(mu)] = c
-            keys[zpow] = (zpow, ell)
-    assert len(_quotient_sums(k, uses, itemgetter(0))) >= len(keys) == k + 1
+    uses = {}  # the kernel's entries in the total, keyed by the z-power D
+    for zpow, terms in enumerate(_laguerre_series(k)):
+        for mu, c in terms.items():
+            uses.setdefault(mu, {})[zpow, sum(mu) - len(mu)] = c
+    assert len(_quotient_sums(k, uses, lambda zpow: zpow)) == k + 1
     for zpow in range(k):
         more = dict(uses.get((k,), {}))
-        more[keys[zpow], 0] = more.get((keys[zpow], 0), 0) + 1
+        more[zpow, 0] = more.get((zpow, 0), 0) + 1
         with pytest.raises(ArithmeticError):
-            _quotient_sums(k, {**uses, (k,): more}, itemgetter(0))
+            _quotient_sums(k, {**uses, (k,): more}, lambda zpow: zpow)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1004,7 @@ def _series_exp_connection(n):
 
     fractions = Ring(CPolynomial.zero(), CPolynomial.constant(Fraction(1)))
     classical = TruncatedSeries(fractions, [fractions.one] + [
-        CPolynomial.factor(m, Fraction(1)) for m in range(1, n + 1)], n)
+        CPolynomial({((m, 1),): Fraction(1)}) for m in range(1, n + 1)], n)
     logs = [classical.log().coeff(k) for k in range(1, n + 1)]
     ring = Ring(CPolynomial.zero(), CPolynomial.constant(BetaPolynomial.one()))
     arg = TruncatedSeries(ring, [ring.zero] + [a.scale(BetaPolynomial.gen(k))
@@ -1292,6 +1290,34 @@ def test_gegenbauer_classical_lambda_route():
         assert via_connection == gegenbauer_classical_lambda(n)
 
 
+def _series_classical_lambda(n):
+    """The t**n coefficient of (1 + S)**lambda, S = sum_m C_m t**m, by the
+    binomial series sum_j binom(lambda, j) S**j summed as truncated series of
+    CPolynomials: no partition enumeration, so a reference for the
+    multinomial form of gegenbauer_classical_lambda."""
+    from qpoly.connection import CPolynomial
+    from qpoly.qkernel import _power_sum
+    from qpoly.series import Ring
+
+    lam = LambdaPolynomial.gen(1)
+    ring = Ring(CPolynomial.zero(), CPolynomial.constant(1))
+    s = TruncatedSeries(ring, [ring.zero] + [CPolynomial({((m, 1),): 1}) for m in range(1, n + 1)], n)
+    binomials = [LambdaPolynomial.one(), lam]  # binom(lambda, j)
+    for j in range(2, n + 1):
+        binomials.append(binomials[-1] * (lam - (j - 1)) * Fraction(1, j))
+    return _power_sum(s, binomials.__getitem__).coeff(n)
+
+
+def _classical_lambda_mismatches(max_n):
+    """The n <= max_n at which gegenbauer_classical_lambda and the series
+    reference differ."""
+    return [n for n in range(max_n + 1) if gegenbauer_classical_lambda(n) != _series_classical_lambda(n)]
+
+
+def test_gegenbauer_classical_lambda_matches_the_binomial_series():
+    assert _classical_lambda_mismatches(10) == []
+
+
 def test_gegenbauer_classical_lambda_takes_no_log_or_exp(monkeypatch):
     import qpoly.connection as connection
     from qpoly.series import TruncatedSeries
@@ -1424,8 +1450,8 @@ def _clear_caches():
 
 
 def test_verify_suites_take_no_sparse_product_with_the_unit(monkeypatch):
-    # the sum-rule products and the classical-lambda binomial series start
-    # from real factors, not from the unit
+    # the sum-rule products start from real factors, not from the unit (the
+    # classical-lambda route multiplies LambdaPolynomials, no SparsePoly)
     from qpoly.families import SparsePoly
     from qpoly.verify import run_suite
 
@@ -1514,20 +1540,27 @@ def test_whole_result_caches_are_bounded():
 
 def _kernel_work(read):
     """Per _quotient_sums call made by read(): (prefix-walk divisions, keys
-    returned, digit width in bytes)."""
+    returned, digit width in bytes, c Q_mu products the kernel takes)."""
     import qpoly.connection as connection
 
     calls = []
     sums, walk, pack = connection._quotient_sums, connection._prefix_walk, connection._pack
 
     def counted_sums(n, uses, order=None):
-        work = {"divisions": 0}
+        work = {"divisions": 0, "products": 0}
+
+        class Counted(int):  # a walked Q_mu: counts each product taken with it
+            def __mul__(self, other):
+                work["products"] += 1
+                return int(self) * other
+
+            __rmul__ = __mul__
 
         def counted_walk(keys, root, step):
             def counted_step(v, a):
                 work["divisions"] += 1
                 return step(v, a)
-            return walk(keys, root, counted_step)
+            return ((key, Counted(v)) for key, v in walk(keys, root, counted_step))
 
         def counted_pack(c, nbytes):
             work["nbytes"] = nbytes
@@ -1538,7 +1571,7 @@ def _kernel_work(read):
             result = sums(n, uses, order)
         finally:
             connection._prefix_walk, connection._pack = walk, pack
-        calls.append((work["divisions"], len(result), work["nbytes"]))
+        calls.append((work["divisions"], len(result), work["nbytes"], work["products"]))
         return result
 
     connection._quotient_sums = counted_sums
@@ -1569,29 +1602,94 @@ def _block_work(read):
     return tuple(work)
 
 
+def _ratio_work(read):
+    """Over read(): qkernel._ratio's calls per reduction path (empty rows;
+    coprime; an int den after its power of v, the content gcd; else the
+    polynomial gcd field._gcd_cof), and field._gcd_cof calls made outside
+    _ratio, RationalFunction's own."""
+    import sys
+
+    import qpoly.field as field
+    import qpoly.qkernel as qkernel
+
+    work = dict.fromkeys(("empty", "coprime", "content", "gcd", "own"), 0)
+    ratio, gcd_cof, inside = qkernel._ratio, field._gcd_cof, []
+
+    def counted_ratio(rows, den, *args, coprime=False):
+        path = ("empty" if not rows else "coprime" if coprime
+                else "content" if len(den) - next(i for i, c in enumerate(den) if c) == 1 else "gcd")
+        work[path] += 1
+        inside.append(path)
+        try:
+            return ratio(rows, den, *args, coprime=coprime)
+        finally:
+            inside.pop()
+
+    def counted_gcd_cof(a, b):
+        work["own"] += not inside
+        return gcd_cof(a, b)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("qpoly.") and getattr(m, "_ratio", None) is ratio]
+    for module in modules:
+        module._ratio = counted_ratio
+    field._gcd_cof = counted_gcd_cof
+    try:
+        read()
+    finally:
+        for module in modules:
+            module._ratio = ratio
+        field._gcd_cof = gcd_cof
+    return work
+
+
+def _divided_power_work(read):
+    """Per qkernel._divided_powers call made by families over read(): (G
+    packed, digit width in bytes, bytes of every packed G)."""
+    import qpoly.families as families
+
+    calls, divided = [], families._divided_powers
+
+    def counted(*args, **kwargs):
+        packed, nbytes, out = divided(*args, **kwargs)
+        calls.append((len(packed), nbytes, sum((abs(g).bit_length() + 7) // 8 for g in packed)))
+        return packed, nbytes, out
+
+    families._divided_powers = counted
+    try:
+        read()
+    finally:
+        families._divided_powers = divided
+    return calls
+
+
 def test_exact_work_counts():
-    # the work of the quotient kernel, the Laguerre t-series and the block
-    # division on fixed inputs: a change of any count is a change of the
-    # algorithm, to be made on purpose
+    # the work of the quotient kernel, the Laguerre t-series, the block
+    # division, _ratio's reductions and the q-divided-power kernel on fixed
+    # inputs: a change of any count is a change of the algorithm, to be made
+    # on purpose
     from qpoly.connection import _laguerre_series
     from qpoly.families import q_gegenbauer_genfun
 
     _clear_caches()
-    assert _kernel_work(lambda: hermite_connection.__wrapped__(16).total) == [(230, 9, 13)]
-    assert _kernel_work(lambda: hermite_connection.__wrapped__(24).total) == [(1574, 13, 23)]
-    assert _kernel_work(lambda: laguerre_connection(16, 16, {1: 2, 2: -1, 3: 3}).total) == [(230, 17, 13)]
-    assert _kernel_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == [(76, 91, 8)]
-    # one entry per partition of each t-power w, at z**w: c is (-1)**cycles
-    # times the number of permutations of w of cycle type mu (1s implied)
+    assert _kernel_work(lambda: hermite_connection.__wrapped__(16).total) == [(230, 9, 13, 859)]
+    assert _kernel_work(lambda: hermite_connection.__wrapped__(24).total) == [(1574, 13, 23, 8111)]
+    assert _kernel_work(lambda: laguerre_connection(16, 16, {1: 2, 2: -1, 3: 3}).total) == [(230, 17, 13, 915)]
+    assert _kernel_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == [(76, 91, 8, 4556)]
+    # one entry per partition of each t-power w: c is (-1)**cycles times the
+    # number of permutations of w of cycle type mu (1s implied)
     series = _laguerre_series(16)
     assert [len(terms) for terms in series] == [partition_count_dp(w) for w in range(17)]
     for w, terms in enumerate(series):
-        for (zpow, mu), c in terms.items():
+        for mu, c in terms.items():
             cycle_type = collections.Counter(mu + (1,) * (w - sum(mu)))
             count = math.factorial(w) // math.prod(j**m * math.factorial(m) for j, m in cycle_type.items())
-            assert zpow == w and c == (-1) ** sum(cycle_type.values()) * count, (w, mu)
+            assert c == (-1) ** sum(cycle_type.values()) * count, (w, mu)
     _clear_caches()
     assert _block_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == (6, 6)
     assert _block_work(lambda: q_gegenbauer_direct(12)) == (0, 0)
     _clear_caches()
     assert _block_work(lambda: q_gegenbauer_genfun(16)) == (8, 6)
+    _clear_caches()
+    assert _ratio_work(lambda: run_suite("all")) == {"empty": 0, "coprime": 316, "content": 147, "gcd": 189, "own": 706}
+    _clear_caches()
+    assert _divided_power_work(lambda: q_gegenbauer_genfun(16)) == [(17, 5, 1484441)]

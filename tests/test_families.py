@@ -526,3 +526,23 @@ def test_sparse_sum_and_product_match_per_term_loop(cls):
         assert cls.sum(with_scalars) == _per_term_sum(cls, with_scalars), f"case {case}"
         for a, b in zip(polys, polys[1:]):
             assert a * b == _per_term_mul(a, b), f"case {case}"
+
+
+
+@pytest.mark.parametrize("cls", [ZPolynomial, CosPolynomial, LambdaPolynomial, BetaPolynomial, CPolynomial])
+def test_sparse_poly_rejects_foreign_operands_and_negative_powers(cls):
+    p, name = cls.one() + cls.one(), cls.__name__
+    for op, symbol in ((lambda a, b: a + b, "+"), (lambda a, b: a * b, "*")):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{symbol}: '{name}' and 'NoneType'$"):
+            op(p, None)
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{symbol}: 'NoneType' and '{name}'$"):
+            op(None, p)
+    assert (p == None) is False and (p == "2") is False  # noqa: E711
+    with pytest.raises(ValueError, match="^negative power of a polynomial$"):
+        p ** -1
+
+
+@pytest.mark.parametrize("cls", [ZPolynomial, CosPolynomial])
+def test_sparse_poly_rejects_a_monomial_below_the_unit(cls):
+    with pytest.raises(ValueError, match="^monomial -1 below the unit$"):
+        cls({2: 1, -1: 3})

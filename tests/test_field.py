@@ -289,6 +289,59 @@ def test_constants_hash_like_equal_numbers():
     assert RF.from_int(3) != Fraction(3, 2)
 
 
+def test_rational_function_from_int_parts_and_zero_denominator():
+    p = IntPoly({(1, 0): 2, (0, 0): 1})
+    assert RF(3) == 3 and RF(3, 6) == Fraction(1, 2)
+    assert RF(p, 3) == RF(p) / 3
+    with pytest.raises(DivisionByZero, match="^zero denominator$"):
+        RF(p, 0)
+    with pytest.raises(DivisionByZero, match="^zero denominator$"):
+        RF(p, IntPoly.zero())
+
+
+def test_intpoly_rejects_negative_exponents_powers_and_the_zero_leading_term():
+    from qpoly.field import _udivexact
+
+    p = IntPoly({(1, 0): 2, (0, 0): 1})
+    for terms in ({(-1, 0): 1}, {(0, -1): 1}):
+        with pytest.raises(ValueError, match="^IntPoly exponents must be nonnegative$"):
+            IntPoly(terms)
+    with pytest.raises(ValueError, match="^IntPoly power must be nonnegative$"):
+        p ** -1
+    with pytest.raises(ValueError, match="^zero polynomial has no leading term$"):
+        IntPoly.zero().leading_key()
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        _udivexact([1, 2], [])
+    assert _udivexact([], [1, 1]) == []
+    assert (p * 0).is_zero() and 0 * p == IntPoly.zero()
+
+
+def test_rational_function_constant_and_numeric_reads_refuse_what_they_cannot_give():
+    with pytest.raises(ValueError, match="^element is not a rational constant$"):
+        (Q + 1).as_fraction()
+    with pytest.raises(LambdaPresent, match=r"^element contains q\*\*lambda; pass lam_value$"):
+        (LAM + 1).eval_numeric(0.5)
+
+
+@pytest.mark.parametrize("value", [IntPoly({(1, 0): 2, (0, 0): 1}), (Q + 2) / (Q * Q + 1)], ids=["IntPoly", "RF"])
+def test_arithmetic_with_a_foreign_type_raises_type_error(value):
+    name = type(value).__name__
+    for op, symbol in ((lambda a, b: a + b, "+"), (lambda a, b: a - b, "-"), (lambda a, b: a * b, "*")):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{symbol}: '{name}' and 'NoneType'$"):
+            op(value, None)
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{symbol}: 'NoneType' and '{name}'$"):
+            op(None, value)
+    if isinstance(value, RF):
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for /: 'RationalFunction' and 'NoneType'$"):
+            value / None
+    assert (value == None) is False and (value == "1") is False  # noqa: E711
+
+
+def test_reprs_name_the_class_around_the_text():
+    assert repr(IntPoly({(1, 0): 2, (0, 0): 1})) == "IntPoly(2*q^{1/2} + 1)"
+    assert repr(RF(IntPoly({(1, 0): 2, (0, 0): 1}), IntPoly({(2, 0): 1}))) == "RationalFunction(2*q^{-1/2} + q^{-1})"
+
+
 @pytest.mark.parametrize("parse, text", [
     (parse_rational, "q^"),
     (parse_rational, "q^{1/3}"),

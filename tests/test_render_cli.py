@@ -536,3 +536,59 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2*q^{-1/2}*z"
+
+
+def test_polynomial_json_dict_refuses_a_class_without_a_schema():
+    from qpoly.connection import gegenbauer_connection
+
+    with pytest.raises(TypeError, match="^no JSON polynomial schema for CPolynomial$"):
+        polynomial_json_dict(gegenbauer_connection(2).total, "gegenbauer", 2)
+
+
+def test_main_returns_0_when_stdout_is_a_closed_pipe(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["eval", "hermite", "--n", "2"]) == 0
+    assert main(["verify", "--suite", "limits", "--max-n", "0"]) == 0
+
+
+def _failures(report):
+    return [(c.check_id, c.detail) for c in report.checks if not c.passed]
+
+
+def test_verify_reports_a_crashed_check_as_failed(monkeypatch):
+    import qpoly.verify as verify
+
+    def crash(n):
+        raise RuntimeError(f"no H_{n}")
+
+    monkeypatch.setattr(verify, "q_hermite", crash)
+    report = verify.run_suite("hermite", 1)
+    assert not report.passed
+    assert _failures(report) == [("connection-total-n0", "RuntimeError: no H_0"),
+                                 ("connection-total-n1", "RuntimeError: no H_1"),
+                                 ("parity", "RuntimeError: no H_0")]
+
+
+def test_verify_names_the_first_laguerre_total_mismatch(monkeypatch):
+    import qpoly.verify as verify
+
+    monkeypatch.setattr(verify, "q_laguerre", lambda n, k: ZPolynomial({n + k + 1: 1}))
+    failures = _failures(verify.run_suite("laguerre", 1))
+    assert [check_id for check_id, _ in failures] == ["connection-gauge-n0", "connection-gauge-n1", "l33-closed-form"]
+    assert failures[:2] == [("connection-gauge-n0", "total mismatch at n=0, k=0"),
+                            ("connection-gauge-n1", "total mismatch at n=1, k=0")]
+
+
+def test_verify_reports_a_numeric_value_off_its_limit(monkeypatch):
+    import qpoly.verify as verify
+
+    monkeypatch.setattr(RF, "eval_numeric", lambda self, s_value, lam_value=None: 1e6)
+    assert _failures(verify.run_suite("limits", 0)) == [
+        ("numeric-vs-limit", f"{verify.q_number(7)}: |1000000.0 - 7.0| > 1e-8")]

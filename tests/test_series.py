@@ -235,7 +235,7 @@ _RINGS = (
     (ZPOLY_RING, lambda rng: ZPolynomial({k: _random_rf_coeff(rng) for k in range(rng.randint(0, 3))})),
     (COSPOLY_RING, lambda rng: CosPolynomial({m: _random_rf_coeff(rng) for m in range(rng.randint(0, 3))})),
     (Ring(CPolynomial.zero(), CPolynomial.constant(BetaPolynomial.one())),
-     lambda rng: CPolynomial.sum([CPolynomial.factor(m, _random_beta(rng))
+     lambda rng: CPolynomial.sum([CPolynomial({((m, 1),): _random_beta(rng)})
                                   for m in range(1, rng.randint(1, 3))])),
 )
 
@@ -255,3 +255,29 @@ def test_dot_products_match_per_term_recurrences(ring_index):
         assert zero_start.exp() == _per_term_exp(zero_start)
         one_start = TruncatedSeries(ring, (ring.one,) + x.coeffs[1:], order)
         assert one_start.log() == _per_term_log(one_start)
+
+
+def test_series_order_defaults_to_the_coefficient_count():
+    assert TruncatedSeries(FRACTION_RING, [1, 2, 3]).order == 2
+    with pytest.raises(ValueError, match="^empty coefficient list needs an explicit order$"):
+        TruncatedSeries(FRACTION_RING, [])
+
+
+def test_series_refuse_another_ring_and_foreign_operands():
+    x = TruncatedSeries(FRACTION_RING, [0, 1, 2])
+    other = TruncatedSeries(Ring(Fraction(0), Fraction(1)), [0, 1, 2])
+    with pytest.raises(OrderMismatch, match="^series over different coefficient rings$"):
+        x * other
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \+: 'TruncatedSeries' and 'NoneType'$"):
+        x + None
+    assert (x == None) is False and (x == 1) is False  # noqa: E711
+
+
+def test_series_times_a_scalar_scales_each_coefficient():
+    x = TruncatedSeries(FRACTION_RING, [0, 1, Fraction(2, 3)])
+    assert x * 3 == x.scale(3) == TruncatedSeries(FRACTION_RING, [0, 3, 2])
+
+
+def test_series_repr_lists_the_nonzero_coefficients():
+    assert repr(TruncatedSeries(FRACTION_RING, [0, 1, Fraction(2, 3)])) == "TruncatedSeries(order=2; t^1: 1, t^2: 2/3)"
+    assert repr(TruncatedSeries.zero(FRACTION_RING, 3)) == "TruncatedSeries(order=3; 0)"
