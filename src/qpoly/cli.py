@@ -8,9 +8,11 @@ Families for eval: hermite, laguerre, gegenbauer and their classical-*
 counterparts.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 Each eval and connect request computes its identity by two independent
 routes, prints the primary one and exits 1, in every format, when the two
-differ.  --q-sample adds a floating-point cross-check of the two routes at
-the given rational q, a usage error where doubles cannot hold it; JSON
-output carries it as the document's numeric_check object.
+differ; connect laguerre with --aux also exits 1 when the rows it prints do
+not sum to the direct construction.  --q-sample adds a floating-point
+cross-check of the two routes at the given rational q, a usage error where
+doubles cannot hold it; JSON output carries it as the document's
+numeric_check object.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from fractions import Fraction
 from . import render
 from .families import (
     LaguerreIndex,
+    ZPolynomial,
     gegenbauer_classical,
     hermite_classical,
     laguerre_classical,
@@ -106,9 +109,10 @@ def _parse_q_sample(text, parser):
 # eval and connect: two routes, a body per format, one emitter
 # ---------------------------------------------------------------------------
 #
-# A request builder returns (primary, independent, body): the two routes of
-# the command's identity and body(format, check), the text and LaTeX lines or
-# the JSON document, given whether the routes agree.
+# A request builder returns (primary, independent, body, *more): the two
+# routes of the command's identity, body(format, check), the text and LaTeX
+# lines or the JSON document, given whether the routes agree, and any values
+# that must equal the independent route too (the rows' sum, with --aux).
 
 # eval: the two routes of each family, from n and k
 _EVAL_ROUTES = {
@@ -171,7 +175,7 @@ def _factor_texts(family, solution, aux):
 
 def _connect_rows_request(args, aux):
     """The Hermite or Laguerre partition rows, their total against the
-    direct construction."""
+    direct construction, and with --aux the rows' sum too."""
     if args.family == "hermite":
         expansion, target = hermite_connection(args.n), q_hermite(args.n)
     else:
@@ -196,7 +200,8 @@ def _connect_rows_request(args, aux):
         width = max(map(len, labels))
         return ([f"{label:<{width}}  |  {value}" for label, (_, value) in zip(labels, rows)]
                 + [f"total: {emit(total)}", f"check against direct construction: {_verdict(check)}"])
-    return total, target, body
+    more = [ZPolynomial.sum([t.value for t in expansion.terms])] if aux else []
+    return (total, target, body, *more)
 
 
 def _numeric_check(poly, other, q_sample, parser):
@@ -251,8 +256,8 @@ def _run_request(args, parser, out):
         build = _connect_gegenbauer_request
     else:
         build = _connect_rows_request
-    primary, independent, body = build(args, aux)
-    check = primary == independent
+    primary, independent, body, *more = build(args, aux)
+    check = all(value == independent for value in (primary, *more))
     doc = body(args.format, check)
     if args.q_sample is not None:
         a, b, diff = _numeric_check(primary, independent, args.q_sample, parser)

@@ -17,11 +17,13 @@ Exponents are nonnegative; negative powers of s or Lambda live in the
 denominator of a RationalFunction.  Term order is graded lexicographic on
 (exp_s, exp_lam), which fixes leading coefficients and display order.
 
-Multiplication.  Small products are schoolbook over the rows.  Larger ones
-(see _PACK_MUL_CUTOFF) are packed into one Python int each by Kronecker
-substitution, s -> 2**w and Lambda -> 2**(w*W), multiplied once and
-unpacked as balanced base-2**w digits.  W is the s-length of a product row,
-so rows never overlap.  The width rule: w is the least multiple of 8 bits
+Multiplication.  A product with Lambda lays each factor's rows end to end,
+W digits apart, W the s-length of a product row, and multiplies them as one
+row in s (Kronecker substitution, Lambda -> s**W); the product rows never
+overlap, so the result cut into rows of W is the product.  Small products
+in s are schoolbook.  Larger ones (see _PACK_MUL_CUTOFF) are packed into
+one Python int each by s -> 2**w, multiplied once and unpacked as balanced
+base-2**w digits.  The width rule: w is the least multiple of 8 bits
 with 2**(w-1) > min(nnz(a), nnz(b)) * max|a| * max|b|, a bound on every
 product coefficient, so each coefficient is exactly one digit.  Packing and
 unpacking are linear: each coefficient plus the bias 2**(w-1) is a w-bit
@@ -43,9 +45,11 @@ benchmark (seed 3001), 11 778 have 1- or 2-byte fields, 14 305 3-, 5- or
 s**2 (q-polynomials, most of the traffic) are multiplied, divided and gcd'ed
 as polynomials in s**2, at half the length.
 
-Exact division is long division in Lambda whose steps are exact divisions
-of rows, so no leading term is searched for; a divisor with one Lambda row
-divides row by row.  In a row division a factor s**i of the divisor is a
+Exact division lays both operands out the same way, W the dividend's longest
+row, which bounds the divisor's rows and a quotient's, divides them once in
+s, and returns the quotient cut into rows only if the divisor times it is
+the dividend: laid out at W = 2, s - s Lambda is s - s**3, which 1 + s
+divides.  In a row division a factor s**i of the divisor is a
 shift plus a check that the dividend has it, and a one-term divisor leaves
 an integer check.  Otherwise the row is divided by schoolbook long division
 over Z: each step divides the top coefficient by the divisor's leading one
@@ -352,16 +356,6 @@ def _flatten(rows, width):
     return flat
 
 
-def _rows_mul_packed(a, b, na, nb):
-    wa, wb = max(map(len, a)), max(map(len, b))
-    width = wa + wb - 1
-    bits = (max(map(_maxabs, filter(None, a))).bit_length()
-            + max(map(_maxabs, filter(None, b))).bit_length() + min(na, nb).bit_length())
-    nbytes = _width(bits)
-    product = _pack(_flatten(a, width), nbytes) * _pack(_flatten(b, width), nbytes)
-    return list(map(_unorm, _unpack_rows(product, nbytes, (len(a) + len(b) - 1) * width, width)))
-
-
 # -- products ------------------------------------------------------------------
 
 def _umul(a, b):
@@ -381,7 +375,8 @@ def _umul(a, b):
             return _spread(_umul(a[::2], b[::2]))
         na, nb = _nnz(a), _nnz(b)
         if na * nb > _PACK_MUL_CUTOFF * (na + nb):
-            return _rows_mul_packed([a], [b], na, nb)[0]
+            nbytes = _width(_maxabs(a).bit_length() + _maxabs(b).bit_length() + min(na, nb).bit_length())
+            return _unpack_rows(_pack(a, nbytes) * _pack(b, nbytes), nbytes, la + lb - 1)[0]
     if _nnz(a) > _nnz(b):
         a, b, lb = b, a, la
     out = [0] * (len(a) + lb - 1)
@@ -392,19 +387,17 @@ def _umul(a, b):
 
 
 def _rows_mul(a, b):
-    """Product of two polynomials given as rows."""
+    """Product of two polynomials given as rows: both laid end to end at the
+    s-length of a product row, multiplied as one row and cut back into rows."""
     if not a or not b:
         return []
-    na, nb = sum(map(_nnz, a)), sum(map(_nnz, b))
-    if na * nb > _PACK_MUL_CUTOFF * (na + nb):
-        return _rows_mul_packed(a, b, na, nb)
-    out = [[] for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = _uadd(out[i + j], _umul(x, y))
-    return out
+    width = max(map(len, a)) + max(map(len, b)) - 1
+    return _cut(_umul(_flatten(a, width), _flatten(b, width)), width, len(a) + len(b) - 1)
+
+
+def _cut(flat, width, n):
+    """The first n rows of width digits of the digit list flat."""
+    return [_unorm(flat[i:i + width]) for i in range(0, n * width, width)]
 
 
 # -- exact division ------------------------------------------------------------
@@ -451,27 +444,15 @@ def _udivexact(a, b):
 
 
 def _rows_divexact(a, b):
-    """Exact quotient of polynomials given as rows, or None: long division
-    in Lambda whose steps are exact divisions of rows."""
-    m = len(b) - 1
-    n = len(a) - m
-    if n <= 0:
+    """Exact quotient of polynomials given as rows, or None: both laid end to
+    end at the length of a's longest row and divided as one row; the quotient
+    cut back into rows is returned only when b times it is a."""
+    width = max(map(len, a))
+    q = _udivexact(_flatten(a, width), _flatten(b, width))
+    if q is None:
         return None
-    r = list(a)
-    q = [[]] * n
-    top = b[-1]
-    for k in range(n - 1, -1, -1):
-        rt = r[k + m]
-        if rt:
-            f = _udivexact(rt, top)
-            if f is None:
-                return None
-            q[k] = f
-            f = list(map(neg, f))
-            for j in range(m):
-                if b[j]:
-                    r[k + j] = _uadd(r[k + j], _umul(f, b[j]))
-    return None if any(r[:m]) else q
+    q = _cut(q, width, len(a) - len(b) + 1)
+    return q if _rows_mul(b, q) == a else None
 
 
 # -- univariate gcd ------------------------------------------------------------

@@ -75,11 +75,23 @@ MUTANTS = [
            "nbytes = _width(max(top, *bound.values()).bit_length()) + 1",
            ("tests/test_connection.py::test_hermite_kernel_digit_widths",
             "tests/test_connection.py::test_exact_work_counts")),
+    Mutant("kernel-horner-stop", "connection.py",
+           "range(max(by_power), least - 1, -1)", "range(max(by_power), least, -1)",
+           ("tests/test_connection.py::test_hermite_connection_degree_zero",)),
     # the Hermite part choices reduce each a/b
     Mutant("hermite-choice-gcd-dropped", "connection.py",
            "g, key = math.gcd(a, c), ", "g, key = 1, ",
            ("tests/test_connection.py::test_hermite_kernel_digit_widths",
             "tests/test_connection.py::test_exact_work_counts")),
+    # the Lambda level: a quotient of rows laid end to end is checked by its product
+    Mutant("rows-divexact-product-check-dropped", "field.py",
+           "return q if _rows_mul(b, q) == a else None", "return q",
+           ("tests/test_field.py::test_divexact_edge_cases",)),
+    # packed digits move to wider fields with the old bias subtracted
+    Mutant("widen-bias", "field.py",
+           'bytes(nbytes - 1) + b"\\x80" + bytes(wider - nbytes)', 'bytes(nbytes - 1) + b"\\x81" + bytes(wider - nbytes)',
+           ("tests/test_field.py::test_pack_unpack_round_trip_every_width",
+            "tests/test_connection.py::test_sum_rules_exact[4]")),
     # the GCDHEU certificate: a cofactor read from the digits is accepted
     # unchecked only below xi/2
     Mutant("gcdheu-certificate", "field.py",

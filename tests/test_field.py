@@ -492,6 +492,29 @@ def _check_division(ta, tb, rng):
         assert perturbed.divexact(b) is None
 
 
+def _mul_div_mismatches(seed, count):
+    """The pairs of _operand_pairs(seed, count), count of them, whose product
+    differs from _reference_mul or whose divisions fail _check_division."""
+    rng, bad = random.Random(seed), []
+    for case, (ta, tb) in enumerate(_operand_pairs(seed, count)):
+        try:
+            assert _terms(IntPoly(ta) * IntPoly(tb)) == _reference_mul(ta, tb)
+            _check_division(ta, tb, rng)
+        except Exception as exc:  # every exception is a finding, a failed assert too
+            bad.append((case, ta, tb, repr(exc)))
+    return bad
+
+
+def test_mul_div_fuzz_reports_a_wrong_product(monkeypatch):
+    import qpoly.field as field
+
+    assert _mul_div_mismatches(19, 40) == []
+    rows_mul = field._rows_mul
+    monkeypatch.setattr(field, "_rows_mul", lambda a, b: rows_mul(a, b) + [[1]])
+    # products with Lambda, and every division's product check
+    assert [case for case, *_ in _mul_div_mismatches(19, 40)] == list(range(40))
+
+
 def test_divexact_recovers_factor_and_rejects_perturbation():
     rng = random.Random(12)
     for ta, tb in _operand_pairs(13, 120):
@@ -530,6 +553,11 @@ def test_divexact_edge_cases():
     assert IntPoly.s_pow(2).divexact(IntPoly.s_pow(3)) is None
     assert IntPoly.lam_pow(1).divexact(IntPoly.s_pow(1)) is None
     assert IntPoly.s_pow(1).divexact(IntPoly.lam_pow(1)) is None
+    # rows laid end to end can divide when the polynomials do not: s - s Lambda
+    # laid out at W = 2 is s - s**3 = s (1 - s) (1 + s), which 1 + s divides
+    s, lam, one = IntPoly.s_pow(1), IntPoly.lam_pow(1), IntPoly.one()
+    assert (one - lam).divexact(one + s) is None
+    assert (s - s * lam).divexact(one + s) is None
 
 
 def test_divexact_quotient_wider_than_dividend():
@@ -1146,6 +1174,11 @@ def test_lambda_gcd_pairs_with_unlucky_images():
     a, b = common * (lam + s), common * (lam + IntPoly.const(2))
     _check_against_prs(a, b)
     assert poly_gcd(a, b) in (common, -common)
+    # coprime, but at Lambda = s**W both vanish at s = -1 for every W, so a
+    # gcd read from rows laid end to end would share 1 + s
+    a, b = lam * lam + s, lam * lam + s * 2 + one
+    _check_against_prs(a, b)
+    assert poly_gcd(a, b).is_one()
 
 
 def test_gcd_widens_xi_until_a_candidate_divides(monkeypatch):

@@ -225,6 +225,22 @@ def test_cli_connect_laguerre_rows(capsys):
     assert lines[-1].endswith("pass")
 
 
+def test_cli_connect_laguerre_aux_checks_the_rows_it_prints(capsys, monkeypatch):
+    # the total takes no auxiliary integer, so only the rows show a wrong
+    # one: rows weighted by binom(+n_j, l_j) for binom(-n_j, l_j) fail
+    import qpoly.connection as connection
+
+    argv = ("connect", "laguerre", "--n", "4", "--k", "4", "--aux", "2,-1,3")
+    assert run_cli(capsys, *argv)[0] == 0
+    binomial = connection._int_binomial
+    monkeypatch.setattr(connection, "_int_binomial", lambda a, b: binomial(-a, b))
+    code, out = run_cli(capsys, *argv)
+    assert code == 1 and out.strip().splitlines()[-1] == "check against direct construction: fail"
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1 and json.loads(out)["total_check"] == "fail"
+    assert run_cli(capsys, *argv, "--format", "latex")[0] == 1
+
+
 def test_cli_eval_classical(capsys):
     code, out = run_cli(capsys, "eval", "classical-hermite", "--n", "0")
     assert code == 0 and out.strip() == "1"
@@ -582,8 +598,22 @@ def test_verify_names_the_first_laguerre_total_mismatch(monkeypatch):
     monkeypatch.setattr(verify, "q_laguerre", lambda n, k: ZPolynomial({n + k + 1: 1}))
     failures = _failures(verify.run_suite("laguerre", 1))
     assert [check_id for check_id, _ in failures] == ["connection-gauge-n0", "connection-gauge-n1", "l33-closed-form"]
-    assert failures[:2] == [("connection-gauge-n0", "total mismatch at n=0, k=0"),
-                            ("connection-gauge-n1", "total mismatch at n=1, k=0")]
+    assert failures == [("connection-gauge-n0", "total mismatch at n=0, k=0"),
+                        ("connection-gauge-n1", "total mismatch at n=1, k=0"),
+                        ("l33-closed-form", "coefficients differ at z-powers [0, 1, 2, 3, 7]")]
+
+
+def test_verify_names_the_first_failing_input(monkeypatch):
+    import qpoly.verify as verify
+
+    q_hermite, quesne_c = verify.q_hermite, verify.quesne_c
+    monkeypatch.setattr(verify, "q_hermite", lambda n: q_hermite(n) + ZPolynomial({2: 1}) if n == 5 else q_hermite(n))
+    monkeypatch.setattr(verify, "quesne_c", lambda k: quesne_c(k) + 1 if k == 4 else quesne_c(k))
+    assert _failures(verify.run_suite("hermite", 6)) == [
+        ("connection-total-n5", ""), ("h5-closed-form", "fails at route = q_hermite(5)"),
+        ("parity", "fails at (n, z-power) = (5, 2)")]
+    assert _failures(verify.run_suite("limits", 6)) == [
+        ("quesne-c-limit", "fails at k = 4"), ("hermite-limit", "fails at n = 5")]
 
 
 def test_verify_reports_a_numeric_value_off_its_limit(monkeypatch):
