@@ -39,26 +39,40 @@ zero rows left unconverted, or by _digits as one row without trailing zeros;
 no other module converts digits or counts them.  A packed int moves to
 wider fields with no per-digit work: its biased bytes are copied the same
 way (_widen).
-Of the 28 121 digits converted either way in one frontier pass of the
-benchmark (seed 3001), 11 778 have 1- or 2-byte fields, 14 305 3-, 5- or
-6-byte fields and 2 038 11- or 13-byte fields.  Rows that are polynomials in
-s**2 (q-polynomials, most of the traffic) are multiplied, divided and gcd'ed
-as polynomials in s**2, at half the length.
+Of the 26 685 digits converted either way in one frontier pass of the
+benchmark (seed 3001, counted once exact division was packed), 10 611 have
+1- or 2-byte fields, 14 363 3- to 6-byte fields (1 704 of them 4-byte) and
+1 711 11- or 13-byte fields.  Rows that are polynomials in s**2
+(q-polynomials, most of the traffic) are multiplied, divided and gcd'ed as
+polynomials in s**2, at half the length.
 
 Exact division lays both operands out the same way, W the dividend's longest
 row, which bounds the divisor's rows and a quotient's, divides them once in
 s, and returns the quotient cut into rows only if the divisor times it is
 the dividend: laid out at W = 2, s - s Lambda is s - s**3, which 1 + s
-divides.  In a row division a factor s**i of the divisor is a
-shift plus a check that the dividend has it, and a one-term divisor leaves
-an integer check.  Otherwise the row is divided by schoolbook long division
-over Z: each step divides the top coefficient by the divisor's leading one
-and stops with None on a remainder, and the quotient is returned only when
-the remainder left at the end is zero, so A = B * Q holds for every
-quotient returned.  If B divides A in Z[s] the quotient has integer
-coefficients and each step finds its next one, so a true divisor never gives
-None.  When A and B are polynomials in s**2 so is A / B (A(-s) = A(s) and
-B(-s) = B(s) force Q(-s) = Q(s)), so they are divided in s**2.
+divides.  Every exact division of rows, this one, the row-gcd fold's and
+GCDHEU's, is _udivexact.  A factor s**i of the divisor is a shift plus a
+check that the dividend has it, and a one-term divisor leaves an integer
+check.  When A and B are polynomials in s**2 so is A / B (A(-s) = A(s) and
+B(-s) = B(s) force Q(-s) = Q(s)), so they are divided in s**2.  A division
+whose quotient times B _umul would pack (_PACK_MUL_CUTOFF on the lengths of
+the two) is packed as a product is: A and B are evaluated at xi =
+2**(8*nbytes) and divided once, nbytes sized from the larger coefficient of
+either row plus the bit length of the quotient's length n.  A nonzero
+remainder returns None, since B | A in Z[s] gives B(xi) | A(xi).  Otherwise
+the balanced digits q of the quotient are returned when sum|b_i| * max|q_j|
+< xi/2, b_i the coefficients of B: every coefficient of B * q is then below
+xi/2 in magnitude, as is every coefficient of A, so both are the balanced
+base-xi digits of A(xi) and B * q = A (the GCDHEU cofactor argument below).
+The bit length of n in nbytes leaves few quotients uncertified: none of the
+99 packed divisions of one frontier pass of the benchmark, 6 of the 74 of
+one verify-all pass.  A quotient not certified, and any smaller division, is
+found by schoolbook long division over Z: each step divides the top
+coefficient by the divisor's leading one and stops with None on a remainder,
+and the quotient is returned only when the remainder left at the end is
+zero, so A = B * Q holds for every quotient returned.  If B divides A in
+Z[s] the quotient has integer coefficients and each step finds its next one,
+so a true divisor never gives None.
 
 A RationalFunction is a reduced fraction of two IntPolys: numerator and
 denominator coprime (integer content included), denominator nonzero with
@@ -92,23 +106,10 @@ xi by about a quarter of its bits, and the loop tries again.
 
 The gcd of a Lambda-free operand with one of several Lambda rows is folded
 over the rows (_rows_gcd_cof), starting from the Lambda-free row, and stops
-once it reaches 1.  The fold divides first: only a row that the running gcd
-does not divide runs a gcd, whose cofactor g_old / g_new rescales the
-quotients already taken.  A denominator's gcd with the first Lambda row
-mostly divides every later one, so a g of two or more coefficients that a
-gcd returns is tried on the two or more rows left at once (_block_divexact).
-The first g, the Lambda-free row itself, is not tried: it rarely divides the
-next row.  The rows left are laid end to end, W digits apart (W the longest
-row), packed with g at one digit width that holds every coefficient of both,
-and divided by one divmod.  The quotient Q's balanced digits, cut into slots
-of W, are the quotients when the remainder is 0, each slot has len(r) -
-len(g) + 1 digits (none for a zero row) and sum|g_i| * max|Q_j| < xi/2.
-Then g times each slot stays in its slot, and g * Q and the packed rows are
-both the balanced digits of one integer, so they agree slot by slot, as for
-the cofactors above.  The slot lengths matter: 1 + s divides 1 + s**W for
-odd W but neither row 1.  Q needs no digit past the last slot, since |g(xi)|
->= 1 makes |Q| no larger than the packed rows.  When a check fails, the
-per-row fold goes on with the first row left, so it stays as the fallback.
+once it reaches 1.  The fold divides first: each row is divided by the
+running gcd (_udivexact), and only a row that it does not divide runs a gcd,
+whose cofactor g_old / g_new rescales the quotients already taken.  A
+denominator's gcd with the first Lambda row mostly divides every later one.
 
 Two operands with several Lambda rows are split by the same fold into their
 Lambda-contents (the row gcd of their rows) and primitive parts.  The
@@ -313,7 +314,8 @@ def _restride(data, nbytes, wider):
 
 def _digits(v, nbytes):
     """The balanced base-2**(8*nbytes) digits of v, low first, no trailing zeros."""
-    return _unorm(_unpack_rows(v, nbytes)[0])
+    n = v.bit_length() // (8 * nbytes) + 2
+    return _unorm(_unbiased((v + _bias(nbytes, n)).to_bytes(nbytes * n, "little"), nbytes))
 
 
 def _unpack_rows(v, nbytes, n=None, width=None):
@@ -429,6 +431,16 @@ def _udivexact(a, b):
     if _is_even(a) and _is_even(b):
         q = _udivexact(a[::2], b[::2])
         return None if q is None else _spread(q)
+    if n * len(b) > _PACK_MUL_CUTOFF * (n + len(b)):
+        nbytes = _width(max(_maxabs(a), _maxabs(b)).bit_length() + n.bit_length())
+        v, rem = divmod(_pack(a, nbytes), _pack(b, nbytes))
+        if rem:
+            return None
+        # b * q and a agree at xi; below xi/2 in every coefficient they are
+        # both the balanced digits of a(xi), so equal
+        q = _digits(v, nbytes)
+        if sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes - 1):
+            return q
     r = list(a)
     q = [0] * n
     low = b[:-1]
@@ -724,11 +736,10 @@ _INTPOLY_ONE = _raw_poly([[1]])
 
 def _rows_gcd_cof(rows):
     """(g, [r / g for r in rows]) for rows not all zero: g the gcd of the
-    nonzero rows, positive leading coefficient, folded dividing first; after
-    each gcd the rows left are tried by one block division (see the module
-    docstring).  A gcd of [1] returns the rows themselves."""
+    nonzero rows, positive leading coefficient, folded dividing first.  A gcd
+    of [1] returns the rows themselves."""
     g, cof = None, []
-    for i, r in enumerate(rows):
+    for r in rows:
         if not r:
             f = r
         elif g is None:
@@ -739,33 +750,10 @@ def _rows_gcd_cof(rows):
             if g == [1]:
                 return g, rows
             cof = [_umul(c, shrink) for c in cof]
-            if len(g) > 1 and len(rows) - i > 2:
-                block = _block_divexact(rows[i + 1:], g)
-                if block is not None:
-                    return g, cof + [f] + block
         if g == [1]:
             return g, rows
         cof.append(f)
     return g, cof
-
-
-def _block_divexact(rows, g):
-    """[r / g for r in rows] for g of two or more coefficients, by one
-    division of packed ints (see the module docstring); None when that
-    quotient is not certified, which does not mean that g fails to divide."""
-    width = max(map(len, rows))
-    if width < len(g):
-        return None
-    nbytes = _width(max(_maxabs(g), *map(_maxabs, filter(None, rows))).bit_length())
-    quotient, rem = divmod(_pack(_flatten(rows, width), nbytes), _pack(g, nbytes))
-    if rem:
-        return None
-    slots = [_unorm(s) for s in _unpack_rows(quotient, nbytes, len(rows) * width, width)]
-    drop = len(g) - 1
-    if any(len(s) != (len(r) - drop if r else 0) for r, s in zip(rows, slots)):
-        return None
-    top = max(map(_maxabs, filter(None, slots)), default=0)
-    return slots if sum(map(abs, g)) * top < 1 << (8 * nbytes - 1) else None
 
 
 def _lam_eval(rows, nbytes):

@@ -98,14 +98,19 @@ MUTANTS = [
            "if size * _maxabs(fa) >= half and", "if size * _maxabs(fa) >= 2 * half and",
            ("tests/test_field.py::test_heuristic_gcd_cofactors_with_and_without_the_size_bound",
             "tests/test_qkernel.py::test_closed_forms_take_no_polynomial_gcd_and_match_the_chain")),
-    # the block division of the rows a gcd leaves
-    Mutant("block-slot-length-check-dropped", "field.py",
-           "    if any(len(s) != (len(r) - drop if r else 0) for r, s in zip(rows, slots)):\n        return None\n", "",
-           ("tests/test_field.py::test_block_division_cases",
-            "tests/test_field.py::test_block_division_matches_the_per_row_fold")),
-    Mutant("block-always-declines", "field.py",
-           "return slots if sum(map(abs, g)) * top < 1 << (8 * nbytes - 1) else None", "return None",
-           ("tests/test_field.py::test_block_division_cases", "tests/test_connection.py::test_exact_work_counts")),
+    # packed exact division: a remainder means no quotient, and digits are a
+    # quotient only below the GCDHEU bound
+    Mutant("udivexact-remainder-ignored", "field.py",
+           "        if rem:\n            return None\n", "",
+           ("tests/test_field.py::test_exact_division_cases",
+            "tests/test_field.py::test_exact_division_matches_schoolbook")),
+    Mutant("udivexact-certificate", "field.py",
+           "sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes - 1)", "sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes)",
+           ("tests/test_field.py::test_exact_division_cases",)),
+    Mutant("udivexact-certificate-dropped", "field.py",
+           "sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes - 1)", "_maxabs(q) < 1 << (8 * nbytes - 1)",
+           ("tests/test_field.py::test_exact_division_cases",
+            "tests/test_field.py::test_exact_division_matches_schoolbook")),
     # the exp of the q-divided-power kernel packs at the width its bound needs
     Mutant("exp-digit-width-one-byte-short", "qkernel.py",
            "wider = _width(need.bit_length())\n", "wider = _width(need.bit_length()) - (not log)\n",

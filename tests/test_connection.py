@@ -48,7 +48,7 @@ from qpoly.verify import (
     run_suite,
 )
 
-from test_field import _at_lambda_one
+from test_field import _at_lambda_one, _division_work
 
 
 # ---------------------------------------------------------------------------
@@ -1582,26 +1582,6 @@ def _kernel_work(read):
     return calls
 
 
-def _block_work(read):
-    """(calls, certified quotients) of field._block_divexact over read()."""
-    import qpoly.field as field
-
-    work, block = [0, 0], field._block_divexact
-
-    def counted(rows, g):
-        work[0] += 1
-        quotient = block(rows, g)
-        work[1] += quotient is not None
-        return quotient
-
-    field._block_divexact = counted
-    try:
-        read()
-    finally:
-        field._block_divexact = block
-    return tuple(work)
-
-
 def _ratio_work(read):
     """Over read(): qkernel._ratio's calls per reduction path (empty rows;
     coprime; an int den after its power of v, the content gcd; else the
@@ -1663,7 +1643,7 @@ def _divided_power_work(read):
 
 
 def test_exact_work_counts():
-    # the work of the quotient kernel, the Laguerre t-series, the block
+    # the work of the quotient kernel, the Laguerre t-series, exact row
     # division, _ratio's reductions and the q-divided-power kernel on fixed
     # inputs: a change of any count is a change of the algorithm, to be made
     # on purpose
@@ -1685,10 +1665,11 @@ def test_exact_work_counts():
             count = math.factorial(w) // math.prod(j**m * math.factorial(m) for j, m in cycle_type.items())
             assert c == (-1) ** sum(cycle_type.values()) * count, (w, mu)
     _clear_caches()
-    assert _block_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == (6, 6)
-    assert _block_work(lambda: q_gegenbauer_direct(12)) == (0, 0)
+    # (packed tries, certified quotients, fallbacks) of exact row division
+    assert _division_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == (66, 66, 0)
+    assert _division_work(lambda: q_gegenbauer_direct(12)) == (0, 0, 0)
     _clear_caches()
-    assert _block_work(lambda: q_gegenbauer_genfun(16)) == (8, 6)
+    assert _division_work(lambda: q_gegenbauer_genfun(16)) == (120, 120, 0)
     _clear_caches()
     assert _ratio_work(lambda: run_suite("all")) == {"empty": 0, "coprime": 316, "content": 147, "gcd": 189, "own": 706}
     _clear_caches()

@@ -812,15 +812,25 @@ def _ugcd_prs(a, b):
     return a if not b else [1]
 
 
-def _row_quotient(a, b):
-    """a / b for rows b that divide a."""
+def _row_divexact(a, b):
+    """a / b for rows by schoolbook long division over Z with no shortcut, or
+    None if b does not divide a: the reference for field's exact division."""
+    if len(a) < len(b):
+        return None if a else []
     q, r = [0] * (len(a) - len(b) + 1), list(a)
     for i in range(len(q) - 1, -1, -1):
         q[i], m = divmod(r[i + len(b) - 1], b[-1])
-        assert not m
+        if m:
+            return None
         for j, y in enumerate(b):
             r[i + j] -= q[i] * y
-    assert not any(r)
+    return None if any(r) else q
+
+
+def _row_quotient(a, b):
+    """a / b for rows b that divide a."""
+    q = _row_divexact(a, b)
+    assert q is not None
     return q
 
 
@@ -994,20 +1004,20 @@ def test_rows_gcd_cof_stops_at_a_gcd_of_one(monkeypatch):
 
 
 def _per_row_fold(rows):
-    """The row-gcd fold with one exact division per row and no packed
-    division: the reference for the block division of _rows_gcd_cof."""
-    from qpoly.field import _pos_lead_list, _udivexact, _ugcd_cof, _umul
-
+    """The row-gcd fold by the PRS gcd and test-local schoolbook division:
+    the reference for _rows_gcd_cof, sharing no division or gcd code with
+    field."""
     g, cof = None, []
     for r in rows:
         if not r:
             f = r
         elif g is None:
-            g = _pos_lead_list(r)
+            g = r if r[-1] > 0 else [-x for x in r]
             f = [1 if g is r else -1]
-        elif (f := _udivexact(r, g)) is None:
-            g, shrink, f = _ugcd_cof(g, r)
-            cof = [_umul(c, shrink) for c in cof]
+        elif (f := _row_divexact(r, g)) is None:
+            new = [math.gcd(math.gcd(*g), math.gcd(*r)) * x for x in _ugcd_prs(g, r)]
+            cof = [_row_mul(c, _row_quotient(g, new)) if c else c for c in cof]
+            g, f = new, _row_quotient(r, new)
         if g == [1]:
             return g, rows
         cof.append(f)
@@ -1016,12 +1026,13 @@ def _per_row_fold(rows):
 
 def _random_row_set(rng):
     """Rows as the fold sees them: a first row, then rows that mostly share
-    a factor with it, so that a gcd finds the factor and the block division
-    is tried on the rows left, some of them divisible by all of the first
-    row and some by neither; zero rows anywhere, leading coefficients of
-    either sign, coefficients of 1 to 60 bits, some rows in s**2."""
-    bits = rng.choice([1, 3, 8, 20, 60])
-    common = _row_block(rng) if rng.random() < 0.5 else _primitive_row(rng, rng.randint(1, 5), bits)
+    a factor with it, so that a gcd finds the factor and the rows left are
+    divided by it, some of them divisible by all of the first row and some
+    by neither; cofactors short, or long enough for packed division; zero
+    rows anywhere, leading coefficients of either sign, coefficients of 1 to
+    60 bits, some rows in s**2."""
+    bits, longest = rng.choice([1, 3, 8, 20, 60]), rng.choice([4, 16])
+    common = _row_block(rng) if rng.random() < 0.5 else _primitive_row(rng, rng.randint(1, 9), bits)
     first = _row_mul(common, _primitive_row(rng, rng.randint(1, 3), rng.choice([1, bits])))
     rows = [first]
     for _ in range(rng.randint(1, 6)):
@@ -1030,7 +1041,7 @@ def _random_row_set(rng):
             rows.append([])
             continue
         factor = common if kind < 0.8 else first if kind < 0.9 else [1]
-        r = _row_mul(factor, _primitive_row(rng, rng.randint(1, 4), rng.choice([1, 3, bits])))
+        r = _row_mul(factor, _primitive_row(rng, rng.randint(1, longest), rng.choice([1, 3, bits])))
         rows.append([-x for x in r] if rng.random() < 0.5 else r)
     if rng.random() < 0.3:
         rows = [[x for c in r for x in (c, 0)][:-1] if r else r for r in rows]
@@ -1054,78 +1065,162 @@ def _fold_mismatches(seed, count):
     return bad
 
 
-def test_block_division_matches_the_per_row_fold(monkeypatch):
+def _division_work(read):
+    """(packed tries, certified quotients, fallbacks) of field._udivexact
+    over read().  A try packs both rows and divides once; a zero remainder
+    is read back by _digits, and the quotient is certified when _udivexact
+    returns those digits, a fallback when the schoolbook loop decides.  The
+    other tries had a remainder."""
     import qpoly.field as field
 
-    taken = []
-    block = field._block_divexact
-    monkeypatch.setattr(field, "_block_divexact",
-                        lambda rows, g: taken.append(q := block(rows, g)) or q)
-    assert _fold_mismatches(53, 2000) == []
-    # both outcomes are exercised
-    accepted = sum(q is not None for q in taken)
-    assert accepted > 200 and len(taken) - accepted > 200, (accepted, len(taken))
+    packs, certified, reads, depth, last = [0], [0], [0], [0], [None]
+    udivexact, pack, digits = field._udivexact, field._pack, field._digits
+
+    def counted_pack(c, nbytes):
+        packs[0] += depth[0] > 0
+        return pack(c, nbytes)
+
+    def counted_digits(v, nbytes):
+        out = digits(v, nbytes)
+        if depth[0]:
+            reads[0] += 1
+            last[0] = out
+        return out
+
+    def counted_udivexact(a, b):
+        depth[0] += 1
+        try:
+            q = udivexact(a, b)
+        finally:
+            depth[0] -= 1
+        # a recursive call returns the digits themselves, its caller a copy
+        certified[0] += q is not None and q is last[0]
+        last[0] = None
+        return q
+
+    field._udivexact, field._pack, field._digits = counted_udivexact, counted_pack, counted_digits
+    try:
+        read()
+    finally:
+        field._udivexact, field._pack, field._digits = udivexact, pack, digits
+    return packs[0] // 2, certified[0], reads[0] - certified[0]
 
 
-def _block_outcome(rows, monkeypatch):
-    """_rows_gcd_cof(rows), checked against the per-row fold, and whether
-    the rows after the first two were divided by the block division, with
-    no per-row division."""
+def _division(a, b):
+    """(_udivexact(a, b), its _division_work), checked against _row_divexact."""
     import qpoly.field as field
 
-    divisions = []
-    udivexact = field._udivexact
-    monkeypatch.setattr(field, "_udivexact", lambda a, b: divisions.append(1) or udivexact(a, b))
-    result = field._rows_gcd_cof(rows)
-    monkeypatch.undo()
-    assert result == _per_row_fold(rows), rows
-    return result, len(divisions) == 1
+    out = []
+    work = _division_work(lambda: out.append(field._udivexact(a, b)))
+    assert out[0] == _row_divexact(a, b), (a, b)
+    return out[0], work
 
 
-def test_block_division_cases(monkeypatch):
-    # in each case the first two rows are g times coprime rows, so the gcd
-    # of the second row with the first returns g and the rows left are tried
-    from qpoly.field import _flatten, _pack
+def _boxes(stride, *lengths):
+    """The product of the rows 1 + s**stride + ... + s**(stride*(k-1)), k in lengths."""
+    return functools.reduce(_row_mul, [[0 if i % stride else 1 for i in range(stride * (k - 1) + 1)]
+                                       for k in lengths])
 
-    # 1 + s divides 1 + xi**3, the rows 1 and 1 packed at stride 3, but
-    # neither row 1: the remainder is 0, the first slot has 3 digits, not 0,
-    # and the fold answers
-    g = [1, 1]
-    rows = [_row_mul(g, [1, -1]), _row_mul(g, [2, 1]), [1], [1], [0, 1, 1]]
-    assert _pack(_flatten(rows[2:], 3), 1) % _pack(g, 1) == 0
-    assert _block_outcome(rows, monkeypatch) == (([1], rows), False)
-    # g = (1 + s + s**2)**6 has a coefficient 141, the rows left, (1 -
-    # s**3)**6 times 1 or 5 + s, none above 128: the digits are sized for g
-    g = functools.reduce(_row_mul, [[1, 1, 1]] * 6)
-    head = [_row_mul(g, [1, 1]), _row_mul(g, [-1, 1])]
-    row = functools.reduce(_row_mul, [[1, 0, 0, -1]] * 6)
-    quotient = functools.reduce(_row_mul, [[1, -1]] * 6)
-    assert max(g) > 128 > 6 * max(map(abs, row))
-    assert _block_outcome(head + [row, [-x for x in row]], monkeypatch) == (
-        (g, [[1, 1], [-1, 1], quotient, [-x for x in quotient]]), True)
-    # with 5 + s, sum|g| * max|q| = 729 * 95 is above xi/2 = 2**15
-    wide = _row_mul(quotient, [5, 1])
-    assert sum(g) * max(map(abs, wide)) >= 2**15
-    assert _block_outcome(head + [row, _row_mul(row, [5, 1])], monkeypatch) == (
-        (g, [[1, 1], [-1, 1], quotient, wide]), False)
-    rows = head + [[1, 2], [3, 4]]
-    assert _block_outcome(rows, monkeypatch) == (([1], rows), False)
-    # sum|g| * max|q| = 2 * 63 is below xi/2 = 128 at one-byte digits, and
-    # 2 * 64 is at it: the quotient is right, but not certified
-    g = [1, 1]
-    head = [_row_mul(g, [1, 2]), _row_mul(g, [2, 1])]
-    below, at = ([c, 1] for c in (63, 64))
-    rows = head + [_row_mul(g, below), _row_mul(g, [-1, 1])]
-    assert _block_outcome(rows, monkeypatch) == ((g, [[1, 2], [2, 1], below, [-1, 1]]), True)
-    rows = head + [_row_mul(g, at), _row_mul(g, [-1, 1])]
-    assert max(map(abs, rows[2])) < 128
-    assert _block_outcome(rows, monkeypatch) == ((g, [[1, 2], [2, 1], at, [-1, 1]]), False)
-    # zero rows among the rows left, and as the last one
-    g = [-1, 0, 1]
-    rows = [_row_mul(g, [1, 1]), _row_mul(g, [1, 2]), [], _row_mul(g, [2, 3]), [],
-            _row_mul(g, [0, 0, 5]), []]
-    assert _block_outcome(rows, monkeypatch) == (
-        (g, [[1, 1], [1, 2], [], [2, 3], [], [0, 0, 5], []]), True)
+
+def test_exact_division_cases():
+    # b = (1 - s**3)**3 has sum|b| = 8 and a negative leading coefficient; the
+    # quotients below are three boxes in s**3, the largest coefficient the
+    # product of the two shorter lengths.  n = 760 and coefficients of a and b
+    # up to 3 give two-byte digits, xi/2 = 2**15: 8 * 4095 is below it and
+    # certified, 8 * 4096 is at it, so the right digits fall back to the
+    # schoolbook loop
+    b = functools.reduce(_row_mul, [[1, 0, 0, -1]] * 3)
+    for lengths, work in (((63, 65, 128), (1, 1, 0)), ((64, 64, 128), (1, 0, 1))):
+        q = _boxes(3, *lengths)
+        a = _row_mul(b, q)
+        assert (len(q), max(map(abs, a + b)), sum(map(abs, b)) * max(q)) == (
+            760, 3, 8 * lengths[0] * lengths[1])
+        assert _division(a, b) == (q, work)
+    # (1 - s**8)**6 / (1 - s)**6: the quotient's digits are right at two
+    # bytes (largest coefficient 18 152) but 64 * 18 152 passes xi/2; over (1 -
+    # s**12)**6 the largest coefficient, 137 292, passes xi/2 itself, so the digits are
+    # wrong: both fall back, and the schoolbook loop gives the quotient
+    b = functools.reduce(_row_mul, [[1, -1]] * 6)
+    for k, top in ((8, 18152), (12, 137292)):
+        q = _boxes(1, *[k] * 6)
+        assert max(q) == top
+        a = _row_mul(b, q)
+        assert _division(a, b) == (q, (1, 0, 1))
+    # packed, certified, with either sign of leading coefficient, in s**2
+    # (divided at half length) and after a common power of s
+    b, q = [3, 1, 4, 1, 5, 9, 2], [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5]
+    for x, y in ((b, q), ([-c for c in b], q), (b, [-c for c in q]), ([-c for c in b], [-c for c in q])):
+        assert _division(_row_mul(x, y), x) == (y, (1, 1, 0))
+    spread = [[c for x in r for c in (x, 0)][:-1] for r in (b, q)]
+    assert _division(_row_mul(*spread), spread[0]) == (spread[1], (1, 1, 0))
+    assert _division([0] * 5 + _row_mul(b, q), [0, 0] + b) == ([0] * 3 + q, (1, 1, 0))
+    # a dividend off by s**5 leaves a remainder: None, with no digits read
+    a = _row_mul(b, q)
+    a[5] += 1
+    assert _division(a, b) == (None, (1, 0, 0))
+    # below the cutoff, schoolbook alone
+    assert _division(_row_mul(b, q[:4]), b) == (q[:4], (0, 0, 0))
+
+
+def _division_pair(rng):
+    """Rows (a, b) as exact division sees them: b times a quotient q on
+    either side of the packing cutoff, a perturbed in one coefficient or
+    not; some quotients wider than the operands (boxes in s**m over powers
+    of 1 - s**m), some rows in s**2, some with a power of s, leading
+    coefficients of either sign, coefficients of 1 to 60 bits."""
+    if rng.random() < 0.25:
+        m, lengths = rng.randint(1, 3), [rng.randint(2, 12) for _ in range(rng.randint(2, 6))]
+        b = functools.reduce(_row_mul, [[1] + [0] * (m - 1) + [-1]] * len(lengths))
+        q = _boxes(m, *lengths)
+    else:
+        bits = rng.choice([1, 3, 8, 20, 60])
+        b = _primitive_row(rng, rng.randint(1, 30), bits)
+        q = _primitive_row(rng, rng.randint(1, 40), rng.choice([1, 3, bits]))
+    b, q = ([-x for x in r] if rng.random() < 0.5 else r for r in (b, q))
+    a = _row_mul(b, q)
+    if rng.random() < 0.3:
+        a, b = ([x for c in r for x in (c, 0)][:-1] for r in (a, b))
+    if rng.random() < 0.2:
+        a, b = [0] * rng.randint(0, 3) + a, [0] * rng.randint(0, 3) + b
+    if rng.random() < 0.4:
+        i = rng.randrange(len(a) + 1)
+        a = a + [0] * (i + 1 - len(a))
+        a[i] += rng.choice([-1, 1])
+        while a and not a[-1]:
+            a.pop()
+    return a, b
+
+
+def _division_mismatches(seed, count):
+    """The pairs of _division_pair(random.Random(seed)), count of them, on
+    which field._udivexact raises or differs from _row_divexact."""
+    import qpoly.field as field
+
+    rng, bad = random.Random(seed), []
+    for case in range(count):
+        a, b = _division_pair(rng)
+        try:
+            ok = field._udivexact(a, b) == _row_divexact(a, b)
+        except Exception as exc:  # every exception is a finding
+            ok = repr(exc)
+        if ok is not True:
+            bad.append((case, a, b, ok))
+    return bad
+
+
+def test_exact_division_matches_schoolbook():
+    bad = []
+    tries, certified, fallbacks = _division_work(lambda: bad.extend(_division_mismatches(59, 3000)))
+    assert bad == []
+    # every outcome of a packed try is exercised
+    assert certified > 300 and fallbacks > 20 and tries - certified - fallbacks > 300, (tries, certified, fallbacks)
+
+
+def test_rows_gcd_cof_matches_the_prs_fold():
+    bad = []
+    tries, certified, fallbacks = _division_work(lambda: bad.extend(_fold_mismatches(53, 2000)))
+    assert bad == []
+    assert certified > 200, (tries, certified, fallbacks)
 
 
 def _bivariate_pairs(seed, count):
