@@ -180,11 +180,11 @@ def _connect_rows_request(args, aux):
         expansion, target = hermite_connection(args.n), q_hermite(args.n)
     else:
         expansion, target = laguerre_connection(args.n, args.k, aux), q_laguerre(args.n, args.k)
-    total = expansion.total
+    terms, total = expansion.terms, expansion.total
 
     def body(fmt, check):
         emit = _STYLES[fmt]
-        rows = [(t.descriptor, emit(t.value)) for t in expansion.terms]
+        rows = [(t.descriptor, emit(t.value)) for t in terms]
         if fmt == "json":
             doc = render.polynomial_json_dict(total, args.family, args.n, args.k, total_check=check)
             doc["terms"] = [{"solution": sol.label(),
@@ -200,7 +200,7 @@ def _connect_rows_request(args, aux):
         width = max(map(len, labels))
         return ([f"{label:<{width}}  |  {value}" for label, (_, value) in zip(labels, rows)]
                 + [f"total: {emit(total)}", f"check against direct construction: {_verdict(check)}"])
-    more = [ZPolynomial.sum([t.value for t in expansion.terms])] if aux else []
+    more = [ZPolynomial.sum([t.value for t in terms])] if aux else []
     return (total, target, body, *more)
 
 

@@ -82,6 +82,8 @@ class SparsePoly:
         clean = {}
         if terms:
             for m, c in terms.items():
+                if not isinstance(m, type(self._unit)):
+                    raise TypeError(f"{type(self).__name__} monomials must be {type(self._unit).__name__}, not {type(m).__name__}")
                 if m < self._unit:
                     raise ValueError(f"monomial {m!r} below the unit")
                 c = self._coerce(c)

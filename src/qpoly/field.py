@@ -38,13 +38,11 @@ end to end by _flatten) and read by _unpack_rows cut into rows of one width,
 zero rows left unconverted, or by _digits as one row without trailing zeros;
 no other module converts digits or counts them.  A packed int moves to
 wider fields with no per-digit work: its biased bytes are copied the same
-way (_widen).
-Of the 26 685 digits converted either way in one frontier pass of the
-benchmark (seed 3001, counted once exact division was packed), 10 611 have
-1- or 2-byte fields, 14 363 3- to 6-byte fields (1 704 of them 4-byte) and
-1 711 11- or 13-byte fields.  Rows that are polynomials in s**2
-(q-polynomials, most of the traffic) are multiplied, divided and gcd'ed as
-polynomials in s**2, at half the length.
+way (_widen).  Of the 26 693 digits converted either way in one frontier
+pass of the benchmark (seed 3001), 10 619 have 1- or 2-byte fields, 14 363
+3- to 6-byte fields (1 704 of them 4-byte) and 1 711 11- or 13-byte fields.
+Rows in s**2 (q-polynomials, most of the traffic) are multiplied, divided
+and gcd'ed at half the length.
 
 Exact division lays both operands out the same way, W the dividend's longest
 row, which bounds the divisor's rows and a quotient's, divides them once in
@@ -56,23 +54,31 @@ check that the dividend has it, and a one-term divisor leaves an integer
 check.  When A and B are polynomials in s**2 so is A / B (A(-s) = A(s) and
 B(-s) = B(s) force Q(-s) = Q(s)), so they are divided in s**2.  A division
 whose quotient times B _umul would pack (_PACK_MUL_CUTOFF on the lengths of
-the two) is packed as a product is: A and B are evaluated at xi =
-2**(8*nbytes) and divided once, nbytes sized from the larger coefficient of
-either row plus the bit length of the quotient's length n.  A nonzero
-remainder returns None, since B | A in Z[s] gives B(xi) | A(xi).  Otherwise
-the balanced digits q of the quotient are returned when sum|b_i| * max|q_j|
-< xi/2, b_i the coefficients of B: every coefficient of B * q is then below
-xi/2 in magnitude, as is every coefficient of A, so both are the balanced
-base-xi digits of A(xi) and B * q = A (the GCDHEU cofactor argument below).
-The bit length of n in nbytes leaves few quotients uncertified: none of the
-99 packed divisions of one frontier pass of the benchmark, 6 of the 74 of
-one verify-all pass.  A quotient not certified, and any smaller division, is
-found by schoolbook long division over Z: each step divides the top
-coefficient by the divisor's leading one and stops with None on a remainder,
-and the quotient is returned only when the remainder left at the end is
-zero, so A = B * Q holds for every quotient returned.  If B divides A in
-Z[s] the quotient has integer coefficients and each step finds its next one,
-so a true divisor never gives None.
+the two) and whose digits are at most _PACK_DIV_BYTES wide is packed: A and
+B are evaluated at xi = 2**(8*nbytes), nbytes sized from the larger
+coefficient of either row plus the bit length of the quotient's length n,
+and divided once.  A nonzero remainder returns None, since B | A in Z[s]
+gives B(xi) | A(xi).  Otherwise the digits q of the quotient are returned
+if they pass the certificate (_certified), GCDHEU's too: every |a_i| < xi/2
+and B(xi) * q(xi) = A(xi), so when sum|b_i| * max|q_j| < xi/2 every
+coefficient of B * q and of A is below xi/2 in magnitude, both are the
+balanced base-xi digits of one integer, and B * q = A with no product.  A
+quotient not certified, and any other division, is found by schoolbook long
+division over Z: each step divides the top coefficient by the divisor's
+leading one and stops with None on a remainder, and the quotient is
+returned only when the remainder left at the end is zero, so A = B * Q
+holds for every quotient returned.  If B divides A in Z[s] the quotient has
+integer coefficients and each step finds its next one, so a true divisor
+never gives None.
+
+The cap: packed ints divide in quadratic time, about n * len(B) * nbytes**2
+limb steps, and a schoolbook step is one row operation at these widths.  On
+CPython 3.11.7, x86-64, the 661 divisions that pass the length rule in 400
+bivariate fuzz pairs (sparse rows laid end to end, 2 to 52 bytes) take 1 390
+ms packed, 173 ms by schoolbook and 184 ms capped; those of the Gegenbauer
+pair at 22 (up to 14 bytes) 44, 159 and, capped at 12 bytes, 144 ms.  One
+pass of each benchmark workload (seed 3001) packs at 1 to 5 bytes, and n's
+bit length in nbytes leaves 8 of their 248 quotients uncertified.
 
 A RationalFunction is a reduced fraction of two IntPolys: numerator and
 denominator coprime (integer content included), denominator nonzero with
@@ -94,14 +100,9 @@ xi = 2**(8*nbytes) by packing.  nbytes is sized from the larger coefficient
 of either row, so every coefficient is a digit and xi >= 2 * min(max|A|,
 max|B|) + 2; then a candidate that divides both rows is their gcd.  The
 candidate g is the primitive part of the balanced base-xi digits of h =
-gcd(A(xi), B(xi)), and the cofactor f of A is the digits of A(xi) / h, so
-g(xi) * f(xi) = A(xi) by construction.  When sum|g_i| * max|f_i| < xi/2,
-every coefficient of g * f is below xi/2 in magnitude, as is every
-coefficient of A; both are then the balanced base-xi digits of one integer,
-so g * f = A and f is accepted with no product.  Otherwise f is accepted
-when g * f == A.  A cofactor with a coefficient of xi/2 or more has wrong
-digits and fails that check; it is then taken by exact division.  B's
-cofactor is taken the same way.  A candidate that does not divide widens
+gcd(A(xi), B(xi)), so h = g(xi), and the cofactor of A is the digits of
+A(xi) / h if they pass the certificate with B = g, else exact division by g.
+B's cofactor is taken the same way.  A candidate that does not divide widens
 xi by about a quarter of its bits, and the loop tries again.
 
 The gcd of a Lambda-free operand with one of several Lambda rows is folded
@@ -188,8 +189,10 @@ class NumericPole(ArithmeticError):
 
 # Packing pays off once a * b > cutoff * (a + b) for the numbers a and b of
 # nonzero coefficients of the factors.  Measured on CPython 3.11, x86-64,
-# coefficients of 4 to 300 bits.
+# coefficients of 4 to 300 bits, for products.  A division packs by the same
+# rule on lengths, at digits of at most _PACK_DIV_BYTES (the cap above).
 _PACK_MUL_CUTOFF = 4
+_PACK_DIV_BYTES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +407,12 @@ def _cut(flat, width, n):
 
 # -- exact division ------------------------------------------------------------
 
+def _certified(v, nbytes, b):
+    """The digits q of v = a(xi) / b(xi) if sum|b_i| * max|q_j| < xi/2, else None."""
+    q = _digits(v, nbytes)
+    return q if sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes - 1) else None
+
+
 def _udivexact(a, b):
     """Exact quotient a / b of rows, or None if b does not divide a."""
     if not b:
@@ -431,15 +440,12 @@ def _udivexact(a, b):
     if _is_even(a) and _is_even(b):
         q = _udivexact(a[::2], b[::2])
         return None if q is None else _spread(q)
-    if n * len(b) > _PACK_MUL_CUTOFF * (n + len(b)):
-        nbytes = _width(max(_maxabs(a), _maxabs(b)).bit_length() + n.bit_length())
+    if n * len(b) > _PACK_MUL_CUTOFF * (n + len(b)) and (nbytes := _width(
+            max(_maxabs(a), _maxabs(b)).bit_length() + n.bit_length())) <= _PACK_DIV_BYTES:
         v, rem = divmod(_pack(a, nbytes), _pack(b, nbytes))
         if rem:
             return None
-        # b * q and a agree at xi; below xi/2 in every coefficient they are
-        # both the balanced digits of a(xi), so equal
-        q = _digits(v, nbytes)
-        if sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes - 1):
+        if (q := _certified(v, nbytes, b)) is not None:
             return q
     r = list(a)
     q = [0] * n
@@ -488,18 +494,10 @@ def _ugcd_heu(A, B):
         if c != 1:
             g = [x // c for x in g]
             h //= c
-        # g * f and A agree at xi; below xi/2 in every coefficient they are
-        # both the balanced digits of A(xi), so equal
-        half, size = 1 << (8 * nbytes - 1), sum(map(abs, g))
-        fa = _digits(ea // h, nbytes)
-        if size * _maxabs(fa) >= half and _umul(g, fa) != A:
-            fa = _udivexact(A, g)
-        if fa is not None:
-            fb = _digits(eb // h, nbytes)
-            if size * _maxabs(fb) >= half and _umul(g, fb) != B:
-                fb = _udivexact(B, g)
-            if fb is not None:
-                return g, fa, fb
+        fa = _certified(ea // h, nbytes, g) or _udivexact(A, g)
+        fb = fa and (_certified(eb // h, nbytes, g) or _udivexact(B, g))
+        if fb:
+            return g, fa, fb
         nbytes += nbytes // 4 + 1
 
 

@@ -92,25 +92,29 @@ MUTANTS = [
            'bytes(nbytes - 1) + b"\\x80" + bytes(wider - nbytes)', 'bytes(nbytes - 1) + b"\\x81" + bytes(wider - nbytes)',
            ("tests/test_field.py::test_pack_unpack_round_trip_every_width",
             "tests/test_connection.py::test_sum_rules_exact[4]")),
-    # the GCDHEU certificate: a cofactor read from the digits is accepted
-    # unchecked only below xi/2
-    Mutant("gcdheu-certificate", "field.py",
-           "if size * _maxabs(fa) >= half and", "if size * _maxabs(fa) >= 2 * half and",
-           ("tests/test_field.py::test_heuristic_gcd_cofactors_with_and_without_the_size_bound",
-            "tests/test_qkernel.py::test_closed_forms_take_no_polynomial_gcd_and_match_the_chain")),
-    # packed exact division: a remainder means no quotient, and digits are a
-    # quotient only below the GCDHEU bound
+    # the one certificate of packed quotients, GCDHEU's cofactors and packed
+    # exact division's: digits are a quotient only when sum|b| * max|q| < xi/2
+    Mutant("certificate-bound-at-xi", "field.py",
+           "_maxabs(q) < 1 << (8 * nbytes - 1) else None", "_maxabs(q) < 1 << (8 * nbytes) else None",
+           ("tests/test_field.py::test_exact_division_cases",
+            "tests/test_field.py::test_heuristic_gcd_cofactors_with_and_without_the_size_bound")),
+    Mutant("certificate-size-dropped", "field.py",
+           "return q if sum(map(abs, b)) * _maxabs(q) <", "return q if _maxabs(q) <",
+           ("tests/test_field.py::test_exact_division_cases",
+            "tests/test_field.py::test_heuristic_gcd_cofactors_with_and_without_the_size_bound")),
+    Mutant("certificate-max-for-sum", "field.py",
+           "return q if sum(map(abs, b)) * _maxabs(q) <", "return q if _maxabs(b) * _maxabs(q) <",
+           ("tests/test_field.py::test_exact_division_cases",
+            "tests/test_field.py::test_heuristic_gcd_cofactors_with_and_without_the_size_bound")),
+    # packed exact division: a remainder means no quotient, and digits wider
+    # than the cap are divided by schoolbook
     Mutant("udivexact-remainder-ignored", "field.py",
            "        if rem:\n            return None\n", "",
            ("tests/test_field.py::test_exact_division_cases",
             "tests/test_field.py::test_exact_division_matches_schoolbook")),
-    Mutant("udivexact-certificate", "field.py",
-           "sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes - 1)", "sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes)",
-           ("tests/test_field.py::test_exact_division_cases",)),
-    Mutant("udivexact-certificate-dropped", "field.py",
-           "sum(map(abs, b)) * _maxabs(q) < 1 << (8 * nbytes - 1)", "_maxabs(q) < 1 << (8 * nbytes - 1)",
-           ("tests/test_field.py::test_exact_division_cases",
-            "tests/test_field.py::test_exact_division_matches_schoolbook")),
+    Mutant("udivexact-packs-any-width", "field.py",
+           ")) <= _PACK_DIV_BYTES:", ")) > 0:",
+           ("tests/test_field.py::test_sparse_bivariate_division_wider_than_the_cap_is_schoolbook",)),
     # the exp of the q-divided-power kernel packs at the width its bound needs
     Mutant("exp-digit-width-one-byte-short", "qkernel.py",
            "wider = _width(need.bit_length())\n", "wider = _width(need.bit_length()) - (not log)\n",

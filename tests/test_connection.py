@@ -1666,10 +1666,10 @@ def test_exact_work_counts():
             assert c == (-1) ** sum(cycle_type.values()) * count, (w, mu)
     _clear_caches()
     # (packed tries, certified quotients, fallbacks) of exact row division
-    assert _division_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == (66, 66, 0)
+    assert _division_work(lambda: gegenbauer_connection_value(gegenbauer_connection(12))) == (71, 71, 0)
     assert _division_work(lambda: q_gegenbauer_direct(12)) == (0, 0, 0)
     _clear_caches()
-    assert _division_work(lambda: q_gegenbauer_genfun(16)) == (120, 120, 0)
+    assert _division_work(lambda: q_gegenbauer_genfun(16)) == (126, 126, 0)
     _clear_caches()
     assert _ratio_work(lambda: run_suite("all")) == {"empty": 0, "coprime": 316, "content": 147, "gcd": 189, "own": 706}
     _clear_caches()

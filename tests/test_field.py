@@ -713,24 +713,24 @@ def test_heuristic_gcd_cofactors_with_and_without_the_size_bound(monkeypatch):
         rng.shuffle(down)
         pairs.append((up + down, [3, -2, -1]))
 
-    checks = []
-    umul = field._umul
+    fallbacks = []
+    udivexact = field._udivexact
 
     def counted(x, y):
-        checks.append(1)
-        return umul(x, y)
+        fallbacks.append(1)
+        return udivexact(x, y)
 
-    monkeypatch.setattr(field, "_umul", counted)
+    monkeypatch.setattr(field, "_udivexact", counted)
     bound_held = 0
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
-            before = len(checks)
+            before = len(fallbacks)
             x, y = _uprimitive(x), _uprimitive(y)
             g, fa, fb = field._ugcd_heu(x, y)
             assert g == _ugcd_prs(x, y)
             assert _row_mul(g, fa) == x and _row_mul(g, fb) == y
-            bound_held += g != [1] and len(checks) == before
-    assert checks, "no cofactor went through the product check"
+            bound_held += g != [1] and len(fallbacks) == before
+    assert fallbacks, "no cofactor fell back to exact division"
     assert bound_held, "no cofactor was accepted by the size bound"
 
 
@@ -1160,6 +1160,40 @@ def test_exact_division_cases():
     assert _division(a, b) == (None, (1, 0, 0))
     # below the cutoff, schoolbook alone
     assert _division(_row_mul(b, q[:4]), b) == (q[:4], (0, 0, 0))
+
+
+def test_sparse_bivariate_division_wider_than_the_cap_is_schoolbook():
+    # sparse Lambda rows laid end to end at W = 11 (lengths 44 and 16 pass
+    # the length rule, 18 and 4 nonzero) with 39-byte digits: the schoolbook
+    # loop takes it, where packed division would cost about n * len(b) *
+    # nbytes**2
+    import qpoly.field as field
+
+    big = 2**150 + 1
+    b = IntPoly({(0, 0): big, (3, 0): -7, (1, 1): 5, (4, 1): big - 2})
+    q = IntPoly({(0, 0): 3, (5, 0): -big, (2, 1): 11, (0, 2): big, (6, 2): 1})
+    a, out = b * q, []
+    width = max(map(len, a._rows))
+    rows_a, rows_b = (field._flatten(p._rows, width) for p in (a, b))
+    n = len(rows_a) - len(rows_b) + 1
+    assert n * len(rows_b) > field._PACK_MUL_CUTOFF * (n + len(rows_b))
+    assert field._width(max(map(abs, rows_a + rows_b)).bit_length() + n.bit_length()) == 39
+    assert _division_work(lambda: out.append(a.divexact(b))) == (0, 0, 0)
+    assert out == [q]
+
+
+def test_dense_division_at_the_cap_packs_and_certifies():
+    # b * q with sum|b| = 31 and |q_j| about 2**k, n = 20: k = 112 gives
+    # digits of exactly the cap, packed and certified; k = 120 one byte more,
+    # divided by schoolbook
+    import qpoly.field as field
+
+    b = [3, 1, 4, 1, 5, 9, 2, 6]
+    for k, nbytes, work in ((112, field._PACK_DIV_BYTES, (1, 1, 0)), (120, field._PACK_DIV_BYTES + 1, (0, 0, 0))):
+        q = [2**k + j for j in range(20)]
+        a = _row_mul(b, q)
+        assert field._width(max(map(abs, a)).bit_length() + len(q).bit_length()) == nbytes
+        assert _division(a, b) == (q, work)
 
 
 def _division_pair(rng):

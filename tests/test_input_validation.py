@@ -17,7 +17,9 @@ from qpoly.connection import (
     sum_rule_explicit,
 )
 from qpoly.families import (
+    CosPolynomial,
     ZPOLY_RING,
+    ZPolynomial,
     gegenbauer_classical,
     gegenbauer_genfun_series,
     gegenbauer_weight,
@@ -92,3 +94,12 @@ def test_laguerre_aux_order_that_is_not_an_int_raises_type_error(order):
     # change no total
     with pytest.raises(TypeError):
         laguerre_connection(3, 3, {order: 2})
+
+
+@pytest.mark.parametrize("build", [lambda: ZPolynomial({1.5: 1, 2: 3}), lambda: ZPolynomial({Fraction(2): 1}),
+                                   lambda: CosPolynomial({0.5: 1})], ids=["z-float", "z-fraction", "cos-float"])
+def test_non_int_exponent_raises_type_error(build):
+    # exponents are checked like IntPoly coefficients: z^1.5 printed as z^1
+    # and cos(0.5*theta) as cos(0*theta), which JSON did not read back
+    with pytest.raises(TypeError):
+        build()

@@ -241,6 +241,26 @@ def test_cli_connect_laguerre_aux_checks_the_rows_it_prints(capsys, monkeypatch)
     assert run_cli(capsys, *argv, "--format", "latex")[0] == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_cli_connect_laguerre_builds_its_rows_once(capsys, monkeypatch, fmt):
+    # with --aux the rows are both printed and summed, from one build
+    import dataclasses
+
+    import qpoly.cli as cli
+
+    builds, connection = [], cli.laguerre_connection
+
+    def counted(n, k, aux):
+        expansion = connection(n, k, aux)
+        return dataclasses.replace(expansion, make_terms=lambda: builds.append(1) or expansion.terms)
+
+    monkeypatch.setattr(cli, "laguerre_connection", counted)
+    for aux in ([], ["--aux", "2,-1,3"]):
+        builds.clear()
+        assert run_cli(capsys, "connect", "laguerre", "--n", "6", "--k", "6", *aux, "--format", fmt)[0] == 0
+        assert len(builds) == 1, aux
+
+
 def test_cli_eval_classical(capsys):
     code, out = run_cli(capsys, "eval", "classical-hermite", "--n", "0")
     assert code == 0 and out.strip() == "1"
