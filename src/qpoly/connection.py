@@ -31,7 +31,8 @@ relation:
     reduced once.  At beta_k = lambda it is the binomial series of (1 +
     sum_m C_m t**m)**lambda, read by the multinomial theorem over the same
     partitions.  The deformed side of the sum rules is the log of the
-    explicit polynomials over Z (families._log_coefficients), the classical
+    series of the explicit polynomials, over Z from the Pochhammer rows of
+    its two q-binomial factors (families._log_coefficients), the classical
     side sum_l 2 cos(l theta) t**l / l in closed form.
 
 Every expansion's terms and total are in the normalization of the polynomial
@@ -752,7 +753,8 @@ SUM_RULE_COMBINATIONS = {
 def gegenbauer_sum_rule_logs(order):
     """The logs of the deformed and of the classical (lambda = 1) series,
     log(sum_n C_n^(lambda)(z; q) t**n) and log(sum_n C_n^(1) t**n), to the
-    given order; the deformed series is built from the explicit polynomials.
+    given order; the deformed log is built from the Pochhammer rows of the
+    two factors of the explicit polynomials' series.
     A log coefficient does not depend on the truncation order, so one pair
     serves every sum rule of order up to `order`.  The deformed log runs over
     Z (_log_coefficients), with no TruncatedSeries log and no CosPolynomial

@@ -19,8 +19,10 @@ The Gegenbauer generating function is expanded only to the order of the
 coefficients read, which do not depend on it, and runs over Z: its
 exponential is the q-divided-power kernel (qkernel) on integer numerators
 in q, Lambda and w = e**(i theta), each packed into one int, and only the
-coefficients read are reduced, once per cos index.  The kernel's log in the
-same frame (_log_coefficients) is the deformed side of the sum rules.
+coefficients read are reduced, once per cos index.  The deformed side of
+the sum rules (_log_coefficients) is the kernel's log in q and Lambda alone:
+the explicit series is the product A(t w) A(t/w) of one q-binomial series
+A, so its log is the log of A at t w plus that at t/w.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from functools import lru_cache
 from .field import (
     RationalFunction,
     _coerce_or_raise,
+    _flatten,
     _pack,
     _power,
     _rows_mul,
@@ -450,16 +453,16 @@ def q_gegenbauer_direct(n):
 # the Gegenbauer generating function and the sum-rule log over Z
 # ---------------------------------------------------------------------------
 # With w = e**(i theta), the t**m coefficient b_m of the generating function
-# (and of its log) is a Laurent polynomial in w, even under w -> 1/w, whose
-# cos(j theta) coefficient is its w**j coefficient, doubled for j > 0.  Its
-# numerator G_m = (q;q)_m b_m lies in Z[q, Lambda, w, 1/w], of q-degree at
-# most m(m-1)/2 and Lambda-degree at most m.  It is kept as w-cells, {e:
+# is a Laurent polynomial in w, even under w -> 1/w, whose cos(j theta)
+# coefficient is its w**j coefficient, doubled for j > 0.  Its numerator
+# G_m = (q;q)_m b_m lies in Z[q, Lambda, w, 1/w], of q-degree at most
+# m(m-1)/2 and Lambda-degree at most m.  It is kept as w-cells, {e:
 # [q-row per power of Lambda]}, or packed into one int in the frame of an
 # order N >= m (Kronecker substitution; Monagan and Pearce, 2010): q**a
 # Lambda**b w**e is the digit a + qs*(b + ls*(e + m)/2), qs = N(N-1)/2 + 1,
 # ls = N + 1.  Lambda**j is then a shift by j*qs digits, w**j (into degree
 # m + j) a shift by j*qs*ls digits and w**-j no shift, the places of the
-# q-divided-power kernel (qkernel._divided_powers) in its exp and its log.
+# q-divided-power kernel (qkernel._divided_powers) in its exp.
 
 def _frame(order):
     """(qs, ls): the q and Lambda strides, in digits, of the order frame."""
@@ -508,45 +511,24 @@ def _genfun_coefficients(order, degrees):
             for m in degrees]
 
 
-def _direct_packed(i, binom, blocks, nbytes, slot):
-    """G_i = (q;q)_i b_i packed in the order frame, b_i the explicit
-    polynomial of degree i: for l <= i/2, its w**(i-2l) and w**-(i-2l) cells
-    are both binom[l] = [i over l]_q times the packed blocks[l] and
-    blocks[i-l] of (Lambda;q)_l and (Lambda;q)_{i-l}, placed by shifts of
-    slot bits per w-slot."""
-    g = 0
-    for ell in range(i // 2 + 1):
-        cell = _pack(binom[ell], nbytes) * blocks[ell] * blocks[i - ell]
-        g += cell << (slot * (i - ell))
-        if 2 * ell != i:
-            g += cell << (slot * ell)
-    return g
-
-
 def _log_coefficients(order, degrees):
     """The t**n coefficients, n in degrees (each 1..order), of the log of the
-    series of the explicit deformed polynomials: K_n = n (q;q)_n c_n, the log
-    of qkernel._divided_powers in the order frame, given G_m = (q;q)_m b_m
-    (_direct_packed) from the (Lambda;q)_l packed once per digit width, with
-    |G_i| <= max_l |[i over l]|_1 |(Lambda;q)_l|_1 |(Lambda;q)_{i-l}| (|.| the
-    largest coefficient, |.|_1 the sum of absolute values).  Only the c_n
-    asked for are reduced, once per cos index."""
-    lam = [_lambda_pochhammer_row(ell) for ell in range(order + 1)]
-    binoms = [_q_pascal_row(i, False) for i in range(order + 1)]
-    norms = [sum(sum(map(abs, r)) for r in rows) for rows in lam]
+    series of the explicit deformed polynomials, in its product form: that
+    series is A(t w) A(t/w), A(x) = sum_l (Lambda;q)_l x**l / (q;q)_l (Gasper
+    and Rahman, 1.3), so its log is sum_n c_n (w**n + w**-n) t**n, c_n the
+    log coefficients of A, and its t**n coefficient is 2 c_n cos(n theta).
+    K_n = n (q;q)_n c_n is the log of qkernel._divided_powers in the (q,
+    Lambda) frame of stride order(order-1)/2 + 1, given G_m = (Lambda;q)_m
+    packed one Lambda-row per stride, with |G_m| <= tops[m], the largest
+    coefficient of (Lambda;q)_m.  Only the c_n asked for are reduced, each
+    once, over n (q;q)_n."""
+    lam = [_lambda_pochhammer_row(m) for m in range(order + 1)]
     tops = [max(max(map(abs, r)) for r in rows) for rows in lam]
-    top = [max(sum(binoms[i][ell]) * norms[ell] * tops[i - ell] for ell in range(i // 2 + 1))
-           for i in range(order + 1)]
-    (qs, ls), blocks = _frame(order), {}  # blocks[nbytes]: the packed (Lambda;q)_l
-
-    def pack(m, nbytes):
-        packed_lam = blocks.setdefault(nbytes, [])
-        packed_lam += [sum(_pack(r, nbytes) << 8 * nbytes * qs * p for p, r in enumerate(rows))
-                       for rows in lam[len(packed_lam):m + 1]]
-        return _direct_packed(m, binoms[m], packed_lam, nbytes, 8 * nbytes * qs * ls)
-
-    ks = _divided_powers(binoms, qs, series=(top, pack), read=degrees)[2]
-    return [_cos_value(_cells(ks[m], m, ls), [m * x for x in _q_pochhammer_row(m)]) for m in degrees]
+    qs = _frame(order)[0]
+    ks = _divided_powers([_q_pascal_row(m, False) for m in range(order + 1)], qs,
+                         series=(tops, lambda m, nbytes: _pack(_flatten(lam[m], qs), nbytes)), read=degrees)[2]
+    return [_cos_value({n: _unorm([_unorm(r) for r in ks[n]])}, [n * x for x in _q_pochhammer_row(n)])
+            for n in degrees]
 
 
 def gegenbauer_genfun_series(order):

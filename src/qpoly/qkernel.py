@@ -26,8 +26,9 @@ one cached row per index, built from the row before it and shared by every
 order: no caller changes one.
 
 _divided_powers is the one q-divided-power loop over Z: its exp gives the
-product forms and the Gegenbauer generating function (families), its log
-the deformed side of the sum rules (connection).
+product forms and the Gegenbauer generating function (families), its log,
+in q and Lambda alone, the deformed side of the sum rules (families, for
+connection).
 
 A base is given by its integer exponent base_exp: the base is q**base_exp
 (1, -2 and -4 in the paper), an ordinary rational function of s, and

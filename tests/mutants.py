@@ -119,6 +119,16 @@ MUTANTS = [
     Mutant("exp-digit-width-one-byte-short", "qkernel.py",
            "wider = _width(need.bit_length())\n", "wider = _width(need.bit_length()) - (not log)\n",
            ("tests/test_qkernel.py::test_exp_digit_widths", "tests/test_connection.py::test_exact_work_counts")),
+    # the sum-rule log in its product form: the (q, Lambda) frame's stride
+    # holds q-degree order(order-1)/2, and c_n = K_n / (n (q;q)_n)
+    Mutant("log-stride-one-digit-short", "families.py",
+           "qs = _frame(order)[0]\n", "qs = _frame(order)[0] - 1\n",
+           ("tests/test_connection.py::test_sum_rules_exact",
+            "tests/test_connection.py::test_sum_rule_log_over_z_matches_series_log")),
+    Mutant("log-denominator-n-dropped", "families.py",
+           "[n * x for x in _q_pochhammer_row(n)]", "_q_pochhammer_row(n)",
+           ("tests/test_connection.py::test_sum_rules_exact",
+            "tests/test_connection.py::test_sum_rule_log_over_z_matches_series_log")),
     # the Gegenbauer cells: cos(j theta) is twice the w**j coefficient, j > 0
     Mutant("gegenbauer-cos-doubling-dropped", "families.py",
            "rows if not e else [[2 * x for x in r] for r in rows]", "rows",

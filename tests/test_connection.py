@@ -1350,7 +1350,7 @@ def test_sum_rule_order_two():
     assert lhs == rhs
 
 
-@pytest.mark.parametrize("ell", range(1, 9))
+@pytest.mark.parametrize("ell", range(1, 17))
 def test_sum_rules_exact(ell):
     lhs, rhs = gegenbauer_sum_rule(ell)
     assert lhs == rhs
@@ -1405,8 +1405,9 @@ def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
     # G_i packed from the Pochhammer blocks reads back as the explicit
     # products [i over l]_q (Lambda;q)_l (Lambda;q)_{i-l} at w**(i-2l) and
     # w**-(i-2l); reduced by the generic gcd they equal the closed form, which
-    # is assembled in lowest terms with no gcd, so its coprimality is checked
-    from qpoly.families import _cos_value, _direct_packed, _frame, _unpack_cells
+    # is assembled in lowest terms with no gcd, so its coprimality is checked.
+    # The packing is the test's own: the w-slots of degree i are i - l and l
+    from qpoly.families import _cos_value, _frame, _unpack_cells
     from qpoly.field import _flatten, _pack, _rows_mul
     from qpoly.qkernel import _lambda_pochhammer_row, _q_pascal_row, _q_pochhammer_row
 
@@ -1418,7 +1419,12 @@ def test_direct_cells_over_q_pochhammer_are_the_explicit_polynomials():
         expected = {}
         for ell, binom in enumerate(_q_pascal_row(i, False)[:i // 2 + 1]):
             expected[i - 2 * ell] = expected[2 * ell - i] = _rows_mul([binom], _rows_mul(lam[ell], lam[i - ell]))
-        packed = _direct_packed(i, _q_pascal_row(i, False), blocks, nbytes, 8 * nbytes * qs * ls)
+        packed, slot = 0, 8 * nbytes * qs * ls
+        for ell, binom in enumerate(_q_pascal_row(i, False)[:i // 2 + 1]):
+            cell = _pack(binom, nbytes) * blocks[ell] * blocks[i - ell]
+            packed += cell << (slot * (i - ell))
+            if 2 * ell != i:
+                packed += cell << (slot * ell)
         cells = _unpack_cells(packed, i, order, nbytes)
         assert cells == expected
         assert _cos_value(cells, _q_pochhammer_row(i)) == q_gegenbauer_direct(i)
@@ -1674,3 +1680,5 @@ def test_exact_work_counts():
     assert _ratio_work(lambda: run_suite("all")) == {"empty": 0, "coprime": 316, "content": 147, "gcd": 189, "own": 706}
     _clear_caches()
     assert _divided_power_work(lambda: q_gegenbauer_genfun(16)) == [(17, 5, 1484441)]
+    _clear_caches()
+    assert _divided_power_work(lambda: gegenbauer_sum_rule(16)) == [(17, 3, 51409)]
