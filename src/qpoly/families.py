@@ -478,11 +478,7 @@ def _unpack_cells(v, m, order, nbytes, low=0):
     skip = 8 * nbytes * qs * ls * low
     if skip:
         v = (v + (1 << (skip - 1))) >> skip
-    return _cells(_unpack_rows(v, nbytes, qs * ls * (m + 1 - low), qs), m, ls, low)
-
-
-def _cells(rows, m, ls, low=0):
-    """The w-cells, as _unpack_cells, of the frame rows given from slot low."""
+    rows = _unpack_rows(v, nbytes, qs * ls * (m + 1 - low), qs)
     return {2 * (k + low) - m: cell for k in range(m + 1 - low)
             if (cell := _unorm([_unorm(r[:m * (m - 1) // 2 + 1]) for r in rows[k * ls:k * ls + m + 1]]))}
 

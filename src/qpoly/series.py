@@ -85,6 +85,8 @@ class TruncatedSeries:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(coeffs) - 1
+        if order < 0:
+            raise ValueError("series order must be >= 0")
         if len(coeffs) > order + 1:
             coeffs = coeffs[: order + 1]
         elif len(coeffs) < order + 1:

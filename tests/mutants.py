@@ -8,11 +8,12 @@ entry with
 
     python tests/mutants.py
 
-Each entry is reported as killed (a named test failed), survived (every
-named test passed) or stale (its snippet is not in the module exactly once,
+Each entry is reported as killed (every named test failed; a node id
+without [...] fails when any of its parameters fails), survived (a named
+test passed) or stale (its snippet is not in the module exactly once,
 a named test is gone, or pytest could not run them); the exit status is 1
-unless every entry is killed.  Tier-1 runs only the staleness check
-(test_mutants.py).  Only pytest and the standard library are used.
+unless every entry is killed.  Tier-1 runs the staleness check and one
+survivor (test_mutants.py).  Only pytest and the standard library are used.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ MUTANTS = [
            ("tests/test_field.py::test_divexact_edge_cases",)),
     # packed digits move to wider fields with the old bias subtracted
     Mutant("widen-bias", "field.py",
-           'bytes(nbytes - 1) + b"\\x80" + bytes(wider - nbytes)', 'bytes(nbytes - 1) + b"\\x81" + bytes(wider - nbytes)',
+           'bytes(nbytes - 1) + b"\\x80" + bytes(wider - nbytes)',
+           'bytes(nbytes - 1) + b"\\x81" + bytes(wider - nbytes)',
            ("tests/test_field.py::test_pack_unpack_round_trip_every_width",
-            "tests/test_connection.py::test_sum_rules_exact[4]")),
+            "tests/test_connection.py::test_sum_rules_exact[10]")),
     # the one certificate of packed quotients, GCDHEU's cofactors and packed
     # exact division's: digits are a quotient only when sum|b| * max|q| < xi/2
     Mutant("certificate-bound-at-xi", "field.py",
@@ -165,14 +167,14 @@ def run(mutant, src=ROOT / "src"):
         module = copy / "qpoly" / mutant.module
         module.write_text(module.read_text().replace(mutant.snippet, mutant.replacement))
         env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
                               cwd=ROOT, env=env, capture_output=True, text=True)
     summary = proc.stdout.strip().splitlines()[-1:] or [""]
-    if proc.returncode == 0:
-        return "survived", summary[0]
-    if proc.returncode == 1:
-        return "killed", summary[0]
-    return "stale", f"pytest exited {proc.returncode}: {summary[0]}"
+    if proc.returncode not in (0, 1):
+        return "stale", f"pytest exited {proc.returncode}: {summary[0]}"
+    failed = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+    passed = [node for node in mutant.tests if not any(node in (f, f.split("[")[0]) for f in failed)]
+    return ("survived", f"{' '.join(passed)} passed; {summary[0]}") if passed else ("killed", summary[0])
 
 
 def main(catalogue=MUTANTS):

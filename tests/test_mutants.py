@@ -1,6 +1,6 @@
 """The mutant catalogue (mutants.py) still applies: each snippet occurs once
-in its module and each named test exists.  Running the mutants is a CI
-step: python tests/mutants.py."""
+in its module and each named test exists.  An entry survives when one named
+test passes.  Running the mutants is a CI step: python tests/mutants.py."""
 
 from mutants import MUTANTS, ROOT, Mutant, main, run, stale_reason
 
@@ -25,3 +25,9 @@ def test_a_missing_snippet_or_test_is_reported_stale(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("stale    gone (") and out[0].endswith(f"snippet occurs 0 times in {entry.module}")
     assert out[-1].startswith("0 of 2 killed, 0 survived, 2 stale, in ")
+
+
+def test_an_entry_whose_second_test_passes_survives():
+    entry = next(m for m in MUTANTS if m.name == "widen-bias")  # [4] passes on this mutant, [10] fails
+    status, detail = run(entry._replace(tests=(entry.tests[0], "tests/test_connection.py::test_sum_rules_exact[4]")))
+    assert status == "survived" and detail.startswith("tests/test_connection.py::test_sum_rules_exact[4] passed; ")

@@ -261,6 +261,10 @@ def test_series_order_defaults_to_the_coefficient_count():
     assert TruncatedSeries(FRACTION_RING, [1, 2, 3]).order == 2
     with pytest.raises(ValueError, match="^empty coefficient list needs an explicit order$"):
         TruncatedSeries(FRACTION_RING, [])
+    for build, args in ((TruncatedSeries, ([1, 2, 3], -2)), (TruncatedSeries.zero, (-1,)),
+                        (TruncatedSeries.one, (-1,)), (TruncatedSeries.monomial, (1, 0, -1))):
+        with pytest.raises(ValueError, match="^series order must be >= 0$"):
+            build(FRACTION_RING, *args)
 
 
 def test_series_refuse_another_ring_and_foreign_operands():
